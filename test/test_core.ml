@@ -656,6 +656,45 @@ let test_pinned_blocked_churn_messages () = run_pinned_blocked_churn ()
 let test_pinned_blocked_churn_messages_pooled () =
   Skipweb_util.Pool.with_pool ~jobs:2 (fun pool -> run_pinned_blocked_churn ?pool ())
 
+(* A Blocked1d guard at a size where the cone tables are long (thousands
+   of entries per non-basic set) and every routing branch fires: ranges
+   covered by several cone entries, the preferred-host choice among them,
+   cache-slot reads, and failover off a dead primary. The busiest host of
+   a warm-up pass is killed, so a large share of descents fail over. The
+   totals and the per-host traffic checksum pin the head-first replica
+   order the tables must preserve. *)
+let test_pinned_blocked_failover_queries () =
+  let n = 4096 in
+  let ks = keys n in
+  let net = Network.create ~hosts:n in
+  let b = B1.build ~net ~seed:77 ~m:48 ~r:2 ks in
+  B1.set_cache b ~levels:1 ~k:2;
+  let rng = Prng.create 0xb10c in
+  for _ = 1 to 500 do
+    ignore (B1.query b ~rng (Prng.int rng (100 * n)))
+  done;
+  let busiest = ref 0 in
+  for h = 1 to n - 1 do
+    if Network.traffic net h > Network.traffic net !busiest then busiest := h
+  done;
+  Network.reset_traffic net;
+  Network.kill net !busiest;
+  let msgs = ref 0 and failed = ref 0 in
+  for _ = 1 to 2000 do
+    match B1.query b ~rng (Prng.int rng (100 * n)) with
+    | r -> msgs := !msgs + r.B1.messages
+    | exception Network.Host_dead _ -> incr failed
+  done;
+  let checksum = ref 0 in
+  for h = 0 to n - 1 do
+    checksum := ((!checksum * 1_000_003) + Network.traffic net h) land 0x3fff_ffff
+  done;
+  B1.check_invariants b;
+  Alcotest.(check (list int))
+    "pinned blocked failover [msgs; net; failed; traffic checksum]"
+    [ 4000; 4000; 0; 481096176 ]
+    [ !msgs; Network.total_messages net; !failed; !checksum ]
+
 (* ------- multi-dimensional scans through the hierarchy (PR 10) ------- *)
 
 let test_scan_answers_and_stats () =
@@ -946,6 +985,7 @@ let suite =
       test_pinned_hierarchy_churn_messages_pooled;
     Alcotest.test_case "pinned blocked churn messages (pooled build)" `Quick
       test_pinned_blocked_churn_messages_pooled;
+    Alcotest.test_case "pinned blocked failover queries" `Quick test_pinned_blocked_failover_queries;
     Alcotest.test_case "scan answers + stats (range/knn/prefix/trap)" `Quick
       test_scan_answers_and_stats;
     Alcotest.test_case "scan_batch jobs identity" `Quick test_scan_batch_jobs_identity;
