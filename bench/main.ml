@@ -6,6 +6,7 @@
      dune exec bench/main.exe                 # all experiments, default sizes
      dune exec bench/main.exe -- --quick      # reduced sizes (CI-friendly)
      dune exec bench/main.exe -- table1 lemmas   # selected experiments only
+                                              # (an unknown name exits 2)
      dune exec bench/main.exe -- --no-time    # skip wall-clock benches
      dune exec bench/main.exe -- --jobs 4     # parallel read + write paths:
                                               # query phases, seed replicas
@@ -62,6 +63,12 @@ let () =
     take [] args
   in
   let selected = List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args in
+  let unknown = List.filter (fun s -> not (List.mem_assoc s experiments) && s <> "time") selected in
+  if unknown <> [] then begin
+    List.iter (fun s -> Printf.eprintf "error: unknown experiment %S\n" s) unknown;
+    Printf.eprintf "valid experiments: %s time\n" (String.concat " " (List.map fst experiments));
+    exit 2
+  end;
   let cfg = if quick then Bench_common.quick_config else Bench_common.default_config in
   let cfg = { cfg with Bench_common.jobs } in
   Printf.printf
@@ -69,8 +76,6 @@ let () =
     (String.concat "," (List.map string_of_int cfg.Bench_common.sizes))
     cfg.Bench_common.queries cfg.Bench_common.updates
     (List.length cfg.Bench_common.seeds) cfg.Bench_common.jobs;
-  let unknown = List.filter (fun s -> not (List.mem_assoc s experiments) && s <> "time") selected in
-  List.iter (fun s -> Printf.eprintf "warning: unknown experiment %S ignored\n" s) unknown;
   let want name = selected = [] || List.mem name selected in
   List.iter (fun (name, f) -> if want name then f cfg) experiments;
   if (want "time" && not no_time) || List.mem "time" selected then Exp_time.run cfg

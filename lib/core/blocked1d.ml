@@ -6,8 +6,18 @@ module Prng = Skipweb_util.Prng
 module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
 
+(* The blocks of one basic-level set, indexed by block number j. *)
+type group = {
+  owners : Network.host array array;  (* block j -> its owners, primary first *)
+  units : int array;  (* block j -> ranges stored by the block plus its cone intervals *)
+}
+
+let no_blocks = { owners = [||]; units = [||] }
+
 (* Membership bits are derived from the key itself, so an element keeps its
-   level path across rebuilds. *)
+   level path across rebuilds. Every table is dense: indexed by level, then
+   by membership prefix. A level-l prefix is below 2^l and top = ⌈log₂ n⌉,
+   so all levels together hold fewer than 4n slots. *)
 type t = {
   net : Network.t;
   vecs : Membership.t;
@@ -17,12 +27,14 @@ type t = {
   mutable bsize : int;  (* ranges per block at basic levels *)
   keys : O.t;  (* the ground set, chunked sorted sequence *)
   mutable top : int;  (* K = ceil(log2 n) *)
-  sets : (int * int, int array) Hashtbl.t;  (* (level, prefix) -> sorted keys *)
-  blocks : (int * int * int, Network.host array) Hashtbl.t;
-      (* basic (level, prefix, block) -> owners, primary first *)
-  replicas : (int * int, (int * int * Network.host array * int) list) Hashtbl.t;
-      (* non-basic (level, prefix) -> cone intervals
-         (code_lo, code_hi, owners, block index in the basic group below) *)
+  mutable sets : int array array array;  (* level -> prefix -> sorted keys ([||]: no set) *)
+  mutable blocks : group array array;  (* basic level -> prefix -> blocks; [||] off basic levels *)
+  mutable cones : int array array array;
+      (* non-basic level -> prefix -> cone table; [||] at basic levels and
+         for empty sets. Entry j is the code interval (code_lo, code_hi)
+         of the set's ranges that block j of the basic set below touches,
+         stored flat. Every block touches every non-empty set of its cone,
+         so a table has one entry per block. *)
   (* Read-path level cache: a basic block group — the block plus every
      cone interval it drags along — whose basic level is below
      [cache_levels] keeps [cache_replicas - 1] whole extra copies on
@@ -34,9 +46,10 @@ type t = {
   mutable cache_levels : int;  (* groups with basic level < this are cached *)
   mutable cache_replicas : int;  (* k: total read copies per cached group *)
   cache_seed : int;
-  cache : (int * int * int, Network.host array) Hashtbl.t;
-      (* cached basic (level, prefix, block) -> the k - 1 cache hosts *)
-  host_mem : (Network.host, int) Hashtbl.t;  (* what we charged, for rebuilds *)
+  mutable cache : Network.host array array array array;
+      (* basic level -> prefix -> block j -> the k - 1 cache hosts;
+         [||] for every level outside the cache window *)
+  host_mem : int array;  (* what we charged per host, for rebuilds *)
   mutable pool : Skipweb_util.Pool.t option;  (* fans rebuild phases out when set *)
 }
 
@@ -49,7 +62,9 @@ let block_size t = t.bsize
 let basic_levels t =
   List.filter (fun l -> l mod t.stride = 0) (List.init (t.top + 1) Fun.id)
 
-let prefix t key level = Membership.prefix t.vecs ~id:key ~len:level
+(* An element's membership path: its prefix at the top level. The prefix
+   at level l is the path's first l bits, [path lsr (top - l)]. *)
+let path_of t key = Membership.prefix t.vecs ~id:key ~len:t.top
 
 let required_top n =
   let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
@@ -57,42 +72,48 @@ let required_top n =
 
 let charge t host units =
   Network.charge_memory t.net host units;
-  Hashtbl.replace t.host_mem host ((try Hashtbl.find t.host_mem host with Not_found -> 0) + units)
+  t.host_mem.(host) <- t.host_mem.(host) + units
 
 let uncharge_all t =
-  Hashtbl.iter (fun host units -> if units <> 0 then Network.charge_memory t.net host (-units)) t.host_mem;
-  Hashtbl.reset t.host_mem
+  Array.iteri (fun host units -> if units <> 0 then Network.charge_memory t.net host (-units)) t.host_mem;
+  Array.fill t.host_mem 0 (Array.length t.host_mem) 0
+
+(* [f level b j g] for every block j of every basic set [(level, b)]. *)
+let iter_blocks t f =
+  Array.iteri
+    (fun level groups ->
+      Array.iteri (fun b g -> Array.iteri (fun j _ -> f level b j g) g.owners) groups)
+    t.blocks
+
+(* ------- cone tables ------- *)
+
+(* Block j's entry of a cone table. Block spans ascend with j, so along
+   a table code_lo and code_hi are both non-decreasing. *)
+let cone_entries tbl = Array.length tbl / 2
+let cone_lo tbl j = tbl.(2 * j)
+let cone_hi tbl j = tbl.((2 * j) + 1)
+
+(* The last block with code_lo <= code, by binary search (-1 if none).
+   The blocks whose interval holds [code] are the run from there down
+   while code_hi >= code. [hosts_of] lists them in that order, descending
+   block index; routing prefers the head, so the order is part of the
+   message model and the pinned totals check it. *)
+let last_stabbed tbl code =
+  let lo = ref 0 and hi = ref (cone_entries tbl) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cone_lo tbl mid <= code then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+let stabs tbl j code = j >= 0 && cone_hi tbl j >= code
+
+(* The basic level a cone level hangs off: a set at [level] with prefix
+   b is in the cone of the basic set with prefix
+   [b lsr (level - cone_base t level)]. *)
+let cone_base t level = level - (level mod t.stride)
 
 (* ------- the read-path group cache ------- *)
-
-(* Ranges the block [(level, b, j)] itself stores (0 when the block fell
-   off the end after a shrink). *)
-let block_units t level b j =
-  match Hashtbl.find_opt t.sets (level, b) with
-  | None -> 0
-  | Some arr ->
-      let codes = L.num_ranges arr in
-      let clo = j * t.bsize and chi = min (codes - 1) (((j + 1) * t.bsize) - 1) in
-      if clo <= chi then chi - clo + 1 else 0
-
-(* A cone interval's basic group: the basic level below it and the block
-   prefix it fans out from. *)
-let cone_group t lvl cb = (lvl - (lvl mod t.stride), cb lsr (lvl mod t.stride))
-
-(* Stored units per basic group (block plus its cone intervals) — what one
-   cache copy of the group costs. *)
-let group_units_table t =
-  let units = Hashtbl.create 64 in
-  let add key u =
-    Hashtbl.replace units key (u + try Hashtbl.find units key with Not_found -> 0)
-  in
-  Hashtbl.iter (fun (level, b, j) _ -> add (level, b, j) (block_units t level b j)) t.blocks;
-  Hashtbl.iter
-    (fun (lvl, cb) lst ->
-      let base, pb = cone_group t lvl cb in
-      List.iter (fun (clo, chi, _, j) -> add (base, pb, j) (chi - clo + 1)) lst)
-    t.replicas;
-  units
 
 (* The k - 1 cache hosts of one group: pure hash draws salted by the cache
    slot, skipping dead hosts and hosts already holding a copy (an owner or
@@ -119,32 +140,40 @@ let draw_cache t ~owners level b j k =
       taken := h :: !taken;
       h)
 
-(* Charge (or release, [sign = -1]) every cache copy of every cached
-   group. *)
-let charge_cache t ~sign =
-  if Hashtbl.length t.cache > 0 then begin
-    let units = group_units_table t in
-    Hashtbl.iter
-      (fun key arr ->
-        let u = try Hashtbl.find units key with Not_found -> 0 in
-        if u > 0 then Array.iter (fun h -> charge t h (sign * u)) arr)
-      t.cache
-  end
+let cache_copies t level b j =
+  let groups = t.cache.(level) in
+  if Array.length groups = 0 then [||] else groups.(b).(j)
 
-(* (Re)derive the cache table from the current block/cone maps and charge
-   it: every eligible group (basic level below the cache window, active
-   cache) gets its k - 1 copies. Iteration order over the hashtable is
-   irrelevant — draws are pure per group and charges are sums. *)
+(* Charge (or release, [sign = -1]) every cache copy of every cached
+   group: a copy stores the whole group. *)
+let charge_cache t ~sign =
+  Array.iteri
+    (fun level groups ->
+      Array.iteri
+        (fun b copies ->
+          let units = t.blocks.(level).(b).units in
+          Array.iteri (fun j hosts -> Array.iter (fun h -> charge t h (sign * units.(j))) hosts) copies)
+        groups)
+    t.cache
+
+(* (Re)derive the cache table from the current blocks and charge it: every
+   eligible group (basic level below the cache window, active cache) gets
+   its k - 1 copies. Draws are pure per group and charges are sums, so
+   the order groups are visited in is irrelevant. *)
 let apply_cache t =
-  Hashtbl.reset t.cache;
-  if t.cache_replicas > 1 then begin
-    Hashtbl.iter
-      (fun (level, b, j) owners ->
-        if level < t.cache_levels then
-          Hashtbl.replace t.cache (level, b, j) (draw_cache t ~owners level b j t.cache_replicas))
+  t.cache <-
+    Array.mapi
+      (fun level groups ->
+        if t.cache_replicas > 1 && level < t.cache_levels then
+          Array.mapi
+            (fun b g ->
+              Array.mapi (fun j owners -> draw_cache t ~owners level b j t.cache_replicas) g.owners)
+            groups
+        else [||])
       t.blocks;
-    charge_cache t ~sign:1
-  end
+  charge_cache t ~sign:1
+
+(* ------- rebuild ------- *)
 
 (* Key-interval endpoints of a code interval within a set array. *)
 let interval_span arr clo chi =
@@ -171,10 +200,10 @@ let codes_touching arr (lo, hi) =
   in
   (clo, chi)
 
-(* Run [f i] for every i in [0, n) — over the pool when one is set, inline
-   otherwise. Rebuild work items (levels, blocks) cost about the same, so
-   the weights are uniform; dynamic dispatch still keeps every domain busy
-   until the batch drains. *)
+(* Run [f i] for every level i in [0, n) — over the pool when one is
+   set, inline otherwise. Levels cost about the same, so the weights are
+   uniform; dynamic dispatch still keeps every domain busy until the
+   batch drains. *)
 let for_items t n f =
   match t.pool with
   | None ->
@@ -183,53 +212,40 @@ let for_items t n f =
       done
   | Some p -> Skipweb_util.Pool.parallel_for_tasks p ~weights:(Array.make (max n 1) 1) f
 
-(* A rebuild parallelizes in two fan-out phases with sequential commits in
-   between, so the result — including the *order* of every cone-replica
-   list, which [hosts_of] reads head-first and therefore shows up in
-   message counts — is bit-identical to the sequential rebuild:
+(* A rebuild writes the dense tables directly, in two fan-out phases with
+   sequential steps in between, so the result is bit-identical for any
+   jobs count:
 
-     1. Level sets: one task per level, each bucketing the (read-only)
-        ground set by its own level's prefixes into a private slot;
-        committed into [t.sets] afterwards.
+     1. Level sets: one membership path per key, then one task per level
+        counting-sorting the ground set into its level's prefix slots.
+        Keys are visited in order, so every set fills already sorted.
      2. Blocks and cones: block boundaries and their round-robin owners
-        depend only on code counts, so they are enumerated sequentially
-        first (freezing the block -> host map); the expensive per-block
-        cone scans then fan out, each buffering its charges and replica
-        intervals in chronological order into its own slot, and the
-        buffers are committed sequentially in the original block order. *)
+        depend only on code counts, so they are dealt sequentially, in
+        ascending (level, prefix, block) order. Then one task per
+        non-basic level fills that level's cone tables, each task writing
+        only its own level; a last sequential pass sums every block's
+        stored units and charges its owners. *)
 let rebuild t =
   uncharge_all t;
-  Hashtbl.reset t.sets;
-  Hashtbl.reset t.blocks;
-  Hashtbl.reset t.replicas;
-  Hashtbl.reset t.cache;
   let n = size t in
   t.top <- required_top n;
-  (* Level sets along every element's membership path. The ground set is
-     iterated in key order, so each bucket fills already sorted — no
-     per-bucket re-sort. *)
-  let level_sets = Array.make (t.top + 1) [] in
-  for_items t (t.top + 1) (fun level ->
-      let buckets = Hashtbl.create 64 in
-      O.iter
-        (fun k ->
-          let b = prefix t k level in
-          match Hashtbl.find_opt buckets b with
-          | Some (arr, len) ->
-              if !len = Array.length !arr then begin
-                let bigger = Array.make (2 * !len) 0 in
-                Array.blit !arr 0 bigger 0 !len;
-                arr := bigger
-              end;
-              !arr.(!len) <- k;
-              incr len
-          | None -> Hashtbl.replace buckets b (ref (Array.make 8 k), ref 1))
-        t.keys;
-      level_sets.(level) <-
-        Hashtbl.fold (fun b (arr, len) acc -> (b, Array.sub !arr 0 !len) :: acc) buckets []);
-  Array.iteri
-    (fun level sets -> List.iter (fun (b, arr) -> Hashtbl.replace t.sets (level, b) arr) sets)
-    level_sets;
+  let top = t.top in
+  let keys = O.to_array t.keys in
+  let paths = Array.map (path_of t) keys in
+  let sets = Array.make (top + 1) [||] in
+  for_items t (top + 1) (fun level ->
+      let shift = top - level in
+      let fill = Array.make (1 lsl level) 0 in
+      Array.iter (fun p -> fill.(p lsr shift) <- fill.(p lsr shift) + 1) paths;
+      let slots = Array.map (fun len -> Array.make len 0) fill in
+      Array.fill fill 0 (Array.length fill) 0;
+      Array.iteri
+        (fun i p ->
+          let b = p lsr shift in
+          slots.(b).(fill.(b)) <- keys.(i);
+          fill.(b) <- fill.(b) + 1)
+        paths;
+      sets.(level) <- slots);
   (* Size blocks so there is about one block per *live* host (each block
      drags an O(M)-sized cone along, so several blocks per host would
      overshoot the memory budget). Placement only ever targets live hosts:
@@ -241,89 +257,94 @@ let rebuild t =
   in
   let nlive = Array.length live in
   let reps = min t.r nlive in
-  let total_basic_codes =
-    Hashtbl.fold
-      (fun (l, _) arr acc -> if l mod t.stride = 0 then acc + L.num_ranges arr else acc)
-      t.sets 0
-  in
-  t.bsize <- max (max 2 (t.m / 4)) ((total_basic_codes + nlive - 1) / nlive);
-  (* Enumerate every block in the canonical (level, sorted prefix, block)
-     order, assigning owners from the round-robin counter: replica slot s
-     of block [idx] is the live host [idx + s] positions along, so the r
-     copies of a block always sit on r distinct live hosts (r <= nlive). *)
-  let blocks_rev = ref [] in
-  let nblocks_total = ref 0 in
+  let basic level = level mod t.stride = 0 in
+  let codes arr = if Array.length arr = 0 then 0 else L.num_ranges arr in
+  let total_basic_codes = ref 0 in
+  Array.iteri
+    (fun level slots ->
+      if basic level then Array.iter (fun arr -> total_basic_codes := !total_basic_codes + codes arr) slots)
+    sets;
+  t.bsize <- max (max 2 (t.m / 4)) ((!total_basic_codes + nlive - 1) / nlive);
+  (* Deal every block in the canonical (level, prefix, block) order,
+     assigning owners from the round-robin counter: replica slot s of
+     block [idx] is the live host [idx + s] positions along, so the r
+     copies of a block always sit on r distinct live hosts (r <= nlive).
+     A block's units start at the ranges it holds itself; [spans] keeps
+     its key span for the cone scans. *)
+  let blocks = Array.make (top + 1) [||] in
+  let spans = Array.make (top + 1) [||] in
   let counter = ref 0 in
-  for level = 0 to t.top do
-    if level mod t.stride = 0 then begin
-      let sets_here =
-        Hashtbl.fold (fun (l, b) arr acc -> if l = level then (b, arr) :: acc else acc) t.sets []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (b, arr) ->
-          let codes = L.num_ranges arr in
-          let nblocks = (codes + t.bsize - 1) / t.bsize in
-          for j = 0 to nblocks - 1 do
-            let idx = !counter mod nlive in
-            incr counter;
-            let owners = Array.init reps (fun s -> live.((idx + s) mod nlive)) in
-            Hashtbl.replace t.blocks (level, b, j) owners;
-            blocks_rev := (level, b, arr, j, owners) :: !blocks_rev;
-            incr nblocks_total
-          done)
-        sets_here
+  for level = 0 to top do
+    if basic level then begin
+      let slots = sets.(level) in
+      blocks.(level) <- Array.make (Array.length slots) no_blocks;
+      spans.(level) <- Array.make (Array.length slots) [||];
+      Array.iteri
+        (fun b arr ->
+          let nblocks = (codes arr + t.bsize - 1) / t.bsize in
+          if nblocks > 0 then begin
+            let owners = Array.make nblocks [||] and units = Array.make nblocks 0 in
+            let span = Array.make nblocks (L.Neg_inf, L.Pos_inf) in
+            for j = 0 to nblocks - 1 do
+              let idx = !counter mod nlive in
+              incr counter;
+              owners.(j) <- Array.init reps (fun s -> live.((idx + s) mod nlive));
+              let clo = j * t.bsize and chi = min (codes arr - 1) (((j + 1) * t.bsize) - 1) in
+              units.(j) <- chi - clo + 1;
+              span.(j) <- interval_span arr clo chi
+            done;
+            blocks.(level).(b) <- { owners; units };
+            spans.(level).(b) <- span
+          end)
+        slots
     end
   done;
-  let block_arr = Array.of_list (List.rev !blocks_rev) in
   (* The cone of each block: for each non-basic level above, every
      descendant set's ranges touching the block's key span. (This is the
      conflict closure clamped to the block span; clamping keeps per-host
      space O(M) while every range stays covered by the block whose span it
-     touches.) Pure reads of [t.sets]; charges and replica intervals are
-     buffered chronologically per block. *)
-  let results = Array.make !nblocks_total ([], []) in
-  for_items t !nblocks_total (fun i ->
-      let level, b, arr, j, owners = block_arr.(i) in
-      let codes = L.num_ranges arr in
-      let clo = j * t.bsize and chi = min (codes - 1) (((j + 1) * t.bsize) - 1) in
-      let charges = ref [] in
-      let charge_owners units = Array.iter (fun h -> charges := (h, units) :: !charges) owners in
-      charge_owners (chi - clo + 1);
-      let cones = ref [] in
-      let span_block = interval_span arr clo chi in
-      let lvl = ref (level + 1) in
-      while !lvl <= t.top && !lvl mod t.stride <> 0 do
-        let fan = 1 lsl (!lvl - level) in
-        for suffix = 0 to fan - 1 do
-          let cb = (b * fan) + suffix in
-          match Hashtbl.find_opt t.sets (!lvl, cb) with
-          | None -> ()
-          | Some child_arr ->
-              let clo', chi' = codes_touching child_arr span_block in
-              if clo' <= chi' then begin
-                cones := ((!lvl, cb), (clo', chi', owners, j)) :: !cones;
-                charge_owners (chi' - clo' + 1)
-              end
-        done;
-        incr lvl
-      done;
-      results.(i) <- (List.rev !charges, List.rev !cones));
-  (* Sequential commit in block order reproduces the sequential rebuild's
-     exact charge sequence and replica-list construction order. *)
-  let cone_replicas = Hashtbl.create 64 in
+     touches.) The ranges of a set partition the key line, so every block
+     touches every non-empty descendant set. *)
+  let cones = Array.make (top + 1) [||] in
+  for_items t (top + 1) (fun level ->
+      if not (basic level) then begin
+        let base = cone_base t level in
+        cones.(level) <-
+          Array.mapi
+            (fun b child ->
+              if Array.length child = 0 then [||]
+              else begin
+                let span = spans.(base).(b lsr (level - base)) in
+                let tbl = Array.make (2 * Array.length span) 0 in
+                Array.iteri
+                  (fun j s ->
+                    let clo, chi = codes_touching child s in
+                    tbl.(2 * j) <- clo;
+                    tbl.((2 * j) + 1) <- chi)
+                  span;
+                tbl
+              end)
+            sets.(level)
+      end);
+  Array.iteri
+    (fun level tables ->
+      Array.iteri
+        (fun b tbl ->
+          let base = cone_base t level in
+          let units = blocks.(base).(b lsr (level - base)).units in
+          for j = 0 to cone_entries tbl - 1 do
+            units.(j) <- units.(j) + (cone_hi tbl j - cone_lo tbl j + 1)
+          done)
+        tables)
+    cones;
   Array.iter
-    (fun (charges, reps) ->
-      List.iter (fun (host, units) -> charge t host units) charges;
-      List.iter
-        (fun (key, entry) ->
-          Hashtbl.replace cone_replicas key
-            (entry :: (try Hashtbl.find cone_replicas key with Not_found -> [])))
-        reps)
-    results;
-  Hashtbl.iter (fun key lst -> Hashtbl.replace t.replicas key lst) cone_replicas;
-  (* Cache copies ride on the finished block/cone maps: pure re-derivation,
-     so an update-triggered rebuild and [set_cache] always agree. *)
+    (Array.iter (fun g -> Array.iteri (fun j owners -> Array.iter (fun h -> charge t h g.units.(j)) owners) g.owners))
+    blocks;
+  t.sets <- sets;
+  t.blocks <- blocks;
+  t.cones <- cones;
+  (* Cache copies ride on the finished blocks: pure re-derivation, so an
+     update-triggered rebuild and [set_cache] always agree. *)
   apply_cache t
 
 let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool keys =
@@ -351,14 +372,14 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       bsize = max 2 (m / 4);  (* refined by rebuild *)
       keys = O.of_sorted_array xs;
       top = 0;
-      sets = Hashtbl.create 64;
-      blocks = Hashtbl.create 64;
-      replicas = Hashtbl.create 64;
+      sets = [||];
+      blocks = [||];
+      cones = [||];
       cache_levels;
       cache_replicas;
       cache_seed = seed + 0xca4e;
-      cache = Hashtbl.create 64;
-      host_mem = Hashtbl.create 64;
+      cache = [||];
+      host_mem = Array.make (Network.host_count net) 0;
       pool;
     }
   in
@@ -383,11 +404,14 @@ let set_cache t ~levels ~k =
   t.cache_replicas <- k;
   apply_cache t
 
-let total_storage t = Hashtbl.fold (fun _ arr acc -> acc + L.num_ranges arr) t.sets 0
+let total_storage t =
+  Array.fold_left
+    (Array.fold_left (fun acc arr -> if Array.length arr = 0 then acc else acc + L.num_ranges arr))
+    0 t.sets
 
-let replicated_storage t = Hashtbl.fold (fun _ units acc -> acc + units) t.host_mem 0
+let replicated_storage t = Array.fold_left ( + ) 0 t.host_mem
 
-let max_host_memory t = Hashtbl.fold (fun _ units acc -> max acc units) t.host_mem 0
+let max_host_memory t = Array.fold_left max 0 t.host_mem
 
 (* The routing representative of one replica list: its first live owner —
    the primary when nobody is dead — or the dead primary when every copy
@@ -398,17 +422,17 @@ let entry_rep t owners =
   | Some h -> h
   | None -> owners.(0)
 
-(* The representative for a query reading cache slot [slot] of an entry's
-   basic group: the group's cache copy when one exists and is live, the
-   first live owner otherwise. Slot 0 — and any group outside the cache
-   window — is always the owner path, preserving the historical routing
-   byte-for-byte. *)
-let entry_rep_slot t ~slot ~group owners =
+(* The representative for a query reading cache slot [slot] of block j's
+   group in the basic set [(level, b)]: the group's cache copy when one
+   exists and is live, the first live owner otherwise. Slot 0 — and any
+   group outside the cache window — is always the owner path, preserving
+   the historical routing byte-for-byte. *)
+let entry_rep_slot t ~slot level b j =
+  let owners = t.blocks.(level).(b).owners.(j) in
   if slot >= 1 then
-    match Hashtbl.find_opt t.cache group with
-    | Some arr when slot - 1 < Array.length arr && Network.alive t.net arr.(slot - 1) ->
-        arr.(slot - 1)
-    | Some _ | None -> entry_rep t owners
+    let copies = cache_copies t level b j in
+    if slot - 1 < Array.length copies && Network.alive t.net copies.(slot - 1) then copies.(slot - 1)
+    else entry_rep t owners
   else entry_rep t owners
 
 (* Which cache copy a query from [origin] reads for groups based at basic
@@ -423,24 +447,18 @@ let slot_for t origin base =
   else 0
 
 (* One representative per covering entry (block, or cone interval) of the
-   range with this code. With nobody dead and [slot = 0] every
-   representative is that entry's primary, so the list — and hence every
-   routing decision made over it — is identical to the unreplicated,
-   uncached one for any [r]. *)
+   range with this code, head first. With nobody dead and [slot = 0]
+   every representative is that entry's primary, so the list — and hence
+   every routing decision made over it — is identical to the
+   unreplicated, uncached one for any [r]. *)
 let hosts_of ?(slot = 0) t level b code =
-  if level mod t.stride = 0 then
-    let j = code / t.bsize in
-    [ entry_rep_slot t ~slot ~group:(level, b, j) (Hashtbl.find t.blocks (level, b, j)) ]
+  if level mod t.stride = 0 then [ entry_rep_slot t ~slot level b (code / t.bsize) ]
   else
-    let base, pb = cone_group t level b in
-    match Hashtbl.find_opt t.replicas (level, b) with
-    | None -> []
-    | Some lst ->
-        List.concat_map
-          (fun (lo, hi, hs, j) ->
-            if lo <= code && code <= hi then [ entry_rep_slot t ~slot ~group:(base, pb, j) hs ]
-            else [])
-          lst
+    let base = cone_base t level in
+    let pb = b lsr (level - base) in
+    let tbl = t.cones.(level).(b) in
+    let rec run j = if stabs tbl j code then entry_rep_slot t ~slot base pb j :: run (j - 1) else [] in
+    run (last_stabbed tbl code)
 
 (* Where a walk lands for this replica list: the first live owner, else the
    head so the session hop raises [Host_dead] (every copy is gone). *)
@@ -458,34 +476,30 @@ type search_result = {
 
 (* The owner of the block that q's own position falls into at the next
    basic level at or below [level] along the origin's set path — the host
-   a descending query will want to be on. *)
-let preferred_host t origin level q =
-  let base = level - (level mod t.stride) in
-  let b = prefix t origin base in
-  match Hashtbl.find_opt t.sets (base, b) with
-  | None -> None
-  | Some arr -> (
-      let code = L.encode (L.locate arr q) in
-      let j = code / t.bsize in
-      match Hashtbl.find_opt t.blocks (base, b, j) with
-      | None -> None
-      | Some owners ->
-          (* The origin's read copy of the preferred block: its cache copy
-             when the group is cached for this origin, else the first live
-             owner — the primary when nobody is dead, preserving the
-             historical routing exactly. *)
-          Some (entry_rep_slot t ~slot:(slot_for t origin base) ~group:(base, b, j) owners))
+   a descending query will want to be on. The origin belongs to every set
+   on its path, so the set and the block always exist. *)
+let preferred_host t ~origin ~path level q =
+  let base = cone_base t level in
+  let b = path lsr (t.top - base) in
+  let code = L.encode (L.locate t.sets.(base).(b) q) in
+  (* The origin's read copy of the preferred block: its cache copy when
+     the group is cached for this origin, else the first live owner — the
+     primary when nobody is dead, preserving the historical routing
+     exactly. *)
+  entry_rep_slot t ~slot:(slot_for t origin base) base b (code / t.bsize)
 
 (* Traced descents open one leveled span per level, noting whether the
    level's range lives in a block or a cone and how many replicas cover
    it; hops are labeled accordingly. All trace work is guarded, so an
-   untraced query runs the original code path exactly. *)
+   untraced query runs the original code path exactly. The origin's
+   membership path is drawn once; every level's set is a shift of it. *)
 let query_from ?trace t origin q =
-  let b_top = prefix t origin t.top in
-  let arr_top = Hashtbl.find t.sets (t.top, b_top) in
-  let code_top = L.encode (L.locate arr_top q) in
-  let slot_at level = slot_for t origin (level - (level mod t.stride)) in
-  let initial_hosts = hosts_of ~slot:(slot_at t.top) t t.top b_top code_top in
+  let path = path_of t origin in
+  let covering level =
+    let b = path lsr (t.top - level) in
+    let code = L.encode (L.locate t.sets.(level).(b) q) in
+    hosts_of ~slot:(slot_for t origin (cone_base t level)) t level b code
+  in
   let pick level hosts current =
     (* Route among the covering entries whose representative is live; with
        nobody dead that is one primary per entry and the choice matches
@@ -497,20 +511,16 @@ let query_from ?trace t origin q =
     | [ h ] -> h
     | h :: _ as hs ->
         if List.mem current hs then current
-        else (
-          match preferred_host t origin level q with
-          | Some p when List.mem p hs -> p
-          | Some _ | None -> h)
+        else
+          let p = preferred_host t ~origin ~path level q in
+          if List.mem p hs then p else h
   in
-  let start = match initial_hosts with [] -> 0 | hs -> route_of t hs in
+  let start = match covering t.top with [] -> 0 | hs -> route_of t hs in
   let session = Network.start ?trace t.net start in
   let rec descend level =
     if level >= 0 then begin
       let basic = level mod t.stride = 0 in
-      let b = prefix t origin level in
-      let arr = Hashtbl.find t.sets (level, b) in
-      let code = L.encode (L.locate arr q) in
-      let hs = hosts_of ~slot:(slot_at level) t level b code in
+      let hs = covering level in
       let target = pick level hs (Network.current session) in
       (match trace with
       | None -> Network.goto session target
@@ -644,67 +654,106 @@ let delete_batch ?pool t ks =
 
 let check_invariants t =
   let n = size t in
+  let basic level = level mod t.stride = 0 in
+  let shape what len want = if len <> want then failwith ("Blocked1d: wrong table shape: " ^ what) in
+  shape "sets" (Array.length t.sets) (t.top + 1);
+  shape "blocks" (Array.length t.blocks) (t.top + 1);
+  shape "cones" (Array.length t.cones) (t.top + 1);
+  shape "cache" (Array.length t.cache) (t.top + 1);
+  let keys = O.to_array t.keys in
+  let paths = Array.map (path_of t) keys in
   for level = 0 to t.top do
-    (* The level's sets partition the ground set. *)
-    let total =
-      Hashtbl.fold (fun (l, _) arr acc -> if l = level then acc + Array.length arr else acc) t.sets 0
-    in
+    (* One set slot per level-l prefix, so every slot's prefix is below
+       2^l; blocks at basic levels, cone tables elsewhere. *)
+    let slots = t.sets.(level) in
+    shape "sets" (Array.length slots) (1 lsl level);
+    shape "blocks" (Array.length t.blocks.(level)) (if basic level then 1 lsl level else 0);
+    shape "cones" (Array.length t.cones.(level)) (if basic level then 0 else 1 lsl level);
+    (* The level's sets partition the ground set: every key sits in the set
+       its own prefix names, and the set sizes add up to n. *)
+    let total = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 slots in
     if total <> n then failwith "Blocked1d: level sets do not partition the keys";
-    Hashtbl.iter
-      (fun (l, b) arr ->
-        if l = level then
-          Array.iter
-            (fun k -> if prefix t k level <> b then failwith "Blocked1d: key in wrong set")
-            arr)
-      t.sets
+    Array.iteri
+      (fun i k ->
+        let arr = slots.(paths.(i) lsr (t.top - level)) in
+        let at = O.array_lower_bound arr k in
+        if at >= Array.length arr || arr.(at) <> k then failwith "Blocked1d: key in wrong set")
+      keys
   done;
+  (* Cone tables: one entry per block of the basic set below for every
+     non-empty set, none for an empty one, and code_lo and code_hi
+     non-decreasing in the block index — the order [last_stabbed]'s
+     binary search relies on. *)
+  Array.iteri
+    (fun level tables ->
+      let base = cone_base t level in
+      Array.iteri
+        (fun b tbl ->
+          let nblocks =
+            if Array.length t.sets.(level).(b) = 0 then 0
+            else Array.length t.blocks.(base).(b lsr (level - base)).owners
+          in
+          shape "cone table" (cone_entries tbl) nblocks;
+          for j = 0 to nblocks - 1 do
+            if cone_lo tbl j > cone_hi tbl j then failwith "Blocked1d: empty cone interval";
+            if j > 0 && (cone_lo tbl j < cone_lo tbl (j - 1) || cone_hi tbl j < cone_hi tbl (j - 1)) then
+              failwith "Blocked1d: cone table out of order"
+          done)
+        tables)
+    t.cones;
   (* Every range of every level is stored somewhere. *)
-  Hashtbl.iter
-    (fun (level, b) arr ->
-      for code = 0 to L.num_ranges arr - 1 do
-        match hosts_of t level b code with
-        | [] -> failwith (Printf.sprintf "Blocked1d: range uncovered at level %d" level)
-        | _ :: _ -> ()
-      done)
+  Array.iteri
+    (fun level slots ->
+      Array.iteri
+        (fun b arr ->
+          if Array.length arr > 0 then
+            for code = 0 to L.num_ranges arr - 1 do
+              let covered =
+                if basic level then code / t.bsize < Array.length t.blocks.(level).(b).owners
+                else
+                  let tbl = t.cones.(level).(b) in
+                  stabs tbl (last_stabbed tbl code) code
+              in
+              if not covered then failwith (Printf.sprintf "Blocked1d: range uncovered at level %d" level)
+            done)
+        slots)
     t.sets;
   (* Cache coverage: exactly the eligible groups are cached, each with
      k - 1 copies pairwise distinct from each other and from the owners.
      (Liveness is not checked — like owners, cache placements go stale
      between a kill and the next repair/rebuild.) *)
-  Hashtbl.iter
-    (fun (level, b, j) owners ->
-      match Hashtbl.find_opt t.cache (level, b, j) with
-      | None ->
-          if t.cache_replicas > 1 && level < t.cache_levels then
-            failwith "Blocked1d: eligible block group missing its cache copies"
-      | Some arr ->
-          if not (t.cache_replicas > 1 && level < t.cache_levels) then
-            failwith "Blocked1d: cache copies on an ineligible block group";
-          if Array.length arr <> t.cache_replicas - 1 then
-            failwith "Blocked1d: wrong cache copy count";
-          let all = Array.append owners arr in
-          Array.iteri
-            (fun i h ->
-              Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: cache copy collides") all)
-            all)
-    t.blocks;
-  Hashtbl.iter
-    (fun (level, _, _) _ ->
-      if not (t.cache_replicas > 1 && level < t.cache_levels) then
-        failwith "Blocked1d: stale cache entry outside the window")
+  Array.iteri
+    (fun level groups ->
+      let eligible = t.cache_replicas > 1 && level < t.cache_levels && basic level in
+      if not eligible then shape "cache outside the window" (Array.length groups) 0
+      else begin
+        shape "cache" (Array.length groups) (Array.length t.blocks.(level));
+        Array.iteri
+          (fun b copies -> shape "cache" (Array.length copies) (Array.length t.blocks.(level).(b).owners))
+          groups
+      end)
     t.cache;
+  iter_blocks t (fun level b j g ->
+      let copies = cache_copies t level b j in
+      if Array.length copies > 0 && Array.length copies <> t.cache_replicas - 1 then
+        failwith "Blocked1d: wrong cache copy count";
+      let all = Array.append g.owners.(j) copies in
+      Array.iteri
+        (fun i h ->
+          Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: cache copy collides") all)
+        all);
   (* Conflict-chain soundness: on every level, the range containing a probe
      key conflicts with the range containing it one level up. *)
   if n > 0 then begin
     let probes = [ O.get t.keys 0 - 1; O.get t.keys (n / 2); O.get t.keys (n - 1) + 1 ] in
+    let path = path_of t (O.get t.keys (n / 2)) in
     List.iter
       (fun q ->
-        let origin = O.get t.keys (n / 2) in
         let rec walk level =
           if level > 0 then begin
-            let b = prefix t origin level in
-            let child = Hashtbl.find t.sets (level, b) in
-            let parent = Hashtbl.find t.sets (level - 1, b / 2) in
+            let b = path lsr (t.top - level) in
+            let child = t.sets.(level).(b) in
+            let parent = t.sets.(level - 1).(b / 2) in
             let child_range = L.locate child q in
             let plo, phi = L.conflict_interval ~parent ~child child_range in
             let pcode = L.encode (L.locate parent q) in
@@ -722,40 +771,28 @@ type repair_stats = { scanned : int; repaired : int; messages : int; lost : int 
    self-repair is: bill the copies currently stranded on dead hosts (one
    steal message per unit with a surviving replica, a loss otherwise),
    then rebuild — which re-draws every placement over live hosts only and
-   migrates the stranded charges as a side effect of re-charging. *)
+   migrates the stranded charges as a side effect of re-charging. A block
+   and its cone intervals share one set of copies, so each group is
+   billed once for all the units it stores; [scanned] still counts every
+   block and cone-interval entry. *)
 let repair t =
   let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
-  let account copies units =
-    incr scanned;
-    let any_live = Array.exists (fun h -> Network.alive t.net h) copies in
-    Array.iter
-      (fun h ->
-        if not (Network.alive t.net h) then begin
-          repaired := !repaired + units;
-          if any_live then messages := !messages + units else lost := !lost + units
-        end)
-      copies
-  in
   (* Cache copies are billed exactly like data replicas: a cached group's
      copies on dead hosts are steals from any surviving copy — owner or
      cache — and the rebuild below re-draws them over live hosts only. *)
-  let with_cache group owners =
-    match Hashtbl.find_opt t.cache group with
-    | Some arr -> Array.append owners arr
-    | None -> owners
-  in
-  Hashtbl.iter
-    (fun (level, b, j) owners ->
-      let units = block_units t level b j in
-      if units > 0 then account (with_cache (level, b, j) owners) units)
-    t.blocks;
-  Hashtbl.iter
-    (fun (lvl, cb) lst ->
-      let base, pb = cone_group t lvl cb in
-      List.iter
-        (fun (clo, chi, owners, j) -> account (with_cache (base, pb, j) owners) (chi - clo + 1))
-        lst)
-    t.replicas;
+  iter_blocks t (fun level b j g ->
+      incr scanned;
+      let copies = Array.append g.owners.(j) (cache_copies t level b j) in
+      let units = g.units.(j) in
+      let any_live = Array.exists (fun h -> Network.alive t.net h) copies in
+      Array.iter
+        (fun h ->
+          if not (Network.alive t.net h) then begin
+            repaired := !repaired + units;
+            if any_live then messages := !messages + units else lost := !lost + units
+          end)
+        copies);
+  Array.iter (Array.iter (fun tbl -> scanned := !scanned + cone_entries tbl)) t.cones;
   rebuild t;
   { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
@@ -768,7 +805,7 @@ let range t ~rng ~lo ~hi =
     let locate = query t ~rng lo in
     (* Walk the bottom level (the full set, prefix 0) from lo's range to
        hi's: consecutive ranges share blocks except at block boundaries. *)
-    let arr = Hashtbl.find t.sets (0, 0) in
+    let arr = t.sets.(0).(0) in
     let clo, chi = L.range_codes arr ~lo ~hi in
     let crossings = ref 0 in
     let cur = ref (match hosts_of t 0 0 clo with [] -> 0 | hs -> route_of t hs) in

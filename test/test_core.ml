@@ -659,15 +659,13 @@ let test_pinned_blocked_churn_messages_pooled () =
 (* A Blocked1d guard at a size where the cone tables are long (thousands
    of entries per non-basic set) and every routing branch fires: ranges
    covered by several cone entries, the preferred-host choice among them,
-   cache-slot reads, and failover off a dead primary. The busiest host of
-   a warm-up pass is killed, so a large share of descents fail over. The
-   totals and the per-host traffic checksum pin the head-first replica
-   order the tables must preserve. *)
-let test_pinned_blocked_failover_queries () =
+   cache-slot reads, and failover off a dead primary (the busiest host of
+   a warm-up pass is killed). Returns [msgs; net; failed; checksum], the
+   last a checksum of per-host traffic. *)
+let run_pinned_blocked_failover ~m =
   let n = 4096 in
-  let ks = keys n in
   let net = Network.create ~hosts:n in
-  let b = B1.build ~net ~seed:77 ~m:48 ~r:2 ks in
+  let b = B1.build ~net ~seed:77 ~m ~r:2 (keys n) in
   B1.set_cache b ~levels:1 ~k:2;
   let rng = Prng.create 0xb10c in
   for _ = 1 to 500 do
@@ -690,10 +688,21 @@ let test_pinned_blocked_failover_queries () =
     checksum := ((!checksum * 1_000_003) + Network.traffic net h) land 0x3fff_ffff
   done;
   B1.check_invariants b;
+  [ !msgs; Network.total_messages net; !failed; !checksum ]
+
+(* With m = 48 the top level (12) is basic. With m = 32 it is a cone
+   level, so a query starts on the head of a multi-entry covering list:
+   that run pins the head-first order of [hosts_of], which reversing the
+   list changes. *)
+let test_pinned_blocked_failover_queries () =
   Alcotest.(check (list int))
-    "pinned blocked failover [msgs; net; failed; traffic checksum]"
+    "pinned blocked failover m=48 [msgs; net; failed; traffic checksum]"
     [ 4000; 4000; 0; 481096176 ]
-    [ !msgs; Network.total_messages net; !failed; !checksum ]
+    (run_pinned_blocked_failover ~m:48);
+  Alcotest.(check (list int))
+    "pinned blocked failover m=32 [msgs; net; failed; traffic checksum]"
+    [ 4548; 4548; 0; 737029036 ]
+    (run_pinned_blocked_failover ~m:32)
 
 (* ------- multi-dimensional scans through the hierarchy (PR 10) ------- *)
 
