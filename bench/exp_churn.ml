@@ -72,16 +72,6 @@ type row = {
   jobs : int;
 }
 
-(* Mixed query points: even slots uniform over the key domain, odd slots
-   Zipf(1.1)-popular stored keys — the skew that makes a dead popular
-   host hurt. [total] must be even. *)
-let make_queries ~seed ~keys ~total ~bound =
-  let half = total / 2 in
-  let z = W.zipf_queries ~seed:(seed + 0x21f) ~keys ~n:half ~s:1.1 in
-  let rng = Prng.create (seed + 0x0b5) in
-  let u = Array.init half (fun _ -> Prng.int rng bound) in
-  Array.init total (fun i -> if i mod 2 = 0 then u.(i / 2) else z.(i / 2))
-
 (* Kill [fails] distinct live hosts, drawn from [krng]; never the last
    live host. Returns the victims (for the rejoin). *)
 let kill_some net krng fails =
@@ -203,7 +193,7 @@ let hierarchy_row ~pool ~jobs ~quick ~seed r =
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts in
   let h = HInt.build ~net ~seed ~r ?pool keys in
-  let qs = make_queries ~seed ~keys ~total:(epochs * qper) ~bound in
+  let qs = W.mixed_queries ~seed ~keys ~total:(epochs * qper) ~bound () in
   let coins = Prng.create (seed + 0xc01) in
   let query_one rng q =
     let _, stats = HInt.query h ~rng q in
@@ -227,7 +217,7 @@ let blocked_row ~pool ~jobs ~quick ~seed r =
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts in
   let b = B1.build ~net ~seed ~m:16 ~r ?pool keys in
-  let qs = make_queries ~seed ~keys ~total:(epochs * qper) ~bound in
+  let qs = W.mixed_queries ~seed ~keys ~total:(epochs * qper) ~bound () in
   let coins = Prng.create (seed + 0xc02) in
   let query_one rng q = (B1.query b ~rng q).B1.messages in
   let repair_fn () =

@@ -7,35 +7,30 @@
    (level caching / hotspot flattening). This experiment drives mixed
    uniform + Zipf(1.1) query traffic against both skip-web structures
    at n up to 10^6 (10^5 and 10^6 in the full sweep) and reports, per
-   row, entirely through constant-memory telemetry:
+   row:
 
      - the per-operation message distribution via a mergeable quantile
        Sketch — per-chunk shards recorded inside the parallel query
        phase and merged afterwards, never a per-sample array;
-     - the per-host hotspot top-k via the observatory's space-saving
-       heavy hitters, fed from the network's exact per-host traffic
-       counters after the phase (order-independent sums, so the summary
-       is identical for any --jobs count);
+     - the exact top-k hottest hosts, selected from the network's
+       per-host traffic counters after the phase; the bench aborts
+       unless the top-1 visits equal the congestion max;
      - congestion percentiles (p50/p90/p99/max) and the Gini
        coefficient of per-host traffic — the inequality the upper
        levels create, and the y-axis any future flattening work must
        push down;
-     - a per-level attribution of load from a small traced sample
-       (Trace spans, reused), showing which refinement levels the
-       messages come from. The sample runs first and its traffic is
+     - a per-level attribution of load from a small traced sample that
+       records into one shared Trace, showing which refinement levels
+       the messages come from. The sample runs first and its traffic is
        reset away, so the congestion numbers describe the main phase
        only.
 
-   Telemetry must be charge-invisible, like tracing: the experiment
-   asserts that running the same seeded phase with the observatory tap
-   attached and detached yields identical total message counts.
-
-   Query i draws its coins from [Prng.stream] i and sketch merging is
-   partition-independent, so every deterministic JSON field is
-   bit-identical for any jobs count; wall clocks live in the "timing"
-   member, stripped by CI like every other bench. Results go to
-   BENCH_hotspot.json; CI's smoke leg asserts the top_k and congestion
-   members are present. *)
+   Query i draws its coins from [Prng.stream] i, sketch merging is
+   partition-independent and the per-host counters are sums, so every
+   deterministic JSON field is bit-identical for any jobs count; wall
+   clocks live in the "timing" member, stripped by CI like every other
+   bench. Results go to BENCH_hotspot.json; CI's smoke leg asserts the
+   top_k and congestion members are present. *)
 
 module Network = Skipweb_net.Network
 module Trace = Skipweb_net.Trace
@@ -46,7 +41,6 @@ module I = Skipweb_core.Instances
 module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
 module Sketch = Skipweb_util.Sketch
-module Stats = Skipweb_util.Stats
 module DPool = Skipweb_util.Pool
 module C = Bench_common
 
@@ -63,39 +57,26 @@ type row = {
   hosts : int;
   queries : int;
   traced : int;
-  sketch_json : string;  (* per-op query message distribution *)
-  mean_msgs : float;
-  top_json : string;
+  msgs : Sketch.t;  (* per-op query message distribution *)
+  top : (int * int) list;  (* exact (host, visits), hottest first *)
   congestion : Obs.congestion;
-  levels_json : string;
+  levels : (int * int) list;
   unattributed : int;
   wall_s : float;
   jobs : int;
 }
 
-(* Mixed query points: even slots uniform over the key domain, odd
-   slots Zipf(1.1)-popular stored keys — popularity skew on top of the
-   structural skew the upper levels already create. [total] must be
-   even. *)
-let make_queries ~seed ~keys ~total ~bound =
-  let half = total / 2 in
-  let z = W.zipf_queries ~seed:(seed + 0x21f) ~keys ~n:half ~s:1.1 in
-  let rng = Prng.create (seed + 0x0b5) in
-  let u = Array.init half (fun _ -> Prng.int rng bound) in
-  Array.init total (fun i -> if i mod 2 = 0 then u.(i / 2) else z.(i / 2))
-
 (* One measured row. [query_one rng q] runs one query and returns its
    message count; [traced_query rng tr q] the same with a trace. *)
 let drive_row ~structure ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_query ~qs =
-  let obs = Obs.create ~k:top_k ~alpha:sketch_alpha ~exact_cap:sketch_cap () in
-  (* Attribution sample: a few traced queries, sequential, then reset
-     the workload counters so the main phase's congestion is clean. *)
+  (* Attribution sample: a few traced queries, sequential, all recording
+     into one trace, then reset the workload counters so the main
+     phase's congestion is clean. *)
   let traced = min traced_sample queries in
   let tcoins = Prng.create (seed + 0x7a) in
+  let tr = Trace.create () in
   for i = 0 to traced - 1 do
-    let tr = Trace.create () in
-    ignore (traced_query (Prng.stream tcoins i) tr qs.(i) : int);
-    Obs.observe_trace obs tr
+    ignore (traced_query (Prng.stream tcoins i) tr qs.(i) : int)
   done;
   Network.reset_traffic net;
   (* Main phase: fan the queries over the pool in deterministic static
@@ -104,36 +85,37 @@ let drive_row ~structure ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_q
      (seed, i), and sketch merging is partition-independent, so the
      merged distribution is identical for any jobs count. *)
   let coins = Prng.create (seed + 0xe19) in
-  let shards = Array.init jobs (fun _ -> Sketch.create ~alpha:sketch_alpha ~exact_cap:sketch_cap ()) in
-  let chunk_bounds c = (c * queries / jobs, (c + 1) * queries / jobs) in
+  let new_sketch () = Sketch.create ~alpha:sketch_alpha ~exact_cap:sketch_cap () in
+  let shards = Array.init jobs (fun _ -> new_sketch ()) in
   let t0 = C.now () in
   let chunk c =
-    let lo, hi = chunk_bounds c in
-    for i = lo to hi - 1 do
+    for i = c * queries / jobs to ((c + 1) * queries / jobs) - 1 do
       Sketch.observe_int shards.(c) (query_one (Prng.stream coins i) qs.(i))
     done
   in
   (match pool with None -> chunk 0 | Some p -> DPool.parallel_for p ~lo:0 ~hi:jobs chunk);
   let wall_s = C.now () -. t0 in
-  Array.iteri
-    (fun c shard ->
-      let lo, hi = chunk_bounds c in
-      Obs.merge_message_shard obs ~ops:(hi - lo) shard)
-    shards;
-  Obs.observe_traffic obs net;
-  let s = Sketch.summary (Obs.message_sketch obs) in
+  let msgs = new_sketch () in
+  Array.iter (Sketch.merge msgs) shards;
+  let top = Obs.hot_hosts net ~k:top_k in
+  let congestion = Obs.congestion_of net in
+  (match top with
+  | (_, v) :: _ when float_of_int v = congestion.Obs.max -> ()
+  | _ ->
+      failwith
+        (Printf.sprintf "E19: %s n=%d: top-1 visits disagree with congestion max %g" structure n
+           congestion.Obs.max));
   {
     structure;
     n;
     hosts = Network.host_count net;
     queries;
     traced;
-    sketch_json = Sketch.to_json (Obs.message_sketch obs);
-    mean_msgs = s.Stats.mean;
-    top_json = Obs.hot_hosts_to_json obs;
-    congestion = Obs.congestion_of net;
-    levels_json = Obs.per_level_to_json obs;
-    unattributed = Obs.unattributed_hops obs;
+    msgs;
+    top;
+    congestion;
+    levels = Trace.per_level_hops tr;
+    unattributed = Trace.unattributed_hops tr;
     wall_s;
     jobs;
   }
@@ -143,7 +125,7 @@ let hierarchy_row ~pool ~jobs ~seed ~queries n =
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts:n in
   let h = HInt.build ~net ~seed ?pool keys in
-  let qs = make_queries ~seed ~keys ~total:queries ~bound in
+  let qs = W.mixed_queries ~seed ~keys ~total:queries ~bound () in
   let query_one rng q =
     let _, st = HInt.query h ~rng q in
     st.HInt.messages
@@ -163,38 +145,15 @@ let blocked_row ~pool ~jobs ~seed ~queries n =
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts:n in
   let b = B1.build ~net ~seed ~m:(4 * log2i n) ?pool keys in
-  let qs = make_queries ~seed ~keys ~total:queries ~bound in
+  let qs = W.mixed_queries ~seed ~keys ~total:queries ~bound () in
   let query_one rng q = (B1.query b ~rng q).B1.messages in
   let traced_query rng tr q = (B1.query ~trace:tr b ~rng q).B1.messages in
   drive_row ~structure:"blocked1d" ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_query ~qs
 
-(* Telemetry transparency: the observatory tap must not change a single
-   measured message — same seeded phase, tap attached vs detached, must
-   agree on total_messages exactly. *)
-let assert_tap_transparent ~seed =
-  let run ~tapped =
-    let n = 2000 in
-    let bound = 100 * n in
-    let keys = W.distinct_ints ~seed ~n ~bound in
-    let net = Network.create ~hosts:n in
-    let h = HInt.build ~net ~seed keys in
-    let qs = make_queries ~seed ~keys ~total:400 ~bound in
-    let obs = Obs.create () in
-    if tapped then Obs.attach obs net;
-    let coins = Prng.create (seed + 0xe19) in
-    Array.iteri (fun i q -> ignore (HInt.query h ~rng:(Prng.stream coins i) q)) qs;
-    Obs.detach net;
-    Network.total_messages net
-  in
-  let plain = run ~tapped:false in
-  let tapped = run ~tapped:true in
-  if plain <> tapped then
-    failwith
-      (Printf.sprintf "E19: observatory tap changed total_messages (%d untapped vs %d tapped)"
-         plain tapped);
-  Printf.printf "observatory transparency: OK (%d messages either way)\n" plain
-
 let json_of_rows rows =
+  let pairs fmt xs =
+    "[" ^ String.concat ", " (List.map (fun (a, b) -> Printf.sprintf fmt a b) xs) ^ "]"
+  in
   let row_json r =
     Printf.sprintf
       "    {\"structure\": \"%s\", \"n\": %d, \"hosts\": %d, \"queries\": %d, \"traced\": %d,\n\
@@ -203,21 +162,23 @@ let json_of_rows rows =
       \     \"congestion\": %s,\n\
       \     \"levels\": %s, \"unattributed\": %d,\n\
       \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
-      r.structure r.n r.hosts r.queries r.traced r.sketch_json r.top_json
+      r.structure r.n r.hosts r.queries r.traced (Sketch.to_json r.msgs)
+      (pairs "{\"host\": %d, \"visits\": %d}" r.top)
       (Obs.congestion_to_json r.congestion)
-      r.levels_json r.unattributed r.jobs r.wall_s
+      (pairs "{\"level\": %d, \"hops\": %d}" r.levels)
+      r.unattributed r.jobs r.wall_s
   in
   Printf.sprintf
     "{\n  \"experiment\": \"hotspot\",\n  \"workload\": \"mixed uniform + Zipf(1.1) query \
-     traffic; constant-memory telemetry (quantile sketch shards, space-saving top-%d, \
-     congestion percentiles + Gini, traced per-level attribution)\",\n  \"rows\": [\n%s\n  ]\n}\n"
+     traffic; quantile sketch shards, exact top-%d hosts from the per-host counters, \
+     congestion percentiles + Gini, per-level attribution from one shared trace\",\n  \
+     \"rows\": [\n%s\n  ]\n}\n"
     top_k
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
   C.section "Hotspots and congestion observatory (E19)";
   let seed = List.hd cfg.C.seeds in
-  assert_tap_transparent ~seed;
   let sizes = if cfg.C.quick then [ 20_000 ] else [ 100_000; 1_000_000 ] in
   let queries = if cfg.C.quick then 2_000 else 20_000 in
   let rows =
@@ -243,52 +204,19 @@ let run (cfg : C.config) =
   in
   List.iter
     (fun r ->
-      let hottest =
-        match Obs.congestion_to_json r.congestion with
-        | _ -> (
-            (* first entry of the top-k json is the hottest host *)
-            match String.index_opt r.top_json ':' with
-            | Some i ->
-                let rest = String.sub r.top_json (i + 1) (String.length r.top_json - i - 1) in
-                String.trim (String.sub rest 0 (String.index rest ','))
-            | None -> "-")
-      in
-      let sk = r.sketch_json in
-      let field name =
-        (* pull "name": v out of the row's sketch json for the table *)
-        match String.index_opt sk ':' with
-        | _ -> (
-            let tag = Printf.sprintf "\"%s\": " name in
-            match
-              let rec find i =
-                if i + String.length tag > String.length sk then None
-                else if String.sub sk i (String.length tag) = tag then Some (i + String.length tag)
-                else find (i + 1)
-              in
-              find 0
-            with
-            | Some i ->
-                let j = ref i in
-                while
-                  !j < String.length sk && (match sk.[!j] with ',' | '}' -> false | _ -> true)
-                do
-                  incr j
-                done;
-                String.sub sk i (!j - i)
-            | None -> "-")
-      in
+      let m = Sketch.summary r.msgs and c = r.congestion in
       Skipweb_util.Tables.add_row tbl
         [
           r.structure;
           string_of_int r.n;
           string_of_int r.queries;
-          field "p50";
-          field "p99";
-          Printf.sprintf "%.0f" r.congestion.Obs.p50;
-          Printf.sprintf "%.0f" r.congestion.Obs.p99;
-          Printf.sprintf "%.0f" r.congestion.Obs.max;
-          Printf.sprintf "%.4f" r.congestion.Obs.gini;
-          hottest;
+          Printf.sprintf "%g" m.Skipweb_util.Stats.p50;
+          Printf.sprintf "%g" m.Skipweb_util.Stats.p99;
+          Printf.sprintf "%.0f" c.Obs.p50;
+          Printf.sprintf "%.0f" c.Obs.p99;
+          Printf.sprintf "%.0f" c.Obs.max;
+          Printf.sprintf "%.4f" c.Obs.gini;
+          (match r.top with (h, _) :: _ -> string_of_int h | [] -> "-");
         ])
     rows;
   Skipweb_util.Tables.print tbl;

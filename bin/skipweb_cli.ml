@@ -504,29 +504,21 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
 
 (* ---------------- hotspots / monitor: the congestion observatory ---------------- *)
 
-(* The hotspot workload: even slots uniform over the key domain, odd
-   slots Zipf(1.1)-popular stored keys — popularity skew on top of the
-   structural skew the upper levels already create. *)
-let mixed_queries ~seed ~keys ~total ~bound ?(s = 1.1) () =
-  let total = if total mod 2 = 1 then total + 1 else total in
-  let half = total / 2 in
-  let z = W.zipf_queries ~seed:(seed + 0x21f) ~keys ~n:half ~s in
-  let rng = Prng.create (seed + 0x0b5) in
-  let u = Array.init half (fun _ -> Prng.int rng bound) in
-  Array.init total (fun i -> if i mod 2 = 0 then u.(i / 2) else z.(i / 2))
-
 (* Where does a skewed workload's load land? Drive mixed uniform +
-   Zipf(1.1) queries with the observatory attached as the network's
-   streaming tap — every finished session reports into the space-saving
-   top-k and the message-count sketch, in memory independent of the
-   query count — then print the hottest hosts, the per-host congestion
-   percentiles and Gini, and (for the skip-web structures) the
-   per-level attribution from a small traced sample. *)
+   Zipf(1.1) queries, recording each query's message count into a
+   constant-memory sketch, then read the network's exact per-host
+   counters: the hottest hosts, the per-host congestion percentiles and
+   Gini, and (for the skip-web structures) the per-level attribution of
+   a small traced sample recorded into one shared trace. *)
 let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stats =
+  if k < 1 then begin
+    prerr_endline "hotspots: --topk must be >= 1";
+    exit 2
+  end;
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ~cache ?pool keys in
-  let qs = mixed_queries ~seed:(seed + 2) ~keys ~total:queries ~bound:(100 * n) ~s:alpha () in
+  let qs = W.mixed_queries ~s:alpha ~seed:(seed + 2) ~keys ~total:queries ~bound:(100 * n) () in
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf "items: %d   hosts: %d   queries: %d (half uniform, half Zipf %.2f)\n" n
     d.host_count (Array.length qs) alpha;
@@ -535,62 +527,57 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
       Printf.printf "level cache: c = %d coarse levels x k = %d replicas (per-origin routing)\n\n"
         (fst cache) ck
   | _ -> print_newline ());
-  let obs = Obs.create ~k () in
   (* Attribution sample first (traced, sequential), then reset the
-     workload counters so the congestion snapshot describes the tapped
-     main phase only. *)
-  (match d.query_traced with
-  | None -> ()
-  | Some qt ->
-      let sample = min 32 (Array.length qs) in
-      for i = 0 to sample - 1 do
-        let tr = Trace.create () in
-        ignore (qt tr qs.(i) : int);
-        Obs.observe_trace obs tr
-      done);
+     workload counters so the congestion snapshot describes the main
+     phase only. *)
+  let tr = Trace.create () in
+  let sample =
+    match d.query_traced with
+    | None -> 0
+    | Some qt ->
+        let sample = min 32 (Array.length qs) in
+        for i = 0 to sample - 1 do
+          ignore (qt tr qs.(i) : int)
+        done;
+        sample
+  in
   Network.reset_traffic d.net;
-  Obs.attach obs d.net;
-  Array.iter (fun q -> ignore (d.query q : int)) qs;
-  Obs.detach d.net;
-  let total_visits = max 1 (Obs.visits_seen obs) in
+  let msgs = Sketch.create () in
+  Array.iter (fun q -> Sketch.observe_int msgs (d.query q)) qs;
+  let c = Obs.congestion_of d.net in
   let t =
     Tables.create
-      ~title:(Printf.sprintf "hottest hosts (space-saving top-%d)" k)
-      ~columns:[ "host"; "visits<="; "err"; "share" ]
+      ~title:(Printf.sprintf "hottest hosts (exact top-%d)" k)
+      ~columns:[ "host"; "visits"; "share" ]
   in
+  let total = float_of_int (max 1 c.Obs.total_traffic) in
   List.iter
-    (fun (h, c, e) ->
+    (fun (h, v) ->
       Tables.add_row t
         [
           string_of_int h;
-          string_of_int c;
-          string_of_int e;
-          Printf.sprintf "%.2f%%" (100.0 *. float_of_int c /. float_of_int total_visits);
+          string_of_int v;
+          Printf.sprintf "%.2f%%" (100.0 *. float_of_int v /. total);
         ])
-    (Obs.hot_hosts obs);
+    (Obs.hot_hosts d.net ~k);
   Tables.print t;
-  Printf.printf
-    "(space-saving guarantee: every host with more than total/k = %d visits is listed;\n\
-    \ err bounds the overcount — err close to visits<= means no host dominates)\n\n"
-    (total_visits / k);
-  (match Obs.message_summary obs with
-  | None -> ()
-  | Some s ->
-      let t =
-        Tables.create ~title:"query message cost (constant-memory sketch)"
-          ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
-      in
-      Tables.add_row t
-        [
-          string_of_int s.Stats.count;
-          Tables.cell_float s.Stats.mean;
-          Tables.cell_float s.Stats.p50;
-          Tables.cell_float s.Stats.p90;
-          Tables.cell_float s.Stats.p99;
-          Tables.cell_float s.Stats.max;
-        ];
-      Tables.print t);
-  let c = Obs.congestion_of d.net in
+  if Sketch.count msgs > 0 then begin
+    let s = Sketch.summary msgs in
+    let t =
+      Tables.create ~title:"query message cost (constant-memory sketch)"
+        ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
+    in
+    Tables.add_row t
+      [
+        string_of_int s.Stats.count;
+        Tables.cell_float s.Stats.mean;
+        Tables.cell_float s.Stats.p50;
+        Tables.cell_float s.Stats.p90;
+        Tables.cell_float s.Stats.p99;
+        Tables.cell_float s.Stats.max;
+      ];
+    Tables.print t
+  end;
   let t =
     Tables.create ~title:"per-host congestion (live hosts)"
       ~columns:[ "live"; "visits"; "mean"; "p50"; "p90"; "p99"; "max"; "gini" ]
@@ -607,18 +594,18 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
       Printf.sprintf "%.4f" c.Obs.gini;
     ];
   Tables.print t;
-  (match Obs.per_level_hops obs with
+  (match Trace.per_level_hops tr with
   | [] -> ()
   | levels ->
       let t =
         Tables.create
-          ~title:(Printf.sprintf "per-level load attribution (%d traced samples)" (Obs.traced_ops obs))
+          ~title:(Printf.sprintf "per-level load attribution (%d traced samples)" sample)
           ~columns:[ "level"; "hops" ]
       in
       List.iter
         (fun (level, hops) -> Tables.add_row t [ string_of_int level; string_of_int hops ])
         levels;
-      (match Obs.unattributed_hops obs with
+      (match Trace.unattributed_hops tr with
       | 0 -> ()
       | u -> Tables.add_row t [ "(none)"; string_of_int u ]);
       Tables.print t);
@@ -659,7 +646,7 @@ let run_monitor structure n queries epochs window seed m buckets jobs =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
-  let qs = mixed_queries ~seed:(seed + 2) ~keys ~total:(epochs * queries) ~bound:(100 * n) () in
+  let qs = W.mixed_queries ~seed:(seed + 2) ~keys ~total:(epochs * queries) ~bound:(100 * n) () in
   let qper = Array.length qs / epochs in
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf "items: %d   hosts: %d   epochs: %d x %d queries   window: %d   jobs: %d\n\n" n
@@ -1079,7 +1066,7 @@ let stats_cmd =
     Term.(const run_stats $ structure_arg $ n_arg $ queries_arg $ updates_arg $ seed_arg $ m_arg $ buckets_arg $ format_arg $ jobs_arg $ pool_stats_arg)
 
 let topk_arg =
-  Arg.(value & opt int 10 & info [ "k"; "top"; "topk" ] ~docv:"K" ~doc:"Heavy-hitter table size: at most $(docv) hosts are monitored, whatever the host count.")
+  Arg.(value & opt int 10 & info [ "k"; "top"; "topk" ] ~docv:"K" ~doc:"List the $(docv) busiest hosts, exactly, from the per-host traffic counters.")
 
 let alpha_arg =
   Arg.(value & opt float 1.1 & info [ "alpha" ] ~docv:"S" ~doc:"Zipf exponent for the skewed half of the query mix (higher = hotter head).")
@@ -1093,7 +1080,7 @@ let cache_replicas_arg =
 let cache_term = Term.(const (fun c k -> (c, k)) $ cache_levels_arg $ cache_replicas_arg)
 
 let hotspots_cmd =
-  let doc = "Drive mixed uniform + Zipf(--alpha) query traffic with the congestion observatory tapped in and report the hottest hosts (space-saving top-k), per-host congestion percentiles and Gini, the message-cost sketch, and (skip-web structures) the per-level load attribution — all in memory independent of the query count." in
+  let doc = "Drive mixed uniform + Zipf(--alpha) query traffic and report the exact top-k hottest hosts, per-host congestion percentiles and Gini, the constant-memory message-cost sketch, and (skip-web structures) the per-level load attribution of a traced sample." in
   Cmd.v (Cmd.info "hotspots" ~doc)
     Term.(const run_hotspots $ structure_arg $ n_arg $ queries_arg $ seed_arg $ m_arg $ buckets_arg $ topk_arg $ alpha_arg $ cache_term $ jobs_arg $ pool_stats_arg)
 

@@ -12,8 +12,6 @@ exception Host_dead of host
    that must not run concurrently with in-flight sessions (the structures
    serialize failure epochs against query batches, like updates), so the
    flags need no atomicity — sessions only read them. *)
-type tap = visits:host list -> msgs:int -> unit
-
 type t = {
   hosts : int;
   memory : int Atomic.t array;
@@ -22,7 +20,6 @@ type t = {
   sessions : int Atomic.t;
   up : bool array;  (* liveness flag per host *)
   mutable live : int;  (* number of true entries in [up] *)
-  mutable tap : tap option;  (* observability tap, called at [finish] *)
 }
 
 let create ~hosts =
@@ -35,10 +32,7 @@ let create ~hosts =
     sessions = Atomic.make 0;
     up = Array.make hosts true;
     live = hosts;
-    tap = None;
   }
-
-let set_tap t tap = t.tap <- tap
 
 let host_count t = t.hosts
 
@@ -158,10 +152,6 @@ let messages s = s.msgs
 let finish s =
   if not s.finished then begin
     s.finished <- true;
-    (* The tap observes what the session is about to commit; it reads
-       only session-local state and touches no counter, so attaching
-       one cannot change any measured cost. *)
-    (match s.net.tap with None -> () | Some f -> f ~visits:s.visits ~msgs:s.msgs);
     Atomic.incr s.net.sessions;
     if s.msgs > 0 then ignore (Atomic.fetch_and_add s.net.total_messages s.msgs);
     List.iter (fun h -> Atomic.incr s.net.traffic.(h)) s.visits;

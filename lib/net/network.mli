@@ -175,32 +175,6 @@ val finish : session -> unit
     read; the pinned message-total guards in the test suite exist to
     catch a forgotten one. *)
 
-(** {1 Observability tap}
-
-    The streaming counterpart of {!Trace}: where a trace records one
-    session's hops in full, the tap sees every {e finished} session's
-    visit list and message count, so an observer (the congestion
-    observatory) can maintain heavy-hitter and quantile summaries over
-    an open-ended workload without any per-session retention. Like
-    tracing it is charge-invisible by construction — the tap runs
-    inside {!finish} on session-local state only and touches no
-    counter, so attaching one cannot change any measured cost (the
-    hotspot bench asserts total-message equality with and without). *)
-
-type tap = visits:host list -> msgs:int -> unit
-(** [visits] is the session's buffered host-visit list, newest first
-    and including the start host (the same multiset committed to
-    per-host traffic); [msgs] its message count. Sessions that never
-    finish (e.g. aborted by {!Host_dead}) are never reported. *)
-
-val set_tap : t -> tap option -> unit
-(** Install or remove the network's tap. Installation is an epoch
-    operation like {!kill}: it must not race in-flight sessions. The
-    tap itself is invoked from whichever domain finishes a session, so
-    during parallel query batches it must be thread-safe (the
-    observatory serializes with a mutex). [None] restores the default:
-    no tap, no per-finish work beyond one option check. *)
-
 (** {1 Traffic / congestion} *)
 
 val total_messages : t -> int

@@ -1,66 +1,11 @@
-(* The congestion observatory: streaming telemetry over the cost-model
-   simulator. Where Trace answers "where did *one* operation's messages
-   go", the observatory answers "where does a *workload's* load go" —
-   which hosts the upper levels concentrate traffic on, how unequal the
-   per-host load is, and what the per-operation message distribution
-   looks like — all in memory independent of the operation count. *)
+(* The congestion observatory: stateless reads over the network's exact
+   per-host traffic counters. Where Trace answers "where did *one*
+   operation's messages go", these answer "where does a *workload's* load
+   go" — which hosts the upper levels concentrate traffic on and how
+   unequal the per-host load is. Run a phase, then read: nothing is fed
+   or estimated, so every number is exact for any jobs count. *)
 
-module Sketch = Skipweb_util.Sketch
 module Stats = Skipweb_util.Stats
-
-(* ---------------- space-saving heavy hitters ---------------- *)
-
-(* Metwally–Agrawal–El Abbadi space-saving over integer keys: at most
-   [k] monitored entries; an unmonitored arrival evicts the minimum
-   counter m and enters with count m + hit, error m. Guarantees:
-   est >= true count, and est - err <= true count; every key whose true
-   count exceeds total/k is monitored. Eviction picks the (count, key)
-   minimum, which is unique, so the summary is deterministic for one
-   hit sequence regardless of hash-table iteration order. *)
-module Heavy_hitters = struct
-  type entry = { key : int; mutable cnt : int; mutable err : int }
-
-  type t = { k : int; tbl : (int, entry) Hashtbl.t; mutable total : int }
-
-  let create ~k =
-    if k < 1 then invalid_arg "Heavy_hitters.create: k must be >= 1";
-    { k; tbl = Hashtbl.create (2 * k); total = 0 }
-
-  let capacity t = t.k
-  let total t = t.total
-  let monitored t = Hashtbl.length t.tbl
-
-  let hit t ?(count = 1) key =
-    if count < 1 then invalid_arg "Heavy_hitters.hit: count must be >= 1";
-    t.total <- t.total + count;
-    match Hashtbl.find_opt t.tbl key with
-    | Some e -> e.cnt <- e.cnt + count
-    | None ->
-        if Hashtbl.length t.tbl < t.k then Hashtbl.replace t.tbl key { key; cnt = count; err = 0 }
-        else begin
-          let victim =
-            Hashtbl.fold
-              (fun _ e acc ->
-                match acc with
-                | None -> Some e
-                | Some b -> if (e.cnt, e.key) < (b.cnt, b.key) then Some e else acc)
-              t.tbl None
-          in
-          match victim with
-          | None -> assert false
-          | Some v ->
-              Hashtbl.remove t.tbl v.key;
-              Hashtbl.replace t.tbl key { key; cnt = v.cnt + count; err = v.cnt }
-        end
-
-  (* Monitored entries by descending estimated count (ties by ascending
-     key): (key, estimate, max overestimate). *)
-  let top t =
-    Hashtbl.fold (fun _ e acc -> (e.key, e.cnt, e.err) :: acc) t.tbl []
-    |> List.sort (fun (k1, c1, _) (k2, c2, _) -> compare (-c1, k1) (-c2, k2))
-end
-
-(* ---------------- inequality / percentile export ---------------- *)
 
 type congestion = {
   live : int;
@@ -120,135 +65,68 @@ let congestion_of net =
     gini = gini a;
   }
 
+(* [a] ranks ahead of [b]: more visits, ties to the lower host. *)
+let ahead (ha, va) (hb, vb) = va > vb || (va = vb && ha < hb)
+
+(* Exact top-k over live hosts by partial selection: a k-entry heap whose
+   root is the weakest entry kept so far, so each host costs one
+   comparison against the root plus O(log k) on replacement. *)
+let hot_hosts net ~k =
+  if k < 1 then invalid_arg "Observatory.hot_hosts: k must be >= 1";
+  let cap = min k (Network.live_hosts net) in
+  let heap = Array.make cap (0, 0) in
+  let size = ref 0 in
+  let swap i j =
+    let e = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- e
+  in
+  let rec sift_up i =
+    let p = (i - 1) / 2 in
+    if i > 0 && ahead heap.(p) heap.(i) then begin
+      swap i p;
+      sift_up p
+    end
+  in
+  let rec sift_down i =
+    let weakest j m = if j < cap && ahead heap.(m) heap.(j) then j else m in
+    let m = weakest ((2 * i) + 2) (weakest ((2 * i) + 1) i) in
+    if m <> i then begin
+      swap i m;
+      sift_down m
+    end
+  in
+  for h = 0 to Network.host_count net - 1 do
+    if Network.alive net h then begin
+      let e = (h, Network.traffic net h) in
+      if !size < cap then begin
+        heap.(!size) <- e;
+        sift_up !size;
+        incr size
+      end
+      else if ahead e heap.(0) then begin
+        heap.(0) <- e;
+        sift_down 0
+      end
+    end
+  done;
+  List.sort (fun a b -> if ahead a b then -1 else 1) (Array.to_list heap)
+
 (* Share of total live-host traffic served by the [m] busiest live hosts —
    the replica-aware flattening metric: a level cache does not change the
    total (queries still visit the same number of ranges), it divides the
    busiest hosts' share by the replica count, which is exactly what this
    ratio shows falling. 0 when there is no traffic. *)
 let top_share net ~m =
-  if m < 1 then invalid_arg "Observatory.top_share: m must be >= 1";
-  let loads = ref [] in
-  for h = Network.host_count net - 1 downto 0 do
-    if Network.alive net h then loads := Network.traffic net h :: !loads
+  let top = List.fold_left (fun acc (_, v) -> acc + v) 0 (hot_hosts net ~k:m) in
+  let total = ref 0 in
+  for h = 0 to Network.host_count net - 1 do
+    if Network.alive net h then total := !total + Network.traffic net h
   done;
-  let a = Array.of_list !loads in
-  Array.sort (fun x y -> compare y x) a;
-  let total = Array.fold_left ( + ) 0 a in
-  if total = 0 then 0.0
-  else begin
-    let top = ref 0 in
-    for i = 0 to min m (Array.length a) - 1 do
-      top := !top + a.(i)
-    done;
-    float_of_int !top /. float_of_int total
-  end
+  if !total = 0 then 0.0 else float_of_int top /. float_of_int !total
 
 let congestion_to_json c =
   Printf.sprintf
     "{\"live_hosts\": %d, \"total_traffic\": %d, \"mean\": %g, \"p50\": %g, \"p90\": %g, \
      \"p99\": %g, \"max\": %g, \"gini\": %.6f}"
     c.live c.total_traffic c.mean c.p50 c.p90 c.p99 c.max c.gini
-
-(* ---------------- the observatory ---------------- *)
-
-type t = {
-  hh : Heavy_hitters.t;
-  msgs : Sketch.t;  (* per-operation message counts *)
-  mutable ops : int;
-  per_level : (int, int ref) Hashtbl.t;  (* level -> hops, from sampled traces *)
-  mutable unattributed : int;
-  mutable traced_ops : int;
-  mu : Mutex.t;  (* taps fire from whichever domain finishes a session *)
-}
-
-let create ?(k = 16) ?(alpha = 0.01) ?(exact_cap = 256) () =
-  {
-    hh = Heavy_hitters.create ~k;
-    msgs = Sketch.create ~alpha ~exact_cap ();
-    ops = 0;
-    per_level = Hashtbl.create 16;
-    unattributed = 0;
-    traced_ops = 0;
-    mu = Mutex.create ();
-  }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let observe_op t ~visits ~msgs =
-  locked t (fun () ->
-      t.ops <- t.ops + 1;
-      Sketch.observe_int t.msgs msgs;
-      List.iter (fun h -> Heavy_hitters.hit t.hh h) visits)
-
-let attach t net = Network.set_tap net (Some (fun ~visits ~msgs -> observe_op t ~visits ~msgs))
-
-let detach net = Network.set_tap net None
-
-(* Post-phase alternative to the streaming tap: fold the network's
-   exact per-host visit counters into the heavy-hitter summary as
-   weighted hits, in ascending host order. Used after parallel query
-   batches, where per-visit tap feeding would make the space-saving
-   eviction sequence depend on domain interleaving; the per-host
-   counters are order-independent sums, so this path is deterministic
-   for any jobs count. *)
-let observe_traffic t net =
-  locked t (fun () ->
-      for h = 0 to Network.host_count net - 1 do
-        let v = Network.traffic net h in
-        if v > 0 then Heavy_hitters.hit t.hh ~count:v h
-      done)
-
-let observe_messages t msgs =
-  locked t (fun () ->
-      t.ops <- t.ops + 1;
-      Sketch.observe_int t.msgs msgs)
-
-(* Merge a per-chunk message-sketch shard (partition-independent). *)
-let merge_message_shard t ~ops shard =
-  locked t (fun () ->
-      t.ops <- t.ops + ops;
-      Sketch.merge t.msgs shard)
-
-let observe_trace t tr =
-  locked t (fun () ->
-      t.traced_ops <- t.traced_ops + 1;
-      t.unattributed <- t.unattributed + Trace.unattributed_hops tr;
-      List.iter
-        (fun (level, hops) ->
-          match Hashtbl.find_opt t.per_level level with
-          | Some r -> r := !r + hops
-          | None -> Hashtbl.replace t.per_level level (ref hops))
-        (Trace.per_level_hops tr))
-
-let ops t = t.ops
-let traced_ops t = t.traced_ops
-let unattributed_hops t = t.unattributed
-
-let per_level_hops t =
-  Hashtbl.fold (fun level r acc -> (level, !r) :: acc) t.per_level []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let hot_hosts t = Heavy_hitters.top t.hh
-let visits_seen t = Heavy_hitters.total t.hh
-
-let message_sketch t = t.msgs
-
-let message_summary t = if Sketch.count t.msgs = 0 then None else Some (Sketch.summary t.msgs)
-
-let hot_hosts_to_json t =
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun (h, c, e) -> Printf.sprintf "{\"host\": %d, \"visits\": %d, \"err\": %d}" h c e)
-         (hot_hosts t))
-  ^ "]"
-
-let per_level_to_json t =
-  "["
-  ^ String.concat ", "
-      (List.map
-         (fun (l, h) -> Printf.sprintf "{\"level\": %d, \"hops\": %d}" l h)
-         (per_level_hops t))
-  ^ "]"

@@ -1,61 +1,17 @@
-(** The congestion observatory: streaming telemetry over the simulator.
+(** The congestion observatory: where does a workload's load land?
 
     {!Trace} answers "where did {e one} operation's messages go"; the
     observatory answers "where does a {e workload's} load go" — which
-    hosts the upper levels of a skip structure concentrate traffic on,
-    how unequal the per-host load is (percentiles and Gini), and what
-    the per-operation message distribution looks like — in memory
-    independent of the operation count. It is the instrumentation the
-    ROADMAP's level-caching / hotspot-flattening work reads.
+    hosts the upper levels of a skip structure concentrate traffic on
+    and how unequal the per-host load is (percentiles and Gini).
 
-    Feeding paths, all charge-invisible (no counter is ever touched):
-    {ul
-    {- {b Streaming}: {!attach} installs a {!Network.tap}; every
-       finished session reports its visit list into the space-saving
-       heavy-hitter summary and its message count into a quantile
-       sketch. Thread-safe (a mutex serializes taps from worker
-       domains), but the space-saving eviction sequence then depends on
-       arrival order — use it for sequential phases (the CLI).}
-    {- {b Post-phase}: {!observe_traffic} folds the network's exact
-       per-host traffic counters in as weighted hits, in host order —
-       deterministic for any [--jobs] count, since the counters are
-       order-independent sums. {!merge_message_shard} merges per-chunk
-       message sketches (partition-independent, see {!Sketch}). The
-       hotspot bench uses these.}
-    {- {b Attribution}: {!observe_trace} accumulates a sampled traced
-       operation's per-level hop counts, reusing {!Trace}'s span
-       attribution, so workload load decomposes by hierarchy level.}} *)
-
-module Sketch = Skipweb_util.Sketch
-module Stats = Skipweb_util.Stats
-
-(** Space-saving heavy hitters (Metwally–Agrawal–El Abbadi) over
-    integer keys: at most [k] monitored entries regardless of key-space
-    size. Estimates never undercount ([est >= true]) and overcount by
-    at most the reported error ([est - err <= true]); any key with true
-    count above [total/k] is guaranteed monitored. Deterministic for
-    one hit sequence: eviction picks the unique (count, key) minimum. *)
-module Heavy_hitters : sig
-  type t
-
-  val create : k:int -> t
-  (** Requires [k >= 1]. *)
-
-  val hit : t -> ?count:int -> int -> unit
-  (** Record [count] (default 1, must be >= 1) arrivals of a key. *)
-
-  val top : t -> (int * int * int) list
-  (** Monitored entries by descending estimate (ties by ascending key),
-      as [(key, estimate, max_overestimate)]. *)
-
-  val total : t -> int
-  (** Total hits fed in. *)
-
-  val capacity : t -> int
-  val monitored : t -> int
-end
-
-(** {1 Congestion snapshots} *)
+    Every reader here is a pure, stateless read of the exact per-host
+    traffic counters {!Network} already keeps: run a phase, then read.
+    Nothing is fed, sampled or estimated, so every number is exact and,
+    because the counters are order-independent sums, identical for any
+    [--jobs] count. Per-level attribution of the same load is a
+    {!Trace} concern: pass one shared trace to every sampled operation
+    and read {!Trace.per_level_hops}. *)
 
 type congestion = {
   live : int;
@@ -75,74 +31,21 @@ val gini : float array -> float
 
 val congestion_of : Network.t -> congestion
 (** Percentiles and Gini of per-host traffic over {e live} hosts — the
-    congestion-flattening chart's y-axis. Reads only the per-host
-    counters the network already carries: no per-operation state. *)
+    congestion-flattening chart's y-axis. *)
 
 val congestion_to_json : congestion -> string
 
+val hot_hosts : Network.t -> k:int -> (Network.host * int) list
+(** The [k] busiest {e live} hosts as [(host, visits)], by descending
+    visits with ties broken by ascending host: exactly the first [k]
+    entries of a full sort of the live hosts' counters, selected in
+    O(H log k). Returns every live host when [k] exceeds their number.
+    Requires [k >= 1]. *)
+
 val top_share : Network.t -> m:int -> float
 (** Fraction of all live-host traffic served by the [m] busiest live
-    hosts, in [\[0, 1\]] (0 when there is no traffic). The replica-aware
-    congestion view: caching the upper levels across [k] hosts leaves
-    total traffic unchanged and divides the hottest hosts' share by [k],
-    so this is the ratio the E20 serving bench shows flattening.
-    Requires [m >= 1]. *)
-
-(** {1 The observatory} *)
-
-type t
-
-val create : ?k:int -> ?alpha:float -> ?exact_cap:int -> unit -> t
-(** [k] (default 16) bounds the heavy-hitter table; [alpha] /
-    [exact_cap] configure the message-count sketch (see
-    {!Sketch.create}). *)
-
-val attach : t -> Network.t -> unit
-(** Install this observatory as the network's tap: every finished
-    session streams in. Epoch operation (see {!Network.set_tap}). *)
-
-val detach : Network.t -> unit
-(** Remove the network's tap. *)
-
-val observe_op : t -> visits:Network.host list -> msgs:int -> unit
-(** What the tap calls: one finished operation's visit list and message
-    count. Thread-safe. *)
-
-val observe_traffic : t -> Network.t -> unit
-(** Fold the network's current per-host traffic counters into the
-    heavy-hitter summary as weighted hits, ascending host order.
-    Deterministic post-phase alternative to the streaming tap; feed a
-    given window through exactly one of the two paths, not both. *)
-
-val observe_messages : t -> int -> unit
-(** Record one operation's message count into the sketch (no visit
-    stream available). Thread-safe. *)
-
-val merge_message_shard : t -> ops:int -> Sketch.t -> unit
-(** Merge a per-chunk message-sketch shard recorded by a parallel
-    phase, adding [ops] operations. Partition-independent: the merged
-    sketch depends only on the union of samples. *)
-
-val observe_trace : t -> Trace.t -> unit
-(** Accumulate a sampled traced operation's per-level hop counts. *)
-
-(** {1 Reading} *)
-
-val ops : t -> int
-val traced_ops : t -> int
-
-val hot_hosts : t -> (Network.host * int * int) list
-(** [(host, visit_estimate, max_overestimate)] by descending estimate. *)
-
-val visits_seen : t -> int
-
-val message_summary : t -> Stats.summary option
-val message_sketch : t -> Sketch.t
-
-val per_level_hops : t -> (int * int) list
-(** Sampled per-level hop totals, ascending level. *)
-
-val unattributed_hops : t -> int
-
-val hot_hosts_to_json : t -> string
-val per_level_to_json : t -> string
+    hosts ({!hot_hosts} [~k:m]), in [\[0, 1\]] (0 when there is no
+    traffic). The replica-aware congestion view: caching the upper
+    levels across [k] hosts leaves total traffic unchanged and divides
+    the hottest hosts' share by [k], so this is the ratio the E20
+    serving bench shows flattening. Requires [m >= 1]. *)

@@ -246,3 +246,12 @@ let zipf_queries ~seed ~keys ~n ~s =
   let rng = Prng.create seed in
   let z = zipf_prepare ~rng ~keys ~s in
   Array.init n (fun _ -> zipf_draw z rng)
+
+(* Even slots uniform over [0, bound), odd slots Zipf(s)-popular stored
+   keys; an odd [total] is rounded up so both halves stay equal. *)
+let mixed_queries ?(s = 1.1) ~seed ~keys ~total ~bound () =
+  let half = (total + 1) / 2 in
+  let z = zipf_queries ~seed:(seed + 0x21f) ~keys ~n:half ~s in
+  let rng = Prng.create (seed + 0x0b5) in
+  let u = Array.init half (fun _ -> Prng.int rng bound) in
+  Array.init (2 * half) (fun i -> if i mod 2 = 0 then u.(i / 2) else z.(i / 2))

@@ -107,3 +107,11 @@ val zipf_prepare : rng:Skipweb_util.Prng.t -> keys:int array -> s:float -> zipf
 
 val zipf_draw : zipf -> Skipweb_util.Prng.t -> int
 (** One Zipf-popular stored key; exactly one rng draw. *)
+
+val mixed_queries :
+  ?s:float -> seed:int -> keys:int array -> total:int -> bound:int -> unit -> int array
+(** The hotspot query mix: even slots uniform over [\[0, bound)], odd
+    slots Zipf([s], default 1.1)-popular stored keys — popularity skew on
+    top of the structural skew the upper levels of a skip structure
+    already create. An odd [total] is rounded up, so the result always
+    has an even length. *)

@@ -5,7 +5,6 @@ module Network = Skipweb_net.Network
 module Placement = Skipweb_net.Placement
 module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
-module Sketch = Skipweb_util.Sketch
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -374,71 +373,50 @@ let test_charge_all () =
   checki "host 3 gets floor share" 2 (Network.memory net 3);
   checki "total" 10 (Network.total_memory net)
 
-(* ------- observability tap + congestion observatory ------- *)
+(* ------- congestion observatory ------- *)
 
-(* The tap sees exactly what each finished session commits: the visit
-   multiset (newest first, start host included) and the message count.
-   Unfinished sessions are never reported. *)
-let test_tap_sees_finished_sessions () =
-  let net = Network.create ~hosts:4 in
-  let seen = ref [] in
-  Network.set_tap net (Some (fun ~visits ~msgs -> seen := (visits, msgs) :: !seen));
-  let s = Network.start net 0 in
-  Network.goto s 2;
-  Network.goto s 1;
-  checkb "nothing before finish" true (!seen = []);
-  Network.finish s;
-  checkb "visits newest first, start included" true (!seen = [ ([ 1; 2; 0 ], 2) ]);
-  Network.finish s;
-  checkb "idempotent finish reports once" true (List.length !seen = 1);
-  (* An abandoned session never reports. *)
-  let s2 = Network.start net 3 in
-  Network.goto s2 0;
-  ignore s2;
-  Network.set_tap net None;
-  let s3 = Network.start net 1 in
-  Network.finish s3;
-  checkb "removed tap is silent" true (List.length !seen = 1)
+(* A network whose host h has served exactly [counts.(h)] visits. *)
+let net_with_traffic counts =
+  let net = Network.create ~hosts:(Array.length counts) in
+  Array.iteri (fun h c -> for _ = 1 to c do Network.finish (Network.start net h) done) counts;
+  net
 
-(* Charge-invisibility, the same contract tracing pins: attaching an
-   observatory must not change one committed counter. *)
-let test_tap_charge_invisible () =
-  let run tapped =
-    let net = Network.create ~hosts:8 in
-    let obs = Obs.create () in
-    if tapped then Obs.attach obs net;
-    for i = 0 to 9 do
-      let s = Network.start net (i mod 8) in
-      Network.goto s ((i + 3) mod 8);
-      Network.goto s ((i + 5) mod 8);
-      Network.finish s
-    done;
-    ( Network.total_messages net,
-      Network.sessions_started net,
-      Array.init 8 (Network.traffic net) )
-  in
-  checkb "tap changes no counter" true (run true = run false)
+let test_hot_hosts_top1_is_max_traffic () =
+  let net = Network.create ~hosts:7 in
+  for i = 0 to 19 do
+    let s = Network.start net (i mod 7) in
+    Network.goto s (i * i mod 7);
+    Network.goto s 3;
+    Network.finish s
+  done;
+  match Obs.hot_hosts net ~k:1 with
+  | [ (h, v) ] ->
+      checki "top-1 visits = max_traffic" (Network.max_traffic net) v;
+      checki "top-1 host carries them" v (Network.traffic net h)
+  | _ -> Alcotest.fail "expected exactly one entry"
 
-let test_heavy_hitters_semantics () =
-  let hh = Obs.Heavy_hitters.create ~k:2 in
-  checki "capacity" 2 (Obs.Heavy_hitters.capacity hh);
-  List.iter (Obs.Heavy_hitters.hit hh ?count:None) [ 7; 7; 7; 5; 5 ];
-  Obs.Heavy_hitters.hit hh ~count:4 9;
-  (* 9 evicted the (cnt, key)-minimum entry 5 (cnt 2): it enters with
-     estimate 2 + 4 = 6 and error 2. *)
-  checki "total counts everything" 9 (Obs.Heavy_hitters.total hh);
-  checki "monitored bounded by k" 2 (Obs.Heavy_hitters.monitored hh);
-  checkb "top order and guarantees" true
-    (Obs.Heavy_hitters.top hh = [ (9, 6, 2); (7, 3, 0) ]);
-  (* est >= true and est - err <= true for every monitored key. *)
-  List.iter
-    (fun (key, est, err) ->
-      let true_count = match key with 7 -> 3 | 9 -> 4 | _ -> 0 in
-      checkb "never undercounts" true (est >= true_count);
-      checkb "overcount bounded by err" true (est - err <= true_count))
-    (Obs.Heavy_hitters.top hh);
-  Alcotest.check_raises "k >= 1" (Invalid_argument "Heavy_hitters.create: k must be >= 1")
-    (fun () -> ignore (Obs.Heavy_hitters.create ~k:0))
+let test_hot_hosts_bounds () =
+  let net = net_with_traffic [| 2; 9; 2; 0; 5 |] in
+  Network.kill net 1;
+  Network.kill net 3;
+  checkb "k above the live count lists every live host" true
+    (Obs.hot_hosts net ~k:10 = [ (4, 5); (0, 2); (2, 2) ]);
+  Alcotest.check_raises "k >= 1" (Invalid_argument "Observatory.hot_hosts: k must be >= 1")
+    (fun () -> ignore (Obs.hot_hosts net ~k:0))
+
+let test_top_share_sums_hot_hosts () =
+  let counts = [| 3; 0; 7; 7; 1; 4 |] in
+  let net = net_with_traffic counts in
+  Network.kill net 2;
+  let total = Array.fold_left ( + ) 0 counts - counts.(2) in
+  for m = 1 to 7 do
+    let top = List.fold_left (fun acc (_, v) -> acc + v) 0 (Obs.hot_hosts net ~k:m) in
+    Alcotest.(check (float 1e-12))
+      (Printf.sprintf "m = %d" m)
+      (float_of_int top /. float_of_int total)
+      (Obs.top_share net ~m)
+  done;
+  Alcotest.(check (float 1e-12)) "no traffic" 0.0 (Obs.top_share (Network.create ~hosts:3) ~m:2)
 
 let test_gini_known_values () =
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Obs.gini [||]);
@@ -467,75 +445,41 @@ let test_congestion_of_live_hosts_only () =
   checki "dead host's visits excluded" 2 c.Obs.total_traffic;
   Alcotest.(check (float 1e-9)) "max over live" 1.0 c.Obs.max
 
-let test_observatory_streams_and_attributes () =
+(* One trace shared by several operations sums their attribution: the
+   way a workload's sampled per-level load is read. *)
+let test_trace_shared_across_operations () =
   let net = Network.create ~hosts:6 in
-  let obs = Obs.create ~k:4 ~exact_cap:8 () in
-  Obs.attach obs net;
-  for _ = 1 to 3 do
-    let s = Network.start net 0 in
-    Network.goto s 5;
+  let tr = Trace.create () in
+  for _ = 1 to 2 do
+    let s = Network.start ~trace:tr net 0 in
+    Trace.span_open tr ~level:1 "walk";
+    Network.goto s 2;
+    Network.goto s 3;
+    Trace.span_close tr ();
+    Network.goto s 4;
     Network.finish s
   done;
-  Obs.detach net;
-  checki "ops streamed" 3 (Obs.ops obs);
-  checki "visits streamed" 6 (Obs.visits_seen obs);
-  checkb "hot hosts carry both endpoints" true
-    (List.map (fun (h, c, _) -> (h, c)) (Obs.hot_hosts obs) = [ (0, 3); (5, 3) ]);
-  (match Obs.message_summary obs with
-  | None -> Alcotest.fail "expected summary"
-  | Some s ->
-      checki "sketch count" 3 s.Skipweb_util.Stats.count;
-      Alcotest.(check (float 1e-9)) "every op cost 1" 1.0 s.Skipweb_util.Stats.mean);
-  (* Trace attribution folds per-level hops across samples. *)
-  let tr = Trace.create () in
-  let s = Network.start ~trace:tr net 0 in
-  Trace.span_open tr ~level:1 "walk";
-  Network.goto s 2;
-  Network.goto s 3;
-  Trace.span_close tr ();
-  Network.goto s 4;
-  Network.finish s;
-  Obs.observe_trace obs tr;
-  Obs.observe_trace obs tr;
-  checki "traced ops" 2 (Obs.traced_ops obs);
-  checkb "per-level doubled" true (Obs.per_level_hops obs = [ (1, 4) ]);
-  checki "unattributed doubled" 2 (Obs.unattributed_hops obs)
+  checkb "per-level doubled" true (Trace.per_level_hops tr = [ (1, 4) ]);
+  checki "unattributed doubled" 2 (Trace.unattributed_hops tr)
 
-(* The post-phase feeding path: exact per-host counters arrive as
-   weighted hits in host order, so the summary is a pure function of
-   the counters — the determinism the parallel benches rely on. *)
-let test_observe_traffic_deterministic () =
-  let feed () =
-    let net = Network.create ~hosts:5 in
-    for i = 0 to 3 do
-      let s = Network.start net i in
-      Network.goto s 4;
-      Network.finish s
-    done;
-    let obs = Obs.create ~k:3 () in
-    Obs.observe_traffic obs net;
-    (Obs.hot_hosts obs, Obs.visits_seen obs)
-  in
-  let top, total = feed () in
-  checkb "two runs agree exactly" true ((top, total) = feed ());
-  checki "weighted total = all visits" 8 total;
-  (* Host 4 (true count 4) leads; its estimate obeys the space-saving
-     guarantees even though the k = 3 table churned while filling. *)
-  checkb "hottest host leads within bounds" true
-    (match top with (4, est, err) :: _ -> est >= 4 && est - err <= 4 | _ -> false)
-
-let test_merge_message_shard () =
-  let obs = Obs.create ~exact_cap:8 () in
-  let shard1 = Sketch.create ~exact_cap:8 () and shard2 = Sketch.create ~exact_cap:8 () in
-  List.iter (Sketch.observe_int shard1) [ 1; 2 ];
-  List.iter (Sketch.observe_int shard2) [ 3; 4; 5 ];
-  Obs.merge_message_shard obs ~ops:2 shard1;
-  Obs.merge_message_shard obs ~ops:3 shard2;
-  checki "ops accumulate" 5 (Obs.ops obs);
-  checki "sketch holds the union" 5 (Sketch.count (Obs.message_sketch obs));
-  match Obs.message_summary obs with
-  | None -> Alcotest.fail "expected summary"
-  | Some s -> Alcotest.(check (float 1e-9)) "union median" 3.0 s.Skipweb_util.Stats.p50
+(* hot_hosts is exactly the head of a full sort of the live hosts'
+   counters, by descending visits with ties to the lower host. Small
+   counts force ties; random kills exercise the live-host filter. *)
+let qcheck_hot_hosts_exact =
+  QCheck.Test.make ~name:"hot_hosts = head of sorted live counters" ~count:300
+    QCheck.(
+      triple (list_of_size Gen.(int_range 1 30) (int_range 0 6)) (list small_nat) (int_range 1 40))
+    (fun (counts, kills, k) ->
+      let counts = Array.of_list counts in
+      let hosts = Array.length counts in
+      let net = net_with_traffic counts in
+      List.iter (fun v -> if Network.live_hosts net > 1 then Network.kill net (v mod hosts)) kills;
+      let sorted =
+        List.init hosts (fun h -> (h, counts.(h)))
+        |> List.filter (fun (h, _) -> Network.alive net h)
+        |> List.sort (fun (h1, v1) (h2, v2) -> compare (-v1, h1) (-v2, h2))
+      in
+      Obs.hot_hosts net ~k = List.filteri (fun i _ -> i < k) sorted)
 
 let qcheck_goto_nonnegative =
   QCheck.Test.make ~name:"message count equals host changes" ~count:300
@@ -583,14 +527,12 @@ let suite =
     Alcotest.test_case "placement hashed deterministic" `Quick test_placement_hashed_deterministic;
     Alcotest.test_case "placement hashed spreads" `Quick test_placement_hashed_spreads;
     Alcotest.test_case "charge all" `Quick test_charge_all;
-    Alcotest.test_case "tap sees finished sessions" `Quick test_tap_sees_finished_sessions;
-    Alcotest.test_case "tap is charge-invisible" `Quick test_tap_charge_invisible;
-    Alcotest.test_case "heavy hitters semantics" `Quick test_heavy_hitters_semantics;
     Alcotest.test_case "gini known values" `Quick test_gini_known_values;
     Alcotest.test_case "congestion over live hosts" `Quick test_congestion_of_live_hosts_only;
-    Alcotest.test_case "observatory streams and attributes" `Quick
-      test_observatory_streams_and_attributes;
-    Alcotest.test_case "observe_traffic deterministic" `Quick test_observe_traffic_deterministic;
-    Alcotest.test_case "merge message shard" `Quick test_merge_message_shard;
+    Alcotest.test_case "hot_hosts top-1 = max_traffic" `Quick test_hot_hosts_top1_is_max_traffic;
+    Alcotest.test_case "hot_hosts k bounds" `Quick test_hot_hosts_bounds;
+    Alcotest.test_case "top_share sums hot_hosts" `Quick test_top_share_sums_hot_hosts;
+    Alcotest.test_case "trace shared across operations" `Quick test_trace_shared_across_operations;
+    QCheck_alcotest.to_alcotest qcheck_hot_hosts_exact;
     QCheck_alcotest.to_alcotest qcheck_goto_nonnegative;
   ]
