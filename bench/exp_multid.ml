@@ -268,21 +268,23 @@ let json_of_row r =
     r.structure r.n r.queries r.scans r.batch r.messages r.mem_total r.size r.jobs
     r.times.t_build r.times.t_queries r.times.t_scans r.times.t_updates
 
-let json ~jobs_swept ~answers_identical ~race rows =
+let json ~jobs_swept ~domains ~answers_identical ~race rows =
   Printf.sprintf
     "{\n\
     \  \"experiment\": \"multid\",\n\
     \  \"workload\": \"bulk build + mixed point/range/k-NN/prefix batches + native batch \
      updates on quadtree-2d, trie and trapmap webs\",\n\
     \  \"jobs_swept\": [%s],\n\
+    \  \"domains\": %d,\n\
+    \  \"ocaml\": \"%s\",\n\
     \  \"answers_identical\": %b,\n\
     \  \"build_race\": {\"structure\": \"quadtree-2d\", \"n\": %d,\n\
     \    \"timing\": {\"per_key_s\": %.6f, \"bulk_s\": %.6f, \"bulk_pooled_s\": %.6f, \
      \"pooled_jobs\": %d, \"build_speedup\": %.2f}},\n\
     \  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ", " (List.map string_of_int jobs_swept))
-    answers_identical race.br_n race.per_key_s race.bulk_s race.bulk_pooled_s race.pooled_jobs
-    race.speedup
+    domains Sys.ocaml_version answers_identical race.br_n race.per_key_s race.bulk_s
+    race.bulk_pooled_s race.pooled_jobs race.speedup
     (String.concat ",\n" (List.map json_of_row rows))
 
 let run (cfg : C.config) =
@@ -293,8 +295,19 @@ let run (cfg : C.config) =
   let nscan = if cfg.C.quick then 100 else 500 in
   (* Deliberately NOT clamped to the hardware: the sweep exists to prove
      the pooled paths are jobs-invariant, and an oversubscribed pool is
-     exactly as deterministic as a well-sized one — only slower. *)
+     exactly as deterministic as a well-sized one — only slower. The
+     oversubscription is announced on stderr, and the JSON records the
+     domain count and compiler the sweep ran on. *)
   let jobs_swept = [ 1; 2; 4 ] in
+  let domains = Domain.recommended_domain_count () in
+  (match List.filter (fun j -> j > domains) jobs_swept with
+  | [] -> ()
+  | over ->
+      Printf.eprintf
+        "E21: jobs %s exceed the %d recommended domains; those sweep points run oversubscribed \
+         (a determinism check, not a speedup)\n%!"
+        (String.concat "/" (List.map string_of_int over))
+        domains);
   let seed = List.hd cfg.C.seeds in
   let identical = ref true in
   (* Sweep one workload over the jobs list; keep the jobs=1 row for the
@@ -356,4 +369,4 @@ let run (cfg : C.config) =
   Printf.printf "jobs sweep {%s}: answers, messages and charged memory identical\n"
     (String.concat ", " (List.map string_of_int jobs_swept));
   C.write_json ~file:"BENCH_multid.json"
-    (json ~jobs_swept ~answers_identical:!identical ~race rows)
+    (json ~jobs_swept ~domains ~answers_identical:!identical ~race rows)

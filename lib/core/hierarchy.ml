@@ -14,18 +14,18 @@ module Make (S : Range_structure.S) = struct
      plus whatever [S.insert]/[S.remove] cost, never O(n) bookkeeping. The
      live-id arena supports O(1) insert/remove/uniform-sample, and memory
      charges follow the O(1) range deltas the structures report instead of
-     re-diffing the full live range set per update. *)
+     re-diffing the full live range set per update. The hierarchy keeps no
+     ledger of its own: a set's members are the keys of its structure
+     ([S.size] says when an update empties it), and a set's charged ranges
+     are its structure's [S.range_ids] — the range-delta contract keeps the
+     two in step, and [check_invariants] re-derives both. *)
 
   (* All mutable state of one level lives in its [level_state] and nowhere
      else. That ownership boundary is what the parallel write path runs on:
      a batch hands each level to its own domain, and the level tasks share
-     nothing but the read-only batch array, the read-only key index and the
-     network's charge buffers — no locks needed, no interleaving visible. *)
-  type level_state = {
-    structures : (int, S.t) Hashtbl.t;  (* prefix -> structure *)
-    members : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* prefix -> member ids *)
-    charged : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* prefix -> charged range ids *)
-  }
+     nothing but the read-only batch arrays and the network's charge
+     buffers — no locks needed, no interleaving visible. *)
+  type level_state = (int, S.t) Hashtbl.t  (* prefix -> structure *)
 
   type t = {
     net : Network.t;
@@ -70,10 +70,12 @@ module Make (S : Range_structure.S) = struct
 
   let levels t = t.top + 1
 
-  let prefix t id len = Membership.prefix t.vecs ~id ~len
+  (* An element's membership path: its prefix at the top level, drawn once
+     per operation. Its level-ℓ set is the path's first ℓ bits,
+     [path lsr (top - ℓ)]. *)
+  let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
-  let fresh_layer () =
-    { structures = Hashtbl.create 16; members = Hashtbl.create 16; charged = Hashtbl.create 16 }
+  let fresh_layer () : level_state = Hashtbl.create 16
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -178,9 +180,11 @@ module Make (S : Range_structure.S) = struct
       charge (replica_host t level b rid j) k
     done
 
-  (* Drop any redraw state a dying range holds, so a later range reusing
-     the same (level, b, rid) code starts from generation 0 again. *)
-  let forget_redraws t level b rid =
+  (* Release every copy of a dying range, then drop any redraw state it
+     holds, so a later range reusing the same (level, b, rid) code starts
+     from generation 0 again. *)
+  let release t ~charge level b rid =
+    charge_replicas t ~charge level b rid (-1);
     if Hashtbl.length t.redraw > 0 then
       for j = 0 to slots_at t level - 1 do
         Hashtbl.remove t.redraw (level, b, rid, j)
@@ -213,92 +217,77 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- incremental memory accounting ------- *)
 
-  let find_or_create tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 16 in
-        Hashtbl.replace tbl key h;
-        h
-
-  let member_table ly b = find_or_create ly.members b
-
-  let charged_table ly b = find_or_create ly.charged b
-
   (* The charge sink: serialized single-op paths charge the network
      directly; per-level batch tasks pass a [Network.charge buffer] sink
      instead, so concurrent levels commit order-independent netted sums. *)
   let direct_charge t h k = Network.charge_memory t.net h k
 
-  (* Charge every given range of a freshly built level structure (its
-     charged table must be empty). *)
-  let charge_fresh t ~charge ly level b rids =
-    let ch = charged_table ly b in
-    List.iter
-      (fun rid ->
-        Hashtbl.replace ch rid ();
-        charge_replicas t ~charge level b rid 1)
-      rids
+  (* Charge every range of a freshly built level structure. *)
+  let charge_fresh t ~charge level b s =
+    List.iter (fun rid -> charge_replicas t ~charge level b rid 1) (S.range_ids s)
 
   (* Release every charge of one level set (structure dropped or level
      shrunk away). *)
-  let uncharge_set t ~charge ly level b =
-    match Hashtbl.find_opt ly.charged b with
-    | None -> ()
-    | Some ch ->
-        Hashtbl.iter
-          (fun rid () ->
-            charge_replicas t ~charge level b rid (-1);
-            forget_redraws t level b rid)
-          ch;
-        Hashtbl.remove ly.charged b
+  let uncharge_set t ~charge level b s = List.iter (release t ~charge level b) (S.range_ids s)
 
   (* Apply an O(1) range delta reported by [S.insert]/[S.remove]: the only
-     memory traffic an update generates. Membership-guarded so a duplicate
-     report cannot double-charge. *)
-  let apply_delta t ~charge ly level b (d : Range_structure.range_delta) =
-    let ch = charged_table ly b in
-    List.iter
-      (fun rid ->
-        if not (Hashtbl.mem ch rid) then begin
-          Hashtbl.replace ch rid ();
-          charge_replicas t ~charge level b rid 1
-        end)
-      d.Range_structure.added;
-    List.iter
-      (fun rid ->
-        if Hashtbl.mem ch rid then begin
-          Hashtbl.remove ch rid;
-          charge_replicas t ~charge level b rid (-1);
-          forget_redraws t level b rid
-        end)
-      d.Range_structure.removed
+     memory traffic an update generates. The delta is trusted to be exact
+     (the {!Range_structure} contract); [check_invariants] catches one that
+     is not. *)
+  let apply_delta t ~charge level b (d : Range_structure.range_delta) =
+    List.iter (fun rid -> charge_replicas t ~charge level b rid 1) d.Range_structure.added;
+    List.iter (release t ~charge level b) d.Range_structure.removed
 
   let required_top n =
     let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
     go 0
 
-  (* Build every set of one level in a single pass over the ground set:
-     bucket the keys by level prefix, then one [S.build] per bucket. Reads
-     only [t.id_keys] (frozen during a batch) and writes only this level's
-     state, so levels build concurrently. When a pool is threaded in (the
-     coarse levels of the two-axis schedule, which run one at a time in
-     the caller), each bucket build may shard host-local work over it. *)
-  let build_level ?pool t ~charge level =
+  (* The ground set as the bulk level builder reads it: keys in reverse
+     [Hashtbl.iter] order of [id_keys], beside each element's path at
+     [t.top]. Each level set's [S.build] sees its keys in this order,
+     which fixes the range numbering of order-sensitive structures (the
+     trapezoidal map numbers trapezoids in array order, and the pinned
+     trapmap message totals depend on it). *)
+  let snapshot t =
+    let entries =
+      Array.of_list (Hashtbl.fold (fun id k acc -> (k, path_of t id) :: acc) t.id_keys [])
+    in
+    (Array.map fst entries, Array.map snd entries)
+
+  (* Build every set of one level from a snapshot: a stable counting sort
+     by level prefix, then one [S.build] per bucket, whose copies are
+     summed into a dense per-host array and committed once through
+     [charge]. Writes only this level's state, so levels build
+     concurrently. When a pool is threaded in (the coarse levels of the
+     two-axis schedule, which run one at a time in the caller), each
+     bucket build may shard host-local work over it. *)
+  let build_level ?pool t ~charge (keys, paths) level =
     let ly = t.layers.(level) in
-    let buckets = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun id k ->
-        let b = prefix t id level in
-        Hashtbl.replace (member_table ly b) id ();
-        Hashtbl.replace buckets b (k :: (try Hashtbl.find buckets b with Not_found -> [])))
-      t.id_keys;
-    Hashtbl.iter
-      (fun b ks ->
-        let s = S.build ?pool (Array.of_list ks) in
-        Hashtbl.replace ly.structures b s;
-        charge_fresh t ~charge ly level b (S.range_ids s))
-      buckets
+    let shift = t.top - level and sets = 1 lsl level in
+    let start = Array.make (sets + 1) 0 in
+    Array.iter (fun p -> start.((p lsr shift) + 1) <- start.((p lsr shift) + 1) + 1) paths;
+    for b = 1 to sets do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    let fill = Array.sub start 0 sets and order = Array.make (Array.length keys) 0 in
+    Array.iteri
+      (fun i p ->
+        let b = p lsr shift in
+        order.(fill.(b)) <- i;
+        fill.(b) <- fill.(b) + 1)
+      paths;
+    let per_host = Array.make (Network.host_count t.net) 0 in
+    let add h k = per_host.(h) <- per_host.(h) + k in
+    for b = 0 to sets - 1 do
+      let lo = start.(b) in
+      let len = start.(b + 1) - lo in
+      if len > 0 then begin
+        let s = S.build ?pool (Array.init len (fun i -> keys.(order.(lo + i)))) in
+        Hashtbl.replace ly b s;
+        charge_fresh t ~charge:add level b s
+      end
+    done;
+    Array.iteri (fun h k -> if k <> 0 then charge h k) per_host
 
   (* Register a fresh key: allocate its id and index it. Ids are handed out
      in presentation order, and the id fixes the element's membership
@@ -316,20 +305,7 @@ module Make (S : Range_structure.S) = struct
     arena_add t id;
     id
 
-  let grow_top ?pool t =
-    let wanted = required_top (size t) in
-    if t.top < wanted then begin
-      let old = t.layers in
-      t.layers <-
-        Array.init (wanted + 1) (fun l -> if l < Array.length old then old.(l) else fresh_layer ());
-      while t.top < wanted do
-        let level = t.top + 1 in
-        build_level ?pool t ~charge:(direct_charge t) level;
-        t.top <- level
-      done
-    end
-
-  (* Group a sorted (key, id) batch by this level's membership prefix.
+  (* Group a sorted (key, path) batch by this level's membership prefix.
      Buckets come back in order of first appearance in the batch and keep
      the batch's ascending key order inside each group — both are pure
      functions of the batch, never of scheduling. *)
@@ -337,12 +313,12 @@ module Make (S : Range_structure.S) = struct
     let order = ref [] in
     let tbl = Hashtbl.create 16 in
     Array.iter
-      (fun ((_, id) as entry) ->
-        let b = prefix t id level in
+      (fun (k, path) ->
+        let b = path lsr (t.top - level) in
         match Hashtbl.find_opt tbl b with
-        | Some l -> l := entry :: !l
+        | Some l -> l := k :: !l
         | None ->
-            Hashtbl.replace tbl b (ref [ entry ]);
+            Hashtbl.replace tbl b (ref [ k ]);
             order := b :: !order)
       batch;
     List.rev_map (fun b -> (b, Array.of_list (List.rev !(Hashtbl.find tbl b)))) !order
@@ -357,33 +333,30 @@ module Make (S : Range_structure.S) = struct
   let insert_sweep ?pool t ~charge fresh level =
     let ly = t.layers.(level) in
     List.iter
-      (fun (b, group) ->
-        Array.iter (fun (_, id) -> Hashtbl.replace (member_table ly b) id ()) group;
-        let ks = Array.map fst group in
-        match Hashtbl.find_opt ly.structures b with
-        | Some s -> apply_delta t ~charge ly level b (S.insert_batch ?pool s ks)
+      (fun (b, ks) ->
+        match Hashtbl.find_opt ly b with
+        | Some s -> apply_delta t ~charge level b (S.insert_batch ?pool s ks)
         | None ->
             let s = S.build ?pool ks in
-            Hashtbl.replace ly.structures b s;
-            charge_fresh t ~charge ly level b (S.range_ids s))
+            Hashtbl.replace ly b s;
+            charge_fresh t ~charge level b s)
       (bucket_sorted t fresh level)
 
   (* One level's slice of a bulk deletion: drop a set's structure outright
-     once the batch empties its member set (releasing every charge it
+     once the batch takes every key it holds (releasing every charge it
      held — same net charges as removing its keys one at a time), batch
      removal otherwise. *)
   let remove_sweep ?pool t ~charge victims level =
     let ly = t.layers.(level) in
     List.iter
-      (fun (b, group) ->
-        Array.iter (fun (_, id) -> Hashtbl.remove (member_table ly b) id) group;
-        match Hashtbl.find_opt ly.structures b with
+      (fun (b, ks) ->
+        match Hashtbl.find_opt ly b with
         | Some s ->
-            if Hashtbl.length (member_table ly b) = 0 then begin
-              Hashtbl.remove ly.structures b;
-              uncharge_set t ~charge ly level b
+            if S.size s = Array.length ks then begin
+              Hashtbl.remove ly b;
+              uncharge_set t ~charge level b s
             end
-            else apply_delta t ~charge ly level b (S.remove_batch ?pool s (Array.map fst group))
+            else apply_delta t ~charge level b (S.remove_batch ?pool s ks)
         | None -> failwith "Hierarchy.remove_batch: missing structure")
       (bucket_sorted t victims level)
 
@@ -396,51 +369,70 @@ module Make (S : Range_structure.S) = struct
     let rec lg acc = if 1 lsl acc >= jobs then acc else lg (acc + 1) in
     min t.top (lg 0)
 
-  (* The two-axis schedule. Level ℓ holds every key whose first ℓ coins
-     came up heads, so per-level sweep cost falls geometrically with ℓ —
-     fanning one task per level caps the speedup at the level count and
-     serializes everything behind level 0's task. Instead: the coarse
-     levels (0 .. log2 jobs) run one at a time in the caller with the
-     pool threaded {e into} the sweep, where the chunk-shard batch engine
-     splits the level's splice across every domain; the remaining levels
-     then fan out one task per level, heaviest first, as before. The two
-     phases cannot overlap (the pool is not re-entrant), but the fanned
-     tail holds at most ~n/jobs of the work, so little is lost.
+  (* The two-axis schedule over levels [lo .. top]. Level ℓ holds every
+     key whose first ℓ coins came up heads, so per-level sweep cost falls
+     geometrically with ℓ — fanning one task per level caps the speedup at
+     the level count and serializes everything behind level 0's task.
+     Instead: the coarse levels (up to log2 jobs) run one at a time in the
+     caller with the pool threaded {e into} the sweep, where the
+     chunk-shard batch engine splits the level's splice across every
+     domain; the remaining levels then fan out one task per level,
+     heaviest first. The two phases cannot overlap (the pool is not
+     re-entrant), but the fanned tail holds at most ~n/jobs of the work,
+     so little is lost.
 
      Charge discipline: the coarse phase charges the network directly
      (nothing else is charging), the fanned tasks buffer and commit
      netted per-host sums through the network's atomics — either way
      per-host memory is bit-identical to the sequential loop for any
      jobs count. *)
-  let run_levels ?pool t (f : ?pool:Pool.t -> charge:(int -> int -> unit) -> int -> unit) =
+  let run_levels ?pool ?(lo = 0) t (f : ?pool:Pool.t -> charge:(int -> int -> unit) -> int -> unit)
+      =
     match pool with
     | None ->
-        for level = 0 to t.top do
+        for level = lo to t.top do
           f ~charge:(direct_charge t) level
         done
     | Some p ->
         let coarse = coarse_levels t p in
-        for level = 0 to coarse do
+        for level = lo to coarse do
           f ~pool:p ~charge:(direct_charge t) level
         done;
-        let rest = t.top - coarse in
-        if rest > 0 then begin
+        let first = max lo (coarse + 1) in
+        if first <= t.top then begin
           let n = size t in
-          let weights = Array.init rest (fun i -> (n lsr (coarse + 1 + i)) + 1) in
+          let weights = Array.init (t.top - first + 1) (fun i -> (n lsr (first + i)) + 1) in
           Pool.parallel_for_tasks p ~weights (fun i ->
-              let level = coarse + 1 + i in
               let buf = Network.deferred_charges t.net in
-              f ~charge:(Network.charge buf) level;
+              f ~charge:(Network.charge buf) (first + i);
               Network.commit_charges buf)
         end
+
+  (* The one bulk level builder: build levels [lo .. K] from scratch over
+     the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
+     in an empty hierarchy, the new top levels when the hierarchy grows. *)
+  let build_levels ?pool t lo =
+    let wanted = required_top (size t) in
+    t.layers <- Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer ());
+    t.top <- wanted;
+    let snap = snapshot t in
+    run_levels ?pool ~lo t (fun ?pool ~charge level -> build_level ?pool t ~charge snap level)
+
+  let grow_top ?pool t = if t.top < required_top (size t) then build_levels ?pool t (t.top + 1)
+
+  (* A sorted batch of (key, membership path at [t.top]). *)
+  let sorted_paths t entries =
+    let batch = Array.map (fun (k, id) -> (k, path_of t id)) entries in
+    Array.sort (fun (a, _) (b, _) -> compare a b) batch;
+    batch
 
   (* Bulk insertion: register the whole batch (drawing every membership
      coin sequentially), then stream it through the hierarchy level by
      level in sorted key order, so each level structure absorbs its keys in
      one ascending sweep instead of [batch] independent random-rank
      updates; with a pool the per-level sweeps run on separate domains. A
-     batch landing in an empty hierarchy takes the bucketed [build_level]
-     path outright, also fanned per level. Pure host-side work — no query
+     batch landing in an empty hierarchy takes the bulk level builder
+     outright, also fanned per level. Pure host-side work — no query
      routing, hence no messages; returns the number of keys actually
      inserted. *)
   let insert_batch ?pool t keys =
@@ -450,20 +442,14 @@ module Make (S : Range_structure.S) = struct
       (fun k -> if not (Hashtbl.mem t.key_ids k) then fresh := (k, register t k) :: !fresh)
       keys;
     let fresh = Array.of_list (List.rev !fresh) in
-    let count = Array.length fresh in
-    if count = 0 then 0
-    else if was_empty then begin
-      t.top <- required_top (size t);
-      t.layers <- Array.init (t.top + 1) (fun _ -> fresh_layer ());
-      run_levels ?pool t (fun ?pool ~charge level -> build_level ?pool t ~charge level);
-      count
-    end
-    else begin
-      Array.sort (fun (a, _) (b, _) -> compare a b) fresh;
-      run_levels ?pool t (fun ?pool ~charge level -> insert_sweep ?pool t ~charge fresh level);
-      grow_top ?pool t;
-      count
-    end
+    if Array.length fresh > 0 then
+      if was_empty then build_levels ?pool t 0
+      else begin
+        let batch = sorted_paths t fresh in
+        run_levels ?pool t (fun ?pool ~charge level -> insert_sweep ?pool t ~charge batch level);
+        grow_top ?pool t
+      end;
+    Array.length fresh
 
   let build ~net ~seed ?(p = 0.5) ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool keys
       =
@@ -505,7 +491,7 @@ module Make (S : Range_structure.S) = struct
 
   type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
 
-  (* One repair pass: walk every charged range, and for every replica slot
+  (* One repair pass: walk every live range, and for every replica slot
      whose current host is dead, bump the slot's redraw generation until
      its placement hash lands on a live host, migrate the memory charge
      off the dead host, and bill one copy message for stealing the range
@@ -525,9 +511,9 @@ module Make (S : Range_structure.S) = struct
     Array.iteri
       (fun level ly ->
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
+          (fun b s ->
+            List.iter
+              (fun rid ->
                 incr scanned;
                 (* Every copy of the range: its r data replicas plus, at
                    cached levels, the cache copies — a cache copy on a
@@ -567,23 +553,23 @@ module Make (S : Range_structure.S) = struct
                     end
                   done
                 end)
-              ch)
-          ly.charged)
+              (S.range_ids s))
+          ly)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
   let level_set_sizes t level =
-    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level).structures []
+    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level) []
 
   let total_storage t =
     Array.fold_left
-      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly.structures acc)
+      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly acc)
       0 t.layers
 
   type query_stats = { messages : int; ranges_visited : int; per_level_visits : int list }
 
   let structure_exn t level b =
-    match Hashtbl.find_opt t.layers.(level).structures b with
+    match Hashtbl.find_opt t.layers.(level) b with
     | Some s -> s
     | None -> failwith "Hierarchy: missing level structure on an element's path"
 
@@ -599,7 +585,8 @@ module Make (S : Range_structure.S) = struct
      structure's walk kind. All trace work is guarded on [trace], so an
      untraced query allocates and branches exactly as before. *)
   let routed_descent ?trace t origin_id q =
-    let b_top = prefix t origin_id t.top in
+    let path = path_of t origin_id in
+    let b_top = path in
     let s_top = structure_exn t t.top b_top in
     let loc0, visited0 = S.locate s_top q in
     let start_host =
@@ -624,7 +611,7 @@ module Make (S : Range_structure.S) = struct
     let rec descend level loc s_above =
       if level < 0 then (loc, s_above)
       else begin
-        let b = prefix t origin_id level in
+        let b = path lsr (t.top - level) in
         let s = structure_exn t level b in
         let desc = S.describe s_above loc in
         (match trace with
@@ -674,9 +661,8 @@ module Make (S : Range_structure.S) = struct
     | Some tr -> Trace.span_open tr ~level:0 ("scan " ^ S.name));
     let ans, visited = S.scan s0 loc0 sc in
     let goto_label = match trace with None -> None | Some _ -> Some S.visit_label in
-    let b0 = prefix t origin_id 0 in
     List.iter
-      (fun rid -> Network.goto ?label:goto_label session (read_host t origin_id 0 b0 rid))
+      (fun rid -> Network.goto ?label:goto_label session (read_host t origin_id 0 0 rid))
       visited;
     (match trace with
     | None -> ()
@@ -695,15 +681,19 @@ module Make (S : Range_structure.S) = struct
     if size t = 0 then invalid_arg "Hierarchy.scan: empty structure";
     scan_from ?trace t (sample_id t rng) sc
 
-  (* Independent scans fanned out like {!query_batch}: origins pre-drawn
-     sequentially, pure read-only walks, bit-identical for any jobs
-     count. *)
-  let scan_batch ?pool t ~rng scs =
-    let n = Array.length scs in
-    if n > 0 && size t = 0 then invalid_arg "Hierarchy.scan_batch: empty structure";
+  (* Parallel fan-out of independent queries or scans. Origins are
+     pre-drawn sequentially from the caller's rng — [query] and [scan]
+     consume exactly one draw per call, so the batch sees the same coin
+     sequence a sequential loop would — after which each walk is a pure
+     read-only walk committing its session via the network's atomic
+     counters. Answers, stats and network totals are therefore
+     bit-identical for any jobs count, including [pool = None]. *)
+  let fan_out ?pool t ~rng ~name walk xs =
+    let n = Array.length xs in
+    if n > 0 && size t = 0 then invalid_arg (name ^ ": empty structure");
     let origins = Array.init n (fun _ -> sample_id t rng) in
     let out = Array.make n None in
-    let run i = out.(i) <- Some (scan_from t origins.(i) scs.(i)) in
+    let run i = out.(i) <- Some (walk t origins.(i) xs.(i)) in
     (match pool with
     | None ->
         for i = 0 to n - 1 do
@@ -712,26 +702,11 @@ module Make (S : Range_structure.S) = struct
     | Some p -> Pool.parallel_for p ~lo:0 ~hi:n run);
     Array.map (function Some r -> r | None -> assert false) out
 
-  (* Parallel fan-out of independent queries. Origins are pre-drawn
-     sequentially from the caller's rng — [query] consumes exactly one
-     draw per call, so the batch sees the same coin sequence a sequential
-     loop of [query] would — after which each [query_from] is a pure
-     read-only walk committing its session via the network's atomic
-     counters. Answers, stats and network totals are therefore
-     bit-identical for any jobs count, including [pool = None]. *)
+  let scan_batch ?pool t ~rng scs =
+    fan_out ?pool t ~rng ~name:"Hierarchy.scan_batch" (scan_from ?trace:None) scs
+
   let query_batch ?pool t ~rng qs =
-    let n = Array.length qs in
-    if n > 0 && size t = 0 then invalid_arg "Hierarchy.query_batch: empty structure";
-    let origins = Array.init n (fun _ -> sample_id t rng) in
-    let out = Array.make n None in
-    let run i = out.(i) <- Some (query_from t origins.(i) qs.(i)) in
-    (match pool with
-    | None ->
-        for i = 0 to n - 1 do
-          run i
-        done
-    | Some p -> Pool.parallel_for p ~lo:0 ~hi:n run);
-    Array.map (function Some r -> r | None -> assert false) out
+    fan_out ?pool t ~rng ~name:"Hierarchy.query_batch" (query_from ?trace:None) qs
 
   (* The counterpart of [grow_top]: after deletions the required number of
      levels shrinks, so dead levels must be dropped — otherwise the
@@ -742,15 +717,9 @@ module Make (S : Range_structure.S) = struct
     let wanted = required_top (size t) in
     if t.top > wanted then begin
       for level = wanted + 1 to t.top do
-        let ly = t.layers.(level) in
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
-                charge_replicas t ~charge:(direct_charge t) level b rid (-1);
-                forget_redraws t level b rid)
-              ch)
-          ly.charged
+          (fun b s -> uncharge_set t ~charge:(direct_charge t) level b s)
+          t.layers.(level)
       done;
       t.layers <- Array.sub t.layers 0 (wanted + 1);
       t.top <- wanted
@@ -769,17 +738,17 @@ module Make (S : Range_structure.S) = struct
           stats.messages
       in
       let id = register t k in
+      let path = path_of t id in
       let charge = direct_charge t in
       for level = 0 to t.top do
         let ly = t.layers.(level) in
-        let b = prefix t id level in
-        Hashtbl.replace (member_table ly b) id ();
-        match Hashtbl.find_opt ly.structures b with
-        | Some s -> apply_delta t ~charge ly level b (S.insert s k)
+        let b = path lsr (t.top - level) in
+        match Hashtbl.find_opt ly b with
+        | Some s -> apply_delta t ~charge level b (S.insert s k)
         | None ->
             let s = S.build [| k |] in
-            Hashtbl.replace ly.structures b s;
-            charge_fresh t ~charge ly level b (S.range_ids s)
+            Hashtbl.replace ly b s;
+            charge_fresh t ~charge level b s
       done;
       let linking_cost = 2 * (t.top + 1) in
       grow_top t;
@@ -795,18 +764,18 @@ module Make (S : Range_structure.S) = struct
           let _, stats = query_from t (sample_id t rng) (S.probe k) in
           stats.messages
         in
+        let path = path_of t id in
         let charge = direct_charge t in
         for level = 0 to t.top do
           let ly = t.layers.(level) in
-          let b = prefix t id level in
-          Hashtbl.remove (member_table ly b) id;
-          match Hashtbl.find_opt ly.structures b with
+          let b = path lsr (t.top - level) in
+          match Hashtbl.find_opt ly b with
           | Some s ->
-              if Hashtbl.length (member_table ly b) = 0 then begin
-                Hashtbl.remove ly.structures b;
-                uncharge_set t ~charge ly level b
+              if S.size s = 1 then begin
+                Hashtbl.remove ly b;
+                uncharge_set t ~charge level b s
               end
-              else apply_delta t ~charge ly level b (S.remove s k)
+              else apply_delta t ~charge level b (S.remove s k)
           | None -> failwith "Hierarchy.remove: missing structure"
         done;
         Hashtbl.remove t.key_ids k;
@@ -818,7 +787,7 @@ module Make (S : Range_structure.S) = struct
 
   (* Bulk deletion, the mirror of [insert_batch]: one sorted sweep per
      level (fanned over the pool when one is given), dropping a level set's
-     structure outright once the batch has emptied its member set, then one
+     structure outright once the batch takes every key it holds, then one
      hierarchy shrink at the end. Host-side only; returns the number of
      keys actually removed. *)
   let remove_batch ?pool t keys =
@@ -836,8 +805,8 @@ module Make (S : Range_structure.S) = struct
     let count = Array.length victims in
     if count = 0 then 0
     else begin
-      Array.sort (fun (a, _) (b, _) -> compare a b) victims;
-      run_levels ?pool t (fun ?pool ~charge level -> remove_sweep ?pool t ~charge victims level);
+      let batch = sorted_paths t victims in
+      run_levels ?pool t (fun ?pool ~charge level -> remove_sweep ?pool t ~charge batch level);
       Array.iter
         (fun (k, id) ->
           Hashtbl.remove t.key_ids k;
@@ -862,23 +831,6 @@ module Make (S : Range_structure.S) = struct
     let n = size t in
     if Array.length t.layers <> t.top + 1 then
       failwith "Hierarchy: layer array out of sync with top";
-    for level = 0 to t.top do
-      let ly = t.layers.(level) in
-      let covered = ref 0 in
-      Hashtbl.iter
-        (fun b members ->
-          covered := !covered + Hashtbl.length members;
-          (match Hashtbl.find_opt ly.structures b with
-          | Some s ->
-              if S.size s <> Hashtbl.length members then
-                failwith "Hierarchy: structure size disagrees with member set"
-          | None -> if Hashtbl.length members > 0 then failwith "Hierarchy: missing structure");
-          Hashtbl.iter
-            (fun id () -> if prefix t id level <> b then failwith "Hierarchy: member in wrong set")
-            members)
-        ly.members;
-      if !covered <> n then failwith "Hierarchy: level does not partition the ground set"
-    done;
     if t.top <> required_top n then failwith "Hierarchy: top out of sync with size";
     (* Arena: exactly the live ids, each knowing its slot. *)
     if t.live <> n then failwith "Hierarchy: id arena size disagrees with ground set";
@@ -887,52 +839,52 @@ module Make (S : Range_structure.S) = struct
       if Hashtbl.find_opt t.id_pos id <> Some i then failwith "Hierarchy: id arena slot broken";
       if not (Hashtbl.mem t.id_keys id) then failwith "Hierarchy: dead id in arena"
     done;
-    (* Charged ranges track the live ranges of every structure exactly. *)
-    Array.iter
-      (fun ly ->
-        Hashtbl.iter
-          (fun b s ->
-            let ch =
-              match Hashtbl.find_opt ly.charged b with
-              | Some ch -> ch
-              | None -> failwith "Hierarchy: structure with no charged table"
-            in
-            let rids = S.range_ids s in
-            if List.length rids <> Hashtbl.length ch then
-              failwith "Hierarchy: charged range count drifted from live ranges";
-            List.iter
-              (fun rid ->
-                if not (Hashtbl.mem ch rid) then failwith "Hierarchy: live range uncharged")
-              rids)
-          ly.structures;
-        Hashtbl.iter
-          (fun b ch ->
-            if Hashtbl.length ch > 0 && not (Hashtbl.mem ly.structures b) then
-              failwith "Hierarchy: charges for a dropped structure")
-          ly.charged)
-      t.layers;
-    (* Cross-check the charges against the simulator's per-host memory.
+    (* Every level partitions the ground set: recount the live ids per
+       prefix from their paths; each non-empty prefix has a structure of
+       exactly that size, and no other prefix has one. *)
+    let paths = Array.init t.live (fun i -> path_of t t.ids.(i)) in
+    for level = 0 to t.top do
+      let counts = Array.make (1 lsl level) 0 in
+      Array.iter
+        (fun p ->
+          let b = p lsr (t.top - level) in
+          counts.(b) <- counts.(b) + 1)
+        paths;
+      let ly = t.layers.(level) in
+      Hashtbl.iter
+        (fun b s ->
+          if b < 0 || b >= Array.length counts || counts.(b) = 0 then
+            failwith "Hierarchy: structure for an empty level set";
+          if S.size s <> counts.(b) then
+            failwith "Hierarchy: structure size disagrees with level set")
+        ly;
+      Array.iteri
+        (fun b c -> if c > 0 && not (Hashtbl.mem ly b) then failwith "Hierarchy: missing structure")
+        counts
+    done;
+    (* Cross-check every copy of every live range against the simulator's
+       per-host memory, which the updates charged from range deltas.
        (Assumes this hierarchy is the only structure charging this
        network, which holds in the test harnesses.) *)
-    let expected = Hashtbl.create 64 in
+    let expected = Array.make (Network.host_count t.net) 0 in
     Array.iteri
       (fun level ly ->
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
+          (fun b s ->
+            List.iter
+              (fun rid ->
                 for j = 0 to slots_at t level - 1 do
                   let h = replica_host t level b rid j in
-                  Hashtbl.replace expected h (1 + try Hashtbl.find expected h with Not_found -> 0)
+                  expected.(h) <- expected.(h) + 1
                 done)
-              ch)
-          ly.charged)
+              (S.range_ids s))
+          ly)
       t.layers;
-    for h = 0 to Network.host_count t.net - 1 do
-      let e = try Hashtbl.find expected h with Not_found -> 0 in
-      if Network.memory t.net h <> e then
-        failwith
-          (Printf.sprintf "Hierarchy: host %d memory %d but charged %d" h
-             (Network.memory t.net h) e)
-    done
+    Array.iteri
+      (fun h e ->
+        if Network.memory t.net h <> e then
+          failwith
+            (Printf.sprintf "Hierarchy: host %d memory %d but charged %d" h
+               (Network.memory t.net h) e))
+      expected
 end

@@ -94,7 +94,7 @@ module Make (S : Range_structure.S) : sig
       whether to retry or count a failed query). *)
 
   type repair_stats = {
-    scanned : int;  (** charged ranges examined *)
+    scanned : int;  (** live ranges examined *)
     repaired : int;  (** replica copies re-homed (off dead hosts, plus the
                          rare live copy whose skip-collision draw shifted
                          when an earlier copy of its range moved) *)
@@ -200,10 +200,13 @@ module Make (S : Range_structure.S) : sig
       time in sorted key order, so each level structure absorbs its keys
       in a single ascending sweep instead of [batch] independent
       random-rank updates. A batch landing in an empty hierarchy takes
-      the bucketed build path. [build] routes through this. Host-side
-      bulk-load work only — no query routing, so unlike {!insert} the
-      return value is the number of keys actually inserted, not a message
-      cost. Memory charges are maintained exactly as for {!insert}.
+      the bulk level builder (per level, one counting sort of the ground
+      set by membership prefix and one build per level set), as do the
+      new top levels when a batch grows the hierarchy. [build] routes
+      through this. Host-side bulk-load work only — no query routing, so
+      unlike {!insert} the return value is the number of keys actually
+      inserted, not a message cost. Memory charges are maintained exactly
+      as for {!insert}.
 
       With [pool], the sweeps parallelize on {e two axes}. The few
       coarse levels (0 up to about log₂ jobs) — which together carry
@@ -214,9 +217,9 @@ module Make (S : Range_structure.S) : sig
       fan out across the pool, one task per level dispatched
       heaviest-first, each running its sweep sequentially (the pool is
       not re-entrant, so the two phases never overlap on it). This is
-      safe and {e deterministic} because registration draws every
-      membership coin sequentially before any sweep starts, each level's
-      mutable state is touched by exactly one task, the intra-level
+      safe and {e deterministic} because every membership path is drawn
+      sequentially before any sweep starts, each level's mutable state
+      is touched by exactly one task, the intra-level
       splice commits through a sequential merge pass whose output is a
       pure function of (pre-state, batch), and memory charges commit as
       netted per-host sums through the network's atomic counters — so
@@ -238,11 +241,14 @@ module Make (S : Range_structure.S) : sig
       set-halving constant (E12's inner measurement). *)
 
   val check_invariants : t -> unit
-  (** Validates: every level partitions the ground set, structure sizes
-      match member sets, the live-id arena is consistent, the number of
-      levels matches ⌈log₂ n⌉, and the incrementally maintained memory
-      charges agree range-for-range with each structure's live ranges and
-      host-for-host with {!Network.memory} (the latter assumes the
-      hierarchy is the only structure charging its network, as in the
-      tests). Raises [Failure] on violation. *)
+  (** Validates: the live-id arena is consistent, the number of levels
+      matches ⌈log₂ n⌉, every level partitions the ground set (the live
+      ids, recounted per membership prefix, match each structure's size,
+      and no structure exists for an empty prefix), and every copy of
+      every live range — placed by the replica hash over each structure's
+      range ids — sums host-for-host to {!Network.memory}, which the
+      updates charged incrementally from range deltas (so an inexact
+      delta is caught here; this assumes the hierarchy is the only
+      structure charging its network, as in the tests). Raises [Failure]
+      on violation. *)
 end

@@ -16,13 +16,11 @@ let bit v ~id ~level =
 
 let prefix v ~id ~len =
   if len < 0 || len >= 60 then invalid_arg "Membership.prefix";
-  let rec go acc level =
-    if level = len then acc
-    else
-      let b = if bit v ~id ~level then 1 else 0 in
-      go ((acc lsl 1) lor b) (level + 1)
-  in
-  go 0 0
+  let acc = ref 0 in
+  for level = 0 to len - 1 do
+    acc := (!acc lsl 1) lor if bit v ~id ~level then 1 else 0
+  done;
+  !acc
 
 let common_prefix v a b =
   let rec go level =

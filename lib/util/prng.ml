@@ -2,8 +2,10 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* The SplitMix64 finalizer: a bijective mixer with good avalanche. *)
-let mix64 z =
+(* The SplitMix64 finalizer: a bijective mixer with good avalanche.
+   Inlined so that, without flambda, the [Int64] intermediates of
+   [hash2]/[hash3] stay unboxed: a hash allocates nothing. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -427,7 +427,7 @@ let qcheck_hierarchy_int_matches_oracle =
 
 (* Churn property: random interleaved insert/remove/query against a
    Set-based model, with the full invariant check (including the
-   charged-vs-network memory cross-check) every 64 ops. This is what
+   live-ranges-vs-network memory cross-check) every 64 ops. This is what
    guards the incremental update path — any drift in the id arena, the
    level sets, or the per-range memory charges fails here. *)
 let qcheck_hierarchy_churn =
@@ -470,6 +470,61 @@ let qcheck_hierarchy_churn =
       done;
       HInt.check_invariants h;
       !ok && HInt.size h = IS.cardinal !model)
+
+(* A bulk build and the same keys inserted one at a time from empty end in
+   the same placement — every host's memory, the level count and the
+   storage agree — across key counts that cross powers of two (so
+   [grow_top] runs on the way up); removing every key in random order
+   then walks [shrink_top] all the way down, keeping every invariant and
+   releasing every charge. *)
+let qcheck_hierarchy_build_equals_inserts =
+  QCheck.Test.make ~name:"hierarchy build = inserts from empty, removes to zero" ~count:12
+    QCheck.(pair small_int (int_range 1 600))
+    (fun (seed, n) ->
+      let ks = W.distinct_ints ~seed:(seed + 17) ~n ~bound:100_000 in
+      let hosts = 64 in
+      let net1 = Network.create ~hosts and net2 = Network.create ~hosts in
+      let h1 = HInt.build ~net:net1 ~seed ks in
+      let h2 = HInt.build ~net:net2 ~seed [||] in
+      Array.iter (fun k -> ignore (HInt.insert h2 k)) ks;
+      HInt.check_invariants h1;
+      HInt.check_invariants h2;
+      let memory net = Array.init hosts (Network.memory net) in
+      let same =
+        memory net1 = memory net2
+        && HInt.levels h1 = HInt.levels h2
+        && HInt.total_storage h1 = HInt.total_storage h2
+      in
+      let order = Array.copy ks in
+      Prng.shuffle (Prng.create (seed + 29)) order;
+      Array.iter
+        (fun k ->
+          ignore (HInt.remove h1 k);
+          HInt.check_invariants h1)
+        order;
+      same && HInt.size h1 = 0 && Network.total_memory net1 = 0)
+
+(* The memory cross-check is what stands behind the trusted range deltas:
+   an instance whose [insert] under-reports one created range must be
+   caught by [check_invariants] after a single update. *)
+module HLying = H.Make (struct
+  include I.Ints
+
+  let insert t k =
+    let d = I.Ints.insert t k in
+    match d.Skipweb_core.Range_structure.added with
+    | _ :: rest -> { d with added = rest }
+    | [] -> d
+end)
+
+let test_lying_delta_caught () =
+  let net = Network.create ~hosts:64 in
+  let h = HLying.build ~net ~seed:5 (W.distinct_ints ~seed:6 ~n:100 ~bound:10_000) in
+  HLying.check_invariants h;
+  ignore (HLying.insert h 10_001);
+  match HLying.check_invariants h with
+  | () -> Alcotest.fail "an inexact range delta went unnoticed"
+  | exception Failure _ -> ()
 
 (* ------- batch updates ------- *)
 
@@ -1005,6 +1060,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_blocked_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_int_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_churn;
+    QCheck_alcotest.to_alcotest qcheck_hierarchy_build_equals_inserts;
+    Alcotest.test_case "lying range delta caught" `Quick test_lying_delta_caught;
   ]
 
 

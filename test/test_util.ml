@@ -103,6 +103,24 @@ let test_hash2_deterministic () =
   checkb "argument order matters" true (Prng.hash2 5 9 <> Prng.hash2 9 5);
   checkb "non-negative" true (Prng.hash2 (-4) 17 >= 0)
 
+(* Pinned outputs (every placement and membership bit derives from these
+   mixers, so a change here moves every message count), and the hot-path
+   contract: with [mix64] inlined the [Int64] intermediates stay unboxed
+   and a hash allocates nothing. *)
+let test_hash_pinned_allocation_free () =
+  check Alcotest.int "hash2 1 2" 4308867352236993466 (Prng.hash2 1 2);
+  check Alcotest.int "hash2 0 0" 0 (Prng.hash2 0 0);
+  check Alcotest.int "hash3 1 2 3" 1993141804617626836 (Prng.hash3 1 2 3);
+  check Alcotest.int "hash3 -5 42 1e6" 1101410255812683636 (Prng.hash3 (-5) 42 1_000_000);
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    acc := !acc lxor Prng.hash3 i (i + 1) 7
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "hashes computed" true (!acc <> 0);
+  check (Alcotest.float 0.0) "10 000 hash3 calls allocate no minor words" 0.0 words
+
 let test_membership_deterministic () =
   let v = Membership.create ~seed:77 in
   for id = 0 to 20 do
@@ -666,6 +684,7 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "hash2 deterministic" `Quick test_hash2_deterministic;
+    Alcotest.test_case "hash pinned, allocation-free" `Quick test_hash_pinned_allocation_free;
     Alcotest.test_case "membership deterministic" `Quick test_membership_deterministic;
     Alcotest.test_case "membership prefix packing" `Quick test_membership_prefix;
     Alcotest.test_case "membership bits balanced" `Quick test_membership_balanced;
