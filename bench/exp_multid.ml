@@ -250,7 +250,7 @@ let build_race ~seed ~n =
   let bulk, bulk_s = C.timed (fun () -> Cq.build ~dim:2 pts) in
   let pooled_jobs = 4 in
   let pooled, bulk_pooled_s =
-    DPool.with_pool ~jobs:pooled_jobs (fun pool -> C.timed (fun () -> Cq.build ?pool ~dim:2 pts))
+    DPool.with_pool ~jobs:pooled_jobs (fun pool -> C.timed (fun () -> Cq.of_sorted ?pool ~dim:2 pts))
   in
   if Cq.size bulk <> Cq.size per_key || Cq.size pooled <> Cq.size per_key then
     failwith "exp_multid: build race produced different trees";

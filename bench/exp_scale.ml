@@ -632,9 +632,9 @@ let run (cfg : C.config) =
         ])
     md_rows;
   Skipweb_util.Tables.print mtbl;
-  (* The --jobs write sweep: the speedup curve of the chunk-sharded batch
-     splice at the largest size, swept over its own pools — the headline
-     number of the intra-level parallel write path. *)
+  (* The --jobs write sweep: the speedup curve of the hierarchy's batch
+     writes (one task per level) at the largest size, swept over its own
+     pools — the headline number of the parallel write path. *)
   let sweep_n = List.fold_left max 0 sizes in
   let sweep_jobs =
     List.sort_uniq compare (List.map (fun j -> DPool.clamp_jobs ~warn:false j) [ 1; 2; 4 ])

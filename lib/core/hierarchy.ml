@@ -22,10 +22,21 @@ module Make (S : Range_structure.S) = struct
 
   (* All mutable state of one level lives in its [level_state] and nowhere
      else. That ownership boundary is what the parallel write path runs on:
-     a batch hands each level to its own domain, and the level tasks share
-     nothing but the read-only batch arrays and the network's charge
-     buffers — no locks needed, no interleaving visible. *)
-  type level_state = (int, S.t) Hashtbl.t  (* prefix -> structure *)
+     a pooled batch hands each level to its own task, and the level tasks
+     share nothing but the read-only batch arrays and the network's charge
+     buffers — no locks needed, no interleaving visible.
+
+     [redraw] holds the level's re-drawn placements: (prefix, range id,
+     replica slot) -> redraw generation. Slot j of a range lives at the
+     hash of (place_seed, level set, rid, j, generation); absent means
+     generation 0. A repair pass bumps a dead slot's generation until the
+     hash lands on a live host, so placement stays a pure function of the
+     structure's state — queries, charging and repair all agree on where
+     every copy is without any per-copy pointer state. *)
+  type level_state = {
+    sets : (int, S.t) Hashtbl.t;  (* prefix -> structure *)
+    redraw : (int * int * int, int) Hashtbl.t;
+  }
 
   type t = {
     net : Network.t;
@@ -45,14 +56,6 @@ module Make (S : Range_structure.S) = struct
     cache_levels : int;  (* c: levels 0 .. c - 1 are cached *)
     cache_replicas : int;  (* k: total read copies per cached range *)
     cache_seed : int;  (* salts the per-origin slot choice *)
-    (* Re-drawn placements: (level, prefix, range id, replica slot) ->
-       redraw generation. Slot j of a range lives at the hash of
-       (place_seed, level set, rid, j, generation); absent means
-       generation 0. A repair pass bumps a dead slot's generation until
-       the hash lands on a live host, so placement stays a pure function
-       of the structure's state — queries, charging and repair all agree
-       on where every copy is without any per-copy pointer state. *)
-    redraw : (int * int * int * int, int) Hashtbl.t;
     vecs : Membership.t;
     mutable layers : level_state array;  (* index = level; length = top + 1 *)
     key_ids : (S.key, int) Hashtbl.t;
@@ -75,7 +78,7 @@ module Make (S : Range_structure.S) = struct
      [path lsr (top - ℓ)]. *)
   let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
-  let fresh_layer () : level_state = Hashtbl.create 16
+  let fresh_layer () = { sets = Hashtbl.create 16; redraw = Hashtbl.create 16 }
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -100,8 +103,9 @@ module Make (S : Range_structure.S) = struct
     mod Network.host_count t.net
 
   let slot_generation t level b rid j =
-    if Hashtbl.length t.redraw = 0 then 0
-    else match Hashtbl.find_opt t.redraw (level, b, rid, j) with Some g -> g | None -> 0
+    let redraw = t.layers.(level).redraw in
+    if Hashtbl.length redraw = 0 then 0
+    else match Hashtbl.find_opt redraw (b, rid, j) with Some g -> g | None -> 0
 
   (* Host of replica slot [j]: the slot's generation-[g] draw, where raw
      draws landing on a host already holding an earlier slot of the same
@@ -112,7 +116,7 @@ module Make (S : Range_structure.S) = struct
      zero-failure contract), which the first branch serves without the
      slot scan. *)
   let replica_host t level b rid j =
-    if j = 0 && Hashtbl.length t.redraw = 0 then slot_host t level b rid 0 0
+    if j = 0 && Hashtbl.length t.layers.(level).redraw = 0 then slot_host t level b rid 0 0
     else begin
       let prev = Array.make (max j 1) 0 in
       let chosen = ref 0 in
@@ -185,9 +189,10 @@ module Make (S : Range_structure.S) = struct
      from generation 0 again. *)
   let release t ~charge level b rid =
     charge_replicas t ~charge level b rid (-1);
-    if Hashtbl.length t.redraw > 0 then
+    let redraw = t.layers.(level).redraw in
+    if Hashtbl.length redraw > 0 then
       for j = 0 to slots_at t level - 1 do
-        Hashtbl.remove t.redraw (level, b, rid, j)
+        Hashtbl.remove redraw (b, rid, j)
       done
 
   (* ------- live-id arena: O(1) insert / remove / uniform sample ------- *)
@@ -258,11 +263,9 @@ module Make (S : Range_structure.S) = struct
      by level prefix, then one [S.build] per bucket, whose copies are
      summed into a dense per-host array and committed once through
      [charge]. Writes only this level's state, so levels build
-     concurrently. When a pool is threaded in (the coarse levels of the
-     two-axis schedule, which run one at a time in the caller), each
-     bucket build may shard host-local work over it. *)
-  let build_level ?pool t ~charge (keys, paths) level =
-    let ly = t.layers.(level) in
+     concurrently. *)
+  let build_level t ~charge (keys, paths) level =
+    let ly = t.layers.(level).sets in
     let shift = t.top - level and sets = 1 lsl level in
     let start = Array.make (sets + 1) 0 in
     Array.iter (fun p -> start.((p lsr shift) + 1) <- start.((p lsr shift) + 1) + 1) paths;
@@ -282,7 +285,7 @@ module Make (S : Range_structure.S) = struct
       let lo = start.(b) in
       let len = start.(b + 1) - lo in
       if len > 0 then begin
-        let s = S.build ?pool (Array.init len (fun i -> keys.(order.(lo + i)))) in
+        let s = S.build (Array.init len (fun i -> keys.(order.(lo + i)))) in
         Hashtbl.replace ly b s;
         charge_fresh t ~charge:add level b s
       end
@@ -326,18 +329,17 @@ module Make (S : Range_structure.S) = struct
 
   (* One level's slice of a bulk insertion: group the sorted fresh batch
      by membership prefix, then one batch splice per level set —
-     [S.insert_batch] nets the same deltas the per-key loop reported, and
-     shards the splice over [?pool] when the two-axis schedule threads
-     one in. A set the batch creates from nothing takes one canonical
-     [S.build] over its whole group. *)
-  let insert_sweep ?pool t ~charge fresh level =
-    let ly = t.layers.(level) in
+     [S.insert_batch] nets the same deltas the per-key loop reported. A
+     set the batch creates from nothing takes one canonical [S.build]
+     over its whole group. *)
+  let insert_sweep t ~charge fresh level =
+    let ly = t.layers.(level).sets in
     List.iter
       (fun (b, ks) ->
         match Hashtbl.find_opt ly b with
-        | Some s -> apply_delta t ~charge level b (S.insert_batch ?pool s ks)
+        | Some s -> apply_delta t ~charge level b (S.insert_batch s ks)
         | None ->
-            let s = S.build ?pool ks in
+            let s = S.build ks in
             Hashtbl.replace ly b s;
             charge_fresh t ~charge level b s)
       (bucket_sorted t fresh level)
@@ -346,8 +348,8 @@ module Make (S : Range_structure.S) = struct
      once the batch takes every key it holds (releasing every charge it
      held — same net charges as removing its keys one at a time), batch
      removal otherwise. *)
-  let remove_sweep ?pool t ~charge victims level =
-    let ly = t.layers.(level) in
+  let remove_sweep t ~charge victims level =
+    let ly = t.layers.(level).sets in
     List.iter
       (fun (b, ks) ->
         match Hashtbl.find_opt ly b with
@@ -356,57 +358,31 @@ module Make (S : Range_structure.S) = struct
               Hashtbl.remove ly b;
               uncharge_set t ~charge level b s
             end
-            else apply_delta t ~charge level b (S.remove_batch ?pool s ks)
+            else apply_delta t ~charge level b (S.remove_batch s ks)
         | None -> failwith "Hierarchy.remove_batch: missing structure")
       (bucket_sorted t victims level)
 
-  (* How many of the biggest levels get intra-level sharding instead of a
-     level task of their own: level ℓ holds ~n/2^ℓ keys, so levels up to
-     log2(jobs) each still carry at least a whole domain's fair share and
-     are worth splitting across every domain. *)
-  let coarse_levels t p =
-    let jobs = Pool.jobs p in
-    let rec lg acc = if 1 lsl acc >= jobs then acc else lg (acc + 1) in
-    min t.top (lg 0)
-
-  (* The two-axis schedule over levels [lo .. top]. Level ℓ holds every
-     key whose first ℓ coins came up heads, so per-level sweep cost falls
-     geometrically with ℓ — fanning one task per level caps the speedup at
-     the level count and serializes everything behind level 0's task.
-     Instead: the coarse levels (up to log2 jobs) run one at a time in the
-     caller with the pool threaded {e into} the sweep, where the
-     chunk-shard batch engine splits the level's splice across every
-     domain; the remaining levels then fan out one task per level,
-     heaviest first. The two phases cannot overlap (the pool is not
-     re-entrant), but the fanned tail holds at most ~n/jobs of the work,
-     so little is lost.
-
-     Charge discipline: the coarse phase charges the network directly
-     (nothing else is charging), the fanned tasks buffer and commit
-     netted per-host sums through the network's atomics — either way
+  (* Run [f] on every level in [lo .. top]: in order on the calling
+     domain, or with a pool as one task per level. Level ℓ holds ~n/2^ℓ
+     keys, so tasks are claimed heaviest first and level 0 starts at
+     once. Each level task writes only its own [level_state] and charges
+     memory through a private [Network.deferred_charges] buffer that it
+     commits as netted per-host sums through the network's atomics, so
      per-host memory is bit-identical to the sequential loop for any
      jobs count. *)
-  let run_levels ?pool ?(lo = 0) t (f : ?pool:Pool.t -> charge:(int -> int -> unit) -> int -> unit)
-      =
+  let run_levels ?pool ?(lo = 0) t (f : charge:(int -> int -> unit) -> int -> unit) =
     match pool with
     | None ->
         for level = lo to t.top do
           f ~charge:(direct_charge t) level
         done
     | Some p ->
-        let coarse = coarse_levels t p in
-        for level = lo to coarse do
-          f ~pool:p ~charge:(direct_charge t) level
-        done;
-        let first = max lo (coarse + 1) in
-        if first <= t.top then begin
-          let n = size t in
-          let weights = Array.init (t.top - first + 1) (fun i -> (n lsr (first + i)) + 1) in
-          Pool.parallel_for_tasks p ~weights (fun i ->
-              let buf = Network.deferred_charges t.net in
-              f ~charge:(Network.charge buf) (first + i);
-              Network.commit_charges buf)
-        end
+        let n = size t in
+        let weights = Array.init (t.top - lo + 1) (fun i -> (n lsr (lo + i)) + 1) in
+        Pool.parallel_for_tasks p ~weights (fun i ->
+            let buf = Network.deferred_charges t.net in
+            f ~charge:(Network.charge buf) (lo + i);
+            Network.commit_charges buf)
 
   (* The one bulk level builder: build levels [lo .. K] from scratch over
      the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
@@ -416,7 +392,7 @@ module Make (S : Range_structure.S) = struct
     t.layers <- Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer ());
     t.top <- wanted;
     let snap = snapshot t in
-    run_levels ?pool ~lo t (fun ?pool ~charge level -> build_level ?pool t ~charge snap level)
+    run_levels ?pool ~lo t (build_level t snap)
 
   let grow_top ?pool t = if t.top < required_top (size t) then build_levels ?pool t (t.top + 1)
 
@@ -446,7 +422,7 @@ module Make (S : Range_structure.S) = struct
       if was_empty then build_levels ?pool t 0
       else begin
         let batch = sorted_paths t fresh in
-        run_levels ?pool t (fun ?pool ~charge level -> insert_sweep ?pool t ~charge batch level);
+        run_levels ?pool t (insert_sweep t batch);
         grow_top ?pool t
       end;
     Array.length fresh
@@ -468,7 +444,6 @@ module Make (S : Range_structure.S) = struct
         cache_levels;
         cache_replicas;
         cache_seed = seed + 0xca4e;
-        redraw = Hashtbl.create 16;
         vecs;
         layers = [| fresh_layer () |];
         key_ids = Hashtbl.create 64;
@@ -533,8 +508,7 @@ module Make (S : Range_structure.S) = struct
                       if attempts > 10_000 then
                         failwith "Hierarchy.repair: could not find a live host";
                       if not (Network.alive t.net (replica_host t level b rid j)) then begin
-                        Hashtbl.replace t.redraw (level, b, rid, j)
-                          (slot_generation t level b rid j + 1);
+                        Hashtbl.replace ly.redraw (b, rid, j) (slot_generation t level b rid j + 1);
                         settle (attempts + 1)
                       end
                     in
@@ -554,22 +528,22 @@ module Make (S : Range_structure.S) = struct
                   done
                 end)
               (S.range_ids s))
-          ly)
+          ly.sets)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
   let level_set_sizes t level =
-    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level) []
+    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level).sets []
 
   let total_storage t =
     Array.fold_left
-      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly acc)
+      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly.sets acc)
       0 t.layers
 
   type query_stats = { messages : int; ranges_visited : int; per_level_visits : int list }
 
   let structure_exn t level b =
-    match Hashtbl.find_opt t.layers.(level) b with
+    match Hashtbl.find_opt t.layers.(level).sets b with
     | Some s -> s
     | None -> failwith "Hierarchy: missing level structure on an element's path"
 
@@ -719,7 +693,7 @@ module Make (S : Range_structure.S) = struct
       for level = wanted + 1 to t.top do
         Hashtbl.iter
           (fun b s -> uncharge_set t ~charge:(direct_charge t) level b s)
-          t.layers.(level)
+          t.layers.(level).sets
       done;
       t.layers <- Array.sub t.layers 0 (wanted + 1);
       t.top <- wanted
@@ -741,7 +715,7 @@ module Make (S : Range_structure.S) = struct
       let path = path_of t id in
       let charge = direct_charge t in
       for level = 0 to t.top do
-        let ly = t.layers.(level) in
+        let ly = t.layers.(level).sets in
         let b = path lsr (t.top - level) in
         match Hashtbl.find_opt ly b with
         | Some s -> apply_delta t ~charge level b (S.insert s k)
@@ -767,7 +741,7 @@ module Make (S : Range_structure.S) = struct
         let path = path_of t id in
         let charge = direct_charge t in
         for level = 0 to t.top do
-          let ly = t.layers.(level) in
+          let ly = t.layers.(level).sets in
           let b = path lsr (t.top - level) in
           match Hashtbl.find_opt ly b with
           | Some s ->
@@ -806,7 +780,7 @@ module Make (S : Range_structure.S) = struct
     if count = 0 then 0
     else begin
       let batch = sorted_paths t victims in
-      run_levels ?pool t (fun ?pool ~charge level -> remove_sweep ?pool t ~charge batch level);
+      run_levels ?pool t (remove_sweep t batch);
       Array.iter
         (fun (k, id) ->
           Hashtbl.remove t.key_ids k;
@@ -850,7 +824,7 @@ module Make (S : Range_structure.S) = struct
           let b = p lsr (t.top - level) in
           counts.(b) <- counts.(b) + 1)
         paths;
-      let ly = t.layers.(level) in
+      let ly = t.layers.(level).sets in
       Hashtbl.iter
         (fun b s ->
           if b < 0 || b >= Array.length counts || counts.(b) = 0 then
@@ -878,7 +852,7 @@ module Make (S : Range_structure.S) = struct
                   expected.(h) <- expected.(h) + 1
                 done)
               (S.range_ids s))
-          ly)
+          ly.sets)
       t.layers;
     Array.iteri
       (fun h e ->

@@ -208,25 +208,17 @@ module Make (S : Range_structure.S) : sig
       inserted, not a message cost. Memory charges are maintained exactly
       as for {!insert}.
 
-      With [pool], the sweeps parallelize on {e two axes}. The few
-      coarse levels (0 up to about log₂ jobs) — which together carry
-      most of the keys — run sequentially in the caller with the pool
-      threaded {e into} each sweep, so the structure's own batch engine
-      (the 1-d sorted list's chunk-sharded splice) spreads one big
-      level's work over all domains. The many remaining fine levels then
-      fan out across the pool, one task per level dispatched
-      heaviest-first, each running its sweep sequentially (the pool is
-      not re-entrant, so the two phases never overlap on it). This is
-      safe and {e deterministic} because every membership path is drawn
-      sequentially before any sweep starts, each level's mutable state
-      is touched by exactly one task, the intra-level
-      splice commits through a sequential merge pass whose output is a
-      pure function of (pre-state, batch), and memory charges commit as
-      netted per-host sums through the network's atomic counters — so
-      the final structure (including every chunk layout), the charged
-      memory of every host and the return value are bit-identical for
-      any jobs count; only the wall clock changes. Must not be called
-      from inside another batch on the same pool. *)
+      With [pool], the levels fan out over its domains, one task per
+      level dispatched heaviest-first; each task runs its level's sweep
+      on its own domain, and no level structure ever sees the pool. This
+      is safe and {e deterministic} because every membership path is
+      drawn sequentially before any sweep starts, all mutable state of a
+      level (its structures and its repair redraw table) is touched by
+      exactly one task, and memory charges commit as netted per-host sums
+      through the network's atomic counters — so the final structures,
+      the charged memory of every host and the return value are
+      bit-identical for any jobs count; only the wall clock changes. Must
+      not be called from inside another batch on the same pool. *)
 
   val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
   (** Bulk deletion, the mirror of {!insert_batch}: one sorted sweep per

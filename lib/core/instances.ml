@@ -14,7 +14,10 @@
     clause of {!Range_structure} requires: the parallel write path builds
     structures of different levels on different domains concurrently, and
     shared hidden state would both race and make range ids (hence host
-    placement and memory charges) depend on scheduling. *)
+    placement and memory charges) depend on scheduling. Batch updates
+    are the per-key loop ({!Range_structure.batch_of_fold}) except where
+    a native engine measurably beats it: the sorted list's one-pass
+    splice and the trapezoidal map's component engine. *)
 
 module Point = Skipweb_geom.Point
 module Segment = Skipweb_geom.Segment
@@ -53,7 +56,7 @@ module Ints :
   let name = "sorted-list"
   let visit_label = "list-walk"
 
-  let build ?pool keys = { xs = O.of_array ?pool keys }
+  let build keys = { xs = O.of_array keys }
 
   let size t = O.length t.xs
   let storage_units t = (2 * O.length t.xs) + 1
@@ -82,19 +85,19 @@ module Ints :
   (* The dense-code deltas of a batch: g new keys over a set of n0 extend
      the code space by 2g codes — exactly the union of the per-key loop's
      [(2n+1; 2n+2)] steps as n runs n0 .. n0+g-1, already ascending.
-     Batches must reach the chunk-shard engine strictly increasing;
-     callers may hand over merely sorted (or unsorted) key runs, so both
-     entry points run the shared presort first. *)
-  let insert_batch ?pool t ks =
+     Batches must reach the splice strictly increasing; callers may hand
+     over merely sorted (or unsorted) key runs, so both entry points run
+     the shared presort first. *)
+  let insert_batch t ks =
     let n0 = O.length t.xs in
-    let added = O.insert_batch ?pool t.xs (Presort.sorted_distinct ?pool ~cmp:compare ks) in
+    let added = O.insert_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
     if added = 0 then Range_structure.empty_delta
     else
       { Range_structure.added = List.init (2 * added) (fun i -> (2 * n0) + 1 + i); removed = [] }
 
-  let remove_batch ?pool t ks =
+  let remove_batch t ks =
     let n0 = O.length t.xs in
-    let gone = O.remove_batch ?pool t.xs (Presort.sorted_distinct ?pool ~cmp:compare ks) in
+    let gone = O.remove_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
     if gone = 0 then Range_structure.empty_delta
     else
       let n1 = n0 - gone in
@@ -207,7 +210,7 @@ end) :
   let name = Printf.sprintf "quadtree-%dd" D.dim
   let visit_label = "cube-walk"
 
-  let build ?pool keys = Cqtree.build ?pool ~dim:D.dim keys
+  let build keys = Cqtree.build ~dim:D.dim keys
 
   let size = Cqtree.size
   let storage_units = Cqtree.node_count
@@ -225,19 +228,8 @@ end) :
     let _, added, removed = Cqtree.remove_delta t k in
     { Range_structure.added; removed }
 
-  (* The tree's batch engines assign node ids exactly as the per-key loop
-     would (commit in global batch position order), inserts only ever add
-     and removes only ever drop, and ids are never reused — so the net
-     delta is just the sorted id list. *)
-  let insert_batch ?pool t ks =
-    let _inserted, added = Cqtree.insert_batch ?pool t ks in
-    if added = [] then Range_structure.empty_delta
-    else { Range_structure.added = List.sort compare added; removed = [] }
-
-  let remove_batch ?pool t ks =
-    let _removed, dropped = Cqtree.remove_batch ?pool t ks in
-    if dropped = [] then Range_structure.empty_delta
-    else { Range_structure.added = []; removed = List.sort compare dropped }
+  let insert_batch = Range_structure.batch_of_fold insert
+  let remove_batch = Range_structure.batch_of_fold remove
 
   let probe k = k
 
@@ -322,7 +314,7 @@ module Strings :
   let name = "trie"
   let visit_label = "trie-walk"
 
-  let build ?pool keys = Ctrie.build ?pool keys
+  let build = Ctrie.build
 
   let size = Ctrie.size
   let storage_units = Ctrie.node_count
@@ -340,18 +332,8 @@ module Strings :
     let _, added, removed = Ctrie.remove_delta t k in
     { Range_structure.added; removed }
 
-  (* Same reasoning as the quadtree instance: trie batch commits number
-     nodes in global batch position order, inserts only add and removes
-     only drop, so the net delta is the sorted id list. *)
-  let insert_batch ?pool t ks =
-    let _inserted, added = Ctrie.insert_batch ?pool t ks in
-    if added = [] then Range_structure.empty_delta
-    else { Range_structure.added = List.sort compare added; removed = [] }
-
-  let remove_batch ?pool t ks =
-    let _removed, dropped = Ctrie.remove_batch ?pool t ks in
-    if dropped = [] then Range_structure.empty_delta
-    else { Range_structure.added = []; removed = List.sort compare dropped }
+  let insert_batch = Range_structure.batch_of_fold insert
+  let remove_batch = Range_structure.batch_of_fold remove
 
   let probe k = k
 
@@ -414,7 +396,7 @@ module Segments :
   (* Array order on purpose (not {!Trapmap.of_sorted}): trapezoid ids —
      hence host placement — stay exactly those of the per-segment insert
      loop this build replaced. *)
-  let build ?pool keys = Trapmap.build ?pool keys
+  let build = Trapmap.build
 
   let size = Trapmap.segment_count
   let storage_units = Trapmap.trap_count
@@ -428,17 +410,14 @@ module Segments :
   let remove _t _k =
     failwith "Segments.remove: trapezoidal-map deletion is out of scope (paper §4 amortizes insertions only)"
 
-  let insert_batch ?pool t ks =
-    let per_seg = Trapmap.insert_batch ?pool t ks in
+  let insert_batch t ks =
+    let per_seg = Trapmap.insert_batch t ks in
     Range_structure.net_deltas
       (List.map (fun (added, removed) -> { Range_structure.added; removed }) per_seg)
 
-  let remove_batch ?pool t ks =
-    ignore pool;
-    (* sequential by design: deletions raise (out of scope for trapezoidal
-       maps), so the only batch that gets past the first key is the empty
-       one — nothing to fan out. *)
-    Range_structure.batch_of_fold remove t ks
+  (* Deletions raise (out of scope for trapezoidal maps), so the only
+     batch that gets past the first key is the empty one. *)
+  let remove_batch = Range_structure.batch_of_fold remove
 
   (* A point just above the segment's midpoint locates where the segment
      will land. *)

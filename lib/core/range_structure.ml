@@ -32,10 +32,12 @@
     host-side), so deltas must be exact: after an update, the previously
     charged set plus [added] minus [removed] must equal [range_ids].
 
-    Domain confinement (the parallel write path): the hierarchy's batch
-    updates run one repair task per level on different OCaml domains, and
-    each task builds and mutates that level's structures. An
-    implementation must therefore keep {e all} of its mutable state —
+    Domain confinement (the parallel write path): with a pool, the
+    hierarchy's builds and batch updates run one task per level on
+    different OCaml domains, and each task builds and mutates that level's
+    structures. No structure ever sees the pool itself: every operation
+    below runs on the calling domain. An implementation must still keep
+    {e all} of its mutable state —
     including any range-id counter — inside its [t] values: a module-level
     counter or cache shared between instances would race across domains
     and, worse, make range ids depend on scheduling, breaking the
@@ -68,15 +70,9 @@ let net_deltas ds =
   let adds = Hashtbl.fold (fun id () acc -> id :: acc) added [] in
   { added = List.sort compare adds; removed = List.sort compare !removed }
 
-(** Per-key fallback for structures without a native batch path: apply
+(** Per-key batch for structures without a native batch path: apply
     [op] key by key in array order and net the deltas. The mutations and
-    ids are exactly the per-key loop's, only the reporting is batched.
-
-    {b Sequential by contract}: this helper never consults a pool — an
-    instance that routes its batch entry here runs the whole batch on the
-    calling domain, and must say so at the call site rather than accept a
-    [?pool] it silently discards. Use it only where a native batch engine
-    does not exist (or cannot exist, e.g. trapezoidal-map deletions). *)
+    ids are exactly the per-key loop's, only the reporting is batched. *)
 let batch_of_fold op t keys =
   net_deltas (List.rev (Array.fold_left (fun acc k -> op t k :: acc) [] keys))
 
@@ -105,12 +101,8 @@ module type S = sig
       hierarchy descents. Must be a constant — it is attached to hops on
       the traced path only and must not cost allocation per hop. *)
 
-  val build : ?pool:Skipweb_util.Pool.t -> key array -> t
-  (** Canonical build; duplicates are ignored. [?pool] may be used to
-      parallelize host-local construction work; because the result is
-      canonical in the key {e set}, a pooled build must produce exactly
-      the structure the sequential build produces (instances without a
-      parallel path simply ignore the pool). *)
+  val build : key array -> t
+  (** Canonical build; duplicates are ignored. *)
 
   val size : t -> int
   (** Number of keys currently stored. *)
@@ -132,17 +124,17 @@ module type S = sig
       [Failure] for structures whose deletions are out of scope
       (trapezoidal maps, per §4's hedge). *)
 
-  val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> key array -> range_delta
+  val insert_batch : t -> key array -> range_delta
   (** Add a whole sorted batch of keys (duplicates — of each other or of
       stored keys — are no-ops) and return the {e net} delta: exactly
       {!net_deltas} of the per-key deltas the one-at-a-time loop would
-      have produced, with both lists in ascending id order. Instances
-      with a native batch engine (the 1-d sorted list) shard the splice
-      over [?pool] workers; the net delta and the final structure must
-      still be bit-identical to the sequential per-key loop for any job
-      count. *)
+      have produced, with both lists in ascending id order. The final
+      structure must be the one the per-key loop leaves; {!batch_of_fold}
+      is that loop, and an instance supplies a native engine only where it
+      is measurably faster (the 1-d sorted list's one-pass splice, the
+      trapezoidal map's component engine). *)
 
-  val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> key array -> range_delta
+  val remove_batch : t -> key array -> range_delta
   (** Batch counterpart of {!remove}, same contract shape as
       {!insert_batch}; raises [Failure] on non-empty batches for
       structures whose deletions are out of scope. *)

@@ -6,10 +6,10 @@ let bits = Point.grid_bits
 
 type node = {
   mutable id : int;
-      (* Mutable only for the bulk/batch commit pass: workers allocate
+      (* Mutable only for the bulk build's commit pass: workers allocate
          nodes with a placeholder id and one sequential commit assigns the
-         real ids, so id order is a pure function of the batch, never of
-         scheduling. *)
+         real ids, so id order is a pure function of the point set, never
+         of scheduling. *)
   ndepth : int;  (* cube depth: side = 2^(bits - ndepth) grid cells *)
   corner : int array;  (* aligned grid coordinates of the low corner *)
   mutable children : (int * node) list;  (* quadrant index -> child *)
@@ -280,7 +280,7 @@ let of_sorted ?pool ~dim:dimension points =
   end;
   t
 
-let build ?pool ~dim points = of_sorted ?pool ~dim points
+let build ~dim points = of_sorted ~dim points
 
 let node_of_cube t (ndepth, corner) =
   Hashtbl.find_opt t.cube_index (cube_key ndepth corner)
@@ -434,253 +434,6 @@ let insert_delta t p =
 let remove_delta t p =
   let changed, (added, removed) = with_delta t (fun () -> remove t p) in
   (changed, added, removed)
-
-(* ---------------- native batch engines ----------------
-
-   A batch partitions by the keys' root quadrants into disjoint shards.
-   During the parallel phase each shard worker owns (a) the subtree hanging
-   off the root at its quadrant — detached up front, so no worker ever
-   follows a parent pointer into the root — and (b) a per-batch-position
-   log slot. Workers replay [insert]/[remove]'s structural steps exactly,
-   with the detached shard top standing in for "root's child at this
-   quadrant", and never touch the root, the shared cube index (reads are
-   fine: there are no concurrent writers, and for distinct keys a stale
-   entry is never consulted — only full-depth leaves match a [bits]-deep
-   cube key and each is dropped at most once), the id counter, or the
-   churn log. One sequential commit pass then walks the batch positions in
-   order, assigning ids / retiring index entries exactly as the per-key
-   loop would have, and reattaches the shard tops — so ids, node sets,
-   sizes and the aggregate delta are bit-identical to the sequential
-   per-key loop for any jobs count. Only the root's child-list order is
-   canonicalized (ascending quadrant); no observable (answers, deltas,
-   charges) depends on that order. *)
-
-type shard = {
-  squad : int;  (* root quadrant *)
-  mutable stop : node option;  (* the detached root child for this quadrant *)
-  mutable skeys : int list;  (* batch positions, reversed *)
-}
-
-(* Group batch positions by root quadrant and detach the matching root
-   children. Returns the shards in first-appearance order (scheduling
-   only — the commit never depends on it). *)
-let make_shards t gs =
-  let tbl = Hashtbl.create 8 in
-  let rev_order = ref [] in
-  Array.iteri
-    (fun i g ->
-      let q = quadrant ~ndepth:0 g in
-      let sh =
-        match Hashtbl.find_opt tbl q with
-        | Some sh -> sh
-        | None ->
-            let sh = { squad = q; stop = None; skeys = [] } in
-            Hashtbl.add tbl q sh;
-            rev_order := sh :: !rev_order;
-            sh
-      in
-      sh.skeys <- i :: sh.skeys)
-    gs;
-  let shards = Array.of_list (List.rev !rev_order) in
-  Array.iter
-    (fun sh ->
-      match List.assoc_opt sh.squad t.root.children with
-      | None -> ()
-      | Some c ->
-          t.root.children <- List.remove_assoc sh.squad t.root.children;
-          c.parent <- None;
-          sh.stop <- Some c)
-    shards;
-  shards
-
-(* Put the surviving shard tops back under the root, ascending quadrant
-   first, untouched quadrants after in their existing order. *)
-let reattach_shards t shards =
-  let tops =
-    Array.to_list shards
-    |> List.filter_map (fun sh ->
-           match sh.stop with Some c -> Some (sh.squad, c) | None -> None)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter (fun (_, c) -> c.parent <- Some t.root) tops;
-  t.root.children <- tops @ t.root.children
-
-let run_shards ?pool shards run =
-  match pool with
-  | Some p when Array.length shards > 1 ->
-      Pool.parallel_for_tasks p
-        ~weights:(Array.map (fun sh -> List.length sh.skeys) shards)
-        run
-  | _ ->
-      for si = 0 to Array.length shards - 1 do
-        run si
-      done
-
-(* [insert]'s structural steps inside one shard; returns the created
-   nodes in [insert]'s creation order ([] for a duplicate). *)
-let shard_insert t sh g =
-  let bump_to_top n =
-    let rec go = function
-      | None -> ()
-      | Some v ->
-          v.size <- v.size + 1;
-          go v.parent
-    in
-    go (Some n)
-  in
-  match sh.stop with
-  | None ->
-      let leaf = make_node ~ndepth:bits ~corner:g ~npoint:(Some g) ~size:1 in
-      sh.stop <- Some leaf;
-      [ leaf ]
-  | Some top ->
-      if not (cube_contains ~ndepth:top.ndepth ~corner:top.corner g) then begin
-        (* The Outside_child case at the root. *)
-        let k, corner = enclosing_of_pair t.tdim g top.corner in
-        let w = make_node ~ndepth:k ~corner ~npoint:None ~size:(top.size + 1) in
-        let leaf = make_node ~ndepth:bits ~corner:g ~npoint:(Some g) ~size:1 in
-        attach_child w (quadrant ~ndepth:k top.corner) top;
-        attach_child w (quadrant ~ndepth:k g) leaf;
-        sh.stop <- Some w;
-        [ w; leaf ]
-      end
-      else begin
-        let loc, _path = locate_grid_from t top g in
-        let v = loc.node in
-        match loc.slot with
-        | At_point -> []
-        | Empty_quadrant q ->
-            let leaf = make_node ~ndepth:bits ~corner:g ~npoint:(Some g) ~size:1 in
-            attach_child v q leaf;
-            bump_to_top v;
-            [ leaf ]
-        | Outside_child q ->
-            let c = List.assoc q v.children in
-            let k, corner = enclosing_of_pair t.tdim g c.corner in
-            assert (k > v.ndepth && k < c.ndepth);
-            let w = make_node ~ndepth:k ~corner ~npoint:None ~size:c.size in
-            let leaf = make_node ~ndepth:bits ~corner:g ~npoint:(Some g) ~size:1 in
-            replace_child v q w;
-            attach_child w (quadrant ~ndepth:k c.corner) c;
-            attach_child w (quadrant ~ndepth:k g) leaf;
-            bump_to_top w;
-            [ w; leaf ]
-      end
-
-let insert_batch ?pool t points =
-  let m = Array.length points in
-  if m = 0 then (0, [])
-  else begin
-    Array.iter
-      (fun p ->
-        if Point.dim p <> t.tdim then invalid_arg "Cqtree.insert_batch: dimension mismatch")
-      points;
-    let gs = Array.map Point.to_grid points in
-    let shards = make_shards t gs in
-    let created = Array.make m [] in
-    run_shards ?pool shards (fun si ->
-        let sh = shards.(si) in
-        List.iter (fun i -> created.(i) <- shard_insert t sh gs.(i)) (List.rev sh.skeys));
-    (* Commit: number the created nodes in global batch order — exactly
-       the order the per-key loop would have drawn ids in. The returned
-       list mirrors the per-key loop's concatenated [insert_delta] lists:
-       segments in batch order, each segment newest-id-first (the delta
-       log is prepend-built). *)
-    let inserted = ref 0 in
-    let rev_segs = ref [] in
-    for i = 0 to m - 1 do
-      match created.(i) with
-      | [] -> ()
-      | nodes ->
-          incr inserted;
-          let seg = ref [] in
-          List.iter
-            (fun node ->
-              node.id <- t.next_id;
-              t.next_id <- t.next_id + 1;
-              t.nnodes <- t.nnodes + 1;
-              Hashtbl.replace t.cube_index (cube_key node.ndepth node.corner) node;
-              seg := node.id :: !seg)
-            nodes;
-          rev_segs := !seg :: !rev_segs
-    done;
-    reattach_shards t shards;
-    t.root.size <- t.root.size + !inserted;
-    t.npoints <- t.npoints + !inserted;
-    (!inserted, List.concat (List.rev !rev_segs))
-  end
-
-(* [remove]'s structural steps inside one shard; returns the dropped
-   nodes in [remove]'s drop order ([] for an absent key). *)
-let shard_remove t sh g =
-  match Hashtbl.find_opt t.cube_index (cube_key bits g) with
-  | None -> []
-  | Some leaf when leaf.npoint = None -> []
-  | Some leaf -> (
-      let shrink_to_top n =
-        let rec go = function
-          | None -> ()
-          | Some v ->
-              v.size <- v.size - 1;
-              go v.parent
-        in
-        go (Some n)
-      in
-      match leaf.parent with
-      | None ->
-          (* The leaf is this shard's whole subtree. *)
-          sh.stop <- None;
-          [ leaf ]
-      | Some v -> (
-          shrink_to_top v;
-          let q = quadrant ~ndepth:v.ndepth g in
-          detach_child v q;
-          match (v.children, v.parent, v.npoint) with
-          | [ (_, only) ], Some grandparent, None ->
-              let vq = quadrant ~ndepth:grandparent.ndepth v.corner in
-              replace_child grandparent vq only;
-              [ leaf; v ]
-          | [ (_, only) ], None, None ->
-              (* v was the shard top: the root-level splice. *)
-              only.parent <- None;
-              sh.stop <- Some only;
-              [ leaf; v ]
-          | _ -> [ leaf ]))
-
-let remove_batch ?pool t points =
-  let m = Array.length points in
-  if m = 0 then (0, [])
-  else begin
-    let gs = Array.map Point.to_grid points in
-    let shards = make_shards t gs in
-    let dropped = Array.make m [] in
-    run_shards ?pool shards (fun si ->
-        let sh = shards.(si) in
-        List.iter (fun i -> dropped.(i) <- shard_remove t sh gs.(i)) (List.rev sh.skeys));
-    (* Mirror of the insert commit: per-key segments in batch order, each
-       newest-dropped-first, exactly as the per-key [remove_delta] log
-       reports them. *)
-    let removed = ref 0 in
-    let rev_segs = ref [] in
-    for i = 0 to m - 1 do
-      match dropped.(i) with
-      | [] -> ()
-      | nodes ->
-          incr removed;
-          let seg = ref [] in
-          List.iter
-            (fun node ->
-              Hashtbl.remove t.cube_index (cube_key node.ndepth node.corner);
-              t.nnodes <- t.nnodes - 1;
-              seg := node.id :: !seg)
-            nodes;
-          rev_segs := !seg :: !rev_segs
-    done;
-    reattach_shards t shards;
-    t.root.size <- t.root.size - !removed;
-    t.npoints <- t.npoints - !removed;
-    (!removed, List.concat (List.rev !rev_segs))
-  end
 
 let iter_points t ~f =
   let rec go n =

@@ -41,7 +41,7 @@ val of_sorted : ?pool:Skipweb_util.Pool.t -> dim:int -> Skipweb_geom.Point.t arr
     input permutation. [dim >= 1]; every point must have dimension
     [dim]. *)
 
-val build : ?pool:Skipweb_util.Pool.t -> dim:int -> Skipweb_geom.Point.t array -> t
+val build : dim:int -> Skipweb_geom.Point.t array -> t
 (** Alias for {!of_sorted} — the bulk path {e is} the build path.
     Duplicate grid points are ignored beyond the first occurrence. *)
 
@@ -121,23 +121,6 @@ val insert_delta : t -> Skipweb_geom.Point.t -> bool * int list * int list
 
 val remove_delta : t -> Skipweb_geom.Point.t -> bool * int list * int list
 (** Like {!remove}, with the same delta report as {!insert_delta}. *)
-
-val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> Skipweb_geom.Point.t array -> int * int list
-(** [insert_batch t pts] applies the whole batch as the per-key
-    {!insert} loop would, in array order (duplicates skipped), and
-    returns [(inserted, created_node_ids)]: the concatenation, in batch
-    order, of each key's {!insert_delta} id list — bit-identical to the
-    per-key loop's concatenated delta reports, since the commit pass
-    numbers created nodes in global batch position order. With [pool], keys partition into disjoint shards by root
-    quadrant and apply on pool workers; the final tree, ids and the
-    return value are bit-identical for any jobs count (only the root's
-    child-list order is canonicalized — ascending quadrant — on which no
-    observable depends). Must not run concurrently with queries. *)
-
-val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> Skipweb_geom.Point.t array -> int * int list
-(** The mirror of {!insert_batch}: [(removed, dropped_node_ids)] is the
-    concatenation, in batch order, of each key's {!remove_delta} id list
-    (absent keys skipped). Same sharding, same bit-identical contract. *)
 
 val check_invariants : t -> unit
 (** Validates: cube alignment, children within parent quadrants, interior

@@ -1,5 +1,4 @@
 module Segment = Skipweb_geom.Segment
-module Pool = Skipweb_util.Pool
 module Presort = Skipweb_util.Presort
 
 type trap = {
@@ -209,7 +208,7 @@ let apply_segment ~fresh ~alive s =
           ~px ~qx crossed
       in
       let created = (left :: right :: uppers) @ lowers in
-      (* Physical membership, not tid equality: batch workers build with
+      (* Physical membership, not tid equality: the batch engine builds with
          placeholder tids, and the crossed trapezoids are by construction
          the same heap objects as the [alive] entries. *)
       let alive' = created @ List.filter (fun tr -> not (List.memq tr crossed)) alive in
@@ -252,31 +251,20 @@ let validate_batch_pairs segs =
     done
   done
 
-let insert_batch ?pool t segs =
+let insert_batch t segs =
   let m = Array.length segs in
   if m = 0 then []
   else begin
-    (* 1. Validation — each segment against the pre-state (reads only
-       t.xs / t.segs, so it fans out), then pairwise inside the batch.
-       All of it runs before any mutation. *)
-    (match pool with
-    | Some p when m > 1 ->
-        Pool.parallel_for p ~lo:0 ~hi:m (fun i -> validate_new_segment t segs.(i))
-    | _ -> Array.iter (validate_new_segment t) segs);
+    (* 1. Validation — each segment against the pre-state, then pairwise
+       inside the batch. All of it runs before any mutation. *)
+    Array.iter (validate_new_segment t) segs;
     validate_batch_pairs segs;
     (* 2. Crossed-corridor discovery against the pre-state alive list —
-       the dominant O(m * T) cost, embarrassingly parallel. *)
+       the dominant O(m * T) cost. *)
     let pre_alive = t.alive in
-    let pre_crossed = Array.make m [] in
-    let discover i =
-      pre_crossed.(i) <- List.filter (fun tr -> seg_intersects_trap segs.(i) tr) pre_alive
+    let pre_crossed =
+      Array.map (fun s -> List.filter (fun tr -> seg_intersects_trap s tr) pre_alive) segs
     in
-    (match pool with
-    | Some p when m > 1 -> Pool.parallel_for p ~lo:0 ~hi:m discover
-    | _ ->
-        for i = 0 to m - 1 do
-          discover i
-        done);
     (* 3. Union-find over batch positions: two segments interact only if
        their pre-state corridors share a trapezoid. Non-crossing segments
        with disjoint pre-state corridors refine disjoint regions — a
@@ -339,37 +327,28 @@ let insert_batch ?pool t segs =
              (members, universe))
       |> Array.of_list
     in
-    let ncomp = Array.length comps in
     (* 4. Apply each component's segments in batch order over its own
-       local universe, on pool workers, with placeholder ids. Each
-       member's apply-time corridor is exactly what it would be in the
-       per-key loop: traps of other components and untouched traps never
-       intersect it (they would have merged components). *)
+       local universe, with placeholder ids. Each member's apply-time
+       corridor is exactly what it would be in the per-key loop: traps of
+       other components and untouched traps never intersect it (they
+       would have merged components), so each refinement scans only its
+       component's universe instead of the whole map. *)
     let per_seg = Array.make m ([], []) in
-    let final_alive = Array.make ncomp [] in
-    let run ci =
-      let members, universe = comps.(ci) in
-      let alive = ref universe in
-      List.iter
-        (fun i ->
-          let fresh ~top ~bot ~lx ~rx = { tid = placeholder_tid; top; bot; lx; rx } in
-          let created, crossed, alive' = apply_segment ~fresh ~alive:!alive segs.(i) in
-          alive := alive';
-          per_seg.(i) <- (created, crossed))
-        members;
-      final_alive.(ci) <- !alive
+    let final_alive =
+      Array.map
+        (fun (members, universe) ->
+          let alive = ref universe in
+          List.iter
+            (fun i ->
+              let fresh ~top ~bot ~lx ~rx = { tid = placeholder_tid; top; bot; lx; rx } in
+              let created, crossed, alive' = apply_segment ~fresh ~alive:!alive segs.(i) in
+              alive := alive';
+              per_seg.(i) <- (created, crossed))
+            members;
+          !alive)
+        comps
     in
-    (match pool with
-    | Some p when ncomp > 1 ->
-        let weights =
-          Array.map (fun (members, universe) -> List.length members + List.length universe) comps
-        in
-        Pool.parallel_for_tasks p ~weights run
-    | _ ->
-        for ci = 0 to ncomp - 1 do
-          run ci
-        done);
-    (* 5. Sequential commit in global batch order: number created
+    (* 5. Commit in global batch order: number created
        trapezoids exactly as the per-key loop would have, and replay the
        segs / xs bookkeeping. A crossed trapezoid that was itself created
        in this batch is already renumbered when its tid is read, because
@@ -398,24 +377,21 @@ let insert_batch ?pool t segs =
     Array.to_list deltas
   end
 
-let build ?pool segments =
+let build segments =
   let t = empty () in
-  ignore (insert_batch ?pool t segments);
+  ignore (insert_batch t segments);
   t
 
-let of_sorted ?pool segments =
+let of_sorted segments =
   (* Canonical construction order: ascending endpoint tuples. From the
      empty map every segment crosses the single box trapezoid, so the
      whole batch is one component and the apply pass degenerates to the
-     sequential insertion loop — the pool still accelerates the presort,
-     validation and (trivially) discovery. The real parallel win is
-     {!insert_batch} on an already-populated map, where corridors are
-     small and mostly disjoint. *)
-  let segments =
-    Presort.sorted_distinct ?pool segments
-      ~cmp:(fun a b -> compare (Segment.endpoints a) (Segment.endpoints b))
-  in
-  build ?pool segments
+     insertion loop; the component engine pays on {!insert_batch} into an
+     already-populated map, where corridors are small and mostly
+     disjoint. *)
+  build
+    (Presort.sorted_distinct segments ~cmp:(fun a b ->
+         compare (Segment.endpoints a) (Segment.endpoints b)))
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -33,34 +33,29 @@ type trap
 val empty : unit -> t
 (** The map of no segments: the bounding unit square as one trapezoid. *)
 
-val build : ?pool:Skipweb_util.Pool.t -> Segment.t array -> t
+val build : Segment.t array -> t
 (** Insert all segments, in array order — implemented as
     {!insert_batch} from the empty map, so the resulting trapezoids and
     ids are exactly those of the per-segment {!insert} loop. Raises
     [Invalid_argument] if the set violates the disjointness / distinct-x
     assumptions or leaves the unit square. *)
 
-val of_sorted : ?pool:Skipweb_util.Pool.t -> Segment.t array -> t
+val of_sorted : Segment.t array -> t
 (** Like {!build} after presorting the segments by ascending endpoint
     tuples (coalescing exact duplicates): the canonical construction
-    order, bit-identical for any input permutation and any jobs count.
-    From the empty map every segment crosses the single bounding-box
-    trapezoid, so the whole batch forms one component and the refinement
-    pass runs sequentially; [pool] still parallelizes the presort and the
-    validation sweeps. *)
+    order, bit-identical for any input permutation. *)
 
-val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> Segment.t array -> (int list * int list) list
+val insert_batch : t -> Segment.t array -> (int list * int list) list
 (** [insert_batch t segs] applies the whole batch as the per-segment
     {!insert_delta} loop would, in array order, returning the per-segment
     [(added, removed)] trapezoid-id deltas in that same order — ids
     included, since the commit pass numbers created trapezoids in global
-    batch position order. With [pool], the batch is validated and its
-    crossed corridors discovered in parallel against the pre-insertion
-    map, segments are grouped into components that share crossed
-    trapezoids, and the components (whose refined regions are pairwise
-    disjoint) apply on pool workers. Results are bit-identical for any
-    jobs count. Unlike the per-segment loop, an invalid batch is rejected
-    {e before} any mutation. Must not run concurrently with queries. *)
+    batch position order. The batch is validated and its crossed
+    corridors discovered against the pre-insertion map, segments are
+    grouped into components that share crossed trapezoids, and each
+    component (the components' refined regions are pairwise disjoint)
+    refines only its own trapezoids. Unlike the per-segment loop, an
+    invalid batch is rejected {e before} any mutation. *)
 
 val insert : t -> Segment.t -> unit
 (** Add one segment (same preconditions, checked against current

@@ -1,12 +1,9 @@
-module Pool = Skipweb_util.Pool
 module Presort = Skipweb_util.Presort
 
 type node = {
   mutable id : int;
-      (* Mutable only for the bulk/batch commit pass: workers allocate
-         nodes with a placeholder id and one sequential commit assigns
-         the real ids in batch order, so id assignment never depends on
-         scheduling. *)
+      (* Mutable only for the bulk build's commit pass: slices build with
+         a placeholder id and one preorder pass assigns the real ids. *)
   str : string;  (* the full string leading to this node *)
   mutable children : (char * edge) list;  (* sorted by key character *)
   mutable terminal : bool;
@@ -190,76 +187,64 @@ let bump_sizes_from n delta =
   in
   go (Some n)
 
-(* The structural insert, parameterized over the starting root and the
-   node allocator so the batch engine can replay it inside a shard
-   (against a local stand-in root, with a deferred-id allocator) with the
-   exact same steps as the sequential path. [fresh] is responsible for
-   its own bookkeeping (id, counters, churn log or deferred equivalent). *)
-let insert_core ~root ~fresh q =
-  let loc, _ = locate_raw root q in
+let insert t q =
+  let loc, _ = locate t q in
   let v = loc.node in
-  match loc.slot with
-  | Exact ->
-      if v.terminal then false
-      else begin
-        v.terminal <- true;
+  let inserted =
+    match loc.slot with
+    | Exact ->
+        if v.terminal then false
+        else begin
+          v.terminal <- true;
+          bump_sizes_from v 1;
+          true
+        end
+    | No_child _c ->
+        let off = String.length v.str in
+        let leaf = fresh_node t ~str:q ~terminal:true in
+        leaf.size <- 1;
+        set_child v q.[off] { label = String.sub q off (String.length q - off); target = leaf };
         bump_sizes_from v 1;
         true
-      end
-  | No_child _c ->
-      let off = String.length v.str in
-      let leaf = fresh ~str:q ~terminal:true in
-      leaf.size <- 1;
-      set_child v q.[off] { label = String.sub q off (String.length q - off); target = leaf };
-      bump_sizes_from v 1;
-      true
-  | In_edge { key; matched } ->
-      let off = String.length v.str in
-      let e = List.assoc key v.children in
-      let w = e.target in
-      (* Split the edge at [matched] characters. *)
-      let mid_str = v.str ^ String.sub e.label 0 matched in
-      let mid = fresh ~str:mid_str ~terminal:false in
-      mid.size <- w.size;
-      let rest = String.sub e.label matched (String.length e.label - matched) in
-      set_child v key { label = String.sub e.label 0 matched; target = mid };
-      set_child mid rest.[0] { label = rest; target = w };
-      if String.length q = String.length mid_str then mid.terminal <- true
-      else begin
-        let leaf = fresh ~str:q ~terminal:true in
-        leaf.size <- 1;
-        let tail_off = off + matched in
-        set_child mid q.[tail_off]
-          { label = String.sub q tail_off (String.length q - tail_off); target = leaf }
-      end;
-      bump_sizes_from mid 1;
-      true
-
-let insert t q =
-  let inserted = insert_core ~root:t.root ~fresh:(fun ~str ~terminal -> fresh_node t ~str ~terminal) q in
+    | In_edge { key; matched } ->
+        let off = String.length v.str in
+        let e = List.assoc key v.children in
+        let w = e.target in
+        (* Split the edge at [matched] characters. *)
+        let mid_str = v.str ^ String.sub e.label 0 matched in
+        let mid = fresh_node t ~str:mid_str ~terminal:false in
+        mid.size <- w.size;
+        let rest = String.sub e.label matched (String.length e.label - matched) in
+        set_child v key { label = String.sub e.label 0 matched; target = mid };
+        set_child mid rest.[0] { label = rest; target = w };
+        if String.length q = String.length mid_str then mid.terminal <- true
+        else begin
+          let leaf = fresh_node t ~str:q ~terminal:true in
+          leaf.size <- 1;
+          let tail_off = off + matched in
+          set_child mid q.[tail_off]
+            { label = String.sub q tail_off (String.length q - tail_off); target = leaf }
+        end;
+        bump_sizes_from mid 1;
+        true
+  in
   if inserted then t.nstrings <- t.nstrings + 1;
   inserted
 
 (* Merge a chain node: v (non-root, non-terminal, single child) disappears,
-   its incoming and outgoing labels concatenate. [drop] owns the
-   bookkeeping, like [fresh] above. *)
-let splice_core ~drop v =
+   its incoming and outgoing labels concatenate. *)
+let splice t v =
   match (v.parent, v.children) with
   | Some parent, [ (_, out_edge) ] when (not v.terminal) && v.str <> "" ->
       let in_key = v.str.[String.length parent.str] in
       let in_edge = List.assoc in_key parent.children in
       assert (in_edge.target == v);
       set_child parent in_key { label = in_edge.label ^ out_edge.label; target = out_edge.target };
-      drop v
+      drop_node t v
   | (Some _ | None), _ -> ()
 
-(* The structural remove: [find] resolves the key's node (the shared
-   index — safe to read concurrently during a remove batch, where a stale
-   entry is always a dropped node whose [terminal] was already cleared,
-   so it answers exactly like the missing entry would), [drop] retires a
-   node. *)
-let remove_core ~find ~drop q =
-  match find q with
+let remove t q =
+  match node_of_string t q with
   | None -> false
   | Some v when not v.terminal -> false
   | Some v ->
@@ -270,17 +255,13 @@ let remove_core ~find ~drop q =
           (* Leaf: detach, then maybe splice the parent. *)
           let key = v.str.[String.length parent.str] in
           parent.children <- List.remove_assoc key parent.children;
-          drop v;
-          splice_core ~drop parent
+          drop_node t v;
+          splice t parent
       | [], None -> ()  (* empty-string key stored at the root *)
-      | [ _ ], _ -> splice_core ~drop v
+      | [ _ ], _ -> splice t v
       | _ :: _ :: _, _ -> ());
+      t.nstrings <- t.nstrings - 1;
       true
-
-let remove t q =
-  let removed = remove_core ~find:(node_of_string t) ~drop:(drop_node t) q in
-  if removed then t.nstrings <- t.nstrings - 1;
-  removed
 
 (* Run one update with node-churn logging on, returning the ids of the
    nodes it created and destroyed (the O(1) range delta of §4). *)
@@ -305,11 +286,11 @@ let remove_delta t q =
 
 (* ---------------- bulk build ----------------
 
-   Lexicographic presort, shard by first character, build each shard's
-   compressed subtree in one left-to-right pass over its slice (pure: no
-   shared-state writes, placeholder ids), then attach and id-number
-   everything in one sequential preorder commit — the quadtree's z-order
-   scheme with "aligned cube" replaced by "common prefix". *)
+   Lexicographic presort, group by first character, build each group's
+   compressed subtree in one left-to-right pass over its slice
+   (placeholder ids), then attach and id-number everything in one
+   preorder commit — the quadtree's z-order scheme with "aligned cube"
+   replaced by "common prefix". *)
 
 let placeholder_id = -1
 
@@ -361,13 +342,13 @@ let commit_subtree t node =
   in
   go node
 
-let of_sorted ?pool strings =
-  let ss = Presort.sorted_distinct ?pool ~cmp:String.compare strings in
+let of_sorted strings =
+  let ss = Presort.sorted_distinct ~cmp:String.compare strings in
   let t = create () in
   let n = Array.length ss in
   if n > 0 then begin
-    (* An empty-string key lives on the root itself; the first-character
-       groups are the disjoint shards. *)
+    (* An empty-string key lives on the root itself; every other key
+       hangs under its first-character group. *)
     let start =
       if ss.(0) = "" then begin
         t.root.terminal <- true;
@@ -384,27 +365,12 @@ let of_sorted ?pool strings =
       rev_groups := (c, !i, !j) :: !rev_groups;
       i := !j
     done;
-    let groups = Array.of_list (List.rev !rev_groups) in
-    let ngroups = Array.length groups in
-    let tops = Array.make ngroups t.root in
-    let run gi =
-      let _, lo, hi = groups.(gi) in
-      tops.(gi) <- trie_slice ss lo hi
-    in
-    (match pool with
-    | Some p when ngroups > 1 ->
-        Pool.parallel_for_tasks p ~weights:(Array.map (fun (_, lo, hi) -> hi - lo) groups) run
-    | _ ->
-        for gi = 0 to ngroups - 1 do
-          run gi
-        done);
     t.root.children <-
-      Array.to_list
-        (Array.mapi
-           (fun gi (c, _, _) ->
-             let top = tops.(gi) in
-             (c, { label = top.str; target = top }))
-           groups);
+      List.rev_map
+        (fun (c, lo, hi) ->
+          let top = trie_slice ss lo hi in
+          (c, { label = top.str; target = top }))
+        !rev_groups;
     List.iter
       (fun (_, e) ->
         e.target.parent <- Some t.root;
@@ -415,184 +381,7 @@ let of_sorted ?pool strings =
   end;
   t
 
-let build ?pool strings = of_sorted ?pool strings
-
-(* ---------------- native batch engines ----------------
-
-   The quadtree's shard scheme on the trie: a batch partitions by first
-   character into disjoint shards; each shard worker owns the root's
-   subtree for its character, detached behind a local stand-in root (so
-   the sequential core's parent-chain walks terminate there instead of
-   mutating the shared root), plus per-batch-position log slots. A
-   sequential commit then numbers created nodes / retires dropped nodes
-   in global batch order — the exact ids and index churn of the per-key
-   loop — and reattaches the shard subtrees. Empty-string keys touch only
-   the root's terminal bit and never create or drop nodes, so they apply
-   at commit time with the same observable effect as in-order
-   application. *)
-
-type wshard = {
-  wkey : char;
-  wfake : node;  (* local stand-in root holding the detached subtree *)
-  mutable wkeys : int list;  (* batch positions, reversed *)
-}
-
-(* Group batch positions by first character, detaching each group's root
-   subtree behind a stand-in root. Positions of empty-string keys are
-   returned separately for the sequential commit. *)
-let make_wshards t ss =
-  let tbl = Hashtbl.create 8 in
-  let rev_order = ref [] in
-  let rev_empties = ref [] in
-  Array.iteri
-    (fun i s ->
-      if s = "" then rev_empties := i :: !rev_empties
-      else begin
-        let c = s.[0] in
-        let sh =
-          match Hashtbl.find_opt tbl c with
-          | Some sh -> sh
-          | None ->
-              let fake = make_node ~str:"" ~terminal:false ~size:0 in
-              (match List.assoc_opt c t.root.children with
-              | None -> ()
-              | Some e ->
-                  t.root.children <- List.remove_assoc c t.root.children;
-                  fake.children <- [ (c, e) ];
-                  e.target.parent <- Some fake);
-              let sh = { wkey = c; wfake = fake; wkeys = [] } in
-              Hashtbl.add tbl c sh;
-              rev_order := sh :: !rev_order;
-              sh
-        in
-        sh.wkeys <- i :: sh.wkeys
-      end)
-    ss;
-  (Array.of_list (List.rev !rev_order), List.rev !rev_empties)
-
-(* Put the shard subtrees back under the real root. [set_child] keeps the
-   child list sorted, so the result is the canonical (and sequential)
-   layout whatever order the shards come back in. *)
-let reattach_wshards t shards =
-  Array.iter
-    (fun sh ->
-      match List.assoc_opt sh.wkey sh.wfake.children with
-      | None -> ()
-      | Some e -> set_child t.root sh.wkey e)
-    shards
-
-let run_wshards ?pool shards run =
-  match pool with
-  | Some p when Array.length shards > 1 ->
-      Pool.parallel_for_tasks p
-        ~weights:(Array.map (fun sh -> List.length sh.wkeys) shards)
-        run
-  | _ ->
-      for si = 0 to Array.length shards - 1 do
-        run si
-      done
-
-let insert_batch ?pool t strings =
-  let m = Array.length strings in
-  if m = 0 then (0, [])
-  else begin
-    let shards, empties = make_wshards t strings in
-    let created = Array.make m ([], false) in
-    run_wshards ?pool shards (fun si ->
-        let sh = shards.(si) in
-        List.iter
-          (fun i ->
-            let rev_new = ref [] in
-            let fresh ~str ~terminal =
-              let n = make_node ~str ~terminal ~size:0 in
-              rev_new := n :: !rev_new;
-              n
-            in
-            if insert_core ~root:sh.wfake ~fresh strings.(i) then
-              created.(i) <- (List.rev !rev_new, true))
-          (List.rev sh.wkeys));
-    (* Root-terminal flips for empty-string keys: no nodes involved, so
-       position within the batch is unobservable — only "did the first
-       one insert" matters. *)
-    List.iter
-      (fun i -> if not t.root.terminal then begin
-           t.root.terminal <- true;
-           created.(i) <- ([], true)
-         end)
-      empties;
-    (* Per-key segments in batch order, each newest-id-first — exactly
-       the per-key [insert_delta] log's (prepend-built) report order. *)
-    let inserted = ref 0 in
-    let rev_segs = ref [] in
-    for i = 0 to m - 1 do
-      match created.(i) with
-      | _, false -> ()
-      | nodes, true ->
-          incr inserted;
-          let seg = ref [] in
-          List.iter
-            (fun node ->
-              node.id <- t.next_id;
-              t.next_id <- t.next_id + 1;
-              t.nnodes <- t.nnodes + 1;
-              Hashtbl.replace t.index node.str node;
-              seg := node.id :: !seg)
-            nodes;
-          rev_segs := !seg :: !rev_segs
-    done;
-    reattach_wshards t shards;
-    t.root.size <- t.root.size + !inserted;
-    t.nstrings <- t.nstrings + !inserted;
-    (!inserted, List.concat (List.rev !rev_segs))
-  end
-
-let remove_batch ?pool t strings =
-  let m = Array.length strings in
-  if m = 0 then (0, [])
-  else begin
-    let shards, empties = make_wshards t strings in
-    let dropped = Array.make m ([], false) in
-    run_wshards ?pool shards (fun si ->
-        let sh = shards.(si) in
-        List.iter
-          (fun i ->
-            let rev_gone = ref [] in
-            let drop n = rev_gone := n :: !rev_gone in
-            (* The shared index is read-only during the phase; a stale
-               entry is a dropped node whose terminal bit was already
-               cleared, which [remove_core] treats exactly like a miss. *)
-            if remove_core ~find:(node_of_string t) ~drop strings.(i) then
-              dropped.(i) <- (List.rev !rev_gone, true))
-          (List.rev sh.wkeys));
-    List.iter
-      (fun i -> if t.root.terminal then begin
-           t.root.terminal <- false;
-           dropped.(i) <- ([], true)
-         end)
-      empties;
-    (* Per-key segments in batch order, each newest-dropped-first — exactly
-       the per-key [remove_delta] log's (prepend-built) report order. *)
-    let removed = ref 0 in
-    let rev_segs = ref [] in
-    for i = 0 to m - 1 do
-      match dropped.(i) with
-      | _, false -> ()
-      | nodes, true ->
-          incr removed;
-          let seg = ref [] in
-          List.iter
-            (fun node ->
-              Hashtbl.remove t.index node.str;
-              t.nnodes <- t.nnodes - 1;
-              seg := node.id :: !seg)
-            nodes;
-          rev_segs := !seg :: !rev_segs
-    done;
-    reattach_wshards t shards;
-    t.root.size <- t.root.size - !removed;
-    t.nstrings <- t.nstrings - !removed;
-    (!removed, List.concat (List.rev !rev_segs))
-  end
+let build = of_sorted
 
 let iter t ~f =
   let rec go n =

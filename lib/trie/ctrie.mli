@@ -33,17 +33,15 @@ type location = { node : node; slot : slot }
 
 val create : unit -> t
 
-val of_sorted : ?pool:Skipweb_util.Pool.t -> string array -> t
+val of_sorted : string array -> t
 (** Single-pass bulk build: lexicographically presort (a no-op when the
-    input already arrives sorted and distinct), shard by first character,
-    build each shard's compressed subtree in one left-to-right pass over
-    its slice — fanned over [pool]'s domains when one is given — then
-    attach and id-number everything in a sequential preorder commit. The
-    resulting trie (node set, ids, child order) is a pure function of the
-    distinct string set: bit-identical for any jobs count and for any
-    input permutation. *)
+    input already arrives sorted and distinct), group by first character,
+    build each group's compressed subtree in one left-to-right pass over
+    its slice, then attach and id-number everything in a preorder commit.
+    The resulting trie (node set, ids, child order) is a pure function of
+    the distinct string set: bit-identical for any input permutation. *)
 
-val build : ?pool:Skipweb_util.Pool.t -> string array -> t
+val build : string array -> t
 (** Alias for {!of_sorted} — the bulk path {e is} the build path.
     Duplicates are ignored. The empty string is a valid key. *)
 
@@ -114,24 +112,6 @@ val insert_delta : t -> string -> bool * int list * int list
 
 val remove_delta : t -> string -> bool * int list * int list
 (** Like {!remove}, with the same delta report as {!insert_delta}. *)
-
-val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> string array -> int * int list
-(** [insert_batch t ss] applies the whole batch as the per-key {!insert}
-    loop would, in array order (duplicates skipped), returning
-    [(inserted, created_node_ids)]: the concatenation, in batch order,
-    of each key's {!insert_delta} id list — bit-identical to the per-key
-    loop's concatenated delta reports, since the commit numbers created
-    nodes in global batch position order. With [pool], keys partition into
-    disjoint shards by first character and apply on pool workers behind
-    local stand-in roots; the final trie, ids and return value are
-    bit-identical for any jobs count. Empty-string keys flip only the
-    root's terminal bit and are handled in the sequential commit. Must
-    not run concurrently with queries. *)
-
-val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> string array -> int * int list
-(** The mirror of {!insert_batch}: [(removed, dropped_node_ids)] is the
-    concatenation, in batch order, of each key's {!remove_delta} id list
-    (absent keys skipped). Same sharding, same bit-identical contract. *)
 
 val iter : t -> f:(string -> unit) -> unit
 (** All stored strings in lexicographic order. *)

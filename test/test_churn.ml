@@ -193,6 +193,41 @@ let test_hierarchy_failover_and_repair () =
   HInt.check_invariants h;
   checkb "answers after rejoin" true (answers () = baseline)
 
+(* Pooled batch writes after a repair: the repair leaves re-drawn
+   placements behind, and the level tasks of the following batches read
+   and drop them on different domains at once. Each epoch kills a host,
+   repairs, revives it, then inserts and removes a batch; per-host memory
+   and the repair stats must equal the jobs-1 run. *)
+let pooled_churn_after_repair ~jobs =
+  let bound = 40_000 in
+  let keys = W.distinct_ints ~seed:31 ~n:1_500 ~bound in
+  let net = Network.create ~hosts:48 in
+  Pool.with_pool ~jobs @@ fun pool ->
+  let h = HInt.build ~net ~seed:31 ~r:2 ?pool keys in
+  let stats =
+    List.map
+      (fun epoch ->
+        let victim = (7 * epoch) + 3 in
+        Network.kill net victim;
+        let st = HInt.repair h in
+        Network.revive net victim;
+        let fresh = Array.init 300 (fun i -> bound + (epoch * 1_000) + (3 * i)) in
+        ignore (HInt.insert_batch ?pool h fresh : int);
+        ignore (HInt.remove_batch ?pool h (Array.sub fresh 0 200) : int);
+        ignore (HInt.remove_batch ?pool h (Array.sub keys (epoch * 100) 100) : int);
+        HInt.check_invariants h;
+        (st.HInt.scanned, st.HInt.repaired, st.HInt.messages, st.HInt.lost))
+      [ 0; 1; 2; 3 ]
+  in
+  (stats, Array.init (Network.host_count net) (Network.memory net))
+
+let test_pooled_churn_after_repair () =
+  let stats, memory = pooled_churn_after_repair ~jobs:1 in
+  checkb "repairs moved copies" true (List.for_all (fun (_, moved, _, _) -> moved > 0) stats);
+  let stats2, memory2 = pooled_churn_after_repair ~jobs:2 in
+  checkb "repair stats at jobs 2 = jobs 1" true (stats2 = stats);
+  checkb "per-host memory at jobs 2 = jobs 1" true (memory2 = memory)
+
 let test_blocked_failover_and_repair () =
   let bound = 6_000 in
   let keys = W.distinct_ints ~seed:22 ~n:120 ~bound in
@@ -393,6 +428,8 @@ let suite =
       test_blocked_replicas_on_distinct_hosts;
     Alcotest.test_case "hierarchy failover + repair lifecycle" `Quick
       test_hierarchy_failover_and_repair;
+    Alcotest.test_case "hierarchy pooled churn after repair" `Quick
+      test_pooled_churn_after_repair;
     Alcotest.test_case "blocked failover + repair lifecycle" `Quick
       test_blocked_failover_and_repair;
     Alcotest.test_case "r=1 degrades gracefully and recovers" `Quick test_r1_degrades_and_recovers;

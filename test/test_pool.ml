@@ -284,6 +284,66 @@ let test_hint_batch_matches_sequential_loop () =
   checkb "answers equal" true (answers = seq_answers);
   checki "network totals equal" seq_total total
 
+(* The multi-d instances have no native batch engine: a hierarchy batch
+   is one task per level on a pool, and each level structure runs the
+   per-key loop. A batch must leave the state the same keys arriving one
+   at a time leave — level count, storage, total memory and answers — and
+   the per-host memory vector must not depend on the jobs count. (A level
+   set the batch creates from nothing takes one bulk [S.build], whose node
+   ids, hence placements, differ from a build-then-insert history; so the
+   vector itself is compared across jobs counts, not against the loop.) *)
+module Batch_matches_loop (S : Skipweb_core.Range_structure.S) = struct
+  module HS = H.Make (S)
+
+  let observe ~seed ~base ~queries write =
+    let hosts = 64 in
+    let net = Network.create ~hosts in
+    let h = HS.build ~net ~seed base in
+    write h;
+    HS.check_invariants h;
+    let rng = Prng.create (seed + 1) in
+    ( Array.init hosts (Network.memory net),
+      HS.levels h,
+      HS.total_storage h,
+      Array.map (fun q -> fst (HS.query h ~rng q)) queries )
+
+  let check ~name ~seed ~base ~extra ~gone ~queries =
+    let batch jobs =
+      Pool.with_pool ~jobs (fun pool ->
+          observe ~seed ~base ~queries (fun h ->
+              ignore (HS.insert_batch ?pool h extra : int);
+              ignore (HS.remove_batch ?pool h gone : int)))
+    in
+    let mem1, levels, storage, answers = batch 1 in
+    let mem', levels', storage', answers' =
+      observe ~seed ~base ~queries (fun h ->
+          Array.iter (fun k -> ignore (HS.insert h k : int)) extra;
+          Array.iter (fun k -> ignore (HS.remove h k : int)) gone)
+    in
+    let sum = Array.fold_left ( + ) 0 in
+    checki (name ^ ": levels = per-key loop") levels' levels;
+    checki (name ^ ": storage = per-key loop") storage' storage;
+    checki (name ^ ": total memory = per-key loop") (sum mem') (sum mem1);
+    checkb (name ^ ": answers = per-key loop") true (answers = answers');
+    checkb (name ^ ": jobs 2 = jobs 1") true (batch 2 = (mem1, levels, storage, answers))
+end
+
+module P2_batch = Batch_matches_loop (I.Points2d)
+module Str_batch = Batch_matches_loop (I.Strings)
+
+(* 450 + 120 keys cross 512, so the batch also grows the hierarchy by a
+   level, and removing 60 shrinks it back. *)
+let test_multid_batch_matches_loop () =
+  let extra = W.uniform_points ~seed:32 ~n:120 ~dim:2 in
+  P2_batch.check ~name:"points2d" ~seed:31
+    ~base:(W.uniform_points ~seed:30 ~n:450 ~dim:2)
+    ~extra ~gone:(Array.sub extra 0 60)
+    ~queries:(W.uniform_query_points ~seed:33 ~n:40 ~dim:2);
+  let base = W.random_strings ~seed:34 ~n:450 ~alphabet:3 ~len:8 in
+  let extra = W.random_strings ~seed:35 ~n:120 ~alphabet:3 ~len:9 in
+  Str_batch.check ~name:"strings" ~seed:36 ~base ~extra ~gone:(Array.sub extra 0 60)
+    ~queries:(W.string_queries ~seed:37 ~keys:base ~n:40)
+
 (* ------- parallel write path == sequential ------- *)
 
 (* Distinct churn keys above the stored domain, so inserts always add and
@@ -488,8 +548,9 @@ let suite =
       test_stream_deterministic_and_non_advancing;
     Alcotest.test_case "metrics shard merge is order-independent" `Quick
       test_merge_order_independent_exports;
-    Alcotest.test_case "generic batch matches sequential loop" `Quick
-      test_hint_batch_matches_sequential_loop;
+    Alcotest.test_case "generic batch matches sequential loop" `Quick (fun () ->
+        test_hint_batch_matches_sequential_loop ();
+        test_multid_batch_matches_loop ());
     QCheck_alcotest.to_alcotest qcheck_b1_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest qcheck_hint_parallel_equals_sequential;
     Alcotest.test_case "blocked batch ops leave the per-key state" `Quick

@@ -371,7 +371,7 @@ let qcheck_skipqtree_random_ops =
       SQ.check_invariants sq;
       SQ.size sq = List.length !live)
 
-(* ------- bulk build, batch updates, charged scans ------- *)
+(* ------- bulk build, charged scans ------- *)
 
 module Pool = Skipweb_util.Pool
 
@@ -393,50 +393,10 @@ let test_bulk_build_canonical_and_pooled () =
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
-          let tp = Q.build ?pool ~dim:2 pts in
+          let tp = Q.of_sorted ?pool ~dim:2 pts in
           Q.check_invariants tp;
           checkb "pooled build bit-identical" true (node_census tp = census)))
     [ 2; 4 ]
-
-let qcheck_batch_matches_per_key_loop =
-  QCheck.Test.make ~name:"quadtree insert/remove batch = per-key loop (jobs 1/2/4)" ~count:12
-    QCheck.(triple (int_range 0 10_000) (int_range 0 120) (int_range 1 120))
-    (fun (seed, nbase, nbatch) ->
-      let base = Workload.uniform_points ~seed ~n:nbase ~dim:2 in
-      let batch = Workload.uniform_points ~seed:(seed + 1) ~n:nbatch ~dim:2 in
-      let rm =
-        Array.append (Array.sub batch 0 (nbatch / 2)) (Array.sub base 0 (min nbase 20))
-      in
-      (* Reference: the per-key delta loop over the same starting tree. *)
-      let tref = Q.build ~dim:2 base in
-      let ins_ref = ref 0 and added_ref = ref [] in
-      Array.iter
-        (fun p ->
-          let changed, added, removed = Q.insert_delta tref p in
-          assert (removed = []);
-          if changed then incr ins_ref;
-          added_ref := !added_ref @ added)
-        batch;
-      let rm_ref = ref 0 and dropped_ref = ref [] in
-      Array.iter
-        (fun p ->
-          let changed, added, removed = Q.remove_delta tref p in
-          assert (added = []);
-          if changed then incr rm_ref;
-          dropped_ref := !dropped_ref @ removed)
-        rm;
-      let census_ref = node_census tref in
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun pool ->
-              let t = Q.build ?pool ~dim:2 base in
-              let ins, added = Q.insert_batch ?pool t batch in
-              let rmv, dropped = Q.remove_batch ?pool t rm in
-              Q.check_invariants t;
-              ins = !ins_ref && added = !added_ref && rmv = !rm_ref
-              && dropped = !dropped_ref
-              && node_census t = census_ref))
-        [ 1; 2; 4 ])
 
 let test_range_scan_matches_oracle () =
   let pts = Workload.uniform_points ~seed:5 ~n:800 ~dim:2 in
@@ -505,7 +465,6 @@ let suite =
     Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
     Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
     Alcotest.test_case "knn = brute force" `Quick test_knn_matches_brute_force;
-    QCheck_alcotest.to_alcotest qcheck_batch_matches_per_key_loop;
     QCheck_alcotest.to_alcotest qcheck_skipqtree_random_ops;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;

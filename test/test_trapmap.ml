@@ -4,7 +4,6 @@ module TM = Skipweb_trapmap.Trapmap
 module Segment = Skipweb_geom.Segment
 module Workload = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
-module Pool = Skipweb_util.Pool
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -205,32 +204,24 @@ let trap_census t =
            match TM.trap_bottom tr with Some s -> Segment.id s | None -> -1 ))
   |> List.sort compare
 
-let test_build_pooled_identical_tids () =
+let test_build_matches_insert_loop () =
   let segs = Workload.disjoint_segments ~seed:21 ~n:60 in
   (* Reference: the per-segment insert loop in array order. *)
   let tref = TM.empty () in
   Array.iter (fun s -> TM.insert tref s) segs;
   let census = trap_census tref in
   let t = TM.build segs in
-  checkb "build = per-insert loop (tids included)" true (trap_census t = census);
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let tp = TM.build ?pool segs in
-          TM.check_invariants tp;
-          checkb "pooled build bit-identical" true (trap_census tp = census)))
-    [ 2; 4 ]
+  TM.check_invariants t;
+  checkb "build = per-insert loop (tids included)" true (trap_census t = census)
 
 let test_of_sorted_permutation_invariant () =
   let segs = Workload.disjoint_segments ~seed:22 ~n:40 in
   let census = trap_census (TM.of_sorted segs) in
   let rev = Array.of_list (List.rev (Array.to_list segs)) in
-  checkb "of_sorted permutation invariant" true (trap_census (TM.of_sorted rev) = census);
-  Pool.with_pool ~jobs:4 (fun pool ->
-      checkb "pooled of_sorted bit-identical" true (trap_census (TM.of_sorted ?pool rev) = census))
+  checkb "of_sorted permutation invariant" true (trap_census (TM.of_sorted rev) = census)
 
 let qcheck_insert_batch_matches_per_key_loop =
-  QCheck.Test.make ~name:"trapmap insert_batch = per-key loop (jobs 1/2/4)" ~count:12
+  QCheck.Test.make ~name:"trapmap insert_batch = per-key loop" ~count:12
     QCheck.(triple (int_range 0 10_000) (int_range 0 25) (int_range 1 25))
     (fun (seed, nbase, nbatch) ->
       let all = Workload.disjoint_segments ~seed ~n:(nbase + nbatch) in
@@ -239,14 +230,10 @@ let qcheck_insert_batch_matches_per_key_loop =
       let tref = TM.build base in
       let deltas_ref = Array.map (fun s -> TM.insert_delta tref s) batch in
       let census_ref = trap_census tref in
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun pool ->
-              let t = TM.build ?pool base in
-              let deltas = TM.insert_batch ?pool t batch in
-              TM.check_invariants t;
-              Array.of_list deltas = deltas_ref && trap_census t = census_ref))
-        [ 1; 2; 4 ])
+      let t = TM.build base in
+      let deltas = TM.insert_batch t batch in
+      TM.check_invariants t;
+      Array.of_list deltas = deltas_ref && trap_census t = census_ref)
 
 let test_batch_rejection_is_atomic () =
   let segs = Workload.disjoint_segments ~seed:23 ~n:10 in
@@ -278,7 +265,7 @@ let suite =
     Alcotest.test_case "Lemma 5 exact formula" `Quick test_lemma5_exact_formula;
     Alcotest.test_case "T = S means self-conflict only" `Quick test_conflict_formula_empty_difference;
     Alcotest.test_case "areas positive" `Quick test_areas_positive;
-    Alcotest.test_case "build ?pool = per-insert loop" `Quick test_build_pooled_identical_tids;
+    Alcotest.test_case "build = per-insert loop" `Quick test_build_matches_insert_loop;
     Alcotest.test_case "of_sorted permutation invariant" `Quick test_of_sorted_permutation_invariant;
     Alcotest.test_case "batch rejection is atomic" `Quick test_batch_rejection_is_atomic;
     QCheck_alcotest.to_alcotest qcheck_build_and_partition;

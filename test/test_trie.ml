@@ -3,7 +3,6 @@
 module T = Skipweb_trie.Ctrie
 module Workload = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
-module Pool = Skipweb_util.Pool
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -243,60 +242,13 @@ let node_census t =
       acc := (T.node_id n, T.node_string n, T.node_terminal n, T.subtree_size n) :: !acc);
   List.sort compare !acc
 
-let test_bulk_build_canonical_and_pooled () =
+let test_bulk_build_canonical () =
   let strs = Workload.random_strings ~seed:77 ~n:4_000 ~alphabet:4 ~len:9 in
   let t = T.build strs in
   T.check_invariants t;
   let census = node_census t in
   let rev = Array.of_list (List.rev (Array.to_list strs)) in
-  checkb "permutation invariant (ids included)" true (node_census (T.build rev) = census);
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let tp = T.build ?pool strs in
-          T.check_invariants tp;
-          checkb "pooled build bit-identical" true (node_census tp = census)))
-    [ 2; 4 ]
-
-let qcheck_batch_matches_per_key_loop =
-  QCheck.Test.make ~name:"trie insert/remove batch = per-key loop (jobs 1/2/4)" ~count:12
-    QCheck.(triple (int_range 0 10_000) (int_range 0 120) (int_range 1 120))
-    (fun (seed, nbase, nbatch) ->
-      let base = Workload.random_strings ~seed ~n:nbase ~alphabet:3 ~len:6 in
-      let batch = Workload.random_strings ~seed:(seed + 1) ~n:nbatch ~alphabet:3 ~len:6 in
-      let rm =
-        Array.append (Array.sub batch 0 (nbatch / 2)) (Array.sub base 0 (min nbase 20))
-      in
-      (* Reference: the per-key delta loop over the same starting trie. *)
-      let tref = T.build base in
-      let ins_ref = ref 0 and added_ref = ref [] in
-      Array.iter
-        (fun s ->
-          let changed, added, removed = T.insert_delta tref s in
-          assert (removed = []);
-          if changed then incr ins_ref;
-          added_ref := !added_ref @ added)
-        batch;
-      let rm_ref = ref 0 and dropped_ref = ref [] in
-      Array.iter
-        (fun s ->
-          let changed, added, removed = T.remove_delta tref s in
-          assert (added = []);
-          if changed then incr rm_ref;
-          dropped_ref := !dropped_ref @ removed)
-        rm;
-      let census_ref = node_census tref in
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun pool ->
-              let t = T.build ?pool base in
-              let ins, added = T.insert_batch ?pool t batch in
-              let rmv, dropped = T.remove_batch ?pool t rm in
-              T.check_invariants t;
-              ins = !ins_ref && added = !added_ref && rmv = !rm_ref
-              && dropped = !dropped_ref
-              && node_census t = census_ref))
-        [ 1; 2; 4 ])
+  checkb "permutation invariant (ids included)" true (node_census (T.build rev) = census)
 
 let test_prefix_scan_matches_oracle () =
   let strs = Workload.random_strings ~seed:9 ~n:400 ~alphabet:3 ~len:7 in
@@ -336,9 +288,8 @@ let suite =
     Alcotest.test_case "path node count" `Quick test_path_node_count;
     Alcotest.test_case "subset nodes exist in superset" `Quick test_subset_nodes_exist_in_superset;
     Alcotest.test_case "refinement soundness" `Quick test_refinement_soundness;
-    Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
+    Alcotest.test_case "bulk build canonical" `Quick test_bulk_build_canonical;
     Alcotest.test_case "prefix_scan = oracle" `Quick test_prefix_scan_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_model_conformance;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_node_count;
-    QCheck_alcotest.to_alcotest qcheck_batch_matches_per_key_loop;
   ]
