@@ -437,6 +437,127 @@ let test_knn_matches_brute_force () =
   let all, _ = Q.knn t (Point.create [ 0.5; 0.5 ]) ~k:1_000 in
   checki "k > n returns everything" (Q.size t) (List.length all)
 
+(* ------- pinned structural digest -------
+
+   Node ids feed host placement and child order drives the charged scan
+   walks, so the tree's exact shape is part of the hierarchy's message
+   contract, not an implementation detail. The digest covers a seeded
+   bulk build, then a fixed interleaving of updates (duplicate inserts,
+   removes of absent points, removes that splice an internal node out
+   and re-inserts that recreate it), every update's (changed, added,
+   removed) report, the preorder shape after the churn, and charged
+   [range_scan]/[knn] walks for fixed queries along the way. *)
+
+let digest_scenario ~dim ~seed =
+  let b = Buffer.create 65536 in
+  let add fmt = Printf.bprintf b fmt in
+  let ints l = List.iter (fun i -> add "%d," i) l in
+  let pt p = Array.iter (fun x -> add "%h," x) p in
+  let quadrant_in ~pdepth corner =
+    let q = ref 0 in
+    Array.iteri (fun i c -> q := !q lor (((c lsr (Point.grid_bits - pdepth - 1)) land 1) lsl i)) corner;
+    !q
+  in
+  let shape t =
+    add "shape|";
+    Q.iter_nodes t ~f:(fun n ->
+        let depth, corner = Q.node_cube n in
+        add "%d:%d:" (Q.node_id n) depth;
+        ints (Array.to_list corner);
+        add ":%d:[" (Q.subtree_size n);
+        List.iter
+          (fun (_, c) -> add "%d," (quadrant_in ~pdepth:depth c))
+          (Q.node_children_cubes n);
+        add "]|")
+  in
+  let rng = Prng.create seed in
+  let coord () = Array.init dim (fun _ -> Prng.float rng 1.0) in
+  let queries t =
+    let lo = Array.init dim (fun _ -> Prng.float rng 0.6) in
+    let hi = Array.map (fun x -> x +. 0.3) lo in
+    let count, sample, visited = Q.range_scan t ~lo ~hi ~limit:7 in
+    add "scan %d|" count;
+    List.iter pt sample;
+    ints visited;
+    let hits, visited = Q.knn t (coord ()) ~k:5 in
+    add "|knn|";
+    List.iter (fun (p, d) -> pt p; add "%h;" d) hits;
+    ints visited;
+    add "\n"
+  in
+  let t = Q.build ~dim (Workload.uniform_points ~seed ~n:500 ~dim) in
+  shape t;
+  queries t;
+  let live = ref [||] and nlive = ref 0 in
+  let push p =
+    if !nlive = Array.length !live then begin
+      let bigger = Array.make ((2 * !nlive) + 1) p in
+      Array.blit !live 0 bigger 0 !nlive;
+      live := bigger
+    end;
+    !live.(!nlive) <- p;
+    incr nlive
+  in
+  Q.iter_points t ~f:push;
+  let drop i =
+    decr nlive;
+    !live.(i) <- !live.(!nlive)
+  in
+  let report tag (changed, added, removed) =
+    add "%s%b+" tag changed;
+    ints added;
+    add "-";
+    ints removed;
+    add "|"
+  in
+  let splices = ref 0 in
+  for step = 1 to 2_000 do
+    let r = Prng.int rng 10 in
+    if r < 4 || !nlive = 0 then begin
+      (* Fresh point, half the time a near twin of a live one so deep
+         compressed links appear. *)
+      let p =
+        if r < 2 && !nlive > 0 then
+          Array.map (fun x -> Float.min 0.999999 (x +. 1e-7)) !live.(Prng.int rng !nlive)
+        else coord ()
+      in
+      let (changed, _, _) as d = Q.insert_delta t p in
+      if changed then push p;
+      report "i" d
+    end
+    else if r = 4 then report "I" (Q.insert_delta t !live.(Prng.int rng !nlive))
+    else if r = 5 then report "R" (Q.remove_delta t (coord ()))
+    else begin
+      let i = Prng.int rng !nlive in
+      let p = !live.(i) in
+      let (_, _, removed) as d = Q.remove_delta t p in
+      report "r" d;
+      drop i;
+      if r = 9 then begin
+        (* Put it straight back: a splice is undone by a new internal
+           node with the same cube and a fresh id. *)
+        let (_, added, _) as d' = Q.insert_delta t p in
+        if List.length removed = 2 && List.length added = 2 then incr splices;
+        report "i" d';
+        push p
+      end
+    end;
+    if step mod 250 = 0 then queries t
+  done;
+  Q.check_invariants t;
+  shape t;
+  queries t;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !splices)
+
+let test_pinned_digest () =
+  List.iter
+    (fun (dim, seed, expected) ->
+      let hex, splices = digest_scenario ~dim ~seed in
+      checkb (Printf.sprintf "%d-d scenario splices and recreates internal nodes" dim) true
+        (splices > 10);
+      Alcotest.(check string) (Printf.sprintf "%d-d structural digest" dim) expected hex)
+    [ (2, 61, "2d3d6d0ca6af390886f310a8cd202cad"); (3, 62, "a61af02543e4ae7f1e29679f9c530e12") ]
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -465,6 +586,7 @@ let suite =
     Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
     Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
     Alcotest.test_case "knn = brute force" `Quick test_knn_matches_brute_force;
+    Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
     QCheck_alcotest.to_alcotest qcheck_skipqtree_random_ops;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;
