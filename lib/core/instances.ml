@@ -217,7 +217,7 @@ end) :
 
   let range_ids t =
     let acc = ref [] in
-    Cqtree.iter_nodes t ~f:(fun n -> acc := Cqtree.node_id n :: !acc);
+    Cqtree.iter_ids t ~f:(fun id -> acc := id :: !acc);
     !acc
 
   let insert t k =
@@ -233,17 +233,11 @@ end) :
 
   let probe k = k
 
-  let ids_of_path path = List.map Cqtree.node_id path
-
-  let locate t q =
-    let loc, path = Cqtree.locate t q in
-    (loc, ids_of_path path)
+  let locate = Cqtree.locate_ids
 
   let refine t ~from q =
-    match Cqtree.node_of_cube t from with
-    | Some start ->
-        let loc, path = Cqtree.locate_from t start q in
-        (loc, ids_of_path path)
+    match Cqtree.locate_from_cube t from q with
+    | Some located -> located
     | None ->
         (* The subset-node property guarantees this cannot happen for level
            sets of the hierarchy; fall back to a full search defensively. *)

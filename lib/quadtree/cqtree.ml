@@ -4,24 +4,27 @@ module Presort = Skipweb_util.Presort
 
 let bits = Point.grid_bits
 
-type node = {
-  mutable id : int;
-      (* Mutable only for the bulk build's commit pass: workers allocate
-         nodes with a placeholder id and one sequential commit assigns the
-         real ids, so id order is a pure function of the point set, never
-         of scheduling. *)
-  ndepth : int;  (* cube depth: side = 2^(bits - ndepth) grid cells *)
-  corner : int array;  (* aligned grid coordinates of the low corner *)
-  mutable children : (int * node) list;  (* quadrant index -> child *)
-  mutable npoint : int array option;  (* grid point; Some iff leaf *)
-  mutable size : int;  (* points in the subtree *)
-  mutable parent : node option;
-}
+(* The [meta] column packs a node's cube depth (side = 2^(bits - depth)
+   grid cells) with its quadrant index inside its parent's cube. *)
+let depth_mask = 63
+let quad_shift = 6
+let () = assert (bits <= depth_mask)
 
+(* Struct-of-arrays arena: node [s] of the tree is slot [s] of every
+   column. Slots [0, used) have been handed out; the free ones among them
+   are marked [meta = -1] and chained through [next_sibling]. *)
 type t = {
   tdim : int;
-  root : node;
-  cube_index : (int * int list, node) Hashtbl.t;
+  mutable ids : int array;
+  mutable parent : int array;  (* slot, -1 at the root *)
+  mutable sizes : int array;  (* points in the subtree *)
+  mutable first_child : int array;  (* slot, -1 if none *)
+  mutable next_sibling : int array;  (* slot, -1 at the end of a child list *)
+  mutable meta : int array;
+  mutable corners : int array;  (* [tdim] aligned grid coordinates per slot *)
+  mutable used : int;
+  mutable free : int;  (* head of the free-slot list, -1 if empty *)
+  mutable index : int array;  (* cube index: open addressing over slots, -1 = empty *)
   mutable next_id : int;
   mutable npoints : int;
   mutable nnodes : int;
@@ -31,6 +34,8 @@ type t = {
   mutable removed_log : int list;
 }
 
+type node = { tree : t; ix : int }
+
 type slot = At_point | Empty_quadrant of int | Outside_child of int
 
 type location = { node : node; slot : slot }
@@ -38,15 +43,32 @@ type location = { node : node; slot : slot }
 let dim t = t.tdim
 let size t = t.npoints
 let node_count t = t.nnodes
-let root t = t.root
-let node_id n = n.id
-let node_cube n = (n.ndepth, n.corner)
-let subtree_size n = n.size
+let handle t ix = { tree = t; ix }
+let root t = handle t 0
+let depth_at t s = t.meta.(s) land depth_mask
+let quad_at t s = t.meta.(s) lsr quad_shift
+let corner_of t s = Array.sub t.corners (s * t.tdim) t.tdim
+let node_id n = n.tree.ids.(n.ix)
+let node_cube n = (depth_at n.tree n.ix, corner_of n.tree n.ix)
+let subtree_size n = n.tree.sizes.(n.ix)
 
-let node_point n =
-  match n.npoint with None -> None | Some g -> Some (Point.of_grid g)
+(* A node is a leaf exactly when its cube is a single grid cell: internal
+   cubes enclose two distinct points. *)
+let leaf_point t s = if depth_at t s = bits then Some (Point.of_grid (corner_of t s)) else None
+let node_point n = leaf_point n.tree n.ix
 
-let cube_key ndepth corner = (ndepth, Array.to_list corner)
+let iter_children t s f =
+  let c = ref t.first_child.(s) in
+  while !c >= 0 do
+    let next = t.next_sibling.(!c) in
+    f !c;
+    c := next
+  done
+
+let fold_children t s f acc =
+  let acc = ref acc in
+  iter_children t s (fun c -> acc := f !acc c);
+  !acc
 
 let rec bitlen x = if x = 0 then 0 else 1 + bitlen (x lsr 1)
 
@@ -59,6 +81,15 @@ let cube_contains ~ndepth ~corner p =
   done;
   !ok
 
+(* Does slot [s]'s cube contain grid point p? *)
+let slot_contains t s p =
+  let shift = bits - depth_at t s and base = s * t.tdim in
+  let ok = ref true in
+  for i = 0 to t.tdim - 1 do
+    if p.(i) lsr shift <> t.corners.(base + i) lsr shift then ok := false
+  done;
+  !ok
+
 (* Quadrant index of p within a cube at depth k (0 <= k < bits). *)
 let quadrant ~ndepth p =
   let pos = bits - ndepth - 1 in
@@ -68,38 +99,226 @@ let quadrant ~ndepth p =
   done;
   !q
 
+(* Quadrant of slot [s]'s corner within a cube at depth k. *)
+let slot_quadrant t s ~ndepth =
+  let pos = bits - ndepth - 1 and base = s * t.tdim in
+  let q = ref 0 in
+  for i = 0 to t.tdim - 1 do
+    q := !q lor (((t.corners.(base + i) lsr pos) land 1) lsl i)
+  done;
+  !q
+
 (* Is cube (d2, c2) contained in cube (d1, c1)? *)
 let cube_subset ~outer:(d1, c1) ~inner:(d2, c2) =
   d2 >= d1 && cube_contains ~ndepth:d1 ~corner:c1 c2
 
-let fresh_node t ~ndepth ~corner ~npoint =
-  let n =
-    { id = t.next_id; ndepth; corner; children = []; npoint; size = 0; parent = None }
+(* ---------------- the cube index ----------------
+
+   Linear probing over slot numbers. A probe hashes (depth, corner) and
+   confirms a hit against the [meta] and [corners] columns, so the table
+   stores one int per entry and keys are never materialized. The table
+   stays a power of two at least twice the node count. *)
+
+let mix h =
+  let h = (h lxor (h lsr 31)) * 0x3c6ef372fe94f82b in
+  let h = (h lxor (h lsr 29)) * 0x1f83d9abfb41bd6b in
+  h lxor (h lsr 32)
+
+let hash_step h c = (h * 0x100000001b3) + c
+
+let hash_cube depth corner =
+  let h = ref depth in
+  for i = 0 to Array.length corner - 1 do
+    h := hash_step !h corner.(i)
+  done;
+  mix !h
+
+let hash_slot t s =
+  let h = ref (depth_at t s) and base = s * t.tdim in
+  for i = 0 to t.tdim - 1 do
+    h := hash_step !h t.corners.(base + i)
+  done;
+  mix !h
+
+let rec table_size n c = if c >= 2 * n then c else table_size n (2 * c)
+
+let slot_is_cube t s depth corner =
+  depth_at t s = depth
+  &&
+  let base = s * t.tdim in
+  let ok = ref true in
+  for i = 0 to t.tdim - 1 do
+    if t.corners.(base + i) <> corner.(i) then ok := false
+  done;
+  !ok
+
+(* Slot of the node with cube (depth, corner), or -1. *)
+let index_find t depth corner =
+  if Array.length corner <> t.tdim then -1
+  else begin
+    let mask = Array.length t.index - 1 in
+    let rec probe i =
+      let s = t.index.(i) in
+      if s < 0 || slot_is_cube t s depth corner then s else probe ((i + 1) land mask)
+    in
+    probe (hash_cube depth corner land mask)
+  end
+
+let index_place t s =
+  let mask = Array.length t.index - 1 in
+  let i = ref (hash_slot t s land mask) in
+  while t.index.(!i) >= 0 do
+    i := (!i + 1) land mask
+  done;
+  t.index.(!i) <- s
+
+(* Called once [s]'s columns are written and [nnodes] counts it. *)
+let index_add t s =
+  if 2 * t.nnodes > Array.length t.index then begin
+    let old = t.index in
+    t.index <- Array.make (2 * Array.length old) (-1);
+    Array.iter (fun s' -> if s' >= 0 then index_place t s') old
+  end;
+  index_place t s
+
+(* Backward-shift deletion: no tombstones, so probe lengths only ever
+   reflect live entries. *)
+let index_remove t s =
+  let mask = Array.length t.index - 1 in
+  let i = ref (hash_slot t s land mask) in
+  while t.index.(!i) <> s do
+    i := (!i + 1) land mask
+  done;
+  let hole = ref !i and j = ref ((!i + 1) land mask) in
+  while t.index.(!j) >= 0 do
+    let home = hash_slot t t.index.(!j) land mask in
+    (* The entry at j may fill the hole unless its home lies cyclically
+       in (hole, j]. *)
+    let stays = if !hole <= !j then !hole < home && home <= !j else !hole < home || home <= !j in
+    if not stays then begin
+      t.index.(!hole) <- t.index.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  t.index.(!hole) <- -1
+
+(* ---------------- slots and child lists ---------------- *)
+
+let create_arena dimension cap =
+  {
+    tdim = dimension;
+    ids = Array.make cap 0;
+    parent = Array.make cap (-1);
+    sizes = Array.make cap 0;
+    first_child = Array.make cap (-1);
+    next_sibling = Array.make cap (-1);
+    meta = Array.make cap 0;
+    corners = Array.make (cap * dimension) 0;
+    used = 0;
+    free = -1;
+    index = [||];
+    next_id = 0;
+    npoints = 0;
+    nnodes = 0;
+    logging = false;
+    added_log = [];
+    removed_log = [];
+  }
+
+let grow_columns t =
+  let cap = Array.length t.ids in
+  let cap' = cap + (cap / 2) + 4 in
+  let grow a fill per =
+    let b = Array.make (cap' * per) fill in
+    Array.blit a 0 b 0 (cap * per);
+    b
   in
-  t.next_id <- t.next_id + 1;
+  t.ids <- grow t.ids 0 1;
+  t.parent <- grow t.parent (-1) 1;
+  t.sizes <- grow t.sizes 0 1;
+  t.first_child <- grow t.first_child (-1) 1;
+  t.next_sibling <- grow t.next_sibling (-1) 1;
+  t.meta <- grow t.meta 0 1;
+  t.corners <- grow t.corners 0 t.tdim
+
+let alloc_slot t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- t.next_sibling.(s);
+    s
+  end
+  else begin
+    if t.used = Array.length t.ids then grow_columns t;
+    let s = t.used in
+    t.used <- s + 1;
+    s
+  end
+
+(* A fresh detached node whose cube is the depth-[depth] cube containing
+   grid point [g]; it takes the next id. *)
+let fresh_node t ~depth g =
+  let s = alloc_slot t in
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  t.ids.(s) <- id;
+  t.meta.(s) <- depth;
+  t.parent.(s) <- -1;
+  t.sizes.(s) <- 0;
+  t.first_child.(s) <- -1;
+  t.next_sibling.(s) <- -1;
+  let shift = bits - depth and base = s * t.tdim in
+  for i = 0 to t.tdim - 1 do
+    t.corners.(base + i) <- (g.(i) lsr shift) lsl shift
+  done;
   t.nnodes <- t.nnodes + 1;
-  if t.logging then t.added_log <- n.id :: t.added_log;
-  Hashtbl.replace t.cube_index (cube_key ndepth corner) n;
-  n
+  if t.logging then t.added_log <- id :: t.added_log;
+  index_add t s;
+  s
 
-let drop_node t n =
-  Hashtbl.remove t.cube_index (cube_key n.ndepth n.corner);
+let drop_node t s =
+  index_remove t s;
   t.nnodes <- t.nnodes - 1;
-  if t.logging then t.removed_log <- n.id :: t.removed_log
+  if t.logging then t.removed_log <- t.ids.(s) :: t.removed_log;
+  t.meta.(s) <- -1;
+  t.next_sibling.(s) <- t.free;
+  t.free <- s
 
-let attach_child parent quad child =
-  assert (not (List.mem_assoc quad parent.children));
-  parent.children <- (quad, child) :: parent.children;
-  child.parent <- Some parent
+(* The child of [p] in quadrant [q], or -1. *)
+let child_in t p q =
+  let rec go c = if c < 0 || quad_at t c = q then c else go t.next_sibling.(c) in
+  go t.first_child.(p)
 
-let replace_child parent quad child =
-  assert (List.mem_assoc quad parent.children);
-  parent.children <- (quad, child) :: List.remove_assoc quad parent.children;
-  child.parent <- Some parent
+(* Child lists keep the order the charged walks follow: a new child goes
+   to the front. *)
+let attach_child t p q c =
+  assert (child_in t p q < 0);
+  t.meta.(c) <- (t.meta.(c) land depth_mask) lor (q lsl quad_shift);
+  t.parent.(c) <- p;
+  t.next_sibling.(c) <- t.first_child.(p);
+  t.first_child.(p) <- c
 
-let detach_child parent quad =
-  assert (List.mem_assoc quad parent.children);
-  parent.children <- List.remove_assoc quad parent.children
+let detach_child t p q =
+  let rec go prev c =
+    assert (c >= 0);
+    if quad_at t c = q then
+      if prev < 0 then t.first_child.(p) <- t.next_sibling.(c)
+      else t.next_sibling.(prev) <- t.next_sibling.(c)
+    else go c t.next_sibling.(c)
+  in
+  go (-1) t.first_child.(p)
+
+let replace_child t p q c =
+  detach_child t p q;
+  attach_child t p q c
+
+let rec bump_sizes t s delta =
+  if s >= 0 then begin
+    t.sizes.(s) <- t.sizes.(s) + delta;
+    bump_sizes t t.parent.(s) delta
+  end
+
+(* ---------------- bulk build ---------------- *)
 
 (* z-order (Morton order) comparator on grid points, without materializing
    the interleaved key (which would overflow 63 bits already at d = 3):
@@ -139,66 +358,78 @@ let morton_key g =
   done;
   !r
 
-(* Smallest aligned cube containing two distinct grid points. For a
-   z-sorted slice this is the smallest cube containing the whole slice
-   when applied to its first and last element: all points agree on every
-   interleaved bit above the highest one on which any pair differs, and
-   the slice's extremes differ exactly there. *)
-let enclosing_of_pair dimension a b =
+(* Depth of the smallest aligned cube containing two grid points. For a
+   z-sorted slice, applied to its first and last element, this is the
+   depth of the smallest cube containing the whole slice: all points agree
+   on every interleaved bit above the highest one on which any pair
+   differs, and the slice's extremes differ exactly there. *)
+let common_depth dimension a b =
   let depth = ref bits in
   for i = 0 to dimension - 1 do
     let common = bits - bitlen (a.(i) lxor b.(i)) in
     if common < !depth then depth := common
   done;
-  let k = !depth in
-  let shift = bits - k in
-  (k, Array.map (fun c -> (c lsr shift) lsl shift) a)
+  !depth
 
-let placeholder_id = -1
+(* Nodes of the compressed subtree over the z-sorted distinct slice
+   [gs.(lo .. hi - 1)]: its leaves plus one internal node per distinct
+   enclosing cube of adjacent pairs. Pairs [i < j] share that cube exactly
+   when they meet at the same depth and no pair between them meets
+   shallower, which a stack of strictly increasing depths counts in one
+   pass. *)
+let count_slice dimension gs lo hi =
+  let stack = Array.make (bits + 1) 0 and top = ref 0 and internal = ref 0 in
+  for i = lo to hi - 2 do
+    let d = common_depth dimension gs.(i) gs.(i + 1) in
+    while !top > 0 && stack.(!top - 1) > d do
+      decr top
+    done;
+    if !top = 0 || stack.(!top - 1) < d then begin
+      stack.(!top) <- d;
+      incr top;
+      incr internal
+    end
+  done;
+  hi - lo + !internal
 
-let make_node ~ndepth ~corner ~npoint ~size =
-  { id = placeholder_id; ndepth; corner; children = []; npoint; size; parent = None }
-
-(* Single-pass subtree construction over the z-sorted distinct slice
-   [gs.(lo .. hi - 1)]: no shared-state writes (placeholder ids, no index
-   inserts), so disjoint slices build concurrently on pool workers.
-   Quadrant groups are contiguous in the slice (see {!cmp_zorder}), so
-   children split off by scanning group boundaries left to right. *)
-let rec build_slice dimension gs lo hi =
-  if hi - lo = 1 then make_node ~ndepth:bits ~corner:gs.(lo) ~npoint:(Some gs.(lo)) ~size:1
+(* Write the compressed subtree over the slice in preorder from slot [s]
+   (its id too), children in ascending quadrant order; returns the next
+   free slot. Quadrant groups are contiguous in the slice (see
+   {!cmp_zorder}), so children split off by scanning group boundaries left
+   to right. Disjoint slot ranges let shards fill concurrently. *)
+let rec fill_slice t gs lo hi s ~parent ~quad =
+  t.ids.(s) <- s;
+  t.parent.(s) <- parent;
+  t.sizes.(s) <- hi - lo;
+  let base = s * t.tdim in
+  if hi - lo = 1 then begin
+    t.meta.(s) <- bits lor (quad lsl quad_shift);
+    Array.blit gs.(lo) 0 t.corners base t.tdim;
+    s + 1
+  end
   else begin
-    let k, corner = enclosing_of_pair dimension gs.(lo) gs.(hi - 1) in
+    let k = common_depth t.tdim gs.(lo) gs.(hi - 1) in
     assert (k < bits);
-    let node = make_node ~ndepth:k ~corner ~npoint:None ~size:(hi - lo) in
-    let rev_children = ref [] in
-    let i = ref lo in
+    t.meta.(s) <- k lor (quad lsl quad_shift);
+    let shift = bits - k and g = gs.(lo) in
+    for i = 0 to t.tdim - 1 do
+      t.corners.(base + i) <- (g.(i) lsr shift) lsl shift
+    done;
+    let next = ref (s + 1) and prev = ref (-1) and i = ref lo in
     while !i < hi do
       let q = quadrant ~ndepth:k gs.(!i) in
       let j = ref (!i + 1) in
-      while !j < hi && quadrant ~ndepth:k gs.(!j) = q do incr j done;
-      let c = build_slice dimension gs !i !j in
-      c.parent <- Some node;
-      rev_children := (q, c) :: !rev_children;
+      while !j < hi && quadrant ~ndepth:k gs.(!j) = q do
+        incr j
+      done;
+      let c = !next in
+      if !prev < 0 then t.first_child.(s) <- c else t.next_sibling.(!prev) <- c;
+      next := fill_slice t gs !i !j c ~parent:s ~quad:q;
+      prev := c;
       i := !j
     done;
-    node.children <- List.rev !rev_children;
-    node
+    !next
   end
-
-(* Assign real ids in a preorder DFS and publish the subtree into the
-   shared cube index — the sequential commit pass. Preorder over the
-   deterministic child lists makes the id assignment a pure function of
-   the point set, identical for any jobs count. *)
-let commit_subtree t node =
-  let rec go n =
-    n.id <- t.next_id;
-    t.next_id <- t.next_id + 1;
-    t.nnodes <- t.nnodes + 1;
-    if t.logging then t.added_log <- n.id :: t.added_log;
-    Hashtbl.replace t.cube_index (cube_key n.ndepth n.corner) n;
-    List.iter (fun (_, c) -> go c) n.children
-  in
-  go node
 
 let of_sorted ?pool ~dim:dimension points =
   if dimension < 1 then invalid_arg "Cqtree.of_sorted: dim >= 1";
@@ -219,200 +450,168 @@ let of_sorted ?pool ~dim:dimension points =
     else Presort.sorted_distinct ?pool ~cmp:cmp_zorder gs
   in
   let n = Array.length gs in
-  let t =
-    {
-      tdim = dimension;
-      root =
-        {
-          id = 0;
-          ndepth = 0;
-          corner = Array.make dimension 0;
-          children = [];
-          npoint = None;
-          size = n;
-          parent = None;
-        };
-      cube_index = Hashtbl.create (max 64 (2 * n));
-      next_id = 1;
-      npoints = n;
-      nnodes = 1;
-      logging = false;
-      added_log = [];
-      removed_log = [];
-    }
-  in
-  Hashtbl.replace t.cube_index (cube_key 0 t.root.corner) t.root;
-  if n > 0 then begin
-    (* The root's quadrant groups are the disjoint shards: each builds its
-       own minimal-enclosing-cube subtree independently. *)
-    let rev_groups = ref [] in
-    let i = ref 0 in
-    while !i < n do
-      let q = quadrant ~ndepth:0 gs.(!i) in
-      let j = ref (!i + 1) in
-      while !j < n && quadrant ~ndepth:0 gs.(!j) = q do incr j done;
-      rev_groups := (q, !i, !j) :: !rev_groups;
-      i := !j
+  (* The root's quadrant groups are the shards: each is counted, then
+     filled into its own preorder slot range, independently. *)
+  let rev_groups = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    let q = quadrant ~ndepth:0 gs.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && quadrant ~ndepth:0 gs.(!j) = q do
+      incr j
     done;
-    let groups = Array.of_list (List.rev !rev_groups) in
-    let ngroups = Array.length groups in
-    let tops = Array.make ngroups t.root in
-    let run gi =
-      let _, lo, hi = groups.(gi) in
-      tops.(gi) <- build_slice dimension gs lo hi
-    in
-    (match pool with
+    rev_groups := (q, !i, !j) :: !rev_groups;
+    i := !j
+  done;
+  let groups = Array.of_list (List.rev !rev_groups) in
+  let ngroups = Array.length groups in
+  let per_group f =
+    match pool with
     | Some p when ngroups > 1 ->
-        Pool.parallel_for_tasks p ~weights:(Array.map (fun (_, lo, hi) -> hi - lo) groups) run
+        Pool.parallel_for_tasks p ~weights:(Array.map (fun (_, lo, hi) -> hi - lo) groups) f
     | _ ->
         for gi = 0 to ngroups - 1 do
-          run gi
-        done);
-    (* Sequential merge/commit: attach the shard tops in ascending
-       quadrant order (the z-sorted groups already are), then number the
-       whole forest in one preorder pass. *)
-    t.root.children <- Array.to_list (Array.mapi (fun gi (q, _, _) -> (q, tops.(gi))) groups);
-    List.iter
-      (fun (_, c) ->
-        c.parent <- Some t.root;
-        commit_subtree t c)
-      t.root.children
-  end;
+          f gi
+        done
+  in
+  let counts = Array.make ngroups 0 in
+  per_group (fun gi ->
+      let _, lo, hi = groups.(gi) in
+      counts.(gi) <- count_slice dimension gs lo hi);
+  let starts = Array.make ngroups 0 in
+  let total = ref 1 in
+  Array.iteri
+    (fun gi c ->
+      starts.(gi) <- !total;
+      total := !total + c)
+    counts;
+  let total = !total in
+  let t = create_arena dimension total in
+  t.sizes.(0) <- n;
+  if ngroups > 0 then t.first_child.(0) <- starts.(0);
+  per_group (fun gi ->
+      let q, lo, hi = groups.(gi) in
+      let next = fill_slice t gs lo hi starts.(gi) ~parent:0 ~quad:q in
+      assert (next = starts.(gi) + counts.(gi)));
+  for gi = 0 to ngroups - 2 do
+    t.next_sibling.(starts.(gi)) <- starts.(gi + 1)
+  done;
+  t.used <- total;
+  t.next_id <- total;
+  t.nnodes <- total;
+  t.npoints <- n;
+  t.index <- Array.make (table_size total 2) (-1);
+  for s = 0 to total - 1 do
+    index_place t s
+  done;
   t
 
 let build ~dim points = of_sorted ~dim points
 
+(* ---------------- point location ---------------- *)
+
 let node_of_cube t (ndepth, corner) =
-  Hashtbl.find_opt t.cube_index (cube_key ndepth corner)
+  let s = index_find t ndepth corner in
+  if s < 0 then None else Some (handle t s)
 
-let locate_grid_from _t start g =
-  assert (cube_contains ~ndepth:start.ndepth ~corner:start.corner g);
-  let rec desc v path =
-    let path = v :: path in
-    match v.npoint with
-    | Some p ->
-        (* A leaf cube is a single grid cell, so containment means equality. *)
-        assert (p = g || v.ndepth < bits);
-        if p = g then ({ node = v; slot = At_point }, List.rev path)
-        else ({ node = v; slot = Empty_quadrant (quadrant ~ndepth:v.ndepth g) }, List.rev path)
-    | None ->
-        if v.ndepth >= bits then ({ node = v; slot = At_point }, List.rev path)
-        else
-          let q = quadrant ~ndepth:v.ndepth g in
-          (match List.assoc_opt q v.children with
-          | None -> ({ node = v; slot = Empty_quadrant q }, List.rev path)
-          | Some c ->
-              if cube_contains ~ndepth:c.ndepth ~corner:c.corner g then desc c path
-              else ({ node = v; slot = Outside_child q }, List.rev path))
+(* Descend from slot [start], whose cube contains [g], calling [visit] on
+   every slot entered; returns the located slot and how the query sits
+   there. *)
+let descend t start g ~visit =
+  assert (slot_contains t start g);
+  let rec go v =
+    visit v;
+    let d = depth_at t v in
+    if d = bits then (v, At_point)
+    else
+      let q = quadrant ~ndepth:d g in
+      let c = child_in t v q in
+      if c < 0 then (v, Empty_quadrant q)
+      else if slot_contains t c g then go c
+      else (v, Outside_child q)
   in
-  desc start []
+  go start
 
-let locate_from t start p = locate_grid_from t start (Point.to_grid p)
+let locate_grid t start g f =
+  let rev_path = ref [] in
+  let v, slot = descend t start g ~visit:(fun s -> rev_path := f s :: !rev_path) in
+  ({ node = handle t v; slot }, List.rev !rev_path)
 
-let locate t p = locate_from t t.root p
+let locate_from t start p = locate_grid t start.ix (Point.to_grid p) (handle t)
+let locate t p = locate_grid t 0 (Point.to_grid p) (handle t)
+let locate_ids t p = locate_grid t 0 (Point.to_grid p) (fun s -> t.ids.(s))
 
-let rec tree_depth n =
-  match n.children with
-  | [] -> 0
-  | cs -> 1 + List.fold_left (fun acc (_, c) -> max acc (tree_depth c)) 0 cs
+let locate_from_cube t (ndepth, corner) p =
+  let s = index_find t ndepth corner in
+  if s < 0 then None else Some (locate_grid t s (Point.to_grid p) (fun s -> t.ids.(s)))
 
-let depth t = tree_depth t.root
+let rec tree_depth t s = fold_children t s (fun acc c -> max acc (1 + tree_depth t c)) 0
 
-let rec max_cube_depth_node n =
-  let own = if n.npoint = None then n.ndepth else 0 in
-  List.fold_left (fun acc (_, c) -> max acc (max_cube_depth_node c)) own n.children
+let depth t = tree_depth t 0
 
-let max_cube_depth t = max_cube_depth_node t.root
+let rec max_cube_depth_slot t s =
+  let own = if depth_at t s = bits then 0 else depth_at t s in
+  fold_children t s (fun acc c -> max acc (max_cube_depth_slot t c)) own
+
+let max_cube_depth t = max_cube_depth_slot t 0
+
+(* ---------------- updates ---------------- *)
 
 let insert t p =
   let g = Point.to_grid p in
   if Point.dim p <> t.tdim then invalid_arg "Cqtree.insert: dimension mismatch";
-  if Hashtbl.mem t.cube_index (cube_key bits g) then false
+  if index_find t bits g >= 0 then false
   else begin
-    let bump_sizes_from n =
-      let rec go = function
-        | None -> ()
-        | Some v ->
-            v.size <- v.size + 1;
-            go v.parent
-      in
-      go (Some n)
-    in
-    let loc, _path = locate_grid_from t t.root g in
-    let v = loc.node in
-    (match loc.slot with
+    let v, slot = descend t 0 g ~visit:ignore in
+    (match slot with
     | At_point -> assert false  (* duplicate handled above *)
     | Empty_quadrant q ->
-        let leaf = fresh_node t ~ndepth:bits ~corner:g ~npoint:(Some g) in
-        leaf.size <- 1;
-        if v.npoint <> None then begin
-          (* v is a leaf other than the root: impossible to have an empty
-             quadrant slot below it unless v is the root-as-leaf; leaves
-             are located via Outside_child of their parent. The only leaf
-             that can be a location node is one whose cube properly
-             contains g, which cannot happen at full depth. *)
-          assert false
-        end;
-        attach_child v q leaf;
-        bump_sizes_from v
+        let leaf = fresh_node t ~depth:bits g in
+        t.sizes.(leaf) <- 1;
+        attach_child t v q leaf;
+        bump_sizes t v 1
     | Outside_child q ->
-        let c = List.assoc q v.children in
+        let c = child_in t v q in
         (* New internal node: smallest cube containing both g and c's cube. *)
         let k =
-          let d = ref c.ndepth in
+          let d = ref (depth_at t c) and base = c * t.tdim in
           for i = 0 to t.tdim - 1 do
-            let common = bits - bitlen (g.(i) lxor c.corner.(i)) in
+            let common = bits - bitlen (g.(i) lxor t.corners.(base + i)) in
             if common < !d then d := common
           done;
           !d
         in
-        assert (k > v.ndepth && k < c.ndepth);
-        let shift = bits - k in
-        let corner = Array.map (fun x -> (x lsr shift) lsl shift) g in
-        let w = fresh_node t ~ndepth:k ~corner ~npoint:None in
-        let leaf = fresh_node t ~ndepth:bits ~corner:g ~npoint:(Some g) in
-        leaf.size <- 1;
-        w.size <- c.size;
-        replace_child v q w;
-        attach_child w (quadrant ~ndepth:k c.corner) c;
-        attach_child w (quadrant ~ndepth:k g) leaf;
-        bump_sizes_from w);
+        assert (k > depth_at t v && k < depth_at t c);
+        let w = fresh_node t ~depth:k g in
+        let leaf = fresh_node t ~depth:bits g in
+        t.sizes.(leaf) <- 1;
+        t.sizes.(w) <- t.sizes.(c);
+        replace_child t v q w;
+        attach_child t w (slot_quadrant t c ~ndepth:k) c;
+        attach_child t w (quadrant ~ndepth:k g) leaf;
+        bump_sizes t w 1);
     t.npoints <- t.npoints + 1;
     true
   end
 
 let remove t p =
   let g = Point.to_grid p in
-  match Hashtbl.find_opt t.cube_index (cube_key bits g) with
-  | None -> false
-  | Some leaf when leaf.npoint = None -> false
-  | Some leaf ->
-      let rec shrink_sizes = function
-        | None -> ()
-        | Some v ->
-            v.size <- v.size - 1;
-            shrink_sizes v.parent
-      in
-      (match leaf.parent with
-      | None ->
-          (* The leaf is the root-resident point: clear it. *)
-          leaf.npoint <- None;
-          leaf.size <- 0
-      | Some v ->
-          shrink_sizes (Some v);
-          let q = quadrant ~ndepth:v.ndepth g in
-          detach_child v q;
-          drop_node t leaf;
-          (* Splice v if it became a chain node (single child, internal,
-             not the root). *)
-          (match (v.children, v.parent, v.npoint) with
-          | [ (_, only) ], Some grandparent, None ->
-              let vq = quadrant ~ndepth:grandparent.ndepth v.corner in
-              replace_child grandparent vq only;
-              drop_node t v
-          | _ -> ()));
-      t.npoints <- t.npoints - 1;
-      true
+  let leaf = index_find t bits g in
+  if leaf < 0 then false
+  else begin
+    let v = t.parent.(leaf) in
+    bump_sizes t v (-1);
+    detach_child t v (quad_at t leaf);
+    drop_node t leaf;
+    (* Splice v if it became a chain node (single child, not the root). *)
+    let only = t.first_child.(v) and grandparent = t.parent.(v) in
+    if grandparent >= 0 && only >= 0 && t.next_sibling.(only) < 0 then begin
+      replace_child t grandparent (quad_at t v) only;
+      drop_node t v
+    end;
+    t.npoints <- t.npoints - 1;
+    true
+  end
 
 (* Run one update with node-churn logging on, returning the ids of the
    nodes it created and destroyed (the O(1) range delta of §4). *)
@@ -435,24 +634,38 @@ let remove_delta t p =
   let changed, (added, removed) = with_delta t (fun () -> remove t p) in
   (changed, added, removed)
 
+(* ---------------- traversals and oracles ---------------- *)
+
+let rec iter_preorder t s f =
+  f s;
+  iter_children t s (fun c -> iter_preorder t c f)
+
 let iter_points t ~f =
-  let rec go n =
-    (match n.npoint with Some g -> f (Point.of_grid g) | None -> ());
-    List.iter (fun (_, c) -> go c) n.children
-  in
-  go t.root
+  iter_preorder t 0 (fun s -> match leaf_point t s with Some p -> f p | None -> ())
+
+let iter_nodes t ~f = iter_preorder t 0 (fun s -> f (handle t s))
+
+let iter_ids t ~f =
+  for s = 0 to t.used - 1 do
+    if t.meta.(s) >= 0 then f t.ids.(s)
+  done
+
+let node_children_cubes n =
+  let t = n.tree in
+  List.rev (fold_children t n.ix (fun acc c -> (depth_at t c, corner_of t c) :: acc) [])
 
 (* Count stored points lying inside an arbitrary aligned cube. *)
-let count_in_cube t (ndepth, corner) =
-  let rec go n =
-    if cube_subset ~outer:(ndepth, corner) ~inner:(n.ndepth, n.corner) then n.size
+let count_in_cube t cube =
+  let rec go s =
+    let own = (depth_at t s, corner_of t s) in
+    if cube_subset ~outer:cube ~inner:own then t.sizes.(s)
     else if
-      (* The query cube could be strictly inside n's cube. *)
-      cube_subset ~outer:(n.ndepth, n.corner) ~inner:(ndepth, corner)
-    then List.fold_left (fun acc (_, c) -> acc + go c) 0 n.children
+      (* The query cube could be strictly inside s's cube. *)
+      cube_subset ~outer:own ~inner:cube
+    then fold_children t s (fun acc c -> acc + go c) 0
     else 0
   in
-  go t.root
+  go 0
 
 let points_in_located_gap t ~location_cube ~child_cubes =
   let inside = count_in_cube t location_cube in
@@ -465,12 +678,13 @@ let points_in_located_gap t ~location_cube ~child_cubes =
   in
   inside - covered
 
-(* Exact nearest neighbor: best-first search with cube distance bounds. *)
-let cube_dist_sq t (ndepth, corner) (q : Point.t) =
-  let side = float_of_int (1 lsl (bits - ndepth)) /. float_of_int Point.grid_size in
+(* Squared distance from q to slot [s]'s cube, in unit coordinates. *)
+let cube_dist_sq t s (q : Point.t) =
+  let side = float_of_int (1 lsl (bits - depth_at t s)) /. float_of_int Point.grid_size in
+  let base = s * t.tdim in
   let acc = ref 0.0 in
   for i = 0 to t.tdim - 1 do
-    let lo = float_of_int corner.(i) /. float_of_int Point.grid_size in
+    let lo = float_of_int t.corners.(base + i) /. float_of_int Point.grid_size in
     let hi = lo +. side in
     let d = if q.(i) < lo then lo -. q.(i) else if q.(i) > hi then q.(i) -. hi else 0.0 in
     acc := !acc +. (d *. d)
@@ -478,129 +692,129 @@ let cube_dist_sq t (ndepth, corner) (q : Point.t) =
   !acc
 
 module Frontier = struct
-  (* A tiny binary min-heap of (priority, node). *)
-  type elt = float * node
+  (* A binary min-heap of slots keyed by a float priority, in parallel
+     arrays. *)
+  type heap = { mutable prio : float array; mutable slots : int array; mutable len : int }
 
-  type heap = { mutable data : elt array; mutable len : int }
-
-  let create () = { data = Array.make 16 (0.0, Obj.magic 0); len = 0 }
+  let create () = { prio = Array.make 16 0.0; slots = Array.make 16 0; len = 0 }
 
   let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
+    let p = h.prio.(i) and s = h.slots.(i) in
+    h.prio.(i) <- h.prio.(j);
+    h.slots.(i) <- h.slots.(j);
+    h.prio.(j) <- p;
+    h.slots.(j) <- s
 
-  let push h e =
-    if h.len = Array.length h.data then begin
-      let bigger = Array.make (2 * h.len) h.data.(0) in
-      Array.blit h.data 0 bigger 0 h.len;
-      h.data <- bigger
+  let push h p s =
+    if h.len = Array.length h.prio then begin
+      let prio = Array.make (2 * h.len) 0.0 and slots = Array.make (2 * h.len) 0 in
+      Array.blit h.prio 0 prio 0 h.len;
+      Array.blit h.slots 0 slots 0 h.len;
+      h.prio <- prio;
+      h.slots <- slots
     end;
-    h.data.(h.len) <- e;
+    h.prio.(h.len) <- p;
+    h.slots.(h.len) <- s;
     h.len <- h.len + 1;
     let i = ref (h.len - 1) in
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
+    while !i > 0 && h.prio.((!i - 1) / 2) > h.prio.(!i) do
       swap h !i ((!i - 1) / 2);
       i := (!i - 1) / 2
     done
 
+  (* Drop the minimum; read it first from [prio.(0)] and [slots.(0)]. *)
   let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.len <- h.len - 1;
-      h.data.(0) <- h.data.(h.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-        if r < h.len && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
-    end
+    h.len <- h.len - 1;
+    h.prio.(0) <- h.prio.(h.len);
+    h.slots.(0) <- h.slots.(h.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < h.len && h.prio.(l) < h.prio.(!smallest) then smallest := l;
+      if r < h.len && h.prio.(r) < h.prio.(!smallest) then smallest := r;
+      if !smallest <> !i then begin
+        swap h !i !smallest;
+        i := !smallest
+      end
+      else continue := false
+    done
 end
 
 let nearest t q =
   if t.npoints = 0 then None
   else begin
     let heap = Frontier.create () in
-    Frontier.push heap (0.0, t.root);
+    Frontier.push heap 0.0 0;
     let best = ref None in
     let best_d = ref infinity in
-    let rec loop () =
-      match Frontier.pop heap with
-      | None -> ()
-      | Some (bound, _) when bound >= !best_d -> ()
-      | Some (_, n) ->
-          (match n.npoint with
-          | Some g ->
-              let p = Point.of_grid g in
-              let d = Point.dist_sq p q in
-              if d < !best_d then begin
-                best_d := d;
-                best := Some p
-              end
-          | None -> ());
-          List.iter
-            (fun (_, c) ->
-              let bound = cube_dist_sq t (c.ndepth, c.corner) q in
-              if bound < !best_d then Frontier.push heap (bound, c))
-            n.children;
-          loop ()
-    in
-    loop ();
+    while heap.len > 0 && heap.prio.(0) < !best_d do
+      let s = heap.slots.(0) in
+      Frontier.pop heap;
+      (match leaf_point t s with
+      | Some p ->
+          let d = Point.dist_sq p q in
+          if d < !best_d then begin
+            best_d := d;
+            best := Some p
+          end
+      | None -> ());
+      iter_children t s (fun c ->
+          let bound = cube_dist_sq t c q in
+          if bound < !best_d then Frontier.push heap bound c)
+    done;
     match !best with None -> None | Some p -> Some (p, sqrt !best_d)
   end
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  let rec go n =
+  let reached = ref 0 in
+  let rec go s =
+    incr reached;
+    let depth = depth_at t s in
+    if t.meta.(s) < 0 then fail "Cqtree: free slot %d linked into the tree" s;
     (* Corner alignment. *)
-    let shift = bits - n.ndepth in
+    let shift = bits - depth in
     Array.iter
       (fun c -> if (c lsr shift) lsl shift <> c then fail "Cqtree: corner not aligned")
-      n.corner;
-    (match n.npoint with
-    | Some g ->
-        if n.ndepth <> bits then fail "Cqtree: leaf not at full depth";
-        if g <> n.corner then fail "Cqtree: leaf corner mismatch";
-        if n.children <> [] then fail "Cqtree: leaf with children";
-        if n.size <> 1 then fail "Cqtree: leaf size <> 1"
-    | None ->
-        if n.parent <> None && List.length n.children < 2 then
-          fail "Cqtree: internal non-root node with < 2 children (not compressed)";
-        let child_sum = List.fold_left (fun acc (_, c) -> acc + c.size) 0 n.children in
-        if n.size <> child_sum then fail "Cqtree: size %d <> child sum %d" n.size child_sum);
-    List.iter
-      (fun (q, c) ->
-        if c.ndepth <= n.ndepth then fail "Cqtree: child not deeper than parent";
-        if not (cube_contains ~ndepth:n.ndepth ~corner:n.corner c.corner) then
+      (corner_of t s);
+    if index_find t depth (corner_of t s) <> s then fail "Cqtree: node %d missing from the cube index" s;
+    if depth = bits then begin
+      if t.first_child.(s) >= 0 then fail "Cqtree: leaf with children";
+      if t.sizes.(s) <> 1 then fail "Cqtree: leaf size <> 1"
+    end
+    else begin
+      let nchildren = fold_children t s (fun acc _ -> acc + 1) 0 in
+      if t.parent.(s) >= 0 && nchildren < 2 then
+        fail "Cqtree: internal non-root node with < 2 children (not compressed)";
+      let child_sum = fold_children t s (fun acc c -> acc + t.sizes.(c)) 0 in
+      if t.sizes.(s) <> child_sum then fail "Cqtree: size %d <> child sum %d" t.sizes.(s) child_sum
+    end;
+    iter_children t s (fun c ->
+        let q = quad_at t c in
+        if depth_at t c <= depth then fail "Cqtree: child not deeper than parent";
+        if not (cube_contains ~ndepth:depth ~corner:(corner_of t s) (corner_of t c)) then
           fail "Cqtree: child cube outside parent";
-        if quadrant ~ndepth:n.ndepth c.corner <> q then fail "Cqtree: child in wrong quadrant";
-        (match c.parent with
-        | Some p when p == n -> ()
-        | Some _ | None -> fail "Cqtree: broken parent pointer");
+        if slot_quadrant t c ~ndepth:depth <> q then fail "Cqtree: child in wrong quadrant";
+        if child_in t s q <> c then fail "Cqtree: two children in quadrant %d" q;
+        if t.parent.(c) <> s then fail "Cqtree: broken parent pointer";
         go c)
-      n.children
   in
-  go t.root;
-  if t.root.size <> t.npoints then fail "Cqtree: root size out of sync"
-
-let iter_nodes t ~f =
-  let rec go n =
-    f n;
-    List.iter (fun (_, c) -> go c) n.children
-  in
-  go t.root
-
-let node_children_cubes n = List.map (fun (_, c) -> (c.ndepth, c.corner)) n.children
+  go 0;
+  if t.parent.(0) >= 0 then fail "Cqtree: root has a parent";
+  if t.sizes.(0) <> t.npoints then fail "Cqtree: root size out of sync";
+  if !reached <> t.nnodes then fail "Cqtree: %d reachable nodes, %d counted" !reached t.nnodes;
+  let nfree = ref 0 and f = ref t.free in
+  while !f >= 0 do
+    if t.meta.(!f) >= 0 then fail "Cqtree: live slot %d on the free list" !f;
+    incr nfree;
+    f := t.next_sibling.(!f)
+  done;
+  if t.nnodes + !nfree <> t.used then fail "Cqtree: slots leaked";
+  let indexed = Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 t.index in
+  if indexed <> t.nnodes then fail "Cqtree: cube index holds %d entries for %d nodes" indexed t.nnodes;
+  if 2 * t.nnodes > Array.length t.index then fail "Cqtree: cube index over half full"
 
 (* Axis-aligned box queries over the compressed tree: prune on cube/box
    disjointness, take whole subtrees on containment. *)
@@ -609,50 +823,39 @@ let box_of_points lo hi =
   Array.iteri (fun i g -> if g > ghi.(i) then invalid_arg "Cqtree: empty box") glo;
   (glo, ghi)
 
-let cube_box_relation ~ndepth ~corner (glo, ghi) =
-  (* 0 = disjoint, 1 = cube inside box, 2 = partial overlap *)
-  let side = 1 lsl (bits - ndepth) in
+(* 0 = disjoint, 1 = cube inside box, 2 = partial overlap *)
+let cube_box_relation t s (glo, ghi) =
+  let side = 1 lsl (bits - depth_at t s) and base = s * t.tdim in
   let disjoint = ref false and inside = ref true in
-  Array.iteri
-    (fun i c ->
-      let clo = c and chi = c + side - 1 in
-      if chi < glo.(i) || clo > ghi.(i) then disjoint := true;
-      if clo < glo.(i) || chi > ghi.(i) then inside := false)
-    corner;
+  for i = 0 to t.tdim - 1 do
+    let clo = t.corners.(base + i) in
+    let chi = clo + side - 1 in
+    if chi < glo.(i) || clo > ghi.(i) then disjoint := true;
+    if clo < glo.(i) || chi > ghi.(i) then inside := false
+  done;
   if !disjoint then 0 else if !inside then 1 else 2
 
-let range_fold t ~lo ~hi ~init ~leaf ~subtree =
+(* A leaf cube is a single cell, so it is either inside the box or
+   disjoint from it: only internal nodes overlap partially. *)
+let range_fold t ~lo ~hi ~init ~subtree =
   let box = box_of_points lo hi in
-  let rec go n acc =
-    match cube_box_relation ~ndepth:n.ndepth ~corner:n.corner box with
+  let rec go s acc =
+    match cube_box_relation t s box with
     | 0 -> acc
-    | 1 -> subtree acc n
-    | _ -> (
-        match n.npoint with
-        | Some g ->
-            let glo, ghi = box in
-            let inside = ref true in
-            Array.iteri (fun i c -> if c < glo.(i) || c > ghi.(i) then inside := false) g;
-            if !inside then leaf acc g else acc
-        | None -> List.fold_left (fun acc (_, c) -> go c acc) acc n.children)
+    | 1 -> subtree acc s
+    | _ -> fold_children t s (fun acc c -> go c acc) acc
   in
-  go t.root init
+  go 0 init
 
-let range_count t ~lo ~hi =
-  range_fold t ~lo ~hi ~init:0 ~leaf:(fun acc _ -> acc + 1) ~subtree:(fun acc n -> acc + n.size)
+let range_count t ~lo ~hi = range_fold t ~lo ~hi ~init:0 ~subtree:(fun acc s -> acc + t.sizes.(s))
 
 let range_report t ~lo ~hi =
-  let collect acc n =
+  let collect acc s =
     let pts = ref acc in
-    let rec walk m =
-      (match m.npoint with Some g -> pts := Point.of_grid g :: !pts | None -> ());
-      List.iter (fun (_, c) -> walk c) m.children
-    in
-    walk n;
+    iter_preorder t s (fun m -> match leaf_point t m with Some p -> pts := p :: !pts | None -> ());
     !pts
   in
-  List.rev
-    (range_fold t ~lo ~hi ~init:[] ~leaf:(fun acc g -> Point.of_grid g :: acc) ~subtree:collect)
+  List.rev (range_fold t ~lo ~hi ~init:[] ~subtree:collect)
 
 (* ---------------- charged query surfaces ----------------
 
@@ -670,90 +873,72 @@ let range_scan t ~lo ~hi ~limit =
   let count = ref 0 in
   let rev_sample = ref [] in
   let taken = ref 0 in
-  let visit n = rev_visited := n.id :: !rev_visited in
-  let take g =
+  let visit s = rev_visited := t.ids.(s) :: !rev_visited in
+  let take s =
     incr count;
     if !taken < limit then begin
-      rev_sample := Point.of_grid g :: !rev_sample;
+      rev_sample := Point.of_grid (corner_of t s) :: !rev_sample;
       incr taken
     end
   in
   (* A fully-contained subtree is counted from its size field without
      walking — unless the sample still needs points, in which case the
      collection walk's nodes are charged like any other visit. *)
-  let rec collect n =
-    (match n.npoint with Some g -> take g | None -> ());
-    List.iter
-      (fun (_, c) ->
+  let rec collect s =
+    if depth_at t s = bits then take s;
+    iter_children t s (fun c ->
         if !taken < limit then begin
           visit c;
           collect c
         end
-        else count := !count + c.size)
-      n.children
+        else count := !count + t.sizes.(c))
   in
-  let rec go n =
-    match cube_box_relation ~ndepth:n.ndepth ~corner:n.corner box with
+  let rec go s =
+    match cube_box_relation t s box with
     | 0 -> ()
     | 1 ->
-        visit n;
-        if !taken < limit then collect n else count := !count + n.size
+        visit s;
+        if !taken < limit then collect s else count := !count + t.sizes.(s)
     | _ ->
-        visit n;
-        (match n.npoint with
-        | Some g ->
-            let glo, ghi = box in
-            let inside = ref true in
-            Array.iteri (fun i c -> if c < glo.(i) || c > ghi.(i) then inside := false) g;
-            if !inside then take g
-        | None -> List.iter (fun (_, c) -> go c) n.children)
+        visit s;
+        iter_children t s go
   in
-  go t.root;
+  go 0;
   (!count, List.rev !rev_sample, List.rev !rev_visited)
 
 let knn t q ~k =
   if k <= 0 then invalid_arg "Cqtree.knn: k >= 1";
   let heap = Frontier.create () in
-  Frontier.push heap (0.0, t.root);
+  Frontier.push heap 0.0 0;
   let rev_visited = ref [] in
-  (* The k best, ascending (dist_sq, point); ties broken on the point so
-     the result is a pure function of the stored set. *)
-  let best = ref [] in
+  (* The k best so far in ascending (dist_sq, point) order — ties broken
+     on the point so the result is a pure function of the stored set —
+     in a sorted array of at most min(k, size) slots. *)
+  let cap = min k t.npoints in
+  let best_d = Array.make cap 0.0 and best_p = Array.make cap [||] in
   let nbest = ref 0 in
-  let kth_bound () =
-    if !nbest < k then infinity
-    else fst (List.nth !best (k - 1))
-  in
+  let kth_bound () = if !nbest < k then infinity else best_d.(k - 1) in
+  let before d p i = d < best_d.(i) || (d = best_d.(i) && compare p best_p.(i) < 0) in
   let offer d p =
-    let rec ins = function
-      | [] -> [ (d, p) ]
-      | ((d', p') :: rest) as l ->
-          if d < d' || (d = d' && compare p p' < 0) then (d, p) :: l else (d', p') :: ins rest
-    in
-    let rec take n = function
-      | [] -> []
-      | x :: r -> if n = 0 then [] else x :: take (n - 1) r
-    in
-    best := take k (ins !best);
-    nbest := List.length !best
+    if !nbest < cap || before d p (cap - 1) then begin
+      let i = ref (min !nbest (cap - 1)) in
+      while !i > 0 && before d p (!i - 1) do
+        best_d.(!i) <- best_d.(!i - 1);
+        best_p.(!i) <- best_p.(!i - 1);
+        decr i
+      done;
+      best_d.(!i) <- d;
+      best_p.(!i) <- p;
+      if !nbest < cap then incr nbest
+    end
   in
-  let rec loop () =
-    match Frontier.pop heap with
-    | None -> ()
-    | Some (bound, _) when bound >= kth_bound () -> ()
-    | Some (_, n) ->
-        rev_visited := n.id :: !rev_visited;
-        (match n.npoint with
-        | Some g ->
-            let p = Point.of_grid g in
-            offer (Point.dist_sq p q) p
-        | None -> ());
-        List.iter
-          (fun (_, c) ->
-            let b = cube_dist_sq t (c.ndepth, c.corner) q in
-            if b < kth_bound () then Frontier.push heap (b, c))
-          n.children;
-        loop ()
-  in
-  loop ();
-  (List.map (fun (d, p) -> (p, sqrt d)) !best, List.rev !rev_visited)
+  while heap.len > 0 && heap.prio.(0) < kth_bound () do
+    let s = heap.slots.(0) in
+    Frontier.pop heap;
+    rev_visited := t.ids.(s) :: !rev_visited;
+    (match leaf_point t s with Some p -> offer (Point.dist_sq p q) p | None -> ());
+    iter_children t s (fun c ->
+        let b = cube_dist_sq t c q in
+        if b < kth_bound () then Frontier.push heap b c)
+  done;
+  (List.init !nbest (fun i -> (best_p.(i), sqrt best_d.(i))), List.rev !rev_visited)

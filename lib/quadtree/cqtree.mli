@@ -14,11 +14,30 @@
 
     Coordinates are handled exactly: points are snapped to a 2^30 grid
     (see {!Skipweb_geom.Point.to_grid}), and all cube computations are
-    bit manipulations on integers. *)
+    bit manipulations on integers.
+
+    {b Layout.} A tree is a struct-of-arrays arena: node [s] is slot [s]
+    of six int columns (id, parent slot, subtree size, first child,
+    next sibling, and the cube depth packed with the node's quadrant in
+    its parent) plus [dim] ints of a flat corner array. A node is a leaf
+    exactly when its depth is the grid depth. Children form a sibling
+    list. The cube index is one open-addressing int table of slots,
+    hashed on (depth, corner) and confirmed against the columns, kept a
+    power of two at least twice the node count; a 2-d tree costs about
+    ten words per node.
+
+    {b Ids and slots.} A bulk build writes its nodes in preorder, so
+    right after {!of_sorted} a node's id is its slot. Updates draw ids
+    from a monotone counter (never reused) and recycle freed slots
+    through a free list, so the arena follows the live node count under
+    churn. Ids, child order and every answer are pure functions of the
+    build input and the update sequence. *)
 
 type t
 
 type node
+(** A handle on one node of a tree: valid until the tree's next
+    {!insert} or {!remove}, which may free and reuse its slot. *)
 
 (** Where a point-location query terminates. *)
 type slot =
@@ -34,12 +53,13 @@ val of_sorted : ?pool:Skipweb_util.Pool.t -> dim:int -> Skipweb_geom.Point.t arr
 (** Single-pass bulk build: z-order-presort the points (a no-op when they
     already arrive z-sorted and distinct), shard by root quadrant, build
     each shard's compressed subtree in one left-to-right pass over its
-    slice — fanned over [pool]'s domains when one is given — then attach
-    and id-number everything in a sequential preorder commit. The
-    resulting tree (node set, ids, child order) is a pure function of the
-    distinct grid-point set: bit-identical for any jobs count and for any
-    input permutation. [dim >= 1]; every point must have dimension
-    [dim]. *)
+    slice. Each shard is first counted exactly, then written into its
+    own preorder range of slots — both passes fanned over [pool]'s
+    domains when one is given — so the arena is allocated once at its
+    final size. The resulting tree (node set, ids, child order, slots) is
+    a pure function of the distinct grid-point set: bit-identical for any
+    jobs count and for any input permutation. [dim >= 1]; every point
+    must have dimension [dim]. *)
 
 val build : dim:int -> Skipweb_geom.Point.t array -> t
 (** Alias for {!of_sorted} — the bulk path {e is} the build path.
@@ -85,6 +105,15 @@ val locate : t -> Skipweb_geom.Point.t -> location * node list
 val locate_from : t -> node -> Skipweb_geom.Point.t -> location * node list
 (** Point location starting at an internal node whose cube contains the
     query — the refine step of the skip-web hierarchy. *)
+
+val locate_ids : t -> Skipweb_geom.Point.t -> location * int list
+(** {!locate} reporting the descent path as node ids: the hierarchy's
+    query path, which never builds a handle per step. *)
+
+val locate_from_cube : t -> int * int array -> Skipweb_geom.Point.t -> (location * int list) option
+(** [locate_from_cube t cube q]: {!locate_from} the node with exactly
+    this cube, path as node ids; [None] if no node has the cube. The
+    refine step of the skip-web hierarchy. *)
 
 val node_of_cube : t -> int * int array -> node option
 (** Find the node with exactly this cube, if present. Every node cube of a
@@ -132,6 +161,10 @@ val iter_points : t -> f:(Skipweb_geom.Point.t -> unit) -> unit
 val iter_nodes : t -> f:(node -> unit) -> unit
 (** Visit every node (root, internal, leaves) — used by the skip-web
     hierarchy for host placement and memory accounting. *)
+
+val iter_ids : t -> f:(int -> unit) -> unit
+(** The id of every node, in slot order (preorder right after a bulk
+    build): host placement and memory accounting without handles. *)
 
 val node_children_cubes : node -> (int * int array) list
 (** Cubes of the node's (compressed) children — the regions already covered
