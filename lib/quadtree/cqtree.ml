@@ -228,7 +228,7 @@ let create_arena dimension cap =
 
 let grow_columns t =
   let cap = Array.length t.ids in
-  let cap' = cap + (cap / 2) + 4 in
+  let cap' = cap + (cap / 8) + 4 in
   let grow a fill per =
     let b = Array.make (cap' * per) fill in
     Array.blit a 0 b 0 (cap * per);

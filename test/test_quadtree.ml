@@ -558,6 +558,87 @@ let test_pinned_digest () =
       Alcotest.(check string) (Printf.sprintf "%d-d structural digest" dim) expected hex)
     [ (2, 61, "2d3d6d0ca6af390886f310a8cd202cad"); (3, 62, "a61af02543e4ae7f1e29679f9c530e12") ]
 
+(* ------- the arena: canonical under churn, slot reuse, memory ------- *)
+
+module GridSet = Set.Make (struct
+  type t = int array
+
+  let compare = compare
+end)
+
+(* Every node's (cube, subtree size), sorted: equal for two trees exactly
+   when they hold the same compressed quadtree, ids aside. *)
+let cube_census t =
+  let acc = ref [] in
+  Q.iter_nodes t ~f:(fun n -> acc := (Q.node_cube n, Q.subtree_size n) :: !acc);
+  List.sort compare !acc
+
+let qcheck_churn_matches_model =
+  QCheck.Test.make ~name:"churn = fresh build over a Set model (canonical, indexed)" ~count:40
+    QCheck.(triple small_int (int_range 2 3) (int_range 1 150))
+    (fun (seed, dim, nops) ->
+      let rng = Prng.create seed in
+      (* A small universe of points, a third of them near twins of another,
+         so operations collide, splice internal nodes and recreate them. *)
+      let universe = Array.make 40 [||] in
+      for i = 0 to Array.length universe - 1 do
+        universe.(i) <-
+          (if i > 0 && Prng.int rng 3 = 0 then
+             Array.map (fun x -> Float.min 0.999999 (x +. 1e-7)) universe.(Prng.int rng i)
+           else Array.init dim (fun _ -> Prng.float rng 1.0))
+      done;
+      let t = Q.build ~dim (Array.sub universe 0 (Prng.int rng 10)) in
+      let model = ref GridSet.empty in
+      Q.iter_points t ~f:(fun p -> model := GridSet.add (Point.to_grid p) !model);
+      for _ = 1 to nops do
+        let p = universe.(Prng.int rng (Array.length universe)) in
+        let g = Point.to_grid p in
+        if Prng.bool rng then begin
+          if Q.insert t p <> not (GridSet.mem g !model) then failwith "insert disagrees with the model";
+          model := GridSet.add g !model
+        end
+        else begin
+          if Q.remove t p <> GridSet.mem g !model then failwith "remove disagrees with the model";
+          model := GridSet.remove g !model
+        end;
+        Q.check_invariants t;
+        let fresh = Q.of_sorted ~dim (Array.of_list (List.map Point.of_grid (GridSet.elements !model))) in
+        if cube_census t <> cube_census fresh then failwith "tree differs from a fresh build";
+        Q.iter_nodes t ~f:(fun n ->
+            match Q.node_of_cube t (Q.node_cube n) with
+            | Some m when Q.node_id m = Q.node_id n -> ()
+            | _ -> failwith "cube index misses a node");
+        Array.iter
+          (fun p ->
+            let g = Point.to_grid p in
+            if (not (GridSet.mem g !model)) && Q.node_of_cube t (Point.grid_bits, g) <> None then
+              failwith "cube index finds an absent point")
+          universe
+      done;
+      Q.size t = GridSet.cardinal !model)
+
+let test_slot_reuse () =
+  let t = Q.build ~dim:2 (Workload.uniform_points ~seed:80 ~n:500 ~dim:2) in
+  let extra = Workload.uniform_points ~seed:81 ~n:60 ~dim:2 in
+  let cycle () =
+    Array.iter (fun p -> checkb "insert" true (Q.insert t p)) extra;
+    Array.iter (fun p -> checkb "remove" true (Q.remove t p)) extra
+  in
+  cycle ();
+  let words = Obj.reachable_words (Obj.repr t) in
+  for _ = 2 to 10 do
+    cycle ();
+    Q.check_invariants t;
+    checki "freed slots are reused" words (Obj.reachable_words (Obj.repr t))
+  done
+
+let test_memory_budget () =
+  let t = Q.build ~dim:2 (Workload.uniform_points ~seed:1 ~n:40_000 ~dim:2) in
+  let per_node = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (Q.node_count t) in
+  checkb (Printf.sprintf "<= 15 words per node (%.2f)" per_node) true (per_node <= 15.0);
+  let single = Obj.reachable_words (Obj.repr (Q.build ~dim:2 (pts2 [ (0.3, 0.7) ]))) in
+  checkb (Printf.sprintf "singleton tree <= 64 words (%d)" single) true (single <= 64)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -587,6 +668,9 @@ let suite =
     Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
     Alcotest.test_case "knn = brute force" `Quick test_knn_matches_brute_force;
     Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
+    Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
+    Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
+    QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
     QCheck_alcotest.to_alcotest qcheck_skipqtree_random_ops;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;
