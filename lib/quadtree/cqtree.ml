@@ -99,15 +99,6 @@ let quadrant ~ndepth p =
   done;
   !q
 
-(* Quadrant of slot [s]'s corner within a cube at depth k. *)
-let slot_quadrant t s ~ndepth =
-  let pos = bits - ndepth - 1 and base = s * t.tdim in
-  let q = ref 0 in
-  for i = 0 to t.tdim - 1 do
-    q := !q lor (((t.corners.(base + i) lsr pos) land 1) lsl i)
-  done;
-  !q
-
 (* Is cube (d2, c2) contained in cube (d1, c1)? *)
 let cube_subset ~outer:(d1, c1) ~inner:(d2, c2) =
   d2 >= d1 && cube_contains ~ndepth:d1 ~corner:c1 c2
@@ -587,7 +578,7 @@ let insert t p =
         t.sizes.(leaf) <- 1;
         t.sizes.(w) <- t.sizes.(c);
         replace_child t v q w;
-        attach_child t w (slot_quadrant t c ~ndepth:k) c;
+        attach_child t w (quadrant ~ndepth:k (corner_of t c)) c;
         attach_child t w (quadrant ~ndepth:k g) leaf;
         bump_sizes t w 1);
     t.npoints <- t.npoints + 1;
@@ -794,9 +785,9 @@ let check_invariants t =
     iter_children t s (fun c ->
         let q = quad_at t c in
         if depth_at t c <= depth then fail "Cqtree: child not deeper than parent";
-        if not (cube_contains ~ndepth:depth ~corner:(corner_of t s) (corner_of t c)) then
+        if not (slot_contains t s (corner_of t c)) then
           fail "Cqtree: child cube outside parent";
-        if slot_quadrant t c ~ndepth:depth <> q then fail "Cqtree: child in wrong quadrant";
+        if quadrant ~ndepth:depth (corner_of t c) <> q then fail "Cqtree: child in wrong quadrant";
         if child_in t s q <> c then fail "Cqtree: two children in quadrant %d" q;
         if t.parent.(c) <> s then fail "Cqtree: broken parent pointer";
         go c)

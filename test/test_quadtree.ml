@@ -390,12 +390,14 @@ let test_bulk_build_canonical_and_pooled () =
   let census = node_census t in
   let rev = Array.of_list (List.rev (Array.to_list pts)) in
   checkb "permutation invariant (ids included)" true (node_census (Q.build ~dim:2 rev) = census);
+  checkb "permutation invariant (whole arena)" true (Q.build ~dim:2 rev = t);
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
           let tp = Q.of_sorted ?pool ~dim:2 pts in
           Q.check_invariants tp;
-          checkb "pooled build bit-identical" true (node_census tp = census)))
+          checkb "pooled build bit-identical" true (node_census tp = census);
+          checkb "pooled arena identical" true (tp = t)))
     [ 2; 4 ]
 
 let test_range_scan_matches_oracle () =
