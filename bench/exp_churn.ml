@@ -69,6 +69,7 @@ type row = {
   stranded_peak : int;
   timeline : string;  (* per-epoch Series, as JSON *)
   wall_s : float;
+  repair_s : float;  (* wall clock inside the repair passes *)
   jobs : int;
 }
 
@@ -89,12 +90,13 @@ let kill_some net krng fails =
 (* The epoch loop, shared by both structures. [query_one rng q] runs one
    query and returns its message count (raising Network.Host_dead when
    every replica of a needed range is down); [repair_fn ()] runs one
-   repair pass and returns (scanned, repaired, messages, lost). *)
+   repair pass and returns (scanned, repaired, messages, lost), and is
+   timed on its own. *)
 let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails ~kseed =
   let krng = Prng.create kseed in
   let msgs_of = Array.make (epochs * qper) 0 in
   let sc = ref 0 and rp = ref 0 and ms = ref 0 and lo_ = ref 0 in
-  let stranded_peak = ref 0 in
+  let stranded_peak = ref 0 and repair_wall = ref 0.0 in
   let rates = ref [] in
   (* Per-epoch monitoring timeline: one Series per signal, window sized
      to the run so the full history is retained here (a long-lived
@@ -125,7 +127,9 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     let rate = float_of_int !ok /. float_of_int qper in
     rates := rate :: !rates;
     Series.push avail_s rate;
+    let r0 = C.now () in
     let s, r, m, l = repair_fn () in
+    repair_wall := !repair_wall +. (C.now () -. r0);
     Series.push repair_s (float_of_int m);
     sc := !sc + s;
     rp := !rp + r;
@@ -154,10 +158,12 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     succ,
     succ_msgs,
     timeline,
-    wall_s )
+    wall_s,
+    !repair_wall )
 
 let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
-    (_, rates, sc, rp, ms, lo_, stranded_peak, failed, succ, succ_msgs, timeline, wall_s) =
+    (_, rates, sc, rp, ms, lo_, stranded_peak, failed, succ, succ_msgs, timeline, wall_s, repair_s)
+    =
   let rstats = Stats.summarize rates in
   {
     structure;
@@ -180,6 +186,7 @@ let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
     stranded_peak;
     timeline;
     wall_s;
+    repair_s;
     jobs;
   }
 
@@ -238,18 +245,20 @@ let json_of_rows rows =
        \"messages_per_epoch\": %.1f},\n\
       \     \"query_messages_mean\": %.2f, \"stranded_peak\": %d,\n\
       \     \"timeline\": %s,\n\
-      \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
+      \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f, \"repair_s\": %.6f}}"
       r.structure r.n r.hosts r.r r.epochs r.fails_per_epoch
       (r.epochs * r.queries_per_epoch)
       r.failed_queries r.success_rate r.avail_min r.avail_p50 r.avail_p90 r.repair_scanned
       r.repair_repaired r.repair_messages r.repair_lost
       (float_of_int r.repair_messages /. float_of_int r.epochs)
-      r.mean_query_msgs r.stranded_peak r.timeline r.jobs r.wall_s
+      r.mean_query_msgs r.stranded_peak r.timeline r.jobs r.wall_s r.repair_s
   in
   Printf.sprintf
     "{\n  \"experiment\": \"churn\",\n  \"workload\": \"kill/rejoin epochs (f = max 1 (r-1) \
      failures each) over mixed uniform + Zipf(1.1) query traffic, one repair pass per \
-     epoch\",\n  \"rows\": [\n%s\n  ]\n}\n"
+     epoch\",\n  \"domains\": %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =

@@ -20,22 +20,32 @@ module Make (S : Range_structure.S) = struct
      are its structure's [S.range_ids] — the range-delta contract keeps the
      two in step, and [check_invariants] re-derives both. *)
 
+  (* A range's redraw key: (level-set prefix, range id). *)
+  module Range_tbl = Hashtbl.Make (struct
+    type t = int * int
+
+    let equal ((b, rid) : t) (b', rid') = b = b' && rid = rid'
+    let hash ((b, rid) : t) = Prng.hash2 b rid
+  end)
+
   (* All mutable state of one level lives in its [level_state] and nowhere
      else. That ownership boundary is what the parallel write path runs on:
      a pooled batch hands each level to its own task, and the level tasks
      share nothing but the read-only batch arrays and the network's charge
      buffers — no locks needed, no interleaving visible.
 
-     [redraw] holds the level's re-drawn placements: (prefix, range id,
-     replica slot) -> redraw generation. Slot j of a range lives at the
-     hash of (place_seed, level set, rid, j, generation); absent means
-     generation 0. A repair pass bumps a dead slot's generation until the
-     hash lands on a live host, so placement stays a pure function of the
-     structure's state — queries, charging and repair all agree on where
-     every copy is without any per-copy pointer state. *)
+     [redraw] holds the level's re-drawn placements, one entry per range
+     that a repair ever moved: (prefix, range id) -> the redraw generation
+     of each of its [slots_at level] replica slots. A range without an
+     entry sits at generation 0 in every slot, and an entry always has a
+     non-zero generation somewhere (a repair only creates one when it
+     bumps a slot); [release] drops the entry with the range. Placement
+     is therefore a pure function of the structure's state — queries,
+     charging and repair all agree on where every copy is without any
+     per-copy pointer state. *)
   type level_state = {
     sets : (int, S.t) Hashtbl.t;  (* prefix -> structure *)
-    redraw : (int * int * int, int) Hashtbl.t;
+    redraw : int array Range_tbl.t;
   }
 
   type t = {
@@ -78,7 +88,7 @@ module Make (S : Range_structure.S) = struct
      [path lsr (top - ℓ)]. *)
   let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
-  let fresh_layer () = { sets = Hashtbl.create 16; redraw = Hashtbl.create 16 }
+  let fresh_layer () = { sets = Hashtbl.create 16; redraw = Range_tbl.create 16 }
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -87,14 +97,13 @@ module Make (S : Range_structure.S) = struct
   let cached_level t level = t.cache_replicas > 1 && level < t.cache_levels
 
   (* How many copies (data replicas + cache copies) a range at this level
-     carries: the loop bound for charging, redraw cleanup, repair and the
-     invariant cross-check. *)
+     carries: the loop bound for charging, repair and the invariant
+     cross-check, and the length of a redraw entry. *)
   let slots_at t level = if cached_level t level then t.r + t.cache_replicas - 1 else t.r
 
-  (* Host of replica slot [j] of a range at redraw generation [g]. At
-     slot 0, generation 0, the mixing constants vanish and this is exactly
-     the historical single-copy hash — the bit-identical zero-failure
-     contract. *)
+  (* Raw draw [g] of replica slot [j] of a range. At slot 0, draw 0 the
+     mixing constants vanish and this is exactly the historical
+     single-copy hash — the bit-identical zero-failure contract. *)
   let slot_host t level b rid j g =
     Prng.hash3
       (t.place_seed + (j * 0x9e3779) + (g * 0x85ebca))
@@ -102,42 +111,53 @@ module Make (S : Range_structure.S) = struct
       rid
     mod Network.host_count t.net
 
-  let slot_generation t level b rid j =
+  (* The range's redraw generations, or [None] when it never moved. *)
+  let generations t level b rid =
     let redraw = t.layers.(level).redraw in
-    if Hashtbl.length redraw = 0 then 0
-    else match Hashtbl.find_opt redraw (b, rid, j) with Some g -> g | None -> 0
+    if Range_tbl.length redraw = 0 then None else Range_tbl.find_opt redraw (b, rid)
 
-  (* Host of replica slot [j]: the slot's generation-[g] draw, where raw
-     draws landing on a host already holding an earlier slot of the same
-     range are skipped — so the r copies of a range always occupy r
-     distinct hosts, and killing at most r - 1 hosts can never destroy
-     every copy of anything. Slot 0 at generation 0 takes raw draw 0:
-     exactly the historical single-copy hash (the bit-identical
-     zero-failure contract), which the first branch serves without the
-     slot scan. *)
+  let rec taken hosts s h x = x < s && (hosts.(x) = h || taken hosts s h (x + 1))
+
+  (* Host of slot [s] at generation [g]: its [g]-th admissible raw draw
+     (counting from 0), where a draw is admissible unless it lands on one
+     of the hosts [hosts.(0 .. s - 1)] of the range's earlier slots. So
+     the copies of a range always occupy distinct hosts, and killing at
+     most r - 1 hosts can never destroy every copy of anything. *)
+  let rec admissible_draw t level b rid hosts s g raw =
+    if raw > 10_000 then failwith "Hierarchy: replica placement exhausted";
+    let h = slot_host t level b rid s raw in
+    if taken hosts s h 0 then admissible_draw t level b rid hosts s g (raw + 1)
+    else if g = 0 then h
+    else admissible_draw t level b rid hosts s (g - 1) (raw + 1)
+
+  (* The placement kernel: fill [hosts.(0 .. n - 1)] with the hosts of
+     slots [0 .. n - 1] of a range, in one ascending pass — each slot's
+     draw skips the hosts of the slots already filled. Every consumer
+     (charging, routing, cache reads, repair, the invariant check) places
+     copies through this, so they all agree. *)
+  let replica_hosts t level b rid hosts n =
+    match generations t level b rid with
+    | None ->
+        for s = 0 to n - 1 do
+          hosts.(s) <- admissible_draw t level b rid hosts s 0 0
+        done
+    | Some gens ->
+        for s = 0 to n - 1 do
+          hosts.(s) <- admissible_draw t level b rid hosts s gens.(s) 0
+        done
+
+  (* Host of the single replica slot [j]. Slot 0 has no earlier slot to
+     collide with, so its generation-[g] host is raw draw [g]; at
+     generation 0 that is the historical single-copy hash, served
+     without a table lookup while the level has never been repaired. *)
   let replica_host t level b rid j =
-    if j = 0 && Hashtbl.length t.layers.(level).redraw = 0 then slot_host t level b rid 0 0
+    if j = 0 then
+      slot_host t level b rid 0
+        (match generations t level b rid with None -> 0 | Some gens -> gens.(0))
     else begin
-      let prev = Array.make (max j 1) 0 in
-      let chosen = ref 0 in
-      for s = 0 to j do
-        let admissible h =
-          let ok = ref true in
-          for x = 0 to s - 1 do
-            if prev.(x) = h then ok := false
-          done;
-          !ok
-        in
-        let rec pick g gg attempts =
-          if attempts > 10_000 then failwith "Hierarchy: replica placement exhausted";
-          let h = slot_host t level b rid s gg in
-          if admissible h then (if g = 0 then h else pick (g - 1) (gg + 1) (attempts + 1))
-          else pick g (gg + 1) (attempts + 1)
-        in
-        let h = pick (slot_generation t level b rid s) 0 0 in
-        if s < j then prev.(s) <- h else chosen := h
-      done;
-      !chosen
+      let hosts = Array.make (j + 1) 0 in
+      replica_hosts t level b rid hosts (j + 1);
+      hosts.(j)
     end
 
   (* Where a query walk should go for a range: the primary, or — mid-walk
@@ -147,14 +167,14 @@ module Make (S : Range_structure.S) = struct
   let route_host t level b rid =
     let h0 = replica_host t level b rid 0 in
     if Network.alive t.net h0 then h0
-    else
+    else begin
+      let hosts = Array.make t.r 0 in
+      replica_hosts t level b rid hosts t.r;
       let rec go j =
-        if j >= t.r then h0
-        else
-          let h = replica_host t level b rid j in
-          if Network.alive t.net h then h else go (j + 1)
+        if j >= t.r then h0 else if Network.alive t.net hosts.(j) then hosts.(j) else go (j + 1)
       in
       go 1
+    end
 
   (* Where a query originating at element [origin] reads a range: at
      cached levels, its deterministic per-origin cache slot — slot 0 is
@@ -180,20 +200,23 @@ module Make (S : Range_structure.S) = struct
   (* Charge (or release) one unit on every copy of a range — data replicas
      and, at cached levels, the cache copies too. *)
   let charge_replicas t ~charge level b rid k =
-    for j = 0 to slots_at t level - 1 do
-      charge (replica_host t level b rid j) k
-    done
+    let n = slots_at t level in
+    if n = 1 then charge (replica_host t level b rid 0) k
+    else begin
+      let hosts = Array.make n 0 in
+      replica_hosts t level b rid hosts n;
+      for j = 0 to n - 1 do
+        charge hosts.(j) k
+      done
+    end
 
-  (* Release every copy of a dying range, then drop any redraw state it
-     holds, so a later range reusing the same (level, b, rid) code starts
-     from generation 0 again. *)
+  (* Release every copy of a dying range, then drop its redraw entry, so
+     a later range reusing the same (level, b, rid) code starts from
+     generation 0 again. *)
   let release t ~charge level b rid =
     charge_replicas t ~charge level b rid (-1);
     let redraw = t.layers.(level).redraw in
-    if Hashtbl.length redraw > 0 then
-      for j = 0 to slots_at t level - 1 do
-        Hashtbl.remove redraw (b, rid, j)
-      done
+    if Range_tbl.length redraw > 0 then Range_tbl.remove redraw (b, rid)
 
   (* ------- live-id arena: O(1) insert / remove / uniform sample ------- *)
 
@@ -468,14 +491,18 @@ module Make (S : Range_structure.S) = struct
 
   (* One repair pass: walk every live range, and for every replica slot
      whose current host is dead, bump the slot's redraw generation until
-     its placement hash lands on a live host, migrate the memory charge
-     off the dead host, and bill one copy message for stealing the range
-     from a surviving replica (rainbow-style repair: any live copy can
-     seed the new one). A slot with {e no} surviving replica is counted in
+     its placement lands on a live host, migrate the memory charge off
+     the dead host, and bill one copy message for stealing the range from
+     a surviving replica (rainbow-style repair: any live copy can seed
+     the new one). A slot with {e no} surviving replica is counted in
      [lost] instead of [messages] — the simulator re-materializes it so
      the structure stays whole, but a real deployment would have lost that
      range; with r >= 2 and at most r - 1 concurrent failures per epoch,
      [lost] is always 0.
+
+     Every range costs one placement pass into a buffer shared by the
+     whole repair; only a range with a copy on a dead host goes on to
+     the bump-and-migrate step.
 
      The repair bill is reported in the returned stats, not pushed through
      sessions: repair is host-side maintenance (like deferred charges),
@@ -483,51 +510,61 @@ module Make (S : Range_structure.S) = struct
      stay clean. Must not run concurrently with queries or updates. *)
   let repair t =
     let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
+    let most = t.r + t.cache_replicas - 1 in
+    let old = Array.make most 0 and fresh = Array.make most 0 in
+    let alive h = Network.alive t.net h in
+    (* Every copy of the range: its r data replicas plus, at cached
+       levels, the cache copies — a cache copy on a dead host is re-drawn
+       with the same collision-skipping generation scheme and billed like
+       any other steal, so the cache never silently survives on dead
+       hosts. *)
+    let repair_range level redraw slots b rid =
+      incr scanned;
+      replica_hosts t level b rid old slots;
+      let dead = ref 0 in
+      for j = 0 to slots - 1 do
+        if not (alive old.(j)) then incr dead
+      done;
+      if !dead > 0 then begin
+        let any_live = !dead < slots in
+        let gens =
+          match Range_tbl.find_opt redraw (b, rid) with
+          | Some gens -> gens
+          | None ->
+              let gens = Array.make slots 0 in
+              Range_tbl.replace redraw (b, rid) gens;
+              gens
+        in
+        (* Bump each dead slot's generation until its placement lands
+           live. Ascending slot order: a bumped slot can shift the
+           admissible enumeration of *later* slots only, so one ascending
+           pass settles every slot. *)
+        for j = 0 to slots - 1 do
+          let h = ref (admissible_draw t level b rid fresh j gens.(j) 0) in
+          while not (alive !h) do
+            gens.(j) <- gens.(j) + 1;
+            h := admissible_draw t level b rid fresh j gens.(j) 0
+          done;
+          fresh.(j) <- !h
+        done;
+        (* Migrate charges by placement diff — which also catches a live
+           slot whose admissible draw shifted because an earlier slot of
+           the same range moved. *)
+        for j = 0 to slots - 1 do
+          if fresh.(j) <> old.(j) then begin
+            Network.charge_memory t.net old.(j) (-1);
+            Network.charge_memory t.net fresh.(j) 1;
+            incr repaired;
+            if any_live then incr messages else incr lost
+          end
+        done
+      end
+    in
     Array.iteri
       (fun level ly ->
+        let slots = slots_at t level in
         Hashtbl.iter
-          (fun b s ->
-            List.iter
-              (fun rid ->
-                incr scanned;
-                (* Every copy of the range: its r data replicas plus, at
-                   cached levels, the cache copies — a cache copy on a
-                   dead host is re-drawn with the same collision-skipping
-                   generation scheme and billed like any other steal, so
-                   the cache never silently survives on dead hosts. *)
-                let slots = slots_at t level in
-                let old = Array.init slots (replica_host t level b rid) in
-                let any_live = Array.exists (fun h -> Network.alive t.net h) old in
-                if Array.exists (fun h -> not (Network.alive t.net h)) old then begin
-                  (* Bump each dead slot's generation until its placement
-                     lands live. Ascending slot order: a bumped slot can
-                     shift the admissible enumeration of *later* slots
-                     only, so one ascending pass settles every slot. *)
-                  for j = 0 to slots - 1 do
-                    let rec settle attempts =
-                      if attempts > 10_000 then
-                        failwith "Hierarchy.repair: could not find a live host";
-                      if not (Network.alive t.net (replica_host t level b rid j)) then begin
-                        Hashtbl.replace ly.redraw (b, rid, j) (slot_generation t level b rid j + 1);
-                        settle (attempts + 1)
-                      end
-                    in
-                    settle 0
-                  done;
-                  (* Migrate charges by placement diff — which also catches
-                     a live slot whose admissible draw shifted because an
-                     earlier slot of the same range moved. *)
-                  for j = 0 to slots - 1 do
-                    let h' = replica_host t level b rid j in
-                    if h' <> old.(j) then begin
-                      Network.charge_memory t.net old.(j) (-1);
-                      Network.charge_memory t.net h' 1;
-                      incr repaired;
-                      if any_live then incr messages else incr lost
-                    end
-                  done
-                end)
-              (S.range_ids s))
+          (fun b s -> List.iter (repair_range level ly.redraw slots b) (S.range_ids s))
           ly.sets)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
@@ -839,20 +876,32 @@ module Make (S : Range_structure.S) = struct
     (* Cross-check every copy of every live range against the simulator's
        per-host memory, which the updates charged from range deltas.
        (Assumes this hierarchy is the only structure charging this
-       network, which holds in the test harnesses.) *)
+       network, which holds in the test harnesses.) On the way, count the
+       live ranges holding a redraw entry: every entry must belong to one,
+       or a range reusing a dead range's code would inherit its redraws. *)
     let expected = Array.make (Network.host_count t.net) 0 in
+    let hosts = Array.make (t.r + t.cache_replicas - 1) 0 in
     Array.iteri
       (fun level ly ->
+        let slots = slots_at t level and owned = ref 0 in
         Hashtbl.iter
           (fun b s ->
             List.iter
               (fun rid ->
-                for j = 0 to slots_at t level - 1 do
-                  let h = replica_host t level b rid j in
-                  expected.(h) <- expected.(h) + 1
+                if Range_tbl.mem ly.redraw (b, rid) then incr owned;
+                replica_hosts t level b rid hosts slots;
+                for j = 0 to slots - 1 do
+                  expected.(hosts.(j)) <- expected.(hosts.(j)) + 1
                 done)
               (S.range_ids s))
-          ly.sets)
+          ly.sets;
+        if !owned <> Range_tbl.length ly.redraw then
+          failwith (Printf.sprintf "Hierarchy: stale redraw entry at level %d" level);
+        Range_tbl.iter
+          (fun _ gens ->
+            if Array.length gens <> slots || Array.for_all (( = ) 0) gens then
+              failwith (Printf.sprintf "Hierarchy: malformed redraw entry at level %d" level))
+          ly.redraw)
       t.layers;
     Array.iteri
       (fun h e ->

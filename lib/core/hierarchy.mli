@@ -112,6 +112,8 @@ module Make (S : Range_structure.S) : sig
       replicas — re-drawn with the same collision-skipping generation
       scheme and billed in the stats — so a cache never silently survives
       on dead hosts.
+      Every live range is visited (one placement pass each, counted in
+      [scanned]); only ranges with a copy on a dead host are re-drawn.
       Idempotent once all placements are live; must not run concurrently
       with queries or updates (failure epochs are serialized, like
       updates). The message bill is returned in the stats and {e not}
@@ -241,6 +243,9 @@ module Make (S : Range_structure.S) : sig
       range ids — sums host-for-host to {!Network.memory}, which the
       updates charged incrementally from range deltas (so an inexact
       delta is caught here; this assumes the hierarchy is the only
-      structure charging its network, as in the tests). Raises [Failure]
-      on violation. *)
+      structure charging its network, as in the tests). Every redraw
+      entry a repair left behind must belong to a live range of its level
+      and carry one generation per replica slot, at least one of them
+      non-zero — a stale entry would silently move a later range that
+      reuses the same range id. Raises [Failure] on violation. *)
 end

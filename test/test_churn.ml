@@ -228,6 +228,65 @@ let test_pooled_churn_after_repair () =
   checkb "repair stats at jobs 2 = jobs 1" true (stats2 = stats);
   checkb "per-host memory at jobs 2 = jobs 1" true (memory2 = memory)
 
+(* Placement is a pure function of the structure, so where every copy
+   lives — data replicas, cache copies and the redraws repair leaves
+   behind — is a contract, not an implementation detail. Six epochs of
+   kill -> repair -> revive on a cached, replicated hierarchy over few
+   hosts (so collision skips and repeated redraws are common), with
+   single and batch writes between epochs; pinned per epoch are the
+   repair stats and a digest of every host's charged memory, at jobs 1
+   and 2. *)
+let placement_epochs ~jobs =
+  let hosts = 16 and bound = 30_000 in
+  let keys = W.distinct_ints ~seed:41 ~n:600 ~bound in
+  let net = Network.create ~hosts in
+  Pool.with_pool ~jobs @@ fun pool ->
+  let h = HInt.build ~net ~seed:41 ~r:2 ~cache_levels:4 ~cache_replicas:4 ?pool keys in
+  let digest () =
+    let acc = ref 0 in
+    for x = 0 to hosts - 1 do
+      acc := Prng.hash2 !acc (Network.memory net x)
+    done;
+    !acc
+  in
+  List.map
+    (fun epoch ->
+      let victim = ((5 * epoch) + 2) mod hosts in
+      Network.kill net victim;
+      let st = HInt.repair h in
+      Network.revive net victim;
+      HInt.check_invariants h;
+      let row =
+        [ st.HInt.scanned; st.HInt.repaired; st.HInt.messages; st.HInt.lost; digest () ]
+      in
+      let k = bound + epoch in
+      ignore (HInt.insert h k : int);
+      ignore (HInt.remove h keys.(epoch) : int);
+      let fresh = Array.init 120 (fun i -> bound + 100 + (epoch * 1_000) + (7 * i)) in
+      ignore (HInt.insert_batch ?pool h fresh : int);
+      ignore (HInt.remove_batch ?pool h (Array.append (Array.sub fresh 0 80) [| k |]) : int);
+      HInt.check_invariants h;
+      row)
+    [ 0; 1; 2; 3; 4; 5 ]
+
+let pinned_placement =
+  [
+    [ 14487; 2891; 2891; 0; 3643341383684298010 ];
+    [ 15371; 3411; 3411; 0; 1906180754646970221 ];
+    [ 16266; 3859; 3859; 0; 1711732979560705594 ];
+    [ 17162; 4348; 4348; 0; 3364637212630993080 ];
+    [ 18053; 4864; 4864; 0; 4206480874305114536 ];
+    [ 18942; 5441; 5441; 0; 374725655657171767 ];
+  ]
+
+let test_pinned_placement () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "repair stats + memory digest per epoch (jobs %d)" jobs)
+        pinned_placement (placement_epochs ~jobs))
+    [ 1; 2 ]
+
 let test_blocked_failover_and_repair () =
   let bound = 6_000 in
   let keys = W.distinct_ints ~seed:22 ~n:120 ~bound in
@@ -430,6 +489,7 @@ let suite =
       test_hierarchy_failover_and_repair;
     Alcotest.test_case "hierarchy pooled churn after repair" `Quick
       test_pooled_churn_after_repair;
+    Alcotest.test_case "hierarchy placement pinned across repairs" `Quick test_pinned_placement;
     Alcotest.test_case "blocked failover + repair lifecycle" `Quick
       test_blocked_failover_and_repair;
     Alcotest.test_case "r=1 degrades gracefully and recovers" `Quick test_r1_degrades_and_recovers;
