@@ -15,9 +15,9 @@
                                               # domains (results are
                                               # bit-identical to --jobs 1)
 
-   Experiments: table1, lemmas, theorem2, updates, figures, congestion,
-   bucket, ablations, scale, churn, hotspot, serving, trace, multid,
-   time. *)
+   Experiments: queries, table1, lemmas, theorem2, updates, figures,
+   congestion, bucket, ablations, scale, churn, hotspot, serving, trace,
+   multid, time. *)
 
 let experiments =
   [

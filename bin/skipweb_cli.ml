@@ -785,11 +785,17 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
    structures support replication and repair; the overlay baselines have
    no failure story. *)
 let run_churn structure n queries seed m r epochs fails jobs =
-  if r < 1 then begin
-    prerr_endline "churn: --r must be >= 1";
-    exit 2
-  end;
   let fails = match fails with Some f -> f | None -> max 1 (r - 1) in
+  (* One host per key, and every epoch's kills must leave r live hosts for
+     the replicas: anything else cannot run to completion. *)
+  let usage msg =
+    prerr_endline ("churn: " ^ msg);
+    exit 2
+  in
+  if r < 1 || r > n then usage (Printf.sprintf "--r must be in [1, N] (N = %d)" n);
+  if fails < 0 || fails > n - r then
+    usage (Printf.sprintf "--fails must be in [0, N - R] (N - R = %d)" (n - r));
+  if epochs < 1 || queries < 1 then usage "--epochs and --queries must be >= 1";
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
   let ops =

@@ -3,8 +3,10 @@ module Trace = Skipweb_net.Trace
 module Placement = Skipweb_net.Placement
 module Membership = Skipweb_util.Membership
 module Prng = Skipweb_util.Prng
+module Presort = Skipweb_util.Presort
 module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
+module Pool = Skipweb_util.Pool
 
 (* The blocks of one basic-level set, indexed by block number j. *)
 type group = {
@@ -50,10 +52,8 @@ type t = {
       (* basic level -> prefix -> block j -> the k - 1 cache hosts;
          [||] for every level outside the cache window *)
   host_mem : int array;  (* what we charged per host, for rebuilds *)
-  mutable pool : Skipweb_util.Pool.t option;  (* fans rebuild phases out when set *)
+  pool : Pool.t option;  (* the build's pool, reused by update-triggered rebuilds *)
 }
-
-let set_pool t pool = t.pool <- pool
 
 let size t = O.length t.keys
 let levels t = t.top + 1
@@ -200,17 +200,17 @@ let codes_touching arr (lo, hi) =
   in
   (clo, chi)
 
-(* Run [f i] for every level i in [0, n) — over the pool when one is
-   set, inline otherwise. Levels cost about the same, so the weights are
+(* Run [f i] for every level i in [0, n) — over [pool] when given,
+   inline otherwise. Levels cost about the same, so the weights are
    uniform; dynamic dispatch still keeps every domain busy until the
    batch drains. *)
-let for_items t n f =
-  match t.pool with
+let for_items pool n f =
+  match pool with
   | None ->
       for i = 0 to n - 1 do
         f i
       done
-  | Some p -> Skipweb_util.Pool.parallel_for_tasks p ~weights:(Array.make (max n 1) 1) f
+  | Some p -> Pool.parallel_for_tasks p ~weights:(Array.make (max n 1) 1) f
 
 (* A rebuild writes the dense tables directly, in two fan-out phases with
    sequential steps in between, so the result is bit-identical for any
@@ -225,7 +225,7 @@ let for_items t n f =
         non-basic level fills that level's cone tables, each task writing
         only its own level; a last sequential pass sums every block's
         stored units and charges its owners. *)
-let rebuild t =
+let rebuild t pool =
   uncharge_all t;
   let n = size t in
   t.top <- required_top n;
@@ -233,7 +233,7 @@ let rebuild t =
   let keys = O.to_array t.keys in
   let paths = Array.map (path_of t) keys in
   let sets = Array.make (top + 1) [||] in
-  for_items t (top + 1) (fun level ->
+  for_items pool (top + 1) (fun level ->
       let shift = top - level in
       let fill = Array.make (1 lsl level) 0 in
       Array.iter (fun p -> fill.(p lsr shift) <- fill.(p lsr shift) + 1) paths;
@@ -306,7 +306,7 @@ let rebuild t =
      touches.) The ranges of a set partition the key line, so every block
      touches every non-empty descendant set. *)
   let cones = Array.make (top + 1) [||] in
-  for_items t (top + 1) (fun level ->
+  for_items pool (top + 1) (fun level ->
       if not (basic level) then begin
         let base = cone_base t level in
         cones.(level) <-
@@ -383,7 +383,7 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       pool;
     }
   in
-  rebuild t;
+  rebuild t pool;
   t
 
 let replication t = t.r
@@ -552,16 +552,9 @@ let query_batch ?pool t ~rng qs =
   if size t = 0 then
     Array.map (fun _ -> { predecessor = None; successor = None; nearest = None; messages = 0 }) qs
   else begin
-    let origins = Array.init n (fun _ -> O.get t.keys (Prng.int rng (size t))) in
-    let out = Array.make n None in
-    let run i = out.(i) <- Some (query_from t origins.(i) qs.(i)) in
-    (match pool with
-    | None ->
-        for i = 0 to n - 1 do
-          run i
-        done
-    | Some p -> Skipweb_util.Pool.parallel_for p ~lo:0 ~hi:n run);
-    Array.map (function Some r -> r | None -> assert false) out
+    let walks = Array.init n (fun i -> (O.get t.keys (Prng.int rng (size t)), qs.(i))) in
+    let run (origin, q) = query_from t origin q in
+    match pool with None -> Array.map run walks | Some p -> Pool.parallel_map p run walks
   end
 
 let mem t k = O.mem t.keys k
@@ -578,7 +571,7 @@ let insert t k =
   else begin
     let locate_msgs = if size t = 0 then 0 else (query t ~rng:(Prng.create (k + 13)) k).messages in
     ignore (O.insert t.keys k);
-    rebuild t;
+    rebuild t t.pool;
     update_cost t locate_msgs
   end
 
@@ -587,44 +580,11 @@ let delete t k =
   else begin
     let locate_msgs = (query t ~rng:(Prng.create (k + 17)) k).messages in
     ignore (O.remove t.keys k);
-    rebuild t;
+    rebuild t t.pool;
     update_cost t locate_msgs
   end
 
 (* ------- bulk maintenance updates ------- *)
-
-(* Canonical batch form: strictly increasing. Already-sorted input (the
-   common case for epoch-style feeds) passes through without copying. *)
-let sorted_distinct ks =
-  let m = Array.length ks in
-  let sorted = ref true in
-  for i = 1 to m - 1 do
-    if ks.(i - 1) >= ks.(i) then sorted := false
-  done;
-  if !sorted then ks
-  else begin
-    let xs = Array.copy ks in
-    Array.sort compare xs;
-    let w = ref 1 in
-    for r = 1 to m - 1 do
-      if xs.(r) <> xs.(!w - 1) then begin
-        xs.(!w) <- xs.(r);
-        incr w
-      end
-    done;
-    Array.sub xs 0 !w
-  end
-
-(* Run [f] with [pool] (when given) standing in for the structure's own,
-   so one batch op's ground-set splice *and* the rebuild it triggers fan
-   out under the same pool. *)
-let with_batch_pool t pool f =
-  match pool with
-  | None -> f t.pool
-  | Some _ ->
-      let saved = t.pool in
-      t.pool <- pool;
-      Fun.protect ~finally:(fun () -> t.pool <- saved) (fun () -> f pool)
 
 (* The bulk write path: splice the whole sorted batch into the ground
    set through the chunk-sharded Ordseq engine, then rebuild the
@@ -635,22 +595,16 @@ let with_batch_pool t pool f =
    disjoint chunk ranges and the rebuild fans its two phases, both
    bit-identical to sequential for any jobs count. *)
 let insert_batch ?pool t ks =
-  let ks = sorted_distinct ks in
-  if Array.length ks = 0 then 0
-  else
-    with_batch_pool t pool (fun pool ->
-        let added = O.insert_batch ?pool t.keys ks in
-        if added > 0 then rebuild t;
-        added)
+  let pool = match pool with Some _ -> pool | None -> t.pool in
+  let added = O.insert_batch ?pool t.keys (Presort.sorted_distinct ~cmp:Int.compare ks) in
+  if added > 0 then rebuild t pool;
+  added
 
 let delete_batch ?pool t ks =
-  let ks = sorted_distinct ks in
-  if Array.length ks = 0 then 0
-  else
-    with_batch_pool t pool (fun pool ->
-        let gone = O.remove_batch ?pool t.keys ks in
-        if gone > 0 then rebuild t;
-        gone)
+  let pool = match pool with Some _ -> pool | None -> t.pool in
+  let gone = O.remove_batch ?pool t.keys (Presort.sorted_distinct ~cmp:Int.compare ks) in
+  if gone > 0 then rebuild t pool;
+  gone
 
 let check_invariants t =
   let n = size t in
@@ -793,7 +747,7 @@ let repair t =
           end)
         copies);
   Array.iter (Array.iter (fun tbl -> scanned := !scanned + cone_entries tbl)) t.cones;
-  rebuild t;
+  rebuild t t.pool;
   { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
 type range_result = { keys : int list; messages : int }

@@ -55,8 +55,9 @@ val build :
     (including the head-host order of every replica list, and hence every
     later query's message count) and all memory charges are bit-identical
     for any jobs count. The structure {e keeps} the pool for the rebuilds
-    that {!insert}/{!delete} trigger: the pool must stay alive as long as
-    this structure receives updates, or be detached with {!set_pool}.
+    that {!insert}, {!delete}, {!repair} and pool-less batch updates
+    trigger, so the pool must stay alive as long as this structure
+    receives updates.
 
     [cache_levels] / [cache_replicas] configure the read-path group cache
     (the congestion-flattening trick of the skip-graph NoN line): every
@@ -71,12 +72,6 @@ val build :
     [cache_replicas = 1] (the default) the cache is off and routing is
     byte-identical to the uncached code. Requires [cache_levels >= 0] and
     [1 <= cache_replicas] with [r + cache_replicas - 1 <= host count]. *)
-
-val set_pool : t -> Skipweb_util.Pool.t option -> unit
-(** Attach or detach the domain pool used by update-triggered rebuilds.
-    [set_pool t None] makes every later rebuild sequential (safe after the
-    building pool is shut down); attaching never changes results, only
-    wall-clock time. *)
 
 val size : t -> int
 val levels : t -> int
@@ -143,17 +138,18 @@ val insert : t -> int -> int
 val delete : t -> int -> int
 
 val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
-(** Bulk maintenance insert: sort / dedup the batch, splice it into the
-    ground set through the chunk-sharded {!Skipweb_util.Ordseq} batch
-    engine, and rebuild the block / cone maps {e once} for the whole
-    batch instead of once per key. [?pool] (default: the structure's own
-    pool) shards the splice over disjoint chunk ranges and fans the
-    rebuild's bulk phases; the resulting structure and all memory
-    charges are bit-identical for any jobs count. Like {!repair}, the
-    bulk path is a maintenance operation: no locate queries run and
-    nothing is added to the network's message counters — the online
-    per-key bill is {!insert}'s. Returns the number of keys actually
-    inserted (duplicates of stored keys are no-ops). *)
+(** Bulk maintenance insert: sort / dedup the batch with
+    {!Skipweb_util.Presort.sorted_distinct}, splice it into the ground
+    set through the chunk-sharded {!Skipweb_util.Ordseq} batch engine,
+    and rebuild the block / cone maps {e once} for the whole batch
+    instead of once per key. [?pool] (default: the pool the structure was
+    built with) shards the splice over disjoint chunk ranges and fans
+    that one rebuild's bulk phases; it is not kept. The resulting
+    structure and all memory charges are bit-identical for any jobs
+    count. Like {!repair}, the bulk path is a maintenance operation: no
+    locate queries run and nothing is added to the network's message
+    counters — the online per-key bill is {!insert}'s. Returns the number
+    of keys actually inserted (duplicates of stored keys are no-ops). *)
 
 val delete_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
 (** Bulk counterpart of {!delete}: keys absent from the ground set are

@@ -702,16 +702,9 @@ module Make (S : Range_structure.S) = struct
   let fan_out ?pool t ~rng ~name walk xs =
     let n = Array.length xs in
     if n > 0 && size t = 0 then invalid_arg (name ^ ": empty structure");
-    let origins = Array.init n (fun _ -> sample_id t rng) in
-    let out = Array.make n None in
-    let run i = out.(i) <- Some (walk t origins.(i) xs.(i)) in
-    (match pool with
-    | None ->
-        for i = 0 to n - 1 do
-          run i
-        done
-    | Some p -> Pool.parallel_for p ~lo:0 ~hi:n run);
-    Array.map (function Some r -> r | None -> assert false) out
+    let walks = Array.init n (fun i -> (sample_id t rng, xs.(i))) in
+    let run (origin, x) = walk t origin x in
+    match pool with None -> Array.map run walks | Some p -> Pool.parallel_map p run walks
 
   let scan_batch ?pool t ~rng scs =
     fan_out ?pool t ~rng ~name:"Hierarchy.scan_batch" (scan_from ?trace:None) scs

@@ -3,8 +3,8 @@
 
     A placement is a pure function from an abstract item index to a host.
     The improved contiguous blocking for one-dimensional data (§2.4.1) is
-    more involved and lives with the 1-d skip-web itself
-    ({!Skipweb_core.Skipweb_1d}); the policies here cover the
+    more involved and lives with the blocked 1-d skip-web itself
+    ({!Skipweb_core.Blocked1d}); the policies here cover the
     "arbitrary assignment, O(M) per host" general scheme and the baselines. *)
 
 type t = int -> Network.host

@@ -312,85 +312,12 @@ let of_sorted_array a =
   load t a n;
   t
 
-let dedup_sorted a =
-  let n = Array.length a in
-  if n = 0 then 0
-  else begin
-    let m = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(!m - 1) then begin
-        a.(!m) <- a.(i);
-        incr m
-      end
-    done;
-    !m
-  end
-
-(* Sort a copy of [a], splitting the sort over the pool when the input is
-   big enough to pay for it: static segments sorted concurrently, then
-   deterministic pairwise merge rounds. The sorted multiset of ints is
-   unique whatever the segmentation, so the result is byte-identical to
-   the sequential sort for any job count. *)
-let sorted_copy ?pool a =
-  let a = Array.copy a in
-  let n = Array.length a in
-  let parts =
-    match pool with
-    | Some p when n >= 8192 && Pool.jobs p > 1 -> min (Pool.jobs p) (n / 4096)
-    | _ -> 1
-  in
-  if parts < 2 then begin
-    Array.sort compare a;
-    a
-  end
-  else begin
-    let base = n / parts and extra = n mod parts in
-    let segs =
-      Array.init parts (fun i ->
-          let start = (i * base) + min i extra in
-          let len = base + if i < extra then 1 else 0 in
-          Array.sub a start len)
-    in
-    (match pool with
-    | Some p -> Pool.parallel_for p ~lo:0 ~hi:parts (fun i -> Array.sort compare segs.(i))
-    | None -> Array.iter (Array.sort compare) segs);
-    let merge2 x y =
-      let lx = Array.length x and ly = Array.length y in
-      let out = Array.make (lx + ly) 0 in
-      let i = ref 0 and j = ref 0 and o = ref 0 in
-      while !i < lx && !j < ly do
-        if x.(!i) <= y.(!j) then begin
-          out.(!o) <- x.(!i);
-          incr i
-        end
-        else begin
-          out.(!o) <- y.(!j);
-          incr j
-        end;
-        incr o
-      done;
-      Array.blit x !i out !o (lx - !i);
-      Array.blit y !j out (!o + lx - !i) (ly - !j);
-      out
-    in
-    let rec rounds = function
-      | [] -> [||]
-      | [ s ] -> s
-      | segs ->
-          let rec pair = function
-            | x :: y :: rest -> merge2 x y :: pair rest
-            | tail -> tail
-          in
-          rounds (pair segs)
-    in
-    rounds (Array.to_list segs)
-  end
-
+(* [load] copies, so Presort returning [a] itself for sorted input cannot
+   alias the caller's array. *)
 let of_array ?pool a =
-  let a = sorted_copy ?pool a in
-  let m = dedup_sorted a in
+  let a = Presort.sorted_distinct ?pool ~cmp:Int.compare a in
   let t = create () in
-  load t a m;
+  load t a (Array.length a);
   t
 
 let lower_bound t k =
@@ -813,118 +740,6 @@ module Vec = struct
     let v = t.chunk.(j).(p) in
     del t j p;
     v
-
-  (* Chunk start offsets: off.(j) = global position of chunk j's first
-     cell (off.(nchunks) = total). *)
-  let chunk_offsets t =
-    let off = Array.make (t.nchunks + 1) 0 in
-    for j = 0 to t.nchunks - 1 do
-      off.(j + 1) <- off.(j) + t.clen.(j)
-    done;
-    off
-
-  (* First batch index whose position is >= k. *)
-  let pos_lower_bound pos m k =
-    let rec go lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) lsr 1 in
-        if pos mid < k then go (mid + 1) hi else go lo mid
-    in
-    go 0 m
-
-  let insert_at_batch ?pool t pairs =
-    let m = Array.length pairs in
-    for i = 0 to m - 1 do
-      let p = fst pairs.(i) in
-      if p < 0 || p > t.total then invalid_arg "Ordseq.Vec.insert_at_batch: position out of range";
-      if i > 0 && fst pairs.(i - 1) > p then
-        invalid_arg "Ordseq.Vec.insert_at_batch: positions not sorted"
-    done;
-    if m = 0 then ()
-    else if t.nchunks = 0 then load t (Array.map snd pairs) m
-    else begin
-      let nch = t.nchunks in
-      let off = chunk_offsets t in
-      let seg = Array.make (nch + 1) 0 in
-      seg.(nch) <- m;
-      for j = 1 to nch - 1 do
-        (* A position equal to a chunk's start offset prepends to that
-           chunk — the [fen_find] routing of the single op; positions at
-           [total] fall to the last chunk, matching [insert_at]. *)
-        seg.(j) <- pos_lower_bound (fun i -> fst pairs.(i)) m off.(j)
-      done;
-      let aff = affected_chunks nch seg in
-      let plan = Array.make nch None in
-      let apply i =
-        let j = aff.(i) in
-        let lo = seg.(j) and hi = seg.(j + 1) in
-        let base = off.(j) in
-        let c = t.chunk.(j) and len = t.clen.(j) in
-        let out = Array.make (len + (hi - lo)) 0 in
-        let o = ref 0 and s = ref lo in
-        for r = 0 to len - 1 do
-          while !s < hi && fst pairs.(!s) - base <= r do
-            out.(!o) <- snd pairs.(!s);
-            incr o;
-            incr s
-          done;
-          out.(!o) <- c.(r);
-          incr o
-        done;
-        while !s < hi do
-          out.(!o) <- snd pairs.(!s);
-          incr o;
-          incr s
-        done;
-        plan.(j) <- Some (out, len + (hi - lo))
-      in
-      dispatch_shards pool t seg aff apply;
-      commit_plan t plan
-    end
-
-  let remove_at_batch ?pool t positions =
-    let m = Array.length positions in
-    for i = 0 to m - 1 do
-      if positions.(i) < 0 || positions.(i) >= t.total then
-        invalid_arg "Ordseq.Vec.remove_at_batch: position out of range";
-      if i > 0 && positions.(i - 1) >= positions.(i) then
-        invalid_arg "Ordseq.Vec.remove_at_batch: positions not strictly increasing"
-    done;
-    let removed = Array.make m 0 in
-    if m > 0 then begin
-      let nch = t.nchunks in
-      let off = chunk_offsets t in
-      let seg = Array.make (nch + 1) 0 in
-      seg.(nch) <- m;
-      for j = 1 to nch - 1 do
-        seg.(j) <- pos_lower_bound (fun i -> positions.(i)) m off.(j)
-      done;
-      let aff = affected_chunks nch seg in
-      let plan = Array.make nch None in
-      let apply i =
-        let j = aff.(i) in
-        let lo = seg.(j) and hi = seg.(j + 1) in
-        let base = off.(j) in
-        let c = t.chunk.(j) and len = t.clen.(j) in
-        let w = ref 0 and s = ref lo in
-        for r = 0 to len - 1 do
-          if !s < hi && positions.(!s) - base = r then begin
-            (* Slot [!s] of [removed] belongs to this chunk alone. *)
-            removed.(!s) <- c.(r);
-            incr s
-          end
-          else begin
-            c.(!w) <- c.(r);
-            incr w
-          end
-        done;
-        plan.(j) <- Some (c, !w)
-      in
-      dispatch_shards pool t seg aff apply;
-      commit_plan t plan
-    end;
-    removed
 
   let iter = iter
   let to_array = to_array

@@ -46,11 +46,10 @@ val of_sorted_array : int array -> t
     [Invalid_argument] otherwise. The array is copied. *)
 
 val of_array : ?pool:Pool.t -> int array -> t
-(** Copy, single sort, in-place dedup, then bulk load — the constructor
-    [Instances.Ints.build] uses (no intermediate list, no double sort).
-    With [?pool] the sort splits into per-domain segments merged
-    deterministically, so the result is byte-identical to the sequential
-    sort for any job count. *)
+(** Sort and dedup through {!Presort.sorted_distinct}, then bulk load —
+    the constructor [Instances.Ints.build] uses. [?pool] is passed on to
+    the presort, so the result is identical for any job count. The input
+    is never retained or modified. *)
 
 val length : t -> int
 val is_empty : t -> bool
@@ -131,7 +130,9 @@ val check : t -> unit
 (** Same chunk machinery indexed by {e position} instead of key: O(log n)
     [get]/[set], O(√n)-bounded [insert_at]/[remove_at]. The skip-graph
     structures keep their per-position ids and heights here so a splice
-    no longer copies parallel O(n) arrays. *)
+    no longer copies parallel O(n) arrays. Splices go one position at a
+    time: the chunk-sharded batch splice is keyed, so only the sorted
+    sequence has one ({!insert_batch}/{!remove_batch}). *)
 module Vec : sig
   type t
 
@@ -147,19 +148,6 @@ module Vec : sig
 
   val remove_at : t -> int -> int
   (** Removes and returns the element at position [i]. *)
-
-  val insert_at_batch : ?pool:Pool.t -> t -> (int * int) array -> unit
-  (** [insert_at_batch ?pool t pairs] splices every [(pos, v)] of
-      [pairs] in one pass. Positions are relative to the {e original}
-      vector, must be non-decreasing and within [0, length]; each [v]
-      lands before the original element at [pos] (equal positions keep
-      batch order). Chunk-sharded like {!Skipweb_util.Ordseq.insert_batch}:
-      layout and contents are identical for any job count. *)
-
-  val remove_at_batch : ?pool:Pool.t -> t -> int array -> int array
-  (** [remove_at_batch ?pool t positions] removes the elements at the
-      strictly increasing original positions and returns them in that
-      order. *)
 
   val iter : (int -> unit) -> t -> unit
   val to_array : t -> int array

@@ -1,9 +1,10 @@
-(* The shared batch presort. See presort.mli for the pinned semantics.
+(* The one sort-and-dedup in the libraries. See presort.mli for the
+   pinned semantics.
 
-   The pooled path mirrors Ordseq.sorted_copy: cut the copy into at most
-   [jobs] static segments, sort each on its own domain, then combine with
-   deterministic pairwise merge rounds. The sorted-distinct output of a
-   multiset is unique whatever the segmentation, so the parallel path is
+   The pooled path cuts the copy into at most [jobs] static segments,
+   sorts each on its own domain, then combines them with deterministic
+   pairwise merge rounds. The sorted-distinct output of a multiset is
+   unique whatever the segmentation, so the parallel path is
    bit-identical to the sequential one. *)
 
 let strictly_sorted ~cmp a =
@@ -37,7 +38,7 @@ let sorted_copy ?pool ~cmp a =
   let n = Array.length a in
   let parts =
     match pool with
-    | Some p when n >= 8192 && Pool.jobs p > 1 -> min (Pool.jobs p) (n / 4096)
+    | Some p when n >= 1_000_000 && Pool.jobs p > 1 -> min (Pool.jobs p) (n / 4096)
     | _ -> 1
   in
   if parts < 2 then begin

@@ -104,6 +104,17 @@ let test_hint_insert_remove () =
 let test_hint_grow_from_empty () =
   let net = Network.create ~hosts:64 in
   let h = HInt.build ~net ~seed:14 [||] in
+  (* An empty hierarchy has no origin to draw: a non-empty batch raises,
+     an empty one is answered, with or without a pool. *)
+  Skipweb_util.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun pool ->
+          Alcotest.check_raises "batch on empty raises"
+            (Invalid_argument "Hierarchy.query_batch: empty structure") (fun () ->
+              ignore (HInt.query_batch ?pool h ~rng:(Prng.create 1) [| 5 |]));
+          checki "empty batch on empty" 0
+            (Array.length (HInt.query_batch ?pool h ~rng:(Prng.create 1) [||])))
+        [ None; pool ]);
   for k = 1 to 40 do
     ignore (HInt.insert h (k * 11))
   done;
@@ -316,7 +327,24 @@ let test_blocked_build () =
   checki "size" 256 (B1.size b);
   checkb "has basic levels" true (List.length (B1.basic_levels b) >= 2);
   checkb "replication only a constant factor" true
-    (B1.replicated_storage b < 4 * B1.total_storage b)
+    (B1.replicated_storage b < 4 * B1.total_storage b);
+  (* An empty structure answers every query of a batch with nothing and
+     draws no origin from the rng, with or without a pool. *)
+  let empty = B1.build ~net:(Network.create ~hosts:8) ~seed:50 ~m:16 [||] in
+  Skipweb_util.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun pool ->
+          let rng = Prng.create 3 in
+          let rs = B1.query_batch ?pool empty ~rng [| 1; 2; 3 |] in
+          checki "one answer per query" 3 (Array.length rs);
+          checkb "empty answers" true
+            (Array.for_all
+               (fun (r : B1.search_result) ->
+                 r.B1.nearest = None && r.B1.predecessor = None && r.B1.successor = None
+                 && r.B1.messages = 0)
+               rs);
+          checki "rng untouched" (Prng.int (Prng.create 3) 1_000_000) (Prng.int rng 1_000_000))
+        [ None; pool ])
 
 let test_blocked_query_correct () =
   let net = Network.create ~hosts:512 in

@@ -254,9 +254,13 @@ let qcheck_b1_parallel_equals_sequential =
     ~count:8
     QCheck.(pair (int_range 0 1000) (int_range 60 300))
     (fun (seed, n) ->
-      let queries = 50 in
-      let base = b1_sequential ~seed ~n ~queries in
-      List.for_all (fun jobs -> b1_observation ~jobs ~seed ~n ~queries = base) [ 1; 2; 4 ])
+      (* 0, 1 and 3 queries are shorter than 2 * jobs, so the pool takes
+         its dynamic dispatch path. *)
+      List.for_all
+        (fun queries ->
+          let base = b1_sequential ~seed ~n ~queries in
+          List.for_all (fun jobs -> b1_observation ~jobs ~seed ~n ~queries = base) [ 1; 2; 4 ])
+        [ 0; 1; 3; 50 ])
 
 let qcheck_hint_parallel_equals_sequential =
   QCheck.Test.make ~name:"generic 1-d: batch == batch for jobs in {1,2,4}" ~count:6
@@ -267,22 +271,29 @@ let qcheck_hint_parallel_equals_sequential =
       List.for_all (fun jobs -> hint_observation ~jobs ~seed ~n ~queries = base) [ 2; 4 ])
 
 (* The generic hierarchy's sequential loop, pinned against its own batch
-   once (cheaper than a qcheck family; the drift this catches is
-   query_batch consuming rng draws differently from query). *)
+   on one structure (cheaper than a qcheck family; the drift this catches
+   is query_batch consuming rng draws differently from query). Batches of
+   0, 1 and 3 queries at jobs 2 reach parallel_map's inline and dynamic
+   paths. *)
 let test_hint_batch_matches_sequential_loop () =
-  let seed = 11 and n = 200 and queries = 40 in
+  let seed = 11 and n = 200 in
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  let net = Network.create ~hosts:n in
-  let h = HInt.build ~net ~seed keys in
-  let rng = Prng.create (seed + 1) in
-  let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
-  let rs = Array.map (fun q -> HInt.query h ~rng q) qs in
-  let seq_answers = Array.map fst rs in
-  let seq_total = Network.total_messages net in
-  let batch = hint_observation ~jobs:1 ~seed ~n ~queries in
-  let answers, _, total, _, _ = batch in
-  checkb "answers equal" true (answers = seq_answers);
-  checki "network totals equal" seq_total total
+  List.iter
+    (fun queries ->
+      let net = Network.create ~hosts:n in
+      let h = HInt.build ~net ~seed keys in
+      let rng = Prng.create (seed + 1) in
+      let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
+      let rs = Array.map (fun q -> HInt.query h ~rng q) qs in
+      let seq_answers = Array.map fst rs in
+      let seq_total = Network.total_messages net in
+      List.iter
+        (fun jobs ->
+          let answers, _, total, _, _ = hint_observation ~jobs ~seed ~n ~queries in
+          checkb "answers equal" true (answers = seq_answers);
+          checki "network totals equal" seq_total total)
+        [ 1; 2 ])
+    [ 0; 1; 3; 40 ]
 
 (* The multi-d instances have no native batch engine: a hierarchy batch
    is one task per level on a pool, and each level structure runs the

@@ -351,7 +351,28 @@ let test_ordseq_bulk () =
 let test_ordseq_of_array () =
   let t = Ordseq.of_array [| 5; 1; 5; 3; 1; 9 |] in
   Ordseq.check t;
-  checkb "sorted deduped" true (Ordseq.to_array t = [| 1; 3; 5; 9 |])
+  checkb "sorted deduped" true (Ordseq.to_array t = [| 1; 3; 5; 9 |]);
+  (* At the pooled presort's size gate, every jobs count loads the same
+     sequence as the model: a shuffled multiset of the multiples of 3
+     below 1.8 * 10^6, each present once or twice. *)
+  let big = Array.init 1_000_000 (fun i -> 3 * (i mod 600_000)) in
+  Prng.shuffle (Prng.create 7) big;
+  let observe t = (Ordseq.to_array t, Ordseq.chunk_lengths t) in
+  let model = observe (Ordseq.of_sorted_array (Array.init 600_000 (fun i -> 3 * i))) in
+  List.iter
+    (fun jobs ->
+      Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+          let t = Ordseq.of_array ?pool big in
+          Ordseq.check t;
+          checkb (Printf.sprintf "of_array jobs %d = model" jobs) true (observe t = model)))
+    [ 1; 2; 4 ];
+  (* Strictly sorted input comes back from the presort as the same array;
+     the sequence must not alias it. *)
+  let sorted = [| 2; 4; 6; 8 |] in
+  let t = Ordseq.of_array sorted in
+  sorted.(0) <- 100;
+  Ordseq.check t;
+  checkb "sorted input not aliased" true (Ordseq.to_array t = [| 2; 4; 6; 8 |])
 
 let test_ordseq_rejects_unsorted () =
   Alcotest.check_raises "unsorted input"
@@ -566,53 +587,6 @@ let test_ordseq_batch_validation () =
   Ordseq.check e;
   checkb "loaded" true (Ordseq.to_array e = [| 7; 8; 9 |])
 
-let test_vec_batch () =
-  let n = 400 in
-  let init = Array.init n (fun i -> 10 * i) in
-  (* Model for insert_at_batch: positions are relative to the original
-     vector, so splicing in descending order one at a time reproduces it
-     (equal positions keep batch order because later pairs go in first
-     and earlier ones land before them). *)
-  let pairs =
-    Array.init 150 (fun i ->
-        let pos = 7 * i mod (n + 1) in
-        (pos, 1_000_000 + i))
-  in
-  Array.sort (fun (a, _) (b, _) -> compare a b) pairs;
-  let model_insert () =
-    let xs = ref (Array.to_list init) in
-    let insert_at i v =
-      let rec go k = function
-        | rest when k = i -> v :: rest
-        | x :: rest -> x :: go (k + 1) rest
-        | [] -> [ v ]
-      in
-      xs := go 0 !xs
-    in
-    for i = Array.length pairs - 1 downto 0 do
-      let pos, v = pairs.(i) in
-      insert_at pos v
-    done;
-    Array.of_list !xs
-  in
-  let expect = model_insert () in
-  let positions = Array.init 120 (fun i -> 3 * i) in
-  let obs jobs =
-    DPool.with_pool ~jobs @@ fun pool ->
-    let v = Ordseq.Vec.of_array init in
-    Ordseq.Vec.insert_at_batch ?pool v pairs;
-    Ordseq.Vec.check v;
-    let mid = Ordseq.Vec.to_array v in
-    let removed = Ordseq.Vec.remove_at_batch ?pool v positions in
-    Ordseq.Vec.check v;
-    (mid, removed, Ordseq.Vec.to_array v)
-  in
-  let ((mid, removed, _) as o1) = obs 1 in
-  checkb "insert batch = model" true (mid = expect);
-  checkb "removed are the originals" true (removed = Array.map (fun p -> mid.(p)) positions);
-  checkb "jobs 2 bit-identical" true (obs 2 = o1);
-  checkb "jobs 4 bit-identical" true (obs 4 = o1)
-
 (* ------- the shared batch presort ------- *)
 
 (* Pins the semantics every batch entry point relies on: physical
@@ -648,7 +622,8 @@ let test_presort_semantics () =
 let test_presort_pooled_identical () =
   let module Presort = Skipweb_util.Presort in
   let g = Prng.create 99 in
-  let big = Array.init 50_000 (fun _ -> Prng.int g 10_000) in
+  (* At the pooled path's size gate. *)
+  let big = Array.init 1_000_000 (fun _ -> Prng.int g 10_000) in
   let seq = Presort.sorted_distinct ~cmp:compare big in
   Skipweb_util.Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (array int)) "pooled = sequential" seq
@@ -718,7 +693,6 @@ let suite =
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
     Alcotest.test_case "ordseq batch mass remove" `Quick test_ordseq_batch_mass_remove;
     Alcotest.test_case "ordseq batch validation" `Quick test_ordseq_batch_validation;
-    Alcotest.test_case "vec positional batch splice" `Quick test_vec_batch;
     Alcotest.test_case "presort semantics" `Quick test_presort_semantics;
     Alcotest.test_case "presort pooled identical" `Quick test_presort_pooled_identical;
     QCheck_alcotest.to_alcotest qcheck_prng_int;
