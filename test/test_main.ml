@@ -17,6 +17,7 @@ let () =
       ("workload", Test_workload.suite);
       ("skipgraph", Test_skipgraph.suite);
       ("core", Test_core.suite);
+      ("blocked", Test_blocked.suite);
       ("churn", Test_churn.suite);
       ("serving", Test_serving.suite);
       ("soak", Test_core.soak_suite);
