@@ -93,20 +93,14 @@ let cone_entries tbl = Array.length tbl / 2
 let cone_lo tbl j = tbl.(2 * j)
 let cone_hi tbl j = tbl.((2 * j) + 1)
 
-(* The last block with code_lo <= code, by binary search (-1 if none).
-   The blocks whose interval holds [code] are the run from there down
-   while code_hi >= code. [hosts_of] lists them in that order, descending
-   block index; routing prefers the head, so the order is part of the
-   message model and the pinned totals check it. *)
-let last_stabbed tbl code =
-  let lo = ref 0 and hi = ref (cone_entries tbl) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cone_lo tbl mid <= code then lo := mid + 1 else hi := mid
-  done;
-  !lo - 1
+(* The blocks whose interval holds [code] form one run of the table.
+   From a block [j] inside it, the run goes up while code_lo <= code (the
+   entries after j have code_hi >= code already) and down while
+   code_hi >= code (the entries before j have code_lo <= code). *)
+let rec run_hi tbl j code =
+  if j + 1 < cone_entries tbl && cone_lo tbl (j + 1) <= code then run_hi tbl (j + 1) code else j
 
-let stabs tbl j code = j >= 0 && cone_hi tbl j >= code
+let rec run_lo tbl j code = if j > 0 && cone_hi tbl (j - 1) >= code then run_lo tbl (j - 1) code else j
 
 (* The basic level a cone level hangs off: a set at [level] with prefix
    b is in the cone of the basic set with prefix
@@ -417,10 +411,10 @@ let max_host_memory t = Array.fold_left max 0 t.host_mem
    the primary when nobody is dead — or the dead primary when every copy
    is gone, so the session hop raises [Host_dead] instead of silently
    reading a lost range. *)
-let entry_rep t owners =
-  match Array.find_opt (fun h -> Network.alive t.net h) owners with
-  | Some h -> h
-  | None -> owners.(0)
+let rec entry_rep net owners i =
+  if i = Array.length owners then owners.(0)
+  else if Network.alive net owners.(i) then owners.(i)
+  else entry_rep net owners (i + 1)
 
 (* The representative for a query reading cache slot [slot] of block j's
    group in the basic set [(level, b)]: the group's cache copy when one
@@ -428,12 +422,10 @@ let entry_rep t owners =
    group outside the cache window — is always the owner path, preserving
    the historical routing byte-for-byte. *)
 let entry_rep_slot t ~slot level b j =
-  let owners = t.blocks.(level).(b).owners.(j) in
-  if slot >= 1 then
-    let copies = cache_copies t level b j in
-    if slot - 1 < Array.length copies && Network.alive t.net copies.(slot - 1) then copies.(slot - 1)
-    else entry_rep t owners
-  else entry_rep t owners
+  let copies = cache_copies t level b j in
+  if slot >= 1 && slot - 1 < Array.length copies && Network.alive t.net copies.(slot - 1) then
+    copies.(slot - 1)
+  else entry_rep t.net t.blocks.(level).(b).owners.(j) 0
 
 (* Which cache copy a query from [origin] reads for groups based at basic
    level [base]: pure in (cache_seed, origin, base) — bit-identical runs
@@ -446,27 +438,6 @@ let slot_for t origin base =
     Placement.replica_slot ~seed:t.cache_seed ~origin ~level:base ~k:t.cache_replicas
   else 0
 
-(* One representative per covering entry (block, or cone interval) of the
-   range with this code, head first. With nobody dead and [slot = 0]
-   every representative is that entry's primary, so the list — and hence
-   every routing decision made over it — is identical to the
-   unreplicated, uncached one for any [r]. *)
-let hosts_of ?(slot = 0) t level b code =
-  if level mod t.stride = 0 then [ entry_rep_slot t ~slot level b (code / t.bsize) ]
-  else
-    let base = cone_base t level in
-    let pb = b lsr (level - base) in
-    let tbl = t.cones.(level).(b) in
-    let rec run j = if stabs tbl j code then entry_rep_slot t ~slot base pb j :: run (j - 1) else [] in
-    run (last_stabbed tbl code)
-
-(* Where a walk lands for this replica list: the first live owner, else the
-   head so the session hop raises [Host_dead] (every copy is gone). *)
-let route_of t hs =
-  match List.find_opt (fun h -> Network.alive t.net h) hs with
-  | Some h -> h
-  | None -> ( match hs with h :: _ -> h | [] -> 0)
-
 type search_result = {
   predecessor : int option;
   successor : int option;
@@ -474,68 +445,98 @@ type search_result = {
   messages : int;
 }
 
-(* The owner of the block that q's own position falls into at the next
-   basic level at or below [level] along the origin's set path — the host
-   a descending query will want to be on. The origin belongs to every set
-   on its path, so the set and the block always exist. *)
-let preferred_host t ~origin ~path level q =
+(* Where a descent stands: its basic group and what entering it found. *)
+type cursor = {
+  mutable base : int;  (* the group's basic level *)
+  mutable pb : int;  (* its base set's prefix *)
+  mutable jq : int;  (* the block of the base set holding q *)
+  mutable slot : int;  (* the origin's cache slot for the group *)
+  mutable pref : int;  (* block jq's representative: the preferred host *)
+  mutable run : int;  (* entries covering q's range at the last level *)
+}
+
+(* The host a descent reads [level] on from [current] (-1: where the
+   session starts). Entering a basic group locates q once in its base
+   set. That block jq is the base level's entry, the preferred host, and
+   inside every cone level's run above it: q lies in jq's closed key span
+   and in the level's range holding q, and a cone interval lists every
+   range meeting the span ([codes_touching]). The run is read head first
+   (descending block), the order the pinned totals check: a session
+   starts on the head-most live entry; later levels stay on [current] if
+   it holds a live entry, else go to jq's representative if live, else to
+   the head-most live one. With no live entry the walk goes to the dead
+   head, so the hop raises [Host_dead] instead of reading a lost range. *)
+let target t c ~origin ~path q level ~current =
   let base = cone_base t level in
-  let b = path lsr (t.top - base) in
-  let code = L.encode (L.locate t.sets.(base).(b) q) in
-  (* The origin's read copy of the preferred block: its cache copy when
-     the group is cached for this origin, else the first live owner — the
-     primary when nobody is dead, preserving the historical routing
-     exactly. *)
-  entry_rep_slot t ~slot:(slot_for t origin base) base b (code / t.bsize)
+  if base <> c.base then begin
+    c.base <- base;
+    c.pb <- path lsr (t.top - base);
+    c.jq <- L.locate_code t.sets.(base).(c.pb) q / t.bsize;
+    c.slot <- slot_for t origin base;
+    c.pref <- entry_rep_slot t ~slot:c.slot base c.pb c.jq
+  end;
+  if level = base then begin
+    c.run <- 1;
+    c.pref
+  end
+  else begin
+    let b = path lsr (t.top - level) in
+    let tbl = t.cones.(level).(b) and code = L.locate_code t.sets.(level).(b) q in
+    let hi = run_hi tbl c.jq code and lo = run_lo tbl c.jq code in
+    c.run <- hi - lo + 1;
+    let first = ref (-1) and holds_current = ref false in
+    for j = hi downto lo do
+      let h = entry_rep_slot t ~slot:c.slot base c.pb j in
+      if Network.alive t.net h then begin
+        if !first < 0 then first := h;
+        if h = current then holds_current := true
+      end
+    done;
+    if !first < 0 then entry_rep_slot t ~slot:c.slot base c.pb hi
+    else if current < 0 then !first
+    else if !holds_current then current
+    else if Network.alive t.net c.pref then c.pref
+    else !first
+  end
 
 (* Traced descents open one leveled span per level, noting whether the
-   level's range lives in a block or a cone and how many replicas cover
-   it; hops are labeled accordingly. All trace work is guarded, so an
-   untraced query runs the original code path exactly. The origin's
-   membership path is drawn once; every level's set is a shift of it. *)
+   level's range lives in a block or a cone and how many entries cover
+   it; hops are labeled accordingly. Trace work is guarded, so an
+   untraced query runs the same walk. The origin's membership path is
+   drawn once; every level's set is a shift of it. The answer is one
+   rank of q in the ground set and the keys on either side of it. *)
 let query_from ?trace t origin q =
   let path = path_of t origin in
-  let covering level =
-    let b = path lsr (t.top - level) in
-    let code = L.encode (L.locate t.sets.(level).(b) q) in
-    hosts_of ~slot:(slot_for t origin (cone_base t level)) t level b code
-  in
-  let pick level hosts current =
-    (* Route among the covering entries whose representative is live; with
-       nobody dead that is one primary per entry and the choice matches
-       the historical one exactly. When every entry lost all its copies,
-       fall through to the (dead) head so the hop raises [Host_dead]
-       instead of silently reading a lost range. *)
-    match List.filter (fun h -> Network.alive t.net h) hosts with
-    | [] -> ( match hosts with [] -> current | h :: _ -> h)
-    | [ h ] -> h
-    | h :: _ as hs ->
-        if List.mem current hs then current
-        else
-          let p = preferred_host t ~origin ~path level q in
-          if List.mem p hs then p else h
-  in
-  let start = match covering t.top with [] -> 0 | hs -> route_of t hs in
-  let session = Network.start ?trace t.net start in
-  let rec descend level =
-    if level >= 0 then begin
-      let basic = level mod t.stride = 0 in
-      let hs = covering level in
-      let target = pick level hs (Network.current session) in
-      (match trace with
-      | None -> Network.goto session target
-      | Some tr ->
-          Trace.span_open tr ~level (if basic then "basic level" else "cone level");
-          Network.goto ~label:(if basic then "block" else "cone") session target;
-          Trace.span_close tr ~note:(Printf.sprintf "replicas=%d" (List.length hs)) ());
-      descend (level - 1)
-    end
-  in
-  descend t.top;
+  let c = { base = -1; pb = 0; jq = 0; slot = 0; pref = 0; run = 0 } in
+  let session = Network.start ?trace t.net (target t c ~origin ~path q t.top ~current:(-1)) in
+  for level = t.top downto 0 do
+    let h =
+      if level = t.top then Network.current session
+      else target t c ~origin ~path q level ~current:(Network.current session)
+    in
+    match trace with
+    | None -> Network.goto session h
+    | Some tr ->
+        let basic = level = c.base in
+        Trace.span_open tr ~level (if basic then "basic level" else "cone level");
+        Network.goto ~label:(if basic then "block" else "cone") session h;
+        Trace.span_close tr ~note:(Printf.sprintf "replicas=%d" c.run) ()
+  done;
   Network.finish session;
-  let predecessor = O.predecessor t.keys q in
-  let successor = O.successor t.keys q in
-  { predecessor; successor; nearest = O.nearest t.keys q; messages = Network.messages session }
+  let i = O.lower_bound t.keys q in
+  let successor = if i < size t then Some (O.get t.keys i) else None in
+  let predecessor =
+    match successor with
+    | Some s when s = q -> successor
+    | _ -> if i > 0 then Some (O.get t.keys (i - 1)) else None
+  in
+  let nearest =
+    match (predecessor, successor) with
+    | Some p, Some s when q - p > s - q -> successor
+    | None, _ -> successor
+    | _ -> predecessor
+  in
+  { predecessor; successor; nearest; messages = Network.messages session }
 
 let query ?trace t ~rng q =
   if size t = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
@@ -610,6 +611,7 @@ let check_invariants t =
   let n = size t in
   let basic level = level mod t.stride = 0 in
   let shape what len want = if len <> want then failwith ("Blocked1d: wrong table shape: " ^ what) in
+  let uncovered level = failwith (Printf.sprintf "Blocked1d: range uncovered at level %d" level) in
   shape "sets" (Array.length t.sets) (t.top + 1);
   shape "blocks" (Array.length t.blocks) (t.top + 1);
   shape "cones" (Array.length t.cones) (t.top + 1);
@@ -627,6 +629,13 @@ let check_invariants t =
        its own prefix names, and the set sizes add up to n. *)
     let total = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 slots in
     if total <> n then failwith "Blocked1d: level sets do not partition the keys";
+    (* A basic set's blocks hold all its ranges. *)
+    if basic level then
+      Array.iteri
+        (fun b arr ->
+          let nblocks = Array.length t.blocks.(level).(b).owners in
+          if Array.length arr > 0 && (L.num_ranges arr - 1) / t.bsize >= nblocks then uncovered level)
+        slots;
     Array.iteri
       (fun i k ->
         let arr = slots.(paths.(i) lsr (t.top - level)) in
@@ -635,43 +644,30 @@ let check_invariants t =
       keys
   done;
   (* Cone tables: one entry per block of the basic set below for every
-     non-empty set, none for an empty one, and code_lo and code_hi
-     non-decreasing in the block index — the order [last_stabbed]'s
-     binary search relies on. *)
+     non-empty set, none for an empty one. code_lo and code_hi are
+     non-decreasing in the block index, so every stab is one run the
+     query walk can step through. And every range is stored somewhere:
+     the entries leave no gap from code 0 to the set's last code. *)
   Array.iteri
     (fun level tables ->
       let base = cone_base t level in
       Array.iteri
         (fun b tbl ->
+          let arr = t.sets.(level).(b) in
           let nblocks =
-            if Array.length t.sets.(level).(b) = 0 then 0
-            else Array.length t.blocks.(base).(b lsr (level - base)).owners
+            if Array.length arr = 0 then 0 else Array.length t.blocks.(base).(b lsr (level - base)).owners
           in
           shape "cone table" (cone_entries tbl) nblocks;
           for j = 0 to nblocks - 1 do
-            if cone_lo tbl j > cone_hi tbl j then failwith "Blocked1d: empty cone interval";
-            if j > 0 && (cone_lo tbl j < cone_lo tbl (j - 1) || cone_hi tbl j < cone_hi tbl (j - 1)) then
-              failwith "Blocked1d: cone table out of order"
-          done)
+            let lo = cone_lo tbl j and hi = cone_hi tbl j in
+            if lo > hi then failwith "Blocked1d: empty cone interval";
+            if j > 0 && (lo < cone_lo tbl (j - 1) || hi < cone_hi tbl (j - 1)) then
+              failwith "Blocked1d: cone table out of order";
+            if lo > (if j = 0 then 0 else cone_hi tbl (j - 1) + 1) then uncovered level
+          done;
+          if nblocks > 0 && cone_hi tbl (nblocks - 1) <> L.num_ranges arr - 1 then uncovered level)
         tables)
     t.cones;
-  (* Every range of every level is stored somewhere. *)
-  Array.iteri
-    (fun level slots ->
-      Array.iteri
-        (fun b arr ->
-          if Array.length arr > 0 then
-            for code = 0 to L.num_ranges arr - 1 do
-              let covered =
-                if basic level then code / t.bsize < Array.length t.blocks.(level).(b).owners
-                else
-                  let tbl = t.cones.(level).(b) in
-                  stabs tbl (last_stabbed tbl code) code
-              in
-              if not covered then failwith (Printf.sprintf "Blocked1d: range uncovered at level %d" level)
-            done)
-        slots)
-    t.sets;
   (* Cache coverage: exactly the eligible groups are cached, each with
      k - 1 copies pairwise distinct from each other and from the owners.
      (Liveness is not checked — like owners, cache placements go stale
@@ -697,7 +693,10 @@ let check_invariants t =
           Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: cache copy collides") all)
         all);
   (* Conflict-chain soundness: on every level, the range containing a probe
-     key conflicts with the range containing it one level up. *)
+     key conflicts with the range containing it one level up. And the
+     property the query walk stands on: at every cone level, the block of
+     the base set holding the probe is inside the run that stabs the
+     probe's range. *)
   if n > 0 then begin
     let probes = [ O.get t.keys 0 - 1; O.get t.keys (n / 2); O.get t.keys (n - 1) + 1 ] in
     let path = path_of t (O.get t.keys (n / 2)) in
@@ -710,12 +709,21 @@ let check_invariants t =
             let parent = t.sets.(level - 1).(b / 2) in
             let child_range = L.locate child q in
             let plo, phi = L.conflict_interval ~parent ~child child_range in
-            let pcode = L.encode (L.locate parent q) in
+            let pcode = L.locate_code parent q in
             if pcode < plo || pcode > phi then failwith "Blocked1d: conflict chain broken";
             walk (level - 1)
           end
         in
-        walk t.top)
+        walk t.top;
+        for level = 0 to t.top do
+          if not (basic level) then begin
+            let base = cone_base t level and b = path lsr (t.top - level) in
+            let jq = L.locate_code t.sets.(base).(path lsr (t.top - base)) q / t.bsize in
+            let tbl = t.cones.(level).(b) and code = L.locate_code t.sets.(level).(b) q in
+            if cone_lo tbl jq > code || cone_hi tbl jq < code then
+              failwith (Printf.sprintf "Blocked1d: base block outside the cone run at level %d" level)
+          end
+        done)
       probes
   end
 
@@ -757,23 +765,14 @@ let range t ~rng ~lo ~hi =
   if size t = 0 then { keys = []; messages = 0 }
   else begin
     let locate = query t ~rng lo in
-    (* Walk the bottom level (the full set, prefix 0) from lo's range to
-       hi's: consecutive ranges share blocks except at block boundaries. *)
-    let arr = t.sets.(0).(0) in
+    (* Walk the bottom level (the full set, prefix 0) from lo's block to
+       hi's, one message each time the next block's representative is a
+       different host. *)
+    let arr = t.sets.(0).(0) and owners = t.blocks.(0).(0).owners in
     let clo, chi = L.range_codes arr ~lo ~hi in
     let crossings = ref 0 in
-    let cur = ref (match hosts_of t 0 0 clo with [] -> 0 | hs -> route_of t hs) in
-    let c = ref clo in
-    while !c <= chi do
-      (match hosts_of t 0 0 !c with
-      | [] -> ()
-      | hs ->
-          let h = route_of t hs in
-          if h <> !cur then begin
-            incr crossings;
-            cur := h
-          end);
-      incr c
+    for j = (clo / t.bsize) + 1 to chi / t.bsize do
+      if entry_rep t.net owners.(j) 0 <> entry_rep t.net owners.(j - 1) 0 then incr crossings
     done;
     { keys = O.range_keys t.keys ~lo ~hi; messages = locate.messages + !crossings }
   end

@@ -158,7 +158,10 @@ val delete_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
 
 val check_invariants : t -> unit
 (** Level partitions, block coverage, replica coverage of non-basic
-    ranges, and conflict-chain soundness on samples. *)
+    ranges, monotone cone tables, and conflict-chain soundness on
+    samples; for the same samples, that the base block holding the key
+    lies in the run of cone entries covering its range at every cone
+    level, which is what queries route by. *)
 
 (** {1 Failure handling}
 

@@ -37,9 +37,11 @@ let lower_bound a q = Skipweb_util.Ordseq.array_lower_bound a q
 
 let upper_index a q = Skipweb_util.Ordseq.array_upper_index a q
 
-let locate a q =
+let locate_code a q =
   let i = lower_bound a q in
-  if i < Array.length a && a.(i) = q then Node i else Link i
+  if i < Array.length a && a.(i) = q then (2 * i) + 1 else 2 * i
+
+let locate a q = decode (locate_code a q)
 
 let conflict_interval ~parent ~child r =
   assert (valid child r);
@@ -121,4 +123,4 @@ let range_keys a ~lo ~hi =
   let rec go i acc = if i > last then List.rev acc else go (i + 1) (a.(i) :: acc) in
   if last < start then [] else go start []
 
-let range_codes a ~lo ~hi = (encode (locate a lo), encode (locate a hi))
+let range_codes a ~lo ~hi = (locate_code a lo, locate_code a hi)

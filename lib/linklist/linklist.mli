@@ -51,6 +51,10 @@ val locate : int array -> int -> range
     purposes of routing, a node is more specific than its incident links,
     so equality wins. *)
 
+val locate_code : int array -> int -> int
+(** [encode (locate a q)], without building the range: one binary search
+    and no allocation, for routing loops that only need the code. *)
+
 val conflict_interval : parent:int array -> child:int array -> range -> int * int
 (** [conflict_interval ~parent ~child r] is the inclusive interval
     [(lo_code, hi_code)] of encoded parent ranges that conflict with

@@ -20,24 +20,20 @@
 (* ---------- shared sorted-array binary searches ---------- *)
 
 let array_lower_bound ?len (a : int array) k =
-  let n = match len with Some l -> l | None -> Array.length a in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if a.(mid) < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+  let lo = ref 0 and hi = ref (match len with Some l -> l | None -> Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let array_upper_index ?len (a : int array) k =
-  let n = match len with Some l -> l | None -> Array.length a in
-  let rec go lo hi =
-    if lo >= hi then lo - 1
-    else
-      let mid = (lo + hi) lsr 1 in
-      if a.(mid) <= k then go (mid + 1) hi else go lo mid
-  in
-  go 0 n
+  let lo = ref 0 and hi = ref (match len with Some l -> l | None -> Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) <= k then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
 
 (* ---------- representation ---------- *)
 

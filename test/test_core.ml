@@ -774,9 +774,9 @@ let run_pinned_blocked_failover ~m =
   [ !msgs; Network.total_messages net; !failed; !checksum ]
 
 (* With m = 48 the top level (12) is basic. With m = 32 it is a cone
-   level, so a query starts on the head of a multi-entry covering list:
-   that run pins the head-first order of [hosts_of], which reversing the
-   list changes. *)
+   level, so a query starts on the head of a multi-entry covering run:
+   that run pins the head-first order of the cone stab, which scanning
+   the run in ascending block order changes. *)
 let test_pinned_blocked_failover_queries () =
   Alcotest.(check (list int))
     "pinned blocked failover m=48 [msgs; net; failed; traffic checksum]"

@@ -197,6 +197,25 @@ let qcheck_locate_total =
       let r = L.locate parent q in
       L.valid parent r && L.contains parent r q)
 
+(* The allocation-free code equals the encoded range and a counting oracle
+   (two codes per smaller key, plus one on an exact hit), over empty sets,
+   probes below the minimum, above the maximum, exact hits and gaps. *)
+let qcheck_locate_code =
+  QCheck.Test.make ~name:"locate_code = encode (locate a q)" ~count:1000
+    QCheck.(triple (small_list small_int) small_int (int_bound 3))
+    (fun (xs, r, pick) ->
+      let a = Array.of_list (List.sort_uniq compare xs) in
+      let m = Array.length a in
+      let q =
+        match pick with
+        | 0 when m > 0 -> a.(r mod m)
+        | 1 -> (if m = 0 then 0 else a.(0)) - 1 - r
+        | 2 -> (if m = 0 then 0 else a.(m - 1)) + 1 + r
+        | _ -> r - 50
+      in
+      let below = Array.fold_left (fun acc k -> if k < q then acc + 1 else acc) 0 a in
+      let oracle = (2 * below) + if Array.mem q a then 1 else 0 in
+      L.locate_code a q = L.encode (L.locate a q) && L.locate_code a q = oracle)
 
 let test_range_keys () =
   Alcotest.(check (list int)) "interior range" [ 20; 30; 50 ] (L.range_keys keys ~lo:15 ~hi:50);
@@ -234,4 +253,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_routing_soundness;
     QCheck_alcotest.to_alcotest qcheck_conflicts_are_intersections;
     QCheck_alcotest.to_alcotest qcheck_locate_total;
+    QCheck_alcotest.to_alcotest qcheck_locate_code;
   ]
