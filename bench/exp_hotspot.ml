@@ -9,9 +9,9 @@
    at n up to 10^6 (10^5 and 10^6 in the full sweep) and reports, per
    row:
 
-     - the per-operation message distribution via a mergeable quantile
-       Sketch — per-chunk shards recorded inside the parallel query
-       phase and merged afterwards, never a per-sample array;
+     - the exact per-operation message distribution: query i writes its
+       message count into slot i of one array inside the parallel query
+       phase, and Stats summarizes it afterwards;
      - the exact top-k hottest hosts, selected from the network's
        per-host traffic counters after the phase; the bench aborts
        unless the top-1 visits equal the congestion max;
@@ -25,8 +25,8 @@
        reset away, so the congestion numbers describe the main phase
        only.
 
-   Query i draws its coins from [Prng.stream] i, sketch merging is
-   partition-independent and the per-host counters are sums, so every
+   Query i draws its coins from [Prng.stream] i and owns slot i of the
+   message array, and the per-host counters are sums, so every
    deterministic JSON field is bit-identical for any jobs count; wall
    clocks live in the "timing" member, stripped by CI like every other
    bench. Results go to BENCH_hotspot.json; CI's smoke leg asserts the
@@ -40,7 +40,7 @@ module B1 = Skipweb_core.Blocked1d
 module I = Skipweb_core.Instances
 module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
-module Sketch = Skipweb_util.Sketch
+module Stats = Skipweb_util.Stats
 module DPool = Skipweb_util.Pool
 module C = Bench_common
 
@@ -48,8 +48,6 @@ module HInt = H.Make (I.Ints)
 
 let top_k = 10
 let traced_sample = 48
-let sketch_alpha = 0.01
-let sketch_cap = 256
 
 type row = {
   structure : string;
@@ -57,7 +55,7 @@ type row = {
   hosts : int;
   queries : int;
   traced : int;
-  msgs : Sketch.t;  (* per-op query message distribution *)
+  msgs : Stats.summary;  (* per-op query message distribution *)
   top : (int * int) list;  (* exact (host, visits), hottest first *)
   congestion : Obs.congestion;
   levels : (int * int) list;
@@ -79,24 +77,20 @@ let drive_row ~structure ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_q
     ignore (traced_query (Prng.stream tcoins i) tr qs.(i) : int)
   done;
   Network.reset_traffic net;
-  (* Main phase: fan the queries over the pool in deterministic static
-     chunks, each chunk recording into its own sketch shard — no
-     per-sample array anywhere. Query i's coins are a pure function of
-     (seed, i), and sketch merging is partition-independent, so the
-     merged distribution is identical for any jobs count. *)
+  (* Main phase: fan the queries over the pool. Query i's coins are a
+     pure function of (seed, i) and its message count lands in slot i,
+     so the distribution is identical for any jobs count. *)
   let coins = Prng.create (seed + 0xe19) in
-  let new_sketch () = Sketch.create ~alpha:sketch_alpha ~exact_cap:sketch_cap () in
-  let shards = Array.init jobs (fun _ -> new_sketch ()) in
+  let msgs = Array.make queries 0 in
   let t0 = C.now () in
-  let chunk c =
-    for i = c * queries / jobs to ((c + 1) * queries / jobs) - 1 do
-      Sketch.observe_int shards.(c) (query_one (Prng.stream coins i) qs.(i))
-    done
-  in
-  (match pool with None -> chunk 0 | Some p -> DPool.parallel_for p ~lo:0 ~hi:jobs chunk);
+  let one i = msgs.(i) <- query_one (Prng.stream coins i) qs.(i) in
+  (match pool with
+  | None ->
+      for i = 0 to queries - 1 do
+        one i
+      done
+  | Some p -> DPool.parallel_for p ~lo:0 ~hi:queries one);
   let wall_s = C.now () -. t0 in
-  let msgs = new_sketch () in
-  Array.iter (Sketch.merge msgs) shards;
   let top = Obs.hot_hosts net ~k:top_k in
   let congestion = Obs.congestion_of net in
   (match top with
@@ -111,7 +105,7 @@ let drive_row ~structure ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_q
     hosts = Network.host_count net;
     queries;
     traced;
-    msgs;
+    msgs = Stats.summarize_ints (Array.to_list msgs);
     top;
     congestion;
     levels = Trace.per_level_hops tr;
@@ -162,7 +156,7 @@ let json_of_rows rows =
       \     \"congestion\": %s,\n\
       \     \"levels\": %s, \"unattributed\": %d,\n\
       \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
-      r.structure r.n r.hosts r.queries r.traced (Sketch.to_json r.msgs)
+      r.structure r.n r.hosts r.queries r.traced (C.json_of_summary r.msgs)
       (pairs "{\"host\": %d, \"visits\": %d}" r.top)
       (Obs.congestion_to_json r.congestion)
       (pairs "{\"level\": %d, \"hops\": %d}" r.levels)
@@ -170,10 +164,12 @@ let json_of_rows rows =
   in
   Printf.sprintf
     "{\n  \"experiment\": \"hotspot\",\n  \"workload\": \"mixed uniform + Zipf(1.1) query \
-     traffic; quantile sketch shards, exact top-%d hosts from the per-host counters, \
+     traffic; exact per-query message counts, exact top-%d hosts from the per-host counters, \
      congestion percentiles + Gini, per-level attribution from one shared trace\",\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
+     \"domains\": %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n"
     top_k
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
@@ -204,14 +200,14 @@ let run (cfg : C.config) =
   in
   List.iter
     (fun r ->
-      let m = Sketch.summary r.msgs and c = r.congestion in
+      let m = r.msgs and c = r.congestion in
       Skipweb_util.Tables.add_row tbl
         [
           r.structure;
           string_of_int r.n;
           string_of_int r.queries;
-          Printf.sprintf "%g" m.Skipweb_util.Stats.p50;
-          Printf.sprintf "%g" m.Skipweb_util.Stats.p99;
+          Printf.sprintf "%g" m.Stats.p50;
+          Printf.sprintf "%g" m.Stats.p99;
           Printf.sprintf "%.0f" c.Obs.p50;
           Printf.sprintf "%.0f" c.Obs.p99;
           Printf.sprintf "%.0f" c.Obs.max;

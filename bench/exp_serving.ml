@@ -9,8 +9,8 @@
    builds with the level cache configured at c = 4 coarse levels and
    k ∈ {1, 2, 4} replicas, at n up to 10^6, and reports per row:
 
-     - the per-query message distribution (quantile sketch) — the cache
-       must not move it: per-query cost stays O(log n);
+     - the exact per-query message distribution — the cache must not
+       move it: per-query cost stays O(log n);
      - the congestion Gini and p99/max of per-host traffic, and the share
        of traffic served by the 16 busiest hosts — the flattening;
      - the network's total message count, asserted equal across k up to a
@@ -45,7 +45,6 @@ module I = Skipweb_core.Instances
 module W = Skipweb_workload.Workload
 module OL = Skipweb_workload.Open_loop
 module Prng = Skipweb_util.Prng
-module Sketch = Skipweb_util.Sketch
 module Stats = Skipweb_util.Stats
 module C = Bench_common
 
@@ -54,8 +53,6 @@ module HInt = H.Make (I.Ints)
 let cache_levels = 4
 let cache_ks = [ 1; 2; 4 ]
 let top_m = 16
-let sketch_alpha = 0.01
-let sketch_cap = 256
 let msg_epsilon = 0.002
 
 type row = {
@@ -69,8 +66,7 @@ type row = {
   inserts : int;
   removes : int;
   total_msgs : int;
-  mean_read_msgs : float;
-  sketch_json : string;
+  read_msgs : Stats.summary;
   congestion : Obs.congestion;
   top_share : float;
   uncached_match : bool option;  (* Some true on the k = 1 row *)
@@ -84,19 +80,22 @@ let log2i n =
 
 (* ------- hierarchy: open-loop mixed churn, fresh build per k ------- *)
 
-(* Replay the plan sequentially. Query i's origin coins are a pure
-   function of (seed, i) — identical whichever build consumes them. *)
-let replay_hierarchy h ~seed ~sketch events =
+(* Replay the plan sequentially and summarize the queries' message
+   counts. Query i's origin coins are a pure function of (seed, i) —
+   identical whichever build consumes them. *)
+let replay_hierarchy h ~seed events =
   let coins = Prng.create (seed + 0x5e1) in
+  let msgs = ref [] in
   Array.iteri
     (fun i e ->
       match e.OL.op with
       | OL.Query q ->
           let _, st = HInt.query h ~rng:(Prng.stream coins i) q in
-          Sketch.observe_int sketch st.HInt.messages
+          msgs := st.HInt.messages :: !msgs
       | OL.Insert key -> ignore (HInt.insert h key : int)
       | OL.Remove key -> ignore (HInt.remove h key : int))
-    events
+    events;
+  Stats.summarize_ints !msgs
 
 let hierarchy_rows ~pool ~jobs ~seed ~ops n =
   let bound = 100 * n in
@@ -122,15 +121,14 @@ let hierarchy_rows ~pool ~jobs ~seed ~ops n =
       | Some k -> HInt.build ~net ~seed ~cache_levels ~cache_replicas:k ?pool keys
     in
     Network.reset_traffic net;
-    let sketch = Sketch.create ~alpha:sketch_alpha ~exact_cap:sketch_cap () in
-    let _, wall_s = C.timed (fun () -> replay_hierarchy h ~seed ~sketch events) in
-    (net, sketch, wall_s)
+    let read_msgs, wall_s = C.timed (fun () -> replay_hierarchy h ~seed events) in
+    (net, read_msgs, wall_s)
   in
   let net0, _, _ = run ~cache:None in
   let base_total = Network.total_messages net0 in
   List.map
     (fun k ->
-      let net, sketch, wall_s = run ~cache:(Some k) in
+      let net, read_msgs, wall_s = run ~cache:(Some k) in
       let total = Network.total_messages net in
       let uncached_match =
         if k <> 1 then None
@@ -145,7 +143,6 @@ let hierarchy_rows ~pool ~jobs ~seed ~ops n =
         failwith
           (Printf.sprintf "E20: hierarchy k=%d moved total messages beyond epsilon (%d vs %d)" k
              total base_total);
-      let s = Sketch.summary sketch in
       {
         structure = "hierarchy";
         n;
@@ -157,8 +154,7 @@ let hierarchy_rows ~pool ~jobs ~seed ~ops n =
         inserts = counts.OL.inserts;
         removes = counts.OL.removes;
         total_msgs = total;
-        mean_read_msgs = s.Stats.mean;
-        sketch_json = Sketch.to_json sketch;
+        read_msgs;
         congestion = Obs.congestion_of net;
         top_share = Obs.top_share net ~m:top_m;
         uncached_match;
@@ -195,16 +191,15 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
     let (results : B1.search_result array), wall_s =
       C.timed (fun () -> B1.query_batch ?pool b ~rng:(Prng.create (seed + 0x5e2)) qs)
     in
-    let sketch = Sketch.create ~alpha:sketch_alpha ~exact_cap:sketch_cap () in
-    Array.iter (fun (r : B1.search_result) -> Sketch.observe_int sketch r.B1.messages) results;
-    (sketch, wall_s)
+    let msgs = Array.map (fun (r : B1.search_result) -> r.B1.messages) results in
+    (Stats.summarize_ints (Array.to_list msgs), wall_s)
   in
   let _, _ = serve () in
   let base_total = Network.total_messages net in
   List.map
     (fun k ->
       B1.set_cache b ~levels:cache_levels ~k;
-      let sketch, wall_s = serve () in
+      let read_msgs, wall_s = serve () in
       let total = Network.total_messages net in
       let uncached_match =
         if k <> 1 then None
@@ -219,7 +214,6 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
         failwith
           (Printf.sprintf "E20: blocked k=%d moved total messages beyond epsilon (%d vs %d)" k
              total base_total);
-      let s = Sketch.summary sketch in
       {
         structure = "blocked1d";
         n;
@@ -231,8 +225,7 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
         inserts = 0;
         removes = 0;
         total_msgs = total;
-        mean_read_msgs = s.Stats.mean;
-        sketch_json = Sketch.to_json sketch;
+        read_msgs;
         congestion = Obs.congestion_of net;
         top_share = Obs.top_share net ~m:top_m;
         uncached_match;
@@ -287,17 +280,20 @@ let json_of_rows rows =
       \     \"top%d_share\": %.6f,\n\
       \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
       r.structure r.n r.hosts r.c r.k r.ops r.queries r.inserts r.removes r.total_msgs
-      r.mean_read_msgs
+      r.read_msgs.Stats.mean
       (match r.uncached_match with Some true -> " \"uncached_match\": true," | _ -> "")
-      r.sketch_json
+      (C.json_of_summary r.read_msgs)
       (Obs.congestion_to_json r.congestion)
       top_m r.top_share r.jobs r.wall_s
   in
   Printf.sprintf
     "{\n  \"experiment\": \"serving\",\n  \"workload\": \"open-loop Poisson arrivals, \
      Zipf(1.1)+uniform blend; hierarchy 90/10 read/write churn, blocked read-only; level cache \
-     c=%d swept over k=1/2/4 (k=1 asserted byte-identical to uncached)\",\n  \"rows\": [\n%s\n  ]\n}\n"
+     c=%d swept over k=1/2/4 (k=1 asserted byte-identical to uncached)\",\n  \"domains\": %d,\n  \
+     \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n"
     cache_levels
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
@@ -334,7 +330,7 @@ let run (cfg : C.config) =
           string_of_int r.n;
           string_of_int r.k;
           string_of_int r.total_msgs;
-          Printf.sprintf "%.2f" r.mean_read_msgs;
+          Printf.sprintf "%.2f" r.read_msgs.Stats.mean;
           Printf.sprintf "%.0f" r.congestion.Obs.p99;
           Printf.sprintf "%.0f" r.congestion.Obs.max;
           Printf.sprintf "%.4f" r.congestion.Obs.gini;

@@ -25,7 +25,6 @@ module Network = Skipweb_net.Network
 module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
 module Metrics = Skipweb_util.Metrics
-module Sketch = Skipweb_util.Sketch
 module Series = Skipweb_util.Series
 module SG = Skipweb_skipgraph.Skip_graph
 module NoN = Skipweb_skipgraph.Non_skip_graph
@@ -505,11 +504,11 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
 (* ---------------- hotspots / monitor: the congestion observatory ---------------- *)
 
 (* Where does a skewed workload's load land? Drive mixed uniform +
-   Zipf(1.1) queries, recording each query's message count into a
-   constant-memory sketch, then read the network's exact per-host
-   counters: the hottest hosts, the per-host congestion percentiles and
-   Gini, and (for the skip-web structures) the per-level attribution of
-   a small traced sample recorded into one shared trace. *)
+   Zipf(1.1) queries, recording each query's message count, then read
+   the network's exact per-host counters: the hottest hosts, the
+   per-host congestion percentiles and Gini, and (for the skip-web
+   structures) the per-level attribution of a small traced sample
+   recorded into one shared trace. *)
 let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stats =
   if k < 1 then begin
     prerr_endline "hotspots: --topk must be >= 1";
@@ -542,8 +541,7 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
         sample
   in
   Network.reset_traffic d.net;
-  let msgs = Sketch.create () in
-  Array.iter (fun q -> Sketch.observe_int msgs (d.query q)) qs;
+  let msgs = Array.map d.query qs in
   let c = Obs.congestion_of d.net in
   let t =
     Tables.create
@@ -561,10 +559,10 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
         ])
     (Obs.hot_hosts d.net ~k);
   Tables.print t;
-  if Sketch.count msgs > 0 then begin
-    let s = Sketch.summary msgs in
+  if msgs <> [||] then begin
+    let s = Stats.summarize_ints (Array.to_list msgs) in
     let t =
-      Tables.create ~title:"query message cost (constant-memory sketch)"
+      Tables.create ~title:"query message cost (exact)"
         ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
     in
     Tables.add_row t
@@ -635,7 +633,7 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
 
 (* Watch a workload evolve: run [epochs] query batches and push one
    value per epoch into fixed-size Series rings (mean and p99 message
-   cost from a per-epoch sketch, total messages). Only the last
+   cost over the epoch's queries, total messages). Only the last
    [window] epochs are retained — the memory story of a long-lived
    monitoring loop — and the table prints exactly that window. *)
 let run_monitor structure n queries epochs window seed m buckets jobs =
@@ -659,11 +657,7 @@ let run_monitor structure n queries epochs window seed m buckets jobs =
     let before = Network.total_messages d.net in
     let batch = Array.sub qs (e * qper) qper in
     let msgs = d.query_all pool batch in
-    (* One bounded sketch per epoch: the per-epoch distribution without
-       retaining the per-query array beyond the batch. *)
-    let sk = Sketch.create () in
-    Array.iter (Sketch.observe_int sk) msgs;
-    let s = Sketch.summary sk in
+    let s = Stats.summarize_ints (Array.to_list msgs) in
     Series.push mean_s s.Stats.mean;
     Series.push p99_s s.Stats.p99;
     Series.push msgs_s (float_of_int (Network.total_messages d.net - before))
@@ -706,7 +700,7 @@ module OL = Skipweb_workload.Open_loop
    stored keys. The whole plan is derived from the seed up front
    ([Open_loop.plan]), so a run is replayable — and comparable across
    --cache-replicas settings, which is the point: the level cache must
-   flatten the congestion table without moving the msgs/op sketch. *)
+   flatten the congestion table without moving the msgs/op distribution. *)
 let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs =
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
@@ -729,19 +723,19 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
         cl ck
   | _ -> print_newline ());
   Network.reset_traffic d.net;
-  let sk = Sketch.create () in
+  let msgs = ref [] in
   let t0 = now () in
   Array.iter
     (fun e ->
       match e.OL.op with
-      | OL.Query q -> Sketch.observe_int sk (d.query q)
+      | OL.Query q -> msgs := d.query q :: !msgs
       | OL.Insert k -> ignore (d.insert k : int)
       | OL.Remove k -> ignore (try d.delete k with Invalid_argument _ -> 0))
     events;
   let wall_s = now () -. t0 in
-  let s = Sketch.summary sk in
+  let s = Stats.summarize_ints !msgs in
   let t =
-    Tables.create ~title:"query message cost (per-op sketch)"
+    Tables.create ~title:"query message cost (exact)"
       ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
   in
   Tables.add_row t
@@ -1086,7 +1080,7 @@ let cache_replicas_arg =
 let cache_term = Term.(const (fun c k -> (c, k)) $ cache_levels_arg $ cache_replicas_arg)
 
 let hotspots_cmd =
-  let doc = "Drive mixed uniform + Zipf(--alpha) query traffic and report the exact top-k hottest hosts, per-host congestion percentiles and Gini, the constant-memory message-cost sketch, and (skip-web structures) the per-level load attribution of a traced sample." in
+  let doc = "Drive mixed uniform + Zipf(--alpha) query traffic and report the exact top-k hottest hosts, per-host congestion percentiles and Gini, the exact message-cost distribution, and (skip-web structures) the per-level load attribution of a traced sample." in
   Cmd.v (Cmd.info "hotspots" ~doc)
     Term.(const run_hotspots $ structure_arg $ n_arg $ queries_arg $ seed_arg $ m_arg $ buckets_arg $ topk_arg $ alpha_arg $ cache_term $ jobs_arg $ pool_stats_arg)
 
@@ -1100,7 +1094,7 @@ let read_fraction_arg =
   Arg.(value & opt float 0.9 & info [ "read-fraction" ] ~docv:"F" ~doc:"Fraction of operations that are queries; the rest split evenly between inserts of fresh keys and removes of live ones.")
 
 let serve_cmd =
-  let doc = "Serve an open-loop workload (Poisson arrivals, Zipf + uniform query blend, read/write mix) replayed from its seed, and report the per-op message sketch and the per-host congestion table. With --cache-replicas > 1 the skip-web structures spread each coarse level over k per-origin replicas — the congestion Gini and top-16 share must fall while msgs/op stays put." in
+  let doc = "Serve an open-loop workload (Poisson arrivals, Zipf + uniform query blend, read/write mix) replayed from its seed, and report the exact per-op message distribution and the per-host congestion table. With --cache-replicas > 1 the skip-web structures spread each coarse level over k per-origin replicas — the congestion Gini and top-16 share must fall while msgs/op stays put." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve $ structure_arg $ n_arg $ ops_arg $ rate_arg $ read_fraction_arg $ seed_arg $ m_arg $ buckets_arg $ alpha_arg $ cache_term $ jobs_arg)
 
@@ -1108,7 +1102,7 @@ let window_arg =
   Arg.(value & opt int 8 & info [ "window"; "w" ] ~docv:"W" ~doc:"Time-series window: only the last $(docv) epochs are retained (older ones roll off the ring).")
 
 let monitor_cmd =
-  let doc = "Run epoch after epoch of queries and watch the workload through fixed-size time-series rings: per-epoch mean and p99 message cost (from a bounded per-epoch sketch) and message totals, with only the last W epochs retained." in
+  let doc = "Run epoch after epoch of queries and watch the workload through fixed-size time-series rings: per-epoch mean and p99 message cost (exact over each epoch's queries) and message totals, with only the last W epochs retained." in
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(const run_monitor $ structure_arg $ n_arg $ queries_arg $ epochs_arg $ window_arg $ seed_arg $ m_arg $ buckets_arg $ jobs_arg)
 

@@ -134,49 +134,12 @@ let prefix_subtree t q =
 let count_with_prefix t q =
   match prefix_subtree t q with None -> 0 | Some n -> n.size
 
-let rec first_terminal n =
-  if n.terminal then Some n.str
-  else
-    let rec try_children = function
-      | [] -> None
-      | (_, e) :: rest -> (
-          match first_terminal e.target with Some s -> Some s | None -> try_children rest)
-    in
-    try_children n.children
-
-let first_with_prefix t q =
-  match prefix_subtree t q with None -> None | Some n -> first_terminal n
-
 let longest_common_prefix t q =
   let loc, _ = locate t q in
   match loc.slot with
   | Exact -> q
   | No_child _ -> loc.node.str
   | In_edge { matched; _ } -> String.sub q 0 (String.length loc.node.str + matched)
-
-let path_node_count t ~from_string ~to_string =
-  let start =
-    match node_of_string t from_string with
-    | Some n -> n
-    | None -> invalid_arg "Ctrie.path_node_count: from_string is not a node"
-  in
-  if
-    String.length from_string > String.length to_string
-    || String.sub to_string 0 (String.length from_string) <> from_string
-  then invalid_arg "Ctrie.path_node_count: from_string not a prefix of to_string";
-  let rec go v count =
-    if String.length v.str = String.length to_string then count
-    else
-      let c = to_string.[String.length v.str] in
-      match List.assoc_opt c v.children with
-      | None -> invalid_arg "Ctrie.path_node_count: to_string not reachable"
-      | Some e ->
-          let k = match_len e.label to_string (String.length v.str) in
-          if k <> String.length e.label then
-            invalid_arg "Ctrie.path_node_count: to_string not a node"
-          else go e.target (count + 1)
-  in
-  go start 1
 
 let bump_sizes_from n delta =
   let rec go = function

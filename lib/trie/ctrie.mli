@@ -83,18 +83,9 @@ val count_with_prefix : t -> string -> int
 (** Number of stored strings having the query as a prefix — the paper's
     prefix query (e.g. all ISBNs of one publisher). *)
 
-val first_with_prefix : t -> string -> string option
-(** Lexicographically least stored string with the given prefix. *)
-
 val longest_common_prefix : t -> string -> string
 (** The longest prefix of the query that is a prefix of some stored
     string: "the first place where a query substring differs" (§3.2). *)
-
-val path_node_count : t -> from_string:string -> to_string:string -> int
-(** Number of nodes on this trie's path between two of its node strings
-    ([from_string] must be a prefix of [to_string]); both endpoints
-    inclusive. This is the [|P|] of Lemma 4's proof: the path in [D(S)]
-    corresponding to a single edge of [D(T)]. *)
 
 (** {1 Updates} *)
 

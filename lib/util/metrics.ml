@@ -1,24 +1,15 @@
-(* Histograms are quantile sketches: exact (sample-retaining) up to the
-   registry's [sample_cap], transparently degrading to constant-memory
-   logarithmic buckets above it. Below the cap the exported figures are
-   bitwise the old retain-everything summaries (Sketch's exact mode
-   answers through Stats.percentile on the sorted sample); above it the
-   registry stops hoarding samples — the bounded-memory regression test
-   observes 10^6 values and checks the footprint stays flat. Sketch
-   merging is partition-independent, so the shard-merge determinism
-   contract below holds in both modes. *)
+(* Histograms keep every sample, in a growable float array. A summary
+   sorts a copy and folds it in sorted order through Stats.summarize, so
+   the exported figures are a pure function of the sample multiset: the
+   shard-merge determinism contract below needs nothing more. *)
 
-type entry = Counter of int ref | Histogram of Sketch.t
+type samples = { mutable data : float array; mutable len : int }
 
-type t = { entries : (string, entry) Hashtbl.t; sample_cap : int }
+type entry = Counter of int ref | Histogram of samples
 
-let default_sample_cap = 4096
+type t = { entries : (string, entry) Hashtbl.t }
 
-let create ?(sample_cap = default_sample_cap) () =
-  if sample_cap < 0 then invalid_arg "Metrics.create: sample_cap must be >= 0";
-  { entries = Hashtbl.create 32; sample_cap }
-
-let sample_cap t = t.sample_cap
+let create () = { entries = Hashtbl.create 32 }
 
 let clear t = Hashtbl.reset t.entries
 
@@ -36,45 +27,62 @@ let histogram t name =
   | Some (Histogram s) -> s
   | Some (Counter _) -> invalid_arg (Printf.sprintf "Metrics: %s is a counter" name)
   | None ->
-      let s = Sketch.create ~exact_cap:t.sample_cap () in
+      let s = { data = [||]; len = 0 } in
       Hashtbl.replace t.entries name (Histogram s);
       s
+
+let push s v =
+  if s.len = Array.length s.data then begin
+    let data = Array.make (max 16 (2 * s.len)) 0.0 in
+    Array.blit s.data 0 data 0 s.len;
+    s.data <- data
+  end;
+  s.data.(s.len) <- v;
+  s.len <- s.len + 1
 
 let incr t ?(by = 1) name =
   let c = counter t name in
   c := !c + by
 
-let observe t name v = Sketch.observe (histogram t name) v
+(* A NaN has no place in the sorted order the summaries fold over. *)
+let observe t name v =
+  if Float.is_nan v then invalid_arg "Metrics.observe: NaN sample";
+  push (histogram t name) v
 
 let observe_int t name v = observe t name (float_of_int v)
 
 let counter_value t name =
   match Hashtbl.find_opt t.entries name with Some (Counter c) -> !c | _ -> 0
 
-let histogram_summary t name =
-  match Hashtbl.find_opt t.entries name with
-  | Some (Histogram s) when Sketch.count s > 0 -> Some (Sketch.summary s)
-  | _ -> None
+let summary s =
+  if s.len = 0 then None
+  else begin
+    let sorted = Array.sub s.data 0 s.len in
+    Array.sort compare sorted;
+    Some (Stats.summarize (Array.to_list sorted))
+  end
 
-let histogram_sketch t name =
-  match Hashtbl.find_opt t.entries name with Some (Histogram s) -> Some s | _ -> None
+let histogram_summary t name =
+  match Hashtbl.find_opt t.entries name with Some (Histogram s) -> summary s | _ -> None
 
 let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.entries [] |> List.sort compare
 
 (* Shard merging for parallel recording: each worker records into its own
-   registry, then the shards are folded into one. Counters add, and
-   histogram sketches merge partition-independently — the merged sketch
-   (and every figure exported from it) is a pure function of the union
-   sample multiset, never of the shard boundaries or the merge order —
-   so the merged registry's exports do not depend on which worker
-   recorded which sample. Registries must share one [sample_cap]. *)
+   registry, then the shards are folded into one. Counters add and
+   histograms append samples; summaries sort before folding, so the
+   merged registry's exports do not depend on which worker recorded
+   which sample or on the merge order. *)
 let merge dst src =
   List.iter
     (fun name ->
       match Hashtbl.find src.entries name with
       | Counter c -> incr dst ~by:!c name
-      | Histogram s -> Sketch.merge (histogram dst name) s)
+      | Histogram s ->
+          let d = histogram dst name in
+          for i = 0 to s.len - 1 do
+            push d s.data.(i)
+          done)
     (names src)
 
 let json_of_summary (s : Stats.summary) =
@@ -102,9 +110,7 @@ let to_json t =
     match Hashtbl.find t.entries name with
     | Counter c -> Printf.sprintf "  \"%s\": %d" (escape name) !c
     | Histogram s ->
-        let body =
-          if Sketch.count s = 0 then "{\"count\": 0}" else json_of_summary (Sketch.summary s)
-        in
+        let body = match summary s with None -> "{\"count\": 0}" | Some m -> json_of_summary m in
         Printf.sprintf "  \"%s\": %s" (escape name) body
   in
   Printf.sprintf "{\n%s\n}\n" (String.concat ",\n" (List.map field (names t)))
@@ -116,14 +122,13 @@ let to_csv t =
     (fun name ->
       match Hashtbl.find t.entries name with
       | Counter c -> Buffer.add_string buf (Printf.sprintf "%s,counter,%d,,,,,,,,\n" name !c)
-      | Histogram s ->
-          if Sketch.count s = 0 then
-            Buffer.add_string buf (Printf.sprintf "%s,histogram,,0,,,,,,,\n" name)
-          else
-            let m = Sketch.summary s in
-            Buffer.add_string buf
-              (Printf.sprintf "%s,histogram,,%d,%g,%g,%g,%g,%g,%g,%g\n" name m.Stats.count
-                 m.Stats.mean m.Stats.stddev m.Stats.min m.Stats.max m.Stats.p50 m.Stats.p90
-                 m.Stats.p99))
+      | Histogram s -> (
+          match summary s with
+          | None -> Buffer.add_string buf (Printf.sprintf "%s,histogram,,0,,,,,,,\n" name)
+          | Some m ->
+              Buffer.add_string buf
+                (Printf.sprintf "%s,histogram,,%d,%g,%g,%g,%g,%g,%g,%g\n" name m.Stats.count
+                   m.Stats.mean m.Stats.stddev m.Stats.min m.Stats.max m.Stats.p50 m.Stats.p90
+                   m.Stats.p99)))
     (names t);
   Buffer.contents buf

@@ -12,22 +12,14 @@
     one name raises [Invalid_argument]. Export orders entries by name, so
     output is deterministic.
 
-    Histograms do {b not} retain samples without bound: each one is a
-    {!Sketch}, exact (sample-retaining) up to the registry's
-    [sample_cap] and transparently degrading to constant-memory
-    logarithmic buckets above it. Under the cap the exported figures
-    are the familiar exact summaries; above it percentiles carry the
-    sketch's documented relative-error bound and memory stays flat in
-    the sample count — a registry can absorb the 10^6-op workloads the
-    serving-at-scale benches drive. *)
+    Histograms keep every sample. A summary sorts a copy and folds it
+    in sorted order through {!Stats.summarize}, so every exported figure
+    is exact and depends only on the multiset of samples. Memory is
+    eight bytes per sample. *)
 
 type t
 
-val create : ?sample_cap:int -> unit -> t
-(** [sample_cap] (default 4096) is the per-histogram exact-mode
-    retention limit, passed to each histogram's {!Sketch.create}. *)
-
-val sample_cap : t -> int
+val create : unit -> t
 val clear : t -> unit
 
 (** {1 Recording} *)
@@ -36,22 +28,20 @@ val incr : t -> ?by:int -> string -> unit
 (** Bump a counter (created at 0 on first use). *)
 
 val observe : t -> string -> float -> unit
-(** Add one sample to a histogram (created empty on first use). *)
+(** Add one sample to a histogram (created empty on first use). Raises
+    [Invalid_argument] on NaN, which has no place in the sorted order. *)
 
 val observe_int : t -> string -> int -> unit
 
 val merge : t -> t -> unit
-(** [merge dst src] folds [src] into [dst]: counters add, histogram
-    sketches merge ({!Sketch.merge}). [src] is unchanged. Both
-    registries must have been created with the same [sample_cap]
-    (mismatches raise [Invalid_argument] from the sketch merge).
+(** [merge dst src] folds [src] into [dst]: counters add, histograms
+    append [src]'s samples. [src] is unchanged.
 
     This is the concurrent-recording discipline: a registry is {b not}
     safe to record into from several domains at once, so each worker
     records into a private shard and the shards are merged afterwards.
-    Because counter addition is commutative and sketch merging is
-    partition-independent (the merged sketch is a pure function of the
-    union sample multiset — see {!Sketch}), the merged registry's
+    Because counter addition is commutative and a summary is a pure
+    function of the union sample multiset, the merged registry's
     {!to_json}/{!to_csv} output is identical for any merge order and
     any assignment of samples to workers — parallel runs export
     byte-for-byte what the sequential run exports. *)
@@ -62,13 +52,7 @@ val counter_value : t -> string -> int
 (** Current value; 0 for a name never incremented. *)
 
 val histogram_summary : t -> string -> Stats.summary option
-(** Summary of a histogram's samples; [None] if absent or empty. Exact
-    below [sample_cap] samples, sketch-accurate above (see {!Sketch}). *)
-
-val histogram_sketch : t -> string -> Sketch.t option
-(** The histogram's underlying sketch (e.g. to check {!Sketch.is_exact}
-    or its {!Sketch.bucket_count} in memory regression tests); [None]
-    if the name is absent or names a counter. *)
+(** Exact summary of a histogram's samples; [None] if absent or empty. *)
 
 val names : t -> string list
 (** All registered names, sorted. *)

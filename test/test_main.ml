@@ -4,7 +4,6 @@ let () =
   Alcotest.run "skipweb"
     [
       ("util", Test_util.suite);
-      ("sketch", Test_sketch.suite);
       ("pool", Test_pool.suite);
       ("net", Test_net.suite);
       ("trace", Test_trace.suite);

@@ -8,6 +8,7 @@
 module Pool = Skipweb_util.Pool
 module Prng = Skipweb_util.Prng
 module Metrics = Skipweb_util.Metrics
+module Stats = Skipweb_util.Stats
 module Network = Skipweb_net.Network
 module H = Skipweb_core.Hierarchy
 module I = Skipweb_core.Instances
@@ -174,11 +175,18 @@ let record_into m (kind, name, v) =
   | `C -> Metrics.incr m ~by:v name
   | `H -> Metrics.observe_int m name v
 
+(* A few hand-picked events, plus one histogram of 5 000 samples: past
+   the 4 096 at which a capped histogram would stop being exact. *)
 let sample_events =
+  let big =
+    let g = Prng.create 4096 in
+    List.init 5000 (fun _ -> (`H, "big", Prng.int g 40))
+  in
   [
     (`C, "ops", 3); (`H, "lat", 5); (`H, "lat", 1); (`C, "ops", 2); (`H, "msgs", 9);
     (`H, "lat", 1); (`C, "errs", 1); (`H, "msgs", 2); (`H, "lat", 8); (`C, "ops", 1);
   ]
+  @ big
 
 let test_merge_order_independent_exports () =
   (* One registry recorded sequentially... *)
@@ -202,7 +210,20 @@ let test_merge_order_independent_exports () =
   checks "json merge order independent" (Metrics.to_json m1) (Metrics.to_json m2);
   checks "csv merge order independent" (Metrics.to_csv m1) (Metrics.to_csv m2);
   checks "json equals sequential recording" (Metrics.to_json seq) (Metrics.to_json m1);
-  checks "csv equals sequential recording" (Metrics.to_csv seq) (Metrics.to_csv m1)
+  checks "csv equals sequential recording" (Metrics.to_csv seq) (Metrics.to_csv m1);
+  (* Exact: each merged summary is Stats.summarize of the sorted union. *)
+  List.iter
+    (fun name ->
+      let union =
+        List.filter_map
+          (fun (kind, n, v) -> if kind = `H && n = name then Some (float_of_int v) else None)
+          sample_events
+      in
+      checkb
+        (Printf.sprintf "%s summary = sorted-array model" name)
+        true
+        (Metrics.histogram_summary m1 name = Some (Stats.summarize (List.sort compare union))))
+    [ "lat"; "msgs"; "big" ]
 
 (* ------- parallel == sequential, the load-bearing property ------- *)
 

@@ -289,88 +289,6 @@ let test_range_empty_box_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* ------- the sequential skip quadtree (reference [6]) ------- *)
-
-module SQ = Skipweb_quadtree.Skip_qtree
-
-let test_skipqtree_build_and_locate () =
-  let pts = Workload.uniform_points ~seed:30 ~n:500 ~dim:2 in
-  let sq = SQ.build ~seed:31 ~dim:2 pts in
-  SQ.check_invariants sq;
-  checki "size" 500 (SQ.size sq);
-  checkb "levels about log n" true (SQ.levels sq >= 5 && SQ.levels sq <= 30);
-  let oracle = Q.build ~dim:2 pts in
-  let queries = Workload.uniform_query_points ~seed:32 ~n:100 ~dim:2 in
-  Array.iter
-    (fun q ->
-      let loc, steps = SQ.locate sq q in
-      let direct, _ = Q.locate oracle q in
-      checkb "same located cell" true (Q.node_cube loc.Q.node = Q.node_cube direct.Q.node);
-      checkb "steps bounded" true (steps >= 1 && steps < 200))
-    queries
-
-let test_skipqtree_fast_on_deep_input () =
-  let pts = Workload.diagonal_points ~n:25 ~dim:2 in
-  let sq = SQ.build ~seed:33 ~dim:2 pts in
-  let oracle = Q.build ~dim:2 pts in
-  checkb "oracle deep" true (Q.depth oracle >= 20);
-  let queries = Workload.uniform_query_points ~seed:34 ~n:100 ~dim:2 in
-  let total = ref 0 in
-  Array.iter
-    (fun q ->
-      let _, steps = SQ.locate sq q in
-      total := !total + steps)
-    queries;
-  checkb "locate steps logarithmic" true (float_of_int !total /. 100.0 < 15.0)
-
-let test_skipqtree_insert_remove () =
-  let pts = Workload.uniform_points ~seed:35 ~n:100 ~dim:2 in
-  let sq = SQ.build ~seed:36 ~dim:2 pts in
-  let extra = Point.create [ 0.421; 0.887 ] in
-  checkb "insert" true (SQ.insert sq extra);
-  checkb "dup insert" false (SQ.insert sq extra);
-  SQ.check_invariants sq;
-  checki "grew" 101 (SQ.size sq);
-  let loc, _ = SQ.locate sq extra in
-  checkb "inserted located" true
-    (match Q.node_point loc.Q.node with Some p -> Point.dist p extra < 1e-6 | None -> false);
-  checkb "remove" true (SQ.remove sq extra);
-  checkb "remove twice" false (SQ.remove sq extra);
-  SQ.check_invariants sq;
-  checki "restored" 100 (SQ.size sq)
-
-let test_skipqtree_nearest () =
-  let pts = Workload.uniform_points ~seed:37 ~n:300 ~dim:2 in
-  let sq = SQ.build ~seed:38 ~dim:2 pts in
-  let q = Point.create [ 0.5; 0.5 ] in
-  match SQ.nearest sq q with
-  | None -> Alcotest.fail "nonempty"
-  | Some (_, d) ->
-      let brute = Array.fold_left (fun acc p -> Float.min acc (Point.dist p q)) infinity pts in
-      Alcotest.(check (float 1e-9)) "exact" brute d
-
-let qcheck_skipqtree_random_ops =
-  QCheck.Test.make ~name:"skip quadtree random ops keep invariants" ~count:30
-    QCheck.(pair small_int (int_range 1 80))
-    (fun (seed, n) ->
-      let rng = Prng.create seed in
-      let sq = SQ.build ~seed ~dim:2 [||] in
-      let live = ref [] in
-      for _ = 1 to n do
-        if Prng.bool rng || !live = [] then begin
-          let p = Point.create [ Prng.float rng 1.0; Prng.float rng 1.0 ] in
-          if SQ.insert sq p then live := p :: !live
-        end
-        else
-          match !live with
-          | p :: rest ->
-              ignore (SQ.remove sq p);
-              live := rest
-          | [] -> ()
-      done;
-      SQ.check_invariants sq;
-      SQ.size sq = List.length !live)
-
 (* ------- bulk build, charged scans ------- *)
 
 module Pool = Skipweb_util.Pool
@@ -662,10 +580,6 @@ let suite =
     Alcotest.test_case "gap refinement short (Lemma 3 flavor)" `Quick test_gap_count_small_on_random_halves;
     Alcotest.test_case "range queries" `Quick test_range_queries;
     Alcotest.test_case "range empty box rejected" `Quick test_range_empty_box_rejected;
-    Alcotest.test_case "skip quadtree build/locate" `Quick test_skipqtree_build_and_locate;
-    Alcotest.test_case "skip quadtree fast on deep input" `Quick test_skipqtree_fast_on_deep_input;
-    Alcotest.test_case "skip quadtree insert/remove" `Quick test_skipqtree_insert_remove;
-    Alcotest.test_case "skip quadtree nearest" `Quick test_skipqtree_nearest;
     Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
     Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
     Alcotest.test_case "knn = brute force" `Quick test_knn_matches_brute_force;
@@ -673,7 +587,6 @@ let suite =
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
     QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
-    QCheck_alcotest.to_alcotest qcheck_skipqtree_random_ops;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;
   ]

@@ -49,12 +49,6 @@ let test_count_with_prefix () =
   checki "prefix absent" 0 (T.count_with_prefix t "dz");
   checki "empty prefix counts all" 5 (T.count_with_prefix t "")
 
-let test_first_with_prefix () =
-  let t = build [ "cat"; "car"; "cart"; "carbon" ] in
-  Alcotest.(check (option string)) "least extension" (Some "car") (T.first_with_prefix t "car");
-  Alcotest.(check (option string)) "inside edge" (Some "carbon") (T.first_with_prefix t "carb");
-  Alcotest.(check (option string)) "absent" None (T.first_with_prefix t "cb")
-
 let test_longest_common_prefix () =
   let t = build [ "romane"; "romanus"; "romulus" ] in
   Alcotest.(check string) "full hit" "romane" (T.longest_common_prefix t "romane");
@@ -141,12 +135,6 @@ let test_iter_lexicographic () =
     "lexicographic order"
     [ "apple"; "apricot"; "peach"; "pear"; "plum" ]
     (List.rev !acc)
-
-let test_path_node_count () =
-  let t = build [ "abc"; "abcdef"; "abcdez" ] in
-  (* Nodes: root(""), "abc", "abcde", leaves. Path root -> "abcde" has 3 nodes. *)
-  checki "path nodes" 3 (T.path_node_count t ~from_string:"" ~to_string:"abcde");
-  checki "trivial path" 1 (T.path_node_count t ~from_string:"abc" ~to_string:"abc")
 
 let test_subset_nodes_exist_in_superset () =
   (* §2.3 refinement property for tries: node strings of D(T) are node
@@ -275,7 +263,6 @@ let suite =
     Alcotest.test_case "empty string key" `Quick test_empty_string_key;
     Alcotest.test_case "compression" `Quick test_compression;
     Alcotest.test_case "count_with_prefix" `Quick test_count_with_prefix;
-    Alcotest.test_case "first_with_prefix" `Quick test_first_with_prefix;
     Alcotest.test_case "strings_with_prefix" `Quick test_strings_with_prefix;
     Alcotest.test_case "longest_common_prefix" `Quick test_longest_common_prefix;
     Alcotest.test_case "insert/remove roundtrip" `Quick test_insert_remove_roundtrip;
@@ -285,7 +272,6 @@ let suite =
     Alcotest.test_case "locate path and terminals" `Quick test_locate_path_and_subtree_sizes;
     Alcotest.test_case "prefix count matches oracle" `Quick test_count_prefix_matches_oracle;
     Alcotest.test_case "iter lexicographic" `Quick test_iter_lexicographic;
-    Alcotest.test_case "path node count" `Quick test_path_node_count;
     Alcotest.test_case "subset nodes exist in superset" `Quick test_subset_nodes_exist_in_superset;
     Alcotest.test_case "refinement soundness" `Quick test_refinement_soundness;
     Alcotest.test_case "bulk build canonical" `Quick test_bulk_build_canonical;

@@ -1,10 +1,12 @@
-(* Tests for Skipweb_util: PRNG, membership vectors, statistics, tables. *)
+(* Tests for Skipweb_util: PRNG, membership vectors, statistics, metrics,
+   time series, tables. *)
 
 module Prng = Skipweb_util.Prng
 module Membership = Skipweb_util.Membership
 module Stats = Skipweb_util.Stats
 module Tables = Skipweb_util.Tables
 module Metrics = Skipweb_util.Metrics
+module Series = Skipweb_util.Series
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -247,7 +249,9 @@ let test_metrics_histograms () =
       check Alcotest.(float 1e-9) "mean" 3.0 s.Stats.mean;
       check Alcotest.(float 1e-9) "p50" 3.0 s.Stats.p50);
   Alcotest.check_raises "kind clash" (Invalid_argument "Metrics: lat is a histogram") (fun () ->
-      Metrics.incr m "lat")
+      Metrics.incr m "lat");
+  Alcotest.check_raises "NaN rejected" (Invalid_argument "Metrics.observe: NaN sample") (fun () ->
+      Metrics.observe m "lat" Float.nan)
 
 let test_metrics_export () =
   let m = Metrics.create () in
@@ -271,6 +275,63 @@ let test_metrics_export () =
   checkb "csv counter row" true (contains csv "b.counter,counter,7");
   Metrics.clear m;
   Alcotest.(check (list string)) "clear empties" [] (Metrics.names m)
+
+(* ------- windowed time series ------- *)
+
+let test_series_ring () =
+  let s = Series.create ~window:3 in
+  checki "empty length" 0 (Series.length s);
+  checkb "no last" true (Series.last s = None);
+  checkb "no summary" true (Series.summary s = None);
+  List.iter (Series.push s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
+  checki "window" 3 (Series.window s);
+  checki "total counts everything" 5 (Series.total s);
+  checki "length is the window" 3 (Series.length s);
+  checkb "oldest two rolled off" true
+    (Series.to_list s = [ (2, 3.0); (3, 4.0); (4, 5.0) ]);
+  checkb "values" true (Series.values s = [ 3.0; 4.0; 5.0 ]);
+  checkb "nth oldest" true (Series.nth s 0 = 3.0);
+  checkb "last" true (Series.last s = Some 5.0);
+  (match Series.summary s with
+  | None -> Alcotest.fail "expected summary"
+  | Some sum ->
+      check Alcotest.(float 1e-12) "windowed mean" 4.0 sum.Stats.mean;
+      checki "windowed count" 3 sum.Stats.count);
+  Alcotest.check_raises "nth past window" (Invalid_argument "Series.nth: index out of window")
+    (fun () -> ignore (Series.nth s 3))
+
+let test_series_partial_fill () =
+  let s = Series.create ~window:8 in
+  Series.push s 10.0;
+  Series.push s 20.0;
+  checki "length below window" 2 (Series.length s);
+  checkb "epochs from zero" true (Series.to_list s = [ (0, 10.0); (1, 20.0) ]);
+  let j = Series.to_json s in
+  let contains hay needle =
+    let nl = String.length needle and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+    go 0
+  in
+  checkb "json window" true (contains j "\"window\": 8");
+  checkb "json first epoch" true (contains j "\"first_epoch\": 0")
+
+let test_series_rejects_bad_window () =
+  Alcotest.check_raises "window 0" (Invalid_argument "Series.create: window must be >= 1")
+    (fun () -> ignore (Series.create ~window:0))
+
+let qcheck_series_model =
+  QCheck.Test.make ~name:"series agrees with take-last model" ~count:120
+    QCheck.(
+      pair (int_range 1 10) (list_of_size Gen.(int_range 0 50) (float_range (-100.0) 100.0)))
+    (fun (window, xs) ->
+      let s = Series.create ~window in
+      List.iter (Series.push s) xs;
+      let n = List.length xs in
+      let keep = min n window in
+      let expected =
+        List.filteri (fun i _ -> i >= n - keep) xs |> List.mapi (fun i v -> (n - keep + i, v))
+      in
+      Series.to_list s = expected && Series.total s = n && Series.length s = keep)
 
 let series_of f = List.map (fun n -> (float_of_int n, f (float_of_int n))) [ 16; 64; 256; 1024; 4096; 16384 ]
 
@@ -674,6 +735,9 @@ let suite =
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "metrics histograms" `Quick test_metrics_histograms;
     Alcotest.test_case "metrics export" `Quick test_metrics_export;
+    Alcotest.test_case "series ring semantics" `Quick test_series_ring;
+    Alcotest.test_case "series partial fill" `Quick test_series_partial_fill;
+    Alcotest.test_case "series rejects bad window" `Quick test_series_rejects_bad_window;
     Alcotest.test_case "fit recognizes log" `Quick test_fit_recognizes_log;
     Alcotest.test_case "fit recognizes constant" `Quick test_fit_recognizes_constant;
     Alcotest.test_case "fit recognizes linear" `Quick test_fit_recognizes_linear;
@@ -700,4 +764,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ordseq_model;
     QCheck_alcotest.to_alcotest qcheck_ordseq_batch_model;
     QCheck_alcotest.to_alcotest qcheck_vec_model;
+    QCheck_alcotest.to_alcotest qcheck_series_model;
   ]
