@@ -1,0 +1,272 @@
+(* Routing pins for the generic hierarchy (§2.3–2.5, §4): which host
+   every range of every level lands on, and which ranges a descent
+   visits, is the message model. Per-query answers, messages and
+   per-level visits, per-host traffic and per-host memory are therefore a
+   contract, pinned here over three instances, replication, the level
+   cache and a dead host. *)
+
+module Network = Skipweb_net.Network
+module H = Skipweb_core.Hierarchy
+module I = Skipweb_core.Instances
+module W = Skipweb_workload.Workload
+module Prng = Skipweb_util.Prng
+
+let mix acc x = Prng.hash2 acc x
+let mix_float acc f = mix acc (Int64.to_int (Int64.bits_of_float f))
+let mix_string acc s =
+  String.fold_left (fun acc c -> mix acc (Char.code c)) (mix acc (String.length s)) s
+let mix_point acc p = Array.fold_left mix_float (mix acc (Array.length p)) p
+
+(* One instance under test: a ground set, fresh keys for inserts, point
+   queries, scans, and how to fold an answer into a digest. *)
+module type CASE = sig
+  module S : Skipweb_core.Range_structure.S
+
+  val n : int
+  val keys : S.key array
+  val extra : S.key array
+  val queries : S.query array
+  val scans : S.scan array
+  val answer : int -> S.answer -> int
+  val scan_answer : int -> S.scan_answer -> int
+end
+
+module Stages (C : CASE) = struct
+  module Hr = H.Make (C.S)
+
+  (* A fresh hierarchy and network per stage, so stages cannot leak
+     traffic into each other. With [kill], the queries run once as a
+     warm-up and the host they visited most dies before the stage runs;
+     with r = 1 some walks then raise [Host_dead]. *)
+  let fresh ~r ~cache ~kill =
+    let net = Network.create ~hosts:C.n in
+    let cache_levels, cache_replicas = if cache then (2, 3) else (0, 1) in
+    let h = Hr.build ~net ~seed:41 ~r ~cache_levels ~cache_replicas C.keys in
+    if kill then begin
+      let rng = Prng.create 0x17 in
+      Array.iter (fun q -> try ignore (Hr.query h ~rng q) with Network.Host_dead _ -> ()) C.queries;
+      let busiest = ref 0 in
+      for host = 1 to C.n - 1 do
+        if Network.traffic net host > Network.traffic net !busiest then busiest := host
+      done;
+      Network.reset_traffic net;
+      Network.kill net !busiest
+    end;
+    (net, h)
+
+  let stats acc (s : Hr.query_stats) =
+    List.fold_left mix (mix (mix acc s.Hr.messages) s.Hr.ranges_visited) s.Hr.per_level_visits
+
+  (* The stage's own digest, then every host's traffic and memory. *)
+  let with_hosts net acc =
+    let acc = ref acc in
+    for host = 0 to C.n - 1 do
+      acc := mix (mix !acc (Network.traffic net host)) (Network.memory net host)
+    done;
+    mix !acc (Network.total_messages net)
+
+  let stage_query ~r ~cache ~kill =
+    let net, h = fresh ~r ~cache ~kill in
+    let rng = Prng.create 0x21 in
+    let step acc q =
+      match Hr.query h ~rng q with
+      | a, s -> stats (C.answer acc a) s
+      | exception Network.Host_dead _ -> mix acc (-1)
+    in
+    with_hosts net (Array.fold_left step 0 C.queries)
+
+  let stage_scan ~r ~cache ~kill =
+    let net, h = fresh ~r ~cache ~kill in
+    let rng = Prng.create 0x31 in
+    let step acc sc =
+      match Hr.scan h ~rng sc with
+      | a, s -> stats (C.scan_answer acc a) s
+      | exception Network.Host_dead _ -> mix acc (-1)
+    in
+    with_hosts net (Array.fold_left step 0 C.scans)
+
+  (* Single inserts cross the next power of two (the hierarchy grows a
+     level), single removes cross back (it shrinks one), then a batch of
+     each runs through the per-level sweeps; with a dead host a repair
+     pass ends the stage. *)
+  let stage_update ~r ~cache ~kill =
+    let net, h = fresh ~r ~cache ~kill in
+    let cost acc f =
+      match f () with c -> mix acc c | exception Network.Host_dead _ -> mix acc (-1)
+    in
+    let m = Array.length C.extra in
+    let acc = ref 0 in
+    for i = 0 to (m / 2) - 1 do
+      acc := cost !acc (fun () -> Hr.insert h C.extra.(i))
+    done;
+    acc := mix !acc (Hr.levels h);
+    for i = 0 to (m / 2) + 9 do
+      let k = if i mod 2 = 0 then C.extra.(i / 2) else C.keys.(i) in
+      acc := cost !acc (fun () -> Hr.remove h k)
+    done;
+    acc := mix !acc (Hr.levels h);
+    acc := mix !acc (Hr.insert_batch h (Array.sub C.extra (m / 2) (m / 2)));
+    acc := mix !acc (Hr.remove_batch h (Array.sub C.keys 100 (m / 2)));
+    acc := mix (mix !acc (Hr.size h)) (Hr.total_storage h);
+    for level = 0 to Hr.levels h - 1 do
+      acc := List.fold_left mix !acc (List.sort compare (Hr.level_set_sizes h level))
+    done;
+    if kill then begin
+      let s = Hr.repair h in
+      acc := List.fold_left mix !acc [ s.Hr.scanned; s.Hr.repaired; s.Hr.messages; s.Hr.lost ]
+    end;
+    Hr.check_invariants h;
+    with_hosts net !acc
+
+  let configs =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun cache -> List.map (fun kill -> (r, cache, kill)) [ false; true ])
+          [ false; true ])
+      [ 1; 2 ]
+
+  let rows () =
+    List.map
+      (fun (r, cache, kill) ->
+        [ stage_query ~r ~cache ~kill; stage_scan ~r ~cache ~kill; stage_update ~r ~cache ~kill ])
+      configs
+
+  let check pinned () =
+    List.iter2
+      (fun (r, cache, kill) (want, got) ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s r=%d cache=%b kill=%b [query; scan; update]" C.S.name r cache kill)
+          want got)
+      configs
+      (List.combine pinned (rows ()))
+end
+
+(* n = 1000 sits just below 1024, so the update stage's 30 inserts add a
+   level and the removes after them take it away again. *)
+let n = 1000
+let extra = 60
+
+module Ints_case = struct
+  module S = I.Ints
+
+  let n = n
+  let all = W.distinct_ints ~seed:5 ~n:(n + extra) ~bound:(100 * n)
+  let keys = Array.sub all 0 n
+  let extra = Array.sub all n extra
+
+  (* Every fourth query is a stored key, so exact hits (node ranges) and
+     gaps (link ranges) both route. *)
+  let queries =
+    let rng = Prng.create 0x11 in
+    Array.init 150 (fun i -> if i mod 4 = 0 then keys.(Prng.int rng n) else Prng.int rng (100 * n))
+
+  let scans =
+    let rng = Prng.create 0x12 in
+    Array.init 60 (fun i ->
+        let lo = Prng.int rng (100 * n) in
+        (lo, lo + Prng.int rng (if i mod 2 = 0 then 500 else 8_000)))
+
+  let answer acc = function None -> mix acc min_int | Some x -> mix acc x
+  let scan_answer = mix
+end
+
+module Points_case = struct
+  module S = I.Points2d
+
+  let n = n
+  let all = W.uniform_points ~seed:6 ~n:(n + extra) ~dim:2
+  let keys = Array.sub all 0 n
+  let extra = Array.sub all n extra
+
+  let queries =
+    let probes = W.uniform_query_points ~seed:0x13 ~n:150 ~dim:2 in
+    Array.mapi (fun i q -> if i mod 4 = 0 then keys.((i * 37) mod n) else q) probes
+
+  let scans =
+    let centers = W.uniform_query_points ~seed:0x14 ~n:60 ~dim:2 in
+    Array.mapi
+      (fun i c ->
+        if i mod 2 = 0 then I.Knn { center = c; k = 1 + (i mod 7) }
+        else
+          let side = if i mod 4 = 1 then 0.05 else 0.3 in
+          let hi = Array.map (fun x -> Float.min 0.999 (x +. side)) c in
+          I.Box { lo = c; hi; limit = 5 })
+      centers
+
+  let answer acc (a : I.cell_answer) =
+    let acc = mix acc a.I.cell_depth in
+    match a.I.cell_point with None -> mix acc (-1) | Some p -> mix_point acc p
+
+  let scan_answer acc = function
+    | I.Box_hits { count; sample } -> List.fold_left mix_point (mix acc count) sample
+    | I.Knn_hits hits ->
+        List.fold_left (fun acc (p, d) -> mix_float (mix_point acc p) d) (mix acc (-2)) hits
+end
+
+module Strings_case = struct
+  module S = I.Strings
+
+  let n = n
+  let all = W.random_strings ~seed:7 ~n:(n + extra) ~alphabet:4 ~len:10
+  let keys = Array.sub all 0 n
+  let extra = Array.sub all n extra
+  let queries = W.string_queries ~seed:0x15 ~keys ~n:150
+
+  let scans =
+    let rng = Prng.create 0x16 in
+    Array.init 60 (fun i ->
+        let k = keys.(Prng.int rng n) in
+        { I.prefix = String.sub k 0 (1 + (i mod 5)); scan_limit = 4 })
+
+  let answer acc (a : I.trie_answer) = mix (mix_string acc a.I.lcp) a.I.matches
+  let scan_answer acc (a : I.trie_scan_answer) =
+    List.fold_left mix_string (mix acc a.I.total) a.I.strings
+end
+
+module Ints_stages = Stages (Ints_case)
+module Points_stages = Stages (Points_case)
+module Strings_stages = Stages (Strings_case)
+
+let pinned_ints =
+  [
+    [ 3045353664109306450; 4608421768291945187; 3398908302889395518 ];
+    [ 2117776597301002293; 4575829757190398426; 73103922350403563 ];
+    [ 1604432687703199626; 645068441771622074; 2301363243827021984 ];
+    [ 3947166529183699811; 849828993667111114; 3418143731393185036 ];
+    [ 1451076027789576979; 2473839633005733007; 4575945402231401344 ];
+    [ 3024908161633195634; 3187207903139544223; 451083669654855003 ];
+    [ 3856872964647520895; 2021959894775747483; 91276467534094523 ];
+    [ 3042483907159807762; 1481144418022358120; 3823263951659644765 ];
+  ]
+
+let pinned_points =
+  [
+    [ 2519240693802253472; 1125481371265062878; 3815462821513619170 ];
+    [ 4158882358705316944; 3680171891303254447; 1934493493857591125 ];
+    [ 1435375735742076162; 2137846687945899644; 1832368482647794103 ];
+    [ 2347487298028266341; 4476113224836289828; 1686816077111391444 ];
+    [ 2293513351069370792; 2175590943947201945; 4104466654698520806 ];
+    [ 17817267869477440; 1864397145778576171; 3543786531637287802 ];
+    [ 4050300156195168723; 2424401280123955524; 3999929034977149428 ];
+    [ 3308876429927542594; 2035557353308310344; 4042446639499788432 ];
+  ]
+
+let pinned_strings =
+  [
+    [ 1733842878149146714; 1487989985231474972; 2853648457356297870 ];
+    [ 135040001390282491; 1487989985231474972; 2844537564569271913 ];
+    [ 4272628642987442483; 4566785575704392005; 2467463759022652850 ];
+    [ 1566465449788365865; 1235519327983658806; 2374697055257690853 ];
+    [ 1107925159619621610; 3347488947349477035; 1377009728001383514 ];
+    [ 3010775436583409545; 3347488947349477035; 442145587633835007 ];
+    [ 694161050618450885; 585421897796446710; 636228183557720670 ];
+    [ 3033414324026233260; 3897452203091454374; 4607229421747272966 ];
+  ]
+
+let suite =
+  [
+    Alcotest.test_case "pinned routing digest: sorted list" `Quick (Ints_stages.check pinned_ints);
+    Alcotest.test_case "pinned routing digest: quadtree" `Quick (Points_stages.check pinned_points);
+    Alcotest.test_case "pinned routing digest: trie" `Quick (Strings_stages.check pinned_strings);
+  ]

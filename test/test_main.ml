@@ -16,6 +16,7 @@ let () =
       ("workload", Test_workload.suite);
       ("skipgraph", Test_skipgraph.suite);
       ("core", Test_core.suite);
+      ("hierarchy", Test_hierarchy.suite);
       ("blocked", Test_blocked.suite);
       ("churn", Test_churn.suite);
       ("serving", Test_serving.suite);
