@@ -531,8 +531,10 @@ let json_of_rows ?sweep ?multi_d rows =
   Printf.sprintf
     "{\n  \"experiment\": \"scale\",\n  \"structure\": \"1-d generic skip-web (Hierarchy + \
      sorted lists)\",\n  \"workload\": \"bulk load, mixed churn (40%% insert / 40%% delete / \
-     20%% query), a parallel query phase, then a parallel batch-write phase\",\n  \"rows\": \
-     [\n%s\n  ]%s\n}\n"
+     20%% query), a parallel query phase, then a parallel batch-write phase\",\n  \"domains\": \
+     %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]%s\n}\n"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
     ((match multi_d with None -> "" | Some m -> ",\n" ^ m)
     ^ match sweep with None -> "" | Some s -> ",\n" ^ s)

@@ -10,7 +10,7 @@ module Make (S : Range_structure.S) = struct
      ℓ-bit membership prefix b holds every element whose vector starts with
      b. Level 0 is the full ground set.
 
-     Host-side cost discipline: every update does O(levels) hashtable work
+     Host-side cost discipline: every update does O(levels) table work
      plus whatever [S.insert]/[S.remove] cost, never O(n) bookkeeping. The
      live-id arena supports O(1) insert/remove/uniform-sample, and memory
      charges follow the O(1) range deltas the structures report instead of
@@ -34,6 +34,14 @@ module Make (S : Range_structure.S) = struct
      share nothing but the read-only batch arrays and the network's charge
      buffers — no locks needed, no interleaving visible.
 
+     [sets] is dense, indexed by membership prefix: level ℓ has 2^ℓ slots,
+     [None] where no element carries that prefix. A prefix's first ℓ bits
+     do not depend on the hierarchy's height, so growing or shrinking the
+     top never re-indexes a level, and all levels together hold fewer
+     than 4n slots (2^K < 2n at K = ⌈log₂ n⌉). Every reader of the sets
+     either looks one prefix up or folds order-independent sums and
+     counts over the array.
+
      [redraw] holds the level's re-drawn placements, one entry per range
      that a repair ever moved: (prefix, range id) -> the redraw generation
      of each of its [slots_at level] replica slots. A range without an
@@ -44,7 +52,7 @@ module Make (S : Range_structure.S) = struct
      charging and repair all agree on where every copy is without any
      per-copy pointer state. *)
   type level_state = {
-    sets : (int, S.t) Hashtbl.t;  (* prefix -> structure *)
+    sets : S.t option array;  (* prefix -> structure *)
     redraw : int array Range_tbl.t;
   }
 
@@ -88,7 +96,15 @@ module Make (S : Range_structure.S) = struct
      [path lsr (top - ℓ)]. *)
   let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
-  let fresh_layer () = { sets = Hashtbl.create 16; redraw = Range_tbl.create 16 }
+  let fresh_layer level = { sets = Array.make (1 lsl level) None; redraw = Range_tbl.create 16 }
+
+  (* Fold [f] over the live structures of a level, in prefix order. *)
+  let fold_sets f ly acc =
+    let acc = ref acc in
+    Array.iteri (fun b -> function Some s -> acc := f b s !acc | None -> ()) ly.sets;
+    !acc
+
+  let iter_sets f ly = fold_sets (fun b s () -> f b s) ly ()
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -309,7 +325,7 @@ module Make (S : Range_structure.S) = struct
       let len = start.(b + 1) - lo in
       if len > 0 then begin
         let s = S.build (Array.init len (fun i -> keys.(order.(lo + i)))) in
-        Hashtbl.replace ly b s;
+        ly.(b) <- Some s;
         charge_fresh t ~charge:add level b s
       end
     done;
@@ -359,11 +375,11 @@ module Make (S : Range_structure.S) = struct
     let ly = t.layers.(level).sets in
     List.iter
       (fun (b, ks) ->
-        match Hashtbl.find_opt ly b with
+        match ly.(b) with
         | Some s -> apply_delta t ~charge level b (S.insert_batch s ks)
         | None ->
             let s = S.build ks in
-            Hashtbl.replace ly b s;
+            ly.(b) <- Some s;
             charge_fresh t ~charge level b s)
       (bucket_sorted t fresh level)
 
@@ -375,10 +391,10 @@ module Make (S : Range_structure.S) = struct
     let ly = t.layers.(level).sets in
     List.iter
       (fun (b, ks) ->
-        match Hashtbl.find_opt ly b with
+        match ly.(b) with
         | Some s ->
             if S.size s = Array.length ks then begin
-              Hashtbl.remove ly b;
+              ly.(b) <- None;
               uncharge_set t ~charge level b s
             end
             else apply_delta t ~charge level b (S.remove_batch s ks)
@@ -412,7 +428,7 @@ module Make (S : Range_structure.S) = struct
      in an empty hierarchy, the new top levels when the hierarchy grows. *)
   let build_levels ?pool t lo =
     let wanted = required_top (size t) in
-    t.layers <- Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer ());
+    t.layers <- Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer l);
     t.top <- wanted;
     let snap = snapshot t in
     run_levels ?pool ~lo t (build_level t snap)
@@ -468,7 +484,7 @@ module Make (S : Range_structure.S) = struct
         cache_replicas;
         cache_seed = seed + 0xca4e;
         vecs;
-        layers = [| fresh_layer () |];
+        layers = [| fresh_layer 0 |];
         key_ids = Hashtbl.create 64;
         id_keys = Hashtbl.create 64;
         ids = [||];
@@ -563,24 +579,21 @@ module Make (S : Range_structure.S) = struct
     Array.iteri
       (fun level ly ->
         let slots = slots_at t level in
-        Hashtbl.iter
-          (fun b s -> List.iter (repair_range level ly.redraw slots b) (S.range_ids s))
-          ly.sets)
+        iter_sets (fun b s -> List.iter (repair_range level ly.redraw slots b) (S.range_ids s)) ly)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
-  let level_set_sizes t level =
-    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level).sets []
+  let level_set_sizes t level = fold_sets (fun _ s acc -> S.size s :: acc) t.layers.(level) []
 
   let total_storage t =
     Array.fold_left
-      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly.sets acc)
+      (fun acc ly -> fold_sets (fun _ s acc -> acc + S.storage_units s) ly acc)
       0 t.layers
 
   type query_stats = { messages : int; ranges_visited : int; per_level_visits : int list }
 
   let structure_exn t level b =
-    match Hashtbl.find_opt t.layers.(level).sets b with
+    match t.layers.(level).sets.(b) with
     | Some s -> s
     | None -> failwith "Hierarchy: missing level structure on an element's path"
 
@@ -721,9 +734,7 @@ module Make (S : Range_structure.S) = struct
     let wanted = required_top (size t) in
     if t.top > wanted then begin
       for level = wanted + 1 to t.top do
-        Hashtbl.iter
-          (fun b s -> uncharge_set t ~charge:(direct_charge t) level b s)
-          t.layers.(level).sets
+        iter_sets (uncharge_set t ~charge:(direct_charge t) level) t.layers.(level)
       done;
       t.layers <- Array.sub t.layers 0 (wanted + 1);
       t.top <- wanted
@@ -747,11 +758,11 @@ module Make (S : Range_structure.S) = struct
       for level = 0 to t.top do
         let ly = t.layers.(level).sets in
         let b = path lsr (t.top - level) in
-        match Hashtbl.find_opt ly b with
+        match ly.(b) with
         | Some s -> apply_delta t ~charge level b (S.insert s k)
         | None ->
             let s = S.build [| k |] in
-            Hashtbl.replace ly b s;
+            ly.(b) <- Some s;
             charge_fresh t ~charge level b s
       done;
       let linking_cost = 2 * (t.top + 1) in
@@ -773,10 +784,10 @@ module Make (S : Range_structure.S) = struct
         for level = 0 to t.top do
           let ly = t.layers.(level).sets in
           let b = path lsr (t.top - level) in
-          match Hashtbl.find_opt ly b with
+          match ly.(b) with
           | Some s ->
               if S.size s = 1 then begin
-                Hashtbl.remove ly b;
+                ly.(b) <- None;
                 uncharge_set t ~charge level b s
               end
               else apply_delta t ~charge level b (S.remove s k)
@@ -855,15 +866,15 @@ module Make (S : Range_structure.S) = struct
           counts.(b) <- counts.(b) + 1)
         paths;
       let ly = t.layers.(level).sets in
-      Hashtbl.iter
-        (fun b s ->
-          if b < 0 || b >= Array.length counts || counts.(b) = 0 then
-            failwith "Hierarchy: structure for an empty level set";
-          if S.size s <> counts.(b) then
-            failwith "Hierarchy: structure size disagrees with level set")
-        ly;
+      if Array.length ly <> Array.length counts then
+        failwith "Hierarchy: level table length is not 2^level";
       Array.iteri
-        (fun b c -> if c > 0 && not (Hashtbl.mem ly b) then failwith "Hierarchy: missing structure")
+        (fun b c ->
+          match ly.(b) with
+          | None -> if c > 0 then failwith "Hierarchy: missing structure"
+          | Some s ->
+              if c = 0 then failwith "Hierarchy: structure for an empty level set";
+              if S.size s <> c then failwith "Hierarchy: structure size disagrees with level set")
         counts
     done;
     (* Cross-check every copy of every live range against the simulator's
@@ -877,7 +888,7 @@ module Make (S : Range_structure.S) = struct
     Array.iteri
       (fun level ly ->
         let slots = slots_at t level and owned = ref 0 in
-        Hashtbl.iter
+        iter_sets
           (fun b s ->
             List.iter
               (fun rid ->
@@ -887,7 +898,7 @@ module Make (S : Range_structure.S) = struct
                   expected.(hosts.(j)) <- expected.(hosts.(j)) + 1
                 done)
               (S.range_ids s))
-          ly.sets;
+          ly;
         if !owned <> Range_tbl.length ly.redraw then
           failwith (Printf.sprintf "Hierarchy: stale redraw entry at level %d" level);
         Range_tbl.iter

@@ -47,7 +47,10 @@ module Ints :
      model cannot tell the difference. *)
   type t = { xs : O.t }
 
-  type loc = L.range
+  (* One search's result: the rank, whether q is stored, and both stored
+     neighbours — everything [describe], [answer] and the range code
+     need, so the query path never pays a Fenwick [O.get]. *)
+  type loc = O.hit
 
   (* The span of the located range: portable because child ranges map to
      parent ranges by interval intersection. *)
@@ -62,11 +65,10 @@ module Ints :
   let storage_units t = (2 * O.length t.xs) + 1
   let range_ids t = List.init ((2 * O.length t.xs) + 1) Fun.id
 
-  (* The maximal range containing q, by rank: Node at q's index when
-     stored, else the link between its neighbors. *)
-  let locate_range t q =
-    let i = O.lower_bound t.xs q in
-    if i < O.length t.xs && O.get t.xs i = q then L.Node i else L.Link i
+  (* The code of the maximal range containing q: Node at q's rank when
+     stored ([L.encode (Node i)] = 2i + 1), else the link below its
+     successor ([L.encode (Link i)] = 2i). *)
+  let code (h : loc) = if h.O.stored then (2 * h.O.rank) + 1 else 2 * h.O.rank
 
   (* Range ids are the dense codes 0 .. 2m for m keys, so growing or
      shrinking the set by one key adds or drops exactly the top two
@@ -110,55 +112,51 @@ module Ints :
      where sets are O(1) in expectation (it is exactly why skewing the
      halving probability hurts: top sets grow, and so does this walk). *)
   let locate t q =
-    let r = locate_range t q in
-    let code = L.encode r in
-    (r, List.init ((code / 2) + 1) (fun i -> 2 * i) @ [ code ])
+    let h = O.search t.xs q in
+    let code = code h in
+    (h, List.init ((code / 2) + 1) (fun i -> 2 * i) @ [ code ])
 
   (* Refinement is conflict-guided: the hyperlinks of the child range name
      the O(1) candidate parent ranges, and the query hops straight to the
      containing one. *)
   let refine t ~from q =
     ignore from;
-    let r = locate_range t q in
-    (r, [ L.encode r ])
+    let h = O.search t.xs q in
+    (h, [ code h ])
 
-  let describe t loc =
+  let describe t (h : loc) =
+    if h.O.stored then (L.Key h.O.succ, L.Key h.O.succ)
+    else
+      let lo = if h.O.rank = 0 then L.Neg_inf else L.Key h.O.pred in
+      let hi = if h.O.rank = O.length t.xs then L.Pos_inf else L.Key h.O.succ in
+      (lo, hi)
+
+  let answer t (h : loc) q =
     let n = O.length t.xs in
-    match loc with
-    | L.Node i -> (L.Key (O.get t.xs i), L.Key (O.get t.xs i))
-    | L.Link i ->
-        let lo = if i = 0 then L.Neg_inf else L.Key (O.get t.xs (i - 1)) in
-        let hi = if i = n then L.Pos_inf else L.Key (O.get t.xs i) in
-        (lo, hi)
-
-  let answer t loc q =
-    match loc with
-    | L.Node i -> Some (O.get t.xs i)
-    | L.Link i ->
-        let n = O.length t.xs in
-        if n = 0 then None
-        else if i = 0 then Some (O.get t.xs 0)
-        else if i = n then Some (O.get t.xs (n - 1))
-        else
-          let p = O.get t.xs (i - 1) and s = O.get t.xs i in
-          if q - p <= s - q then Some p else Some s
+    if h.O.stored then Some h.O.succ
+    else if n = 0 then None
+    else if h.O.rank = 0 then Some h.O.succ
+    else if h.O.rank = n then Some h.O.pred
+    else if q - h.O.pred <= h.O.succ - q then Some h.O.pred
+    else Some h.O.succ
 
   (* Closed-interval count [lo, hi]: the descent lands on the range
      containing [lo]; the scan then walks the list rightward, entering
      node [i] (code 2i+1) and the link after it (code 2i+2) for every
      stored key in the interval, and stops after peeking at the link past
      the last hit. The located range's own code is excluded — the
-     hierarchy already charged the descent. *)
+     hierarchy already charged the descent — and its rank is [lo]'s
+     lower bound. *)
   type scan = int * int
   type scan_answer = int
 
   let scan_probe (lo, _hi) = lo
 
-  let scan t loc (lo, hi) =
-    let lb = O.lower_bound t.xs lo in
+  let scan t (loc : loc) (lo, hi) =
+    let lb = loc.O.rank in
     let ub =
-      let i = O.lower_bound t.xs hi in
-      if i < O.length t.xs && O.get t.xs i = hi then i + 1 else i
+      let h = O.search t.xs hi in
+      if h.O.stored then h.O.rank + 1 else h.O.rank
     in
     let count = if hi < lo then 0 else ub - lb in
     let visited =
@@ -168,7 +166,7 @@ module Ints :
            and one past (the stop peek). *)
         List.init ((2 * ub) - (2 * lb)) (fun k -> (2 * lb) + 1 + k)
     in
-    let self = L.encode loc in
+    let self = code loc in
     (count, List.filter (fun c -> c <> self) visited)
 end
 

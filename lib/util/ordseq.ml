@@ -19,13 +19,18 @@
 
 (* ---------- shared sorted-array binary searches ---------- *)
 
-let array_lower_bound ?len (a : int array) k =
-  let lo = ref 0 and hi = ref (match len with Some l -> l | None -> Array.length a) in
+(* The hot-path form: the live length is passed directly, so a chunk
+   search boxes no [?len]. *)
+let lower_bound_in (a : int array) len k =
+  let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if a.(mid) < k then lo := mid + 1 else hi := mid
   done;
   !lo
+
+let array_lower_bound ?len (a : int array) k =
+  lower_bound_in a (match len with Some l -> l | None -> Array.length a) k
 
 let array_upper_index ?len (a : int array) k =
   let lo = ref 0 and hi = ref (match len with Some l -> l | None -> Array.length a) in
@@ -291,13 +296,12 @@ let del t j p =
 (* First chunk whose maximum is >= k (= nchunks when k exceeds every
    stored key). *)
 let chunk_search t k =
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if t.cmax.(mid) >= k then go lo mid else go (mid + 1) hi
-  in
-  go 0 t.nchunks
+  let lo = ref 0 and hi = ref t.nchunks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.cmax.(mid) >= k then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let of_sorted_array a =
   let n = Array.length a in
@@ -320,17 +324,26 @@ let lower_bound t k =
   if t.nchunks = 0 then 0
   else
     let j = chunk_search t k in
-    if j = t.nchunks then t.total
-    else fen_prefix t j + array_lower_bound ~len:t.clen.(j) t.chunk.(j) k
+    if j = t.nchunks then t.total else fen_prefix t j + lower_bound_in t.chunk.(j) t.clen.(j) k
 
-let rank = lower_bound
+type hit = { rank : int; stored : bool; pred : int; succ : int }
 
-let upper_index t k =
-  if t.nchunks = 0 then -1
+(* One chunk search and one in-chunk search. The neighbours come from
+   the located chunk, or from the previous chunk's cached maximum when k
+   sorts first in its chunk, so no Fenwick descent is needed. *)
+let search t k =
+  let nch = t.nchunks in
+  if nch = 0 then { rank = 0; stored = false; pred = min_int; succ = max_int }
   else
     let j = chunk_search t k in
-    if j = t.nchunks then t.total - 1
-    else fen_prefix t j + array_upper_index ~len:t.clen.(j) t.chunk.(j) k
+    if j = nch then { rank = t.total; stored = false; pred = t.cmax.(nch - 1); succ = max_int }
+    else
+      let c = t.chunk.(j) in
+      (* cmax.(j) >= k, so p is inside the chunk. *)
+      let p = lower_bound_in c t.clen.(j) k in
+      let succ = c.(p) in
+      let pred = if p > 0 then c.(p - 1) else if j > 0 then t.cmax.(j - 1) else min_int in
+      { rank = fen_prefix t j + p; stored = succ = k; pred; succ }
 
 let mem t k =
   t.nchunks > 0
@@ -338,8 +351,8 @@ let mem t k =
   let j = chunk_search t k in
   j < t.nchunks
   &&
-  let p = array_lower_bound ~len:t.clen.(j) t.chunk.(j) k in
-  p < t.clen.(j) && t.chunk.(j).(p) = k
+  let p = lower_bound_in t.chunk.(j) t.clen.(j) k in
+  t.chunk.(j).(p) = k
 
 let get t i =
   if i < 0 || i >= t.total then invalid_arg "Ordseq.get: index out of range";
@@ -354,7 +367,7 @@ let insert t k =
   else begin
     let j = chunk_search t k in
     let j = if j = t.nchunks then j - 1 else j in
-    let p = array_lower_bound ~len:t.clen.(j) t.chunk.(j) k in
+    let p = lower_bound_in t.chunk.(j) t.clen.(j) k in
     if p < t.clen.(j) && t.chunk.(j).(p) = k then false
     else begin
       ins t j p k;
@@ -368,8 +381,8 @@ let remove t k =
     let j = chunk_search t k in
     if j = t.nchunks then false
     else
-      let p = array_lower_bound ~len:t.clen.(j) t.chunk.(j) k in
-      if p >= t.clen.(j) || t.chunk.(j).(p) <> k then false
+      let p = lower_bound_in t.chunk.(j) t.clen.(j) k in
+      if t.chunk.(j).(p) <> k then false
       else begin
         del t j p;
         true
@@ -380,19 +393,21 @@ let min_elt t = if t.total = 0 then None else Some t.chunk.(0).(0)
 let max_elt t = if t.total = 0 then None else Some t.cmax.(t.nchunks - 1)
 
 let successor t q =
-  let i = lower_bound t q in
-  if i < t.total then Some (get t i) else None
+  let h = search t q in
+  if h.rank < t.total then Some h.succ else None
 
 let predecessor t q =
-  let i = upper_index t q in
-  if i >= 0 then Some (get t i) else None
+  let h = search t q in
+  if h.stored then Some q else if h.rank > 0 then Some h.pred else None
 
 let nearest t q =
-  match (predecessor t q, successor t q) with
-  | None, None -> None
-  | Some p, None -> Some p
-  | None, Some s -> Some s
-  | Some p, Some s -> if q - p <= s - q then Some p else Some s
+  let h = search t q in
+  if h.stored then Some q
+  else if t.total = 0 then None
+  else if h.rank = 0 then Some h.succ
+  else if h.rank = t.total then Some h.pred
+  else if q - h.pred <= h.succ - q then Some h.pred
+  else Some h.succ
 
 let range_keys t ~lo ~hi =
   if lo > hi || t.total = 0 then []

@@ -4,7 +4,7 @@
     A sequence of distinct integers is kept in sorted order across O(√n)
     chunks of O(√n) keys each, with a summary array of chunk maxima and a
     Fenwick (binary-indexed) prefix-count over chunk lengths. Searches
-    ([mem]/[lower_bound]/[rank]/[get]) cost O(log n); an insert or remove
+    ([mem]/[lower_bound]/[search]/[get]) cost O(log n); an insert or remove
     memmoves at most one chunk — an O(√n) bound — with splits, merges and
     periodic re-chunking amortized. [of_sorted_array] bulk-loads in O(n).
 
@@ -61,13 +61,23 @@ val lower_bound : t -> int -> int
 (** Rank of the first element [>= k] (= [length t] if none): the global
     index the flat-array [lower_bound] returned, in O(log n). *)
 
-val rank : t -> int -> int
-(** [rank t k] = number of stored elements [< k] (same as
-    {!lower_bound}); the dense 1-d range codes [2i]/[2i+1] are derived
-    from it. *)
+type hit = {
+  rank : int;  (** stored elements [< k]: {!lower_bound} *)
+  stored : bool;  (** [k] itself is stored (then [succ = k]) *)
+  pred : int;  (** greatest stored element [< k]; meaningful when [rank > 0] *)
+  succ : int;  (** least stored element [>= k]; meaningful when [rank < length] *)
+}
+(** Where a key falls: the 1-d range codes [2 * rank] (the link before
+    [succ]) and [2 * rank + 1] (the node [k]) and both bounds of the
+    range come straight from it. A missing neighbour reads [min_int] or
+    [max_int]. *)
 
-val upper_index : t -> int -> int
-(** Rank of the last element [<= k], or [-1]. *)
+val search : t -> int -> hit
+(** [search t k]: rank, membership and both stored neighbours of [k] in
+    one chunk search and one in-chunk search — O(log n), with no
+    Fenwick descent. The neighbours are read from the located chunk, or
+    from the previous chunk's maximum when [k] sorts first in its chunk.
+    This is the query path of the 1-d instance; {!get} is not on it. *)
 
 val get : t -> int -> int
 (** [get t i] is the i-th smallest element (0-based), via the Fenwick

@@ -516,7 +516,6 @@ let qcheck_ordseq_model =
           && Ordseq.length t = n
           && Ordseq.mem t k = Array.exists (fun x -> x = k) arr
           && Ordseq.lower_bound t k = Ordseq.array_lower_bound arr k
-          && Ordseq.upper_index t k = Ordseq.array_upper_index arr k
           && Ordseq.predecessor t k
              = (let i = Ordseq.array_upper_index arr k in
                 if i >= 0 then Some arr.(i) else None)
@@ -525,6 +524,63 @@ let qcheck_ordseq_model =
                 if i < n then Some arr.(i) else None)
           && (n = 0 || Ordseq.get t (k mod n) = arr.(k mod n)))
         ops)
+
+(* [Ordseq.search] against a sorted-array model: rank, membership and
+   both neighbours, with [min_int]/[max_int] for a missing one. *)
+let model_search arr k =
+  let n = Array.length arr in
+  let i = Ordseq.array_lower_bound arr k in
+  ( i,
+    i < n && arr.(i) = k,
+    (if i > 0 then arr.(i - 1) else min_int),
+    if i < n then arr.(i) else max_int )
+
+(* Probe every stored key and both its sides — so the first and last
+   key of every chunk, and the gaps around them — plus points below the
+   minimum and above the maximum. *)
+let search_agrees t =
+  Ordseq.check t;
+  let arr = Ordseq.to_array t in
+  let agrees k =
+    let h = Ordseq.search t k in
+    (h.Ordseq.rank, h.Ordseq.stored, h.Ordseq.pred, h.Ordseq.succ) = model_search arr k
+  in
+  List.for_all agrees [ min_int; -1; max_int ]
+  && Array.for_all (fun x -> agrees (x - 1) && agrees x && agrees (x + 1)) arr
+
+(* Runs of single and batch inserts and removes over [0, 4000): long
+   insert runs split chunks and re-chunk as the sequence grows past 4x
+   its anchor, long remove runs merge chunks and re-chunk as it shrinks
+   below a quarter of it. *)
+let qcheck_ordseq_search =
+  QCheck.Test.make ~name:"ordseq search agrees with sorted-array model" ~count:50
+    QCheck.(list_of_size Gen.(int_range 1 8) (triple (int_range 0 3) (int_range 0 600) small_nat))
+    (fun runs ->
+      let t = Ordseq.create () in
+      search_agrees t
+      && List.for_all
+           (fun (op, len, seed) ->
+             let g = Prng.create seed in
+             let stored () = Ordseq.to_array t in
+             (match op with
+             | 0 ->
+                 for _ = 1 to len do
+                   ignore (Ordseq.insert t (Prng.int g 4000) : bool)
+                 done
+             | 1 ->
+                 for _ = 1 to len do
+                   let xs = stored () in
+                   if Array.length xs > 0 then
+                     ignore (Ordseq.remove t xs.(Prng.int g (Array.length xs)) : bool)
+                 done
+             | 2 ->
+                 let ks = List.sort_uniq compare (List.init len (fun _ -> Prng.int g 4000)) in
+                 ignore (Ordseq.insert_batch t (Array.of_list ks) : int)
+             | _ ->
+                 let ks = List.filter (fun _ -> Prng.int g 600 < len) (Array.to_list (stored ())) in
+                 ignore (Ordseq.remove_batch t (Array.of_list ks) : int));
+             search_agrees t)
+           runs)
 
 let qcheck_vec_model =
   QCheck.Test.make ~name:"ordseq vec agrees with array model" ~count:60
@@ -762,6 +818,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_prng_int;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
     QCheck_alcotest.to_alcotest qcheck_ordseq_model;
+    QCheck_alcotest.to_alcotest qcheck_ordseq_search;
     QCheck_alcotest.to_alcotest qcheck_ordseq_batch_model;
     QCheck_alcotest.to_alcotest qcheck_vec_model;
     QCheck_alcotest.to_alcotest qcheck_series_model;
