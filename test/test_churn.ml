@@ -287,6 +287,114 @@ let test_pinned_placement () =
         pinned_placement (placement_epochs ~jobs))
     [ 1; 2 ]
 
+(* Multi-failure repair, pinned over two instances: two hosts die in the
+   same epoch, a pooled batch lands while they are down, then one repair
+   pass runs; the hosts come back and single and batch writes follow
+   before the next epoch kills two others. Redraw entries therefore pile
+   up across epochs, and later kills strike copies that earlier repairs
+   re-homed. At r = 3 with a cached window (c = 4, k = 4) nothing is
+   lost; at r = 1 every copy on a dead host is [lost]. Pinned per epoch
+   are the repair stats and a digest of every host's charged memory, at
+   jobs 1 and 2. *)
+module Multi_failure (S : Skipweb_core.Range_structure.S) = struct
+  module Hr = H.Make (S)
+
+  let hosts = 16
+
+  let epochs ~jobs ~r ~cache ~(keys : S.key array) ~(extra : S.key array) =
+    let net = Network.create ~hosts in
+    let cache_levels, cache_replicas = if cache then (4, 4) else (0, 1) in
+    Pool.with_pool ~jobs @@ fun pool ->
+    let h = Hr.build ~net ~seed:43 ~r ~cache_levels ~cache_replicas ?pool keys in
+    let digest () =
+      let acc = ref 0 in
+      for x = 0 to hosts - 1 do
+        acc := Prng.hash2 !acc (Network.memory net x)
+      done;
+      !acc
+    in
+    let chunk = 40 in
+    List.map
+      (fun epoch ->
+        let a = ((5 * epoch) + 2) mod hosts and b = ((5 * epoch) + 9) mod hosts in
+        Network.kill net a;
+        Network.kill net b;
+        let fresh = Array.sub extra (epoch * 2 * chunk) chunk in
+        ignore (Hr.insert_batch ?pool h fresh : int);
+        let st = Hr.repair h in
+        Hr.check_invariants h;
+        let row = [ st.Hr.scanned; st.Hr.repaired; st.Hr.messages; st.Hr.lost; digest () ] in
+        Network.revive net a;
+        Network.revive net b;
+        let single = extra.((epoch * 2 * chunk) + chunk) in
+        ignore (Hr.insert h single : int);
+        ignore (Hr.remove h keys.(epoch) : int);
+        let more = Array.sub extra ((epoch * 2 * chunk) + chunk + 1) (chunk - 1) in
+        ignore (Hr.insert_batch ?pool h more : int);
+        ignore (Hr.remove_batch ?pool h (Array.append (Array.sub fresh 0 25) [| single |]) : int);
+        ignore (Hr.remove_batch ?pool h (Array.sub keys (10 + (epoch * 15)) 15) : int);
+        Hr.check_invariants h;
+        row)
+      [ 0; 1; 2; 3; 4 ]
+
+  let check ~name ~keys ~extra pinned () =
+    List.iter2
+      (fun (r, cache) want ->
+        List.iter
+          (fun jobs ->
+            Alcotest.(check (list (list int)))
+              (Printf.sprintf "%s r=%d cache=%b: repair stats + memory digest (jobs %d)" name r
+                 cache jobs)
+              want
+              (epochs ~jobs ~r ~cache ~keys ~extra))
+          [ 1; 2 ])
+      [ (3, true); (1, false) ]
+      pinned
+end
+
+module Multi_ints = Multi_failure (I.Ints)
+module Multi_points = Multi_failure (I.Points2d)
+
+let multi_ints_keys = W.distinct_ints ~seed:47 ~n:1_000 ~bound:50_000
+
+let multi_points_keys = W.uniform_points ~seed:48 ~n:800 ~dim:2
+
+let pinned_multi_ints =
+  [
+    [
+      [ 15403; 8784; 8784; 0; 3716350811881587455 ];
+      [ 16283; 10697; 10697; 0; 2310366709975219801 ];
+      [ 17164; 13088; 13088; 0; 2981558339242928936 ];
+      [ 18031; 15770; 15770; 0; 954229121172189181 ];
+      [ 18910; 18450; 18450; 0; 1588014885678671250 ];
+    ];
+    [
+      [ 15403; 1889; 0; 1889; 274614353256794905 ];
+      [ 16283; 2299; 0; 2299; 646119319953328421 ];
+      [ 17164; 2731; 0; 2731; 3174378385939963281 ];
+      [ 18031; 3225; 0; 3225; 3516045810744981912 ];
+      [ 18910; 3766; 0; 3766; 1086299887081497493 ];
+    ];
+  ]
+
+let pinned_multi_points =
+  [
+    [
+      [ 7160; 4339; 4339; 0; 109321761800180306 ];
+      [ 7760; 5253; 5253; 0; 1067663908576717838 ];
+      [ 9311; 6892; 6892; 0; 2542059608633468354 ];
+      [ 10008; 8481; 8481; 0; 2822782157028978130 ];
+      [ 10661; 9834; 9834; 0; 812578452738065245 ];
+    ];
+    [
+      [ 7160; 885; 0; 885; 3762325765218177070 ];
+      [ 7760; 1039; 0; 1039; 4397272857134369993 ];
+      [ 9311; 1419; 0; 1419; 3888849957904237949 ];
+      [ 10008; 1687; 0; 1687; 1995518004819091784 ];
+      [ 10661; 1976; 0; 1976; 3651335104875967692 ];
+    ];
+  ]
+
 let test_blocked_failover_and_repair () =
   let bound = 6_000 in
   let keys = W.distinct_ints ~seed:22 ~n:120 ~bound in
@@ -490,6 +598,16 @@ let suite =
     Alcotest.test_case "hierarchy pooled churn after repair" `Quick
       test_pooled_churn_after_repair;
     Alcotest.test_case "hierarchy placement pinned across repairs" `Quick test_pinned_placement;
+    Alcotest.test_case "hierarchy multi-failure repair pinned: sorted list" `Quick
+      (Multi_ints.check ~name:"sorted list"
+         ~keys:(Array.sub multi_ints_keys 0 600)
+         ~extra:(Array.sub multi_ints_keys 600 400)
+         pinned_multi_ints);
+    Alcotest.test_case "hierarchy multi-failure repair pinned: quadtree" `Quick
+      (Multi_points.check ~name:"quadtree"
+         ~keys:(Array.sub multi_points_keys 0 400)
+         ~extra:(Array.sub multi_points_keys 400 400)
+         pinned_multi_points);
     Alcotest.test_case "blocked failover + repair lifecycle" `Quick
       test_blocked_failover_and_repair;
     Alcotest.test_case "r=1 degrades gracefully and recovers" `Quick test_r1_degrades_and_recovers;
