@@ -419,35 +419,50 @@ let fresh_batch ~seed ~bound count =
 
 (* The write-throughput speedup curve: one structure at the sweep size,
    then for each jobs count a timed [insert_batch] + [remove_batch] cycle
-   under its own pool — the remove restores the pre-cycle state exactly,
-   so every point times the same transition. Two determinism asserts ride
-   along: the hierarchy's charged memory and size must agree across all
-   points, and the raw Ordseq chunk layout after the same batch splice
-   must be bit-identical to the sequential one for every jobs count. *)
+   under its own pool — the remove restores the key set, so every point
+   times the same transition. Each cycle re-inserts the batch under fresh
+   element ids, hence fresh membership vectors, so the charged memory
+   legitimately differs from point to point. Two determinism asserts ride
+   along: a twin structure over the same keys then runs the same cycles
+   at jobs 1 (so its ids match), and every point must leave the per-host
+   charged memory and the size its twin left; and the raw Ordseq chunk
+   layout after the same batch splice must be bit-identical to the
+   sequential one for every jobs count. The twin runs after the timed
+   structure is dropped, so only one is alive at a time. *)
 let write_sweep ~seed ~n jobs_list =
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
-  let net = Network.create ~hosts:n in
-  let h = HInt.build ~net ~seed keys in
   let batch = max 500 (min 20_000 (n / 5)) in
   let wkeys = fresh_batch ~seed ~bound batch in
-  let baseline = ref None in
-  let points =
+  let digest net =
+    let acc = ref 0 in
+    for host = 0 to n - 1 do
+      acc := Prng.hash2 !acc (Network.memory net host)
+    done;
+    !acc
+  in
+  let cycles with_jobs =
+    let net = Network.create ~hosts:n in
+    let h = HInt.build ~net ~seed keys in
     List.map
       (fun jobs ->
-        DPool.with_pool ~jobs (fun pool ->
-            let inserted, sw_insert_s = C.timed (fun () -> HInt.insert_batch ?pool h wkeys) in
-            let mem_full = Network.total_memory net in
-            let removed, sw_remove_s = C.timed (fun () -> HInt.remove_batch ?pool h wkeys) in
+        with_jobs jobs (fun pool ->
+            let inserted, insert_s = C.timed (fun () -> HInt.insert_batch ?pool h wkeys) in
+            let full = digest net in
+            let removed, remove_s = C.timed (fun () -> HInt.remove_batch ?pool h wkeys) in
             if inserted <> batch || removed <> batch then
               failwith "exp_scale: write sweep lost keys";
-            let state = (mem_full, Network.total_memory net, HInt.size h) in
-            (match !baseline with
-            | None -> baseline := Some state
-            | Some base ->
-                if state <> base then failwith "exp_scale: write sweep diverged across jobs");
-            { sw_jobs = jobs; sw_insert_s; sw_remove_s }))
+            ((full, digest net, HInt.size h), insert_s, remove_s)))
       jobs_list
+  in
+  let pooled = cycles (fun jobs f -> DPool.with_pool ~jobs f) in
+  let twin = cycles (fun _ f -> f None) in
+  let points =
+    List.map2
+      (fun jobs ((state, sw_insert_s, sw_remove_s), (expected, _, _)) ->
+        if state <> expected then failwith "exp_scale: write sweep diverged from its jobs-1 twin";
+        { sw_jobs = jobs; sw_insert_s; sw_remove_s })
+      jobs_list (List.combine pooled twin)
   in
   (* Ordseq layout identity: the chunk-sharded splice itself, checked at
      the chunk level — the final layout is a pure function of (pre-state,

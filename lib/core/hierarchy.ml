@@ -17,16 +17,25 @@ module Make (S : Range_structure.S) = struct
      re-diffing the full live range set per update. The hierarchy keeps no
      ledger of its own: a set's members are the keys of its structure
      ([S.size] says when an update empties it), and a set's charged ranges
-     are its structure's [S.range_ids] — the range-delta contract keeps the
-     two in step, and [check_invariants] re-derives both. *)
+     are the ids its structure's [S.iter_range_ids] enumerates — the
+     range-delta contract keeps the two in step, and [check_invariants]
+     re-derives both. *)
 
-  (* A range's redraw key: (level-set prefix, range id). *)
-  module Range_tbl = Hashtbl.Make (struct
-    type t = int * int
+  (* A range's redraw key packs (level-set prefix, range id) into one int,
+     [rid] in the low [key_bits] bits, so a lookup hashes an immediate and
+     allocates nothing. A prefix or id that does not fit raises rather
+     than aliasing another range's key. *)
+  module Range_tbl = Hashtbl.Make (Int)
 
-    let equal ((b, rid) : t) (b', rid') = b = b' && rid = rid'
-    let hash ((b, rid) : t) = Prng.hash2 b rid
-  end)
+  let key_bits = 31
+
+  let redraw_key b rid =
+    if b lsr key_bits <> 0 || rid lsr key_bits <> 0 then
+      invalid_arg (Printf.sprintf "Hierarchy: redraw key out of range (prefix %d, range %d)" b rid);
+    (b lsl key_bits) lor rid
+
+  let key_prefix key = key lsr key_bits
+  let key_range key = key land ((1 lsl key_bits) - 1)
 
   (* All mutable state of one level lives in its [level_state] and nowhere
      else. That ownership boundary is what the parallel write path runs on:
@@ -43,17 +52,24 @@ module Make (S : Range_structure.S) = struct
      counts over the array.
 
      [redraw] holds the level's re-drawn placements, one entry per range
-     that a repair ever moved: (prefix, range id) -> the redraw generation
+     that a repair ever moved: [redraw_key prefix rid] -> the redraw generation
      of each of its [slots_at level] replica slots. A range without an
      entry sits at generation 0 in every slot, and an entry always has a
      non-zero generation somewhere (a repair only creates one when it
      bumps a slot); [release] drops the entry with the range. Placement
      is therefore a pure function of the structure's state — queries,
      charging and repair all agree on where every copy is without any
-     per-copy pointer state. *)
+     per-copy pointer state.
+
+     [hosts] is the level's placement scratch for charging, sized for the
+     most copies any range carries. The write paths that charge never
+     share a level (a pooled batch runs one task per level; single-op
+     writes are sequential), and the read paths never charge, so one
+     buffer per level serves every charge without allocating. *)
   type level_state = {
     sets : S.t option array;  (* prefix -> structure *)
     redraw : int array Range_tbl.t;
+    hosts : int array;
   }
 
   type t = {
@@ -96,7 +112,8 @@ module Make (S : Range_structure.S) = struct
      [path lsr (top - ℓ)]. *)
   let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
-  let fresh_layer level = { sets = Array.make (1 lsl level) None; redraw = Range_tbl.create 16 }
+  let fresh_layer ~copies level =
+    { sets = Array.make (1 lsl level) None; redraw = Range_tbl.create 16; hosts = Array.make copies 0 }
 
   (* Fold [f] over the live structures of a level, in prefix order. *)
   let fold_sets f ly acc =
@@ -117,34 +134,42 @@ module Make (S : Range_structure.S) = struct
      cross-check, and the length of a redraw entry. *)
   let slots_at t level = if cached_level t level then t.r + t.cache_replicas - 1 else t.r
 
-  (* Raw draw [g] of replica slot [j] of a range. At slot 0, draw 0 the
-     mixing constants vanish and this is exactly the historical
-     single-copy hash — the bit-identical zero-failure contract. *)
-  let slot_host t level b rid j g =
-    Prng.hash3
-      (t.place_seed + (j * 0x9e3779) + (g * 0x85ebca))
-      ((level * 0x100000) + b)
-      rid
-    mod Network.host_count t.net
+  (* Raw draw [raw] of replica slot [j] of a range hashes the slot's salt
+     [slot_seed t j raw] with the set's code [set_code level b] and the
+     range id. At slot 0, draw 0 the mixing constants vanish and this is
+     exactly the historical single-copy hash — the bit-identical
+     zero-failure contract. *)
+  let slot_seed t j raw = t.place_seed + (j * 0x9e3779) + (raw * 0x85ebca)
+  let set_code level b = (level * 0x100000) + b
+
+  let slot_host t level b rid j raw =
+    Prng.hash3 (slot_seed t j raw) (set_code level b) rid mod Network.host_count t.net
 
   (* The range's redraw generations, or [None] when it never moved. *)
   let generations t level b rid =
     let redraw = t.layers.(level).redraw in
-    if Range_tbl.length redraw = 0 then None else Range_tbl.find_opt redraw (b, rid)
-
-  let rec taken hosts s h x = x < s && (hosts.(x) = h || taken hosts s h (x + 1))
+    if Range_tbl.length redraw = 0 then None else Range_tbl.find_opt redraw (redraw_key b rid)
 
   (* Host of slot [s] at generation [g]: its [g]-th admissible raw draw
      (counting from 0), where a draw is admissible unless it lands on one
      of the hosts [hosts.(0 .. s - 1)] of the range's earlier slots. So
      the copies of a range always occupy distinct hosts, and killing at
      most r - 1 hosts can never destroy every copy of anything. *)
-  let rec admissible_draw t level b rid hosts s g raw =
-    if raw > 10_000 then failwith "Hierarchy: replica placement exhausted";
-    let h = slot_host t level b rid s raw in
-    if taken hosts s h 0 then admissible_draw t level b rid hosts s g (raw + 1)
-    else if g = 0 then h
-    else admissible_draw t level b rid hosts s (g - 1) (raw + 1)
+  let draw_slot t level b rid hosts s g =
+    let raw = ref 0 and left = ref g and found = ref (-1) in
+    while !found < 0 do
+      if !raw > 10_000 then failwith "Hierarchy: replica placement exhausted";
+      let h = slot_host t level b rid s !raw in
+      let x = ref 0 in
+      while !x < s && hosts.(!x) <> h do
+        incr x
+      done;
+      if !x = s then begin
+        if !left = 0 then found := h else decr left
+      end;
+      incr raw
+    done;
+    !found
 
   (* The placement kernel: fill [hosts.(0 .. n - 1)] with the hosts of
      slots [0 .. n - 1] of a range, in one ascending pass — each slot's
@@ -155,11 +180,11 @@ module Make (S : Range_structure.S) = struct
     match generations t level b rid with
     | None ->
         for s = 0 to n - 1 do
-          hosts.(s) <- admissible_draw t level b rid hosts s 0 0
+          hosts.(s) <- draw_slot t level b rid hosts s 0
         done
     | Some gens ->
         for s = 0 to n - 1 do
-          hosts.(s) <- admissible_draw t level b rid hosts s gens.(s) 0
+          hosts.(s) <- draw_slot t level b rid hosts s gens.(s)
         done
 
   (* Host of the single replica slot [j]. Slot 0 has no earlier slot to
@@ -219,7 +244,7 @@ module Make (S : Range_structure.S) = struct
     let n = slots_at t level in
     if n = 1 then charge (replica_host t level b rid 0) k
     else begin
-      let hosts = Array.make n 0 in
+      let hosts = t.layers.(level).hosts in
       replica_hosts t level b rid hosts n;
       for j = 0 to n - 1 do
         charge hosts.(j) k
@@ -232,7 +257,7 @@ module Make (S : Range_structure.S) = struct
   let release t ~charge level b rid =
     charge_replicas t ~charge level b rid (-1);
     let redraw = t.layers.(level).redraw in
-    if Range_tbl.length redraw > 0 then Range_tbl.remove redraw (b, rid)
+    if Range_tbl.length redraw > 0 then Range_tbl.remove redraw (redraw_key b rid)
 
   (* ------- live-id arena: O(1) insert / remove / uniform sample ------- *)
 
@@ -268,11 +293,11 @@ module Make (S : Range_structure.S) = struct
 
   (* Charge every range of a freshly built level structure. *)
   let charge_fresh t ~charge level b s =
-    List.iter (fun rid -> charge_replicas t ~charge level b rid 1) (S.range_ids s)
+    S.iter_range_ids s ~f:(fun rid -> charge_replicas t ~charge level b rid 1)
 
   (* Release every charge of one level set (structure dropped or level
      shrunk away). *)
-  let uncharge_set t ~charge level b s = List.iter (release t ~charge level b) (S.range_ids s)
+  let uncharge_set t ~charge level b s = S.iter_range_ids s ~f:(release t ~charge level b)
 
   (* Apply an O(1) range delta reported by [S.insert]/[S.remove]: the only
      memory traffic an update generates. The delta is trusted to be exact
@@ -428,7 +453,9 @@ module Make (S : Range_structure.S) = struct
      in an empty hierarchy, the new top levels when the hierarchy grows. *)
   let build_levels ?pool t lo =
     let wanted = required_top (size t) in
-    t.layers <- Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer l);
+    let copies = t.r + t.cache_replicas - 1 in
+    t.layers <-
+      Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer ~copies l);
     t.top <- wanted;
     let snap = snapshot t in
     run_levels ?pool ~lo t (build_level t snap)
@@ -484,7 +511,7 @@ module Make (S : Range_structure.S) = struct
         cache_replicas;
         cache_seed = seed + 0xca4e;
         vecs;
-        layers = [| fresh_layer 0 |];
+        layers = [| fresh_layer ~copies:(r + cache_replicas - 1) 0 |];
         key_ids = Hashtbl.create 64;
         id_keys = Hashtbl.create 64;
         ids = [||];
@@ -503,83 +530,113 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- self-repair ------- *)
 
-  type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
-
-  (* One repair pass: walk every live range, and for every replica slot
-     whose current host is dead, bump the slot's redraw generation until
-     its placement lands on a live host, migrate the memory charge off
-     the dead host, and bill one copy message for stealing the range from
-     a surviving replica (rainbow-style repair: any live copy can seed
-     the new one). A slot with {e no} surviving replica is counted in
-     [lost] instead of [messages] — the simulator re-materializes it so
-     the structure stays whole, but a real deployment would have lost that
+  (* One repair pass: for every live range and every replica slot whose
+     current host is dead, bump the slot's redraw generation until its
+     placement lands on a live host, migrate the memory charge off the
+     dead host, and bill one copy message for stealing the range from a
+     surviving replica (rainbow-style repair: any live copy can seed the
+     new one). A slot with {e no} surviving replica is counted in [lost]
+     instead of [messages] — the simulator re-materializes it so the
+     structure stays whole, but a real deployment would have lost that
      range; with r >= 2 and at most r - 1 concurrent failures per epoch,
      [lost] is always 0.
 
-     Every range costs one placement pass into a buffer shared by the
-     whole repair; only a range with a copy on a dead host goes on to
-     the bump-and-migrate step.
+     Two passes per level keep the walk over every range free of table
+     lookups:
+     + every range holding a redraw entry is re-placed from its
+       generations and repaired (the table is iterated, not probed);
+     + every live range is placed at generation 0, from hash prefixes
+       hoisted per (set, slot) out of the range loop. Only a range with a
+       generation-0 copy on a dead host probes the table: one with an
+       entry was the first pass's, one without is repaired here.
+     [scanned] counts the second pass, so every live range once.
 
      The repair bill is reported in the returned stats, not pushed through
      sessions: repair is host-side maintenance (like deferred charges),
      metered separately from the query workload so availability metrics
      stay clean. Must not run concurrently with queries or updates. *)
+  type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
+
   let repair t =
     let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
-    let most = t.r + t.cache_replicas - 1 in
+    let most = t.r + t.cache_replicas - 1 and hc = Network.host_count t.net in
     let old = Array.make most 0 and fresh = Array.make most 0 in
+    let prefixes = Array.make most 0L in
     let alive h = Network.alive t.net h in
-    (* Every copy of the range: its r data replicas plus, at cached
-       levels, the cache copies — a cache copy on a dead host is re-drawn
-       with the same collision-skipping generation scheme and billed like
-       any other steal, so the cache never silently survives on dead
-       hosts. *)
-    let repair_range level redraw slots b rid =
-      incr scanned;
-      replica_hosts t level b rid old slots;
-      let dead = ref 0 in
-      for j = 0 to slots - 1 do
-        if not (alive old.(j)) then incr dead
+    let any_dead slots =
+      let x = ref 0 in
+      while !x < slots && alive old.(!x) do
+        incr x
       done;
-      if !dead > 0 then begin
-        let any_live = !dead < slots in
-        let gens =
-          match Range_tbl.find_opt redraw (b, rid) with
-          | Some gens -> gens
-          | None ->
-              let gens = Array.make slots 0 in
-              Range_tbl.replace redraw (b, rid) gens;
-              gens
-        in
-        (* Bump each dead slot's generation until its placement lands
-           live. Ascending slot order: a bumped slot can shift the
-           admissible enumeration of *later* slots only, so one ascending
-           pass settles every slot. *)
-        for j = 0 to slots - 1 do
-          let h = ref (admissible_draw t level b rid fresh j gens.(j) 0) in
-          while not (alive !h) do
-            gens.(j) <- gens.(j) + 1;
-            h := admissible_draw t level b rid fresh j gens.(j) 0
-          done;
-          fresh.(j) <- !h
+      !x < slots
+    in
+    (* Re-home a range whose placement [old] has a dead copy: every copy
+       counts — its r data replicas plus, at cached levels, the cache
+       copies, so a cache copy on a dead host is re-drawn with the same
+       collision-skipping generation scheme and billed like any other
+       steal, and the cache never silently survives on dead hosts. *)
+    let rehome level b rid slots gens =
+      let any_live = ref false in
+      for j = 0 to slots - 1 do
+        if alive old.(j) then any_live := true
+      done;
+      (* Bump each dead slot's generation until its placement lands live.
+         Ascending slot order: a bumped slot can shift the admissible
+         enumeration of *later* slots only, so one ascending pass settles
+         every slot. *)
+      for j = 0 to slots - 1 do
+        let h = ref (draw_slot t level b rid fresh j gens.(j)) in
+        while not (alive !h) do
+          gens.(j) <- gens.(j) + 1;
+          h := draw_slot t level b rid fresh j gens.(j)
         done;
-        (* Migrate charges by placement diff — which also catches a live
-           slot whose admissible draw shifted because an earlier slot of
-           the same range moved. *)
-        for j = 0 to slots - 1 do
-          if fresh.(j) <> old.(j) then begin
-            Network.charge_memory t.net old.(j) (-1);
-            Network.charge_memory t.net fresh.(j) 1;
-            incr repaired;
-            if any_live then incr messages else incr lost
-          end
-        done
-      end
+        fresh.(j) <- !h
+      done;
+      (* Migrate charges by placement diff — which also catches a live
+         slot whose admissible draw shifted because an earlier slot of the
+         same range moved. *)
+      for j = 0 to slots - 1 do
+        if fresh.(j) <> old.(j) then begin
+          Network.charge_memory t.net old.(j) (-1);
+          Network.charge_memory t.net fresh.(j) 1;
+          incr repaired;
+          if !any_live then incr messages else incr lost
+        end
+      done
     in
     Array.iteri
       (fun level ly ->
         let slots = slots_at t level in
-        iter_sets (fun b s -> List.iter (repair_range level ly.redraw slots b) (S.range_ids s)) ly)
+        Range_tbl.iter
+          (fun key gens ->
+            let b = key_prefix key and rid = key_range key in
+            replica_hosts t level b rid old slots;
+            if any_dead slots then rehome level b rid slots gens)
+          ly.redraw;
+        iter_sets
+          (fun b s ->
+            for j = 0 to slots - 1 do
+              prefixes.(j) <- Prng.hash3_prefix (slot_seed t j 0) (set_code level b)
+            done;
+            S.iter_range_ids s ~f:(fun rid ->
+                incr scanned;
+                for j = 0 to slots - 1 do
+                  let h = Prng.hash3_finish prefixes.(j) rid mod hc in
+                  let x = ref 0 in
+                  while !x < j && old.(!x) <> h do
+                    incr x
+                  done;
+                  old.(j) <- (if !x = j then h else draw_slot t level b rid old j 0)
+                done;
+                if any_dead slots then begin
+                  let key = redraw_key b rid in
+                  if not (Range_tbl.mem ly.redraw key) then begin
+                    let gens = Array.make slots 0 in
+                    Range_tbl.replace ly.redraw key gens;
+                    rehome level b rid slots gens
+                  end
+                end))
+          ly)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
@@ -882,7 +939,9 @@ module Make (S : Range_structure.S) = struct
        (Assumes this hierarchy is the only structure charging this
        network, which holds in the test harnesses.) On the way, count the
        live ranges holding a redraw entry: every entry must belong to one,
-       or a range reusing a dead range's code would inherit its redraws. *)
+       or a range reusing a dead range's code would inherit its redraws.
+       Every key must also decode to a set of its level and encode back to
+       itself, so a wrapped key cannot stand in for a live range's. *)
     let expected = Array.make (Network.host_count t.net) 0 in
     let hosts = Array.make (t.r + t.cache_replicas - 1) 0 in
     Array.iteri
@@ -890,19 +949,21 @@ module Make (S : Range_structure.S) = struct
         let slots = slots_at t level and owned = ref 0 in
         iter_sets
           (fun b s ->
-            List.iter
-              (fun rid ->
-                if Range_tbl.mem ly.redraw (b, rid) then incr owned;
+            S.iter_range_ids s ~f:(fun rid ->
+                if Range_tbl.mem ly.redraw (redraw_key b rid) then incr owned;
                 replica_hosts t level b rid hosts slots;
                 for j = 0 to slots - 1 do
                   expected.(hosts.(j)) <- expected.(hosts.(j)) + 1
-                done)
-              (S.range_ids s))
+                done))
           ly;
         if !owned <> Range_tbl.length ly.redraw then
           failwith (Printf.sprintf "Hierarchy: stale redraw entry at level %d" level);
         Range_tbl.iter
-          (fun _ gens ->
+          (fun key gens ->
+            let b = key_prefix key in
+            if b >= Array.length ly.sets || Option.is_none ly.sets.(b)
+               || redraw_key b (key_range key) <> key
+            then failwith (Printf.sprintf "Hierarchy: redraw key %d names no set at level %d" key level);
             if Array.length gens <> slots || Array.for_all (( = ) 0) gens then
               failwith (Printf.sprintf "Hierarchy: malformed redraw entry at level %d" level))
           ly.redraw)

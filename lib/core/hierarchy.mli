@@ -112,8 +112,10 @@ module Make (S : Range_structure.S) : sig
       replicas — re-drawn with the same collision-skipping generation
       scheme and billed in the stats — so a cache never silently survives
       on dead hosts.
-      Every live range is visited (one placement pass each, counted in
-      [scanned]); only ranges with a copy on a dead host are re-drawn.
+      Every live range is visited once, counted in [scanned]: ranges a
+      repair already moved are re-placed from their redraw generations,
+      all others at generation 0 without a table lookup; only ranges with
+      a copy on a dead host are re-drawn.
       Idempotent once all placements are live; must not run concurrently
       with queries or updates (failure epochs are serialized, like
       updates). The message bill is returned in the stats and {e not}
@@ -245,7 +247,9 @@ module Make (S : Range_structure.S) : sig
       delta is caught here; this assumes the hierarchy is the only
       structure charging its network, as in the tests). Every redraw
       entry a repair left behind must belong to a live range of its level
-      and carry one generation per replica slot, at least one of them
+      (its packed key must decode to a live set of the level and encode
+      back to itself) and carry one generation per replica slot, at least
+      one of them
       non-zero — a stale entry would silently move a later range that
       reuses the same range id. Raises [Failure] on violation. *)
 end

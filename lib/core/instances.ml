@@ -63,7 +63,11 @@ module Ints :
 
   let size t = O.length t.xs
   let storage_units t = (2 * O.length t.xs) + 1
-  let range_ids t = List.init ((2 * O.length t.xs) + 1) Fun.id
+
+  let iter_range_ids t ~f =
+    for id = 0 to 2 * O.length t.xs do
+      f id
+    done
 
   (* The code of the maximal range containing q: Node at q's rank when
      stored ([L.encode (Node i)] = 2i + 1), else the link below its
@@ -213,10 +217,7 @@ end) :
   let size = Cqtree.size
   let storage_units = Cqtree.node_count
 
-  let range_ids t =
-    let acc = ref [] in
-    Cqtree.iter_ids t ~f:(fun id -> acc := id :: !acc);
-    !acc
+  let iter_range_ids = Cqtree.iter_ids
 
   let insert t k =
     let _, added, removed = Cqtree.insert_delta t k in
@@ -311,10 +312,7 @@ module Strings :
   let size = Ctrie.size
   let storage_units = Ctrie.node_count
 
-  let range_ids t =
-    let acc = ref [] in
-    Ctrie.iter_nodes t ~f:(fun n -> acc := Ctrie.node_id n :: !acc);
-    !acc
+  let iter_range_ids t ~f = Ctrie.iter_nodes t ~f:(fun n -> f (Ctrie.node_id n))
 
   let insert t k =
     let _, added, removed = Ctrie.insert_delta t k in
@@ -393,7 +391,7 @@ module Segments :
   let size = Trapmap.segment_count
   let storage_units = Trapmap.trap_count
 
-  let range_ids t = List.map Trapmap.trap_id (Trapmap.traps t)
+  let iter_range_ids t ~f = List.iter (fun tr -> f (Trapmap.trap_id tr)) (Trapmap.traps t)
 
   let insert t k =
     let added, removed = Trapmap.insert_delta t k in

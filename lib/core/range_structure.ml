@@ -28,9 +28,10 @@
     Update accounting: [insert] and [remove] return a {!range_delta} — the
     ids of the O(1) ranges they created and destroyed. The hierarchy uses
     the delta to adjust per-host memory charges incrementally instead of
-    re-enumerating [range_ids] (which would make every update O(n)
-    host-side), so deltas must be exact: after an update, the previously
-    charged set plus [added] minus [removed] must equal [range_ids].
+    re-enumerating the live ranges with [iter_range_ids] (which would make
+    every update O(n) host-side), so deltas must be exact: after an update,
+    the previously charged set plus [added] minus [removed] must equal the
+    ids [iter_range_ids] enumerates.
 
     Domain confinement (the parallel write path): with a pool, the
     hierarchy's builds and batch updates run one task per level on
@@ -111,8 +112,11 @@ module type S = sig
   (** Nodes + links currently allocated — what a host pays to store a piece
       of this structure. *)
 
-  val range_ids : t -> int list
-  (** Ids of all live ranges (for host placement and memory accounting). *)
+  val iter_range_ids : t -> f:(int -> unit) -> unit
+  (** Call [f] once on the id of every live range (for host placement,
+      memory accounting and repair), in any order and without building a
+      list: the hierarchy's repair pass walks every range of every level
+      set through this. *)
 
   val insert : t -> key -> range_delta
   (** Add a key (no-op on duplicates, returning {!empty_delta}). Creates

@@ -77,6 +77,9 @@ let hash2 a b =
   let h = mix64 (Int64.add (mix64 (Int64.of_int a)) (Int64.of_int b)) in
   Int64.to_int (Int64.shift_right_logical h 2)
 
-let hash3 a b c =
-  let h = mix64 (Int64.add (mix64 (Int64.add (mix64 (Int64.of_int a)) (Int64.of_int b))) (Int64.of_int c)) in
-  Int64.to_int (Int64.shift_right_logical h 2)
+let[@inline] hash3_prefix a b = mix64 (Int64.add (mix64 (Int64.of_int a)) (Int64.of_int b))
+
+let[@inline] hash3_finish p c =
+  Int64.to_int (Int64.shift_right_logical (mix64 (Int64.add p (Int64.of_int c))) 2)
+
+let hash3 a b c = hash3_finish (hash3_prefix a b) c

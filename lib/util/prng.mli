@@ -65,4 +65,13 @@ val hash2 : int -> int -> int
     without storing explicit bit vectors. *)
 
 val hash3 : int -> int -> int -> int
-(** Three-argument variant of {!hash2}. *)
+(** Three-argument variant of {!hash2}:
+    [hash3 a b c = hash3_finish (hash3_prefix a b) c]. *)
+
+val hash3_prefix : int -> int -> int64
+(** The part of {!hash3} that depends on its first two arguments only. A
+    loop that hashes many [c] under the same [(a, b)] computes the prefix
+    once and calls {!hash3_finish} per [c]. *)
+
+val hash3_finish : int64 -> int -> int
+(** [hash3_finish (hash3_prefix a b) c = hash3 a b c]. *)

@@ -554,6 +554,23 @@ let test_lying_delta_caught () =
   | () -> Alcotest.fail "an inexact range delta went unnoticed"
   | exception Failure _ -> ()
 
+(* Redraw keys pack (set prefix, range id) into one int. An instance
+   whose range ids do not fit the id field must make repair raise as
+   soon as it keys a redraw, never alias another range's key. *)
+module HWide = H.Make (struct
+  include I.Ints
+
+  let iter_range_ids t ~f = I.Ints.iter_range_ids t ~f:(fun id -> f (id + (1 lsl 31)))
+end)
+
+let test_redraw_key_guard () =
+  let net = Network.create ~hosts:8 in
+  let h = HWide.build ~net ~seed:5 ~r:2 (W.distinct_ints ~seed:6 ~n:100 ~bound:10_000) in
+  Network.kill net 3;
+  match HWide.repair h with
+  | _ -> Alcotest.fail "a range id past the key's id field was keyed"
+  | exception Invalid_argument _ -> ()
+
 (* ------- batch updates ------- *)
 
 (* A bulk insert must leave the hierarchy in exactly the state the same
@@ -1090,6 +1107,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_hierarchy_churn;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_build_equals_inserts;
     Alcotest.test_case "lying range delta caught" `Quick test_lying_delta_caught;
+    Alcotest.test_case "redraw key guard" `Quick test_redraw_key_guard;
   ]
 
 

@@ -114,6 +114,9 @@ let test_hash_pinned_allocation_free () =
   check Alcotest.int "hash2 0 0" 0 (Prng.hash2 0 0);
   check Alcotest.int "hash3 1 2 3" 1993141804617626836 (Prng.hash3 1 2 3);
   check Alcotest.int "hash3 -5 42 1e6" 1101410255812683636 (Prng.hash3 (-5) 42 1_000_000);
+  let p = Prng.hash3_prefix (-5) 42 in
+  check Alcotest.int "hash3 from a hoisted prefix" 1101410255812683636
+    (Prng.hash3_finish p 1_000_000);
   let acc = ref 0 in
   let before = Gc.minor_words () in
   for i = 0 to 9_999 do
