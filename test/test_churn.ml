@@ -395,6 +395,104 @@ let pinned_multi_points =
     ];
   ]
 
+(* Where Blocked1d keeps every copy — owners and group-cache copies —
+   and which copy a read uses, pinned per epoch over r = 1, 2, 3 with the
+   group cache on. Each epoch re-sizes the cache with [set_cache], kills
+   the busiest host (and a second one at r = 3), runs queries, repairs,
+   then inserts a key and a batch while the hosts are still down. Pinned
+   per epoch: the failed queries and the message sum of the others, a
+   digest of every host's charged memory before the repair, the repair
+   stats and the digest after, at jobs 1 and 2. *)
+let blocked_copy_epochs ~jobs ~r =
+  let hosts = 16 and bound = 40_000 in
+  let keys = W.distinct_ints ~seed:53 ~n:600 ~bound in
+  let net = Network.create ~hosts in
+  Pool.with_pool ~jobs @@ fun pool ->
+  let b = B1.build ~net ~seed:53 ~m:16 ~r ~cache_levels:1 ~cache_replicas:2 ?pool keys in
+  let digest () =
+    let acc = ref 0 in
+    for x = 0 to hosts - 1 do
+      acc := Prng.hash2 !acc (Network.memory net x)
+    done;
+    !acc
+  in
+  (* The live host with the most charged memory, lowest index on ties. *)
+  let busiest () =
+    let best = ref (-1) in
+    for x = 0 to hosts - 1 do
+      if Network.alive net x && (!best < 0 || Network.memory net x > Network.memory net !best) then
+        best := x
+    done;
+    !best
+  in
+  List.mapi
+    (fun epoch (levels, k) ->
+      B1.set_cache b ~levels ~k;
+      B1.check_invariants b;
+      let victims =
+        List.init (if r = 3 then 2 else 1) (fun _ ->
+            let x = busiest () in
+            Network.kill net x;
+            x)
+      in
+      let failed = ref 0 and msgs = ref 0 in
+      for i = 0 to 99 do
+        let q = ((i * 397) + (epoch * 13)) mod bound in
+        match B1.query b ~rng:(Prng.create ((epoch * 1_000) + i)) q with
+        | res -> msgs := !msgs + res.B1.messages
+        | exception Network.Host_dead _ -> incr failed
+      done;
+      let before = digest () in
+      let st = B1.repair b in
+      let after = digest () in
+      ignore (B1.insert b (bound + epoch) : int);
+      let fresh = Array.init 40 (fun i -> bound + 100 + (epoch * 1_000) + (7 * i)) in
+      ignore (B1.insert_batch ?pool b fresh : int);
+      List.iter (Network.revive net) victims;
+      B1.check_invariants b;
+      [ !failed; !msgs; before; st.B1.scanned; st.B1.repaired; st.B1.messages; st.B1.lost; after ])
+    [ (1, 2); (5, 3); (9, 4); (1, 3); (5, 2); (12, 4) ]
+
+let pinned_blocked_copies =
+  [
+    [
+      [ 13; 158; 807408099344498877; 1379; 2611; 1952; 659; 124810168022991244 ];
+      [ 14; 161; 577434209413276243; 1420; 4168; 3870; 298; 1260145777093166329 ];
+      [ 3; 181; 1425680385145731527; 1455; 5866; 5866; 0; 1065318387806431107 ];
+      [ 23; 148; 2413326613941204862; 1489; 3302; 2490; 812; 1102069991589783106 ];
+      [ 8; 165; 1933089048515416406; 1517; 4201; 3821; 380; 969222697818606658 ];
+      [ 12; 171; 3921447118835975384; 1544; 8339; 8339; 0; 3319785860745095569 ];
+    ];
+    [
+      [ 0; 180; 3823001796885304815; 1379; 3302; 3302; 0; 1969825177421642688 ];
+      [ 0; 189; 2197469681604189440; 1420; 5185; 5185; 0; 3800221826090432712 ];
+      [ 0; 186; 322370113748900984; 1455; 7838; 7838; 0; 1609819111642347812 ];
+      [ 0; 182; 489247852076904577; 1489; 4915; 4915; 0; 795196146245902440 ];
+      [ 0; 184; 959179643255647987; 1517; 4691; 4691; 0; 3883276756099889037 ];
+      [ 0; 187; 2060013929356813054; 1544; 8072; 8072; 0; 3169472243359558908 ];
+    ];
+    [
+      [ 0; 175; 3622818418834167179; 1379; 9654; 9654; 0; 1138569541130870674 ];
+      [ 0; 190; 876738273898155224; 1420; 12279; 12279; 0; 2645184659614978313 ];
+      [ 0; 192; 1937229760528233581; 1455; 16128; 16128; 0; 1863873318759981860 ];
+      [ 0; 188; 1918498029326617658; 1489; 12401; 12401; 0; 3332687981763737280 ];
+      [ 0; 185; 3804073158813105165; 1517; 13292; 13292; 0; 1252471639730771585 ];
+      [ 0; 188; 2436802904956270955; 1544; 20855; 20855; 0; 200635827066327081 ];
+    ];
+  ]
+
+let test_pinned_blocked_copies () =
+  List.iter2
+    (fun r want ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "r=%d: queries, memory digests and repair stats per epoch (jobs %d)" r
+               jobs)
+            want (blocked_copy_epochs ~jobs ~r))
+        [ 1; 2 ])
+    [ 1; 2; 3 ] pinned_blocked_copies
+
 let test_blocked_failover_and_repair () =
   let bound = 6_000 in
   let keys = W.distinct_ints ~seed:22 ~n:120 ~bound in
@@ -608,6 +706,7 @@ let suite =
          ~keys:(Array.sub multi_points_keys 0 400)
          ~extra:(Array.sub multi_points_keys 400 400)
          pinned_multi_points);
+    Alcotest.test_case "blocked copies pinned across repairs" `Quick test_pinned_blocked_copies;
     Alcotest.test_case "blocked failover + repair lifecycle" `Quick
       test_blocked_failover_and_repair;
     Alcotest.test_case "r=1 degrades gracefully and recovers" `Quick test_r1_degrades_and_recovers;
