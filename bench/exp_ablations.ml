@@ -21,16 +21,12 @@ module C = Bench_common
 module HInt = H.Make (I.Ints)
 module HP2 = H.Make (I.Points2d)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let ablation_blocking (cfg : C.config) =
   C.section "Ablation A1: blocked vs arbitrary placement (1-d)";
   let blocked ~seed ~n =
     let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
     let net = Network.create ~hosts:n in
-    let g = B1.build ~net ~seed ~m:(4 * log2i n) keys in
+    let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
     let rng = Prng.create (seed + 1) in
     let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:cfg.C.queries ~bound:(100 * n) in
     Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (B1.query g ~rng q).B1.messages) qs))

@@ -13,10 +13,6 @@ module Stats = Skipweb_util.Stats
 module Tables = Skipweb_util.Tables
 module C = Bench_common
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let measure ~seed ~n ~hosts ~m ~queries =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let net = Network.create ~hosts in
@@ -39,7 +35,7 @@ let run (cfg : C.config) =
   in
   List.iter
     (fun m ->
-      let hosts = max 4 (min n (n * log2i n / m)) in
+      let hosts = max 4 (min n (n * C.log2i n / m)) in
       let q, mem =
         let samples = List.map (fun seed -> measure ~seed ~n ~hosts ~m ~queries:cfg.C.queries) cfg.C.seeds in
         (Stats.mean (List.map fst samples), List.fold_left max 0 (List.map snd samples))
@@ -55,8 +51,8 @@ let run (cfg : C.config) =
         ])
     (List.sort_uniq compare
        [
-         log2i n;
-         4 * log2i n;
+         C.log2i n;
+         4 * C.log2i n;
          int_of_float (Float.pow (float_of_int n) 0.25);
          int_of_float (Float.pow (float_of_int n) 0.5);
          int_of_float (Float.pow (float_of_int n) 0.75);
@@ -69,7 +65,7 @@ let run (cfg : C.config) =
         List.map
           (fun n ->
             let m = max 8 (int_of_float (Float.pow (float_of_int n) eps)) in
-            let hosts = max 4 (min n (n * log2i n / m)) in
+            let hosts = max 4 (min n (n * C.log2i n / m)) in
             C.mean_over_seeds cfg.C.seeds (fun seed ->
                 fst (measure ~seed ~n ~hosts ~m ~queries:cfg.C.queries)))
           cfg.C.sizes

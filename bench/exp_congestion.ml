@@ -16,10 +16,6 @@ module C = Bench_common
 
 module HInt = H.Make (I.Ints)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let run (cfg : C.config) =
   C.section "Congestion under uniform query load (E18)";
   C.with_pool cfg @@ fun pool ->
@@ -44,7 +40,7 @@ let run (cfg : C.config) =
      sequential. *)
   (* Blocked skip-web. *)
   let net1 = Network.create ~hosts:n in
-  let b = B1.build ~net:net1 ~seed:5 ~m:(4 * log2i n) keys in
+  let b = B1.build ~net:net1 ~seed:5 ~m:(4 * C.log2i n) keys in
   let rng1 = Prng.create 6 in
   drive "blocked 1-d skip-web" (fun () -> ignore (B1.query_batch ?pool b ~rng:rng1 qs)) net1;
   (* Generic skip-web. *)
@@ -70,7 +66,7 @@ let run (cfg : C.config) =
      randomized level structure still spreads the load. *)
   let zipf = W.zipf_queries ~seed:9 ~keys ~n:load ~s:1.0 in
   let net5 = Network.create ~hosts:n in
-  let b2 = B1.build ~net:net5 ~seed:5 ~m:(4 * log2i n) keys in
+  let b2 = B1.build ~net:net5 ~seed:5 ~m:(4 * C.log2i n) keys in
   let rng5 = Prng.create 6 in
   drive "blocked skip-web, Zipf load"
     (fun () -> ignore (B1.query_batch ?pool b2 ~rng:rng5 zipf))

@@ -20,10 +20,6 @@ module C = Bench_common
 
 module HInt = H.Make (I.Ints)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let figure1 (cfg : C.config) =
   C.section "Figure 1: the skip list (E15)";
   let height ~seed ~n =
@@ -104,11 +100,11 @@ let figure2 (cfg : C.config) =
   (* The blocked layout's storage accounting (gray nodes of Figure 2 are a
      host's block plus its cone). *)
   let net2 = Network.create ~hosts:n in
-  let b = B1.build ~net:net2 ~seed:7 ~m:(4 * log2i n) keys in
+  let b = B1.build ~net:net2 ~seed:7 ~m:(4 * C.log2i n) keys in
   Printf.printf
     "blocked layout (M = %d): block size %d ranges, basic levels %s,\n\
      raw storage %d, with cone replication %d (x%.2f), busiest host %d units\n"
-    (4 * log2i n) (B1.block_size b)
+    (4 * C.log2i n) (B1.block_size b)
     (String.concat "," (List.map string_of_int (B1.basic_levels b)))
     (B1.total_storage b) (B1.replicated_storage b)
     (float_of_int (B1.replicated_storage b) /. float_of_int (B1.total_storage b))

@@ -130,15 +130,11 @@ let hierarchy_row ~pool ~jobs ~seed ~queries n =
   in
   drive_row ~structure:"hierarchy" ~pool ~jobs ~net ~n ~queries ~seed ~query_one ~traced_query ~qs
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let blocked_row ~pool ~jobs ~seed ~queries n =
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts:n in
-  let b = B1.build ~net ~seed ~m:(4 * log2i n) ?pool keys in
+  let b = B1.build ~net ~seed ~m:(4 * C.log2i n) ?pool keys in
   let qs = W.mixed_queries ~seed ~keys ~total:queries ~bound () in
   let query_one rng q = (B1.query b ~rng q).B1.messages in
   let traced_query rng tr q = (B1.query ~trace:tr b ~rng q).B1.messages in

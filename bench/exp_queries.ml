@@ -18,14 +18,10 @@ module C = Bench_common
 module HP2 = H.Make (I.Points2d)
 module HStr = H.Make (I.Strings)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let one_d ~seed ~n ~queries ~measure =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let net = Network.create ~hosts:n in
-  let g = B1.build ~net ~seed ~m:(4 * log2i n) keys in
+  let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
   let rng = Prng.create (seed + 1) in
   measure g keys rng queries
 

@@ -74,10 +74,6 @@ type row = {
   jobs : int;
 }
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 (* ------- hierarchy: open-loop mixed churn, fresh build per k ------- *)
 
 (* Replay the plan sequentially and summarize the queries' message
@@ -185,7 +181,7 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
     Array.map (function { OL.op = OL.Query q; _ } -> q | _ -> assert false) events
   in
   let net = Network.create ~hosts:n in
-  let b = B1.build ~net ~seed ~m:(4 * log2i n) ?pool keys in
+  let b = B1.build ~net ~seed ~m:(4 * C.log2i n) ?pool keys in
   let serve () =
     Network.reset_traffic net;
     let (results : B1.search_result array), wall_s =

@@ -20,10 +20,6 @@ module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
 module C = Bench_common
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 type measurement = { q : float; u : float; m : float; c : float }
 
 type method_spec = {
@@ -154,7 +150,7 @@ let spec_bucket_sg =
     run =
       (fun ~seed ~n ~queries ~updates ->
         let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let buckets = max 2 (n / log2i n) in
+        let buckets = max 2 (n / C.log2i n) in
         let net = Network.create ~hosts:(2 * buckets) in
         let g = BSG.create ~net ~seed ~keys ~buckets in
         let rng = Prng.create (seed + 1) in
@@ -181,7 +177,7 @@ let spec_skipweb =
       (fun ~seed ~n ~queries ~updates ->
         let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
         let net = Network.create ~hosts:n in
-        let g = B1.build ~net ~seed ~m:(4 * log2i n) keys in
+        let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
         let rng = Prng.create (seed + 1) in
         let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (B1.query g ~rng x).B1.messages) queries)) in
         let m, c = measure_net net ~items:n in
@@ -204,9 +200,9 @@ let spec_bucket_skipweb =
     run =
       (fun ~seed ~n ~queries ~updates ->
         let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let hosts = max 2 (n / log2i n) in
+        let hosts = max 2 (n / C.log2i n) in
         let net = Network.create ~hosts in
-        let m = (n / hosts) + (4 * log2i hosts) in
+        let m = (n / hosts) + (4 * C.log2i hosts) in
         let g = B1.build ~net ~seed ~m keys in
         let rng = Prng.create (seed + 1) in
         let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (B1.query g ~rng x).B1.messages) queries)) in

@@ -21,10 +21,6 @@ module HP2 = H.Make (I.Points2d)
 module HStr = H.Make (I.Strings)
 module HSeg = H.Make (I.Segments)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let quad_messages ~seed ~n ~queries gen =
   let pts = gen ~seed ~n in
   let net = Network.create ~hosts:(max 16 (Array.length pts)) in
@@ -192,7 +188,7 @@ let run (cfg : C.config) =
   let blocked ~seed ~n =
     let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
     let net = Network.create ~hosts:n in
-    let g = B1.build ~net ~seed ~m:(4 * log2i n) keys in
+    let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
     let rng = Prng.create (seed + 1) in
     let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:cfg.C.queries ~bound:(100 * n) in
     (* The E13 query phase fans out over the --jobs pool; the batch

@@ -19,10 +19,6 @@ module HInt = H.Make (I.Ints)
 module HP2 = H.Make (I.Points2d)
 module HStr = H.Make (I.Strings)
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
 let mean_updates inserts deletes = (Stats.mean inserts +. Stats.mean deletes) /. 2.0
 
 let generic_1d ~seed ~n ~updates =
@@ -37,7 +33,7 @@ let generic_1d ~seed ~n ~updates =
 let blocked_1d ~seed ~n ~updates =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let net = Network.create ~hosts:n in
-  let g = B1.build ~net ~seed ~m:(4 * log2i n) keys in
+  let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
   let fresh = C.fresh_keys ~seed ~count:updates ~bound:(100 * n) ~existing:keys in
   let ins = Array.to_list (Array.map (fun k -> float_of_int (B1.insert g k)) fresh) in
   let del = Array.to_list (Array.map (fun k -> float_of_int (B1.delete g k)) fresh) in

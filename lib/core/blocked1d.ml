@@ -8,13 +8,16 @@ module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
 module Pool = Skipweb_util.Pool
 
-(* The blocks of one basic-level set, indexed by block number j. *)
+(* The blocks of one basic-level set, indexed by block number j. Block
+   j's copy array holds its [reps] owners, primary first, then — when its
+   group is cached — its k - 1 cache copies: one slot space, so failover,
+   cache reads, charging and repair all read the same array. *)
 type group = {
-  owners : Network.host array array;  (* block j -> its owners, primary first *)
+  copies : Network.host array array;  (* block j -> its owners, then its cache copies *)
   units : int array;  (* block j -> ranges stored by the block plus its cone intervals *)
 }
 
-let no_blocks = { owners = [||]; units = [||] }
+let no_blocks = { copies = [||]; units = [||] }
 
 (* Membership bits are derived from the key itself, so an element keeps its
    level path across rebuilds. Every table is dense: indexed by level, then
@@ -25,6 +28,7 @@ type t = {
   vecs : Membership.t;
   m : int;  (* per-host memory target M *)
   r : int;  (* replication factor: owners per block / cone interval *)
+  mutable reps : int;  (* owners per block at the last rebuild: min r (live hosts) *)
   stride : int;  (* L = ceil(log2 M): basic levels are multiples *)
   mutable bsize : int;  (* ranges per block at basic levels *)
   keys : O.t;  (* the ground set, chunked sorted sequence *)
@@ -40,17 +44,13 @@ type t = {
   (* Read-path level cache: a basic block group — the block plus every
      cone interval it drags along — whose basic level is below
      [cache_levels] keeps [cache_replicas - 1] whole extra copies on
-     distinct live hosts, drawn by a pure collision-skipping hash at
-     rebuild time. Caching whole groups (not individual levels) preserves
-     the co-location that gives Blocked1d its O(log n / log log n) bound:
-     a query reading cache copy s of a group still walks the entire group
-     on one host. *)
+     distinct live hosts, in the slots after its owners. Caching whole
+     groups (not individual levels) preserves the co-location that gives
+     Blocked1d its O(log n / log log n) bound: a query reading cache copy
+     s of a group still walks the entire group on one host. *)
   mutable cache_levels : int;  (* groups with basic level < this are cached *)
   mutable cache_replicas : int;  (* k: total read copies per cached group *)
   cache_seed : int;
-  mutable cache : Network.host array array array array;
-      (* basic level -> prefix -> block j -> the k - 1 cache hosts;
-         [||] for every level outside the cache window *)
   host_mem : int array;  (* what we charged per host, for rebuilds *)
   pool : Pool.t option;  (* the build's pool, reused by update-triggered rebuilds *)
 }
@@ -82,7 +82,7 @@ let uncharge_all t =
 let iter_blocks t f =
   Array.iteri
     (fun level groups ->
-      Array.iteri (fun b g -> Array.iteri (fun j _ -> f level b j g) g.owners) groups)
+      Array.iteri (fun b g -> Array.iteri (fun j _ -> f level b j g) g.copies) groups)
     t.blocks
 
 (* ------- cone tables ------- *)
@@ -109,63 +109,27 @@ let cone_base t level = level - (level mod t.stride)
 
 (* ------- the read-path group cache ------- *)
 
-(* The k - 1 cache hosts of one group: pure hash draws salted by the cache
-   slot, skipping dead hosts and hosts already holding a copy (an owner or
-   an earlier cache slot) — so all r + k - 1 copies of a group sit on
-   distinct live hosts, exactly the hierarchy's collision-skipping
-   discipline. Pure in (cache_seed, group, live set, owners): [rebuild]
-   and [set_cache] always agree on where every copy lives. *)
-let draw_cache t ~owners level b j k =
-  let hosts = Network.host_count t.net in
-  let taken = ref (Array.to_list owners) in
-  Array.init (k - 1) (fun s ->
-      let rec pick attempt =
-        if attempt > 10_000 then failwith "Blocked1d: cache placement exhausted";
-        let h =
-          Prng.hash3
-            (t.cache_seed + ((s + 1) * 0x9e3779) + (attempt * 0x85ebca))
-            ((level * 0x100000) + b)
-            j
-          mod hosts
-        in
-        if Network.alive t.net h && not (List.mem h !taken) then h else pick (attempt + 1)
-      in
-      let h = pick 0 in
-      taken := h :: !taken;
-      h)
+(* Cache copies per block of a basic level: k - 1 inside the window of an
+   active cache, none elsewhere. *)
+let cache_slots t level =
+  if t.cache_replicas > 1 && level < t.cache_levels then t.cache_replicas - 1 else 0
 
-let cache_copies t level b j =
-  let groups = t.cache.(level) in
-  if Array.length groups = 0 then [||] else groups.(b).(j)
-
-(* Charge (or release, [sign = -1]) every cache copy of every cached
-   group: a copy stores the whole group. *)
-let charge_cache t ~sign =
-  Array.iteri
-    (fun level groups ->
-      Array.iteri
-        (fun b copies ->
-          let units = t.blocks.(level).(b).units in
-          Array.iteri (fun j hosts -> Array.iter (fun h -> charge t h (sign * units.(j))) hosts) copies)
-        groups)
-    t.cache
-
-(* (Re)derive the cache table from the current blocks and charge it: every
-   eligible group (basic level below the cache window, active cache) gets
-   its k - 1 copies. Draws are pure per group and charges are sums, so
-   the order groups are visited in is irrelevant. *)
-let apply_cache t =
-  t.cache <-
-    Array.mapi
-      (fun level groups ->
-        if t.cache_replicas > 1 && level < t.cache_levels then
-          Array.mapi
-            (fun b g ->
-              Array.mapi (fun j owners -> draw_cache t ~owners level b j t.cache_replicas) g.owners)
-            groups
-        else [||])
-      t.blocks;
-  charge_cache t ~sign:1
+(* Block j's copy array: owners [owner 0 .. owner (reps - 1)], then the
+   cache slots its level's window asks for, each the shared placement
+   draw salted by [cache_seed] and the cache slot, skipping dead hosts
+   and every earlier copy — so all copies of a group sit on distinct live
+   hosts. Pure in (cache_seed, group, live set, owners): [rebuild] and
+   [set_cache] always agree on where every copy lives. *)
+let copy_array t level b j owner =
+  let copies =
+    Array.init (t.reps + cache_slots t level) (fun s -> if s < t.reps then owner s else 0)
+  in
+  for s = t.reps to Array.length copies - 1 do
+    copies.(s) <-
+      Placement.draw t.net ~seed:t.cache_seed ~slot:(s - t.reps + 1) ~level ~prefix:b ~id:j
+        ~hosts:copies ~taken:s ~skip_dead:true 0
+  done;
+  copies
 
 (* ------- rebuild ------- *)
 
@@ -250,7 +214,7 @@ let rebuild t pool =
     Array.of_list (List.filter (fun h -> Network.alive t.net h) (List.init hosts Fun.id))
   in
   let nlive = Array.length live in
-  let reps = min t.r nlive in
+  t.reps <- min t.r nlive;
   let basic level = level mod t.stride = 0 in
   let codes arr = if Array.length arr = 0 then 0 else L.num_ranges arr in
   let total_basic_codes = ref 0 in
@@ -263,8 +227,9 @@ let rebuild t pool =
      assigning owners from the round-robin counter: replica slot s of
      block [idx] is the live host [idx + s] positions along, so the r
      copies of a block always sit on r distinct live hosts (r <= nlive).
-     A block's units start at the ranges it holds itself; [spans] keeps
-     its key span for the cone scans. *)
+     A cached block's cache copies follow its owners. A block's units
+     start at the ranges it holds itself; [spans] keeps its key span for
+     the cone scans. *)
   let blocks = Array.make (top + 1) [||] in
   let spans = Array.make (top + 1) [||] in
   let counter = ref 0 in
@@ -277,17 +242,17 @@ let rebuild t pool =
         (fun b arr ->
           let nblocks = (codes arr + t.bsize - 1) / t.bsize in
           if nblocks > 0 then begin
-            let owners = Array.make nblocks [||] and units = Array.make nblocks 0 in
+            let copies = Array.make nblocks [||] and units = Array.make nblocks 0 in
             let span = Array.make nblocks (L.Neg_inf, L.Pos_inf) in
             for j = 0 to nblocks - 1 do
               let idx = !counter mod nlive in
               incr counter;
-              owners.(j) <- Array.init reps (fun s -> live.((idx + s) mod nlive));
+              copies.(j) <- copy_array t level b j (fun s -> live.((idx + s) mod nlive));
               let clo = j * t.bsize and chi = min (codes arr - 1) (((j + 1) * t.bsize) - 1) in
               units.(j) <- chi - clo + 1;
               span.(j) <- interval_span arr clo chi
             done;
-            blocks.(level).(b) <- { owners; units };
+            blocks.(level).(b) <- { copies; units };
             spans.(level).(b) <- span
           end)
         slots
@@ -332,14 +297,11 @@ let rebuild t pool =
         tables)
     cones;
   Array.iter
-    (Array.iter (fun g -> Array.iteri (fun j owners -> Array.iter (fun h -> charge t h g.units.(j)) owners) g.owners))
+    (Array.iter (fun g -> Array.iteri (fun j copies -> Array.iter (fun h -> charge t h g.units.(j)) copies) g.copies))
     blocks;
   t.sets <- sets;
   t.blocks <- blocks;
-  t.cones <- cones;
-  (* Cache copies ride on the finished blocks: pure re-derivation, so an
-     update-triggered rebuild and [set_cache] always agree. *)
-  apply_cache t
+  t.cones <- cones
 
 let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool keys =
   if m < 4 then invalid_arg "Blocked1d.build: m >= 4";
@@ -351,17 +313,14 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
   let xs = Array.copy keys in
   Array.sort compare xs;
   Array.iteri (fun i k -> if i > 0 && xs.(i - 1) = k then invalid_arg "Blocked1d.build: duplicate keys") xs;
-  let log2_ceil x =
-    let rec go k = if 1 lsl k >= x then k else go (k + 1) in
-    go 0
-  in
-  let stride = max 1 (log2_ceil m) in
+  let stride = max 1 (required_top m) in
   let t =
     {
       net;
       vecs = Membership.create ~seed;
       m;
       r;
+      reps = r;  (* refined by rebuild *)
       stride;
       bsize = max 2 (m / 4);  (* refined by rebuild *)
       keys = O.of_sorted_array xs;
@@ -372,7 +331,6 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       cache_levels;
       cache_replicas;
       cache_seed = seed + 0xca4e;
-      cache = [||];
       host_mem = Array.make (Network.host_count net) 0;
       pool;
     }
@@ -384,19 +342,28 @@ let replication t = t.r
 
 let cache_config t = (t.cache_levels, t.cache_replicas)
 
-(* Reconfigure the cache without a full rebuild: release the current cache
-   charges, swap the window and replica count, and re-derive. The block /
-   cone maps, all primary placements and every charge outside the cache
-   are untouched, so this is cheap even at n = 10^6 — which is what lets
-   the serving bench sweep k against one build. *)
+(* Reconfigure the cache without a full rebuild: swap the window and
+   replica count, then per block release the cache slots' charges,
+   truncate the copy array to its owners and re-draw and charge the cache
+   slots the new window asks for. The block / cone maps, all owners and
+   every owner charge are untouched, so this is cheap even at n = 10^6 —
+   which is what lets the serving bench sweep k against one build. *)
 let set_cache t ~levels ~k =
   if levels < 0 then invalid_arg "Blocked1d.set_cache: levels >= 0";
   if k < 1 || t.r + k - 1 > Network.host_count t.net then
     invalid_arg "Blocked1d.set_cache: need 1 <= k and r + k - 1 <= hosts";
-  charge_cache t ~sign:(-1);
   t.cache_levels <- levels;
   t.cache_replicas <- k;
-  apply_cache t
+  iter_blocks t (fun level b j g ->
+      let old = g.copies.(j) and units = g.units.(j) in
+      for s = t.reps to Array.length old - 1 do
+        charge t old.(s) (-units)
+      done;
+      let copies = copy_array t level b j (Array.get old) in
+      for s = t.reps to Array.length copies - 1 do
+        charge t copies.(s) units
+      done;
+      g.copies.(j) <- copies)
 
 let total_storage t =
   Array.fold_left
@@ -407,25 +374,14 @@ let replicated_storage t = Array.fold_left ( + ) 0 t.host_mem
 
 let max_host_memory t = Array.fold_left max 0 t.host_mem
 
-(* The routing representative of one replica list: its first live owner —
-   the primary when nobody is dead — or the dead primary when every copy
-   is gone, so the session hop raises [Host_dead] instead of silently
-   reading a lost range. *)
-let rec entry_rep net owners i =
-  if i = Array.length owners then owners.(0)
-  else if Network.alive net owners.(i) then owners.(i)
-  else entry_rep net owners (i + 1)
-
 (* The representative for a query reading cache slot [slot] of block j's
-   group in the basic set [(level, b)]: the group's cache copy when one
-   exists and is live, the first live owner otherwise. Slot 0 — and any
-   group outside the cache window — is always the owner path, preserving
-   the historical routing byte-for-byte. *)
+   group in the basic set [(level, b)], by the shared cache read rule:
+   the group's cache copy when it is live, the first live owner otherwise
+   (the dead primary when every owner is gone, so the session hop raises
+   [Host_dead] instead of silently reading a lost range). Slot 0 — every
+   group outside the cache window reads slot 0 — is the owner path. *)
 let entry_rep_slot t ~slot level b j =
-  let copies = cache_copies t level b j in
-  if slot >= 1 && slot - 1 < Array.length copies && Network.alive t.net copies.(slot - 1) then
-    copies.(slot - 1)
-  else entry_rep t.net t.blocks.(level).(b).owners.(j) 0
+  Placement.read t.net t.blocks.(level).(b).copies.(j) ~data:t.reps ~slot
 
 (* Which cache copy a query from [origin] reads for groups based at basic
    level [base]: pure in (cache_seed, origin, base) — bit-identical runs
@@ -615,7 +571,6 @@ let check_invariants t =
   shape "sets" (Array.length t.sets) (t.top + 1);
   shape "blocks" (Array.length t.blocks) (t.top + 1);
   shape "cones" (Array.length t.cones) (t.top + 1);
-  shape "cache" (Array.length t.cache) (t.top + 1);
   let keys = O.to_array t.keys in
   let paths = Array.map (path_of t) keys in
   for level = 0 to t.top do
@@ -633,7 +588,7 @@ let check_invariants t =
     if basic level then
       Array.iteri
         (fun b arr ->
-          let nblocks = Array.length t.blocks.(level).(b).owners in
+          let nblocks = Array.length t.blocks.(level).(b).copies in
           if Array.length arr > 0 && (L.num_ranges arr - 1) / t.bsize >= nblocks then uncovered level)
         slots;
     Array.iteri
@@ -655,7 +610,7 @@ let check_invariants t =
         (fun b tbl ->
           let arr = t.sets.(level).(b) in
           let nblocks =
-            if Array.length arr = 0 then 0 else Array.length t.blocks.(base).(b lsr (level - base)).owners
+            if Array.length arr = 0 then 0 else Array.length t.blocks.(base).(b lsr (level - base)).copies
           in
           shape "cone table" (cone_entries tbl) nblocks;
           for j = 0 to nblocks - 1 do
@@ -668,30 +623,26 @@ let check_invariants t =
           if nblocks > 0 && cone_hi tbl (nblocks - 1) <> L.num_ranges arr - 1 then uncovered level)
         tables)
     t.cones;
-  (* Cache coverage: exactly the eligible groups are cached, each with
-     k - 1 copies pairwise distinct from each other and from the owners.
-     (Liveness is not checked — like owners, cache placements go stale
-     between a kill and the next repair/rebuild.) *)
-  Array.iteri
-    (fun level groups ->
-      let eligible = t.cache_replicas > 1 && level < t.cache_levels && basic level in
-      if not eligible then shape "cache outside the window" (Array.length groups) 0
-      else begin
-        shape "cache" (Array.length groups) (Array.length t.blocks.(level));
-        Array.iteri
-          (fun b copies -> shape "cache" (Array.length copies) (Array.length t.blocks.(level).(b).owners))
-          groups
-      end)
-    t.cache;
-  iter_blocks t (fun level b j g ->
-      let copies = cache_copies t level b j in
-      if Array.length copies > 0 && Array.length copies <> t.cache_replicas - 1 then
-        failwith "Blocked1d: wrong cache copy count";
-      let all = Array.append g.owners.(j) copies in
+  (* Copies: every block holds its owners plus exactly the cache slots
+     its level's window asks for, all on pairwise distinct hosts.
+     (Liveness is not checked — placements go stale between a kill and
+     the next repair/rebuild.) And what every host was charged is what
+     the copy arrays say it stores: each copy of block j holds the
+     block's units. *)
+  let expected = Array.make (Network.host_count t.net) 0 in
+  iter_blocks t (fun level _ j g ->
+      let copies = g.copies.(j) in
+      shape "copies" (Array.length copies) (t.reps + cache_slots t level);
       Array.iteri
         (fun i h ->
-          Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: cache copy collides") all)
-        all);
+          Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: copies collide") copies;
+          expected.(h) <- expected.(h) + g.units.(j))
+        copies);
+  Array.iteri
+    (fun h e ->
+      if t.host_mem.(h) <> e then
+        failwith (Printf.sprintf "Blocked1d: host %d charged %d but stores %d" h t.host_mem.(h) e))
+    expected;
   (* Conflict-chain soundness: on every level, the range containing a probe
      key conflicts with the range containing it one level up. And the
      property the query walk stands on: at every cone level, the block of
@@ -727,36 +678,30 @@ let check_invariants t =
       probes
   end
 
-type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
+type repair_stats = Placement.repair_stats =
+  { scanned : int; repaired : int; messages : int; lost : int }
 
 (* Blocked1d's update model rebuilds the block/cone maps wholesale, so
-   self-repair is: bill the copies currently stranded on dead hosts (one
-   steal message per unit with a surviving replica, a loss otherwise),
-   then rebuild — which re-draws every placement over live hosts only and
+   self-repair is: bill every copy currently stranded on a dead host —
+   owner or cache copy alike, a steal from any surviving copy or a loss —
+   then rebuild, which re-draws every placement over live hosts only and
    migrates the stranded charges as a side effect of re-charging. A block
-   and its cone intervals share one set of copies, so each group is
-   billed once for all the units it stores; [scanned] still counts every
+   and its cone intervals share one set of copies, so each copy is billed
+   once for all the units its group stores; [scanned] still counts every
    block and cone-interval entry. *)
 let repair t =
-  let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
-  (* Cache copies are billed exactly like data replicas: a cached group's
-     copies on dead hosts are steals from any surviving copy — owner or
-     cache — and the rebuild below re-draws them over live hosts only. *)
-  iter_blocks t (fun level b j g ->
+  let scanned = ref 0 and bill = ref Placement.no_repair in
+  iter_blocks t (fun _ _ j g ->
       incr scanned;
-      let copies = Array.append g.owners.(j) (cache_copies t level b j) in
-      let units = g.units.(j) in
-      let any_live = Array.exists (fun h -> Network.alive t.net h) copies in
+      let copies = g.copies.(j) in
       Array.iter
         (fun h ->
-          if not (Network.alive t.net h) then begin
-            repaired := !repaired + units;
-            if any_live then messages := !messages + units else lost := !lost + units
-          end)
+          if not (Network.alive t.net h) then
+            bill := Placement.bill t.net copies ~n:(Array.length copies) ~units:g.units.(j) !bill)
         copies);
   Array.iter (Array.iter (fun tbl -> scanned := !scanned + cone_entries tbl)) t.cones;
   rebuild t t.pool;
-  { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
+  { !bill with scanned = !scanned }
 
 type range_result = { keys : int list; messages : int }
 
@@ -768,11 +713,12 @@ let range t ~rng ~lo ~hi =
     (* Walk the bottom level (the full set, prefix 0) from lo's block to
        hi's, one message each time the next block's representative is a
        different host. *)
-    let arr = t.sets.(0).(0) and owners = t.blocks.(0).(0).owners in
+    let arr = t.sets.(0).(0) and copies = t.blocks.(0).(0).copies in
     let clo, chi = L.range_codes arr ~lo ~hi in
+    let rep j = Placement.first_live t.net copies.(j) ~n:t.reps in
     let crossings = ref 0 in
     for j = (clo / t.bsize) + 1 to chi / t.bsize do
-      if entry_rep t.net owners.(j) 0 <> entry_rep t.net owners.(j - 1) 0 then incr crossings
+      if rep j <> rep (j - 1) then incr crossings
     done;
     { keys = O.range_keys t.keys ~lo ~hi; messages = locate.messages + !crossings }
   end

@@ -63,8 +63,9 @@ val build :
     (the congestion-flattening trick of the skip-graph NoN line): every
     {e basic block group} — a block plus the cone it drags along — whose
     basic level is below [cache_levels] keeps [cache_replicas - 1] whole
-    extra copies on distinct live hosts, drawn by a pure collision-skipping
-    hash. A query reads all levels of a cached group at one deterministic
+    extra copies on distinct live hosts, drawn by the shared
+    {!Skipweb_net.Placement.draw} and kept after the block's owners in
+    its one copy array. A query reads all levels of a cached group at one deterministic
     per-origin copy (pure in [(seed, origin, basic level)]), so hosts are
     still only crossed at basic-level boundaries — message counts keep the
     O(log n / log log n) bound — while distinct origins spread a hot
@@ -84,10 +85,10 @@ val cache_config : t -> int * int
     read-path group cache is inactive. *)
 
 val set_cache : t -> levels:int -> k:int -> unit
-(** Reconfigure the read-path group cache in place: release the current
-    cache copies' memory charges, then re-derive and charge the new ones.
-    Blocks, cones, primary placements and every non-cache charge are
-    untouched — no rebuild — so sweeping [k] against one build of a large
+(** Reconfigure the read-path group cache in place: per block, release
+    the cache copies' memory charges, truncate the copy array to its
+    owners, then re-draw and charge the cache copies the new window asks
+    for. Blocks, cones, owners and every owner charge are untouched — no rebuild — so sweeping [k] against one build of a large
     structure is cheap (the E20 serving bench relies on this). Placement
     is a pure function of the structure and the live-host set, so
     [set_cache] and a rebuild always agree on where every copy lives.
@@ -161,19 +162,24 @@ val check_invariants : t -> unit
     ranges, monotone cone tables, and conflict-chain soundness on
     samples; for the same samples, that the base block holding the key
     lies in the run of cone entries covering its range at every cone
-    level, which is what queries route by. *)
+    level, which is what queries route by. Every block holds its owners
+    plus its window's cache copies on distinct hosts, and every host's
+    charged memory equals the units those copies place on it. *)
 
 (** {1 Failure handling}
 
     Queries route to the first live replica of every block / cone interval
-    they need; only when {e all} [r] copies are dead does the walk raise
+    they need (or, for a cached group, to their cache copy while it is
+    live) — the shared {!Skipweb_net.Placement.first_live} and
+    {!Skipweb_net.Placement.read} rules; only when {e all} [r] copies are
+    dead does the walk raise
     [Skipweb_net.Network.Host_dead] (the session is abandoned and counts
     nothing — the caller decides whether to retry or record a failed
     query). Rebuilds — including the ones {!insert}/{!delete} trigger —
     place blocks on live hosts only, so an update under failure is itself
     a partial repair. *)
 
-type repair_stats = {
+type repair_stats = Skipweb_net.Placement.repair_stats = {
   scanned : int;  (** block and cone-interval entries examined *)
   repaired : int;  (** stored units re-homed off dead hosts *)
   messages : int;  (** steal messages: one per re-homed unit with a live copy *)
@@ -182,8 +188,10 @@ type repair_stats = {
 }
 
 val repair : t -> repair_stats
-(** One self-repair pass: bill every unit currently stored on a dead host
-    (a steal from any surviving replica, or a loss), then rebuild the
+(** One self-repair pass: bill every copy currently stored on a dead
+    host — owners and cache copies alike, for all the units its group
+    stores — by {!Skipweb_net.Placement.bill} (a steal from any surviving
+    copy, or a loss), then rebuild the
     block / cone maps over the live hosts — stranded memory charges
     migrate to live hosts as part of the re-charge. Idempotent once all
     placements are live; must not run concurrently with queries or updates

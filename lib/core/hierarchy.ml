@@ -134,42 +134,21 @@ module Make (S : Range_structure.S) = struct
      cross-check, and the length of a redraw entry. *)
   let slots_at t level = if cached_level t level then t.r + t.cache_replicas - 1 else t.r
 
-  (* Raw draw [raw] of replica slot [j] of a range hashes the slot's salt
-     [slot_seed t j raw] with the set's code [set_code level b] and the
-     range id. At slot 0, draw 0 the mixing constants vanish and this is
-     exactly the historical single-copy hash — the bit-identical
-     zero-failure contract. *)
-  let slot_seed t j raw = t.place_seed + (j * 0x9e3779) + (raw * 0x85ebca)
-  let set_code level b = (level * 0x100000) + b
-
-  let slot_host t level b rid j raw =
-    Prng.hash3 (slot_seed t j raw) (set_code level b) rid mod Network.host_count t.net
-
   (* The range's redraw generations, or [None] when it never moved. *)
   let generations t level b rid =
     let redraw = t.layers.(level).redraw in
     if Range_tbl.length redraw = 0 then None else Range_tbl.find_opt redraw (redraw_key b rid)
 
-  (* Host of slot [s] at generation [g]: its [g]-th admissible raw draw
-     (counting from 0), where a draw is admissible unless it lands on one
-     of the hosts [hosts.(0 .. s - 1)] of the range's earlier slots. So
-     the copies of a range always occupy distinct hosts, and killing at
-     most r - 1 hosts can never destroy every copy of anything. *)
+  (* Host of slot [s] at generation [g]: the shared placement draw, salted
+     by [place_seed] and the slot, skipping the hosts [hosts.(0 .. s - 1)]
+     of the range's earlier slots but not dead hosts (repair bumps [g]
+     instead). So the copies of a range always occupy distinct hosts, and
+     killing at most r - 1 hosts can never destroy every copy of anything.
+     At slot 0, generation 0 this is exactly the historical single-copy
+     hash — the bit-identical zero-failure contract. *)
   let draw_slot t level b rid hosts s g =
-    let raw = ref 0 and left = ref g and found = ref (-1) in
-    while !found < 0 do
-      if !raw > 10_000 then failwith "Hierarchy: replica placement exhausted";
-      let h = slot_host t level b rid s !raw in
-      let x = ref 0 in
-      while !x < s && hosts.(!x) <> h do
-        incr x
-      done;
-      if !x = s then begin
-        if !left = 0 then found := h else decr left
-      end;
-      incr raw
-    done;
-    !found
+    Placement.draw t.net ~seed:t.place_seed ~slot:s ~level ~prefix:b ~id:rid ~hosts ~taken:s
+      ~skip_dead:false g
 
   (* The placement kernel: fill [hosts.(0 .. n - 1)] with the hosts of
      slots [0 .. n - 1] of a range, in one ascending pass — each slot's
@@ -187,62 +166,44 @@ module Make (S : Range_structure.S) = struct
           hosts.(s) <- draw_slot t level b rid hosts s gens.(s)
         done
 
-  (* Host of the single replica slot [j]. Slot 0 has no earlier slot to
-     collide with, so its generation-[g] host is raw draw [g]; at
-     generation 0 that is the historical single-copy hash, served
-     without a table lookup while the level has never been repaired. *)
-  let replica_host t level b rid j =
-    if j = 0 then
-      slot_host t level b rid 0
-        (match generations t level b rid with None -> 0 | Some gens -> gens.(0))
-    else begin
-      let hosts = Array.make (j + 1) 0 in
-      replica_hosts t level b rid hosts (j + 1);
-      hosts.(j)
-    end
+  (* Host of the primary. Slot 0 has no earlier slot to collide with, so
+     it is served from an empty [hosts] and, while the level has never
+     been repaired, without a table lookup. *)
+  let primary_host t level b rid =
+    draw_slot t level b rid [||] 0
+      (match generations t level b rid with None -> 0 | Some gens -> gens.(0))
 
-  (* Where a query walk should go for a range: the primary, or — mid-walk
-     failover — the first live replica when the primary is dead. When every
-     replica is dead the primary is returned anyway, so [Network.goto]
-     raises [Host_dead] and the operation fails like a timed-out RPC. *)
-  let route_host t level b rid =
-    let h0 = replica_host t level b rid 0 in
-    if Network.alive t.net h0 then h0
-    else begin
-      let hosts = Array.make t.r 0 in
-      replica_hosts t level b rid hosts t.r;
-      let rec go j =
-        if j >= t.r then h0 else if Network.alive t.net hosts.(j) then hosts.(j) else go (j + 1)
-      in
-      go 1
-    end
-
-  (* Where a query originating at element [origin] reads a range: at
-     cached levels, its deterministic per-origin cache slot — slot 0 is
-     the primary itself, slot s >= 1 the cache copy at unified slot
-     r - 1 + s — falling back to the ordinary primary/failover route when
-     that copy's host is dead. Pure in (cache_seed, origin, level), so a
-     fixed-parameter run is bit-identical and jobs-invariant, and with
-     the cache off ([replica_slot] returns 0 for k <= 1) this *is*
-     [route_host]. Different origins spread over all k copies, which is
-     what splits a hot coarse-level range's load k ways. *)
+  (* Where a query originating at element [origin] reads a range, by the
+     shared [Placement.read] rule over its slot hosts. The slot is the
+     origin's deterministic per-origin cache slot at cached levels and 0
+     elsewhere: slot 0 is the primary, or — mid-walk failover — the first
+     live replica when the primary is dead; slot s >= 1 is the cache copy
+     at unified slot r - 1 + s, falling back to failover when that copy
+     is dead. The no-failure primary read draws slot 0 alone. Pure in
+     (cache_seed, origin, level), so a fixed-parameter run is
+     bit-identical and jobs-invariant, and with the cache off
+     ([replica_slot] returns 0 for k <= 1) every read is the primary
+     path. Different origins spread over all k copies, which is what
+     splits a hot coarse-level range's load k ways. *)
   let read_host t origin level b rid =
-    if cached_level t level then begin
-      let s =
+    let s =
+      if cached_level t level then
         Placement.replica_slot ~seed:t.cache_seed ~origin ~level ~k:t.cache_replicas
-      in
-      if s = 0 then route_host t level b rid
-      else
-        let h = replica_host t level b rid (t.r - 1 + s) in
-        if Network.alive t.net h then h else route_host t level b rid
+      else 0
+    in
+    let h0 = if s = 0 then primary_host t level b rid else -1 in
+    if h0 >= 0 && Network.alive t.net h0 then h0
+    else begin
+      let hosts = Array.make (t.r + s) 0 in
+      replica_hosts t level b rid hosts (t.r + s);
+      Placement.read t.net hosts ~data:t.r ~slot:s
     end
-    else route_host t level b rid
 
   (* Charge (or release) one unit on every copy of a range — data replicas
      and, at cached levels, the cache copies too. *)
   let charge_replicas t ~charge level b rid k =
     let n = slots_at t level in
-    if n = 1 then charge (replica_host t level b rid 0) k
+    if n = 1 then charge (primary_host t level b rid) k
     else begin
       let hosts = t.layers.(level).hosts in
       replica_hosts t level b rid hosts n;
@@ -555,10 +516,11 @@ module Make (S : Range_structure.S) = struct
      sessions: repair is host-side maintenance (like deferred charges),
      metered separately from the query workload so availability metrics
      stay clean. Must not run concurrently with queries or updates. *)
-  type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
+  type repair_stats = Placement.repair_stats =
+    { scanned : int; repaired : int; messages : int; lost : int }
 
   let repair t =
-    let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
+    let scanned = ref 0 and bill = ref Placement.no_repair in
     let most = t.r + t.cache_replicas - 1 and hc = Network.host_count t.net in
     let old = Array.make most 0 and fresh = Array.make most 0 in
     let prefixes = Array.make most 0L in
@@ -576,10 +538,6 @@ module Make (S : Range_structure.S) = struct
        collision-skipping generation scheme and billed like any other
        steal, and the cache never silently survives on dead hosts. *)
     let rehome level b rid slots gens =
-      let any_live = ref false in
-      for j = 0 to slots - 1 do
-        if alive old.(j) then any_live := true
-      done;
       (* Bump each dead slot's generation until its placement lands live.
          Ascending slot order: a bumped slot can shift the admissible
          enumeration of *later* slots only, so one ascending pass settles
@@ -594,13 +552,12 @@ module Make (S : Range_structure.S) = struct
       done;
       (* Migrate charges by placement diff — which also catches a live
          slot whose admissible draw shifted because an earlier slot of the
-         same range moved. *)
+         same range moved — and bill each moved copy. *)
       for j = 0 to slots - 1 do
         if fresh.(j) <> old.(j) then begin
           Network.charge_memory t.net old.(j) (-1);
           Network.charge_memory t.net fresh.(j) 1;
-          incr repaired;
-          if !any_live then incr messages else incr lost
+          bill := Placement.bill t.net old ~n:slots ~units:1 !bill
         end
       done
     in
@@ -616,7 +573,10 @@ module Make (S : Range_structure.S) = struct
         iter_sets
           (fun b s ->
             for j = 0 to slots - 1 do
-              prefixes.(j) <- Prng.hash3_prefix (slot_seed t j 0) (set_code level b)
+              prefixes.(j) <-
+                Prng.hash3_prefix
+                  (Placement.salt ~seed:t.place_seed ~slot:j ~raw:0)
+                  (Placement.code ~level ~prefix:b)
             done;
             S.iter_range_ids s ~f:(fun rid ->
                 incr scanned;
@@ -638,7 +598,7 @@ module Make (S : Range_structure.S) = struct
                 end))
           ly)
       t.layers;
-    { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
+    { !bill with scanned = !scanned }
 
   let level_set_sizes t level = fold_sets (fun _ s acc -> S.size s :: acc) t.layers.(level) []
 

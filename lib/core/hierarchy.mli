@@ -84,16 +84,17 @@ module Make (S : Range_structure.S) : sig
   (** {1 Failure handling}
 
       Placement is a pure hash of (seed, level set, range id, replica
-      slot, redraw generation), so a query, the charging discipline and
-      the repair pass always agree on where every copy lives without
-      per-copy pointers. When a routed host is dead, the query walk fails
-      over to the first live replica; only when {e every} replica of a
+      slot, redraw generation) — the shared {!Skipweb_net.Placement.draw}
+      — so a query, the charging discipline and the repair pass always
+      agree on where every copy lives without per-copy pointers. When a
+      routed host is dead, the query walk fails over to the first live
+      replica ({!Skipweb_net.Placement.first_live}); only when {e every} replica of a
       needed range is dead does the walk raise
       [Skipweb_net.Network.Host_dead] (the session is abandoned and
       contributes nothing to the network's counters — the caller decides
       whether to retry or count a failed query). *)
 
-  type repair_stats = {
+  type repair_stats = Skipweb_net.Placement.repair_stats = {
     scanned : int;  (** live ranges examined *)
     repaired : int;  (** replica copies re-homed (off dead hosts, plus the
                          rare live copy whose skip-collision draw shifted
@@ -106,8 +107,9 @@ module Make (S : Range_structure.S) : sig
   val repair : t -> repair_stats
   (** One self-repair pass: for every replica copy stored on a dead host,
       re-draw its placement (bump the slot's redraw generation until the
-      hash lands on a live host), migrate the memory charge, and bill one
-      copy message for stealing the range from any surviving replica.
+      hash lands on a live host), migrate the memory charge, and bill the
+      copy by {!Skipweb_net.Placement.bill}: one copy message for stealing
+      the range from any surviving replica, or one lost copy.
       Cache copies at cached levels are treated exactly like data
       replicas — re-drawn with the same collision-skipping generation
       scheme and billed in the stats — so a cache never silently survives

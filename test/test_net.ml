@@ -2,7 +2,6 @@
    trace layer. *)
 
 module Network = Skipweb_net.Network
-module Placement = Skipweb_net.Placement
 module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
 
@@ -335,44 +334,6 @@ let test_bad_host_rejected () =
   Alcotest.check_raises "bad host" (Invalid_argument "Network: bad host 2 (H=2)") (fun () ->
       Network.charge_memory net 2 1)
 
-let test_placement_one_per_host () = checki "identity" 7 (Placement.one_per_host 7)
-
-let test_placement_modulo () =
-  checki "wraps" 1 (Placement.modulo ~hosts:3 7);
-  checki "small" 2 (Placement.modulo ~hosts:3 2)
-
-let test_placement_chunked () =
-  let p = Placement.chunked ~chunk:4 ~hosts:3 in
-  checki "first chunk" 0 (p 3);
-  checki "second chunk" 1 (p 4);
-  checki "wraps around" 0 (p 12);
-  Alcotest.check_raises "chunk >= 1" (Invalid_argument "Placement.chunked: chunk must be >= 1")
-    (fun () -> ignore (Placement.chunked ~chunk:0 ~hosts:3 1))
-
-let test_placement_hashed_deterministic () =
-  let p = Placement.hashed ~seed:9 ~hosts:16 in
-  checki "stable" (p 123) (p 123);
-  let q = Placement.hashed ~seed:10 ~hosts:16 in
-  (* Different seeds should disagree on at least one of a few probes. *)
-  checkb "seed matters" true (List.exists (fun i -> p i <> q i) [ 0; 1; 2; 3; 4; 5; 6; 7 ])
-
-let test_placement_hashed_spreads () =
-  let hosts = 8 in
-  let p = Placement.hashed ~seed:3 ~hosts in
-  let counts = Array.make hosts 0 in
-  for i = 0 to 7999 do
-    let h = p i in
-    counts.(h) <- counts.(h) + 1
-  done;
-  Array.iter (fun c -> checkb "roughly uniform" true (c > 700 && c < 1300)) counts
-
-let test_charge_all () =
-  let net = Network.create ~hosts:4 in
-  Placement.charge_all net (Placement.modulo ~hosts:4) ~items:10;
-  checki "host 0 gets ceil share" 3 (Network.memory net 0);
-  checki "host 3 gets floor share" 2 (Network.memory net 3);
-  checki "total" 10 (Network.total_memory net)
-
 (* ------- congestion observatory ------- *)
 
 (* A network whose host h has served exactly [counts.(h)] visits. *)
@@ -521,12 +482,6 @@ let suite =
     Alcotest.test_case "memory survives traffic reset" `Quick test_memory_survives_traffic_reset;
     Alcotest.test_case "congestion measure" `Quick test_congestion_measure;
     Alcotest.test_case "bad host rejected" `Quick test_bad_host_rejected;
-    Alcotest.test_case "placement one per host" `Quick test_placement_one_per_host;
-    Alcotest.test_case "placement modulo" `Quick test_placement_modulo;
-    Alcotest.test_case "placement chunked" `Quick test_placement_chunked;
-    Alcotest.test_case "placement hashed deterministic" `Quick test_placement_hashed_deterministic;
-    Alcotest.test_case "placement hashed spreads" `Quick test_placement_hashed_spreads;
-    Alcotest.test_case "charge all" `Quick test_charge_all;
     Alcotest.test_case "gini known values" `Quick test_gini_known_values;
     Alcotest.test_case "congestion over live hosts" `Quick test_congestion_of_live_hosts_only;
     Alcotest.test_case "hot_hosts top-1 = max_traffic" `Quick test_hot_hosts_top1_is_max_traffic;
