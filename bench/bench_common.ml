@@ -50,12 +50,6 @@ let timed f =
    [run] call so a crashed experiment never leaks domains. *)
 let with_pool (cfg : config) f = Pool.with_pool ~jobs:cfg.jobs f
 
-(* Every --jobs entry point validates through here: oversubscribing
-   domains past the hardware's recommendation silently serializes (and
-   on OCaml 5 actively thrashes the minor heaps), so cap with a warning
-   instead. *)
-let clamp_jobs jobs = Pool.clamp_jobs jobs
-
 let log2f n = Float.log (float_of_int n) /. Float.log 2.0
 
 (* ⌈log₂ n⌉, at least 1: the experiments' M = Θ(log n) memory targets. *)

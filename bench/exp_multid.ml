@@ -4,12 +4,13 @@
    and then driven through a mixed batch of point queries and multi-result
    scans (axis-aligned boxes and k-NN on the quadtree, prefix enumerations
    on the trie, point-location scans on the trapmap), plus a native
-   insert_batch/remove_batch update phase. Every phase runs under an
-   internal --jobs sweep {1, 2, 4} (clamped to the hardware, without
-   warning spam) and the deterministic digest of each run — every answer,
-   every per-query message count, the network's message total, the charged
-   memory of every host, and the structure size — must be bit-identical
-   across the sweep: the pooled fast path is pure wall-clock.
+   insert_batch/remove_batch update phase and, on the quadtree and trie,
+   a sequential single-op churn. Every phase runs under an internal
+   --jobs sweep {1, 2, 4} and the deterministic digest of each run —
+   every answer, every per-query message count, the network's message
+   total, the charged memory of every host, the structure size and the
+   churn's bill — must be bit-identical across the sweep: the pooled
+   fast path is pure wall-clock.
 
    The headline number is the direct quadtree build at the largest size:
    the single-pass z-order bulk build (sequential and pooled) against the
@@ -33,16 +34,16 @@ module Point = Skipweb_geom.Point
 module Cq = Skipweb_quadtree.Cqtree
 module C = Bench_common
 
-module HP2 = H.Make (I.Points2d)
-module HStr = H.Make (I.Strings)
-module HSeg = H.Make (I.Segments)
-
 type phase_times = {
   t_build : float;
   t_queries : float;
   t_scans : float;
   t_updates : float;
 }
+
+(* The sequential single-op churn phase, on instances that support
+   removal. *)
+type churn = { ops : int; churn_messages : int; final_size : int; t_churn : float }
 
 type run_out = {
   structure : string;
@@ -55,75 +56,138 @@ type run_out = {
   mem_total : int;  (* charged memory after the update phase *)
   size : int;
   times : phase_times;
+  churn : churn option;
   (* Everything observable, for the cross-jobs identity assert: answers,
-     per-op message counts, per-host memory. Compared structurally and
-     then dropped — only the scalar summary above reaches the JSON. *)
+     per-op message counts, per-host memory, the churn's bill. Compared
+     and then dropped — only the scalar summary above reaches the JSON. *)
   digest : string;
 }
 
 let hosts_for n = min (max 64 n) 4096
 
-(* A short printable digest: structural equality across jobs is checked on
-   the full observable tuple by the caller; this fingerprint goes into the
-   comparison via Marshal so unequal runs can't collide silently. *)
+(* A short printable digest of the full observable tuple, via Marshal so
+   unequal runs can't collide silently. *)
 let fingerprint v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
-(* ---------------- quadtree-2d ---------------- *)
+(* One runner for every instance: bulk build, a point-query batch, a scan
+   batch, the native batch update (insert [fresh], and remove it again
+   where the instance supports removal), then — on those instances only —
+   a sequential single-op churn: [i mod 4] = insert / remove / insert /
+   query, inserts drawn from [fresh], removes uniform over the stored
+   keys, queries from the row's query set. *)
+module Runner (S : Skipweb_core.Range_structure.S) = struct
+  module HS = H.Make (S)
 
-let run_points ~seed ~n ~nq ~nscan ~jobs =
-  DPool.with_pool ~jobs (fun pool ->
-      let pts = W.uniform_points ~seed ~n ~dim:2 in
-      let net = Network.create ~hosts:(hosts_for n) in
-      let h, t_build = C.timed (fun () -> HP2.build ~net ~seed ?pool pts) in
-      let qs = W.uniform_query_points ~seed:(seed + 1) ~n:nq ~dim:2 in
-      let rng = Prng.create (seed + 2) in
-      let answers, t_queries = C.timed (fun () -> HP2.query_batch ?pool h ~rng qs) in
-      (* Scans alternate boxes and k-NN probes, both derived from the same
-         deterministic query stream. *)
-      let sq = W.uniform_query_points ~seed:(seed + 3) ~n:nscan ~dim:2 in
-      let scans =
-        Array.mapi
-          (fun i c ->
-            if i mod 2 = 0 then
-              let lo = Point.create [ Float.min c.(0) 0.8; Float.min c.(1) 0.8 ] in
-              let hi = Point.create [ Float.min c.(0) 0.8 +. 0.15; Float.min c.(1) 0.8 +. 0.15 ] in
-              I.Box { lo; hi; limit = 32 }
-            else I.Knn { center = c; k = 8 })
-          sq
-      in
-      let rng_s = Prng.create (seed + 4) in
-      let sanswers, t_scans = C.timed (fun () -> HP2.scan_batch ?pool h ~rng:rng_s scans) in
-      let messages = Network.total_messages net in
-      let extra = W.uniform_points ~seed:(seed + 5) ~n:(min 20_000 (max 64 (n / 10))) ~dim:2 in
-      let (ins, rmv), t_updates =
-        C.timed (fun () ->
-            let ins = HP2.insert_batch ?pool h extra in
-            let rmv = HP2.remove_batch ?pool h extra in
-            (ins, rmv))
-      in
-      HP2.check_invariants h;
-      let mem = List.init (hosts_for n) (Network.memory net) in
-      let digest =
-        fingerprint
-          ( Array.map (fun (a, st) -> (a, st.HP2.messages)) answers,
-            Array.map (fun (a, st) -> (a, st.HP2.messages)) sanswers,
-            ins, rmv, messages, mem, HP2.size h )
-      in
-      {
-        structure = "quadtree-2d";
-        n;
-        jobs;
-        queries = nq;
-        scans = nscan;
-        batch = Array.length extra;
-        messages;
-        mem_total = Network.total_memory net;
-        size = HP2.size h;
-        times = { t_build; t_queries; t_scans; t_updates };
-        digest;
-      })
+  type inputs = {
+    name : string;
+    keys : S.key array;
+    queries : S.query array;
+    scans : S.scan array;
+    fresh : S.key array;  (* disjoint from [keys] *)
+    removable : bool;
+  }
 
-(* ---------------- trie ---------------- *)
+  let run_churn ~seed h inp =
+    let n = Array.length inp.keys in
+    let ops = max 200 (min 2000 (n / 10)) in
+    let alive = Array.make (n + ops) inp.keys.(0) in
+    Array.blit inp.keys 0 alive 0 n;
+    let len = ref n and next_fresh = ref 0 and messages = ref 0 in
+    let rng = Prng.create (seed + 0x9d2) in
+    let (), t_churn =
+      C.timed (fun () ->
+          for i = 0 to ops - 1 do
+            match i mod 4 with
+            | (0 | 2) when !next_fresh < Array.length inp.fresh ->
+                let k = inp.fresh.(!next_fresh) in
+                incr next_fresh;
+                messages := !messages + HS.insert h k;
+                alive.(!len) <- k;
+                incr len
+            | 1 when !len > 1 ->
+                let j = Prng.int rng !len in
+                let k = alive.(j) in
+                alive.(j) <- alive.(!len - 1);
+                decr len;
+                messages := !messages + HS.remove h k
+            | _ ->
+                let q = inp.queries.(Prng.int rng (Array.length inp.queries)) in
+                let _, st = HS.query h ~rng q in
+                messages := !messages + st.HS.messages
+          done)
+    in
+    HS.check_invariants h;
+    { ops; churn_messages = !messages; final_size = HS.size h; t_churn }
+
+  let run ~seed inp ~jobs =
+    DPool.with_pool ~jobs (fun pool ->
+        let n = Array.length inp.keys in
+        let net = Network.create ~hosts:(hosts_for n) in
+        let h, t_build = C.timed (fun () -> HS.build ~net ~seed ?pool inp.keys) in
+        let rng = Prng.create (seed + 2) in
+        let answers, t_queries = C.timed (fun () -> HS.query_batch ?pool h ~rng inp.queries) in
+        let rng_s = Prng.create (seed + 4) in
+        let sanswers, t_scans = C.timed (fun () -> HS.scan_batch ?pool h ~rng:rng_s inp.scans) in
+        let messages = Network.total_messages net in
+        let (ins, rmv), t_updates =
+          C.timed (fun () ->
+              let ins = HS.insert_batch ?pool h inp.fresh in
+              (ins, if inp.removable then HS.remove_batch ?pool h inp.fresh else 0))
+        in
+        HS.check_invariants h;
+        let memory () = List.init (hosts_for n) (Network.memory net) in
+        let mem = memory () and mem_total = Network.total_memory net and size = HS.size h in
+        let churn = if inp.removable then Some (run_churn ~seed h inp) else None in
+        let digest =
+          fingerprint
+            ( Array.map (fun (a, st) -> (a, st.HS.messages)) answers,
+              Array.map (fun (a, st) -> (a, st.HS.messages)) sanswers,
+              (ins, rmv, messages, mem, size),
+              Option.map (fun c -> (c.churn_messages, c.final_size, memory ())) churn )
+        in
+        {
+          structure = inp.name;
+          n;
+          jobs;
+          queries = Array.length inp.queries;
+          scans = Array.length inp.scans;
+          batch = Array.length inp.fresh;
+          messages;
+          mem_total;
+          size;
+          times = { t_build; t_queries; t_scans; t_updates };
+          churn;
+          digest;
+        })
+end
+
+module RPoints = Runner (I.Points2d)
+module RStrings = Runner (I.Strings)
+module RSegments = Runner (I.Segments)
+
+(* ---------------- per-instance inputs ---------------- *)
+
+let fresh_count n = min 20_000 (max 64 (n / 10))
+
+(* Scans alternate boxes and k-NN probes, both derived from the same
+   deterministic query stream. *)
+let points_inputs ~seed ~n ~nq ~nscan =
+  let box c =
+    let lo = Point.create [ Float.min c.(0) 0.8; Float.min c.(1) 0.8 ] in
+    let hi = Point.create [ Float.min c.(0) 0.8 +. 0.15; Float.min c.(1) 0.8 +. 0.15 ] in
+    I.Box { lo; hi; limit = 32 }
+  in
+  {
+    RPoints.name = "quadtree-2d";
+    keys = W.uniform_points ~seed ~n ~dim:2;
+    queries = W.uniform_query_points ~seed:(seed + 1) ~n:nq ~dim:2;
+    scans =
+      Array.mapi
+        (fun i c -> if i mod 2 = 0 then box c else I.Knn { center = c; k = 8 })
+        (W.uniform_query_points ~seed:(seed + 3) ~n:nscan ~dim:2);
+    fresh = W.uniform_points ~seed:(seed + 5) ~n:(fresh_count n) ~dim:2;
+    removable = true;
+  }
 
 (* Shortest length whose 4-letter key space holds 2n distinct strings
    (the generator's headroom requirement), floored at 10 so the small
@@ -132,101 +196,37 @@ let strlen_for n =
   let rec go len cap = if cap >= 2 * n then len else go (len + 1) (4 * cap) in
   go 10 (4 * 4 * 4 * 4 * 4 * 4 * 4 * 4 * 4 * 4)
 
-let run_strings ~seed ~n ~nq ~nscan ~jobs =
-  DPool.with_pool ~jobs (fun pool ->
-      let strs = W.random_strings ~seed ~n ~alphabet:4 ~len:(strlen_for n) in
-      let net = Network.create ~hosts:(hosts_for n) in
-      let h, t_build = C.timed (fun () -> HStr.build ~net ~seed ?pool strs) in
-      let qs = W.string_queries ~seed:(seed + 1) ~keys:strs ~n:nq in
-      let rng = Prng.create (seed + 2) in
-      let answers, t_queries = C.timed (fun () -> HStr.query_batch ?pool h ~rng qs) in
-      (* Prefix scans: short prefixes of stored strings, so most scans
-         enumerate a non-trivial subtree. *)
-      let sq = W.string_queries ~seed:(seed + 3) ~keys:strs ~n:nscan in
-      let scans =
-        Array.map
-          (fun s ->
-            { I.prefix = String.sub s 0 (min 2 (String.length s)); scan_limit = 32 })
-          sq
-      in
-      let rng_s = Prng.create (seed + 4) in
-      let sanswers, t_scans = C.timed (fun () -> HStr.scan_batch ?pool h ~rng:rng_s scans) in
-      let messages = Network.total_messages net in
-      let extra =
-        W.random_strings ~seed:(seed + 5)
-          ~n:(min 20_000 (max 64 (n / 10)))
-          ~alphabet:4
-          ~len:(strlen_for n + 1)
-      in
-      let (ins, rmv), t_updates =
-        C.timed (fun () ->
-            let ins = HStr.insert_batch ?pool h extra in
-            let rmv = HStr.remove_batch ?pool h extra in
-            (ins, rmv))
-      in
-      HStr.check_invariants h;
-      let mem = List.init (hosts_for n) (Network.memory net) in
-      let digest =
-        fingerprint
-          ( Array.map (fun (a, st) -> (a, st.HStr.messages)) answers,
-            Array.map (fun (a, st) -> (a, st.HStr.messages)) sanswers,
-            ins, rmv, messages, mem, HStr.size h )
-      in
-      {
-        structure = "trie";
-        n;
-        jobs;
-        queries = nq;
-        scans = nscan;
-        batch = Array.length extra;
-        messages;
-        mem_total = Network.total_memory net;
-        size = HStr.size h;
-        times = { t_build; t_queries; t_scans; t_updates };
-        digest;
-      })
+(* Prefix scans: short prefixes of stored strings, so most scans
+   enumerate a non-trivial subtree. The fresh batch is one letter longer
+   than the stored keys, hence disjoint from them. *)
+let strings_inputs ~seed ~n ~nq ~nscan =
+  let keys = W.random_strings ~seed ~n ~alphabet:4 ~len:(strlen_for n) in
+  {
+    RStrings.name = "trie";
+    keys;
+    queries = W.string_queries ~seed:(seed + 1) ~keys ~n:nq;
+    scans =
+      Array.map
+        (fun s -> { I.prefix = String.sub s 0 (min 2 (String.length s)); scan_limit = 32 })
+        (W.string_queries ~seed:(seed + 3) ~keys ~n:nscan);
+    fresh =
+      W.random_strings ~seed:(seed + 5) ~n:(fresh_count n) ~alphabet:4 ~len:(strlen_for n + 1);
+    removable = true;
+  }
 
-(* ---------------- trapezoidal map ---------------- *)
-
-let run_segments ~seed ~n ~nq ~nscan ~jobs =
-  DPool.with_pool ~jobs (fun pool ->
-      let extra_n = max 8 (n / 10) in
-      let all = W.disjoint_segments ~seed ~n:(n + extra_n) in
-      let segs = Array.sub all 0 n in
-      let net = Network.create ~hosts:(hosts_for n) in
-      let h, t_build = C.timed (fun () -> HSeg.build ~net ~seed ?pool segs) in
-      let qs = W.trapmap_query_points ~seed:(seed + 1) ~n:nq in
-      let rng = Prng.create (seed + 2) in
-      let answers, t_queries = C.timed (fun () -> HSeg.query_batch ?pool h ~rng qs) in
-      let scans = W.trapmap_query_points ~seed:(seed + 3) ~n:nscan in
-      let rng_s = Prng.create (seed + 4) in
-      let sanswers, t_scans = C.timed (fun () -> HSeg.scan_batch ?pool h ~rng:rng_s scans) in
-      let messages = Network.total_messages net in
-      (* Trapezoidal maps don't support deletion; the update phase is
-         insert-only, with segments drawn from the same disjoint family. *)
-      let extra = Array.sub all n extra_n in
-      let ins, t_updates = C.timed (fun () -> HSeg.insert_batch ?pool h extra) in
-      HSeg.check_invariants h;
-      let mem = List.init (hosts_for n) (Network.memory net) in
-      let digest =
-        fingerprint
-          ( Array.map (fun (a, st) -> (a, st.HSeg.messages)) answers,
-            Array.map (fun (a, st) -> (a, st.HSeg.messages)) sanswers,
-            ins, messages, mem, HSeg.size h )
-      in
-      {
-        structure = "trapmap";
-        n;
-        jobs;
-        queries = nq;
-        scans = nscan;
-        batch = extra_n;
-        messages;
-        mem_total = Network.total_memory net;
-        size = HSeg.size h;
-        times = { t_build; t_queries; t_scans; t_updates };
-        digest;
-      })
+(* Trapezoidal maps don't support deletion: the update phase is
+   insert-only, with segments drawn from the same disjoint family. *)
+let segments_inputs ~seed ~n ~nq ~nscan =
+  let extra_n = max 8 (n / 10) in
+  let all = W.disjoint_segments ~seed ~n:(n + extra_n) in
+  {
+    RSegments.name = "trapmap";
+    keys = Array.sub all 0 n;
+    queries = W.trapmap_query_points ~seed:(seed + 1) ~n:nq;
+    scans = W.trapmap_query_points ~seed:(seed + 3) ~n:nscan;
+    fresh = Array.sub all n extra_n;
+    removable = false;
+  }
 
 (* ---------------- the quadtree bulk-build headline ---------------- *)
 
@@ -248,7 +248,9 @@ let build_race ~seed ~n =
         t)
   in
   let bulk, bulk_s = C.timed (fun () -> Cq.build ~dim:2 pts) in
-  let pooled_jobs = 4 in
+  (* Clamped to the hardware: an oversubscribed pool would time the
+     thrashing, not the pooled build. *)
+  let pooled_jobs = DPool.clamp_jobs ~warn:false 4 in
   let pooled, bulk_pooled_s =
     DPool.with_pool ~jobs:pooled_jobs (fun pool -> C.timed (fun () -> Cq.of_sorted ?pool ~dim:2 pts))
   in
@@ -260,13 +262,22 @@ let build_race ~seed ~n =
 (* ---------------- harness ---------------- *)
 
 let json_of_row r =
+  let churn, churn_s =
+    match r.churn with
+    | None -> ("", "")
+    | Some c ->
+        ( Printf.sprintf "     \"churn_ops\": %d, \"churn_messages\": %d, \"final_size\": %d,\n"
+            c.ops c.churn_messages c.final_size,
+          Printf.sprintf ", \"churn_s\": %.6f" c.t_churn )
+  in
   Printf.sprintf
     "    {\"structure\": \"%s\", \"n\": %d, \"queries\": %d, \"scans\": %d, \"batch\": %d, \
      \"messages\": %d, \"mem_total\": %d, \"size\": %d,\n\
+     %s\
     \     \"timing\": {\"jobs\": %d, \"build_s\": %.6f, \"query_s\": %.6f, \"scan_s\": %.6f, \
-     \"update_s\": %.6f}}"
-    r.structure r.n r.queries r.scans r.batch r.messages r.mem_total r.size r.jobs
-    r.times.t_build r.times.t_queries r.times.t_scans r.times.t_updates
+     \"update_s\": %.6f%s}}"
+    r.structure r.n r.queries r.scans r.batch r.messages r.mem_total r.size churn r.jobs
+    r.times.t_build r.times.t_queries r.times.t_scans r.times.t_updates churn_s
 
 let json ~jobs_swept ~domains ~answers_identical ~race rows =
   Printf.sprintf
@@ -288,7 +299,8 @@ let json ~jobs_swept ~domains ~answers_identical ~race rows =
     (String.concat ",\n" (List.map json_of_row rows))
 
 let run (cfg : C.config) =
-  C.section "Multi-dimensional fast path: bulk build, batch queries + scans, batch updates (E21)";
+  C.section
+    "Multi-dimensional fast path: bulk build, batch queries + scans, batch updates, churn (E21)";
   let tree_sizes = if cfg.C.quick then [ 2_000; 10_000 ] else [ 100_000; 1_000_000 ] in
   let trap_sizes = if cfg.C.quick then [ 300 ] else [ 1_500 ] in
   let nq = if cfg.C.quick then 200 else 2_000 in
@@ -328,14 +340,17 @@ let run (cfg : C.config) =
   let rows =
     List.concat
       [
-        List.concat_map (fun n -> sweep (fun ~jobs -> run_points ~seed ~n ~nq ~nscan ~jobs)) tree_sizes;
         List.concat_map
-          (fun n -> sweep (fun ~jobs -> run_strings ~seed ~n ~nq ~nscan ~jobs))
+          (fun n -> sweep (RPoints.run ~seed (points_inputs ~seed ~n ~nq ~nscan)))
+          tree_sizes;
+        List.concat_map
+          (fun n -> sweep (RStrings.run ~seed (strings_inputs ~seed ~n ~nq ~nscan)))
           tree_sizes;
         List.concat_map
           (fun n ->
-            sweep (fun ~jobs ->
-                run_segments ~seed ~n ~nq:(min nq 500) ~nscan:(min nscan 200) ~jobs))
+            sweep
+              (RSegments.run ~seed
+                 (segments_inputs ~seed ~n ~nq:(min nq 500) ~nscan:(min nscan 200))))
           trap_sizes;
       ]
   in
@@ -344,7 +359,10 @@ let run (cfg : C.config) =
     Skipweb_util.Tables.create
       ~title:"multi-d mixed workload: build / query / scan / update wall clock, per jobs"
       ~columns:
-        [ "structure"; "n"; "jobs"; "build (s)"; "q (s)"; "scan (s)"; "upd (s)"; "messages"; "mem" ]
+        [
+          "structure"; "n"; "jobs"; "build (s)"; "q (s)"; "scan (s)"; "upd (s)"; "churn (s)";
+          "messages"; "mem"; "churn msgs";
+        ]
   in
   List.iter
     (fun r ->
@@ -357,8 +375,10 @@ let run (cfg : C.config) =
           Printf.sprintf "%.3f" r.times.t_queries;
           Printf.sprintf "%.3f" r.times.t_scans;
           Printf.sprintf "%.3f" r.times.t_updates;
+          (match r.churn with Some c -> Printf.sprintf "%.3f" c.t_churn | None -> "-");
           string_of_int r.messages;
           string_of_int r.mem_total;
+          (match r.churn with Some c -> string_of_int c.churn_messages | None -> "-");
         ])
     rows;
   Skipweb_util.Tables.print tbl;

@@ -1,4 +1,4 @@
-(* E15: wall-clock scalability of the host-side update path and the
+(* E15b: wall-clock scalability of the host-side update path and the
    parallel read path.
 
    The message-count experiments treat the simulator as free; this one
@@ -53,8 +53,6 @@ module DPool = Skipweb_util.Pool
 module C = Bench_common
 
 module HInt = H.Make (I.Ints)
-module HP2 = H.Make (I.Points2d)
-module HStr = H.Make (I.Strings)
 module O = Skipweb_util.Ordseq
 
 type row = {
@@ -234,166 +232,6 @@ let measure ~pool ~seed ~n ~ops =
     metrics = m;
   }
 
-(* ---------------- multi-dimensional scale rows ---------------- *)
-
-(* The same shape for the multi-dimensional structures: timed bulk load
-   (through [of_sorted] under the pool), a sequential churn mix (50%
-   insert / 25% delete / 25% point query), then a parallel query-only
-   phase through [query_batch]. Every field except the wall clocks is a
-   pure function of the seed — the pool never changes answers, charges
-   or message totals, only time. *)
-type md_row = {
-  md_structure : string;
-  md_n : int;
-  md_build_s : float;
-  md_churn_ops : int;
-  md_churn_s : float;
-  md_churn_messages : int;
-  md_query_ops : int;
-  md_query_s : float;
-  md_query_messages : int;
-  md_final_size : int;
-  md_jobs : int;
-}
-
-(* Distinct keys only: duplicates would be skipped by the build, leaving
-   the alive pool out of sync with the structure (a later delete of the
-   same key would then be a delete of a missing key). *)
-let dedup_keys base reserve =
-  let seen = Hashtbl.create (Array.length base + Array.length reserve) in
-  let keep k = if Hashtbl.mem seen k then false else (Hashtbl.add seen k (); true) in
-  let base = Array.of_list (List.filter keep (Array.to_list base)) in
-  let reserve = Array.of_list (List.filter keep (Array.to_list reserve)) in
-  (base, reserve)
-
-let measure_points ~pool ~seed ~n ~ops =
-  let base = W.uniform_points ~seed ~n ~dim:2 in
-  let reserve = W.uniform_points ~seed:(seed + 0x2d11) ~n:ops ~dim:2 in
-  let base, reserve = dedup_keys base reserve in
-  let n = Array.length base in
-  let net = Network.create ~hosts:(min n 4096) in
-  let h, md_build_s = C.timed (fun () -> HP2.build ~net ~seed ?pool base) in
-  (* Alive pool with swap-pop removal, seeded with the stored keys. *)
-  let alive = Array.make (n + ops) base.(0) in
-  Array.blit base 0 alive 0 n;
-  let len = ref n in
-  let next_fresh = ref 0 in
-  let rng = Prng.create (seed + 0x9d2) in
-  let messages = ref 0 in
-  let t1 = C.now () in
-  for i = 0 to ops - 1 do
-    match i mod 4 with
-    | 0 | 2 when !next_fresh < Array.length reserve ->
-        let k = reserve.(!next_fresh) in
-        incr next_fresh;
-        messages := !messages + HP2.insert h k;
-        alive.(!len) <- k;
-        incr len
-    | 1 when !len > 1 ->
-        let j = Prng.int rng !len in
-        let k = alive.(j) in
-        alive.(j) <- alive.(!len - 1);
-        decr len;
-        messages := !messages + HP2.remove h k
-    | _ ->
-        let q = alive.(Prng.int rng !len) in
-        let _, stats = HP2.query h ~rng q in
-        messages := !messages + stats.HP2.messages
-  done;
-  let md_churn_s = C.now () -. t1 in
-  HP2.check_invariants h;
-  let md_query_ops = 2 * ops in
-  let qrng = Prng.create (seed + 0x51a) in
-  let qs = Array.init md_query_ops (fun _ -> alive.(Prng.int qrng !len)) in
-  let orng = Prng.create (seed + 0x52b) in
-  let res, md_query_s = C.timed (fun () -> HP2.query_batch ?pool h ~rng:orng qs) in
-  let md_query_messages = Array.fold_left (fun a (_, s) -> a + s.HP2.messages) 0 res in
-  {
-    md_structure = "quadtree-2d";
-    md_n = n;
-    md_build_s;
-    md_churn_ops = ops;
-    md_churn_s;
-    md_churn_messages = !messages;
-    md_query_ops;
-    md_query_s;
-    md_query_messages;
-    md_final_size = HP2.size h;
-    md_jobs = (match pool with None -> 1 | Some p -> DPool.jobs p);
-  }
-
-let measure_strings ~pool ~seed ~n ~ops =
-  let base = W.random_strings ~seed ~n ~alphabet:4 ~len:10 in
-  (* Length 11 keeps the reserve disjoint from the base by construction. *)
-  let reserve = W.random_strings ~seed:(seed + 0x2d11) ~n:ops ~alphabet:4 ~len:11 in
-  let base, reserve = dedup_keys base reserve in
-  let n = Array.length base in
-  let net = Network.create ~hosts:(min n 4096) in
-  let h, md_build_s = C.timed (fun () -> HStr.build ~net ~seed ?pool base) in
-  let alive = Array.make (n + ops) base.(0) in
-  Array.blit base 0 alive 0 n;
-  let len = ref n in
-  let next_fresh = ref 0 in
-  let rng = Prng.create (seed + 0x9d2) in
-  let messages = ref 0 in
-  let t1 = C.now () in
-  for i = 0 to ops - 1 do
-    match i mod 4 with
-    | 0 | 2 when !next_fresh < Array.length reserve ->
-        let k = reserve.(!next_fresh) in
-        incr next_fresh;
-        messages := !messages + HStr.insert h k;
-        alive.(!len) <- k;
-        incr len
-    | 1 when !len > 1 ->
-        let j = Prng.int rng !len in
-        let k = alive.(j) in
-        alive.(j) <- alive.(!len - 1);
-        decr len;
-        messages := !messages + HStr.remove h k
-    | _ ->
-        let q = alive.(Prng.int rng !len) in
-        let _, stats = HStr.query h ~rng q in
-        messages := !messages + stats.HStr.messages
-  done;
-  let md_churn_s = C.now () -. t1 in
-  HStr.check_invariants h;
-  let md_query_ops = 2 * ops in
-  let qrng = Prng.create (seed + 0x51a) in
-  let qs = Array.init md_query_ops (fun _ -> alive.(Prng.int qrng !len)) in
-  let orng = Prng.create (seed + 0x52b) in
-  let res, md_query_s = C.timed (fun () -> HStr.query_batch ?pool h ~rng:orng qs) in
-  let md_query_messages = Array.fold_left (fun a (_, s) -> a + s.HStr.messages) 0 res in
-  {
-    md_structure = "trie";
-    md_n = n;
-    md_build_s;
-    md_churn_ops = ops;
-    md_churn_s;
-    md_churn_messages = !messages;
-    md_query_ops;
-    md_query_s;
-    md_query_messages;
-    md_final_size = HStr.size h;
-    md_jobs = (match pool with None -> 1 | Some p -> DPool.jobs p);
-  }
-
-let json_of_md_rows rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"structure\": \"%s\", \"n\": %d, \"churn_ops\": %d, \"churn_messages\": %d, \
-       \"query_ops\": %d, \"query_messages\": %d, \"final_size\": %d,\n\
-      \     \"timing\": {\"jobs\": %d, \"build_s\": %.6f, \"churn_s\": %.6f, \
-       \"churn_ops_per_s\": %.1f, \"query_s\": %.6f, \"query_ops_per_s\": %.1f}}"
-      r.md_structure r.md_n r.md_churn_ops r.md_churn_messages r.md_query_ops
-      r.md_query_messages r.md_final_size r.md_jobs r.md_build_s r.md_churn_s
-      (float_of_int r.md_churn_ops /. Float.max 1e-9 r.md_churn_s)
-      r.md_query_s
-      (float_of_int r.md_query_ops /. Float.max 1e-9 r.md_query_s)
-  in
-  Printf.sprintf "  \"multi_d_rows\": [\n%s\n  ]"
-    (String.concat ",\n" (List.map row_json rows))
-
 (* ---------------- the --jobs write sweep ---------------- *)
 
 (* One point of the speedup curve: the same batch insert + remove cycle
@@ -507,7 +345,7 @@ let json_of_sweep ~n ~batch points =
     (String.concat ", " (List.map (fun p -> string_of_int p.sw_jobs) points))
     (String.concat ",\n" (List.map point_json points))
 
-let json_of_rows ?sweep ?multi_d rows =
+let json_of_rows ~sweep rows =
   let latency_json r =
     let field name =
       match Metrics.histogram_summary r.metrics name with
@@ -547,15 +385,14 @@ let json_of_rows ?sweep ?multi_d rows =
     "{\n  \"experiment\": \"scale\",\n  \"structure\": \"1-d generic skip-web (Hierarchy + \
      sorted lists)\",\n  \"workload\": \"bulk load, mixed churn (40%% insert / 40%% delete / \
      20%% query), a parallel query phase, then a parallel batch-write phase\",\n  \"domains\": \
-     %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]%s\n}\n"
+     %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ],\n%s\n}\n"
     (Domain.recommended_domain_count ())
     Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
-    ((match multi_d with None -> "" | Some m -> ",\n" ^ m)
-    ^ match sweep with None -> "" | Some s -> ",\n" ^ s)
+    sweep
 
 let run (cfg : C.config) =
-  C.section "Bulk load + churn + parallel queries: wall-clock scaling (E15)";
+  C.section "Bulk load + churn + parallel queries: wall-clock scaling (E15b)";
   let sizes =
     if cfg.C.quick then [ 1000; 10_000 ] else [ 1000; 10_000; 100_000; 1_000_000 ]
   in
@@ -606,49 +443,6 @@ let run (cfg : C.config) =
         ])
     rows;
   Skipweb_util.Tables.print tbl;
-  (* Multi-dimensional rows: the same load/churn/parallel-query shape over
-     the quadtree and trie instances, at sizes capped below the 1-d sweep
-     (the structures carry per-node state the integer lists don't). *)
-  let md_sizes = if cfg.C.quick then [ 1000; 10_000 ] else [ 1000; 10_000; 100_000 ] in
-  let md_rows =
-    C.with_pool cfg (fun pool ->
-        List.concat_map
-          (fun n ->
-            let ops = max 200 (min 2000 (n / 10)) in
-            [
-              measure_points ~pool ~seed:(List.hd cfg.C.seeds) ~n ~ops;
-              measure_strings ~pool ~seed:(List.hd cfg.C.seeds) ~n ~ops;
-            ])
-          md_sizes)
-  in
-  let mtbl =
-    Skipweb_util.Tables.create
-      ~title:
-        (Printf.sprintf "multi-dimensional structures: load + churn + parallel queries (%d job(s))"
-           cfg.C.jobs)
-      ~columns:
-        [
-          "structure"; "n"; "build (s)"; "churn ops"; "churn (s)"; "ops/s"; "q ops"; "q (s)";
-          "q ops/s"; "size";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Skipweb_util.Tables.add_row mtbl
-        [
-          r.md_structure;
-          string_of_int r.md_n;
-          Printf.sprintf "%.3f" r.md_build_s;
-          string_of_int r.md_churn_ops;
-          Printf.sprintf "%.3f" r.md_churn_s;
-          Printf.sprintf "%.0f" (float_of_int r.md_churn_ops /. Float.max 1e-9 r.md_churn_s);
-          string_of_int r.md_query_ops;
-          Printf.sprintf "%.3f" r.md_query_s;
-          Printf.sprintf "%.0f" (float_of_int r.md_query_ops /. Float.max 1e-9 r.md_query_s);
-          string_of_int r.md_final_size;
-        ])
-    md_rows;
-  Skipweb_util.Tables.print mtbl;
   (* The --jobs write sweep: the speedup curve of the hierarchy's batch
      writes (one task per level) at the largest size, swept over its own
      pools — the headline number of the parallel write path. *)
@@ -682,5 +476,4 @@ let run (cfg : C.config) =
   Skipweb_util.Tables.print stbl;
   C.write_json ~file:"BENCH_scale.json"
     (json_of_rows
-       ~sweep:(json_of_sweep ~n:sweep_n ~batch:sweep_batch points)
-       ~multi_d:(json_of_md_rows md_rows) rows)
+       ~sweep:(json_of_sweep ~n:sweep_n ~batch:sweep_batch points) rows)

@@ -1,18 +1,25 @@
-(* E20: serving at scale — does the read-path level cache flatten the
-   hotspots E19 measured?
+(* E20: serving at scale — where does skewed load land, and does the
+   read-path level cache flatten it?
 
-   E19 established that skewed traffic concentrates on the hosts owning
-   the coarse upper levels of both skip-web structures. This experiment
-   attacks that: it drives an {e open-loop} skewed workload (Poisson
-   arrivals, 90/10 read/write mix for the hierarchy, Zipf(1.1) + uniform
-   query blend, fully replayable from its seed — [Open_loop.plan]) against
-   builds with the level cache configured at c = 4 coarse levels and
-   k ∈ {1, 2, 4} replicas, at n up to 10^6, and reports per row:
+   The Skip Graphs line of work warns that the top levels of any skip
+   structure concentrate traffic on a few hosts. This experiment measures
+   that and attacks it: it drives an {e open-loop} skewed workload
+   (Poisson arrivals, 90/10 read/write mix for the hierarchy, Zipf(1.1) +
+   uniform query blend, fully replayable from its seed — [Open_loop.plan])
+   against builds with the level cache configured at c = 4 coarse levels
+   and k ∈ {1, 2, 4} replicas, at n up to 10^6, and reports per row:
 
      - the exact per-query message distribution — the cache must not
        move it: per-query cost stays O(log n);
      - the congestion Gini and p99/max of per-host traffic, and the share
        of traffic served by the 16 busiest hosts — the flattening;
+     - the exact top-10 hottest hosts, read from the network's per-host
+       counters; the bench aborts unless the top-1 visits equal the
+       congestion max;
+     - the per-level attribution of a 48-query traced read sample, all
+       recording into one shared Trace — which refinement levels the
+       messages come from. The sample runs before the row's traffic
+       reset, so no other member sees it;
      - the network's total message count, asserted equal across k up to a
        tiny relative epsilon (caching only relocates reads; the rare saved
        hop is a placement collision, ~1/H per visit).
@@ -38,6 +45,7 @@
    BENCH_serving.json. *)
 
 module Network = Skipweb_net.Network
+module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
 module H = Skipweb_core.Hierarchy
 module B1 = Skipweb_core.Blocked1d
@@ -53,26 +61,98 @@ module HInt = H.Make (I.Ints)
 let cache_levels = 4
 let cache_ks = [ 1; 2; 4 ]
 let top_m = 16
+let top_k = 10
+let traced_sample = 48
 let msg_epsilon = 0.002
 
 type row = {
   structure : string;
   n : int;
   hosts : int;
-  c : int;
   k : int;
   ops : int;
-  queries : int;
-  inserts : int;
-  removes : int;
+  counts : OL.counts;
   total_msgs : int;
   read_msgs : Stats.summary;
   congestion : Obs.congestion;
   top_share : float;
-  uncached_match : bool option;  (* Some true on the k = 1 row *)
+  top : (int * int) list;  (* exact (host, visits), hottest first *)
+  traced : int;
+  levels : (int * int) list;
+  unattributed : int;
   wall_s : float;
   jobs : int;
 }
+
+(* The open-loop plan of one size: [salt] keeps the two structures'
+   plans apart, [read_fraction] = 1 makes it read-only. *)
+let plan ~seed ~salt ~read_fraction ~ops n =
+  let bound = 100 * n in
+  let keys = W.distinct_ints ~seed ~n ~bound in
+  let spec =
+    {
+      OL.seed = seed + salt;
+      ops;
+      rate = 1000.0;
+      read_fraction;
+      zipf_share = 0.5;
+      zipf_s = 1.1;
+      bound;
+    }
+  in
+  let events = OL.plan spec ~keys in
+  let qs =
+    Array.of_list
+      (List.filter_map
+         (function { OL.op = OL.Query q; _ } -> Some q | _ -> None)
+         (Array.to_list events))
+  in
+  (keys, events, qs)
+
+(* The attribution sample: the plan's first [traced_sample] queries,
+   sequential, all recording into one trace. *)
+let trace_sample ~seed query_traced qs =
+  let traced = min traced_sample (Array.length qs) in
+  let coins = Prng.create (seed + 0x7a) in
+  let tr = Trace.create () in
+  for i = 0 to traced - 1 do
+    query_traced ~rng:(Prng.stream coins i) tr qs.(i)
+  done;
+  (traced, tr)
+
+(* One row from the network after a replay, with the cross-k message
+   checks against [base_total], the uncached replay's network total. *)
+let make_row ~structure ~n ~k ~ops ~counts ~base_total ~net ~read_msgs ~sample:(traced, tr)
+    ~wall_s ~jobs =
+  let fail fmt = Printf.ksprintf failwith ("E20: %s n=%d k=%d: " ^^ fmt) structure n k in
+  let total = Network.total_messages net in
+  if k = 1 && total <> base_total then
+    fail "not byte-identical to uncached (%d vs %d msgs)" total base_total;
+  if abs_float (float_of_int (total - base_total)) > msg_epsilon *. float_of_int base_total then
+    fail "moved total messages beyond epsilon (%d vs %d)" total base_total;
+  let congestion = Obs.congestion_of net in
+  let top = Obs.hot_hosts net ~k:top_k in
+  (match top with
+  | (_, v) :: _ when float_of_int v = congestion.Obs.max -> ()
+  | _ -> fail "top-1 visits disagree with congestion max %g" congestion.Obs.max);
+  {
+    structure;
+    n;
+    hosts = Network.host_count net;
+    k;
+    ops;
+    counts;
+    total_msgs = total;
+    read_msgs;
+    congestion;
+    top_share = Obs.top_share net ~m:top_m;
+    top;
+    traced;
+    levels = Trace.per_level_hops tr;
+    unattributed = Trace.unattributed_hops tr;
+    wall_s;
+    jobs;
+  }
 
 (* ------- hierarchy: open-loop mixed churn, fresh build per k ------- *)
 
@@ -94,21 +174,7 @@ let replay_hierarchy h ~seed events =
   Stats.summarize_ints !msgs
 
 let hierarchy_rows ~pool ~jobs ~seed ~ops n =
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let spec =
-    {
-      OL.seed = seed + 0xe20;
-      ops;
-      rate = 1000.0;
-      read_fraction = 0.9;
-      zipf_share = 0.5;
-      zipf_s = 1.1;
-      bound;
-    }
-  in
-  let events = OL.plan spec ~keys in
-  let counts = OL.counts events in
+  let keys, events, qs = plan ~seed ~salt:0xe20 ~read_fraction:0.9 ~ops n in
   let run ~cache =
     let net = Network.create ~hosts:n in
     let h =
@@ -116,70 +182,28 @@ let hierarchy_rows ~pool ~jobs ~seed ~ops n =
       | None -> HInt.build ~net ~seed ?pool keys
       | Some k -> HInt.build ~net ~seed ~cache_levels ~cache_replicas:k ?pool keys
     in
+    let sample =
+      trace_sample ~seed (fun ~rng tr q -> ignore (HInt.query ~trace:tr h ~rng q)) qs
+    in
     Network.reset_traffic net;
     let read_msgs, wall_s = C.timed (fun () -> replay_hierarchy h ~seed events) in
-    (net, read_msgs, wall_s)
+    (net, sample, read_msgs, wall_s)
   in
-  let net0, _, _ = run ~cache:None in
+  let net0, _, _, _ = run ~cache:None in
   let base_total = Network.total_messages net0 in
   List.map
     (fun k ->
-      let net, read_msgs, wall_s = run ~cache:(Some k) in
-      let total = Network.total_messages net in
-      let uncached_match =
-        if k <> 1 then None
-        else if total <> base_total then
-          failwith
-            (Printf.sprintf "E20: hierarchy k=1 not byte-identical to uncached (%d vs %d msgs)"
-               total base_total)
-        else Some true
-      in
-      if abs_float (float_of_int (total - base_total)) > msg_epsilon *. float_of_int base_total
-      then
-        failwith
-          (Printf.sprintf "E20: hierarchy k=%d moved total messages beyond epsilon (%d vs %d)" k
-             total base_total);
-      {
-        structure = "hierarchy";
-        n;
-        hosts = Network.host_count net;
-        c = cache_levels;
-        k;
-        ops;
-        queries = counts.OL.queries;
-        inserts = counts.OL.inserts;
-        removes = counts.OL.removes;
-        total_msgs = total;
-        read_msgs;
-        congestion = Obs.congestion_of net;
-        top_share = Obs.top_share net ~m:top_m;
-        uncached_match;
-        wall_s;
-        jobs;
-      })
+      let net, sample, read_msgs, wall_s = run ~cache:(Some k) in
+      make_row ~structure:"hierarchy" ~n ~k ~ops ~counts:(OL.counts events) ~base_total ~net
+        ~read_msgs ~sample ~wall_s ~jobs)
     cache_ks
 
 (* ------- blocked 1-d: one build per n, set_cache sweep ------- *)
 
 let blocked_rows ~pool ~jobs ~seed ~ops n =
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let spec =
-    {
-      OL.seed = seed + 0xe21;
-      ops;
-      rate = 1000.0;
-      read_fraction = 1.0;  (* read-only: the structure stays fixed, so one
-                               build serves the whole k sweep *)
-      zipf_share = 0.5;
-      zipf_s = 1.1;
-      bound;
-    }
-  in
-  let events = OL.plan spec ~keys in
-  let qs =
-    Array.map (function { OL.op = OL.Query q; _ } -> q | _ -> assert false) events
-  in
+  (* Read-only: the structure stays fixed, so one build serves the whole
+     k sweep. *)
+  let keys, events, qs = plan ~seed ~salt:0xe21 ~read_fraction:1.0 ~ops n in
   let net = Network.create ~hosts:n in
   let b = B1.build ~net ~seed ~m:(4 * C.log2i n) ?pool keys in
   let serve () =
@@ -195,39 +219,12 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
   List.map
     (fun k ->
       B1.set_cache b ~levels:cache_levels ~k;
-      let read_msgs, wall_s = serve () in
-      let total = Network.total_messages net in
-      let uncached_match =
-        if k <> 1 then None
-        else if total <> base_total then
-          failwith
-            (Printf.sprintf "E20: blocked k=1 not byte-identical to uncached (%d vs %d msgs)"
-               total base_total)
-        else Some true
+      let sample =
+        trace_sample ~seed (fun ~rng tr q -> ignore (B1.query ~trace:tr b ~rng q)) qs
       in
-      if abs_float (float_of_int (total - base_total)) > msg_epsilon *. float_of_int base_total
-      then
-        failwith
-          (Printf.sprintf "E20: blocked k=%d moved total messages beyond epsilon (%d vs %d)" k
-             total base_total);
-      {
-        structure = "blocked1d";
-        n;
-        hosts = Network.host_count net;
-        c = cache_levels;
-        k;
-        ops;
-        queries = Array.length qs;
-        inserts = 0;
-        removes = 0;
-        total_msgs = total;
-        read_msgs;
-        congestion = Obs.congestion_of net;
-        top_share = Obs.top_share net ~m:top_m;
-        uncached_match;
-        wall_s;
-        jobs;
-      })
+      let read_msgs, wall_s = serve () in
+      make_row ~structure:"blocked1d" ~n ~k ~ops ~counts:(OL.counts events) ~base_total ~net
+        ~read_msgs ~sample ~wall_s ~jobs)
     cache_ks
 
 (* The point of the experiment, asserted rather than eyeballed: more
@@ -265,6 +262,9 @@ let assert_flattening rows =
   Printf.printf "cache flattening: OK (gini decreases with k on every row pair)\n"
 
 let json_of_rows rows =
+  let pairs fmt xs =
+    "[" ^ String.concat ", " (List.map (fun (a, b) -> Printf.sprintf fmt a b) xs) ^ "]"
+  in
   let row_json r =
     Printf.sprintf
       "    {\"structure\": \"%s\", \"n\": %d, \"hosts\": %d, \"cache_levels\": %d, \
@@ -274,13 +274,20 @@ let json_of_rows rows =
       \     \"read_messages\": %s,\n\
       \     \"congestion\": %s,\n\
       \     \"top%d_share\": %.6f,\n\
+      \     \"top_k\": %s,\n\
+      \     \"traced\": %d, \"levels\": %s, \"unattributed\": %d,\n\
       \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
-      r.structure r.n r.hosts r.c r.k r.ops r.queries r.inserts r.removes r.total_msgs
+      r.structure r.n r.hosts cache_levels r.k
+      r.ops r.counts.OL.queries r.counts.OL.inserts r.counts.OL.removes r.total_msgs
       r.read_msgs.Stats.mean
-      (match r.uncached_match with Some true -> " \"uncached_match\": true," | _ -> "")
+      (if r.k = 1 then " \"uncached_match\": true," else "")
       (C.json_of_summary r.read_msgs)
       (Obs.congestion_to_json r.congestion)
-      top_m r.top_share r.jobs r.wall_s
+      top_m r.top_share
+      (pairs "{\"host\": %d, \"visits\": %d}" r.top)
+      r.traced
+      (pairs "{\"level\": %d, \"hops\": %d}" r.levels)
+      r.unattributed r.jobs r.wall_s
   in
   Printf.sprintf
     "{\n  \"experiment\": \"serving\",\n  \"workload\": \"open-loop Poisson arrivals, \
@@ -293,7 +300,7 @@ let json_of_rows rows =
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
-  C.section "Serving at scale: level cache vs hotspots (E20)";
+  C.section "Serving at scale: hotspots and the level cache (E20)";
   let seed = List.hd cfg.C.seeds in
   let sizes = if cfg.C.quick then [ 20_000 ] else [ 100_000; 1_000_000 ] in
   let ops = if cfg.C.quick then 2_000 else 20_000 in
@@ -315,7 +322,7 @@ let run (cfg : C.config) =
       ~columns:
         [
           "structure"; "n"; "k"; "total msgs"; "mean read"; "traffic p99"; "traffic max"; "gini";
-          Printf.sprintf "top%d share" top_m;
+          Printf.sprintf "top%d share" top_m; "hottest host";
         ]
   in
   List.iter
@@ -331,6 +338,7 @@ let run (cfg : C.config) =
           Printf.sprintf "%.0f" r.congestion.Obs.max;
           Printf.sprintf "%.4f" r.congestion.Obs.gini;
           Printf.sprintf "%.4f" r.top_share;
+          (match r.top with (h, _) :: _ -> string_of_int h | [] -> "-");
         ])
     rows;
   Skipweb_util.Tables.print tbl;

@@ -1,4 +1,4 @@
-(* E16: per-level cost attribution via session traces.
+(* E16b: per-level cost attribution via session traces.
 
    Theorem 2 prices a query at O(log n) messages, and the set-halving
    lemmas promise O(1) expected conflicts per refinement — but both are
@@ -95,7 +95,7 @@ let json_of_row r =
     (C.json_of_summary r.traffic)
 
 let run (cfg : C.config) =
-  C.section "Per-level cost attribution via traces (E16)";
+  C.section "Per-level cost attribution via traces (E16b)";
   let sizes = if cfg.C.quick then [ 256; 1024 ] else [ 1024; 4096 ] in
   let rows =
     List.concat_map

@@ -16,8 +16,8 @@
                                               # bit-identical to --jobs 1)
 
    Experiments: queries, table1, lemmas, theorem2, updates, figures,
-   congestion, bucket, ablations, scale, churn, hotspot, serving, trace,
-   multid, time. *)
+   congestion, bucket, ablations, scale, churn, serving, trace, multid,
+   time. *)
 
 let experiments =
   [
@@ -32,7 +32,6 @@ let experiments =
     ("ablations", fun cfg -> Exp_ablations.run cfg);
     ("scale", fun cfg -> Exp_scale.run cfg);
     ("churn", fun cfg -> Exp_churn.run cfg);
-    ("hotspot", fun cfg -> Exp_hotspot.run cfg);
     ("serving", fun cfg -> Exp_serving.run cfg);
     ("trace", fun cfg -> Exp_trace.run cfg);
     ("multid", fun cfg -> Exp_multid.run cfg);
@@ -50,7 +49,7 @@ let () =
     let rec take acc = function
       | "--jobs" :: n :: rest -> (
           match int_of_string_opt n with
-          | Some j when j >= 1 -> (Bench_common.clamp_jobs j, List.rev_append acc rest)
+          | Some j when j >= 1 -> (Skipweb_util.Pool.clamp_jobs j, List.rev_append acc rest)
           | Some _ | None ->
               Printf.eprintf "error: --jobs expects a positive integer, got %S\n" n;
               exit 2)

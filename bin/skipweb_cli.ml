@@ -503,6 +503,56 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
 
 (* ---------------- hotspots / monitor: the congestion observatory ---------------- *)
 
+(* The printing [hotspots] and [serve] share: the level-cache banner (a
+   blank line when the cache is off), the exact message-cost table and
+   the live-host congestion table, [serve] adding the top-16 share. *)
+let print_cache_banner (levels, k) =
+  if k > 1 then
+    Printf.printf "level cache: c = %d coarse levels x k = %d replicas (per-origin routing)\n\n"
+      levels k
+  else print_newline ()
+
+let print_message_cost msgs =
+  let s = Stats.summarize_ints msgs in
+  let t =
+    Tables.create ~title:"query message cost (exact)"
+      ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
+  in
+  Tables.add_row t
+    [
+      string_of_int s.Stats.count;
+      Tables.cell_float s.Stats.mean;
+      Tables.cell_float s.Stats.p50;
+      Tables.cell_float s.Stats.p90;
+      Tables.cell_float s.Stats.p99;
+      Tables.cell_float s.Stats.max;
+    ];
+  Tables.print t
+
+let print_congestion ?top16 c =
+  let top_column, top_cell =
+    match top16 with
+    | None -> ([], [])
+    | Some share -> ([ "top16 share" ], [ Printf.sprintf "%.4f" share ])
+  in
+  let t =
+    Tables.create ~title:"per-host congestion (live hosts)"
+      ~columns:([ "live"; "visits"; "mean"; "p50"; "p90"; "p99"; "max"; "gini" ] @ top_column)
+  in
+  Tables.add_row t
+    ([
+       string_of_int c.Obs.live;
+       string_of_int c.Obs.total_traffic;
+       Tables.cell_float c.Obs.mean;
+       Tables.cell_float c.Obs.p50;
+       Tables.cell_float c.Obs.p90;
+       Tables.cell_float c.Obs.p99;
+       Tables.cell_float c.Obs.max;
+       Printf.sprintf "%.4f" c.Obs.gini;
+     ]
+    @ top_cell);
+  Tables.print t
+
 (* Where does a skewed workload's load land? Drive mixed uniform +
    Zipf(1.1) queries, recording each query's message count, then read
    the network's exact per-host counters: the hottest hosts, the
@@ -521,11 +571,7 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf "items: %d   hosts: %d   queries: %d (half uniform, half Zipf %.2f)\n" n
     d.host_count (Array.length qs) alpha;
-  (match cache with
-  | _, ck when ck > 1 ->
-      Printf.printf "level cache: c = %d coarse levels x k = %d replicas (per-origin routing)\n\n"
-        (fst cache) ck
-  | _ -> print_newline ());
+  print_cache_banner cache;
   (* Attribution sample first (traced, sequential), then reset the
      workload counters so the congestion snapshot describes the main
      phase only. *)
@@ -559,39 +605,8 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
         ])
     (Obs.hot_hosts d.net ~k);
   Tables.print t;
-  if msgs <> [||] then begin
-    let s = Stats.summarize_ints (Array.to_list msgs) in
-    let t =
-      Tables.create ~title:"query message cost (exact)"
-        ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
-    in
-    Tables.add_row t
-      [
-        string_of_int s.Stats.count;
-        Tables.cell_float s.Stats.mean;
-        Tables.cell_float s.Stats.p50;
-        Tables.cell_float s.Stats.p90;
-        Tables.cell_float s.Stats.p99;
-        Tables.cell_float s.Stats.max;
-      ];
-    Tables.print t
-  end;
-  let t =
-    Tables.create ~title:"per-host congestion (live hosts)"
-      ~columns:[ "live"; "visits"; "mean"; "p50"; "p90"; "p99"; "max"; "gini" ]
-  in
-  Tables.add_row t
-    [
-      string_of_int c.Obs.live;
-      string_of_int c.Obs.total_traffic;
-      Tables.cell_float c.Obs.mean;
-      Tables.cell_float c.Obs.p50;
-      Tables.cell_float c.Obs.p90;
-      Tables.cell_float c.Obs.p99;
-      Tables.cell_float c.Obs.max;
-      Printf.sprintf "%.4f" c.Obs.gini;
-    ];
-  Tables.print t;
+  if msgs <> [||] then print_message_cost (Array.to_list msgs);
+  print_congestion c;
   (match Trace.per_level_hops tr with
   | [] -> ()
   | levels ->
@@ -717,11 +732,7 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
      open loop: rate %.0f ops/s, %.0f simulated seconds; queries half uniform, half Zipf %.2f\n"
     n d.host_count ops counts.OL.queries counts.OL.inserts counts.OL.removes rate
     (OL.duration events) alpha;
-  (match cache with
-  | cl, ck when ck > 1 ->
-      Printf.printf "level cache: c = %d coarse levels x k = %d replicas (per-origin routing)\n\n"
-        cl ck
-  | _ -> print_newline ());
+  print_cache_banner cache;
   Network.reset_traffic d.net;
   let msgs = ref [] in
   let t0 = now () in
@@ -733,39 +744,8 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
       | OL.Remove k -> ignore (try d.delete k with Invalid_argument _ -> 0))
     events;
   let wall_s = now () -. t0 in
-  let s = Stats.summarize_ints !msgs in
-  let t =
-    Tables.create ~title:"query message cost (exact)"
-      ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
-  in
-  Tables.add_row t
-    [
-      string_of_int s.Stats.count;
-      Tables.cell_float s.Stats.mean;
-      Tables.cell_float s.Stats.p50;
-      Tables.cell_float s.Stats.p90;
-      Tables.cell_float s.Stats.p99;
-      Tables.cell_float s.Stats.max;
-    ];
-  Tables.print t;
-  let c = Obs.congestion_of d.net in
-  let t =
-    Tables.create ~title:"per-host congestion (live hosts)"
-      ~columns:[ "live"; "visits"; "mean"; "p50"; "p90"; "p99"; "max"; "gini"; "top16 share" ]
-  in
-  Tables.add_row t
-    [
-      string_of_int c.Obs.live;
-      string_of_int c.Obs.total_traffic;
-      Tables.cell_float c.Obs.mean;
-      Tables.cell_float c.Obs.p50;
-      Tables.cell_float c.Obs.p90;
-      Tables.cell_float c.Obs.p99;
-      Tables.cell_float c.Obs.max;
-      Printf.sprintf "%.4f" c.Obs.gini;
-      Printf.sprintf "%.4f" (Obs.top_share d.net ~m:16);
-    ];
-  Tables.print t;
+  print_message_cost !msgs;
+  print_congestion ~top16:(Obs.top_share d.net ~m:16) (Obs.congestion_of d.net);
   Printf.printf "total messages: %d   served in %.3f s wall clock\n"
     (Network.total_messages d.net) wall_s;
   0
