@@ -688,6 +688,44 @@ let test_ordseq_batch_mass_remove () =
   checkb "jobs 2 bit-identical" true (obs 2 = o1);
   checkb "jobs 4 bit-identical" true (obs 4 = o1)
 
+(* Batches around the chunk count — 1, nchunks - 1, nchunks and
+   nchunks + 1 keys — into bases of 10², 10³ and 10⁴ keys: the sizes
+   where a batch is split into a few one-key slices, which the random
+   generators above rarely produce. The keys are spread evenly over and
+   just beyond the base's span, so each batch mixes stored and fresh
+   keys. Contents and counts follow a [Set] model, and the chunk layout
+   is the same at jobs 1 and 2. *)
+let test_ordseq_batch_boundary () =
+  let module S = Set.Make (Int) in
+  List.iter
+    (fun n ->
+      let base = Array.init n (fun i -> 3 * i) in
+      let nch = Ordseq.chunk_count (Ordseq.of_sorted_array base) in
+      let model = S.of_list (Array.to_list base) in
+      List.iter
+        (fun m ->
+          let span = (3 * n) + 6 in
+          let batch = Array.init m (fun j -> (j * span / m) - 3) in
+          let run ~jobs op =
+            DPool.with_pool ~jobs @@ fun pool ->
+            let t = Ordseq.of_sorted_array base in
+            let count = op ?pool t batch in
+            Ordseq.check t;
+            (count, Ordseq.to_array t, Ordseq.chunk_lengths t)
+          in
+          let bset = S.of_list (Array.to_list batch) in
+          let case what op expect =
+            let ((count, contents, _) as o1) = run ~jobs:1 op in
+            let name = Printf.sprintf "%s n=%d m=%d" what n m in
+            checki (name ^ " count") (abs (S.cardinal expect - n)) count;
+            checkb (name ^ " contents") true (contents = Array.of_list (S.elements expect));
+            checkb (name ^ " jobs 2 layout") true (run ~jobs:2 op = o1)
+          in
+          case "insert" Ordseq.insert_batch (S.union model bset);
+          case "remove" Ordseq.remove_batch (S.diff model bset))
+        [ 1; nch - 1; nch; nch + 1 ])
+    [ 100; 1_000; 10_000 ]
+
 let test_ordseq_batch_validation () =
   let t = Ordseq.of_sorted_array [| 1; 2; 3 |] in
   Alcotest.check_raises "unsorted insert batch"
@@ -815,6 +853,7 @@ let suite =
     Alcotest.test_case "ordseq incremental growth" `Quick test_ordseq_incremental_growth;
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
     Alcotest.test_case "ordseq batch mass remove" `Quick test_ordseq_batch_mass_remove;
+    Alcotest.test_case "ordseq batch around the chunk count" `Quick test_ordseq_batch_boundary;
     Alcotest.test_case "ordseq batch validation" `Quick test_ordseq_batch_validation;
     Alcotest.test_case "presort semantics" `Quick test_presort_semantics;
     Alcotest.test_case "presort pooled identical" `Quick test_presort_pooled_identical;
