@@ -40,8 +40,9 @@ module Make (S : Range_structure.S) = struct
   (* All mutable state of one level lives in its [level_state] and nowhere
      else. That ownership boundary is what the parallel write path runs on:
      a pooled batch hands each level to its own task, and the level tasks
-     share nothing but the read-only batch arrays and the network's charge
-     buffers — no locks needed, no interleaving visible.
+     share nothing but the read-only batch arrays and the network's atomic
+     per-host memory counters, whose sums do not depend on the order the
+     tasks charge them in — no locks needed, no interleaving visible.
 
      [sets] is dense, indexed by membership prefix: level ℓ has 2^ℓ slots,
      [None] where no element carries that prefix. A prefix's first ℓ bits
@@ -247,9 +248,9 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- incremental memory accounting ------- *)
 
-  (* The charge sink: serialized single-op paths charge the network
-     directly; per-level batch tasks pass a [Network.charge buffer] sink
-     instead, so concurrent levels commit order-independent netted sums. *)
+  (* The charge sink of every write path but the bulk level build: the
+     network's atomic per-host counter, safe from concurrent level tasks
+     because a level only ever releases copies of its own ranges. *)
   let direct_charge t h k = Network.charge_memory t.net h k
 
   (* Charge every range of a freshly built level structure. *)
@@ -284,38 +285,49 @@ module Make (S : Range_structure.S) = struct
     in
     (Array.map fst entries, Array.map snd entries)
 
-  (* Build every set of one level from a snapshot: a stable counting sort
-     by level prefix, then one [S.build] per bucket, whose copies are
-     summed into a dense per-host array and committed once through
-     [charge]. Writes only this level's state, so levels build
-     concurrently. *)
-  let build_level t ~charge (keys, paths) level =
-    let ly = t.layers.(level).sets in
+  (* The one prefix-grouping kernel: a stable counting sort of (keys,
+     paths) by level prefix, then [f b ks] once per non-empty group [b],
+     with [ks] in input order — so a sorted batch hands every set its keys
+     ascending, and the bulk build hands [S.build] the snapshot's order.
+     Groups come in ascending prefix order, though no caller depends on
+     that: each group touches only its own set. The sort costs O(2^level)
+     beside O(batch), the size of the level's own set table. *)
+  let iter_groups t (keys, paths) level f =
     let shift = t.top - level and sets = 1 lsl level in
     let start = Array.make (sets + 1) 0 in
     Array.iter (fun p -> start.((p lsr shift) + 1) <- start.((p lsr shift) + 1) + 1) paths;
     for b = 1 to sets do
       start.(b) <- start.(b) + start.(b - 1)
     done;
-    let fill = Array.sub start 0 sets and order = Array.make (Array.length keys) 0 in
+    let order = Array.make (Array.length keys) 0 in
     Array.iteri
       (fun i p ->
         let b = p lsr shift in
-        order.(fill.(b)) <- i;
-        fill.(b) <- fill.(b) + 1)
+        order.(start.(b)) <- i;
+        start.(b) <- start.(b) + 1)
       paths;
+    (* Placing the keys moved every [start.(b)] to the end of group b. *)
+    let lo = ref 0 in
+    while !lo < Array.length order do
+      let b = paths.(order.(!lo)) lsr shift in
+      let first = !lo in
+      f b (Array.init (start.(b) - first) (fun i -> keys.(order.(first + i))));
+      lo := start.(b)
+    done
+
+  (* Build every set of one level from a snapshot: one [S.build] per
+     prefix group, whose copies are summed into a dense per-host array
+     and charged once per host. Writes only this level's state, so levels
+     build concurrently. *)
+  let build_level t snap level =
+    let ly = t.layers.(level).sets in
     let per_host = Array.make (Network.host_count t.net) 0 in
     let add h k = per_host.(h) <- per_host.(h) + k in
-    for b = 0 to sets - 1 do
-      let lo = start.(b) in
-      let len = start.(b + 1) - lo in
-      if len > 0 then begin
-        let s = S.build (Array.init len (fun i -> keys.(order.(lo + i)))) in
+    iter_groups t snap level (fun b ks ->
+        let s = S.build ks in
         ly.(b) <- Some s;
-        charge_fresh t ~charge:add level b s
-      end
-    done;
-    Array.iteri (fun h k -> if k <> 0 then charge h k) per_host
+        charge_fresh t ~charge:add level b s);
+    Array.iteri (fun h k -> if k <> 0 then direct_charge t h k) per_host
 
   (* Register a fresh key: allocate its id and index it. Ids are handed out
      in presentation order, and the id fixes the element's membership
@@ -333,50 +345,28 @@ module Make (S : Range_structure.S) = struct
     arena_add t id;
     id
 
-  (* Group a sorted (key, path) batch by this level's membership prefix.
-     Buckets come back in order of first appearance in the batch and keep
-     the batch's ascending key order inside each group — both are pure
-     functions of the batch, never of scheduling. *)
-  let bucket_sorted t batch level =
-    let order = ref [] in
-    let tbl = Hashtbl.create 16 in
-    Array.iter
-      (fun (k, path) ->
-        let b = path lsr (t.top - level) in
-        match Hashtbl.find_opt tbl b with
-        | Some l -> l := k :: !l
-        | None ->
-            Hashtbl.replace tbl b (ref [ k ]);
-            order := b :: !order)
-      batch;
-    List.rev_map (fun b -> (b, Array.of_list (List.rev !(Hashtbl.find tbl b)))) !order
-    |> List.rev
-
   (* One level's slice of a bulk insertion: group the sorted fresh batch
      by membership prefix, then one batch splice per level set —
      [S.insert_batch] nets the same deltas the per-key loop reported. A
      set the batch creates from nothing takes one canonical [S.build]
      over its whole group. *)
-  let insert_sweep t ~charge fresh level =
-    let ly = t.layers.(level).sets in
-    List.iter
-      (fun (b, ks) ->
+  let insert_sweep t fresh level =
+    let ly = t.layers.(level).sets and charge = direct_charge t in
+    iter_groups t fresh level (fun b ks ->
         match ly.(b) with
         | Some s -> apply_delta t ~charge level b (S.insert_batch s ks)
         | None ->
             let s = S.build ks in
             ly.(b) <- Some s;
             charge_fresh t ~charge level b s)
-      (bucket_sorted t fresh level)
 
   (* One level's slice of a bulk deletion: drop a set's structure outright
      once the batch takes every key it holds (releasing every charge it
      held — same net charges as removing its keys one at a time), batch
      removal otherwise. *)
-  let remove_sweep t ~charge victims level =
-    let ly = t.layers.(level).sets in
-    List.iter
-      (fun (b, ks) ->
+  let remove_sweep t victims level =
+    let ly = t.layers.(level).sets and charge = direct_charge t in
+    iter_groups t victims level (fun b ks ->
         match ly.(b) with
         | Some s ->
             if S.size s = Array.length ks then begin
@@ -385,29 +375,24 @@ module Make (S : Range_structure.S) = struct
             end
             else apply_delta t ~charge level b (S.remove_batch s ks)
         | None -> failwith "Hierarchy.remove_batch: missing structure")
-      (bucket_sorted t victims level)
 
   (* Run [f] on every level in [lo .. top]: in order on the calling
      domain, or with a pool as one task per level. Level ℓ holds ~n/2^ℓ
      keys, so tasks are claimed heaviest first and level 0 starts at
      once. Each level task writes only its own [level_state] and charges
-     memory through a private [Network.deferred_charges] buffer that it
-     commits as netted per-host sums through the network's atomics, so
-     per-host memory is bit-identical to the sequential loop for any
-     jobs count. *)
-  let run_levels ?pool ?(lo = 0) t (f : charge:(int -> int -> unit) -> int -> unit) =
+     memory straight into the network's atomic per-host counters; the
+     charges are sums, so per-host memory is bit-identical to the
+     sequential loop for any jobs count. *)
+  let run_levels ?pool ?(lo = 0) t f =
     match pool with
     | None ->
         for level = lo to t.top do
-          f ~charge:(direct_charge t) level
+          f level
         done
     | Some p ->
         let n = size t in
         let weights = Array.init (t.top - lo + 1) (fun i -> (n lsr (lo + i)) + 1) in
-        Pool.parallel_for_tasks p ~weights (fun i ->
-            let buf = Network.deferred_charges t.net in
-            f ~charge:(Network.charge buf) (lo + i);
-            Network.commit_charges buf)
+        Pool.parallel_for_tasks p ~weights (fun i -> f (lo + i))
 
   (* The one bulk level builder: build levels [lo .. K] from scratch over
      the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
@@ -423,11 +408,11 @@ module Make (S : Range_structure.S) = struct
 
   let grow_top ?pool t = if t.top < required_top (size t) then build_levels ?pool t (t.top + 1)
 
-  (* A sorted batch of (key, membership path at [t.top]). *)
+  (* A batch sorted by key, as (keys, membership paths at [t.top]). *)
   let sorted_paths t entries =
     let batch = Array.map (fun (k, id) -> (k, path_of t id)) entries in
     Array.sort (fun (a, _) (b, _) -> compare a b) batch;
-    batch
+    (Array.map fst batch, Array.map snd batch)
 
   (* Bulk insertion: register the whole batch (drawing every membership
      coin sequentially), then stream it through the hierarchy level by
@@ -513,7 +498,7 @@ module Make (S : Range_structure.S) = struct
      [scanned] counts the second pass, so every live range once.
 
      The repair bill is reported in the returned stats, not pushed through
-     sessions: repair is host-side maintenance (like deferred charges),
+     sessions: repair is host-side maintenance (like memory charges),
      metered separately from the query workload so availability metrics
      stay clean. Must not run concurrently with queries or updates. *)
   type repair_stats = Placement.repair_stats =

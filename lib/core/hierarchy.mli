@@ -220,8 +220,8 @@ module Make (S : Range_structure.S) : sig
       is safe and {e deterministic} because every membership path is
       drawn sequentially before any sweep starts, all mutable state of a
       level (its structures and its repair redraw table) is touched by
-      exactly one task, and memory charges commit as netted per-host sums
-      through the network's atomic counters — so the final structures,
+      exactly one task, and memory charges are per-host sums added
+      straight to the network's atomic counters — so the final structures,
       the charged memory of every host and the return value are
       bit-identical for any jobs count; only the wall clock changes. Must
       not be called from inside another batch on the same pool. *)

@@ -2,11 +2,11 @@ type host = int
 
 exception Host_dead of host
 
-(* Every shared workload counter is an atomic so that sessions (the
-   parallel read path) and deferred charge buffers (the parallel write
-   path) can commit concurrently from different domains; every committed
-   quantity is a sum, and sums are order-independent, so the totals are
-   bit-identical to a sequential run.
+(* Every shared counter is an atomic so that sessions (the parallel read
+   path) and per-level write tasks (the parallel write path, charging
+   memory directly) can update it concurrently from different domains;
+   every counter is a sum, and sums are order-independent, so the totals
+   are bit-identical to a sequential run.
 
    Liveness is a plain flag array: [kill]/[revive] are epoch operations
    that must not run concurrently with in-flight sessions (the structures
@@ -81,36 +81,6 @@ let stranded_memory t =
   let acc = ref 0 in
   Array.iteri (fun h a -> if not t.up.(h) then acc := !acc + Atomic.get a) t.memory;
   !acc
-
-(* A deferred memory-charge buffer: the write-path analogue of a session.
-   It nets its charges per host locally and commits them to the shared
-   atomic counters only at [commit_charges], so any number of buffers may
-   fill concurrently on different domains. Unlike a session it counts
-   nothing else — no messages, no traffic, no sessions_started — because
-   host-side structure maintenance is not an operation in the cost model. *)
-type charges = {
-  cnet : t;
-  deltas : (host, int ref) Hashtbl.t;
-  mutable committed : bool;
-}
-
-let deferred_charges t = { cnet = t; deltas = Hashtbl.create 16; committed = false }
-
-let charge c h k =
-  if c.committed then invalid_arg "Network.charge: buffer already committed";
-  check_host c.cnet h;
-  match Hashtbl.find_opt c.deltas h with
-  | Some r -> r := !r + k
-  | None -> Hashtbl.replace c.deltas h (ref k)
-
-let commit_charges c =
-  if not c.committed then begin
-    c.committed <- true;
-    Hashtbl.iter
-      (fun h r -> if !r <> 0 then ignore (Atomic.fetch_and_add c.cnet.memory.(h) !r))
-      c.deltas;
-    Hashtbl.reset c.deltas
-  end
 
 (* A session buffers everything it will charge the network — its message
    count and the reversed list of host visits — and commits the lot in

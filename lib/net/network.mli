@@ -25,7 +25,9 @@
     parallel read path) and the accumulated totals are still exactly the
     sums a sequential run would produce. The network accumulates per-host
     traffic (visits) across sessions for congestion reporting, and per-host
-    memory charges for the [M] and [C(n)] columns of Table 1. *)
+    memory charges for the [M] and [C(n)] columns of Table 1. Memory
+    charges need no session: writers, the concurrent per-level write
+    tasks included, add them straight to the atomic per-host counters. *)
 
 type t
 
@@ -41,13 +43,13 @@ val host_count : t -> int
 (** {1 Failure model}
 
     [kill] and [revive] are {e epoch} operations: they must not run
-    concurrently with in-flight sessions or uncommitted charge buffers on
-    other domains (failure epochs are serialized against query batches,
-    exactly as updates are). They are safe to interleave {e sequentially}
-    with anything: killing a host never zeroes or rejects counters, so a
-    deferred charge buffer opened before a [kill] commits the same totals
-    after it, and {!reset_traffic} keeps its usual meaning — the failure
-    axis and the workload counters are orthogonal. *)
+    concurrently with in-flight sessions or writes on other domains
+    (failure epochs are serialized against query batches, exactly as
+    updates are). They are safe to interleave {e sequentially} with
+    anything: killing a host never zeroes or rejects counters, so a
+    charge made after a [kill] lands on the dead host like any other,
+    and {!reset_traffic} keeps its usual meaning — the failure axis and
+    the workload counters are orthogonal. *)
 
 exception Host_dead of host
 (** Raised by {!start} and {!goto} when the target host is dead: the
@@ -72,20 +74,25 @@ val live_hosts : t -> int
 
 (** {1 Memory accounting}
 
-    Memory charges describe the structure, not a workload. The per-host
-    counters are atomics: the parallel write path runs one repair task per
-    hierarchy level on different domains, each buffering its charges in a
-    {!charges} buffer and committing at the end, so commits may interleave.
-    Every committed quantity is a sum of deltas, and sums are
-    order-independent — per-host memory after a parallel batch is
-    bit-identical to the sequential run of the same batch. *)
+    Memory charges describe the structure, not a workload. Charging
+    counts {e nothing} toward {!sessions_started}, {!total_messages} or
+    traffic: host-side structure maintenance is not an operation in the
+    cost model, it only moves stored units between hosts. The per-host
+    counters are atomics: the parallel write path runs one task per
+    hierarchy level on different domains, each charging the network
+    directly, so charges may interleave. Every counter is a sum of
+    deltas, and sums are order-independent — per-host memory after a
+    parallel batch is bit-identical to the sequential run of the same
+    batch. *)
 
 val charge_memory : t -> host -> int -> unit
 (** [charge_memory net h k] records that host [h] stores [k] more units
     (items, structure nodes, pointers or host IDs). [k] may be negative
-    (deletion). Safe to call directly from single-op (serialized) update
-    paths; concurrent writers should buffer through {!deferred_charges}
-    instead so each host's counter sees one netted delta per task. *)
+    (deletion); asserts that the host's total stays non-negative. Safe to
+    call concurrently from several domains as long as each writer only
+    releases units it charged itself earlier — a hierarchy level task
+    releases only copies of its own level's ranges — so no prefix of the
+    interleaved charges can drive a counter below zero. *)
 
 val memory : t -> host -> int
 val max_memory : t -> int
@@ -101,31 +108,6 @@ val total_memory : t -> int
 val stranded_memory : t -> int
 (** Sum of the memory charges currently recorded on dead hosts: state that
     a repair pass still has to migrate (or that dies with the host). *)
-
-(** {2 Deferred charge buffers: the write-path analogue of a session}
-
-    Lifecycle: {!deferred_charges} … {!charge}* … {!commit_charges}.
-    Between creation and commit a buffer touches only its own state —
-    charges are netted per host locally — so any number of buffers may
-    fill concurrently on different domains against the same network.
-    Unlike a session, committing a buffer counts {e nothing} toward
-    {!sessions_started}, {!total_messages} or traffic: host-side structure
-    maintenance is not an operation in the cost model, it only moves
-    stored units between hosts. *)
-
-type charges
-
-val deferred_charges : t -> charges
-(** A fresh, empty charge buffer against this network. *)
-
-val charge : charges -> host -> int -> unit
-(** [charge c h k] buffers [k] more units at host [h] (negative for
-    releases). Raises [Invalid_argument] after {!commit_charges}. *)
-
-val commit_charges : charges -> unit
-(** Atomically add each host's netted delta to the network's memory
-    counters. Idempotent — a second commit adds nothing. A buffer that is
-    never committed contributes nothing. *)
 
 (** {1 Sessions: one query or update}
 

@@ -181,9 +181,6 @@ let delete t ~rng k =
   Network.charge_memory t.net (host_of_sep t sep) (-1);
   msgs + 1
 
-let max_bucket_load t =
-  Hashtbl.fold (fun _ chunk acc -> max acc (List.length !chunk)) t.contents 0
-
 let memory_per_host t =
   Array.to_list (Array.mapi (fun i _ -> Network.memory t.net (Skip_graph.host_of_index t.graph i)) (separators t))
 

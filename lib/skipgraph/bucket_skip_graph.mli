@@ -39,6 +39,5 @@ val insert : t -> rng:Skipweb_util.Prng.t -> int -> int
 
 val delete : t -> rng:Skipweb_util.Prng.t -> int -> int
 
-val max_bucket_load : t -> int
 val memory_per_host : t -> int list
 val check_invariants : t -> unit

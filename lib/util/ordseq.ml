@@ -575,6 +575,13 @@ let validate_batch ~what ks =
   done;
   m
 
+(* A batch smaller than the chunk count is mostly one-key slices, and
+   the splice would rebuild the whole chunk table and Fenwick counts for
+   them; one [insert]/[remove] per key touches one chunk each instead. *)
+let per_key t m = m < max 4 t.nchunks
+
+let count_true f ks = Array.fold_left (fun n k -> if f k then n + 1 else n) 0 ks
+
 let insert_batch ?pool t ks =
   let m = validate_batch ~what:"Ordseq.insert_batch" ks in
   if m = 0 then 0
@@ -582,6 +589,7 @@ let insert_batch ?pool t ks =
     load t ks m;
     m
   end
+  else if per_key t m then count_true (insert t) ks
   else begin
     let nch = t.nchunks in
     let seg = Array.make (nch + 1) 0 in
@@ -638,6 +646,7 @@ let insert_batch ?pool t ks =
 let remove_batch ?pool t ks =
   let m = validate_batch ~what:"Ordseq.remove_batch" ks in
   if m = 0 || t.nchunks = 0 then 0
+  else if per_key t m then count_true (remove t) ks
   else begin
     let nch = t.nchunks in
     let seg = Array.make (nch + 1) 0 in

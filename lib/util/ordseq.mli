@@ -110,7 +110,10 @@ val range_keys : t -> lo:int -> hi:int -> int list
 val insert_batch : ?pool:Pool.t -> t -> int array -> int
 (** [insert_batch ?pool t ks] adds every key of the strictly increasing
     batch [ks] and returns how many were actually new (duplicates of
-    stored keys are skipped). The batch is routed to chunks by the
+    stored keys are skipped). A batch into an empty sequence is a bulk
+    load. A batch of fewer keys than the sequence has chunks (or than 4)
+    takes the per-key path: one {!insert} per key, in batch order, on
+    the calling domain. Any other batch is routed to chunks by the
     summary array; each affected chunk's slice is spliced independently
     — over [?pool] workers when given — and a sequential merge/commit
     pass then rebuilds the chunk summaries and Fenwick counts. The final
@@ -121,7 +124,8 @@ val insert_batch : ?pool:Pool.t -> t -> int array -> int
 val remove_batch : ?pool:Pool.t -> t -> int array -> int
 (** [remove_batch ?pool t ks] drops every stored key of the strictly
     increasing batch [ks] (absent keys are ignored) and returns how many
-    were removed. Same sharding, determinism and cost shape as
+    were removed. Same per-key path (one {!remove} per key below the
+    chunk count), sharding, determinism and cost shape as
     {!insert_batch}; affected chunks compact in place. *)
 
 val chunk_count : t -> int

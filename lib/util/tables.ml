@@ -11,8 +11,6 @@ let add_row t cells =
     invalid_arg "Tables.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let cell_int = string_of_int
-
 let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let looks_numeric s =

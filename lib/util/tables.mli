@@ -19,5 +19,4 @@ val render : t -> string
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)
 
-val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string

@@ -197,20 +197,18 @@ let test_live_host_stats () =
   Network.revive net 3;
   checki "nothing stranded after revives" 0 (Network.stranded_memory net)
 
-(* Satellite 3: kill/revive interleaved (sequentially) with open deferred
-   charge buffers and reset_traffic — the failure axis and the workload /
-   charge machinery are orthogonal. *)
+(* kill/revive interleaved (sequentially) with memory charges and
+   reset_traffic — the failure axis and the workload / charge machinery
+   are orthogonal. *)
 let test_kill_interleaves_with_charges_and_reset () =
   let net = Network.create ~hosts:3 in
-  (* A buffer opened before a kill commits the same totals after it. *)
-  let c = Network.deferred_charges net in
-  Network.charge c 1 5;
-  Network.charge c 2 3;
+  (* Charges made before and after a kill add up on the dead host. *)
+  Network.charge_memory net 1 5;
+  Network.charge_memory net 2 3;
   Network.kill net 1;
-  Network.charge c 1 2;
-  Network.commit_charges c;
-  checki "buffered charges land on the dead host" 7 (Network.memory net 1);
-  checki "stranded includes post-kill commits" 7 (Network.stranded_memory net);
+  Network.charge_memory net 1 2;
+  checki "charges land on the dead host" 7 (Network.memory net 1);
+  checki "stranded includes post-kill charges" 7 (Network.stranded_memory net);
   (* reset_traffic keeps its meaning across failures: workload counters
      zero, memory (stranded or not) kept, liveness kept. *)
   let s = Network.start net 0 in

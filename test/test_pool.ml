@@ -101,6 +101,39 @@ let test_parallel_for_tasks_covers_tasks () =
           done)
         [ 0; 1; 2; 3; 7; 64 ])
 
+(* The contract the hierarchy's pooled batch writes rely on: level tasks
+   charge per-host memory straight through [Network.charge_memory]'s
+   atomics, interleaving charges with releases of units the same task
+   charged earlier, and per-host memory ends equal to the sequential sums
+   for any jobs count. Few hosts and many levels, so tasks collide on
+   every counter. *)
+let test_parallel_level_charges () =
+  let hosts = 4 and levels = 16 in
+  let charges =
+    Array.init levels (fun level ->
+        let g = Prng.create (level + 1) in
+        let placed = Array.init (200 * (level + 1)) (fun _ -> Prng.int g hosts) in
+        (* Charge every copy; release every other one right after the next
+           charge, as a range delta adds before it removes. *)
+        List.concat
+          (List.init (Array.length placed) (fun j ->
+               if j mod 2 = 1 then [ (placed.(j), 1); (placed.(j - 1), -1) ]
+               else [ (placed.(j), 1) ])))
+  in
+  let expected = Array.make hosts 0 in
+  Array.iter (List.iter (fun (h, k) -> expected.(h) <- expected.(h) + k)) charges;
+  List.iter
+    (fun jobs ->
+      let net = Network.create ~hosts in
+      let p = Pool.create ~jobs in
+      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
+          Pool.parallel_for_tasks p ~weights:(Array.map List.length charges) (fun level ->
+              List.iter (fun (h, k) -> Network.charge_memory net h k) charges.(level)));
+      for h = 0 to hosts - 1 do
+        checki (Printf.sprintf "jobs %d host %d memory" jobs h) expected.(h) (Network.memory net h)
+      done)
+    [ 1; 2 ]
+
 let test_parallel_for_tasks_jobs1_inline_ordered () =
   let p = Pool.create ~jobs:1 in
   let order = ref [] in
@@ -567,6 +600,7 @@ let suite =
     Alcotest.test_case "shutdown idempotent and final" `Quick test_shutdown_idempotent_and_final;
     Alcotest.test_case "parallel_for_tasks covers every task" `Quick
       test_parallel_for_tasks_covers_tasks;
+    Alcotest.test_case "parallel level charges = sequential sums" `Quick test_parallel_level_charges;
     Alcotest.test_case "parallel_for_tasks jobs=1 inline in index order" `Quick
       test_parallel_for_tasks_jobs1_inline_ordered;
     Alcotest.test_case "parallel_for_tasks exceptions propagate; pool survives" `Quick
