@@ -13,14 +13,6 @@ let y_at s x =
   else if x = s.x1 then s.y1
   else s.y0 +. ((s.y1 -. s.y0) *. (x -. s.x0) /. (s.x1 -. s.x0))
 
-let below_point s (x, y) = y_at s x < y
-
-let above_point s (x, y) = y_at s x > y
-
-let x_overlap a b =
-  let lo = Float.max a.x0 b.x0 and hi = Float.min a.x1 b.x1 in
-  if lo < hi then Some (lo, hi) else None
-
 (* Cross product of (b - a) and (c - a). *)
 let orient (ax, ay) (bx, by) (cx, cy) =
   ((bx -. ax) *. (cy -. ay)) -. ((by -. ay) *. (cx -. ax))
@@ -34,16 +26,6 @@ let crosses a b =
     let d1 = orient a0 a1 b0 and d2 = orient a0 a1 b1 in
     let d3 = orient b0 b1 a0 and d4 = orient b0 b1 a1 in
     d1 *. d2 < 0.0 && d3 *. d4 < 0.0
-
-let compare_at a b x =
-  let ya = y_at a x and yb = y_at b x in
-  if ya < yb then -1
-  else if ya > yb then 1
-  else
-    (* They touch at x (shared endpoint): compare slopes to order just
-       right of the touching point. *)
-    let slope s = (s.y1 -. s.y0) /. (s.x1 -. s.x0) in
-    compare (slope a) (slope b)
 
 let endpoints s = ((s.x0, s.y0), (s.x1, s.y1))
 

@@ -18,23 +18,9 @@ val id : t -> int
 val y_at : t -> float -> float
 (** The segment's y at abscissa [x]; requires [x0 <= x <= x1]. *)
 
-val below_point : t -> float * float -> bool
-(** [below_point s (x,y)] — the segment passes strictly below the point at
-    abscissa [x]. Requires [x] within the segment's x-span. *)
-
-val above_point : t -> float * float -> bool
-
-val x_overlap : t -> t -> (float * float) option
-(** Common x-interval of positive length, if any. *)
-
 val crosses : t -> t -> bool
 (** Proper interior crossing (shared endpoints do not count). Used to
     validate workloads for the trapezoidal map. *)
-
-val compare_at : t -> t -> float -> int
-(** Vertical order of two segments at abscissa [x] (both must span [x]):
-    negative if the first is lower. Falls back to slope comparison when
-    they touch at [x]. *)
 
 val endpoints : t -> (float * float) * (float * float)
 

@@ -99,17 +99,6 @@ let nearest a q =
   | None, Some s -> Some s
   | Some p, Some s -> if q - p <= s - q then Some p else Some s
 
-let nearest_in_range a r q =
-  assert (valid a r);
-  match r with
-  | Node i -> Some a.(i)
-  | Link _ -> (
-      match span a r with
-      | Neg_inf, Neg_inf | Pos_inf, _ | _, Neg_inf -> assert false
-      | Neg_inf, Key k | Key k, Pos_inf -> Some k
-      | Neg_inf, Pos_inf -> None
-      | Key p, Key s -> if q - p <= s - q then Some p else Some s)
-
 let check_subset ~parent ~child =
   Array.for_all
     (fun k ->

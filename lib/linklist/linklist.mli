@@ -77,11 +77,6 @@ val successor : int array -> int -> int option
 val nearest : int array -> int -> int option
 (** Nearest key by absolute distance; ties go to the predecessor. *)
 
-val nearest_in_range : int array -> range -> int -> int option
-(** Nearest key to [q] looking only at the endpoints of a located range —
-    the level-0 answer extraction of a skip-web query. Equals
-    [nearest a q] when [r = locate a q]. *)
-
 val check_subset : parent:int array -> child:int array -> bool
 (** Whether every child key occurs in the parent (both sorted). *)
 

@@ -104,8 +104,6 @@ let start ?trace t h =
 
 let current s = s.at
 
-let session_trace s = s.trace
-
 let goto ?label s h =
   if s.finished then invalid_arg "Network.goto: session already finished";
   check_host s.net h;

@@ -134,8 +134,6 @@ val start : ?trace:Trace.t -> t -> host -> session
 
 val current : session -> host
 
-val session_trace : session -> Trace.t option
-
 val goto : ?label:string -> session -> host -> unit
 (** [goto s h] moves the locus of processing to host [h]. Costs one message
     (and one unit of traffic at [h], committed at {!finish}) iff [h]

@@ -540,12 +540,6 @@ let rec tree_depth t s = fold_children t s (fun acc c -> max acc (1 + tree_depth
 
 let depth t = tree_depth t 0
 
-let rec max_cube_depth_slot t s =
-  let own = if depth_at t s = bits then 0 else depth_at t s in
-  fold_children t s (fun acc c -> max acc (max_cube_depth_slot t c)) own
-
-let max_cube_depth t = max_cube_depth_slot t 0
-
 (* ---------------- updates ---------------- *)
 
 let insert t p =
@@ -630,9 +624,6 @@ let remove_delta t p =
 let rec iter_preorder t s f =
   f s;
   iter_children t s (fun c -> iter_preorder t c f)
-
-let iter_points t ~f =
-  iter_preorder t 0 (fun s -> match leaf_point t s with Some p -> f p | None -> ())
 
 let iter_nodes t ~f = iter_preorder t 0 (fun s -> f (handle t s))
 

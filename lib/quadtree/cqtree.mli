@@ -76,10 +76,6 @@ val depth : t -> int
 (** Length of the longest root-to-leaf path in {e tree edges} (compressed
     links count as one). *)
 
-val max_cube_depth : t -> int
-(** Deepest cube depth among internal nodes (uncompressed geometric
-    depth) — Θ(n) for adversarial inputs even when {!depth} is small. *)
-
 (** {1 Nodes} *)
 
 val node_id : node -> int
@@ -155,8 +151,6 @@ val check_invariants : t -> unit
 (** Validates: cube alignment, children within parent quadrants, interior
     nodes interesting (>= 2 children or the root), subtree sizes, leaf
     depth. Raises [Failure] on violation. *)
-
-val iter_points : t -> f:(Skipweb_geom.Point.t -> unit) -> unit
 
 val iter_nodes : t -> f:(node -> unit) -> unit
 (** Visit every node (root, internal, leaves) — used by the skip-web

@@ -128,14 +128,6 @@ module Make (Ord : ORDERED) = struct
     | Some _ as p -> p
     | None -> successor t k
 
-  let nearest_by t k ~dist =
-    match (predecessor t k, successor t k) with
-    | None, None -> None
-    | (Some _ as p), None -> p
-    | None, (Some _ as s) -> s
-    | Some (pk, pv), Some (sk, sv) ->
-        if dist k pk <= dist k sk then Some (pk, pv) else Some (sk, sv)
-
   let iter t ~f =
     let rec go = function
       | None -> ()

@@ -44,15 +44,9 @@ module Make (Ord : ORDERED) : sig
   (** Least binding with key [>=] the argument. *)
 
   val nearest : 'a t -> key -> (key * 'a) option
-  (** With a [distance] notion induced by compare order this is whichever of
-      predecessor/successor compares closer by the caller's metric; here we
-      return the predecessor if it exists, else the successor, along with
-      {!successor} via {!predecessor} the caller can disambiguate. Provided
-      as the 1-d nearest-neighbor entry point for integer-like keys via
-      {!nearest_by}. *)
-
-  val nearest_by : 'a t -> key -> dist:(key -> key -> float) -> (key * 'a) option
-  (** Nearest neighbor under an explicit distance. *)
+  (** The predecessor if one exists, else the successor: [Ord] gives no
+      distance, so a caller with a metric compares {!predecessor} and
+      {!successor} itself. *)
 
   val to_list : 'a t -> (key * 'a) list
   (** Bindings in ascending key order. *)

@@ -53,7 +53,6 @@ let node_count t = t.nnodes
 let root t = t.root
 let node_id n = n.id
 let node_string n = n.str
-let node_terminal n = n.terminal
 let subtree_size n = n.size
 let node_of_string t s = Hashtbl.find_opt t.index s
 

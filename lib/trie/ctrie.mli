@@ -61,7 +61,6 @@ val max_string_depth : t -> int
 val root : t -> node
 val node_id : node -> int
 val node_string : node -> string
-val node_terminal : node -> bool
 val subtree_size : node -> int
 (** Number of stored strings at or below the node. *)
 

@@ -80,7 +80,6 @@ let create () =
 
 let length t = t.total
 let is_empty t = t.total = 0
-let chunk_count t = t.nchunks
 
 (* ---------- Fenwick index over chunk lengths ---------- *)
 
@@ -388,9 +387,6 @@ let remove t k =
         true
       end
   end
-
-let min_elt t = if t.total = 0 then None else Some t.chunk.(0).(0)
-let max_elt t = if t.total = 0 then None else Some t.cmax.(t.nchunks - 1)
 
 let successor t q =
   let h = search t q in

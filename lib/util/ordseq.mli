@@ -90,8 +90,6 @@ val insert : t -> int -> bool
 val remove : t -> int -> bool
 (** Drop a key; [false] if absent. Same cost shape as {!insert}. *)
 
-val min_elt : t -> int option
-val max_elt : t -> int option
 val predecessor : t -> int -> int option
 val successor : t -> int -> int option
 
@@ -127,9 +125,6 @@ val remove_batch : ?pool:Pool.t -> t -> int array -> int
     were removed. Same per-key path (one {!remove} per key below the
     chunk count), sharding, determinism and cost shape as
     {!insert_batch}; affected chunks compact in place. *)
-
-val chunk_count : t -> int
-(** Number of live chunks (tests assert the O(√n) shape). *)
 
 val chunk_lengths : t -> int array
 (** Live length of every chunk in order — the layout probe the

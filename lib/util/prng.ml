@@ -61,18 +61,6 @@ let shuffle g a =
     a.(j) <- tmp
   done
 
-let sample_without_replacement g k n =
-  if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
-  (* Partial Fisher–Yates over a fresh index array. *)
-  let idx = Array.init n (fun i -> i) in
-  for i = 0 to k - 1 do
-    let j = i + int g (n - i) in
-    let tmp = idx.(i) in
-    idx.(i) <- idx.(j);
-    idx.(j) <- tmp
-  done;
-  Array.sub idx 0 k
-
 let hash2 a b =
   let h = mix64 (Int64.add (mix64 (Int64.of_int a)) (Int64.of_int b)) in
   Int64.to_int (Int64.shift_right_logical h 2)

@@ -55,10 +55,6 @@ val coin : t -> p:float -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement g k n] draws [k] distinct indices uniformly
-    from [\[0, n)]. Requires [0 <= k <= n]. *)
-
 val hash2 : int -> int -> int
 (** [hash2 a b] deterministically mixes two integers into a non-negative
     integer; used to derive per-element random bits from (seed, element id)

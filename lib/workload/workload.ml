@@ -192,10 +192,6 @@ let trapmap_query_points ~seed ~n =
   let rng = Prng.create seed in
   Array.init n (fun _ -> (0.001 +. Prng.float rng 0.998, 0.001 +. Prng.float rng 0.998))
 
-let pow2_sizes ~lo ~hi =
-  if lo > hi then invalid_arg "Workload.pow2_sizes";
-  List.init (hi - lo + 1) (fun i -> 1 lsl (lo + i))
-
 let zipf_cdf ~m ~s =
   if m < 1 then invalid_arg "Workload.zipf_cdf: m >= 1";
   if s <= 0.0 then invalid_arg "Workload.zipf_cdf: s > 0";

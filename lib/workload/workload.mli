@@ -70,10 +70,7 @@ val disjoint_segments : seed:int -> n:int -> Segment.t array
 val trapmap_query_points : seed:int -> n:int -> (float * float) array
 (** General-position query points in the unit square interior. *)
 
-(** {1 Sweeps} *)
-
-val pow2_sizes : lo:int -> hi:int -> int list
-(** [\[2^lo; ...; 2^hi\]]. *)
+(** {1 Skewed queries} *)
 
 val zipf_cdf : m:int -> s:float -> float array
 (** The inverse-sampling CDF over popularity ranks 1..m that

@@ -54,24 +54,6 @@ let test_segment_y_at () =
   checkf "left end" 0.0 (Segment.y_at s 0.0);
   checkf "interior" 0.25 (Segment.y_at s 0.25)
 
-let test_segment_above_below () =
-  let s = Segment.make (0.1, 0.5) (0.9, 0.5) in
-  checkb "below point" true (Segment.below_point s (0.5, 0.8));
-  checkb "not below" false (Segment.below_point s (0.5, 0.2));
-  checkb "above point" true (Segment.above_point s (0.5, 0.2));
-  checkb "not above" false (Segment.above_point s (0.5, 0.8))
-
-let test_segment_x_overlap () =
-  let a = Segment.make (0.1, 0.1) (0.5, 0.1) in
-  let b = Segment.make (0.4, 0.9) (0.8, 0.9) in
-  let c = Segment.make (0.6, 0.5) (0.9, 0.5) in
-  (match Segment.x_overlap a b with
-  | Some (lo, hi) ->
-      checkf "overlap lo" 0.4 lo;
-      checkf "overlap hi" 0.5 hi
-  | None -> Alcotest.fail "expected overlap");
-  checkb "disjoint x-spans" true (Segment.x_overlap a c = None)
-
 let test_segment_crosses () =
   let a = Segment.make (0.2, 0.2) (0.8, 0.8) in
   let b = Segment.make (0.2, 0.8) (0.8, 0.2) in
@@ -84,16 +66,6 @@ let test_segment_crosses () =
   (* Touching at an interior point of one segment counts. *)
   let e = Segment.make (0.3, 0.7) (0.7, 0.3) in
   checkb "proper interior crossing" true (Segment.crosses a e)
-
-let test_segment_compare_at () =
-  let low = Segment.make (0.1, 0.2) (0.9, 0.2) in
-  let high = Segment.make (0.1, 0.7) (0.9, 0.7) in
-  checkb "low below high" true (Segment.compare_at low high 0.5 < 0);
-  checkb "high above low" true (Segment.compare_at high low 0.5 > 0);
-  (* Shared left endpoint: slopes break the tie. *)
-  let s1 = Segment.make (0.1, 0.5) (0.9, 0.2) in
-  let s2 = Segment.make (0.1, 0.5) (0.9, 0.8) in
-  checkb "slope tiebreak" true (Segment.compare_at s1 s2 0.1 < 0)
 
 let qcheck_crosses_symmetric =
   QCheck.Test.make ~name:"segment crossing is symmetric" ~count:300
@@ -122,10 +94,7 @@ let suite =
     Alcotest.test_case "point grid roundtrip" `Quick test_point_grid_roundtrip;
     Alcotest.test_case "segment normalizes" `Quick test_segment_normalizes;
     Alcotest.test_case "segment y_at" `Quick test_segment_y_at;
-    Alcotest.test_case "segment above/below" `Quick test_segment_above_below;
-    Alcotest.test_case "segment x_overlap" `Quick test_segment_x_overlap;
     Alcotest.test_case "segment crosses" `Quick test_segment_crosses;
-    Alcotest.test_case "segment compare_at" `Quick test_segment_compare_at;
     QCheck_alcotest.to_alcotest qcheck_crosses_symmetric;
     QCheck_alcotest.to_alcotest qcheck_y_at_monotone_on_line;
   ]

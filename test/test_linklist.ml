@@ -115,12 +115,19 @@ let test_nearest () =
   Alcotest.(check (option int)) "tie goes to predecessor" (Some 20) (L.nearest keys 25);
   Alcotest.(check (option int)) "empty set" None (L.nearest [||] 5)
 
+(* The level-0 answer extraction of a skip-web query: the nearest key is
+   an endpoint of the range [locate] returns. *)
 let test_nearest_in_range_consistent () =
   for q = 0 to 100 do
-    let r = L.locate keys q in
-    Alcotest.(check (option int))
-      "range-local nearest equals global nearest" (L.nearest keys q)
-      (L.nearest_in_range keys r q)
+    let endpoints =
+      match L.span keys (L.locate keys q) with
+      | L.Key p, L.Key s -> [ p; s ]
+      | L.Key k, _ | _, L.Key k -> [ k ]
+      | _ -> []
+    in
+    match L.nearest keys q with
+    | Some k -> checkb "global nearest is a range endpoint" true (List.mem k endpoints)
+    | None -> Alcotest.fail "non-empty key set has a nearest key"
   done
 
 let test_check_subset () =

@@ -52,14 +52,6 @@ let test_predecessor_successor () =
   Alcotest.(check (option int)) "succ 30" (Some 30) (Option.map fst (SL.Int.successor t 30));
   Alcotest.(check (option int)) "succ 31" None (Option.map fst (SL.Int.successor t 31))
 
-let test_nearest_by () =
-  let t = of_list 7 [ (10, 0); (20, 0) ] in
-  let dist a b = Float.abs (float_of_int (a - b)) in
-  Alcotest.(check (option int)) "nearest 14" (Some 10) (Option.map fst (SL.Int.nearest_by t 14 ~dist));
-  Alcotest.(check (option int)) "nearest 16" (Some 20) (Option.map fst (SL.Int.nearest_by t 16 ~dist));
-  Alcotest.(check (option int)) "tie prefers predecessor" (Some 10)
-    (Option.map fst (SL.Int.nearest_by t 15 ~dist))
-
 let test_height_logarithmic () =
   let t = SL.Int.create ~seed:8 () in
   for i = 0 to 4095 do
@@ -162,7 +154,6 @@ let suite =
     Alcotest.test_case "to_list sorted" `Quick test_to_list_sorted;
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "predecessor/successor" `Quick test_predecessor_successor;
-    Alcotest.test_case "nearest_by" `Quick test_nearest_by;
     Alcotest.test_case "height logarithmic" `Quick test_height_logarithmic;
     Alcotest.test_case "tower heights geometric" `Quick test_tower_heights_geometric;
     Alcotest.test_case "search cost logarithmic" `Quick test_search_cost_logarithmic;

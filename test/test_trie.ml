@@ -106,7 +106,7 @@ let test_locate_path_and_subtree_sizes () =
     (fun s ->
       let loc, path = T.locate t s in
       (match loc.T.slot with
-      | T.Exact -> checkb "terminal" true (T.node_terminal loc.T.node)
+      | T.Exact -> Alcotest.(check string) "lands on its node" s (T.node_string loc.T.node)
       | T.In_edge _ | T.No_child _ -> Alcotest.fail "stored string must locate exactly");
       match path with
       | first :: _ -> checki "path starts at root" (T.node_id (T.root t)) (T.node_id first)
@@ -227,7 +227,7 @@ let test_strings_with_prefix () =
 let node_census t =
   let acc = ref [] in
   T.iter_nodes t ~f:(fun n ->
-      acc := (T.node_id n, T.node_string n, T.node_terminal n, T.subtree_size n) :: !acc);
+      acc := (T.node_id n, T.node_string n, T.subtree_size n) :: !acc);
   List.sort compare !acc
 
 let test_bulk_build_canonical () =

@@ -88,18 +88,6 @@ let test_shuffle_permutation () =
   check Alcotest.(array int) "same multiset" (Array.init 100 (fun i -> i)) sorted;
   checkb "actually shuffled" true (a <> Array.init 100 (fun i -> i))
 
-let test_sample_without_replacement () =
-  let g = Prng.create 33 in
-  let s = Prng.sample_without_replacement g 50 100 in
-  check Alcotest.int "size" 50 (Array.length s);
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun x ->
-      checkb "in range" true (x >= 0 && x < 100);
-      checkb "distinct" false (Hashtbl.mem tbl x);
-      Hashtbl.add tbl x ())
-    s
-
 let test_hash2_deterministic () =
   check Alcotest.int "stable" (Prng.hash2 5 9) (Prng.hash2 5 9);
   checkb "argument order matters" true (Prng.hash2 5 9 <> Prng.hash2 9 5);
@@ -409,7 +397,7 @@ let test_ordseq_bulk () =
   checkb "mem miss" false (Ordseq.mem t (3 * 999 + 1));
   checkb "roundtrip" true (Ordseq.to_array t = a);
   (* Chunk shape stays O(√n). *)
-  let c = Ordseq.chunk_count t in
+  let c = Array.length (Ordseq.chunk_lengths t) in
   checkb "sqrt-ish chunk count" true (c * c <= 16 * n && c <= n)
 
 let test_ordseq_of_array () =
@@ -448,8 +436,6 @@ let test_ordseq_empty () =
   Ordseq.check t;
   checki "empty length" 0 (Ordseq.length t);
   checkb "is_empty" true (Ordseq.is_empty t);
-  checkb "no min" true (Ordseq.min_elt t = None);
-  checkb "no max" true (Ordseq.max_elt t = None);
   checkb "insert" true (Ordseq.insert t 42);
   checkb "dup insert" false (Ordseq.insert t 42);
   checkb "remove" true (Ordseq.remove t 42);
@@ -481,7 +467,7 @@ let test_ordseq_incremental_growth () =
   done;
   Ordseq.check t;
   checki "all tracked" !inserted (Ordseq.length t);
-  let c = Ordseq.chunk_count t in
+  let c = Array.length (Ordseq.chunk_lengths t) in
   checkb "chunk count stays sublinear" true (c * c <= 64 * Ordseq.length t)
 
 (* Reference model: a sorted list of distinct ints. *)
@@ -700,7 +686,7 @@ let test_ordseq_batch_boundary () =
   List.iter
     (fun n ->
       let base = Array.init n (fun i -> 3 * i) in
-      let nch = Ordseq.chunk_count (Ordseq.of_sorted_array base) in
+      let nch = Array.length (Ordseq.chunk_lengths (Ordseq.of_sorted_array base)) in
       let model = S.of_list (Array.to_list base) in
       List.iter
         (fun m ->
@@ -815,7 +801,6 @@ let suite =
     Alcotest.test_case "prng bool fair" `Quick test_prng_bool_fair;
     Alcotest.test_case "prng split independent" `Quick test_prng_split_independent;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
-    Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "hash2 deterministic" `Quick test_hash2_deterministic;
     Alcotest.test_case "hash pinned, allocation-free" `Quick test_hash_pinned_allocation_free;
     Alcotest.test_case "membership deterministic" `Quick test_membership_deterministic;

@@ -119,10 +119,6 @@ let test_disjoint_segments () =
       Array.iteri (fun j b -> if i < j then checkb "non-crossing" false (Segment.crosses a b)) segs)
     segs
 
-let test_pow2_sizes () =
-  Alcotest.(check (list int)) "sizes" [ 16; 32; 64 ] (W.pow2_sizes ~lo:4 ~hi:6)
-
-
 let test_zipf_queries () =
   let keys = W.distinct_ints ~seed:20 ~n:200 ~bound:100_000 in
   let qs = W.zipf_queries ~seed:21 ~keys ~n:5000 ~s:1.0 in
@@ -193,7 +189,6 @@ let suite =
     Alcotest.test_case "isbn strings" `Quick test_isbn_strings;
     Alcotest.test_case "string queries" `Quick test_string_queries;
     Alcotest.test_case "disjoint segments" `Quick test_disjoint_segments;
-    Alcotest.test_case "pow2 sizes" `Quick test_pow2_sizes;
     Alcotest.test_case "zipf queries" `Quick test_zipf_queries;
     Alcotest.test_case "zipf cdf terminal entry (OOB regression)" `Quick
       test_zipf_cdf_terminal_entry;
