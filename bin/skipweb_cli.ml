@@ -3,11 +3,11 @@
    cost columns of Table 1 (M, C, Q, U).
 
    Examples:
-     dune exec bin/skipweb_cli.exe -- query --structure skipweb -n 4096
-     dune exec bin/skipweb_cli.exe -- query --structure non -n 1024 --queries 500
-     dune exec bin/skipweb_cli.exe -- update --structure skipgraph -n 2048
+     dune exec bin/skipweb_cli.exe -- stats --structure skipweb -n 4096 -u 0
+     dune exec bin/skipweb_cli.exe -- stats --structure skipgraph -n 2048 -q 0 -u 50
      dune exec bin/skipweb_cli.exe -- load -s skipweb-generic -n 100000 --jobs 4
      dune exec bin/skipweb_cli.exe -- census -n 1024
+     dune exec bin/skipweb_cli.exe -- trace -s skipweb -n 1024
      dune exec bin/skipweb_cli.exe -- churn -s skipweb-generic -n 2048 --r 2 --epochs 8
      dune exec bin/skipweb_cli.exe -- hotspots -s skipweb-generic -n 4096 --queries 2000 --alpha 1.3
      dune exec bin/skipweb_cli.exe -- serve -s skipweb-generic -n 4096 --ops 4000 --cache-replicas 4
@@ -16,16 +16,19 @@
      dune exec bin/skipweb_cli.exe -- knn -n 100000 --at 0.5,0.5 -k 8 --jobs 4
      dune exec bin/skipweb_cli.exe -- prefix -n 100000 --prefix 978-0- --limit 10
 
-   --jobs threads a domain pool through both the read phases (query/stats)
-   and the write paths (load's bulk build, update's rebuilds on the
-   skip-web structures); every measured cost is bit-identical for any
-   jobs count — only wall-clock time changes. *)
+   --jobs threads a domain pool through the read phases and the write paths
+   (load's bulk build, the blocked skip-web's update rebuilds); every
+   measured cost is bit-identical for any jobs count — only wall-clock time
+   changes. An out-of-range argument exits 2 with a one-line message before
+   anything is built. *)
 
 module Network = Skipweb_net.Network
+module Placement = Skipweb_net.Placement
 module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
 module Metrics = Skipweb_util.Metrics
 module Series = Skipweb_util.Series
+module Pool = Skipweb_util.Pool
 module SG = Skipweb_skipgraph.Skip_graph
 module NoN = Skipweb_skipgraph.Non_skip_graph
 module FT = Skipweb_skipgraph.Family_tree
@@ -65,149 +68,152 @@ let log2i n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   max 1 (go 0)
 
+(* The blocked skip-web's per-host memory target M: --m, else 4 log n. *)
+let block_size n m = match m with Some m -> m | None -> 4 * log2i n
+
+(* ---------------- argument validation ---------------- *)
+
+(* The one validation path: a subcommand lists its range checks, and the
+   first that fails exits 2 with a one-line message before anything is
+   built. *)
+let validate cmd checks =
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, msg) ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 2
+  | None -> ()
+
+let at_least flag lo v = (v >= lo, Printf.sprintf "%s must be >= %d" flag lo)
+let positive flag v = (v > 0.0, flag ^ " must be > 0")
+
+(* The checks every 1-d driver run shares (-m and --buckets when given). *)
+let driver_checks ~n ~m ~buckets ?(cache = (0, 1)) () =
+  let levels, k = cache in
+  [
+    at_least "-n" 1 n;
+    at_least "-m" 4 (Option.value m ~default:4);
+    at_least "--buckets" 1 (Option.value buckets ~default:1);
+    at_least "--cache-levels" 0 levels;
+    (k >= 1 && k <= n, Printf.sprintf "--cache-replicas must be in [1, N] (N = %d)" n);
+  ]
+
+(* ---------------- the structure driver ---------------- *)
+
 (* A uniform driver interface over all seven structures. *)
 type driver = {
   describe : string;
-  query : int -> int;  (* returns messages *)
-  query_all : Skipweb_util.Pool.t option -> int array -> int array;
+  query : ?rng:Prng.t -> int -> int;
+      (* returns messages; [rng] replaces the driver's own coin stream for
+         this one query *)
+  query_all : Pool.t option -> int array -> int array;
       (* batch query phase; fans out over the pool where the structure
          supports it, falls back to a sequential map otherwise. The
          message counts are identical to mapping [query] for any jobs
          count. *)
   insert : int -> int;
   delete : int -> int;
-  query_traced : (Trace.t -> int -> int) option;
-      (* traced single query, for per-level load attribution; only the
-         skip-web structures carry level-attributable traces *)
-  host_count : int;
+  query_traced : (Trace.t -> int -> int option * int) option;
+      (* traced single query returning (nearest, messages), for per-level
+         load attribution; only the skip-web structures carry
+         level-attributable traces *)
+  repair : (unit -> Placement.repair_stats) option;
+      (* one self-repair pass; only the skip-web structures replicate *)
   net : Network.t;  (* for traffic / memory distributions *)
 }
 
-let seq_batch query _pool qs = Array.map query qs
-
-(* Monotonic wall clock for the load subcommand: elapsed time, not summed
+(* Monotonic wall clock for load and serve: elapsed time, not summed
    per-domain CPU time ([Sys.time] would report the latter and hide any
    parallel speedup). *)
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-(* [pool] accelerates the skip-web structures only: it is passed to
-   [B1.build]/[HInt.build] (per-level bulk construction) and kept by the
-   blocked structure for its update-triggered rebuilds, so it must outlive
-   the driver — every caller scopes driver creation and use inside one
-   [Pool.with_pool]. The overlay baselines build node-by-node and ignore
-   it. *)
-let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?pool keys =
+(* The only place the CLI builds a 1-d structure. [pool] accelerates the
+   skip-web structures only: it is passed to [B1.build]/[HInt.build]
+   (per-level bulk construction) and kept by the blocked structure for its
+   update-triggered rebuilds, so it must outlive the driver — every caller
+   scopes driver creation and use inside one [Pool.with_pool]. The overlay
+   baselines build node-by-node and ignore it, as they ignore [r]: only the
+   skip-webs replicate, and a replicated driver describes its [r]. *)
+let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool keys =
   let n = Array.length keys in
   let cache_levels, cache_replicas = cache in
   let cache_tag =
     if cache_replicas > 1 then Printf.sprintf ", cache c=%d k=%d" cache_levels cache_replicas
     else ""
   in
+  let buckets = match buckets with Some b -> b | None -> max 2 (n / log2i n) in
+  let net =
+    Network.create
+      ~hosts:
+        (match structure with
+        | Det_skipnet -> (2 * n) + net_pad + 4
+        | Bucket_skip_graph -> 2 * buckets
+        | _ -> n + net_pad)
+  in
+  let rng = Prng.create (seed + 1) in
+  let overlay describe search ~insert ~delete =
+    let query ?(rng = rng) q = search rng q in
+    let query_all _pool qs = Array.map (fun q -> query q) qs in
+    { describe; query; query_all; insert; delete; query_traced = None; repair = None; net }
+  in
   match structure with
   | Skip_graph ->
-      let net = Network.create ~hosts:(n + net_pad) in
       let g = SG.create ~net ~seed ~keys in
-      let rng = Prng.create (seed + 1) in
-      let query q = (SG.search_from_random g ~rng q).SG.messages in
-      {
-        describe = "skip graph (Aspnes-Shah) / SkipNet, H = n";
-        query;
-        query_all = seq_batch query;
-        insert = SG.insert g;
-        delete = SG.delete g;
-        query_traced = None;
-        host_count = Network.host_count net;
-        net;
-      }
+      overlay "skip graph (Aspnes-Shah) / SkipNet, H = n"
+        (fun rng q -> (SG.search_from_random g ~rng q).SG.messages)
+        ~insert:(SG.insert g) ~delete:(SG.delete g)
   | Non_skip_graph ->
-      let net = Network.create ~hosts:(n + net_pad) in
       let g = NoN.create ~net ~seed ~keys in
-      let rng = Prng.create (seed + 1) in
-      let query q = (NoN.search_from_random g ~rng q).NoN.messages in
-      {
-        describe = "NoN skip graph (Manku-Naor-Wieder lookahead), H = n";
-        query;
-        query_all = seq_batch query;
-        insert = NoN.insert g;
-        delete = NoN.delete g;
-        query_traced = None;
-        host_count = Network.host_count net;
-        net;
-      }
+      overlay "NoN skip graph (Manku-Naor-Wieder lookahead), H = n"
+        (fun rng q -> (NoN.search_from_random g ~rng q).NoN.messages)
+        ~insert:(NoN.insert g) ~delete:(NoN.delete g)
   | Family_tree ->
-      let net = Network.create ~hosts:(n + net_pad) in
       let g = FT.create ~net ~seed ~keys in
-      let rng = Prng.create (seed + 1) in
-      let query q = (FT.search g ~from:(Prng.int rng (max 1 (FT.size g))) q).FT.messages in
-      {
-        describe = "family tree comparator (constant-degree overlay), H = n";
-        query;
-        query_all = seq_batch query;
-        insert = FT.insert g;
-        delete = FT.delete g;
-        query_traced = None;
-        host_count = Network.host_count net;
-        net;
-      }
+      overlay "family tree comparator (constant-degree overlay), H = n"
+        (fun rng q -> (FT.search g ~from:(Prng.int rng (max 1 (FT.size g))) q).FT.messages)
+        ~insert:(FT.insert g) ~delete:(FT.delete g)
   | Det_skipnet ->
-      let net = Network.create ~hosts:((2 * n) + net_pad + 4) in
       let g = DS.create ~net ~keys in
-      let query q = (DS.search g ~from:0 q).DS.messages in
-      {
-        describe = "deterministic SkipNet (1-2-3 skip list), H = n";
-        query;
-        query_all = seq_batch query;
-        insert = DS.insert g;
-        delete = DS.delete g;
-        query_traced = None;
-        host_count = Network.host_count net;
-        net;
-      }
+      overlay "deterministic SkipNet (1-2-3 skip list), H = n"
+        (fun _ q -> (DS.search g ~from:0 q).DS.messages)
+        ~insert:(DS.insert g) ~delete:(DS.delete g)
   | Bucket_skip_graph ->
-      let hosts = match buckets with Some b -> b | None -> max 2 (n / log2i n) in
-      let net = Network.create ~hosts:(2 * hosts) in
-      let g = BSG.create ~net ~seed ~keys ~buckets:hosts in
-      let rng = Prng.create (seed + 1) in
-      let query q = (BSG.search g ~rng q).BSG.messages in
-      {
-        describe = Printf.sprintf "bucket skip graph, H = %d < n" hosts;
-        query;
-        query_all = seq_batch query;
-        insert = (fun k -> BSG.insert g ~rng k);
-        delete = (fun k -> BSG.delete g ~rng k);
-        query_traced = None;
-        host_count = Network.host_count net;
-        net;
-      }
+      (* Queries and updates share the driver's one rng. *)
+      let g = BSG.create ~net ~seed ~keys ~buckets in
+      overlay
+        (Printf.sprintf "bucket skip graph, H = %d < n" buckets)
+        (fun rng q -> (BSG.search g ~rng q).BSG.messages)
+        ~insert:(fun k -> BSG.insert g ~rng k)
+        ~delete:(fun k -> BSG.delete g ~rng k)
   | Skipweb ->
-      let net = Network.create ~hosts:(n + net_pad) in
-      let m = match m with Some m -> m | None -> 4 * log2i n in
-      let g = B1.build ~net ~seed ~m ~cache_levels ~cache_replicas ?pool keys in
-      let rng = Prng.create (seed + 1) in
+      let m = block_size n m in
+      let g = B1.build ~net ~seed ~m ?r ~cache_levels ~cache_replicas ?pool keys in
       {
-        describe = Printf.sprintf "skip-web, blocked (§2.4.1), H = n, M = %d%s" m cache_tag;
-        query = (fun q -> (B1.query g ~rng q).B1.messages);
+        describe =
+          (match r with
+          | Some r -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d, r = %d" m r
+          | None -> Printf.sprintf "skip-web, blocked (§2.4.1), H = n, M = %d%s" m cache_tag);
+        query = (fun ?(rng = rng) q -> (B1.query g ~rng q).B1.messages);
         query_all =
           (fun pool qs ->
-            Array.map
-              (fun (r : B1.search_result) -> r.B1.messages)
-              (B1.query_batch ?pool g ~rng qs));
+            Array.map (fun (r : B1.search_result) -> r.messages) (B1.query_batch ?pool g ~rng qs));
         insert = B1.insert g;
         delete = B1.delete g;
-        query_traced = Some (fun tr q -> (B1.query ~trace:tr g ~rng q).B1.messages);
-        host_count = Network.host_count net;
+        query_traced =
+          Some
+            (fun tr q ->
+              let r = B1.query ~trace:tr g ~rng q in
+              (r.B1.nearest, r.B1.messages));
+        repair = Some (fun () -> B1.repair g);
         net;
       }
   | Skipweb_generic ->
-      let net = Network.create ~hosts:(n + net_pad) in
-      let g = HInt.build ~net ~seed ~cache_levels ~cache_replicas ?pool keys in
-      let rng = Prng.create (seed + 1) in
+      let g = HInt.build ~net ~seed ?r ~cache_levels ~cache_replicas ?pool keys in
       {
-        describe = "skip-web, arbitrary placement (§2.4 general)" ^ cache_tag;
-        query =
-          (fun q ->
-            let _, stats = HInt.query g ~rng q in
-            stats.HInt.messages);
+        describe =
+          (match r with
+          | Some r -> Printf.sprintf "skip-web, arbitrary placement (§2.4), r = %d" r
+          | None -> "skip-web, arbitrary placement (§2.4 general)" ^ cache_tag);
+        query = (fun ?(rng = rng) q -> (snd (HInt.query g ~rng q)).HInt.messages);
         query_all =
           (fun pool qs ->
             Array.map (fun (_, stats) -> stats.HInt.messages) (HInt.query_batch ?pool g ~rng qs));
@@ -216,102 +222,34 @@ let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?pool key
         query_traced =
           Some
             (fun tr q ->
-              let _, stats = HInt.query ~trace:tr g ~rng q in
-              stats.HInt.messages);
-        host_count = Network.host_count net;
+              let answer, stats = HInt.query ~trace:tr g ~rng q in
+              (answer, stats.HInt.messages));
+        repair = Some (fun () -> HInt.repair g);
         net;
       }
-
-let run_query structure n queries seed m buckets jobs =
-  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  (* The measured costs are identical for any --jobs value; the pool only
-     spreads the build sweeps and query walks over domains. *)
-  let d, msgs =
-    Skipweb_util.Pool.with_pool ~jobs (fun pool ->
-        let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
-        let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
-        (d, d.query_all pool qs))
-  in
-  Printf.printf "structure: %s\n" d.describe;
-  Printf.printf "items: %d   hosts: %d   queries: %d   jobs: %d\n\n" n d.host_count queries
-    (max 1 jobs);
-  let costs = Array.to_list (Array.map float_of_int msgs) in
-  let s = Stats.summarize costs in
-  let t = Tables.create ~title:"query message cost Q(n)" ~columns:[ "mean"; "p50"; "p90"; "p99"; "max" ] in
-  Tables.add_row t
-    [
-      Tables.cell_float s.Stats.mean;
-      Tables.cell_float s.Stats.p50;
-      Tables.cell_float s.Stats.p90;
-      Tables.cell_float s.Stats.p99;
-      Tables.cell_float s.Stats.max;
-    ];
-  Tables.print t;
-  0
-
-let run_update structure n updates seed m buckets jobs =
-  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  (* The whole write workload runs inside the pool scope: the blocked
-     skip-web keeps the pool it was built with and fans its
-     update-triggered rebuilds over it, so the pool must stay alive until
-     the last delete. Message costs are identical for any --jobs value. *)
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:(updates + 16) ~seed ~m ~buckets ?pool keys in
-  Printf.printf "structure: %s\n" d.describe;
-  Printf.printf "items: %d   hosts: %d   updates: %d   jobs: %d\n" n d.host_count updates
-    (max 1 jobs);
-  let rng = Prng.create (seed + 3) in
-  let inserted = ref [] in
-  let insert_costs = ref [] in
-  let fresh () =
-    let rec go () =
-      let k = (100 * n) + Prng.int rng (100 * n) in
-      if List.mem k !inserted then go () else k
-    in
-    go ()
-  in
-  for _ = 1 to updates do
-    let k = fresh () in
-    insert_costs := float_of_int (d.insert k) :: !insert_costs;
-    inserted := k :: !inserted
-  done;
-  let delete_costs =
-    List.filter_map
-      (fun k -> try Some (float_of_int (d.delete k)) with Invalid_argument _ -> None)
-      !inserted
-  in
-  let t = Tables.create ~title:"update message cost U(n)" ~columns:[ "op"; "count"; "mean"; "max" ] in
-  let s = Stats.summarize !insert_costs in
-  Tables.add_row t [ "insert"; string_of_int s.Stats.count; Tables.cell_float s.Stats.mean; Tables.cell_float s.Stats.max ];
-  (match delete_costs with
-  | [] -> Tables.add_row t [ "delete"; "0"; "n/a"; "n/a" ]
-  | _ ->
-      let s = Stats.summarize delete_costs in
-      Tables.add_row t
-        [ "delete"; string_of_int s.Stats.count; Tables.cell_float s.Stats.mean; Tables.cell_float s.Stats.max ]);
-  Tables.print t;
-  0
 
 (* Bulk-load a structure and report its storage footprint plus the build
    wall clock. Everything except the "wall clock" line is deterministic
    and bit-identical for any --jobs value, so two runs can be diffed with
    the timing stripped (grep -v 'wall clock') to check the contract. *)
 let run_load structure n seed m buckets jobs =
+  validate "load" (driver_checks ~n ~m ~buckets ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
+  Pool.with_pool ~jobs @@ fun pool ->
   let t0 = now () in
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
   let build_s = now () -. t0 in
+  let hosts = Network.host_count d.net in
   Printf.printf "structure: %s\n" d.describe;
-  Printf.printf "items: %d   hosts: %d   jobs: %d\n\n" n d.host_count (max 1 jobs);
-  let mem = Array.init d.host_count (fun h -> Network.memory d.net h) in
+  Printf.printf "items: %d   hosts: %d   jobs: %d\n\n" n hosts (max 1 jobs);
+  let mem = Array.init hosts (fun h -> Network.memory d.net h) in
   let total = Array.fold_left ( + ) 0 mem in
   let busiest = Array.fold_left max 0 mem in
   let t = Tables.create ~title:"bulk load" ~columns:[ "metric"; "value" ] in
   Tables.add_row t [ "total memory (units)"; string_of_int total ];
   Tables.add_row t [ "busiest host (units)"; string_of_int busiest ];
   Tables.add_row t
-    [ "mean per host (units)"; Tables.cell_float (float_of_int total /. float_of_int d.host_count) ];
+    [ "mean per host (units)"; Tables.cell_float (float_of_int total /. float_of_int hosts) ];
   Tables.add_row t [ "build messages"; string_of_int (Network.total_messages d.net) ];
   Tables.print t;
   Printf.printf "build wall clock: %.3f s (%.0f keys/s)\n" build_s
@@ -319,6 +257,7 @@ let run_load structure n seed m buckets jobs =
   0
 
 let run_census n seed =
+  validate "census" [ at_least "-n" 1 n ];
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let net = Network.create ~hosts:n in
   let h = HInt.build ~net ~seed keys in
@@ -344,13 +283,11 @@ let run_census n seed =
 
 (* ---------------- trace: one op, rendered hop tree ---------------- *)
 
-let print_per_level_table tr =
-  let t =
-    Tables.create ~title:"messages per level (top-down)" ~columns:[ "level"; "messages" ]
-  in
-  List.iter
-    (fun (level, msgs) -> Tables.add_row t [ string_of_int level; string_of_int msgs ])
-    (List.rev (Trace.per_level_hops tr));
+(* The per-level message table [trace] and [hotspots] share, with the
+   hops no level span claimed on a last "(none)" row. *)
+let print_level_table ~title ~column levels tr =
+  let t = Tables.create ~title ~columns:[ "level"; column ] in
+  List.iter (fun (level, c) -> Tables.add_row t [ string_of_int level; string_of_int c ]) levels;
   (match Trace.unattributed_hops tr with
   | 0 -> ()
   | u -> Tables.add_row t [ "(none)"; string_of_int u ]);
@@ -370,44 +307,41 @@ let print_sum_check tr session_messages =
   if sum = session_messages then 0 else 1
 
 let run_trace structure n seed m at =
+  validate "trace" (driver_checks ~n ~m ~buckets:None ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let q = match at with Some q -> q | None -> 50 * n in
-  let tr = Trace.create () in
-  match structure with
-  | Skipweb_generic ->
-      let net = Network.create ~hosts:n in
-      let h = HInt.build ~net ~seed keys in
-      let rng = Prng.create (seed + 1) in
-      let answer, stats = HInt.query ~trace:tr h ~rng q in
-      Printf.printf "structure: skip-web, arbitrary placement (§2.4 general)\n";
+  let d = make_driver structure ~net_pad:0 ~seed ~m ~buckets:None keys in
+  match d.query_traced with
+  | None ->
+      prerr_endline "trace: only skipweb and skipweb-generic queries are traceable";
+      1
+  | Some traced ->
+      let tr = Trace.create () in
+      let answer, messages = traced tr q in
+      Printf.printf "structure: %s\n"
+        (match structure with
+        | Skipweb -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d" (block_size n m)
+        | _ -> d.describe);
       Printf.printf "n = %d   query %d -> nearest %s\n\n" n q
         (match answer with Some a -> string_of_int a | None -> "none");
       print_string (Trace.render tr);
       print_newline ();
-      print_per_level_table tr;
-      print_sum_check tr stats.HInt.messages
-  | Skipweb ->
-      let net = Network.create ~hosts:n in
-      let m = match m with Some m -> m | None -> 4 * log2i n in
-      let b = B1.build ~net ~seed ~m keys in
-      let rng = Prng.create (seed + 1) in
-      let r = B1.query ~trace:tr b ~rng q in
-      Printf.printf "structure: skip-web, blocked (§2.4.1), M = %d\n" m;
-      Printf.printf "n = %d   query %d -> nearest %s\n\n" n q
-        (match r.B1.nearest with Some a -> string_of_int a | None -> "none");
-      print_string (Trace.render tr);
-      print_newline ();
-      print_per_level_table tr;
-      print_sum_check tr r.B1.messages
-  | _ ->
-      prerr_endline "trace: only skipweb and skipweb-generic queries are traceable";
-      1
+      print_level_table ~title:"messages per level (top-down)" ~column:"messages"
+        (List.rev (Trace.per_level_hops tr)) tr;
+      print_sum_check tr messages
 
 (* ---------------- stats: a workload into a metrics registry ---------------- *)
+
+(* A summary's mean, p50, p90, p99 and max as table cells. *)
+let summary_cells (s : Stats.summary) =
+  List.map Tables.cell_float [ s.Stats.mean; s.Stats.p50; s.Stats.p90; s.Stats.p99; s.Stats.max ]
 
 type stats_format = Table | Json | Csv
 
 let run_stats structure n queries updates seed m buckets format jobs pool_stats =
+  validate "stats"
+    (driver_checks ~n ~m ~buckets ()
+    @ [ at_least "--queries" 0 queries; at_least "--updates" 0 updates ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   (* The build, query and update phases all run inside one pool scope: the
      build fans its per-level sweeps out, the query phase fans its walks
@@ -415,45 +349,34 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
      rebuilds. Message counts come back in index-slotted arrays and are
      recorded sequentially, so the registry (and the json/csv dumps) are
      byte-identical for any jobs count. *)
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
+  Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:(updates + 16) ~seed ~m ~buckets ?pool keys in
   let reg = Metrics.create () in
-  let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
-  let msgs = d.query_all pool qs in
-  Array.iter
-    (fun m ->
-      Metrics.incr reg "ops.query";
-      Metrics.observe_int reg "query.messages" m)
-    msgs;
-  let fresh =
-    (* Fresh keys above the stored domain, so inserts always succeed. *)
-    let rng = Prng.create (seed + 3) in
-    let taken = Hashtbl.create updates in
-    Array.init updates (fun _ ->
-        let rec go () =
-          let k = (100 * n) + Prng.int rng (100 * n) in
-          if Hashtbl.mem taken k then go ()
-          else begin
-            Hashtbl.replace taken k ();
-            k
-          end
-        in
-        go ())
+  let observe op msgs =
+    Metrics.incr reg ("ops." ^ op);
+    Metrics.observe_int reg (op ^ ".messages") msgs
   in
+  let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
+  Array.iter (observe "query") (d.query_all pool qs);
+  (* Fresh keys above the stored domain, so inserts always succeed. *)
+  let fresh =
+    let rng = Prng.create (seed + 3) and taken = Hashtbl.create updates in
+    let rec draw () =
+      let k = (100 * n) + Prng.int rng (100 * n) in
+      if Hashtbl.mem taken k then draw ()
+      else begin
+        Hashtbl.replace taken k ();
+        k
+      end
+    in
+    Array.init updates (fun _ -> draw ())
+  in
+  Array.iter (fun k -> observe "insert" (d.insert k)) fresh;
   Array.iter
     (fun k ->
-      Metrics.incr reg "ops.insert";
-      Metrics.observe_int reg "insert.messages" (d.insert k))
+      match d.delete k with msgs -> observe "delete" msgs | exception Invalid_argument _ -> ())
     fresh;
-  Array.iter
-    (fun k ->
-      try
-        let msgs = d.delete k in
-        Metrics.incr reg "ops.delete";
-        Metrics.observe_int reg "delete.messages" msgs
-      with Invalid_argument _ -> ())
-    fresh;
-  for host = 0 to d.host_count - 1 do
+  for host = 0 to Network.host_count d.net - 1 do
     Metrics.observe_int reg "host.traffic" (Network.traffic d.net host);
     Metrics.observe_int reg "host.memory" (Network.memory d.net host)
   done;
@@ -466,37 +389,25 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
      byte-identical for any jobs count. *)
   (if pool_stats then
      match pool with
-     | Some p -> Skipweb_util.Pool.record_metrics p reg
+     | Some p -> Pool.record_metrics p reg
      | None -> ());
   (match format with
   | Json -> print_string (Metrics.to_json reg)
   | Csv -> print_string (Metrics.to_csv reg)
   | Table ->
       Printf.printf "structure: %s\n" d.describe;
-      Printf.printf "items: %d   hosts: %d   queries: %d   updates: %d\n\n" n d.host_count
-        queries updates;
+      Printf.printf "items: %d   hosts: %d   queries: %d   updates: %d\n\n" n
+        (Network.host_count d.net) queries updates;
       let t =
         Tables.create ~title:"metrics registry"
           ~columns:[ "name"; "kind"; "value/count"; "mean"; "p50"; "p90"; "p99"; "max" ]
       in
       List.iter
         (fun name ->
-          match Metrics.histogram_summary reg name with
-          | Some s ->
-              Tables.add_row t
-                [
-                  name;
-                  "histogram";
-                  string_of_int s.Stats.count;
-                  Tables.cell_float s.Stats.mean;
-                  Tables.cell_float s.Stats.p50;
-                  Tables.cell_float s.Stats.p90;
-                  Tables.cell_float s.Stats.p99;
-                  Tables.cell_float s.Stats.max;
-                ]
-          | None ->
-              Tables.add_row t
-                [ name; "counter"; string_of_int (Metrics.counter_value reg name); ""; ""; ""; ""; "" ])
+          Tables.add_row t
+            (match Metrics.histogram_summary reg name with
+            | Some s -> name :: "histogram" :: string_of_int s.Stats.count :: summary_cells s
+            | None -> [ name; "counter"; string_of_int (Metrics.counter_value reg name); ""; ""; ""; ""; "" ]))
         (Metrics.names reg);
       Tables.print t);
   0
@@ -513,21 +424,15 @@ let print_cache_banner (levels, k) =
   else print_newline ()
 
 let print_message_cost msgs =
-  let s = Stats.summarize_ints msgs in
-  let t =
-    Tables.create ~title:"query message cost (exact)"
-      ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
-  in
-  Tables.add_row t
-    [
-      string_of_int s.Stats.count;
-      Tables.cell_float s.Stats.mean;
-      Tables.cell_float s.Stats.p50;
-      Tables.cell_float s.Stats.p90;
-      Tables.cell_float s.Stats.p99;
-      Tables.cell_float s.Stats.max;
-    ];
-  Tables.print t
+  if msgs <> [] then begin
+    let s = Stats.summarize_ints msgs in
+    let t =
+      Tables.create ~title:"query message cost (exact)"
+        ~columns:[ "ops"; "mean"; "p50"; "p90"; "p99"; "max" ]
+    in
+    Tables.add_row t (string_of_int s.Stats.count :: summary_cells s);
+    Tables.print t
+  end
 
 let print_congestion ?top16 c =
   let top_column, top_cell =
@@ -540,17 +445,9 @@ let print_congestion ?top16 c =
       ~columns:([ "live"; "visits"; "mean"; "p50"; "p90"; "p99"; "max"; "gini" ] @ top_column)
   in
   Tables.add_row t
-    ([
-       string_of_int c.Obs.live;
-       string_of_int c.Obs.total_traffic;
-       Tables.cell_float c.Obs.mean;
-       Tables.cell_float c.Obs.p50;
-       Tables.cell_float c.Obs.p90;
-       Tables.cell_float c.Obs.p99;
-       Tables.cell_float c.Obs.max;
-       Printf.sprintf "%.4f" c.Obs.gini;
-     ]
-    @ top_cell);
+    ((string_of_int c.Obs.live :: string_of_int c.Obs.total_traffic
+     :: List.map Tables.cell_float [ c.Obs.mean; c.Obs.p50; c.Obs.p90; c.Obs.p99; c.Obs.max ])
+    @ (Printf.sprintf "%.4f" c.Obs.gini :: top_cell));
   Tables.print t
 
 (* Where does a skewed workload's load land? Drive mixed uniform +
@@ -560,17 +457,16 @@ let print_congestion ?top16 c =
    structures) the per-level attribution of a small traced sample
    recorded into one shared trace. *)
 let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stats =
-  if k < 1 then begin
-    prerr_endline "hotspots: --topk must be >= 1";
-    exit 2
-  end;
+  validate "hotspots"
+    (driver_checks ~n ~m ~buckets ~cache ()
+    @ [ at_least "--queries" 0 queries; at_least "--topk" 1 k; positive "--alpha" alpha ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
+  Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ~cache ?pool keys in
   let qs = W.mixed_queries ~s:alpha ~seed:(seed + 2) ~keys ~total:queries ~bound:(100 * n) () in
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf "items: %d   hosts: %d   queries: %d (half uniform, half Zipf %.2f)\n" n
-    d.host_count (Array.length qs) alpha;
+    (Network.host_count d.net) (Array.length qs) alpha;
   print_cache_banner cache;
   (* Attribution sample first (traced, sequential), then reset the
      workload counters so the congestion snapshot describes the main
@@ -582,12 +478,12 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
     | Some qt ->
         let sample = min 32 (Array.length qs) in
         for i = 0 to sample - 1 do
-          ignore (qt tr qs.(i) : int)
+          ignore (qt tr qs.(i) : int option * int)
         done;
         sample
   in
   Network.reset_traffic d.net;
-  let msgs = Array.map d.query qs in
+  let msgs = Array.map (fun q -> d.query q) qs in
   let c = Obs.congestion_of d.net in
   let t =
     Tables.create
@@ -597,52 +493,35 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
   let total = float_of_int (max 1 c.Obs.total_traffic) in
   List.iter
     (fun (h, v) ->
-      Tables.add_row t
-        [
-          string_of_int h;
-          string_of_int v;
-          Printf.sprintf "%.2f%%" (100.0 *. float_of_int v /. total);
-        ])
+      let share = Printf.sprintf "%.2f%%" (100.0 *. float_of_int v /. total) in
+      Tables.add_row t [ string_of_int h; string_of_int v; share ])
     (Obs.hot_hosts d.net ~k);
   Tables.print t;
-  if msgs <> [||] then print_message_cost (Array.to_list msgs);
+  print_message_cost (Array.to_list msgs);
   print_congestion c;
   (match Trace.per_level_hops tr with
   | [] -> ()
   | levels ->
-      let t =
-        Tables.create
-          ~title:(Printf.sprintf "per-level load attribution (%d traced samples)" sample)
-          ~columns:[ "level"; "hops" ]
-      in
-      List.iter
-        (fun (level, hops) -> Tables.add_row t [ string_of_int level; string_of_int hops ])
-        levels;
-      (match Trace.unattributed_hops tr with
-      | 0 -> ()
-      | u -> Tables.add_row t [ "(none)"; string_of_int u ]);
-      Tables.print t);
+      print_level_table
+        ~title:(Printf.sprintf "per-level load attribution (%d traced samples)" sample)
+        ~column:"hops" levels tr);
   (* Per-slot pool utilization on request only — wall-clock figures, so
      the default output stays comparable across jobs counts. *)
   (if pool_stats then
      match pool with
      | None -> Printf.printf "pool utilization: sequential run (--jobs 1), no pool\n"
      | Some p ->
-         let u = Skipweb_util.Pool.utilization p in
+         let u = Pool.utilization p in
          let t =
            Tables.create
-             ~title:(Printf.sprintf "pool utilization (%d slots)" (Array.length u.Skipweb_util.Pool.tasks))
+             ~title:(Printf.sprintf "pool utilization (%d slots)" (Array.length u.Pool.tasks))
              ~columns:[ "slot"; "tasks"; "busy s" ]
          in
          Array.iteri
            (fun i n ->
-             Tables.add_row t
-               [
-                 string_of_int i;
-                 string_of_int n;
-                 Printf.sprintf "%.4f" u.Skipweb_util.Pool.busy_s.(i);
-               ])
-           u.Skipweb_util.Pool.tasks;
+             let busy = Printf.sprintf "%.4f" u.Pool.busy_s.(i) in
+             Tables.add_row t [ string_of_int i; string_of_int n; busy ])
+           u.Pool.tasks;
          Tables.print t);
   0
 
@@ -652,18 +531,17 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
    [window] epochs are retained — the memory story of a long-lived
    monitoring loop — and the table prints exactly that window. *)
 let run_monitor structure n queries epochs window seed m buckets jobs =
-  if epochs < 1 || window < 1 then begin
-    prerr_endline "monitor: --epochs and --window must be >= 1";
-    exit 2
-  end;
+  validate "monitor"
+    (driver_checks ~n ~m ~buckets ()
+    @ [ at_least "--queries" 1 queries; at_least "--epochs" 1 epochs; at_least "--window" 1 window ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
+  Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
   let qs = W.mixed_queries ~seed:(seed + 2) ~keys ~total:(epochs * queries) ~bound:(100 * n) () in
   let qper = Array.length qs / epochs in
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf "items: %d   hosts: %d   epochs: %d x %d queries   window: %d   jobs: %d\n\n" n
-    d.host_count epochs qper window (max 1 jobs);
+    (Network.host_count d.net) epochs qper window (max 1 jobs);
   Network.reset_traffic d.net;
   let mean_s = Series.create ~window in
   let p99_s = Series.create ~window in
@@ -684,13 +562,9 @@ let run_monitor structure n queries epochs window seed m buckets jobs =
   in
   List.iteri
     (fun i (epoch, mean) ->
-      Tables.add_row t
-        [
-          string_of_int epoch;
-          Tables.cell_float mean;
-          Tables.cell_float (Series.nth p99_s i);
-          Printf.sprintf "%.0f" (Series.nth msgs_s i);
-        ])
+      let p99 = Tables.cell_float (Series.nth p99_s i) in
+      let msgs = Printf.sprintf "%.0f" (Series.nth msgs_s i) in
+      Tables.add_row t [ string_of_int epoch; Tables.cell_float mean; p99; msgs ])
     (Series.to_list mean_s);
   Tables.print t;
   (match Series.summary mean_s with
@@ -717,6 +591,14 @@ module OL = Skipweb_workload.Open_loop
    --cache-replicas settings, which is the point: the level cache must
    flatten the congestion table without moving the msgs/op distribution. *)
 let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs =
+  validate "serve"
+    (driver_checks ~n ~m ~buckets ~cache ()
+    @ [
+        at_least "--ops" 0 ops;
+        positive "--rate" rate;
+        (0.0 <= read_fraction && read_fraction <= 1.0, "--read-fraction must be in [0, 1]");
+        positive "--alpha" alpha;
+      ]);
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
   let spec =
@@ -724,13 +606,13 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
   in
   let events = OL.plan spec ~keys in
   let counts = OL.counts events in
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
+  Pool.with_pool ~jobs @@ fun pool ->
   let d = make_driver structure ~net_pad:(counts.OL.inserts + 16) ~seed ~m ~buckets ~cache ?pool keys in
   Printf.printf "structure: %s\n" d.describe;
   Printf.printf
     "items: %d   hosts: %d   ops: %d (%d queries / %d inserts / %d removes)\n\
      open loop: rate %.0f ops/s, %.0f simulated seconds; queries half uniform, half Zipf %.2f\n"
-    n d.host_count ops counts.OL.queries counts.OL.inserts counts.OL.removes rate
+    n (Network.host_count d.net) ops counts.OL.queries counts.OL.inserts counts.OL.removes rate
     (OL.duration events) alpha;
   print_cache_banner cache;
   Network.reset_traffic d.net;
@@ -762,52 +644,29 @@ let run_churn structure n queries seed m r epochs fails jobs =
   let fails = match fails with Some f -> f | None -> max 1 (r - 1) in
   (* One host per key, and every epoch's kills must leave r live hosts for
      the replicas: anything else cannot run to completion. *)
-  let usage msg =
-    prerr_endline ("churn: " ^ msg);
-    exit 2
-  in
-  if r < 1 || r > n then usage (Printf.sprintf "--r must be in [1, N] (N = %d)" n);
-  if fails < 0 || fails > n - r then
-    usage (Printf.sprintf "--fails must be in [0, N - R] (N - R = %d)" (n - r));
-  if epochs < 1 || queries < 1 then usage "--epochs and --queries must be >= 1";
+  validate "churn"
+    ([
+       (r >= 1 && r <= n, Printf.sprintf "--r must be in [1, N] (N = %d)" n);
+       (fails >= 0 && fails <= n - r, Printf.sprintf "--fails must be in [0, N - R] (N - R = %d)" (n - r));
+       at_least "--epochs" 1 epochs;
+       at_least "--queries" 1 queries;
+     ]
+    @ driver_checks ~n ~m ~buckets:None ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  Skipweb_util.Pool.with_pool ~jobs @@ fun pool ->
-  let ops =
-    match structure with
-    | Skipweb ->
-        let net = Network.create ~hosts:n in
-        let m = match m with Some m -> m | None -> 4 * log2i n in
-        let g = B1.build ~net ~seed ~m ~r ?pool keys in
-        let query_one rng q = (B1.query g ~rng q).B1.messages in
-        let repair () =
-          let s : B1.repair_stats = B1.repair g in
-          (s.B1.repaired, s.B1.messages, s.B1.lost)
-        in
-        Some
-          (net, query_one, repair, Printf.sprintf "skip-web, blocked (§2.4.1), M = %d, r = %d" m r)
-    | Skipweb_generic ->
-        let net = Network.create ~hosts:n in
-        let g = HInt.build ~net ~seed ~r ?pool keys in
-        let query_one rng q =
-          let _, stats = HInt.query g ~rng q in
-          stats.HInt.messages
-        in
-        let repair () =
-          let s : HInt.repair_stats = HInt.repair g in
-          (s.HInt.repaired, s.HInt.messages, s.HInt.lost)
-        in
-        Some (net, query_one, repair, Printf.sprintf "skip-web, arbitrary placement (§2.4), r = %d" r)
-    | _ -> None
-  in
-  match ops with
+  Pool.with_pool ~jobs @@ fun pool ->
+  let d = make_driver structure ~net_pad:0 ~seed ~m ~buckets:None ~r ?pool keys in
+  match d.repair with
   | None ->
       prerr_endline "churn: only skipweb and skipweb-generic support replication and repair";
       1
-  | Some (net, query_one, repair, describe) ->
-      Printf.printf "structure: %s\n" describe;
+  | Some repair ->
+      let net = d.net in
+      Printf.printf "structure: %s\n" d.describe;
       Printf.printf "items: %d   hosts: %d   epochs: %d   failures/epoch: %d   queries/epoch: %d\n\n"
         n (Network.host_count net) epochs fails queries;
       let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:(epochs * queries) ~bound:(100 * n) in
+      (* Query i draws its coins from the i-th substream, so a failed walk
+         never shifts the coins of the queries after it. *)
       let coins = Prng.create (seed + 0xc41) in
       let krng = Prng.create (seed + 0x4b1) in
       let t = Tables.create ~title:"churn epochs"
@@ -826,11 +685,11 @@ let run_churn structure n queries seed m r epochs fails jobs =
         let stranded = Network.stranded_memory net in
         let ok = ref 0 and failed = ref 0 in
         for i = e * queries to ((e + 1) * queries) - 1 do
-          match query_one (Prng.stream coins i) qs.(i) with
+          match d.query ~rng:(Prng.stream coins i) qs.(i) with
           | (_ : int) -> incr ok
           | exception Network.Host_dead _ -> incr failed
         done;
-        let _, rmsgs, lost = repair () in
+        let { Placement.messages = rmsgs; lost; _ } = repair () in
         List.iter (Network.revive net) !killed;
         total_ok := !total_ok + !ok;
         total_failed := !total_failed + !failed;
@@ -871,6 +730,26 @@ module Point = Skipweb_geom.Point
    clock is printed: every line of output is bit-identical for any
    --jobs value. *)
 
+let scan_checks ~n ~queries ~limit =
+  [ at_least "-n" 1 n; at_least "--queries" 0 queries; at_least "--limit" 0 limit ]
+
+let in_unit_square flag (x, y) =
+  (0.0 <= x && x < 1.0 && 0.0 <= y && y < 1.0, flag ^ " coordinates must be in [0, 1)")
+
+(* The tail the three scan subcommands share: the detailed scan's cost
+   line, then the sweep's totals over its [(answer, stats)] results. [hits]
+   counts an answer's matches; k-nn answers have no count, and their line
+   leaves it out. *)
+let print_sweep ~detail:(messages, ranges_visited) ~queries ~what ?hits ~msgs res =
+  Printf.printf "messages=%d ranges_visited=%d\n" messages ranges_visited;
+  let total f = Array.fold_left (fun acc r -> acc + f r) 0 res in
+  let m = total msgs in
+  Printf.printf "sweep: %d %s: %s%d messages (%.1f msgs/scan)\n" queries what
+    (match hits with Some h -> Printf.sprintf "%d total hits, " (total h) | None -> "")
+    m
+    (float_of_int m /. Float.max 1e-9 (float_of_int queries));
+  0
+
 let build_points ~n ~seed ~pool =
   let pts = W.uniform_points ~seed ~n ~dim:2 in
   let net = Network.create ~hosts:n in
@@ -880,7 +759,14 @@ let build_points ~n ~seed ~pool =
   h
 
 let run_range n queries seed lo hi limit jobs =
-  Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+  validate "range"
+    (scan_checks ~n ~queries ~limit
+    @ [
+        in_unit_square "--lo" lo;
+        in_unit_square "--hi" hi;
+        (fst lo <= fst hi && snd lo <= snd hi, "--lo must not exceed --hi");
+      ]);
+  Pool.with_pool ~jobs (fun pool ->
       let h = build_points ~n ~seed ~pool in
       let lo = Point.create [ fst lo; snd lo ] and hi = Point.create [ fst hi; snd hi ] in
       let answer, stats =
@@ -892,7 +778,6 @@ let run_range n queries seed lo hi limit jobs =
             (Point.to_string hi) limit count;
           List.iter (fun p -> Printf.printf "  %s\n" (Point.to_string p)) sample
       | I.Knn_hits _ -> assert false);
-      Printf.printf "messages=%d ranges_visited=%d\n" stats.HP2.messages stats.HP2.ranges_visited;
       (* The sweep: side-0.15 boxes at seeded uniform corners. *)
       let corners = W.uniform_query_points ~seed:(seed + 3) ~n:queries ~dim:2 in
       let scans =
@@ -903,20 +788,17 @@ let run_range n queries seed lo hi limit jobs =
               { lo = Point.create [ x; y ]; hi = Point.create [ x +. 0.15; y +. 0.15 ]; limit })
           corners
       in
-      let res = HP2.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans in
-      let hits = ref 0 and msgs = ref 0 in
-      Array.iter
-        (fun (a, s) ->
-          (match a with I.Box_hits { count; _ } -> hits := !hits + count | I.Knn_hits _ -> ());
-          msgs := !msgs + s.HP2.messages)
-        res;
-      Printf.printf "sweep: %d boxes (side 0.15): %d total hits, %d messages (%.1f msgs/scan)\n"
-        queries !hits !msgs
-        (float_of_int !msgs /. Float.max 1e-9 (float_of_int queries));
-      0)
+      print_sweep
+        ~detail:(stats.HP2.messages, stats.HP2.ranges_visited)
+        ~queries ~what:"boxes (side 0.15)"
+        ~hits:(function I.Box_hits { count; _ }, _ -> count | I.Knn_hits _, _ -> 0)
+        ~msgs:(fun (_, s) -> s.HP2.messages)
+        (HP2.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans))
 
 let run_knn n queries seed center k jobs =
-  Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+  validate "knn"
+    (scan_checks ~n ~queries ~limit:0 @ [ in_unit_square "--at" center; at_least "-k" 1 k ]);
+  Pool.with_pool ~jobs (fun pool ->
       let h = build_points ~n ~seed ~pool in
       let c = Point.create [ fst center; snd center ] in
       let answer, stats = HP2.scan h ~rng:(Prng.create (seed + 1)) (I.Knn { center = c; k }) in
@@ -927,17 +809,18 @@ let run_knn n queries seed center k jobs =
             (fun i (p, d) -> Printf.printf "  %2d. %s  dist=%.6f\n" (i + 1) (Point.to_string p) d)
             hits
       | I.Box_hits _ -> assert false);
-      Printf.printf "messages=%d ranges_visited=%d\n" stats.HP2.messages stats.HP2.ranges_visited;
       let centers = W.uniform_query_points ~seed:(seed + 3) ~n:queries ~dim:2 in
       let scans = Array.map (fun c -> I.Knn { center = c; k }) centers in
-      let res = HP2.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans in
-      let msgs = Array.fold_left (fun a (_, s) -> a + s.HP2.messages) 0 res in
-      Printf.printf "sweep: %d k-nn scans (k=%d): %d messages (%.1f msgs/scan)\n" queries k msgs
-        (float_of_int msgs /. Float.max 1e-9 (float_of_int queries));
-      0)
+      print_sweep
+        ~detail:(stats.HP2.messages, stats.HP2.ranges_visited)
+        ~queries
+        ~what:(Printf.sprintf "k-nn scans (k=%d)" k)
+        ~msgs:(fun (_, s) -> s.HP2.messages)
+        (HP2.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans))
 
 let run_prefix n queries seed prefix limit jobs =
-  Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+  validate "prefix" (scan_checks ~n ~queries ~limit);
+  Pool.with_pool ~jobs (fun pool ->
       let publishers = max 4 (n / 500) in
       let keys = W.isbn_strings ~seed ~n ~publishers in
       let net = Network.create ~hosts:n in
@@ -949,7 +832,6 @@ let run_prefix n queries seed prefix limit jobs =
       in
       Printf.printf "prefix %S (limit %d): %d strings\n" prefix limit answer.I.total;
       List.iter (fun s -> Printf.printf "  %s\n" s) answer.I.strings;
-      Printf.printf "messages=%d ranges_visited=%d\n" stats.HStr.messages stats.HStr.ranges_visited;
       (* The sweep draws publisher prefixes from the isbn generator's own
          Zipf-ish popularity law, so popular publishers are scanned more. *)
       let rng = Prng.create (seed + 3) in
@@ -959,17 +841,12 @@ let run_prefix n queries seed prefix limit jobs =
             let p = int_of_float (float_of_int publishers *. r *. r) in
             { I.prefix = Printf.sprintf "978-%d-" p; scan_limit = limit })
       in
-      let res = HStr.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans in
-      let hits = ref 0 and msgs = ref 0 in
-      Array.iter
-        (fun ((a : I.trie_scan_answer), s) ->
-          hits := !hits + a.I.total;
-          msgs := !msgs + s.HStr.messages)
-        res;
-      Printf.printf "sweep: %d publisher prefixes: %d total hits, %d messages (%.1f msgs/scan)\n"
-        queries !hits !msgs
-        (float_of_int !msgs /. Float.max 1e-9 (float_of_int queries));
-      0)
+      print_sweep
+        ~detail:(stats.HStr.messages, stats.HStr.ranges_visited)
+        ~queries ~what:"publisher prefixes"
+        ~hits:(fun ((a : I.trie_scan_answer), _) -> a.I.total)
+        ~msgs:(fun (_, s) -> s.HStr.messages)
+        (HStr.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans))
 
 (* ---------------- command line ---------------- *)
 
@@ -990,17 +867,7 @@ let jobs_arg =
      hardware's recommended domain count are clamped with a stderr
      warning instead of silently oversubscribing. *)
   let raw = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc:"Domains for the query phase and the write paths (bulk load, update rebuilds; skip-web structures only; 1 = sequential). Measured costs are identical for any value; only wall-clock time changes. Values above the recommended domain count are clamped with a warning.") in
-  Term.(const (fun j -> Skipweb_util.Pool.clamp_jobs j) $ raw)
-
-let query_cmd =
-  let doc = "Measure query message costs on a structure." in
-  Cmd.v (Cmd.info "query" ~doc)
-    Term.(const run_query $ structure_arg $ n_arg $ queries_arg $ seed_arg $ m_arg $ buckets_arg $ jobs_arg)
-
-let update_cmd =
-  let doc = "Measure insert/delete message costs on a structure." in
-  Cmd.v (Cmd.info "update" ~doc)
-    Term.(const run_update $ structure_arg $ n_arg $ updates_arg $ seed_arg $ m_arg $ buckets_arg $ jobs_arg)
+  Term.(const (fun j -> Pool.clamp_jobs j) $ raw)
 
 let load_cmd =
   let doc = "Bulk-load a structure and report its storage footprint and build wall clock. With --jobs, the skip-web builds fan their per-level sweeps over a domain pool; everything but the wall-clock line is bit-identical for any jobs count." in
@@ -1125,8 +992,8 @@ let main =
   Cmd.group
     (Cmd.info "skipweb_cli" ~version:"1.0" ~doc)
     [
-      query_cmd; update_cmd; load_cmd; census_cmd; trace_cmd; stats_cmd; churn_cmd; hotspots_cmd;
-      serve_cmd; monitor_cmd; range_cmd; knn_cmd; prefix_cmd;
+      load_cmd; census_cmd; trace_cmd; stats_cmd; churn_cmd; hotspots_cmd; serve_cmd; monitor_cmd;
+      range_cmd; knn_cmd; prefix_cmd;
     ]
 
 let () = exit (Cmd.eval' main)
