@@ -730,8 +730,7 @@ module Point = Skipweb_geom.Point
    clock is printed: every line of output is bit-identical for any
    --jobs value. *)
 
-let scan_checks ~n ~queries ~limit =
-  [ at_least "-n" 1 n; at_least "--queries" 0 queries; at_least "--limit" 0 limit ]
+let scan_checks ~n ~queries = [ at_least "-n" 1 n; at_least "--queries" 0 queries ]
 
 let in_unit_square flag (x, y) =
   (0.0 <= x && x < 1.0 && 0.0 <= y && y < 1.0, flag ^ " coordinates must be in [0, 1)")
@@ -760,8 +759,9 @@ let build_points ~n ~seed ~pool =
 
 let run_range n queries seed lo hi limit jobs =
   validate "range"
-    (scan_checks ~n ~queries ~limit
+    (scan_checks ~n ~queries
     @ [
+        at_least "--limit" 0 limit;
         in_unit_square "--lo" lo;
         in_unit_square "--hi" hi;
         (fst lo <= fst hi && snd lo <= snd hi, "--lo must not exceed --hi");
@@ -797,7 +797,7 @@ let run_range n queries seed lo hi limit jobs =
 
 let run_knn n queries seed center k jobs =
   validate "knn"
-    (scan_checks ~n ~queries ~limit:0 @ [ in_unit_square "--at" center; at_least "-k" 1 k ]);
+    (scan_checks ~n ~queries @ [ in_unit_square "--at" center; at_least "-k" 1 k ]);
   Pool.with_pool ~jobs (fun pool ->
       let h = build_points ~n ~seed ~pool in
       let c = Point.create [ fst center; snd center ] in
@@ -819,7 +819,7 @@ let run_knn n queries seed center k jobs =
         (HP2.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) scans))
 
 let run_prefix n queries seed prefix limit jobs =
-  validate "prefix" (scan_checks ~n ~queries ~limit);
+  validate "prefix" (scan_checks ~n ~queries @ [ at_least "--limit" 0 limit ]);
   Pool.with_pool ~jobs (fun pool ->
       let publishers = max 4 (n / 500) in
       let keys = W.isbn_strings ~seed ~n ~publishers in
