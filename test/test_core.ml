@@ -1055,6 +1055,202 @@ let run_pinned_segments_churn () =
   checkil "pinned segments churn [ops; net; size]" [ 2492; 1592; 200 ]
     [ !ops; Network.total_messages net; HSeg.size h ]
 
+(* ------- the 1-d level set against a sorted-array model ------- *)
+
+(* [I.Ints] driven directly through seeded random single and batch
+   updates while its size walks 0 -> 96 -> 0, stepping through 15, 16,
+   17, 31, 32, 33 and 64 both ways and jumping across 16 and 32 in
+   single batches: every size where a small-set representation could
+   switch to another. After every step the set is checked against a
+   sorted array: size, storage, the dense range ids 0 .. 2m, the exact
+   delta, and every query surface at each stored key, each gap and both
+   ends. *)
+module Ints_model = struct
+  module IS = Set.Make (Int)
+
+  type st = { t : I.Ints.t; mutable keys : IS.t; rng : Prng.t }
+
+  (* Keys are multiples of 4 in [0, 4000), so every gap between stored
+     keys holds an exact midpoint (an answer tie) and a point next to
+     each end. *)
+  let bound = 4000
+  let range a b = List.init (max 0 (b - a + 1)) (fun i -> a + i)
+
+  (* Alcotest logs every check it runs; a walk makes about a million, so
+     each goes through Alcotest only when it fails. *)
+  let expect testable what want got = if want <> got then Alcotest.check testable what want got
+  let ints = Alcotest.(list int)
+
+  let check_delta what (d : Skipweb_core.Range_structure.range_delta) ~added ~removed =
+    expect ints (what ^ ": added") added d.added;
+    expect ints (what ^ ": removed") removed d.removed
+
+  (* The descriptor is abstract, so it is pinned two ways: it equals the
+     one a fresh build of the same keys gives, and two neighbouring
+     queries share a descriptor exactly when they share a range code. *)
+  let check_queries st =
+    let t = st.t and keys = IS.elements st.keys in
+    let arr = Array.of_list keys in
+    let m = Array.length arr in
+    let fresh = I.Ints.build arr in
+    let rank q = List.length (List.filter (fun k -> k < q) keys) in
+    let code q = if IS.mem q st.keys then (2 * rank q) + 1 else 2 * rank q in
+    let nearest q =
+      match (IS.find_last_opt (fun k -> k <= q) st.keys, IS.find_first_opt (fun k -> k >= q) st.keys) with
+      | None, None -> None
+      | Some p, None -> Some p
+      | None, Some s -> Some s
+      | Some p, Some s -> if q - p <= s - q then Some p else Some s
+    in
+    let gaps =
+      List.concat_map (fun i -> [ arr.(i) + 1; (arr.(i) + arr.(i + 1)) / 2; arr.(i + 1) - 1 ]) (range 0 (m - 2))
+    in
+    let qs = List.sort_uniq compare ([ -5; -1 ] @ keys @ gaps @ [ bound; bound + 5 ]) in
+    let descs = List.map (fun q -> (q, code q, I.Ints.describe t (fst (I.Ints.locate t q)))) qs in
+    List.iter
+      (fun (q, c, d) ->
+        let loc, visited = I.Ints.locate t q in
+        expect ints
+          (Printf.sprintf "locate %d visits" q)
+          (List.init ((c / 2) + 1) (fun i -> 2 * i) @ [ c ])
+          visited;
+        let rloc, rvisited = I.Ints.refine t ~from:d q in
+        expect ints (Printf.sprintf "refine %d visits" q) [ c ] rvisited;
+        expect Alcotest.(option int) (Printf.sprintf "answer %d" q) (nearest q) (I.Ints.answer t loc q);
+        expect Alcotest.(option int) (Printf.sprintf "refined answer %d" q) (nearest q) (I.Ints.answer t rloc q);
+        if d <> I.Ints.describe fresh (fst (I.Ints.locate fresh q)) then
+          Alcotest.failf "describe %d differs from a fresh build's" q;
+        List.iter
+          (fun hi ->
+            let count, visited = I.Ints.scan t loc (q, hi) in
+            let lb = rank q and ub = rank (hi + 1) in
+            let want = if hi < q then 0 else ub - lb in
+            expect Alcotest.int (Printf.sprintf "scan [%d, %d] count" q hi) want count;
+            expect ints
+              (Printf.sprintf "scan [%d, %d] visits" q hi)
+              (if want = 0 then [] else List.filter (fun x -> x <> c) (range ((2 * lb) + 1) (2 * ub)))
+              visited)
+          [ q - 1; q; q + 1; q + 7; q + 50; bound + 5 ])
+      descs;
+    ignore
+      (List.fold_left
+         (fun (q, c, d) (q', c', d') ->
+           if c = c' <> (d = d') then Alcotest.failf "describe %d and %d disagree with their codes" q q';
+           (q', c', d'))
+         (List.hd descs) (List.tl descs))
+
+  let check_state st =
+    let m = IS.cardinal st.keys in
+    expect Alcotest.int "size" m (I.Ints.size st.t);
+    expect Alcotest.int "storage_units" ((2 * m) + 1) (I.Ints.storage_units st.t);
+    let ids = ref [] in
+    I.Ints.iter_range_ids st.t ~f:(fun id -> ids := id :: !ids);
+    expect ints "range ids 0 .. 2m" (range 0 (2 * m)) (List.sort compare !ids);
+    check_queries st
+
+  let insert st k =
+    let n = IS.cardinal st.keys in
+    let d = I.Ints.insert st.t k in
+    if IS.mem k st.keys then check_delta "duplicate insert" d ~added:[] ~removed:[]
+    else begin
+      check_delta "insert" d ~added:[ (2 * n) + 1; (2 * n) + 2 ] ~removed:[];
+      st.keys <- IS.add k st.keys
+    end;
+    check_state st
+
+  let remove st k =
+    let n = IS.cardinal st.keys in
+    let d = I.Ints.remove st.t k in
+    if IS.mem k st.keys then begin
+      check_delta "remove" d ~added:[] ~removed:[ (2 * n) - 1; 2 * n ];
+      st.keys <- IS.remove k st.keys
+    end
+    else check_delta "absent remove" d ~added:[] ~removed:[];
+    check_state st
+
+  let stored st = Array.of_list (IS.elements st.keys)
+
+  let rec absent st =
+    let k = 4 * Prng.int st.rng (bound / 4) in
+    if IS.mem k st.keys then absent st else k
+
+  (* [g] keys the set lacks, distinct. *)
+  let rec fresh_keys st g acc =
+    if g = 0 then acc
+    else
+      let k = absent st in
+      if List.mem k acc then fresh_keys st g acc else fresh_keys st (g - 1) (k :: acc)
+
+  (* [g] keys the set holds, distinct. *)
+  let held_keys st g =
+    let a = stored st in
+    Prng.shuffle st.rng a;
+    Array.to_list (Array.sub a 0 g)
+
+  (* A batch arrives unsorted and with repeats: its [g] effective keys
+     (some twice) plus up to three no-op keys — stored ones for an
+     insert, absent ones for a remove — shuffled. *)
+  let batch st effective noop =
+    let a = Array.of_list (effective @ List.filteri (fun i _ -> i mod 3 = 0) effective @ noop) in
+    Prng.shuffle st.rng a;
+    a
+
+  let insert_batch st g =
+    let n0 = IS.cardinal st.keys in
+    let news = fresh_keys st g [] in
+    let dups = held_keys st (min n0 (Prng.int st.rng 4)) in
+    let d = I.Ints.insert_batch st.t (batch st news dups) in
+    check_delta (Printf.sprintf "insert_batch %d over %d" g n0) d
+      ~added:(range ((2 * n0) + 1) (2 * (n0 + g)))
+      ~removed:[];
+    List.iter (fun k -> st.keys <- IS.add k st.keys) news;
+    check_state st
+
+  let remove_batch st g =
+    let n0 = IS.cardinal st.keys in
+    let gone = held_keys st g in
+    let absents = fresh_keys st (Prng.int st.rng 4) [] in
+    let d = I.Ints.remove_batch st.t (batch st gone absents) in
+    check_delta (Printf.sprintf "remove_batch %d over %d" g n0) d ~added:[]
+      ~removed:(range ((2 * (n0 - g)) + 1) (2 * n0));
+    List.iter (fun k -> st.keys <- IS.remove k st.keys) gone;
+    check_state st
+
+  (* Walk to [target] by a random mix of single and batch updates that
+     never overshoot it, with a no-op (a duplicate insert or an absent
+     remove) now and then. *)
+  let walk st target =
+    while IS.cardinal st.keys <> target do
+      let n = IS.cardinal st.keys in
+      let d = abs (target - n) in
+      (match Prng.int st.rng 8 with
+      | 0 when n > 0 -> insert st (stored st).(Prng.int st.rng n)
+      | 1 -> remove st (absent st)
+      | 2 | 3 when d > 1 ->
+          let g = 1 + Prng.int st.rng d in
+          if target > n then insert_batch st g else remove_batch st g
+      | _ -> if target > n then insert st (absent st) else remove st (List.hd (held_keys st 1)))
+    done
+
+  (* Reach [target] in one batch. *)
+  let jump st target =
+    let n = IS.cardinal st.keys in
+    if target > n then insert_batch st (target - n) else remove_batch st (n - target)
+
+  let schedule =
+    [ `Jump 20; `Jump 0; `Walk 15; `Walk 16; `Walk 17; `Jump 10; `Jump 20; `Walk 31; `Walk 32;
+      `Walk 33; `Jump 28; `Jump 36; `Jump 12; `Jump 40; `Walk 64; `Walk 96; `Walk 65; `Walk 64;
+      `Walk 63; `Jump 40; `Jump 12; `Jump 36; `Walk 33; `Walk 32; `Walk 31; `Jump 36; `Jump 28;
+      `Walk 17; `Walk 16; `Walk 15; `Jump 20; `Jump 10; `Walk 1; `Walk 0; `Jump 50; `Jump 0 ]
+
+  let run seed =
+    let st = { t = I.Ints.build [||]; keys = IS.empty; rng = Prng.create seed } in
+    check_state st;
+    List.iter (function `Walk n -> walk st n | `Jump n -> jump st n) schedule
+end
+
+let test_ints_model () = List.iter Ints_model.run [ 1; 2; 3 ]
+
 let suite =
   [
     Alcotest.test_case "hierarchy int build" `Quick test_hint_build;
@@ -1108,6 +1304,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_hierarchy_build_equals_inserts;
     Alcotest.test_case "lying range delta caught" `Quick test_lying_delta_caught;
     Alcotest.test_case "redraw key guard" `Quick test_redraw_key_guard;
+    Alcotest.test_case "ints level set = sorted-array model" `Quick test_ints_model;
   ]
 
 
