@@ -40,12 +40,26 @@ module Ints :
   type query = int
   type answer = int option
 
-  (* Chunked sorted sequence: O(log n) rank/search, O(√n)-bounded memmove
-     per update — the flat array this replaced copied all n keys on every
-     insert/remove. Range codes are derived from ranks, so they are
-     bitwise the codes the array representation produced and the message
-     model cannot tell the difference. *)
-  type t = { xs : O.t }
+  (* Two shapes, chosen by size alone. A set of at most [flat_max] keys
+     is flat: one exact-length sorted array held in [flat], searched by
+     one binary search and replaced wholesale by every update. A larger
+     set is a chunked sorted sequence in [seq]: O(log n) search and an
+     O(√n)-bounded memmove per update, but about 50 words before its
+     first key. Set-halving makes almost every level set tiny, so the
+     flat shape is what keeps a 1-d hierarchy at a few words per key and
+     level. An update that takes the size across [flat_max] switches the
+     shape, in either direction, so the footprint depends only on the
+     keys. Range codes are derived from ranks in both shapes: they are
+     bitwise the codes of one sorted array, and the message model cannot
+     tell the shapes apart. *)
+  type t = { mutable flat : int array; mutable seq : O.t option }
+
+  (* 32, not 16, by measurement at n = 5·10⁴ (EXPERIMENTS.md, "Flat
+     small level sets"): it leaves 2 156 of the 92 369 level sets chunked
+     instead of 4 503, for 66.8 live words per key instead of 70.0, and
+     serve-1d's median query was about 5% faster. A single-key flat
+     update copies at most 32 ints. *)
+  let flat_max = 32
 
   (* One search's result: the rank, whether q is stored, and both stored
      neighbours — everything [describe], [answer] and the range code
@@ -59,15 +73,49 @@ module Ints :
   let name = "sorted-list"
   let visit_label = "list-walk"
 
-  let build keys = { xs = O.of_array keys }
+  (* Holds the strictly increasing [a] in the shape its length calls
+     for. A flat set keeps [a] itself. *)
+  let set_keys t a =
+    if Array.length a <= flat_max then begin
+      t.flat <- a;
+      t.seq <- None
+    end
+    else begin
+      t.flat <- [||];
+      t.seq <- Some (O.of_sorted_array a)
+    end
 
-  let size t = O.length t.xs
-  let storage_units t = (2 * O.length t.xs) + 1
+  (* A chunked set that shrank to [flat_max] keys turns flat. *)
+  let settle t s = if O.length s <= flat_max then set_keys t (O.to_array s)
+
+  (* The presort may hand back the caller's own array, and a flat set
+     keeps the array it is given, so build copies. *)
+  let build keys =
+    let t = { flat = [||]; seq = None } in
+    set_keys t (Array.copy (Presort.sorted_distinct ~cmp:Int.compare keys));
+    t
+
+  let size t = match t.seq with None -> Array.length t.flat | Some s -> O.length s
+  let storage_units t = (2 * size t) + 1
 
   let iter_range_ids t ~f =
-    for id = 0 to 2 * O.length t.xs do
+    for id = 0 to 2 * size t do
       f id
     done
+
+  let search t q =
+    match t.seq with
+    | Some s -> O.search s q
+    | None ->
+        let a = t.flat in
+        let n = Array.length a in
+        let r = O.array_lower_bound a q in
+        {
+          O.rank = r;
+          stored = r < n && a.(r) = q;
+          pred = (if r > 0 then a.(r - 1) else min_int);
+          succ = (if r < n then a.(r) else max_int);
+        }
 
   (* The code of the maximal range containing q: Node at q's rank when
      stored ([L.encode (Node i)] = 2i + 1), else the link below its
@@ -76,17 +124,80 @@ module Ints :
 
   (* Range ids are the dense codes 0 .. 2m for m keys, so growing or
      shrinking the set by one key adds or drops exactly the top two
-     codes — the O(1) delta the hierarchy charges incrementally. *)
+     codes — the O(1) delta the hierarchy charges incrementally. A flat
+     set pays one search and one copy of its array. *)
   let insert t k =
-    let n = O.length t.xs in
-    if O.insert t.xs k then
-      { Range_structure.added = [ (2 * n) + 1; (2 * n) + 2 ]; removed = [] }
+    let n = size t in
+    let fresh =
+      match t.seq with
+      | Some s -> O.insert s k
+      | None ->
+          let a = t.flat in
+          let r = O.array_lower_bound a k in
+          let fresh = r = n || a.(r) <> k in
+          if fresh then begin
+            let b = Array.make (n + 1) k in
+            Array.blit a 0 b 0 r;
+            Array.blit a r b (r + 1) (n - r);
+            set_keys t b
+          end;
+          fresh
+    in
+    if fresh then { Range_structure.added = [ (2 * n) + 1; (2 * n) + 2 ]; removed = [] }
     else Range_structure.empty_delta
 
   let remove t k =
-    let n = O.length t.xs in
-    if O.remove t.xs k then { Range_structure.added = []; removed = [ (2 * n) - 1; 2 * n ] }
+    let n = size t in
+    let gone =
+      match t.seq with
+      | Some s ->
+          let gone = O.remove s k in
+          settle t s;
+          gone
+      | None ->
+          let a = t.flat in
+          let r = O.array_lower_bound a k in
+          let gone = r < n && a.(r) = k in
+          if gone then begin
+            let b = Array.sub a 0 (n - 1) in
+            Array.blit a (r + 1) b r (n - 1 - r);
+            t.flat <- b
+          end;
+          gone
+    in
+    if gone then { Range_structure.added = []; removed = [ (2 * n) - 1; 2 * n ] }
     else Range_structure.empty_delta
+
+  (* The union of two strictly increasing arrays, and the keys of [a]
+     that [b] lacks: a flat set's batch splices. *)
+  let union a b =
+    let na = Array.length a and nb = Array.length b in
+    let out = Array.make (na + nb) 0 in
+    let rec go i j o =
+      if i = na && j = nb then o
+      else if j = nb || (i < na && a.(i) < b.(j)) then begin
+        out.(o) <- a.(i);
+        go (i + 1) j (o + 1)
+      end
+      else begin
+        out.(o) <- b.(j);
+        go (if i < na && a.(i) = b.(j) then i + 1 else i) (j + 1) (o + 1)
+      end
+    in
+    let o = go 0 0 0 in
+    if o = na + nb then out else Array.sub out 0 o
+
+  let minus a b =
+    let out = Array.make (Array.length a) 0 and o = ref 0 in
+    Array.iter
+      (fun k ->
+        let r = O.array_lower_bound b k in
+        if r = Array.length b || b.(r) <> k then begin
+          out.(!o) <- k;
+          incr o
+        end)
+      a;
+    Array.sub out 0 !o
 
   (* The dense-code deltas of a batch: g new keys over a set of n0 extend
      the code space by 2g codes — exactly the union of the per-key loop's
@@ -95,19 +206,25 @@ module Ints :
      over merely sorted (or unsorted) key runs, so both entry points run
      the shared presort first. *)
   let insert_batch t ks =
-    let n0 = O.length t.xs in
-    let added = O.insert_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
+    let n0 = size t in
+    let ks = Presort.sorted_distinct ~cmp:Int.compare ks in
+    (match t.seq with Some s -> ignore (O.insert_batch s ks) | None -> set_keys t (union t.flat ks));
+    let added = size t - n0 in
     if added = 0 then Range_structure.empty_delta
     else
       { Range_structure.added = List.init (2 * added) (fun i -> (2 * n0) + 1 + i); removed = [] }
 
   let remove_batch t ks =
-    let n0 = O.length t.xs in
-    let gone = O.remove_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
-    if gone = 0 then Range_structure.empty_delta
-    else
-      let n1 = n0 - gone in
-      { Range_structure.added = []; removed = List.init (2 * gone) (fun i -> (2 * n1) + 1 + i) }
+    let n0 = size t in
+    let ks = Presort.sorted_distinct ~cmp:Int.compare ks in
+    (match t.seq with
+    | Some s ->
+        ignore (O.remove_batch s ks);
+        settle t s
+    | None -> t.flat <- minus t.flat ks);
+    let n1 = size t in
+    if n1 = n0 then Range_structure.empty_delta
+    else { Range_structure.added = []; removed = List.init (2 * (n0 - n1)) (fun i -> (2 * n1) + 1 + i) }
 
   let probe k = k
 
@@ -116,7 +233,7 @@ module Ints :
      where sets are O(1) in expectation (it is exactly why skewing the
      halving probability hurts: top sets grow, and so does this walk). *)
   let locate t q =
-    let h = O.search t.xs q in
+    let h = search t q in
     let code = code h in
     (h, List.init ((code / 2) + 1) (fun i -> 2 * i) @ [ code ])
 
@@ -125,18 +242,18 @@ module Ints :
      containing one. *)
   let refine t ~from q =
     ignore from;
-    let h = O.search t.xs q in
+    let h = search t q in
     (h, [ code h ])
 
   let describe t (h : loc) =
     if h.O.stored then (L.Key h.O.succ, L.Key h.O.succ)
     else
       let lo = if h.O.rank = 0 then L.Neg_inf else L.Key h.O.pred in
-      let hi = if h.O.rank = O.length t.xs then L.Pos_inf else L.Key h.O.succ in
+      let hi = if h.O.rank = size t then L.Pos_inf else L.Key h.O.succ in
       (lo, hi)
 
   let answer t (h : loc) q =
-    let n = O.length t.xs in
+    let n = size t in
     if h.O.stored then Some h.O.succ
     else if n = 0 then None
     else if h.O.rank = 0 then Some h.O.succ
@@ -159,7 +276,7 @@ module Ints :
   let scan t (loc : loc) (lo, hi) =
     let lb = loc.O.rank in
     let ub =
-      let h = O.search t.xs hi in
+      let h = search t hi in
       if h.O.stored then h.O.rank + 1 else h.O.rank
     in
     let count = if hi < lo then 0 else ub - lb in

@@ -1251,6 +1251,21 @@ end
 
 let test_ints_model () = List.iter Ints_model.run [ 1; 2; 3 ]
 
+(* A small 1-d level set is a record and one exact-length array, so a
+   1-d hierarchy, where set-halving makes almost every level set tiny,
+   holds a few words per key and level. *)
+let test_ints_memory_budget () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let one = words (I.Ints.build [| 7 |]) in
+  checkb (Printf.sprintf "1-key set <= 8 words (%d)" one) true (one <= 8);
+  let sixteen = words (I.Ints.build (Array.init 16 (fun i -> 3 * i))) in
+  checkb (Printf.sprintf "16-key set <= 24 words (%d)" sixteen) true (sixteen <= 24);
+  let n = 20_000 in
+  let net = Network.create ~hosts:n in
+  let h = HInt.build ~net ~seed:1 ~r:1 (W.distinct_ints ~seed:1 ~n ~bound:(100 * n)) in
+  let per_key = float_of_int (words h) /. float_of_int n in
+  checkb (Printf.sprintf "hierarchy <= 80 words per key (%.1f)" per_key) true (per_key <= 80.0)
+
 let suite =
   [
     Alcotest.test_case "hierarchy int build" `Quick test_hint_build;
@@ -1305,6 +1320,7 @@ let suite =
     Alcotest.test_case "lying range delta caught" `Quick test_lying_delta_caught;
     Alcotest.test_case "redraw key guard" `Quick test_redraw_key_guard;
     Alcotest.test_case "ints level set = sorted-array model" `Quick test_ints_model;
+    Alcotest.test_case "ints memory budget" `Quick test_ints_memory_budget;
   ]
 
 
