@@ -539,6 +539,85 @@ let qcheck_churn_matches_model =
       done;
       Q.size t = GridSet.cardinal !model)
 
+(* Cube lookup against brute force: after every update of a seeded churn,
+   [node_of_cube] answers exactly what a scan over every node answers —
+   for each stored cube, each cube of a superset tree (present or not),
+   unaligned corners and the cells of absent points — and
+   [locate_from_cube] from any stored cube containing a query is the
+   suffix of the root locate that starts at that cube. *)
+let qcheck_cube_lookup_brute_force =
+  QCheck.Test.make ~name:"cube lookup = brute force under churn (2-d, 3-d)" ~count:30
+    QCheck.(triple small_int (int_range 2 3) (int_range 1 80))
+    (fun (seed, dim, nops) ->
+      let rng = Prng.create seed in
+      let universe = Array.make 32 [||] in
+      for i = 0 to Array.length universe - 1 do
+        universe.(i) <-
+          (if i > 0 && Prng.int rng 3 = 0 then
+             Array.map (fun x -> Float.min 0.999999 (x +. 1e-7)) universe.(Prng.int rng i)
+           else Array.init dim (fun _ -> Prng.float rng 1.0))
+      done;
+      let superset = Q.build ~dim universe in
+      let super_cubes = ref [] in
+      Q.iter_nodes superset ~f:(fun n -> super_cubes := Q.node_cube n :: !super_cubes);
+      let queries = Array.append universe (Workload.uniform_query_points ~seed ~n:8 ~dim) in
+      let t = Q.build ~dim (Array.sub universe 0 (Prng.int rng 10)) in
+      let check () =
+        let stored = ref [] in
+        Q.iter_nodes t ~f:(fun n -> stored := (Q.node_cube n, Q.node_id n) :: !stored);
+        let brute cube = List.assoc_opt cube !stored in
+        let lookup cube =
+          if Option.map Q.node_id (Q.node_of_cube t cube) <> brute cube then
+            failwith "node_of_cube disagrees with a scan over the nodes"
+        in
+        List.iter (fun (cube, _) -> lookup cube) !stored;
+        List.iter lookup !super_cubes;
+        List.iter
+          (fun ((depth, corner), _) ->
+            if depth < Point.grid_bits then begin
+              let unaligned = Array.copy corner in
+              unaligned.(0) <- unaligned.(0) + 1;
+              if Q.node_of_cube t (depth, unaligned) <> None then
+                failwith "node_of_cube finds an unaligned corner"
+            end)
+          !stored;
+        Array.iter
+          (fun q ->
+            let cell = (Point.grid_bits, Point.to_grid q) in
+            if brute cell = None && Q.node_of_cube t cell <> None then
+              failwith "node_of_cube finds an absent point";
+            let loc, path = Q.locate_ids t q in
+            let rec suffix_from id = function
+              | [] -> failwith "a stored cube containing the query is off the root path"
+              | id' :: _ as l when id' = id -> l
+              | _ :: rest -> suffix_from id rest
+            in
+            let g = Point.to_grid q in
+            List.iter
+              (fun (((depth, corner) as cube), id) ->
+                let shift = Point.grid_bits - depth in
+                let contains = ref true in
+                Array.iteri (fun i c -> if c lsr shift <> g.(i) lsr shift then contains := false) corner;
+                if !contains then
+                  match Q.locate_from_cube t cube q with
+                  | None -> failwith "locate_from_cube misses a stored cube containing the query"
+                  | Some (loc', path') ->
+                      if
+                        path' <> suffix_from id path
+                        || Q.node_id loc'.Q.node <> Q.node_id loc.Q.node
+                        || loc'.Q.slot <> loc.Q.slot
+                      then failwith "locate_from_cube is not the suffix of the root locate")
+              !stored)
+          queries
+      in
+      check ();
+      for _ = 1 to nops do
+        let p = universe.(Prng.int rng (Array.length universe)) in
+        if Prng.bool rng then ignore (Q.insert t p) else ignore (Q.remove t p);
+        check ()
+      done;
+      true)
+
 let test_slot_reuse () =
   let t = Q.build ~dim:2 (Workload.uniform_points ~seed:80 ~n:500 ~dim:2) in
   let extra = Workload.uniform_points ~seed:81 ~n:60 ~dim:2 in
@@ -589,6 +668,7 @@ let suite =
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
     QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_cube_lookup_brute_force;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
     QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;
   ]
