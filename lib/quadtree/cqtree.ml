@@ -16,7 +16,6 @@ let () = assert (bits <= depth_mask)
 type t = {
   tdim : int;
   mutable ids : int array;
-  mutable parent : int array;  (* slot, -1 at the root *)
   mutable sizes : int array;  (* points in the subtree *)
   mutable first_child : int array;  (* slot, -1 if none *)
   mutable next_sibling : int array;  (* slot, -1 at the end of a child list *)
@@ -24,7 +23,6 @@ type t = {
   mutable corners : int array;  (* [tdim] aligned grid coordinates per slot *)
   mutable used : int;
   mutable free : int;  (* head of the free-slot list, -1 if empty *)
-  mutable index : int array;  (* cube index: open addressing over slots, -1 = empty *)
   mutable next_id : int;
   mutable npoints : int;
   mutable nnodes : int;
@@ -103,36 +101,7 @@ let quadrant ~ndepth p =
 let cube_subset ~outer:(d1, c1) ~inner:(d2, c2) =
   d2 >= d1 && cube_contains ~ndepth:d1 ~corner:c1 c2
 
-(* ---------------- the cube index ----------------
-
-   Linear probing over slot numbers. A probe hashes (depth, corner) and
-   confirms a hit against the [meta] and [corners] columns, so the table
-   stores one int per entry and keys are never materialized. The table
-   stays a power of two at least twice the node count. *)
-
-let mix h =
-  let h = (h lxor (h lsr 31)) * 0x3c6ef372fe94f82b in
-  let h = (h lxor (h lsr 29)) * 0x1f83d9abfb41bd6b in
-  h lxor (h lsr 32)
-
-let hash_step h c = (h * 0x100000001b3) + c
-
-let hash_cube depth corner =
-  let h = ref depth in
-  for i = 0 to Array.length corner - 1 do
-    h := hash_step !h corner.(i)
-  done;
-  mix !h
-
-let hash_slot t s =
-  let h = ref (depth_at t s) and base = s * t.tdim in
-  for i = 0 to t.tdim - 1 do
-    h := hash_step !h t.corners.(base + i)
-  done;
-  mix !h
-
-let rec table_size n c = if c >= 2 * n then c else table_size n (2 * c)
-
+(* Does slot [s] hold exactly the cube (depth, corner)? *)
 let slot_is_cube t s depth corner =
   depth_at t s = depth
   &&
@@ -143,64 +112,12 @@ let slot_is_cube t s depth corner =
   done;
   !ok
 
-(* Slot of the node with cube (depth, corner), or -1. *)
-let index_find t depth corner =
-  if Array.length corner <> t.tdim then -1
-  else begin
-    let mask = Array.length t.index - 1 in
-    let rec probe i =
-      let s = t.index.(i) in
-      if s < 0 || slot_is_cube t s depth corner then s else probe ((i + 1) land mask)
-    in
-    probe (hash_cube depth corner land mask)
-  end
-
-let index_place t s =
-  let mask = Array.length t.index - 1 in
-  let i = ref (hash_slot t s land mask) in
-  while t.index.(!i) >= 0 do
-    i := (!i + 1) land mask
-  done;
-  t.index.(!i) <- s
-
-(* Called once [s]'s columns are written and [nnodes] counts it. *)
-let index_add t s =
-  if 2 * t.nnodes > Array.length t.index then begin
-    let old = t.index in
-    t.index <- Array.make (2 * Array.length old) (-1);
-    Array.iter (fun s' -> if s' >= 0 then index_place t s') old
-  end;
-  index_place t s
-
-(* Backward-shift deletion: no tombstones, so probe lengths only ever
-   reflect live entries. *)
-let index_remove t s =
-  let mask = Array.length t.index - 1 in
-  let i = ref (hash_slot t s land mask) in
-  while t.index.(!i) <> s do
-    i := (!i + 1) land mask
-  done;
-  let hole = ref !i and j = ref ((!i + 1) land mask) in
-  while t.index.(!j) >= 0 do
-    let home = hash_slot t t.index.(!j) land mask in
-    (* The entry at j may fill the hole unless its home lies cyclically
-       in (hole, j]. *)
-    let stays = if !hole <= !j then !hole < home && home <= !j else !hole < home || home <= !j in
-    if not stays then begin
-      t.index.(!hole) <- t.index.(!j);
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done;
-  t.index.(!hole) <- -1
-
 (* ---------------- slots and child lists ---------------- *)
 
 let create_arena dimension cap =
   {
     tdim = dimension;
     ids = Array.make cap 0;
-    parent = Array.make cap (-1);
     sizes = Array.make cap 0;
     first_child = Array.make cap (-1);
     next_sibling = Array.make cap (-1);
@@ -208,7 +125,6 @@ let create_arena dimension cap =
     corners = Array.make (cap * dimension) 0;
     used = 0;
     free = -1;
-    index = [||];
     next_id = 0;
     npoints = 0;
     nnodes = 0;
@@ -226,7 +142,6 @@ let grow_columns t =
     b
   in
   t.ids <- grow t.ids 0 1;
-  t.parent <- grow t.parent (-1) 1;
   t.sizes <- grow t.sizes 0 1;
   t.first_child <- grow t.first_child (-1) 1;
   t.next_sibling <- grow t.next_sibling (-1) 1;
@@ -254,7 +169,6 @@ let fresh_node t ~depth g =
   t.next_id <- id + 1;
   t.ids.(s) <- id;
   t.meta.(s) <- depth;
-  t.parent.(s) <- -1;
   t.sizes.(s) <- 0;
   t.first_child.(s) <- -1;
   t.next_sibling.(s) <- -1;
@@ -264,28 +178,25 @@ let fresh_node t ~depth g =
   done;
   t.nnodes <- t.nnodes + 1;
   if t.logging then t.added_log <- id :: t.added_log;
-  index_add t s;
   s
 
 let drop_node t s =
-  index_remove t s;
   t.nnodes <- t.nnodes - 1;
   if t.logging then t.removed_log <- t.ids.(s) :: t.removed_log;
   t.meta.(s) <- -1;
   t.next_sibling.(s) <- t.free;
   t.free <- s
 
-(* The child of [p] in quadrant [q], or -1. *)
-let child_in t p q =
-  let rec go c = if c < 0 || quad_at t c = q then c else go t.next_sibling.(c) in
-  go t.first_child.(p)
+(* The child of [p] in quadrant [q], or -1. The hot walks below are
+   top-level recursions, not local closures, so a step allocates nothing. *)
+let rec sibling_in t c q = if c < 0 || quad_at t c = q then c else sibling_in t t.next_sibling.(c) q
+let child_in t p q = sibling_in t t.first_child.(p) q
 
 (* Child lists keep the order the charged walks follow: a new child goes
    to the front. *)
 let attach_child t p q c =
   assert (child_in t p q < 0);
   t.meta.(c) <- (t.meta.(c) land depth_mask) lor (q lsl quad_shift);
-  t.parent.(c) <- p;
   t.next_sibling.(c) <- t.first_child.(p);
   t.first_child.(p) <- c
 
@@ -303,11 +214,35 @@ let replace_child t p q c =
   detach_child t p q;
   attach_child t p q c
 
-let rec bump_sizes t s delta =
-  if s >= 0 then begin
-    t.sizes.(s) <- t.sizes.(s) + delta;
-    bump_sizes t t.parent.(s) delta
-  end
+(* The nodes whose cubes contain a grid point form one root path, and
+   the child in the point's quadrant is the next node on it. Each child
+   is strictly deeper than its parent, so a walk down that path takes at
+   most [bits] + 1 steps. Every cube lookup is such a walk. *)
+
+(* The first node at depth >= [depth] on [g]'s walk down from slot [s]
+   (the root, for a lookup), or -1 if the walk meets an empty quadrant
+   first. Needs [depth <= bits]. *)
+let rec walk t depth g s =
+  let d = depth_at t s in
+  if d >= depth then s
+  else
+    let c = child_in t s (quadrant ~ndepth:d g) in
+    if c < 0 then -1 else walk t depth g c
+
+let valid_cube t depth corner = depth >= 0 && depth <= bits && Array.length corner = t.tdim
+
+(* Slot of the node with cube (depth, corner), or -1. *)
+let find_cube t depth corner =
+  if not (valid_cube t depth corner) then -1
+  else
+    let s = walk t depth corner 0 in
+    if s >= 0 && slot_is_cube t s depth corner then s else -1
+
+(* Add one to the subtree size of every node on [g]'s root path from
+   slot [s] down to slot [last], which must lie on it. *)
+let rec bump_path t g last s =
+  t.sizes.(s) <- t.sizes.(s) + 1;
+  if s <> last then bump_path t g last (child_in t s (quadrant ~ndepth:(depth_at t s) g))
 
 (* ---------------- bulk build ---------------- *)
 
@@ -388,9 +323,8 @@ let count_slice dimension gs lo hi =
    free slot. Quadrant groups are contiguous in the slice (see
    {!cmp_zorder}), so children split off by scanning group boundaries left
    to right. Disjoint slot ranges let shards fill concurrently. *)
-let rec fill_slice t gs lo hi s ~parent ~quad =
+let rec fill_slice t gs lo hi s ~quad =
   t.ids.(s) <- s;
-  t.parent.(s) <- parent;
   t.sizes.(s) <- hi - lo;
   let base = s * t.tdim in
   if hi - lo = 1 then begin
@@ -415,7 +349,7 @@ let rec fill_slice t gs lo hi s ~parent ~quad =
       done;
       let c = !next in
       if !prev < 0 then t.first_child.(s) <- c else t.next_sibling.(!prev) <- c;
-      next := fill_slice t gs !i !j c ~parent:s ~quad:q;
+      next := fill_slice t gs !i !j c ~quad:q;
       prev := c;
       i := !j
     done;
@@ -482,7 +416,7 @@ let of_sorted ?pool ~dim:dimension points =
   if ngroups > 0 then t.first_child.(0) <- starts.(0);
   per_group (fun gi ->
       let q, lo, hi = groups.(gi) in
-      let next = fill_slice t gs lo hi starts.(gi) ~parent:0 ~quad:q in
+      let next = fill_slice t gs lo hi starts.(gi) ~quad:q in
       assert (next = starts.(gi) + counts.(gi)));
   for gi = 0 to ngroups - 2 do
     t.next_sibling.(starts.(gi)) <- starts.(gi + 1)
@@ -491,10 +425,6 @@ let of_sorted ?pool ~dim:dimension points =
   t.next_id <- total;
   t.nnodes <- total;
   t.npoints <- n;
-  t.index <- Array.make (table_size total 2) (-1);
-  for s = 0 to total - 1 do
-    index_place t s
-  done;
   t
 
 let build ~dim points = of_sorted ~dim points
@@ -502,26 +432,26 @@ let build ~dim points = of_sorted ~dim points
 (* ---------------- point location ---------------- *)
 
 let node_of_cube t (ndepth, corner) =
-  let s = index_find t ndepth corner in
+  let s = find_cube t ndepth corner in
   if s < 0 then None else Some (handle t s)
 
 (* Descend from slot [start], whose cube contains [g], calling [visit] on
    every slot entered; returns the located slot and how the query sits
    there. *)
+let rec descend_from t g visit v =
+  visit v;
+  let d = depth_at t v in
+  if d = bits then (v, At_point)
+  else
+    let q = quadrant ~ndepth:d g in
+    let c = child_in t v q in
+    if c < 0 then (v, Empty_quadrant q)
+    else if slot_contains t c g then descend_from t g visit c
+    else (v, Outside_child q)
+
 let descend t start g ~visit =
   assert (slot_contains t start g);
-  let rec go v =
-    visit v;
-    let d = depth_at t v in
-    if d = bits then (v, At_point)
-    else
-      let q = quadrant ~ndepth:d g in
-      let c = child_in t v q in
-      if c < 0 then (v, Empty_quadrant q)
-      else if slot_contains t c g then go c
-      else (v, Outside_child q)
-  in
-  go start
+  descend_from t g visit start
 
 let locate_grid t start g f =
   let rev_path = ref [] in
@@ -532,9 +462,16 @@ let locate_from t start p = locate_grid t start.ix (Point.to_grid p) (handle t)
 let locate t p = locate_grid t 0 (Point.to_grid p) (handle t)
 let locate_ids t p = locate_grid t 0 (Point.to_grid p) (fun s -> t.ids.(s))
 
+(* One walk by q's grid point: the cube, if stored and containing q, is
+   on q's root path, so the walk meets it and reports ids from there. *)
 let locate_from_cube t (ndepth, corner) p =
-  let s = index_find t ndepth corner in
-  if s < 0 then None else Some (locate_grid t s (Point.to_grid p) (fun s -> t.ids.(s)))
+  let g = Point.to_grid p in
+  if not (valid_cube t ndepth corner && Array.length g = t.tdim) then None
+  else
+    let s = walk t ndepth g 0 in
+    if s >= 0 && slot_is_cube t s ndepth corner && slot_contains t s g then
+      Some (locate_grid t s g (fun s -> t.ids.(s)))
+    else None
 
 let rec tree_depth t s = fold_children t s (fun acc c -> max acc (1 + tree_depth t c)) 0
 
@@ -545,16 +482,16 @@ let depth t = tree_depth t 0
 let insert t p =
   let g = Point.to_grid p in
   if Point.dim p <> t.tdim then invalid_arg "Cqtree.insert: dimension mismatch";
-  if index_find t bits g >= 0 then false
+  let v, slot = descend t 0 g ~visit:ignore in
+  if slot = At_point then false
   else begin
-    let v, slot = descend t 0 g ~visit:ignore in
     (match slot with
     | At_point -> assert false  (* duplicate handled above *)
     | Empty_quadrant q ->
         let leaf = fresh_node t ~depth:bits g in
         t.sizes.(leaf) <- 1;
         attach_child t v q leaf;
-        bump_sizes t v 1
+        bump_path t g v 0
     | Outside_child q ->
         let c = child_in t v q in
         (* New internal node: smallest cube containing both g and c's cube. *)
@@ -574,26 +511,36 @@ let insert t p =
         replace_child t v q w;
         attach_child t w (quadrant ~ndepth:k (corner_of t c)) c;
         attach_child t w (quadrant ~ndepth:k g) leaf;
-        bump_sizes t w 1);
+        bump_path t g w 0);
     t.npoints <- t.npoints + 1;
     true
   end
 
-let remove t p =
-  let g = Point.to_grid p in
-  let leaf = index_find t bits g in
-  if leaf < 0 then false
+(* Take one off the subtree size of every node on [g]'s root path from
+   slot [v] (child of [gp], -1 at the root) down to g's leaf's parent;
+   there unlink the leaf, and splice the parent out if it became a chain
+   node (single child, not the root). *)
+let rec remove_below t g gp v =
+  t.sizes.(v) <- t.sizes.(v) - 1;
+  let c = child_in t v (quadrant ~ndepth:(depth_at t v) g) in
+  if depth_at t c < bits then remove_below t g v c
   else begin
-    let v = t.parent.(leaf) in
-    bump_sizes t v (-1);
-    detach_child t v (quad_at t leaf);
-    drop_node t leaf;
-    (* Splice v if it became a chain node (single child, not the root). *)
-    let only = t.first_child.(v) and grandparent = t.parent.(v) in
-    if grandparent >= 0 && only >= 0 && t.next_sibling.(only) < 0 then begin
-      replace_child t grandparent (quad_at t v) only;
+    detach_child t v (quad_at t c);
+    drop_node t c;
+    let only = t.first_child.(v) in
+    if gp >= 0 && only >= 0 && t.next_sibling.(only) < 0 then begin
+      replace_child t gp (quad_at t v) only;
       drop_node t v
-    end;
+    end
+  end
+
+let remove t p =
+  if Point.dim p <> t.tdim then invalid_arg "Cqtree.remove: dimension mismatch";
+  let g = Point.to_grid p in
+  let leaf = walk t bits g 0 in
+  if leaf < 0 || not (slot_is_cube t leaf bits g) then false
+  else begin
+    remove_below t g (-1) 0;
     t.npoints <- t.npoints - 1;
     true
   end
@@ -761,14 +708,14 @@ let check_invariants t =
     Array.iter
       (fun c -> if (c lsr shift) lsl shift <> c then fail "Cqtree: corner not aligned")
       (corner_of t s);
-    if index_find t depth (corner_of t s) <> s then fail "Cqtree: node %d missing from the cube index" s;
+    if find_cube t depth (corner_of t s) <> s then fail "Cqtree: node %d not found by the walk to its cube" s;
     if depth = bits then begin
       if t.first_child.(s) >= 0 then fail "Cqtree: leaf with children";
       if t.sizes.(s) <> 1 then fail "Cqtree: leaf size <> 1"
     end
     else begin
       let nchildren = fold_children t s (fun acc _ -> acc + 1) 0 in
-      if t.parent.(s) >= 0 && nchildren < 2 then
+      if s <> 0 && nchildren < 2 then
         fail "Cqtree: internal non-root node with < 2 children (not compressed)";
       let child_sum = fold_children t s (fun acc c -> acc + t.sizes.(c)) 0 in
       if t.sizes.(s) <> child_sum then fail "Cqtree: size %d <> child sum %d" t.sizes.(s) child_sum
@@ -780,11 +727,9 @@ let check_invariants t =
           fail "Cqtree: child cube outside parent";
         if quadrant ~ndepth:depth (corner_of t c) <> q then fail "Cqtree: child in wrong quadrant";
         if child_in t s q <> c then fail "Cqtree: two children in quadrant %d" q;
-        if t.parent.(c) <> s then fail "Cqtree: broken parent pointer";
         go c)
   in
   go 0;
-  if t.parent.(0) >= 0 then fail "Cqtree: root has a parent";
   if t.sizes.(0) <> t.npoints then fail "Cqtree: root size out of sync";
   if !reached <> t.nnodes then fail "Cqtree: %d reachable nodes, %d counted" !reached t.nnodes;
   let nfree = ref 0 and f = ref t.free in
@@ -793,10 +738,7 @@ let check_invariants t =
     incr nfree;
     f := t.next_sibling.(!f)
   done;
-  if t.nnodes + !nfree <> t.used then fail "Cqtree: slots leaked";
-  let indexed = Array.fold_left (fun acc s -> if s >= 0 then acc + 1 else acc) 0 t.index in
-  if indexed <> t.nnodes then fail "Cqtree: cube index holds %d entries for %d nodes" indexed t.nnodes;
-  if 2 * t.nnodes > Array.length t.index then fail "Cqtree: cube index over half full"
+  if t.nnodes + !nfree <> t.used then fail "Cqtree: slots leaked"
 
 (* Axis-aligned box queries over the compressed tree: prune on cube/box
    disjointness, take whole subtrees on containment. *)

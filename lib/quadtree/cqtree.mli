@@ -17,14 +17,16 @@
     bit manipulations on integers.
 
     {b Layout.} A tree is a struct-of-arrays arena: node [s] is slot [s]
-    of six int columns (id, parent slot, subtree size, first child,
-    next sibling, and the cube depth packed with the node's quadrant in
-    its parent) plus [dim] ints of a flat corner array. A node is a leaf
-    exactly when its depth is the grid depth. Children form a sibling
-    list. The cube index is one open-addressing int table of slots,
-    hashed on (depth, corner) and confirmed against the columns, kept a
-    power of two at least twice the node count; a 2-d tree costs about
-    ten words per node.
+    of five int columns (id, subtree size, first child, next sibling,
+    and the cube depth packed with the node's quadrant in its parent)
+    plus [dim] ints of a flat corner array. A node is a leaf exactly
+    when its depth is the grid depth. Children form a sibling list.
+    There is no cube index and no parent column, so a 2-d tree costs
+    about seven words per node. A cube is found by a walk from the
+    root: the nodes whose cubes contain a grid point form one root path,
+    each step takes the child in the point's quadrant, and each child is
+    strictly deeper than its parent, so the walk takes at most
+    [Point.grid_bits] + 1 = 31 steps in any dimension.
 
     {b Ids and slots.} A bulk build writes its nodes in preorder, so
     right after {!of_sorted} a node's id is its slot. Updates draw ids
@@ -108,11 +110,17 @@ val locate_ids : t -> Skipweb_geom.Point.t -> location * int list
 
 val locate_from_cube : t -> int * int array -> Skipweb_geom.Point.t -> (location * int list) option
 (** [locate_from_cube t cube q]: {!locate_from} the node with exactly
-    this cube, path as node ids; [None] if no node has the cube. The
-    refine step of the skip-web hierarchy. *)
+    this cube, path as node ids. One walk from the root by [q]'s grid
+    point passes the cube's node if it is stored and contains [q], and
+    reports ids from there on. [None] if no node has the cube, if the
+    cube does not contain [q], or if either has a dimension other than
+    the tree's. The refine step of the skip-web hierarchy. *)
 
 val node_of_cube : t -> int * int array -> node option
-(** Find the node with exactly this cube, if present. Every node cube of a
+(** Find the node with exactly this cube, if present, by the walk from
+    the root along the cube's corner: the walk stops at the first node
+    at or below the cube's depth and compares that node's cube exactly.
+    [None] for a cube of another dimension. Every node cube of a
     compressed quadtree over [T ⊆ S] is a node cube of the tree over [S],
     which is what makes skip-web refinement work. *)
 
@@ -131,12 +139,17 @@ val points_in_located_gap : t -> location_cube:int * int array -> child_cubes:(i
 (** {1 Updates} *)
 
 val insert : t -> Skipweb_geom.Point.t -> bool
-(** Adds a point; [false] if its grid cell is already occupied. O(1) new
-    nodes are created (one leaf, possibly one new internal node), after a
-    locate. *)
+(** Adds a point; [false] if its grid cell is already occupied (the
+    locate ends at that point's leaf). O(1) new nodes are created (one
+    leaf, possibly one new internal node), after a locate. Raises
+    [Invalid_argument] on a point of another dimension. *)
 
 val remove : t -> Skipweb_geom.Point.t -> bool
-(** Removes a point; splices out its parent if it becomes redundant. *)
+(** Removes a point; [false] if its grid cell is empty. Splices out its
+    parent if it becomes redundant; the parent, the grandparent and the
+    subtree sizes to update come from the walk down the point's root
+    path. Raises [Invalid_argument] on a point of another dimension, as
+    {!insert} does. *)
 
 val insert_delta : t -> Skipweb_geom.Point.t -> bool * int list * int list
 (** Like {!insert}, additionally reporting [(changed, added, removed)]:
@@ -150,7 +163,8 @@ val remove_delta : t -> Skipweb_geom.Point.t -> bool * int list * int list
 val check_invariants : t -> unit
 (** Validates: cube alignment, children within parent quadrants, interior
     nodes interesting (>= 2 children or the root), subtree sizes, leaf
-    depth. Raises [Failure] on violation. *)
+    depth, every node found by the walk from its own cube, and the free
+    list. Raises [Failure] on violation. *)
 
 val iter_nodes : t -> f:(node -> unit) -> unit
 (** Visit every node (root, internal, leaves) — used by the skip-web

@@ -46,10 +46,11 @@ val of_sorted_array : int array -> t
     [Invalid_argument] otherwise. The array is copied. *)
 
 val of_array : ?pool:Pool.t -> int array -> t
-(** Sort and dedup through {!Presort.sorted_distinct}, then bulk load —
-    the constructor [Instances.Ints.build] uses. [?pool] is passed on to
-    the presort, so the result is identical for any job count. The input
-    is never retained or modified. *)
+(** Sort and dedup through {!Presort.sorted_distinct}, then bulk load.
+    The E15b scale bench and the [perf/] layer benchmarks call it;
+    [Instances.Ints] builds its level sets through {!of_sorted_array}.
+    [?pool] is passed on to the presort, so the result is identical for
+    any job count. The input is never retained or modified. *)
 
 val length : t -> int
 val is_empty : t -> bool

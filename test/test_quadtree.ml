@@ -636,9 +636,34 @@ let test_slot_reuse () =
 let test_memory_budget () =
   let t = Q.build ~dim:2 (Workload.uniform_points ~seed:1 ~n:40_000 ~dim:2) in
   let per_node = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (Q.node_count t) in
-  checkb (Printf.sprintf "<= 15 words per node (%.2f)" per_node) true (per_node <= 15.0);
+  checkb (Printf.sprintf "<= 8 words per node (%.2f)" per_node) true (per_node <= 8.0);
   let single = Obj.reachable_words (Obj.repr (Q.build ~dim:2 (pts2 [ (0.3, 0.7) ]))) in
-  checkb (Printf.sprintf "singleton tree <= 64 words (%d)" single) true (single <= 64)
+  checkb (Printf.sprintf "singleton tree <= 40 words (%d)" single) true (single <= 40)
+
+let raises_invalid f = try ignore (f ()); false with Invalid_argument _ -> true
+
+let test_dimension_and_containment_edges () =
+  let t = Q.build ~dim:2 (Workload.uniform_points ~seed:23 ~n:200 ~dim:2) in
+  let p3 = Point.create [ 0.1; 0.2; 0.3 ] in
+  checkb "insert of a 3-d point raises" true (raises_invalid (fun () -> Q.insert t p3));
+  checkb "remove of a 3-d point raises" true (raises_invalid (fun () -> Q.remove t p3));
+  let q = Point.create [ 0.3; 0.6 ] in
+  let loc, _ = Q.locate t q in
+  let depth, corner = Q.node_cube loc.Q.node in
+  let wrong_dim = (depth, Array.append corner [| 0 |]) in
+  checkb "node_of_cube: wrong-dimension cube absent" true (Q.node_of_cube t wrong_dim = None);
+  checkb "locate_from_cube: wrong-dimension cube absent" true (Q.locate_from_cube t wrong_dim q = None);
+  (* Every stored cube that does not contain q is refused, not descended. *)
+  let g = Point.to_grid q and refused = ref 0 in
+  Q.iter_nodes t ~f:(fun n ->
+      let ((depth, corner) as cube) = Q.node_cube n in
+      let shift = Point.grid_bits - depth in
+      if Array.exists2 (fun c x -> c lsr shift <> x lsr shift) corner g then begin
+        incr refused;
+        checkb "locate_from_cube: cube without q" true (Q.locate_from_cube t cube q = None)
+      end);
+  checkb "some stored cubes miss q" true (!refused > 0);
+  Q.check_invariants t
 
 let suite =
   [
@@ -667,6 +692,7 @@ let suite =
     Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
+    Alcotest.test_case "dimension and containment edges" `Quick test_dimension_and_containment_edges;
     QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
     QCheck_alcotest.to_alcotest qcheck_cube_lookup_brute_force;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
