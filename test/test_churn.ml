@@ -399,10 +399,10 @@ let pinned_multi_points =
    and which copy a read uses, pinned per epoch over r = 1, 2, 3 with the
    group cache on. Each epoch re-sizes the cache with [set_cache], kills
    the busiest host (and a second one at r = 3), runs queries, repairs,
-   then inserts a key and a batch while the hosts are still down. Pinned
-   per epoch: the failed queries and the message sum of the others, a
-   digest of every host's charged memory before the repair, the repair
-   stats and the digest after, at jobs 1 and 2. *)
+   then inserts 41 keys one at a time while the hosts are still down.
+   Pinned per epoch: the failed queries and the message sum of the
+   others, a digest of every host's charged memory before the repair,
+   the repair stats and the digest after, at jobs 1 and 2. *)
 let blocked_copy_epochs ~jobs ~r =
   let hosts = 16 and bound = 40_000 in
   let keys = W.distinct_ints ~seed:53 ~n:600 ~bound in
@@ -446,8 +446,9 @@ let blocked_copy_epochs ~jobs ~r =
       let st = B1.repair b in
       let after = digest () in
       ignore (B1.insert b (bound + epoch) : int);
-      let fresh = Array.init 40 (fun i -> bound + 100 + (epoch * 1_000) + (7 * i)) in
-      ignore (B1.insert_batch ?pool b fresh : int);
+      for i = 0 to 39 do
+        ignore (B1.insert b (bound + 100 + (epoch * 1_000) + (7 * i)) : int)
+      done;
       List.iter (Network.revive net) victims;
       B1.check_invariants b;
       [ !failed; !msgs; before; st.B1.scanned; st.B1.repaired; st.B1.messages; st.B1.lost; after ])

@@ -17,12 +17,16 @@ let mix_string acc s =
   String.fold_left (fun acc c -> mix acc (Char.code c)) (mix acc (String.length s)) s
 let mix_point acc p = Array.fold_left mix_float (mix acc (Array.length p)) p
 
-(* One instance under test: a ground set, fresh keys for inserts, point
-   queries, scans, and how to fold an answer into a digest. *)
+(* One instance under test: a ground set, fresh keys for inserts (the
+   last [batch] of them inserted as one batch), point queries, scans, and
+   how to fold an answer into a digest. An instance that cannot delete
+   ([removable = false]) runs an insert-only update stage. *)
 module type CASE = sig
   module S : Skipweb_core.Range_structure.S
 
   val n : int
+  val batch : int
+  val removable : bool
   val keys : S.key array
   val extra : S.key array
   val queries : S.query array
@@ -88,25 +92,27 @@ module Stages (C : CASE) = struct
   (* Single inserts cross the next power of two (the hierarchy grows a
      level), single removes cross back (it shrinks one), then a batch of
      each runs through the per-level sweeps; with a dead host a repair
-     pass ends the stage. *)
+     pass ends the stage. An insert-only instance skips both removals. *)
   let stage_update ~r ~cache ~kill =
     let net, h = fresh ~r ~cache ~kill in
     let cost acc f =
       match f () with c -> mix acc c | exception Network.Host_dead _ -> mix acc (-1)
     in
-    let m = Array.length C.extra in
+    let singles = Array.length C.extra - C.batch in
     let acc = ref 0 in
-    for i = 0 to (m / 2) - 1 do
+    for i = 0 to singles - 1 do
       acc := cost !acc (fun () -> Hr.insert h C.extra.(i))
     done;
     acc := mix !acc (Hr.levels h);
-    for i = 0 to (m / 2) + 9 do
-      let k = if i mod 2 = 0 then C.extra.(i / 2) else C.keys.(i) in
-      acc := cost !acc (fun () -> Hr.remove h k)
-    done;
-    acc := mix !acc (Hr.levels h);
-    acc := mix !acc (Hr.insert_batch h (Array.sub C.extra (m / 2) (m / 2)));
-    acc := mix !acc (Hr.remove_batch h (Array.sub C.keys 100 (m / 2)));
+    if C.removable then begin
+      for i = 0 to singles + 9 do
+        let k = if i mod 2 = 0 then C.extra.(i / 2) else C.keys.(i) in
+        acc := cost !acc (fun () -> Hr.remove h k)
+      done;
+      acc := mix !acc (Hr.levels h)
+    end;
+    acc := mix !acc (Hr.insert_batch h (Array.sub C.extra singles C.batch));
+    if C.removable then acc := mix !acc (Hr.remove_batch h (Array.sub C.keys 100 C.batch));
     acc := mix (mix !acc (Hr.size h)) (Hr.total_storage h);
     for level = 0 to Hr.levels h - 1 do
       acc := List.fold_left mix !acc (List.sort compare (Hr.level_set_sizes h level))
@@ -151,6 +157,8 @@ module Ints_case = struct
   module S = I.Ints
 
   let n = n
+  let batch = extra / 2
+  let removable = true
   let all = W.distinct_ints ~seed:5 ~n:(n + extra) ~bound:(100 * n)
   let keys = Array.sub all 0 n
   let extra = Array.sub all n extra
@@ -175,6 +183,8 @@ module Points_case = struct
   module S = I.Points2d
 
   let n = n
+  let batch = extra / 2
+  let removable = true
   let all = W.uniform_points ~seed:6 ~n:(n + extra) ~dim:2
   let keys = Array.sub all 0 n
   let extra = Array.sub all n extra
@@ -208,6 +218,8 @@ module Strings_case = struct
   module S = I.Strings
 
   let n = n
+  let batch = extra / 2
+  let removable = true
   let all = W.random_strings ~seed:7 ~n:(n + extra) ~alphabet:4 ~len:10
   let keys = Array.sub all 0 n
   let extra = Array.sub all n extra
@@ -224,9 +236,36 @@ module Strings_case = struct
     List.fold_left mix_string (mix acc a.I.total) a.I.strings
 end
 
+(* Trapezoidal maps: 600 segments, 30 single inserts, then a batch of
+   150 more. (E21's full 1 500 segments take about 9 s on a 2-vCPU VM:
+   every stage builds its own hierarchy, and each insertion scans the
+   whole map.)
+   Deletion is out of scope (§4), so the update stage is insert-only.
+   Every scan is a point location. *)
+module Segments_case = struct
+  module S = I.Segments
+
+  let n = 600
+  let batch = 150
+  let removable = false
+  let all = W.disjoint_segments ~seed:8 ~n:(n + 180)
+  let keys = Array.sub all 0 n
+  let extra = Array.sub all n 180
+  let queries = W.trapmap_query_points ~seed:0x18 ~n:150
+  let scans = W.trapmap_query_points ~seed:0x19 ~n:60
+
+  let answer acc (a : I.trap_answer) =
+    let side acc = function None -> mix acc (-1) | Some id -> mix acc id in
+    let lx, rx = a.I.xspan in
+    mix_float (mix_float (side (side acc a.I.above) a.I.below) lx) rx
+
+  let scan_answer = answer
+end
+
 module Ints_stages = Stages (Ints_case)
 module Points_stages = Stages (Points_case)
 module Strings_stages = Stages (Strings_case)
+module Segments_stages = Stages (Segments_case)
 
 let pinned_ints =
   [
@@ -264,9 +303,23 @@ let pinned_strings =
     [ 3033414324026233260; 3897452203091454374; 4607229421747272966 ];
   ]
 
+let pinned_segments =
+  [
+    [ 425451153412762510; 1681277131242358430; 2698410846942921922 ];
+    [ 1259102827834922447; 2245978585024974896; 986404080037373021 ];
+    [ 1597762789938249418; 3628934599850925976; 3218462312922107548 ];
+    [ 2036605461526507820; 3628934599850925976; 220515988036416042 ];
+    [ 1212018281264645615; 3176218013341633342; 4017706663950683042 ];
+    [ 3018062150396436041; 1986401440207668909; 3270973225172201900 ];
+    [ 266656690959484359; 2143892332450093708; 2773137715591037566 ];
+    [ 1720650709933209065; 2143892332450093708; 710146788578445537 ];
+  ]
+
 let suite =
   [
     Alcotest.test_case "pinned routing digest: sorted list" `Quick (Ints_stages.check pinned_ints);
     Alcotest.test_case "pinned routing digest: quadtree" `Quick (Points_stages.check pinned_points);
     Alcotest.test_case "pinned routing digest: trie" `Quick (Strings_stages.check pinned_strings);
+    Alcotest.test_case "pinned routing digest: trapezoidal map" `Quick
+      (Segments_stages.check pinned_segments);
   ]
