@@ -3,7 +3,7 @@
    Three skip-webs — quadtree-2d, trie, trapezoidal map — each bulk-built
    and then driven through a mixed batch of point queries and multi-result
    scans (axis-aligned boxes and k-NN on the quadtree, prefix enumerations
-   on the trie, point-location scans on the trapmap), plus a native
+   on the trie, point-location scans on the trapmap), plus an
    insert_batch/remove_batch update phase and, on the quadtree and trie,
    a sequential single-op churn. Every phase runs under an internal
    --jobs sweep {1, 2, 4} and the deterministic digest of each run —

@@ -3,7 +3,6 @@ module Trace = Skipweb_net.Trace
 module Placement = Skipweb_net.Placement
 module Membership = Skipweb_util.Membership
 module Prng = Skipweb_util.Prng
-module Presort = Skipweb_util.Presort
 module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
 module Pool = Skipweb_util.Pool
@@ -22,7 +21,8 @@ let no_blocks = { copies = [||]; units = [||] }
 (* Membership bits are derived from the key itself, so an element keeps its
    level path across rebuilds. Every table is dense: indexed by level, then
    by membership prefix. A level-l prefix is below 2^l and top = ⌈log₂ n⌉,
-   so all levels together hold fewer than 4n slots. *)
+   so all levels together hold fewer than 4n slots. The one level-0 set,
+   [sets.(0).(0)], is the whole ground set in ascending order. *)
 type t = {
   net : Network.t;
   vecs : Membership.t;
@@ -31,7 +31,6 @@ type t = {
   mutable reps : int;  (* owners per block at the last rebuild: min r (live hosts) *)
   stride : int;  (* L = ceil(log2 M): basic levels are multiples *)
   mutable bsize : int;  (* ranges per block at basic levels *)
-  keys : O.t;  (* the ground set, chunked sorted sequence *)
   mutable top : int;  (* K = ceil(log2 n) *)
   mutable sets : int array array array;  (* level -> prefix -> sorted keys ([||]: no set) *)
   mutable blocks : group array array;  (* basic level -> prefix -> blocks; [||] off basic levels *)
@@ -55,7 +54,8 @@ type t = {
   pool : Pool.t option;  (* the build's pool, reused by update-triggered rebuilds *)
 }
 
-let size t = O.length t.keys
+let ground t = t.sets.(0).(0)
+let size t = Array.length (ground t)
 let levels t = t.top + 1
 let block_size t = t.bsize
 
@@ -174,36 +174,40 @@ let for_items pool n f =
    sequential steps in between, so the result is bit-identical for any
    jobs count:
 
-     1. Level sets: one membership path per key, then one task per level
-        counting-sorting the ground set into its level's prefix slots.
-        Keys are visited in order, so every set fills already sorted.
+     1. Level sets: level 0's one set is [keys] itself, which the
+        caller hands over sorted and never touches again. One membership
+        path per key, then one task per level above counting-sorts [keys]
+        into its level's prefix slots; keys are visited in order, so
+        every set fills already sorted.
      2. Blocks and cones: block boundaries and their round-robin owners
         depend only on code counts, so they are dealt sequentially, in
         ascending (level, prefix, block) order. Then one task per
         non-basic level fills that level's cone tables, each task writing
         only its own level; a last sequential pass sums every block's
         stored units and charges its owners. *)
-let rebuild t pool =
+let rebuild t pool keys =
   uncharge_all t;
-  let n = size t in
+  let n = Array.length keys in
   t.top <- required_top n;
   let top = t.top in
-  let keys = O.to_array t.keys in
   let paths = Array.map (path_of t) keys in
   let sets = Array.make (top + 1) [||] in
   for_items pool (top + 1) (fun level ->
-      let shift = top - level in
-      let fill = Array.make (1 lsl level) 0 in
-      Array.iter (fun p -> fill.(p lsr shift) <- fill.(p lsr shift) + 1) paths;
-      let slots = Array.map (fun len -> Array.make len 0) fill in
-      Array.fill fill 0 (Array.length fill) 0;
-      Array.iteri
-        (fun i p ->
-          let b = p lsr shift in
-          slots.(b).(fill.(b)) <- keys.(i);
-          fill.(b) <- fill.(b) + 1)
-        paths;
-      sets.(level) <- slots);
+      if level = 0 then sets.(0) <- [| keys |]
+      else begin
+        let shift = top - level in
+        let fill = Array.make (1 lsl level) 0 in
+        Array.iter (fun p -> fill.(p lsr shift) <- fill.(p lsr shift) + 1) paths;
+        let slots = Array.map (fun len -> Array.make len 0) fill in
+        Array.fill fill 0 (Array.length fill) 0;
+        Array.iteri
+          (fun i p ->
+            let b = p lsr shift in
+            slots.(b).(fill.(b)) <- keys.(i);
+            fill.(b) <- fill.(b) + 1)
+          paths;
+        sets.(level) <- slots
+      end);
   (* Size blocks so there is about one block per *live* host (each block
      drags an O(M)-sized cone along, so several blocks per host would
      overshoot the memory budget). Placement only ever targets live hosts:
@@ -323,7 +327,6 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       reps = r;  (* refined by rebuild *)
       stride;
       bsize = max 2 (m / 4);  (* refined by rebuild *)
-      keys = O.of_sorted_array xs;
       top = 0;
       sets = [||];
       blocks = [||];
@@ -335,7 +338,7 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       pool;
     }
   in
-  rebuild t pool;
+  rebuild t pool xs;
   t
 
 let replication t = t.r
@@ -460,7 +463,7 @@ let target t c ~origin ~path q level ~current =
    it; hops are labeled accordingly. Trace work is guarded, so an
    untraced query runs the same walk. The origin's membership path is
    drawn once; every level's set is a shift of it. The answer is one
-   rank of q in the ground set and the keys on either side of it. *)
+   binary search of q in the ground set and the keys on either side. *)
 let query_from ?trace t origin q =
   let path = path_of t origin in
   let c = { base = -1; pb = 0; jq = 0; slot = 0; pref = 0; run = 0 } in
@@ -479,12 +482,13 @@ let query_from ?trace t origin q =
         Trace.span_close tr ~note:(Printf.sprintf "replicas=%d" c.run) ()
   done;
   Network.finish session;
-  let i = O.lower_bound t.keys q in
-  let successor = if i < size t then Some (O.get t.keys i) else None in
+  let keys = ground t in
+  let i = O.array_lower_bound keys q in
+  let successor = if i < Array.length keys then Some keys.(i) else None in
   let predecessor =
     match successor with
     | Some s when s = q -> successor
-    | _ -> if i > 0 then Some (O.get t.keys (i - 1)) else None
+    | _ -> if i > 0 then Some keys.(i - 1) else None
   in
   let nearest =
     match (predecessor, successor) with
@@ -496,7 +500,7 @@ let query_from ?trace t origin q =
 
 let query ?trace t ~rng q =
   if size t = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
-  else query_from ?trace t (O.get t.keys (Prng.int rng (size t))) q
+  else query_from ?trace t (ground t).(Prng.int rng (size t)) q
 
 (* Parallel fan-out of independent queries: origins pre-drawn sequentially
    (one rng draw per query, matching a loop of [query] coin-for-coin), then
@@ -509,59 +513,46 @@ let query_batch ?pool t ~rng qs =
   if size t = 0 then
     Array.map (fun _ -> { predecessor = None; successor = None; nearest = None; messages = 0 }) qs
   else begin
-    let walks = Array.init n (fun i -> (O.get t.keys (Prng.int rng (size t)), qs.(i))) in
+    let keys = ground t in
+    let walks = Array.init n (fun i -> (keys.(Prng.int rng (Array.length keys)), qs.(i))) in
     let run (origin, q) = query_from t origin q in
     match pool with None -> Array.map run walks | Some p -> Pool.parallel_map p run walks
   end
 
-let mem t k = O.mem t.keys k
+(* Where [k] sits in the ground set: its lower-bound index, and whether
+   the key there is [k]. *)
+let find t k =
+  let keys = ground t in
+  let i = O.array_lower_bound keys k in
+  (i, i < Array.length keys && keys.(i) = k)
 
 (* Updates: the message bill is a locate plus O(1) messages per basic
    level (§4 — non-basic copies live in the cones already co-located with
-   basic blocks; block splits amortize). The ground-set splice is an
-   O(√n) chunk update; the block/cone maps are then rebuilt, which the
-   cost model does not meter. *)
+   basic blocks; block splits amortize). The key is spliced into a fresh
+   copy of the ground set and the block/cone maps are rebuilt from it,
+   which the cost model does not meter. *)
 let update_cost t locate_messages = locate_messages + (2 * List.length (basic_levels t))
 
 let insert t k =
-  if mem t k then 0
-  else begin
-    let locate_msgs = if size t = 0 then 0 else (query t ~rng:(Prng.create (k + 13)) k).messages in
-    ignore (O.insert t.keys k);
-    rebuild t t.pool;
-    update_cost t locate_msgs
-  end
+  match find t k with
+  | _, true -> 0
+  | i, false ->
+      let locate_msgs = if size t = 0 then 0 else (query t ~rng:(Prng.create (k + 13)) k).messages in
+      let keys = ground t in
+      rebuild t t.pool
+        (Array.init (Array.length keys + 1) (fun j ->
+             if j < i then keys.(j) else if j = i then k else keys.(j - 1)));
+      update_cost t locate_msgs
 
 let delete t k =
-  if not (mem t k) then 0
-  else begin
-    let locate_msgs = (query t ~rng:(Prng.create (k + 17)) k).messages in
-    ignore (O.remove t.keys k);
-    rebuild t t.pool;
-    update_cost t locate_msgs
-  end
-
-(* ------- bulk maintenance updates ------- *)
-
-(* The bulk write path: splice the whole sorted batch into the ground
-   set through the chunk-sharded Ordseq engine, then rebuild the
-   block/cone maps once for the entire batch instead of once per key.
-   Like [repair], this is a maintenance operation — no locate queries
-   run and nothing is added to the network's message counters (the
-   online per-key bill is [update_cost] each). The splice shards over
-   disjoint chunk ranges and the rebuild fans its two phases, both
-   bit-identical to sequential for any jobs count. *)
-let insert_batch ?pool t ks =
-  let pool = match pool with Some _ -> pool | None -> t.pool in
-  let added = O.insert_batch ?pool t.keys (Presort.sorted_distinct ~cmp:Int.compare ks) in
-  if added > 0 then rebuild t pool;
-  added
-
-let delete_batch ?pool t ks =
-  let pool = match pool with Some _ -> pool | None -> t.pool in
-  let gone = O.remove_batch ?pool t.keys (Presort.sorted_distinct ~cmp:Int.compare ks) in
-  if gone > 0 then rebuild t pool;
-  gone
+  match find t k with
+  | _, false -> 0
+  | i, true ->
+      let locate_msgs = (query t ~rng:(Prng.create (k + 17)) k).messages in
+      let keys = ground t in
+      rebuild t t.pool
+        (Array.init (Array.length keys - 1) (fun j -> if j < i then keys.(j) else keys.(j + 1)));
+      update_cost t locate_msgs
 
 let check_invariants t =
   let n = size t in
@@ -571,7 +562,7 @@ let check_invariants t =
   shape "sets" (Array.length t.sets) (t.top + 1);
   shape "blocks" (Array.length t.blocks) (t.top + 1);
   shape "cones" (Array.length t.cones) (t.top + 1);
-  let keys = O.to_array t.keys in
+  let keys = ground t in
   let paths = Array.map (path_of t) keys in
   for level = 0 to t.top do
     (* One set slot per level-l prefix, so every slot's prefix is below
@@ -580,8 +571,15 @@ let check_invariants t =
     shape "sets" (Array.length slots) (1 lsl level);
     shape "blocks" (Array.length t.blocks.(level)) (if basic level then 1 lsl level else 0);
     shape "cones" (Array.length t.cones.(level)) (if basic level then 0 else 1 lsl level);
-    (* The level's sets partition the ground set: every key sits in the set
-       its own prefix names, and the set sizes add up to n. *)
+    (* The level's sets partition the ground set (level 0's one set): each
+       set ascends strictly, every key sits in the set its own prefix
+       names, and the set sizes add up to n. *)
+    Array.iter
+      (fun arr ->
+        for i = 1 to Array.length arr - 1 do
+          if arr.(i - 1) >= arr.(i) then failwith "Blocked1d: level set not strictly increasing"
+        done)
+      slots;
     let total = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 slots in
     if total <> n then failwith "Blocked1d: level sets do not partition the keys";
     (* A basic set's blocks hold all its ranges. *)
@@ -649,8 +647,8 @@ let check_invariants t =
      the base set holding the probe is inside the run that stabs the
      probe's range. *)
   if n > 0 then begin
-    let probes = [ O.get t.keys 0 - 1; O.get t.keys (n / 2); O.get t.keys (n - 1) + 1 ] in
-    let path = path_of t (O.get t.keys (n / 2)) in
+    let probes = [ keys.(0) - 1; keys.(n / 2); keys.(n - 1) + 1 ] in
+    let path = path_of t keys.(n / 2) in
     List.iter
       (fun q ->
         let rec walk level =
@@ -700,7 +698,7 @@ let repair t =
             bill := Placement.bill t.net copies ~n:(Array.length copies) ~units:g.units.(j) !bill)
         copies);
   Array.iter (Array.iter (fun tbl -> scanned := !scanned + cone_entries tbl)) t.cones;
-  rebuild t t.pool;
+  rebuild t t.pool (ground t);
   { !bill with scanned = !scanned }
 
 type range_result = { keys : int list; messages : int }
@@ -713,12 +711,14 @@ let range t ~rng ~lo ~hi =
     (* Walk the bottom level (the full set, prefix 0) from lo's block to
        hi's, one message each time the next block's representative is a
        different host. *)
-    let arr = t.sets.(0).(0) and copies = t.blocks.(0).(0).copies in
+    let arr = ground t and copies = t.blocks.(0).(0).copies in
     let clo, chi = L.range_codes arr ~lo ~hi in
     let rep j = Placement.first_live t.net copies.(j) ~n:t.reps in
     let crossings = ref 0 in
     for j = (clo / t.bsize) + 1 to chi / t.bsize do
       if rep j <> rep (j - 1) then incr crossings
     done;
-    { keys = O.range_keys t.keys ~lo ~hi; messages = locate.messages + !crossings }
+    let first = O.array_lower_bound arr lo in
+    let keys = List.init (O.array_upper_index arr hi - first + 1) (fun d -> arr.(first + d)) in
+    { keys; messages = locate.messages + !crossings }
   end

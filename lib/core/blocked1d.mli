@@ -55,9 +55,8 @@ val build :
     (including the head-host order of every replica list, and hence every
     later query's message count) and all memory charges are bit-identical
     for any jobs count. The structure {e keeps} the pool for the rebuilds
-    that {!insert}, {!delete}, {!repair} and pool-less batch updates
-    trigger, so the pool must stay alive as long as this structure
-    receives updates.
+    that {!insert}, {!delete} and {!repair} trigger, so the pool must stay
+    alive as long as this structure receives updates.
 
     [cache_levels] / [cache_replicas] configure the read-path group cache
     (the congestion-flattening trick of the skip-graph NoN line): every
@@ -134,33 +133,17 @@ val query_batch :
 
 val insert : t -> int -> int
 (** Message cost: locate + O(1) per basic level. No-op cost 0 on
-    duplicates. *)
+    duplicates. The key is spliced into a fresh copy of the ground set
+    and the block / cone maps are rebuilt from it, unmetered. *)
 
 val delete : t -> int -> int
-
-val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
-(** Bulk maintenance insert: sort / dedup the batch with
-    {!Skipweb_util.Presort.sorted_distinct}, splice it into the ground
-    set through the chunk-sharded {!Skipweb_util.Ordseq} batch engine,
-    and rebuild the block / cone maps {e once} for the whole batch
-    instead of once per key. [?pool] (default: the pool the structure was
-    built with) shards the splice over disjoint chunk ranges and fans
-    that one rebuild's bulk phases; it is not kept. The resulting
-    structure and all memory charges are bit-identical for any jobs
-    count. Like {!repair}, the bulk path is a maintenance operation: no
-    locate queries run and nothing is added to the network's message
-    counters — the online per-key bill is {!insert}'s. Returns the number
-    of keys actually inserted (duplicates of stored keys are no-ops). *)
-
-val delete_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
-(** Bulk counterpart of {!delete}: keys absent from the ground set are
-    no-ops; returns the number actually removed. Same pool, determinism
-    and accounting contract as {!insert_batch}. *)
+(** Mirror of {!insert}; no-op cost 0 on absent keys. *)
 
 val check_invariants : t -> unit
-(** Level partitions, block coverage, replica coverage of non-basic
-    ranges, monotone cone tables, and conflict-chain soundness on
-    samples; for the same samples, that the base block holding the key
+(** Strictly ascending level sets, each level partitioning exactly the
+    level-0 set (the ground set), block coverage, replica coverage of
+    non-basic ranges, monotone cone tables, and conflict-chain soundness
+    on samples; for the same samples, that the base block holding the key
     lies in the run of cone entries covering its range at every cone
     level, which is what queries route by. Every block holds its owners
     plus its window's cache copies on distinct hosts, and every host's

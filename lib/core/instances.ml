@@ -15,9 +15,8 @@
     structures of different levels on different domains concurrently, and
     shared hidden state would both race and make range ids (hence host
     placement and memory charges) depend on scheduling. Batch updates
-    are the per-key loop ({!Range_structure.batch_of_fold}) except where
-    a native engine measurably beats it: the sorted list's one-pass
-    splice and the trapezoidal map's component engine. *)
+    are the per-key loop ({!Range_structure.batch_of_fold}) except for
+    the sorted list, whose one-pass splice measurably beats it. *)
 
 module Point = Skipweb_geom.Point
 module Segment = Skipweb_geom.Segment
@@ -500,9 +499,8 @@ module Segments :
   let name = "trapezoidal-map"
   let visit_label = "trap-walk"
 
-  (* Array order on purpose (not {!Trapmap.of_sorted}): trapezoid ids —
-     hence host placement — stay exactly those of the per-segment insert
-     loop this build replaced. *)
+  (* Array order: trapezoid ids — hence host placement — are those of
+     the per-segment insert loop. *)
   let build = Trapmap.build
 
   let size = Trapmap.segment_count
@@ -517,10 +515,7 @@ module Segments :
   let remove _t _k =
     failwith "Segments.remove: trapezoidal-map deletion is out of scope (paper §4 amortizes insertions only)"
 
-  let insert_batch t ks =
-    let per_seg = Trapmap.insert_batch t ks in
-    Range_structure.net_deltas
-      (List.map (fun (added, removed) -> { Range_structure.added; removed }) per_seg)
+  let insert_batch = Range_structure.batch_of_fold insert
 
   (* Deletions raise (out of scope for trapezoidal maps), so the only
      batch that gets past the first key is the empty one. *)

@@ -135,8 +135,7 @@ module type S = sig
       have produced, with both lists in ascending id order. The final
       structure must be the one the per-key loop leaves; {!batch_of_fold}
       is that loop, and an instance supplies a native engine only where it
-      is measurably faster (the 1-d sorted list's one-pass splice, the
-      trapezoidal map's component engine). *)
+      is measurably faster (the 1-d sorted list's one-pass splice). *)
 
   val remove_batch : t -> key array -> range_delta
   (** Batch counterpart of {!remove}, same contract shape as

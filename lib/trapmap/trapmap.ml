@@ -1,11 +1,7 @@
 module Segment = Skipweb_geom.Segment
-module Presort = Skipweb_util.Presort
 
 type trap = {
-  (* Mutable only so the batch commit pass can renumber provisionally
-     built trapezoids; never reassigned once a trapezoid is visible to
-     readers. *)
-  mutable tid : int;
+  tid : int;
   top : Segment.t option;  (* None = bounding box top, y = 1 *)
   bot : Segment.t option;  (* None = bounding box bottom, y = 0 *)
   lx : float;
@@ -166,17 +162,15 @@ let merge_side ~boundary_of ~mk ~px ~qx crossed =
           mk (boundary_of first) lx rx)
     groups
 
-(* The refinement core shared by the sequential and batch write paths:
-   replace the corridor of trapezoids crossed by [s] in [alive] with its
-   refinement. Pure with respect to the map: new trapezoids come from
-   [fresh] and the caller owns all bookkeeping (alive list, segs, xs,
-   ids). Returns [(created, crossed, alive')] with [created] in the fixed
-   order left, right, uppers (left to right), lowers (left to right) and
-   [crossed] sorted by left abscissa. *)
-let apply_segment ~fresh ~alive s =
+(* Replace the corridor of trapezoids crossed by [s] with its
+   refinement, numbering the new trapezoids in the fixed order left,
+   right, uppers (left to right), lowers (left to right). Returns the
+   created and the crossed ids, the crossed sorted by left abscissa. *)
+let insert_delta t s =
+  validate_new_segment t s;
   let (px, _), (qx, _) = Segment.endpoints s in
   let crossed =
-    List.filter (fun tr -> seg_intersects_trap s tr) alive
+    List.filter (fun tr -> seg_intersects_trap s tr) t.alive
     |> List.sort (fun a b -> compare a.lx b.lx)
   in
   match crossed with
@@ -193,205 +187,34 @@ let apply_segment ~fresh ~alive s =
       check_contig crossed;
       assert (first.lx < px && px < first.rx);
       assert (last.lx < qx && qx < last.rx);
-      let left = fresh ~top:first.top ~bot:first.bot ~lx:first.lx ~rx:px in
-      let right = fresh ~top:last.top ~bot:last.bot ~lx:qx ~rx:last.rx in
+      let left = fresh t ~top:first.top ~bot:first.bot ~lx:first.lx ~rx:px in
+      let right = fresh t ~top:last.top ~bot:last.bot ~lx:qx ~rx:last.rx in
       let uppers =
         merge_side
           ~boundary_of:(fun tr -> tr.top)
-          ~mk:(fun top lx rx -> fresh ~top ~bot:(Some s) ~lx ~rx)
+          ~mk:(fun top lx rx -> fresh t ~top ~bot:(Some s) ~lx ~rx)
           ~px ~qx crossed
       in
       let lowers =
         merge_side
           ~boundary_of:(fun tr -> tr.bot)
-          ~mk:(fun bot lx rx -> fresh ~top:(Some s) ~bot ~lx ~rx)
+          ~mk:(fun bot lx rx -> fresh t ~top:(Some s) ~bot ~lx ~rx)
           ~px ~qx crossed
       in
       let created = (left :: right :: uppers) @ lowers in
-      (* Physical membership, not tid equality: the batch engine builds with
-         placeholder tids, and the crossed trapezoids are by construction
-         the same heap objects as the [alive] entries. *)
-      let alive' = created @ List.filter (fun tr -> not (List.memq tr crossed)) alive in
-      (created, crossed, alive')
-
-let insert_delta t s =
-  validate_new_segment t s;
-  let created, crossed, alive = apply_segment ~fresh:(fresh t) ~alive:t.alive s in
-  t.alive <- alive;
-  let (x0, _), (x1, _) = Segment.endpoints s in
-  Hashtbl.replace t.xs x0 ();
-  Hashtbl.replace t.xs x1 ();
-  t.segs <- s :: t.segs;
-  (List.map trap_id created, List.map trap_id crossed)
+      t.alive <- created @ List.filter (fun tr -> not (List.memq tr crossed)) t.alive;
+      let (x0, _), (x1, _) = Segment.endpoints s in
+      Hashtbl.replace t.xs x0 ();
+      Hashtbl.replace t.xs x1 ();
+      t.segs <- s :: t.segs;
+      (List.map trap_id created, List.map trap_id crossed)
 
 let insert t s = ignore (insert_delta t s)
 
-(* ---- Batch writes ---- *)
-
-let placeholder_tid = -1
-
-(* Pairwise validation inside the batch itself: the same conditions
-   {!validate_new_segment} enforces against already-inserted segments,
-   checked up front so an invalid batch is rejected before any mutation.
-   (The per-key loop would stop at the first offender having already
-   applied its predecessors — failing atomically is deliberately
-   stronger.) *)
-let validate_batch_pairs segs =
-  let m = Array.length segs in
-  for i = 0 to m - 1 do
-    let ((xi0, _) as p), ((xi1, _) as q) = Segment.endpoints segs.(i) in
-    for j = i + 1 to m - 1 do
-      let ((xj0, _) as p'), ((xj1, _) as q') = Segment.endpoints segs.(j) in
-      if xi0 = xj0 || xi0 = xj1 || xi1 = xj0 || xi1 = xj1 then
-        invalid_arg "Trapmap: endpoint x-coordinates must be pairwise distinct";
-      if Segment.crosses segs.(i) segs.(j) then
-        invalid_arg "Trapmap: segments must be non-crossing";
-      if p = p' || p = q' || q = p' || q = q' then
-        invalid_arg "Trapmap: segments must not share endpoints"
-    done
-  done
-
-let insert_batch t segs =
-  let m = Array.length segs in
-  if m = 0 then []
-  else begin
-    (* 1. Validation — each segment against the pre-state, then pairwise
-       inside the batch. All of it runs before any mutation. *)
-    Array.iter (validate_new_segment t) segs;
-    validate_batch_pairs segs;
-    (* 2. Crossed-corridor discovery against the pre-state alive list —
-       the dominant O(m * T) cost. *)
-    let pre_alive = t.alive in
-    let pre_crossed =
-      Array.map (fun s -> List.filter (fun tr -> seg_intersects_trap s tr) pre_alive) segs
-    in
-    (* 3. Union-find over batch positions: two segments interact only if
-       their pre-state corridors share a trapezoid. Non-crossing segments
-       with disjoint pre-state corridors refine disjoint regions — a
-       trapezoid created inside one corridor stays inside the union of
-       that corridor's pre-state regions, so a segment of another
-       component can never cross it. *)
-    let parent = Array.init m Fun.id in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        let r = find parent.(i) in
-        parent.(i) <- r;
-        r
-      end
-    in
-    let union i j =
-      let ri = find i and rj = find j in
-      if ri <> rj then begin
-        let a = min ri rj and b = max ri rj in
-        parent.(b) <- a
-      end
-    in
-    let owner = Hashtbl.create (2 * m) in
-    for i = 0 to m - 1 do
-      List.iter
-        (fun tr ->
-          match Hashtbl.find_opt owner tr.tid with
-          | None -> Hashtbl.add owner tr.tid i
-          | Some j -> union i j)
-        pre_crossed.(i)
-    done;
-    (* Components in first-appearance (= ascending least member) order;
-       members ascending; the local trapezoid universe is the dedup'd
-       union of the members' pre-state corridors, in that same order —
-       all deterministic, whatever the jobs count. *)
-    let members_tbl = Hashtbl.create 16 in
-    let roots_rev = ref [] in
-    for i = 0 to m - 1 do
-      let r = find i in
-      match Hashtbl.find_opt members_tbl r with
-      | None ->
-          Hashtbl.add members_tbl r [ i ];
-          roots_rev := r :: !roots_rev
-      | Some l -> Hashtbl.replace members_tbl r (i :: l)
-    done;
-    let comps =
-      List.rev !roots_rev
-      |> List.map (fun r ->
-             let members = List.rev (Hashtbl.find members_tbl r) in
-             let seen = Hashtbl.create 16 in
-             let universe =
-               List.concat_map (fun i -> pre_crossed.(i)) members
-               |> List.filter (fun tr ->
-                      if Hashtbl.mem seen tr.tid then false
-                      else begin
-                        Hashtbl.add seen tr.tid ();
-                        true
-                      end)
-             in
-             (members, universe))
-      |> Array.of_list
-    in
-    (* 4. Apply each component's segments in batch order over its own
-       local universe, with placeholder ids. Each member's apply-time
-       corridor is exactly what it would be in the per-key loop: traps of
-       other components and untouched traps never intersect it (they
-       would have merged components), so each refinement scans only its
-       component's universe instead of the whole map. *)
-    let per_seg = Array.make m ([], []) in
-    let final_alive =
-      Array.map
-        (fun (members, universe) ->
-          let alive = ref universe in
-          List.iter
-            (fun i ->
-              let fresh ~top ~bot ~lx ~rx = { tid = placeholder_tid; top; bot; lx; rx } in
-              let created, crossed, alive' = apply_segment ~fresh ~alive:!alive segs.(i) in
-              alive := alive';
-              per_seg.(i) <- (created, crossed))
-            members;
-          !alive)
-        comps
-    in
-    (* 5. Commit in global batch order: number created
-       trapezoids exactly as the per-key loop would have, and replay the
-       segs / xs bookkeeping. A crossed trapezoid that was itself created
-       in this batch is already renumbered when its tid is read, because
-       its creator occupies an earlier batch position. *)
-    let deltas = Array.make m ([], []) in
-    for i = 0 to m - 1 do
-      let created, crossed = per_seg.(i) in
-      List.iter
-        (fun tr ->
-          tr.tid <- t.next_id;
-          t.next_id <- t.next_id + 1)
-        created;
-      deltas.(i) <- (List.map trap_id created, List.map trap_id crossed);
-      let (x0, _), (x1, _) = Segment.endpoints segs.(i) in
-      Hashtbl.replace t.xs x0 ();
-      Hashtbl.replace t.xs x1 ();
-      t.segs <- segs.(i) :: t.segs
-    done;
-    let touched = Hashtbl.create (2 * m) in
-    Array.iter
-      (fun (_members, universe) ->
-        List.iter (fun tr -> Hashtbl.replace touched tr.tid ()) universe)
-      comps;
-    let untouched = List.filter (fun tr -> not (Hashtbl.mem touched tr.tid)) pre_alive in
-    t.alive <- Array.fold_left (fun acc l -> acc @ l) [] final_alive @ untouched;
-    Array.to_list deltas
-  end
-
 let build segments =
   let t = empty () in
-  ignore (insert_batch t segments);
+  Array.iter (insert t) segments;
   t
-
-let of_sorted segments =
-  (* Canonical construction order: ascending endpoint tuples. From the
-     empty map every segment crosses the single box trapezoid, so the
-     whole batch is one component and the apply pass degenerates to the
-     insertion loop; the component engine pays on {!insert_batch} into an
-     already-populated map, where corridors are small and mostly
-     disjoint. *)
-  build
-    (Presort.sorted_distinct segments ~cmp:(fun a b ->
-         compare (Segment.endpoints a) (Segment.endpoints b)))
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -34,28 +34,10 @@ val empty : unit -> t
 (** The map of no segments: the bounding unit square as one trapezoid. *)
 
 val build : Segment.t array -> t
-(** Insert all segments, in array order — implemented as
-    {!insert_batch} from the empty map, so the resulting trapezoids and
-    ids are exactly those of the per-segment {!insert} loop. Raises
-    [Invalid_argument] if the set violates the disjointness / distinct-x
-    assumptions or leaves the unit square. *)
-
-val of_sorted : Segment.t array -> t
-(** Like {!build} after presorting the segments by ascending endpoint
-    tuples (coalescing exact duplicates): the canonical construction
-    order, bit-identical for any input permutation. *)
-
-val insert_batch : t -> Segment.t array -> (int list * int list) list
-(** [insert_batch t segs] applies the whole batch as the per-segment
-    {!insert_delta} loop would, in array order, returning the per-segment
-    [(added, removed)] trapezoid-id deltas in that same order — ids
-    included, since the commit pass numbers created trapezoids in global
-    batch position order. The batch is validated and its crossed
-    corridors discovered against the pre-insertion map, segments are
-    grouped into components that share crossed trapezoids, and each
-    component (the components' refined regions are pairwise disjoint)
-    refines only its own trapezoids. Unlike the per-segment loop, an
-    invalid batch is rejected {e before} any mutation. *)
+(** The {!insert} loop from {!empty}, in array order. Raises
+    [Invalid_argument] at the first segment that crosses or touches an
+    earlier one, repeats an endpoint x-coordinate or leaves the unit
+    square. *)
 
 val insert : t -> Segment.t -> unit
 (** Add one segment (same preconditions, checked against current

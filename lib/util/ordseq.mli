@@ -118,7 +118,10 @@ val insert_batch : ?pool:Pool.t -> t -> int array -> int
     pass then rebuilds the chunk summaries and Fenwick counts. The final
     layout is a pure function of the pre-state and the batch: bit
     identical for any job count, including [?pool = None]. Raises
-    [Invalid_argument] if [ks] is not strictly increasing. *)
+    [Invalid_argument] if [ks] is not strictly increasing. No library
+    caller passes a pool: the hierarchy's sorted list splices without
+    one, and only E15b's [write_sweep] and the [perf/] [ordseq_layers]
+    probe fan the splice out. *)
 
 val remove_batch : ?pool:Pool.t -> t -> int array -> int
 (** [remove_batch ?pool t ks] drops every stored key of the strictly

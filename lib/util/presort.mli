@@ -3,11 +3,10 @@
     {!Pool}.
 
     Every batch engine (the 1-d sorted list and its [Ordseq.of_array]
-    bulk load, the blocked 1-d skip-web, the compressed quadtree, the
-    compressed trie, the trapezoidal map) starts from the same primitive:
-    turn "whatever the caller handed us" into a strictly-increasing key
-    array under the structure's own order (rank order, z-order,
-    lexicographic, x-order). This module is that primitive, factored out
+    bulk load, the compressed quadtree, the compressed trie) starts from
+    the same primitive: turn "whatever the caller handed us" into a
+    strictly-increasing key array under the structure's own order (rank
+    order, z-order, lexicographic). This module is that primitive, factored out
     of the per-instance copies so the semantics are pinned in exactly one
     place (and unit-tested as such). *)
 

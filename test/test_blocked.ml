@@ -175,8 +175,80 @@ let test_traced_equals_untraced () =
   Alcotest.(check bool) "some walks hit the dead host" true (!failed > 0);
   Alcotest.(check string) "trace renders" "f8993fb159495e90f2876532cdbfaa99" (Digest.to_hex (Digest.string (Buffer.contents renders)))
 
+(* The ground set against a sorted-set model under seeded single-key
+   updates: duplicates and absent keys (both no-ops costing 0), sizes
+   0 -> 1 -> 0, a random walk over a small key space, then a drain back
+   to empty. After every step: the invariants, the size, each probe's
+   predecessor (largest key <= q), successor (smallest key >= q) and
+   nearest (the predecessor on ties), and the keys of two ranges. *)
+module Model = Set.Make (Int)
+
+let test_ground_set_model () =
+  let bound = 120 in
+  let net = Network.create ~hosts:16 in
+  let b = B1.build ~net ~seed:9 ~m:8 [||] in
+  let rng = Prng.create 0x51 in
+  let model = ref Model.empty in
+  let check step =
+    let what fmt = Printf.ksprintf (fun s -> Printf.sprintf "step %d: %s" step s) fmt in
+    B1.check_invariants b;
+    Alcotest.(check int) (what "size") (Model.cardinal !model) (B1.size b);
+    for q = -1 to bound do
+      if q mod 7 = 0 || Model.mem q !model then begin
+        let res = B1.query b ~rng q in
+        let pred = Model.find_last_opt (fun k -> k <= q) !model in
+        let succ = Model.find_first_opt (fun k -> k >= q) !model in
+        let nearest =
+          match (pred, succ) with
+          | Some p, Some s when q - p > s - q -> succ
+          | None, _ -> succ
+          | _ -> pred
+        in
+        Alcotest.(check (option int)) (what "predecessor of %d" q) pred res.B1.predecessor;
+        Alcotest.(check (option int)) (what "successor of %d" q) succ res.B1.successor;
+        Alcotest.(check (option int)) (what "nearest to %d" q) nearest res.B1.nearest
+      end
+    done;
+    List.iter
+      (fun (lo, hi) ->
+        let want = Model.elements (Model.filter (fun k -> lo <= k && k <= hi) !model) in
+        Alcotest.(check (list int)) (what "range [%d, %d]" lo hi) want (B1.range b ~rng ~lo ~hi).B1.keys)
+      [ (0, bound); (step mod bound, (step mod bound) + 17) ]
+  in
+  let step = ref 0 in
+  let apply op k =
+    let present = Model.mem k !model in
+    let cost, noop =
+      match op with
+      | `Insert ->
+          model := Model.add k !model;
+          (B1.insert b k, present)
+      | `Delete ->
+          model := Model.remove k !model;
+          (B1.delete b k, not present)
+    in
+    Alcotest.(check bool) (Printf.sprintf "step %d: cost 0 iff no-op" !step) noop (cost = 0);
+    incr step;
+    check !step
+  in
+  check 0;
+  List.iter
+    (fun (op, k) -> apply op k)
+    [ (`Delete, 5); (`Insert, 5); (`Insert, 5); (`Delete, 6); (`Delete, 5); (`Delete, 5) ];
+  for _ = 1 to 300 do
+    let k =
+      if Prng.int rng 3 = 0 && not (Model.is_empty !model) then
+        List.nth (Model.elements !model) (Prng.int rng (Model.cardinal !model))
+      else Prng.int rng bound
+    in
+    apply (if Prng.int rng 5 < 3 then `Insert else `Delete) k
+  done;
+  List.iter (fun k -> apply `Delete k) (Model.elements !model);
+  Alcotest.(check int) "drained" 0 (B1.size b)
+
 let suite =
   [
     Alcotest.test_case "pinned routing digest" `Quick test_pinned_routing_digest;
     Alcotest.test_case "traced = untraced under a dead host" `Quick test_traced_equals_untraced;
+    Alcotest.test_case "ground set = sorted-set model" `Quick test_ground_set_model;
   ]

@@ -496,70 +496,6 @@ let qcheck_b1_write_parallel_equals_sequential =
       let base = b1_write_observation ~jobs:1 ~seed ~n in
       List.for_all (fun jobs -> b1_write_observation ~jobs ~seed ~n = base) [ 2; 4 ])
 
-(* The blocked structure's bulk ops (one chunk-sharded splice + one
-   rebuild per batch): everything observable must match jobs=1 bit for
-   bit, like the per-key churn above. *)
-let b1_batch_write_observation ~jobs ~seed ~n =
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let net = Network.create ~hosts:(2 * n) in
-  Pool.with_pool ~jobs @@ fun pool ->
-  let g = B1.build ~net ~seed ~m:(4 * log2i n) ?pool keys in
-  let churn = churn_keys ~seed ~count:(max 8 (n / 2)) ~bound in
-  let inserted = B1.insert_batch ?pool g churn in
-  let removed = B1.delete_batch ?pool g churn in
-  B1.check_invariants g;
-  let rng = Prng.create (seed + 1) in
-  let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:30 ~bound in
-  let answers = Array.map (fun q -> (B1.query g ~rng q).B1.nearest) qs in
-  let hosts = Network.host_count net in
-  let mem = Array.init hosts (Network.memory net) in
-  let traffic = Array.init hosts (Network.traffic net) in
-  ( inserted,
-    removed,
-    answers,
-    mem,
-    traffic,
-    Network.total_messages net,
-    Network.sessions_started net,
-    (B1.size g, B1.levels g, B1.total_storage g) )
-
-let qcheck_b1_batch_write_parallel_equals_sequential =
-  QCheck.Test.make
-    ~name:"blocked 1-d: insert_batch/delete_batch == sequential for jobs in {1,2,4}" ~count:4
-    QCheck.(pair (int_range 0 1000) (int_range 60 200))
-    (fun (seed, n) ->
-      let base = b1_batch_write_observation ~jobs:1 ~seed ~n in
-      List.for_all (fun jobs -> b1_batch_write_observation ~jobs ~seed ~n = base) [ 2; 4 ])
-
-(* The blocked rebuild is a pure function of the ground set, so a batch
-   op must leave exactly the state the per-key loop leaves — same size,
-   storage and per-host memory charges (traffic differs by design: the
-   batch is a maintenance op and runs no locate queries). *)
-let test_b1_batch_equals_per_key_state () =
-  let seed = 7 and n = 120 in
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let churn = churn_keys ~seed ~count:40 ~bound in
-  let state g net =
-    ( B1.size g,
-      B1.total_storage g,
-      B1.replicated_storage g,
-      B1.max_host_memory g,
-      Array.init (Network.host_count net) (Network.memory net) )
-  in
-  let net1 = Network.create ~hosts:(2 * n) in
-  let g1 = B1.build ~net:net1 ~seed ~m:(4 * log2i n) keys in
-  Array.iter (fun k -> ignore (B1.insert g1 k : int)) churn;
-  let net2 = Network.create ~hosts:(2 * n) in
-  let g2 = B1.build ~net:net2 ~seed ~m:(4 * log2i n) keys in
-  checki "batch inserted all" (Array.length churn) (B1.insert_batch g2 churn);
-  checkb "state equal after insert" true (state g1 net1 = state g2 net2);
-  Array.iter (fun k -> ignore (B1.delete g1 k : int)) churn;
-  checki "batch removed all" (Array.length churn) (B1.delete_batch g2 churn);
-  checkb "state equal after delete" true (state g1 net1 = state g2 net2);
-  B1.check_invariants g2
-
 (* ------- utilization counters ------- *)
 
 let test_pool_utilization_counters () =
@@ -619,11 +555,8 @@ let suite =
         test_multid_batch_matches_loop ());
     QCheck_alcotest.to_alcotest qcheck_b1_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest qcheck_hint_parallel_equals_sequential;
-    Alcotest.test_case "blocked batch ops leave the per-key state" `Quick
-      test_b1_batch_equals_per_key_state;
     Alcotest.test_case "pool utilization counters" `Quick test_pool_utilization_counters;
     Alcotest.test_case "clamp_jobs caps at the recommended count" `Quick test_clamp_jobs;
     QCheck_alcotest.to_alcotest qcheck_hint_write_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest qcheck_b1_write_parallel_equals_sequential;
-    QCheck_alcotest.to_alcotest qcheck_b1_batch_write_parallel_equals_sequential;
   ]

@@ -192,63 +192,6 @@ let qcheck_build_and_partition =
           match TM.locate_opt t q with Some tr -> TM.trap_contains tr q | None -> false)
         queries)
 
-(* Everything observable about a map, trapezoid ids included. The alive
-   list's order is deliberately NOT part of the observable state (the
-   batch engine permutes it), so the census is sorted. *)
-let trap_census t =
-  TM.traps t
-  |> List.map (fun tr ->
-         ( TM.trap_id tr,
-           TM.trap_xspan tr,
-           (match TM.trap_top tr with Some s -> Segment.id s | None -> -1),
-           match TM.trap_bottom tr with Some s -> Segment.id s | None -> -1 ))
-  |> List.sort compare
-
-let test_build_matches_insert_loop () =
-  let segs = Workload.disjoint_segments ~seed:21 ~n:60 in
-  (* Reference: the per-segment insert loop in array order. *)
-  let tref = TM.empty () in
-  Array.iter (fun s -> TM.insert tref s) segs;
-  let census = trap_census tref in
-  let t = TM.build segs in
-  TM.check_invariants t;
-  checkb "build = per-insert loop (tids included)" true (trap_census t = census)
-
-let test_of_sorted_permutation_invariant () =
-  let segs = Workload.disjoint_segments ~seed:22 ~n:40 in
-  let census = trap_census (TM.of_sorted segs) in
-  let rev = Array.of_list (List.rev (Array.to_list segs)) in
-  checkb "of_sorted permutation invariant" true (trap_census (TM.of_sorted rev) = census)
-
-let qcheck_insert_batch_matches_per_key_loop =
-  QCheck.Test.make ~name:"trapmap insert_batch = per-key loop" ~count:12
-    QCheck.(triple (int_range 0 10_000) (int_range 0 25) (int_range 1 25))
-    (fun (seed, nbase, nbatch) ->
-      let all = Workload.disjoint_segments ~seed ~n:(nbase + nbatch) in
-      let base = Array.sub all 0 nbase and batch = Array.sub all nbase nbatch in
-      (* Reference: the per-segment delta loop over the same starting map. *)
-      let tref = TM.build base in
-      let deltas_ref = Array.map (fun s -> TM.insert_delta tref s) batch in
-      let census_ref = trap_census tref in
-      let t = TM.build base in
-      let deltas = TM.insert_batch t batch in
-      TM.check_invariants t;
-      Array.of_list deltas = deltas_ref && trap_census t = census_ref)
-
-let test_batch_rejection_is_atomic () =
-  let segs = Workload.disjoint_segments ~seed:23 ~n:10 in
-  let t = TM.build segs in
-  let census = trap_census t in
-  let good = Segment.make ~id:100 (0.001, 0.001) (0.002, 0.001) in
-  let outside = Segment.make ~id:102 (-0.5, 0.5) (0.005, 0.5) in
-  checkb "invalid batch rejected" true
-    (try
-       ignore (TM.insert_batch t [| good; outside |]);
-       false
-     with Invalid_argument _ -> true);
-  checkb "map untouched after rejection" true (trap_census t = census);
-  TM.check_invariants t
-
 let suite =
   [
     Alcotest.test_case "empty map" `Quick test_empty_map;
@@ -265,9 +208,5 @@ let suite =
     Alcotest.test_case "Lemma 5 exact formula" `Quick test_lemma5_exact_formula;
     Alcotest.test_case "T = S means self-conflict only" `Quick test_conflict_formula_empty_difference;
     Alcotest.test_case "areas positive" `Quick test_areas_positive;
-    Alcotest.test_case "build = per-insert loop" `Quick test_build_matches_insert_loop;
-    Alcotest.test_case "of_sorted permutation invariant" `Quick test_of_sorted_permutation_invariant;
-    Alcotest.test_case "batch rejection is atomic" `Quick test_batch_rejection_is_atomic;
     QCheck_alcotest.to_alcotest qcheck_build_and_partition;
-    QCheck_alcotest.to_alcotest qcheck_insert_batch_matches_per_key_loop;
   ]
