@@ -341,10 +341,6 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
   rebuild t pool xs;
   t
 
-let replication t = t.r
-
-let cache_config t = (t.cache_levels, t.cache_replicas)
-
 (* Reconfigure the cache without a full rebuild: swap the window and
    replica count, then per block release the cache slots' charges,
    truncate the copy array to its owners and re-draw and charge the cache

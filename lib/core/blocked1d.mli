@@ -76,13 +76,6 @@ val build :
 val size : t -> int
 val levels : t -> int
 
-val replication : t -> int
-(** The replication factor [r] this structure was built with. *)
-
-val cache_config : t -> int * int
-(** The current [(cache_levels, cache_replicas)] — [(_, 1)] means the
-    read-path group cache is inactive. *)
-
 val set_cache : t -> levels:int -> k:int -> unit
 (** Reconfigure the read-path group cache in place: per block, release
     the cache copies' memory charges, truncate the copy array to its

@@ -336,7 +336,9 @@ module Make (S : Range_structure.S) = struct
      arriving one at a time. Registration is the coin-drawing step, so it
      always runs sequentially before any level task starts: the membership
      bits [Membership.prefix] derives from (seed, id, level) can never
-     depend on how the levels are later scheduled. *)
+     depend on how the levels are later scheduled. A single [insert]
+     registers after its level-0 step, so a key that step rejects draws
+     no id. *)
   let register t k =
     let id = t.next_id in
     t.next_id <- id + 1;
@@ -345,36 +347,35 @@ module Make (S : Range_structure.S) = struct
     arena_add t id;
     id
 
-  (* One level's slice of a bulk insertion: group the sorted fresh batch
-     by membership prefix, then one batch splice per level set —
-     [S.insert_batch] nets the same deltas the per-key loop reported. A
-     set the batch creates from nothing takes one canonical [S.build]
-     over its whole group. *)
-  let insert_sweep t fresh level =
+  (* The one update step of a level set, run with one key by [insert] and
+     once per prefix group by [insert_batch]: an existing set takes the
+     keys one [S.insert] at a time, in the order given, each delta
+     charged as it comes — a batch is §4's single-key step repeated, and
+     per-host memory is an order-independent sum, so the grouping never
+     shows in the charges. A set the update creates from nothing takes
+     one canonical [S.build] over the keys. *)
+  let insert_group t level b ks =
     let ly = t.layers.(level).sets and charge = direct_charge t in
-    iter_groups t fresh level (fun b ks ->
-        match ly.(b) with
-        | Some s -> apply_delta t ~charge level b (S.insert_batch s ks)
-        | None ->
-            let s = S.build ks in
-            ly.(b) <- Some s;
-            charge_fresh t ~charge level b s)
+    match ly.(b) with
+    | Some s -> Array.iter (fun k -> apply_delta t ~charge level b (S.insert s k)) ks
+    | None ->
+        let s = S.build ks in
+        ly.(b) <- Some s;
+        charge_fresh t ~charge level b s
 
-  (* One level's slice of a bulk deletion: drop a set's structure outright
-     once the batch takes every key it holds (releasing every charge it
-     held — same net charges as removing its keys one at a time), batch
-     removal otherwise. *)
-  let remove_sweep t victims level =
+  (* The mirror of [insert_group]: a set whose every key goes is dropped
+     outright, releasing every charge it held (the same net charges as
+     removing its keys one at a time). *)
+  let remove_group t level b ks =
     let ly = t.layers.(level).sets and charge = direct_charge t in
-    iter_groups t victims level (fun b ks ->
-        match ly.(b) with
-        | Some s ->
-            if S.size s = Array.length ks then begin
-              ly.(b) <- None;
-              uncharge_set t ~charge level b s
-            end
-            else apply_delta t ~charge level b (S.remove_batch s ks)
-        | None -> failwith "Hierarchy.remove_batch: missing structure")
+    match ly.(b) with
+    | Some s ->
+        if S.size s = Array.length ks then begin
+          ly.(b) <- None;
+          uncharge_set t ~charge level b s
+        end
+        else Array.iter (fun k -> apply_delta t ~charge level b (S.remove s k)) ks
+    | None -> failwith "Hierarchy.remove: missing structure"
 
   (* Run [f] on every level in [lo .. top]: in order on the calling
      domain, or with a pool as one task per level. Level ℓ holds ~n/2^ℓ
@@ -416,9 +417,9 @@ module Make (S : Range_structure.S) = struct
 
   (* Bulk insertion: register the whole batch (drawing every membership
      coin sequentially), then stream it through the hierarchy level by
-     level in sorted key order, so each level structure absorbs its keys in
-     one ascending sweep instead of [batch] independent random-rank
-     updates; with a pool the per-level sweeps run on separate domains. A
+     level in sorted key order, each level set taking its group by the
+     same update step as [insert]; with a pool the per-level sweeps run on
+     separate domains. A
      batch landing in an empty hierarchy takes the bulk level builder
      outright, also fanned per level. Pure host-side work — no query
      routing, hence no messages; returns the number of keys actually
@@ -434,7 +435,7 @@ module Make (S : Range_structure.S) = struct
       if was_empty then build_levels ?pool t 0
       else begin
         let batch = sorted_paths t fresh in
-        run_levels ?pool t (insert_sweep t batch);
+        run_levels ?pool t (fun level -> iter_groups t batch level (insert_group t level));
         grow_top ?pool t
       end;
     Array.length fresh
@@ -469,10 +470,6 @@ module Make (S : Range_structure.S) = struct
     in
     ignore (insert_batch ?pool t keys);
     t
-
-  let replication t = t.r
-
-  let cache t = (t.cache_levels, t.cache_replicas)
 
   (* ------- self-repair ------- *)
 
@@ -754,18 +751,14 @@ module Make (S : Range_structure.S) = struct
           let _, stats = query_from t (sample_id t rng) (S.probe k) in
           stats.messages
       in
-      let id = register t k in
-      let path = path_of t id in
-      let charge = direct_charge t in
-      for level = 0 to t.top do
-        let ly = t.layers.(level).sets in
-        let b = path lsr (t.top - level) in
-        match ly.(b) with
-        | Some s -> apply_delta t ~charge level b (S.insert s k)
-        | None ->
-            let s = S.build [| k |] in
-            ly.(b) <- Some s;
-            charge_fresh t ~charge level b s
+      (* Level 0 first, before [register] draws the id: every key a
+         structure rejects raises there, leaving no trace. Level 0 holds
+         the single set 0. *)
+      let path = path_of t t.next_id in
+      insert_group t 0 0 [| k |];
+      ignore (register t k : int);
+      for level = 1 to t.top do
+        insert_group t level (path lsr (t.top - level)) [| k |]
       done;
       let linking_cost = 2 * (t.top + 1) in
       grow_top t;
@@ -782,18 +775,8 @@ module Make (S : Range_structure.S) = struct
           stats.messages
         in
         let path = path_of t id in
-        let charge = direct_charge t in
         for level = 0 to t.top do
-          let ly = t.layers.(level).sets in
-          let b = path lsr (t.top - level) in
-          match ly.(b) with
-          | Some s ->
-              if S.size s = 1 then begin
-                ly.(b) <- None;
-                uncharge_set t ~charge level b s
-              end
-              else apply_delta t ~charge level b (S.remove s k)
-          | None -> failwith "Hierarchy.remove: missing structure"
+          remove_group t level (path lsr (t.top - level)) [| k |]
         done;
         Hashtbl.remove t.key_ids k;
         Hashtbl.remove t.id_keys id;
@@ -803,9 +786,8 @@ module Make (S : Range_structure.S) = struct
         cost
 
   (* Bulk deletion, the mirror of [insert_batch]: one sorted sweep per
-     level (fanned over the pool when one is given), dropping a level set's
-     structure outright once the batch takes every key it holds, then one
-     hierarchy shrink at the end. Host-side only; returns the number of
+     level (fanned over the pool when one is given) through [remove_group],
+     then one hierarchy shrink at the end. Host-side only; returns the number of
      keys actually removed. *)
   let remove_batch ?pool t keys =
     let victims = ref [] in
@@ -823,7 +805,7 @@ module Make (S : Range_structure.S) = struct
     if count = 0 then 0
     else begin
       let batch = sorted_paths t victims in
-      run_levels ?pool t (remove_sweep t batch);
+      run_levels ?pool t (fun level -> iter_groups t batch level (remove_group t level));
       Array.iter
         (fun (k, id) ->
           Hashtbl.remove t.key_ids k;

@@ -74,13 +74,6 @@ module Make (S : Range_structure.S) : sig
   val levels : t -> int
   (** K + 1: the number of levels including level 0. *)
 
-  val replication : t -> int
-  (** The replication factor [r] this hierarchy was built with. *)
-
-  val cache : t -> int * int
-  (** [(cache_levels, cache_replicas)] this hierarchy was built with —
-      [(0, 1)] (or any [k = 1]) means the read-path cache is inactive. *)
-
   (** {1 Failure handling}
 
       Placement is a pure hash of (seed, level set, range id, replica
@@ -190,7 +183,11 @@ module Make (S : Range_structure.S) : sig
   (** Add an element; returns the message cost (a locate plus O(1) linking
       messages per level, §4). Grows the level hierarchy when n crosses a
       power of two. Host-side work is O(log n) bookkeeping plus the
-      structure's own update cost — never O(n). *)
+      structure's own update cost — never O(n). A key the level
+      structures reject (a crossing segment, a point of the wrong
+      dimension...) raises from level 0 before the element is registered
+      or anything is charged, so the hierarchy is left exactly as it was;
+      only the locate's messages were billed. *)
 
   val remove : t -> S.key -> int
   (** Delete an element; returns the message cost. Raises if the underlying
@@ -203,16 +200,18 @@ module Make (S : Range_structure.S) : sig
       already-present keys skipped, ids assigned in presentation order —
       so a bulk load is indistinguishable from the same keys arriving one
       at a time), then streams it through the hierarchy one level at a
-      time in sorted key order, so each level structure absorbs its keys
-      in a single ascending sweep instead of [batch] independent
-      random-rank updates. A batch landing in an empty hierarchy takes
-      the bulk level builder (per level, one counting sort of the ground
-      set by membership prefix and one build per level set), as do the
-      new top levels when a batch grows the hierarchy. [build] routes
-      through this. Host-side bulk-load work only — no query routing, so
-      unlike {!insert} the return value is the number of keys actually
-      inserted, not a message cost. Memory charges are maintained exactly
-      as for {!insert}.
+      time in sorted key order: each level set takes its share of the
+      batch by the same per-key update step as {!insert}, or one build
+      when the batch creates the set. A batch landing in an empty
+      hierarchy takes the bulk level builder (per level, one counting
+      sort of the ground set by membership prefix and one build per level
+      set), as do the new top levels when a batch grows the hierarchy.
+      [build] routes through this. Host-side bulk-load work only — no
+      query routing, so unlike {!insert} the return value is the number
+      of keys actually inserted, not a message cost. Memory charges are
+      maintained exactly as for {!insert}. Unlike {!insert}, a batch
+      holding a key the level structures reject raises with the batch
+      already registered, leaving the hierarchy inconsistent.
 
       With [pool], the levels fan out over its domains, one task per
       level dispatched heaviest-first; each task runs its level's sweep
@@ -229,8 +228,9 @@ module Make (S : Range_structure.S) : sig
   val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
   (** Bulk deletion, the mirror of {!insert_batch}: one sorted sweep per
       level (fanned over [pool] when given, with the same determinism
-      guarantee), dropping a level set's structure outright once the batch
-      has emptied it, then one hierarchy shrink at the end. Returns the
+      guarantee), each level set losing its share by the per-key step of
+      {!remove} or dropped outright once the batch empties it, then one
+      hierarchy shrink at the end. Returns the
       number of keys actually removed (absent keys and duplicates are
       skipped). *)
 

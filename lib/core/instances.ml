@@ -14,9 +14,9 @@
     clause of {!Range_structure} requires: the parallel write path builds
     structures of different levels on different domains concurrently, and
     shared hidden state would both race and make range ids (hence host
-    placement and memory charges) depend on scheduling. Batch updates
-    are the per-key loop ({!Range_structure.batch_of_fold}) except for
-    the sorted list, whose one-pass splice measurably beats it. *)
+    placement and memory charges) depend on scheduling. Each instance
+    updates one key at a time; the hierarchy runs a batch as that
+    per-key step repeated. *)
 
 module Point = Skipweb_geom.Point
 module Segment = Skipweb_geom.Segment
@@ -167,64 +167,6 @@ module Ints :
     if gone then { Range_structure.added = []; removed = [ (2 * n) - 1; 2 * n ] }
     else Range_structure.empty_delta
 
-  (* The union of two strictly increasing arrays, and the keys of [a]
-     that [b] lacks: a flat set's batch splices. *)
-  let union a b =
-    let na = Array.length a and nb = Array.length b in
-    let out = Array.make (na + nb) 0 in
-    let rec go i j o =
-      if i = na && j = nb then o
-      else if j = nb || (i < na && a.(i) < b.(j)) then begin
-        out.(o) <- a.(i);
-        go (i + 1) j (o + 1)
-      end
-      else begin
-        out.(o) <- b.(j);
-        go (if i < na && a.(i) = b.(j) then i + 1 else i) (j + 1) (o + 1)
-      end
-    in
-    let o = go 0 0 0 in
-    if o = na + nb then out else Array.sub out 0 o
-
-  let minus a b =
-    let out = Array.make (Array.length a) 0 and o = ref 0 in
-    Array.iter
-      (fun k ->
-        let r = O.array_lower_bound b k in
-        if r = Array.length b || b.(r) <> k then begin
-          out.(!o) <- k;
-          incr o
-        end)
-      a;
-    Array.sub out 0 !o
-
-  (* The dense-code deltas of a batch: g new keys over a set of n0 extend
-     the code space by 2g codes — exactly the union of the per-key loop's
-     [(2n+1; 2n+2)] steps as n runs n0 .. n0+g-1, already ascending.
-     Batches must reach the splice strictly increasing; callers may hand
-     over merely sorted (or unsorted) key runs, so both entry points run
-     the shared presort first. *)
-  let insert_batch t ks =
-    let n0 = size t in
-    let ks = Presort.sorted_distinct ~cmp:Int.compare ks in
-    (match t.seq with Some s -> ignore (O.insert_batch s ks) | None -> set_keys t (union t.flat ks));
-    let added = size t - n0 in
-    if added = 0 then Range_structure.empty_delta
-    else
-      { Range_structure.added = List.init (2 * added) (fun i -> (2 * n0) + 1 + i); removed = [] }
-
-  let remove_batch t ks =
-    let n0 = size t in
-    let ks = Presort.sorted_distinct ~cmp:Int.compare ks in
-    (match t.seq with
-    | Some s ->
-        ignore (O.remove_batch s ks);
-        settle t s
-    | None -> t.flat <- minus t.flat ks);
-    let n1 = size t in
-    if n1 = n0 then Range_structure.empty_delta
-    else { Range_structure.added = []; removed = List.init (2 * (n0 - n1)) (fun i -> (2 * n1) + 1 + i) }
-
   let probe k = k
 
   (* A full locate walks the distributed list from its head — every range
@@ -343,9 +285,6 @@ end) :
     let _, added, removed = Cqtree.remove_delta t k in
     { Range_structure.added; removed }
 
-  let insert_batch = Range_structure.batch_of_fold insert
-  let remove_batch = Range_structure.batch_of_fold remove
-
   let probe k = k
 
   let locate = Cqtree.locate_ids
@@ -438,9 +377,6 @@ module Strings :
     let _, added, removed = Ctrie.remove_delta t k in
     { Range_structure.added; removed }
 
-  let insert_batch = Range_structure.batch_of_fold insert
-  let remove_batch = Range_structure.batch_of_fold remove
-
   let probe k = k
 
   let ids_of_path path = List.map Ctrie.node_id path
@@ -514,12 +450,6 @@ module Segments :
 
   let remove _t _k =
     failwith "Segments.remove: trapezoidal-map deletion is out of scope (paper §4 amortizes insertions only)"
-
-  let insert_batch = Range_structure.batch_of_fold insert
-
-  (* Deletions raise (out of scope for trapezoidal maps), so the only
-     batch that gets past the first key is the empty one. *)
-  let remove_batch = Range_structure.batch_of_fold remove
 
   (* A point just above the segment's midpoint locates where the segment
      will land. *)

@@ -31,7 +31,9 @@
     re-enumerating the live ranges with [iter_range_ids] (which would make
     every update O(n) host-side), so deltas must be exact: after an update,
     the previously charged set plus [added] minus [removed] must equal the
-    ids [iter_range_ids] enumerates.
+    ids [iter_range_ids] enumerates. They are the only updates an instance
+    supplies: the hierarchy applies a batch one key at a time, as §4 bills
+    it, and charges each key's delta as it comes.
 
     Domain confinement (the parallel write path): with a pool, the
     hierarchy's builds and batch updates run one task per level on
@@ -51,31 +53,6 @@ type range_delta = { added : int list; removed : int list }
     the two lists are disjoint. *)
 
 let empty_delta = { added = []; removed = [] }
-
-(** Net effect of a sequence of per-key deltas, in application order. Ids
-    are never reused, so an id created and then destroyed inside the batch
-    cancels exactly; everything else survives. Both output lists are
-    sorted ascending — a canonical order, so the net delta is a pure
-    function of the delta {e multiset} and batch implementations that
-    reorder or regroup per-key work still report identical deltas. *)
-let net_deltas ds =
-  let added = Hashtbl.create 16 in
-  let removed = ref [] in
-  List.iter
-    (fun d ->
-      List.iter (fun id -> Hashtbl.replace added id ()) d.added;
-      List.iter
-        (fun id -> if Hashtbl.mem added id then Hashtbl.remove added id else removed := id :: !removed)
-        d.removed)
-    ds;
-  let adds = Hashtbl.fold (fun id () acc -> id :: acc) added [] in
-  { added = List.sort compare adds; removed = List.sort compare !removed }
-
-(** Per-key batch for structures without a native batch path: apply
-    [op] key by key in array order and net the deltas. The mutations and
-    ids are exactly the per-key loop's, only the reporting is batched. *)
-let batch_of_fold op t keys =
-  net_deltas (List.rev (Array.fold_left (fun acc k -> op t k :: acc) [] keys))
 
 module type S = sig
   type key
@@ -127,20 +104,6 @@ module type S = sig
   (** Delete a key (no-op if absent, returning {!empty_delta}). Raises
       [Failure] for structures whose deletions are out of scope
       (trapezoidal maps, per §4's hedge). *)
-
-  val insert_batch : t -> key array -> range_delta
-  (** Add a whole sorted batch of keys (duplicates — of each other or of
-      stored keys — are no-ops) and return the {e net} delta: exactly
-      {!net_deltas} of the per-key deltas the one-at-a-time loop would
-      have produced, with both lists in ascending id order. The final
-      structure must be the one the per-key loop leaves; {!batch_of_fold}
-      is that loop, and an instance supplies a native engine only where it
-      is measurably faster (the 1-d sorted list's one-pass splice). *)
-
-  val remove_batch : t -> key array -> range_delta
-  (** Batch counterpart of {!remove}, same contract shape as
-      {!insert_batch}; raises [Failure] on non-empty batches for
-      structures whose deletions are out of scope. *)
 
   val probe : key -> query
   (** A query that routes to the place a key occupies (or would occupy) —

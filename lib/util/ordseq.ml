@@ -405,27 +405,6 @@ let nearest t q =
   else if q - h.pred <= h.succ - q then Some h.pred
   else Some h.succ
 
-let range_keys t ~lo ~hi =
-  if lo > hi || t.total = 0 then []
-  else begin
-    let start = lower_bound t lo in
-    if start >= t.total then []
-    else begin
-      let j0, p0 = fen_find t start in
-      let acc = ref [] in
-      (try
-         for j = j0 to t.nchunks - 1 do
-           let c = t.chunk.(j) and len = t.clen.(j) in
-           for p = (if j = j0 then p0 else 0) to len - 1 do
-             if c.(p) > hi then raise Exit;
-             acc := c.(p) :: !acc
-           done
-         done
-       with Exit -> ());
-      List.rev !acc
-    end
-  end
-
 (* ---------- parallel batch splice ---------- *)
 
 (* The batch engine: route a sorted batch to chunks through the [cmax]

@@ -98,13 +98,8 @@ val nearest : t -> int -> int option
 (** Nearest stored key by absolute distance; ties go to the predecessor
     (matching [Linklist.nearest]). *)
 
-val iter : (int -> unit) -> t -> unit
-(** Ascending; O(n) with no per-element search. *)
-
 val to_array : t -> int array
-
-val range_keys : t -> lo:int -> hi:int -> int list
-(** Keys in the closed interval [\[lo, hi\]], ascending — O(log n + k). *)
+(** Ascending; O(n) with no per-element search. *)
 
 val insert_batch : ?pool:Pool.t -> t -> int array -> int
 (** [insert_batch ?pool t ks] adds every key of the strictly increasing

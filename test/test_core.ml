@@ -318,6 +318,78 @@ let test_hseg_insert () =
   HSeg.check_invariants h;
   checki "size grew" 41 (HSeg.size h)
 
+(* ------- rejected single inserts ------- *)
+
+(* A key a level structure rejects raises at level 0, before the
+   hierarchy registers it, so the hierarchy must read exactly as a twin
+   that never saw the key: the same size and invariants, and after one
+   later valid insert into both, the same per-host memory, answers and
+   per-query messages. Only the rejected insert's locate may show, in
+   the network's message total. *)
+module Rejection (S : Skipweb_core.Range_structure.S) = struct
+  module Hr = H.Make (S)
+
+  let run ~what ~hosts ~seed keys ~bad ~expect ~valid queries =
+    let net1 = Network.create ~hosts and net2 = Network.create ~hosts in
+    let h1 = Hr.build ~net:net1 ~seed keys and h2 = Hr.build ~net:net2 ~seed keys in
+    let before = Network.total_messages net1 in
+    (match Hr.insert h1 bad with
+    | _ -> Alcotest.failf "%s: the bad key was accepted" what
+    | exception Invalid_argument msg -> Alcotest.(check string) (what ^ ": rejection") expect msg);
+    let locate = Network.total_messages net1 - before in
+    checki (what ^ ": size after the rejection") (Array.length keys) (Hr.size h1);
+    Hr.check_invariants h1;
+    ignore (Hr.insert h1 valid : int);
+    ignore (Hr.insert h2 valid : int);
+    Hr.check_invariants h1;
+    checki (what ^ ": size") (Hr.size h2) (Hr.size h1);
+    for host = 0 to hosts - 1 do
+      checki (Printf.sprintf "%s: host %d memory" what host) (Network.memory net2 host)
+        (Network.memory net1 host)
+    done;
+    checki (what ^ ": message total, less the rejected locate")
+      (Network.total_messages net2) (Network.total_messages net1 - locate);
+    let rng1 = Prng.create 7 and rng2 = Prng.create 7 in
+    Array.iter
+      (fun q ->
+        let a1, st1 = Hr.query h1 ~rng:rng1 q and a2, st2 = Hr.query h2 ~rng:rng2 q in
+        checkb (what ^ ": same answer") true (a1 = a2);
+        checki (what ^ ": same messages") st2.Hr.messages st1.Hr.messages)
+      queries
+end
+
+module Seg_rejection = Rejection (I.Segments)
+module Pt_rejection = Rejection (I.Points2d)
+
+let test_rejected_segment_insert () =
+  let segs = W.disjoint_segments ~seed:48 ~n:21 in
+  let base = Array.sub segs 0 20 in
+  let (x0, y0), (x1, _) = Skipweb_geom.Segment.endpoints segs.(0) in
+  let xa = x0 +. (0.37 *. (x1 -. x0)) and w = 0.05 *. (x1 -. x0) in
+  let ya = Skipweb_geom.Segment.y_at segs.(0) xa in
+  let make = Skipweb_geom.Segment.make ~id:1000 in
+  List.iter
+    (fun (what, bad, expect) ->
+      Seg_rejection.run ~what ~hosts:128 ~seed:49 base ~bad ~expect ~valid:segs.(20)
+        (W.trapmap_query_points ~seed:50 ~n:60))
+    [
+      ( "crossing",
+        make (xa -. w, ya -. 0.01) (xa +. (2.0 *. w), ya +. 0.02),
+        "Trapmap: segments must be non-crossing" );
+      ( "shared abscissa",
+        make (x0, if y0 < 0.5 then y0 +. 0.2 else y0 -. 0.2) (x0 +. 0.0123457, 0.5),
+        "Trapmap: endpoint x-coordinates must be pairwise distinct" );
+      ( "outside the square",
+        make (0.6123457, -0.05) (0.7123457, 0.2),
+        "Trapmap: segment endpoints must lie strictly inside the unit square" );
+    ]
+
+let test_rejected_point_insert () =
+  let pts = W.uniform_points ~seed:51 ~n:60 ~dim:2 in
+  Pt_rejection.run ~what:"wrong dimension" ~hosts:64 ~seed:52 (Array.sub pts 0 59)
+    ~bad:[| 0.25; 0.5; 0.75 |] ~expect:"Cqtree.insert: dimension mismatch" ~valid:pts.(59)
+    (W.uniform_query_points ~seed:53 ~n:60 ~dim:2)
+
 (* ------- blocked 1-d skip-web (§2.4.1) ------- *)
 
 let test_blocked_build () =
@@ -575,15 +647,18 @@ let test_redraw_key_guard () =
 
 (* A bulk insert must leave the hierarchy in exactly the state the same
    keys arriving one at a time produce: ids are assigned in presentation
-   order either way, and ids drive membership, placement and charging. *)
-let test_insert_batch_matches_sequential () =
-  let all = W.distinct_ints ~seed:21 ~n:240 ~bound:20_000 in
-  let base = Array.sub all 0 120 and extra = Array.sub all 120 120 in
+   order either way, and ids drive membership, placement and charging.
+   Each test runs twice: at 120 + 120 keys, and at sizes where the one
+   batch takes the level-0 set across the 32-key flat/chunked cutoff of
+   [I.Ints] (20 -> 50 keys, and 50 -> 20 for removal). *)
+let insert_batch_matches_sequential ~base:nb ~extra:ne =
+  let all = W.distinct_ints ~seed:21 ~n:(nb + ne) ~bound:20_000 in
+  let base = Array.sub all 0 nb and extra = Array.sub all nb ne in
   let net1 = Network.create ~hosts:64 and net2 = Network.create ~hosts:64 in
   let h1 = HInt.build ~net:net1 ~seed:77 base in
   let h2 = HInt.build ~net:net2 ~seed:77 base in
   Array.iter (fun k -> ignore (HInt.insert h1 k)) extra;
-  checki "batch count" 120 (HInt.insert_batch h2 extra);
+  checki "batch count" ne (HInt.insert_batch h2 extra);
   checki "batch skips present keys" 0 (HInt.insert_batch h2 extra);
   HInt.check_invariants h1;
   HInt.check_invariants h2;
@@ -600,14 +675,14 @@ let test_insert_batch_matches_sequential () =
     check_opt "same answers" a1 a2
   done
 
-let test_remove_batch_matches_sequential () =
-  let all = W.distinct_ints ~seed:22 ~n:200 ~bound:20_000 in
-  let victims = Array.sub all 40 130 in
+let remove_batch_matches_sequential ~n ~first ~victims:nv =
+  let all = W.distinct_ints ~seed:22 ~n ~bound:20_000 in
+  let victims = Array.sub all first nv in
   let net1 = Network.create ~hosts:64 and net2 = Network.create ~hosts:64 in
   let h1 = HInt.build ~net:net1 ~seed:78 all in
   let h2 = HInt.build ~net:net2 ~seed:78 all in
   Array.iter (fun k -> ignore (HInt.remove h1 k)) victims;
-  checki "batch count" 130 (HInt.remove_batch h2 victims);
+  checki "batch count" nv (HInt.remove_batch h2 victims);
   checki "batch skips absent keys" 0 (HInt.remove_batch h2 victims);
   HInt.check_invariants h1;
   HInt.check_invariants h2;
@@ -623,6 +698,14 @@ let test_remove_batch_matches_sequential () =
     let a1, _ = HInt.query h1 ~rng:rng1 probe and a2, _ = HInt.query h2 ~rng:rng2 probe in
     check_opt "same answers" a1 a2
   done
+
+let test_insert_batch_matches_sequential () =
+  insert_batch_matches_sequential ~base:120 ~extra:120;
+  insert_batch_matches_sequential ~base:20 ~extra:30
+
+let test_remove_batch_matches_sequential () =
+  remove_batch_matches_sequential ~n:200 ~first:40 ~victims:130;
+  remove_batch_matches_sequential ~n:50 ~first:10 ~victims:30
 
 let test_remove_batch_to_empty () =
   let all = W.distinct_ints ~seed:23 ~n:70 ~bound:9_000 in
@@ -1057,14 +1140,14 @@ let run_pinned_segments_churn () =
 
 (* ------- the 1-d level set against a sorted-array model ------- *)
 
-(* [I.Ints] driven directly through seeded random single and batch
-   updates while its size walks 0 -> 96 -> 0, stepping through 15, 16,
-   17, 31, 32, 33 and 64 both ways and jumping across 16 and 32 in
-   single batches: every size where a small-set representation could
-   switch to another. After every step the set is checked against a
-   sorted array: size, storage, the dense range ids 0 .. 2m, the exact
-   delta, and every query surface at each stored key, each gap and both
-   ends. *)
+(* [I.Ints] driven directly through seeded random single updates and
+   batches of them while its size walks 0 -> 96 -> 0, stepping through
+   15, 16, 17, 31, 32, 33 and 64 both ways and jumping across 16 and 32
+   in single batches: every size where a small-set representation could
+   switch to another. Every update's delta is checked exactly, and after
+   every step the set is checked against a sorted array: size, storage,
+   the dense range ids 0 .. 2m, and every query surface at each stored
+   key, each gap and both ends. *)
 module Ints_model = struct
   module IS = Set.Make (Int)
 
@@ -1148,24 +1231,32 @@ module Ints_model = struct
     expect ints "range ids 0 .. 2m" (range 0 (2 * m)) (List.sort compare !ids);
     check_queries st
 
-  let insert st k =
+  (* One update and its exact delta; the full state check is the
+     caller's, once per step. *)
+  let insert_key st k =
     let n = IS.cardinal st.keys in
     let d = I.Ints.insert st.t k in
     if IS.mem k st.keys then check_delta "duplicate insert" d ~added:[] ~removed:[]
     else begin
       check_delta "insert" d ~added:[ (2 * n) + 1; (2 * n) + 2 ] ~removed:[];
       st.keys <- IS.add k st.keys
-    end;
-    check_state st
+    end
 
-  let remove st k =
+  let remove_key st k =
     let n = IS.cardinal st.keys in
     let d = I.Ints.remove st.t k in
     if IS.mem k st.keys then begin
       check_delta "remove" d ~added:[] ~removed:[ (2 * n) - 1; 2 * n ];
       st.keys <- IS.remove k st.keys
     end
-    else check_delta "absent remove" d ~added:[] ~removed:[];
+    else check_delta "absent remove" d ~added:[] ~removed:[]
+
+  let insert st k =
+    insert_key st k;
+    check_state st
+
+  let remove st k =
+    remove_key st k;
     check_state st
 
   let stored st = Array.of_list (IS.elements st.keys)
@@ -1189,31 +1280,23 @@ module Ints_model = struct
 
   (* A batch arrives unsorted and with repeats: its [g] effective keys
      (some twice) plus up to three no-op keys — stored ones for an
-     insert, absent ones for a remove — shuffled. *)
+     insert, absent ones for a remove — shuffled. It is applied the way
+     the hierarchy applies one, key by key, each delta checked. *)
   let batch st effective noop =
     let a = Array.of_list (effective @ List.filteri (fun i _ -> i mod 3 = 0) effective @ noop) in
     Prng.shuffle st.rng a;
     a
 
   let insert_batch st g =
-    let n0 = IS.cardinal st.keys in
     let news = fresh_keys st g [] in
-    let dups = held_keys st (min n0 (Prng.int st.rng 4)) in
-    let d = I.Ints.insert_batch st.t (batch st news dups) in
-    check_delta (Printf.sprintf "insert_batch %d over %d" g n0) d
-      ~added:(range ((2 * n0) + 1) (2 * (n0 + g)))
-      ~removed:[];
-    List.iter (fun k -> st.keys <- IS.add k st.keys) news;
+    let dups = held_keys st (min (IS.cardinal st.keys) (Prng.int st.rng 4)) in
+    Array.iter (insert_key st) (batch st news dups);
     check_state st
 
   let remove_batch st g =
-    let n0 = IS.cardinal st.keys in
     let gone = held_keys st g in
     let absents = fresh_keys st (Prng.int st.rng 4) [] in
-    let d = I.Ints.remove_batch st.t (batch st gone absents) in
-    check_delta (Printf.sprintf "remove_batch %d over %d" g n0) d ~added:[]
-      ~removed:(range ((2 * (n0 - g)) + 1) (2 * n0));
-    List.iter (fun k -> st.keys <- IS.remove k st.keys) gone;
+    Array.iter (remove_key st) (batch st gone absents);
     check_state st
 
   (* Walk to [target] by a random mix of single and batch updates that
@@ -1293,6 +1376,8 @@ let suite =
     Alcotest.test_case "trie web insert/remove" `Quick test_hstr_insert_remove;
     Alcotest.test_case "trapmap web point location" `Quick test_hseg_point_location;
     Alcotest.test_case "trapmap web insert" `Quick test_hseg_insert;
+    Alcotest.test_case "rejected segment insert leaves no trace" `Quick test_rejected_segment_insert;
+    Alcotest.test_case "rejected point insert leaves no trace" `Quick test_rejected_point_insert;
     Alcotest.test_case "blocked build" `Quick test_blocked_build;
     Alcotest.test_case "blocked query correct" `Quick test_blocked_query_correct;
     Alcotest.test_case "blocked beats generic (A1)" `Quick test_blocked_fewer_messages_than_generic;

@@ -442,13 +442,6 @@ let test_ordseq_empty () =
   checkb "absent remove" false (Ordseq.remove t 42);
   checki "empty again" 0 (Ordseq.length t)
 
-let test_ordseq_range_keys () =
-  let t = Ordseq.of_sorted_array (Array.init 100 (fun i -> 10 * i)) in
-  checkb "interior range" true (Ordseq.range_keys t ~lo:25 ~hi:61 = [ 30; 40; 50; 60 ]);
-  checkb "empty range" true (Ordseq.range_keys t ~lo:31 ~hi:39 = []);
-  checkb "full range" true
-    (List.length (Ordseq.range_keys t ~lo:min_int ~hi:max_int) = 100)
-
 let test_ordseq_nearest_tie () =
   let t = Ordseq.of_sorted_array [| 10; 20 |] in
   checkb "tie goes to predecessor" true (Ordseq.nearest t 15 = Some 10);
@@ -833,7 +826,6 @@ let suite =
     Alcotest.test_case "ordseq of_array sorts+dedups" `Quick test_ordseq_of_array;
     Alcotest.test_case "ordseq rejects unsorted" `Quick test_ordseq_rejects_unsorted;
     Alcotest.test_case "ordseq empty edge cases" `Quick test_ordseq_empty;
-    Alcotest.test_case "ordseq range_keys" `Quick test_ordseq_range_keys;
     Alcotest.test_case "ordseq nearest tie-break" `Quick test_ordseq_nearest_tie;
     Alcotest.test_case "ordseq incremental growth" `Quick test_ordseq_incremental_growth;
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
