@@ -291,13 +291,13 @@ let test_pinned_placement () =
    re-homed. At r = 3 with a cached window (c = 4, k = 4) nothing is
    lost; at r = 1 every copy on a dead host is [lost]. Pinned per epoch
    are the repair stats and a digest of every host's charged memory, at
-   jobs 1 and 2. *)
+   jobs 1 and 2. On 16 hosts a range's raw draws often collide or land
+   on a dead host; on thousands of hosts almost none do, so the repair
+   pass keeps nearly every range on its first draws. *)
 module Multi_failure (S : Skipweb_core.Range_structure.S) = struct
   module Hr = H.Make (S)
 
-  let hosts = 16
-
-  let epochs ~jobs ~r ~cache ~(keys : S.key array) ~(extra : S.key array) =
+  let epochs ~hosts ~jobs ~r ~cache ~(keys : S.key array) ~(extra : S.key array) =
     let net = Network.create ~hosts in
     let cache_levels, cache_replicas = if cache then (4, 4) else (0, 1) in
     Pool.with_pool ~jobs @@ fun pool ->
@@ -333,7 +333,7 @@ module Multi_failure (S : Skipweb_core.Range_structure.S) = struct
         row)
       [ 0; 1; 2; 3; 4 ]
 
-  let check ~name ~keys ~extra pinned () =
+  let check ?(hosts = 16) ~name ~keys ~extra pinned () =
     List.iter2
       (fun (r, cache) want ->
         List.iter
@@ -342,7 +342,7 @@ module Multi_failure (S : Skipweb_core.Range_structure.S) = struct
               (Printf.sprintf "%s r=%d cache=%b: repair stats + memory digest (jobs %d)" name r
                  cache jobs)
               want
-              (epochs ~jobs ~r ~cache ~keys ~extra))
+              (epochs ~hosts ~jobs ~r ~cache ~keys ~extra))
           [ 1; 2 ])
       [ (3, true); (1, false) ]
       pinned
@@ -350,10 +350,15 @@ end
 
 module Multi_ints = Multi_failure (I.Ints)
 module Multi_points = Multi_failure (I.Points2d)
+module Multi_strings = Multi_failure (I.Strings)
 
 let multi_ints_keys = W.distinct_ints ~seed:47 ~n:1_000 ~bound:50_000
 
 let multi_points_keys = W.uniform_points ~seed:48 ~n:800 ~dim:2
+
+let multi_strings_keys = W.random_strings ~seed:49 ~n:700 ~alphabet:4 ~len:8
+
+let multi_wide_keys = W.distinct_ints ~seed:50 ~n:2_400 ~bound:200_000
 
 let pinned_multi_ints =
   [
@@ -388,6 +393,42 @@ let pinned_multi_points =
       [ 9311; 1419; 0; 1419; 3888849957904237949 ];
       [ 10008; 1687; 0; 1687; 1995518004819091784 ];
       [ 10661; 1976; 0; 1976; 3651335104875967692 ];
+    ];
+  ]
+
+let pinned_multi_strings =
+  [
+    [
+      [ 5553; 3386; 3386; 0; 1813144465511518858 ];
+      [ 6167; 4081; 4081; 0; 3666749781925828369 ];
+      [ 6785; 5268; 5268; 0; 663411011436834438 ];
+      [ 7383; 6406; 6406; 0; 1812654821431996278 ];
+      [ 7962; 7530; 7530; 0; 682827760800175564 ];
+    ];
+    [
+      [ 5553; 701; 0; 701; 4223406732271377129 ];
+      [ 6167; 793; 0; 793; 2133711878884172517 ];
+      [ 6785; 1050; 0; 1050; 4191439792196212134 ];
+      [ 7383; 1279; 0; 1279; 4048659005953872797 ];
+      [ 7962; 1464; 0; 1464; 2534068540064914403 ];
+    ];
+  ]
+
+let pinned_multi_wide =
+  [
+    [
+      [ 52159; 192; 192; 0; 2055844264264902846 ];
+      [ 58894; 205; 205; 0; 1050652097800364870 ];
+      [ 59919; 249; 249; 0; 4299965312351869801 ];
+      [ 60940; 241; 241; 0; 3801963045446855804 ];
+      [ 61980; 248; 248; 0; 1663711104736860930 ];
+    ];
+    [
+      [ 52159; 49; 0; 49; 1074188816929901100 ];
+      [ 58894; 57; 0; 57; 4441099717438523269 ];
+      [ 59919; 59; 0; 59; 3378688286514712694 ];
+      [ 60940; 59; 0; 59; 1231978177667763030 ];
+      [ 61980; 71; 0; 71; 1896554355872710782 ];
     ];
   ]
 
@@ -703,6 +744,16 @@ let suite =
          ~keys:(Array.sub multi_points_keys 0 400)
          ~extra:(Array.sub multi_points_keys 400 400)
          pinned_multi_points);
+    Alcotest.test_case "hierarchy multi-failure repair pinned: trie" `Quick
+      (Multi_strings.check ~name:"trie"
+         ~keys:(Array.sub multi_strings_keys 0 300)
+         ~extra:(Array.sub multi_strings_keys 300 400)
+         pinned_multi_strings);
+    Alcotest.test_case "hierarchy multi-failure repair pinned: sorted list, 2048 hosts" `Quick
+      (Multi_ints.check ~hosts:2_048 ~name:"sorted list, 2048 hosts"
+         ~keys:(Array.sub multi_wide_keys 0 2_000)
+         ~extra:(Array.sub multi_wide_keys 2_000 400)
+         pinned_multi_wide);
     Alcotest.test_case "blocked copies pinned across repairs" `Quick test_pinned_blocked_copies;
     Alcotest.test_case "blocked failover + repair lifecycle" `Quick
       test_blocked_failover_and_repair;
