@@ -152,20 +152,24 @@ module Make (S : Range_structure.S) = struct
       ~skip_dead:false g
 
   (* The placement kernel: fill [hosts.(0 .. n - 1)] with the hosts of
-     slots [0 .. n - 1] of a range, in one ascending pass — each slot's
-     draw skips the hosts of the slots already filled. Every consumer
-     (charging, routing, cache reads, repair, the invariant check) places
-     copies through this, so they all agree. *)
+     slots [0 .. n - 1] of a range, slot s at generation [gens.(s)], in
+     one ascending pass — each slot's draw skips the hosts of the slots
+     already filled. Every consumer (charging, routing, cache reads,
+     repair, the invariant check) places copies through this, at the
+     range's current generations ([replica_hosts]), so they all agree;
+     repair's generation-0 scan makes the same draws slot by slot. *)
+  let place_from t level b rid hosts n gens =
+    for s = 0 to n - 1 do
+      hosts.(s) <- draw_slot t level b rid hosts s gens.(s)
+    done
+
   let replica_hosts t level b rid hosts n =
     match generations t level b rid with
     | None ->
         for s = 0 to n - 1 do
           hosts.(s) <- draw_slot t level b rid hosts s 0
         done
-    | Some gens ->
-        for s = 0 to n - 1 do
-          hosts.(s) <- draw_slot t level b rid hosts s gens.(s)
-        done
+    | Some gens -> place_from t level b rid hosts n gens
 
   (* Host of the primary. Slot 0 has no earlier slot to collide with, so
      it is served from an empty [hosts] and, while the level has never
@@ -484,15 +488,23 @@ module Make (S : Range_structure.S) = struct
      range; with r >= 2 and at most r - 1 concurrent failures per epoch,
      [lost] is always 0.
 
-     Two passes per level keep the walk over every range free of table
-     lookups:
+     Liveness is read once per host into a snapshot, and two passes per
+     level keep the walk over every range free of table lookups:
      + every range holding a redraw entry is re-placed from its
        generations and repaired (the table is iterated, not probed);
-     + every live range is placed at generation 0, from hash prefixes
-       hoisted per (set, slot) out of the range loop. Only a range with a
-       generation-0 copy on a dead host probes the table: one with an
-       entry was the first pass's, one without is repaired here.
-     [scanned] counts the second pass, so every live range once.
+     + every live range is tested on its raw generation-0 draws, from
+       hash prefixes kept per (set, slot) in an unboxed table. When those
+       draws land on distinct live hosts they are the range's placement
+       (no slot skips a collision), so the range has nothing to repair —
+       whether or not it holds an entry, which the first pass saw. Only a
+       range whose raw draws hit a dead host or repeat one takes the
+       exact path: the collision-skipping placement, then, when a copy is
+       dead, a table probe — one with an entry was the first pass's, one
+       without is repaired here.
+     [scanned] counts the second pass, so every live range once. The
+     range visitor is one closure per call, told the current set
+     through refs, so the pass allocates O(levels) words beside the
+     snapshot, plus the entries and bills of the copies it moves.
 
      The repair bill is reported in the returned stats, not pushed through
      sessions: repair is host-side maintenance (like memory charges),
@@ -502,11 +514,20 @@ module Make (S : Range_structure.S) = struct
     { scanned : int; repaired : int; messages : int; lost : int }
 
   let repair t =
+    (* Level 0 carries the most copies per range and is non-empty
+       whenever the hierarchy is: with fewer live hosts than its copies,
+       no placement exists, so refuse before anything moves. *)
+    if size t > 0 && slots_at t 0 > Network.live_hosts t.net then
+      invalid_arg "Hierarchy.repair: fewer live hosts than copies per range";
+    let hc = Network.host_count t.net and most = t.r + t.cache_replicas - 1 in
+    let live = Bytes.make hc '\000' in
+    for h = 0 to hc - 1 do
+      if Network.alive t.net h then Bytes.set live h '\001'
+    done;
+    let alive h = Bytes.get live h <> '\000' in
     let scanned = ref 0 and bill = ref Placement.no_repair in
-    let most = t.r + t.cache_replicas - 1 and hc = Network.host_count t.net in
     let old = Array.make most 0 and fresh = Array.make most 0 in
-    let prefixes = Array.make most 0L in
-    let alive h = Network.alive t.net h in
+    let prefixes = Prng.prefixes most in
     let any_dead slots =
       let x = ref 0 in
       while !x < slots && alive old.(!x) do
@@ -543,42 +564,66 @@ module Make (S : Range_structure.S) = struct
         end
       done
     in
+    (* The set the visitor walks: its level, slot count, prefix and
+       level state. *)
+    let level = ref 0 and slots = ref 0 and b = ref 0 and ly = ref t.layers.(0) in
+    let visit rid =
+      incr scanned;
+      let n = !slots and clean = ref true in
+      for j = 0 to n - 1 do
+        let h = Prng.hash3_at prefixes j rid mod hc in
+        if not (alive h) then clean := false;
+        for x = 0 to j - 1 do
+          if old.(x) = h then clean := false
+        done;
+        old.(j) <- h
+      done;
+      if not !clean then begin
+        (* The exact generation-0 placement, in place and ascending: a
+           slot whose raw draw repeats an earlier slot's host takes its
+           first admissible draw instead. *)
+        for j = 1 to n - 1 do
+          let h = old.(j) in
+          let x = ref 0 in
+          while !x < j && old.(!x) <> h do
+            incr x
+          done;
+          if !x < j then old.(j) <- draw_slot t !level !b rid old j 0
+        done;
+        if any_dead n then begin
+          let key = redraw_key !b rid in
+          if not (Range_tbl.mem !ly.redraw key) then begin
+            let gens = Array.make n 0 in
+            Range_tbl.replace !ly.redraw key gens;
+            rehome !level !b rid n gens
+          end
+        end
+      end
+    in
     Array.iteri
-      (fun level ly ->
-        let slots = slots_at t level in
+      (fun l state ->
+        let n = slots_at t l in
         Range_tbl.iter
           (fun key gens ->
             let b = key_prefix key and rid = key_range key in
-            replica_hosts t level b rid old slots;
-            if any_dead slots then rehome level b rid slots gens)
-          ly.redraw;
-        iter_sets
-          (fun b s ->
-            for j = 0 to slots - 1 do
-              prefixes.(j) <-
-                Prng.hash3_prefix
-                  (Placement.salt ~seed:t.place_seed ~slot:j ~raw:0)
-                  (Placement.code ~level ~prefix:b)
-            done;
-            S.iter_range_ids s ~f:(fun rid ->
-                incr scanned;
-                for j = 0 to slots - 1 do
-                  let h = Prng.hash3_finish prefixes.(j) rid mod hc in
-                  let x = ref 0 in
-                  while !x < j && old.(!x) <> h do
-                    incr x
-                  done;
-                  old.(j) <- (if !x = j then h else draw_slot t level b rid old j 0)
+            place_from t l b rid old n gens;
+            if any_dead n then rehome l b rid n gens)
+          state.redraw;
+        level := l;
+        slots := n;
+        ly := state;
+        Array.iteri
+          (fun p -> function
+            | None -> ()
+            | Some s ->
+                b := p;
+                for j = 0 to n - 1 do
+                  Prng.set_prefix prefixes j
+                    (Placement.salt ~seed:t.place_seed ~slot:j ~raw:0)
+                    (Placement.code ~level:l ~prefix:p)
                 done;
-                if any_dead slots then begin
-                  let key = redraw_key b rid in
-                  if not (Range_tbl.mem ly.redraw key) then begin
-                    let gens = Array.make slots 0 in
-                    Range_tbl.replace ly.redraw key gens;
-                    rehome level b rid slots gens
-                  end
-                end))
-          ly)
+                S.iter_range_ids s ~f:visit)
+          state.sets)
       t.layers;
     { !bill with scanned = !scanned }
 

@@ -107,10 +107,20 @@ module Make (S : Range_structure.S) : sig
       replicas — re-drawn with the same collision-skipping generation
       scheme and billed in the stats — so a cache never silently survives
       on dead hosts.
-      Every live range is visited once, counted in [scanned]: ranges a
-      repair already moved are re-placed from their redraw generations,
-      all others at generation 0 without a table lookup; only ranges with
-      a copy on a dead host are re-drawn.
+      The pass reads each host's liveness once, re-places every range a
+      repair already moved from its redraw generations, then visits
+      every live range once, counted in [scanned]. A range whose raw
+      generation-0 draws land on distinct live hosts is placed there and
+      needs nothing; only a range whose raw draws hit a dead host or
+      repeat a host is placed exactly (skipping collisions) and, if a
+      copy is dead and it holds no redraw entry, re-drawn. Apart from the
+      [H]-byte liveness snapshot, the pass allocates O(levels) words plus
+      O(1) per copy it moves.
+      Requires, for a non-empty hierarchy, at least as many live hosts
+      as the copies a level-0 range carries ([r], plus
+      [cache_replicas - 1] when the cache is on): otherwise no placement
+      exists, and [repair] raises [Invalid_argument] before it changes
+      any placement, charge or redraw generation.
       Idempotent once all placements are live; must not run concurrently
       with queries or updates (failure epochs are serialized, like
       updates). The message bill is returned in the stats and {e not}

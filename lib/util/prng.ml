@@ -71,3 +71,18 @@ let[@inline] hash3_finish p c =
   Int64.to_int (Int64.shift_right_logical (mix64 (Int64.add p (Int64.of_int c))) 2)
 
 let hash3 a b c = hash3_finish (hash3_prefix a b) c
+
+(* A prefix table keeps each prefix as 8 raw bytes. The primitives below
+   read and write them unboxed, and [hash3_prefix]/[hash3_finish] inline
+   here, so neither storing a prefix nor finishing a hash against one
+   boxes an [Int64], even in a build without cross-module inlining. *)
+type prefixes = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let prefixes n = Bytes.make (8 * n) '\000'
+
+let set_prefix p i a b = set64 p (8 * i) (hash3_prefix a b)
+
+let hash3_at p i c = hash3_finish (get64 p (8 * i)) c

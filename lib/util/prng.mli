@@ -61,13 +61,22 @@ val hash2 : int -> int -> int
     without storing explicit bit vectors. *)
 
 val hash3 : int -> int -> int -> int
-(** Three-argument variant of {!hash2}:
-    [hash3 a b c = hash3_finish (hash3_prefix a b) c]. *)
+(** Three-argument variant of {!hash2}. *)
 
-val hash3_prefix : int -> int -> int64
-(** The part of {!hash3} that depends on its first two arguments only. A
-    loop that hashes many [c] under the same [(a, b)] computes the prefix
-    once and calls {!hash3_finish} per [c]. *)
+type prefixes
+(** A reusable table of [hash3] prefixes: the part of [hash3 a b c] that
+    depends on [(a, b)] only, stored unboxed. A loop that hashes many [c]
+    under the same few [(a, b)] stores each prefix once and finishes
+    every hash against it, without allocating. *)
 
-val hash3_finish : int64 -> int -> int
-(** [hash3_finish (hash3_prefix a b) c = hash3 a b c]. *)
+val prefixes : int -> prefixes
+(** [prefixes n] is a table of [n] prefixes, indexed from 0. Read an
+    index only after setting it. *)
+
+val set_prefix : prefixes -> int -> int -> int -> unit
+(** [set_prefix p i a b] stores the prefix of [(a, b)] at index [i].
+    Allocates nothing. *)
+
+val hash3_at : prefixes -> int -> int -> int
+(** [hash3_at p i c] is [hash3 a b c] for the [(a, b)] last stored at
+    index [i]. Allocates nothing. *)

@@ -189,6 +189,36 @@ let test_hierarchy_failover_and_repair () =
   HInt.check_invariants h;
   checkb "answers after rejoin" true (answers () = baseline)
 
+(* A repair that cannot place a range's copies must refuse before it
+   touches anything. 16 hosts at r = 3 with a 4-copy cache give cached
+   ranges 6 copies; with 11 hosts dead only 5 are live, so no placement
+   exists. The repair raises [Invalid_argument]; once the hosts are back
+   the hierarchy is exactly what it was before the kills, and a repair
+   moves nothing. With 6 live hosts the repair places every copy. *)
+let test_repair_rejects_too_few_live_hosts () =
+  let hosts = 16 in
+  let net = Network.create ~hosts in
+  let keys = W.distinct_ints ~seed:53 ~n:200 ~bound:10_000 in
+  let h = HInt.build ~net ~seed:53 ~r:3 ~cache_levels:4 ~cache_replicas:4 keys in
+  let before = Array.init hosts (Network.memory net) in
+  let dead = List.init 11 Fun.id in
+  List.iter (Network.kill net) dead;
+  Alcotest.check_raises "6 copies per range on 5 live hosts"
+    (Invalid_argument "Hierarchy.repair: fewer live hosts than copies per range") (fun () ->
+      ignore (HInt.repair h : HInt.repair_stats));
+  List.iter (Network.revive net) dead;
+  HInt.check_invariants h;
+  Alcotest.(check (array int)) "per-host memory as before the kills" before
+    (Array.init hosts (Network.memory net));
+  let st = HInt.repair h in
+  checki "a later repair moves nothing" 0 st.HInt.repaired;
+  checki "a later repair bills nothing" 0 st.HInt.messages;
+  (* As many live hosts as copies is enough. *)
+  List.iter (Network.kill net) (List.init 10 Fun.id);
+  ignore (HInt.repair h : HInt.repair_stats);
+  HInt.check_invariants h;
+  checki "6 live hosts hold every copy" 0 (Network.stranded_memory net)
+
 (* Pooled batch writes after a repair: the repair leaves re-drawn
    placements behind, and the level tasks of the following batches read
    and drop them on different domains at once. Each epoch kills a host,
@@ -731,6 +761,8 @@ let suite =
       test_blocked_replicas_on_distinct_hosts;
     Alcotest.test_case "hierarchy failover + repair lifecycle" `Quick
       test_hierarchy_failover_and_repair;
+    Alcotest.test_case "hierarchy repair rejects too few live hosts" `Quick
+      test_repair_rejects_too_few_live_hosts;
     Alcotest.test_case "hierarchy pooled churn after repair" `Quick
       test_pooled_churn_after_repair;
     Alcotest.test_case "hierarchy placement pinned across repairs" `Quick test_pinned_placement;

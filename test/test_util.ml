@@ -102,9 +102,10 @@ let test_hash_pinned_allocation_free () =
   check Alcotest.int "hash2 0 0" 0 (Prng.hash2 0 0);
   check Alcotest.int "hash3 1 2 3" 1993141804617626836 (Prng.hash3 1 2 3);
   check Alcotest.int "hash3 -5 42 1e6" 1101410255812683636 (Prng.hash3 (-5) 42 1_000_000);
-  let p = Prng.hash3_prefix (-5) 42 in
-  check Alcotest.int "hash3 from a hoisted prefix" 1101410255812683636
-    (Prng.hash3_finish p 1_000_000);
+  let p = Prng.prefixes 2 in
+  Prng.set_prefix p 1 (-5) 42;
+  check Alcotest.int "hash3 from a stored prefix" 1101410255812683636
+    (Prng.hash3_at p 1 1_000_000);
   let acc = ref 0 in
   let before = Gc.minor_words () in
   for i = 0 to 9_999 do
@@ -112,7 +113,16 @@ let test_hash_pinned_allocation_free () =
   done;
   let words = Gc.minor_words () -. before in
   checkb "hashes computed" true (!acc <> 0);
-  check (Alcotest.float 0.0) "10 000 hash3 calls allocate no minor words" 0.0 words
+  check (Alcotest.float 0.0) "10 000 hash3 calls allocate no minor words" 0.0 words;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Prng.set_prefix p (i land 1) i 7;
+    acc := !acc lxor Prng.hash3_at p (i land 1) i
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "stored prefixes match hash3" (Prng.hash3 9_999 7 9_999)
+    (Prng.hash3_at p 1 9_999);
+  check (Alcotest.float 0.0) "10 000 stored-prefix hashes allocate no minor words" 0.0 words
 
 let test_membership_deterministic () =
   let v = Membership.create ~seed:77 in
