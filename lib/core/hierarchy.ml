@@ -152,24 +152,19 @@ module Make (S : Range_structure.S) = struct
       ~skip_dead:false g
 
   (* The placement kernel: fill [hosts.(0 .. n - 1)] with the hosts of
-     slots [0 .. n - 1] of a range, slot s at generation [gens.(s)], in
-     one ascending pass — each slot's draw skips the hosts of the slots
-     already filled. Every consumer (charging, routing, cache reads,
-     repair, the invariant check) places copies through this, at the
-     range's current generations ([replica_hosts]), so they all agree;
-     repair's generation-0 scan makes the same draws slot by slot. *)
-  let place_from t level b rid hosts n gens =
+     slots [0 .. n - 1] of a range, slot s at generation [gens.(s)] (every
+     slot at 0 when [gens] is empty), in one ascending pass — each slot's
+     draw skips the hosts of the slots already filled. Every consumer
+     (charging, routing, cache reads, repair, the invariant check) places
+     copies through this, so they all agree. *)
+  let place t level b rid hosts n gens =
+    let moved = Array.length gens > 0 in
     for s = 0 to n - 1 do
-      hosts.(s) <- draw_slot t level b rid hosts s gens.(s)
+      hosts.(s) <- draw_slot t level b rid hosts s (if moved then gens.(s) else 0)
     done
 
   let replica_hosts t level b rid hosts n =
-    match generations t level b rid with
-    | None ->
-        for s = 0 to n - 1 do
-          hosts.(s) <- draw_slot t level b rid hosts s 0
-        done
-    | Some gens -> place_from t level b rid hosts n gens
+    place t level b rid hosts n (match generations t level b rid with None -> [||] | Some g -> g)
 
   (* Host of the primary. Slot 0 has no earlier slot to collide with, so
      it is served from an empty [hosts] and, while the level has never
@@ -497,14 +492,21 @@ module Make (S : Range_structure.S) = struct
        draws land on distinct live hosts they are the range's placement
        (no slot skips a collision), so the range has nothing to repair —
        whether or not it holds an entry, which the first pass saw. Only a
-       range whose raw draws hit a dead host or repeat one takes the
-       exact path: the collision-skipping placement, then, when a copy is
-       dead, a table probe — one with an entry was the first pass's, one
-       without is repaired here.
+       range whose raw draws hit a dead host or repeat one is placed by
+       the kernel and, when a copy is dead, probes the table: one with an
+       entry was the first pass's, one without is repaired here. Testing
+       first keeps the kernel's draw call out of the loop most ranges
+       run, which measured faster than placing every range through it
+       (EXPERIMENTS.md, "Repair in one exact pass").
      [scanned] counts the second pass, so every live range once. The
      range visitor is one closure per call, told the current set
      through refs, so the pass allocates O(levels) words beside the
      snapshot, plus the entries and bills of the copies it moves.
+
+     A range's new generations are drawn in scratch space and written,
+     with its charges, only once every slot has landed: when
+     [Placement.draw] gives up partway (too few live hosts among many),
+     every range is either re-homed or untouched, never half-moved.
 
      The repair bill is reported in the returned stats, not pushed through
      sessions: repair is host-side maintenance (like memory charges),
@@ -526,7 +528,7 @@ module Make (S : Range_structure.S) = struct
     done;
     let alive h = Bytes.get live h <> '\000' in
     let scanned = ref 0 and bill = ref Placement.no_repair in
-    let old = Array.make most 0 and fresh = Array.make most 0 in
+    let old = Array.make most 0 and fresh = Array.make most 0 and next = Array.make most 0 in
     let prefixes = Prng.prefixes most in
     let any_dead slots =
       let x = ref 0 in
@@ -544,15 +546,19 @@ module Make (S : Range_structure.S) = struct
       (* Bump each dead slot's generation until its placement lands live.
          Ascending slot order: a bumped slot can shift the admissible
          enumeration of *later* slots only, so one ascending pass settles
-         every slot. *)
+         every slot. The bumps go to [next]; [gens] takes them only after
+         the last slot has landed. *)
       for j = 0 to slots - 1 do
-        let h = ref (draw_slot t level b rid fresh j gens.(j)) in
+        let g = ref gens.(j) in
+        let h = ref (draw_slot t level b rid fresh j !g) in
         while not (alive !h) do
-          gens.(j) <- gens.(j) + 1;
-          h := draw_slot t level b rid fresh j gens.(j)
+          incr g;
+          h := draw_slot t level b rid fresh j !g
         done;
-        fresh.(j) <- !h
+        fresh.(j) <- !h;
+        next.(j) <- !g
       done;
+      Array.blit next 0 gens 0 slots;
       (* Migrate charges by placement diff — which also catches a live
          slot whose admissible draw shifted because an earlier slot of the
          same range moved — and bill each moved copy. *)
@@ -579,23 +585,13 @@ module Make (S : Range_structure.S) = struct
         old.(j) <- h
       done;
       if not !clean then begin
-        (* The exact generation-0 placement, in place and ascending: a
-           slot whose raw draw repeats an earlier slot's host takes its
-           first admissible draw instead. *)
-        for j = 1 to n - 1 do
-          let h = old.(j) in
-          let x = ref 0 in
-          while !x < j && old.(!x) <> h do
-            incr x
-          done;
-          if !x < j then old.(j) <- draw_slot t !level !b rid old j 0
-        done;
+        place t !level !b rid old n [||];
         if any_dead n then begin
           let key = redraw_key !b rid in
           if not (Range_tbl.mem !ly.redraw key) then begin
             let gens = Array.make n 0 in
-            Range_tbl.replace !ly.redraw key gens;
-            rehome !level !b rid n gens
+            rehome !level !b rid n gens;
+            Range_tbl.replace !ly.redraw key gens
           end
         end
       end
@@ -606,24 +602,22 @@ module Make (S : Range_structure.S) = struct
         Range_tbl.iter
           (fun key gens ->
             let b = key_prefix key and rid = key_range key in
-            place_from t l b rid old n gens;
+            place t l b rid old n gens;
             if any_dead n then rehome l b rid n gens)
           state.redraw;
         level := l;
         slots := n;
         ly := state;
-        Array.iteri
-          (fun p -> function
-            | None -> ()
-            | Some s ->
-                b := p;
-                for j = 0 to n - 1 do
-                  Prng.set_prefix prefixes j
-                    (Placement.salt ~seed:t.place_seed ~slot:j ~raw:0)
-                    (Placement.code ~level:l ~prefix:p)
-                done;
-                S.iter_range_ids s ~f:visit)
-          state.sets)
+        iter_sets
+          (fun p s ->
+            b := p;
+            for j = 0 to n - 1 do
+              Prng.set_prefix prefixes j
+                (Placement.salt ~seed:t.place_seed ~slot:j ~raw:0)
+                (Placement.code ~level:l ~prefix:p)
+            done;
+            S.iter_range_ids s ~f:visit)
+          state)
       t.layers;
     { !bill with scanned = !scanned }
 

@@ -113,14 +113,19 @@ module Make (S : Range_structure.S) : sig
       generation-0 draws land on distinct live hosts is placed there and
       needs nothing; only a range whose raw draws hit a dead host or
       repeat a host is placed exactly (skipping collisions) and, if a
-      copy is dead and it holds no redraw entry, re-drawn. Apart from the
-      [H]-byte liveness snapshot, the pass allocates O(levels) words plus
-      O(1) per copy it moves.
+      copy is dead and it holds no redraw entry, re-drawn. Apart from
+      the [H]-byte liveness snapshot, the pass allocates O(levels) words
+      plus O(1) per copy it moves.
       Requires, for a non-empty hierarchy, at least as many live hosts
       as the copies a level-0 range carries ([r], plus
       [cache_replicas - 1] when the cache is on): otherwise no placement
       exists, and [repair] raises [Invalid_argument] before it changes
-      any placement, charge or redraw generation.
+      any placement, charge or redraw generation. Enough live hosts is
+      necessary, not sufficient: when they are a tiny share of the [H]
+      hosts, a copy's draw can pass [Placement.draw]'s cap and [repair]
+      raises [Failure] partway. Each range is then either re-homed or
+      untouched, so {!check_invariants} still holds, and a later repair
+      with more live hosts finishes the job.
       Idempotent once all placements are live; must not run concurrently
       with queries or updates (failure epochs are serialized, like
       updates). The message bill is returned in the stats and {e not}

@@ -219,6 +219,32 @@ let test_repair_rejects_too_few_live_hosts () =
   HInt.check_invariants h;
   checki "6 live hosts hold every copy" 0 (Network.stranded_memory net)
 
+(* Enough live hosts is necessary, not sufficient: with 2 live hosts
+   among 10 000 at r = 2, a second copy's draw finds its one admissible
+   host within [Placement.draw]'s cap only some of the time, so the
+   repair gives up partway with [Failure]. Every range is then either
+   re-homed or untouched: the invariants hold at once, and after the
+   revives a repair moves nothing. *)
+let test_repair_exhausted_leaves_ranges_whole () =
+  let hosts = 10_000 in
+  let net = Network.create ~hosts in
+  let keys = W.distinct_ints ~seed:59 ~n:30 ~bound:10_000 in
+  let h = HInt.build ~net ~seed:59 ~r:2 keys in
+  let on_live () = Network.memory net 0 + Network.memory net 1 in
+  let before = on_live () in
+  let dead = List.init (hosts - 2) (fun i -> i + 2) in
+  List.iter (Network.kill net) dead;
+  (match HInt.repair h with
+  | (_ : HInt.repair_stats) -> Alcotest.fail "the repair found every copy a host"
+  | exception Failure _ -> ());
+  HInt.check_invariants h;
+  checkb "some ranges moved before the repair gave up" true (on_live () > before);
+  List.iter (Network.revive net) dead;
+  HInt.check_invariants h;
+  let st = HInt.repair h in
+  checki "a later repair moves nothing" 0 st.HInt.repaired;
+  checki "a later repair bills nothing" 0 st.HInt.messages
+
 (* Pooled batch writes after a repair: the repair leaves re-drawn
    placements behind, and the level tasks of the following batches read
    and drop them on different domains at once. Each epoch kills a host,
@@ -763,6 +789,8 @@ let suite =
       test_hierarchy_failover_and_repair;
     Alcotest.test_case "hierarchy repair rejects too few live hosts" `Quick
       test_repair_rejects_too_few_live_hosts;
+    Alcotest.test_case "hierarchy repair that gives up leaves ranges whole" `Quick
+      test_repair_exhausted_leaves_ranges_whole;
     Alcotest.test_case "hierarchy pooled churn after repair" `Quick
       test_pooled_churn_after_repair;
     Alcotest.test_case "hierarchy placement pinned across repairs" `Quick test_pinned_placement;
