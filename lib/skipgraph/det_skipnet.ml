@@ -4,34 +4,30 @@ module O = Skipweb_util.Ordseq
 (* Element ids double as hosts; id 0 is reserved for the -infinity header
    sentinel, which participates in every level.
 
-   Keys sit in a chunked sorted sequence; the per-position heights and
-   ids in its positional companion. A splice is then an O(√n) chunk
-   memmove instead of three O(n) array copies; promotions and demotions
-   are point writes. Positional reads cost a Fenwick descent, which the
-   short 1-2-3 gaps keep cheap. *)
+   Keys, heights and ids are parallel plain arrays: promotions and
+   demotions are in-place writes, and a splice copies all three. The
+   copy is no worse than the rest of an update, which already scans the
+   height array linearly in [height], [next_at] and the gap walks. *)
 type t = {
   net : Network.t;
-  xs : O.t;  (* keys, ascending *)
-  hs : O.Vec.t;  (* heights >= 1, by position *)
-  ids : O.Vec.t;  (* host ids, by position *)
+  mutable xs : int array;  (* keys, ascending *)
+  mutable hs : int array;  (* heights >= 1, by position *)
+  mutable ids : int array;  (* host ids, by position *)
   mutable next_id : int;
   charged : (int, int) Hashtbl.t;
 }
 
 let header_host = 0
 
-let size t = O.length t.xs
+let size t = Array.length t.xs
 
-let height t =
-  let h = ref 1 in
-  O.Vec.iter (fun x -> if x > !h then h := x) t.hs;
-  !h
+let height t = Array.fold_left max 1 t.hs
 
 let memory_units h = 2 + (2 * h)
 
 let recharge_one t i =
-  let id = O.Vec.get t.ids i in
-  let want = memory_units (O.Vec.get t.hs i) in
+  let id = t.ids.(i) in
+  let want = memory_units t.hs.(i) in
   let have = try Hashtbl.find t.charged id with Not_found -> 0 in
   if want <> have then begin
     Network.charge_memory t.net id (want - have);
@@ -64,9 +60,9 @@ let create ~net ~keys =
   let t =
     {
       net;
-      xs = O.of_sorted_array xs;
-      hs = O.Vec.of_array (assign_heights n);
-      ids = O.Vec.of_array (Array.init n (fun i -> i + 1));
+      xs;
+      hs = assign_heights n;
+      ids = Array.init n (fun i -> i + 1);
       next_id = n + 1;
       charged = Hashtbl.create (2 * n);
     }
@@ -82,7 +78,7 @@ let create ~net ~keys =
    (i = -1 means the header). *)
 let next_at t i h =
   let n = size t in
-  let rec go j = if j >= n then None else if O.Vec.get t.hs j >= h then Some j else go (j + 1) in
+  let rec go j = if j >= n then None else if t.hs.(j) >= h then Some j else go (j + 1) in
   go (i + 1)
 
 type search_result = {
@@ -102,9 +98,9 @@ let descend t session q ~stop_level =
     let continue = ref true in
     while !continue do
       match next_at t !cur !h with
-      | Some j when O.get t.xs j <= q ->
+      | Some j when t.xs.(j) <= q ->
           cur := j;
-          Network.goto session (O.Vec.get t.ids j)
+          Network.goto session t.ids.(j)
       | Some _ | None -> continue := false
     done;
     decr h
@@ -117,10 +113,10 @@ let search t ~from q =
     let session = Network.start t.net from in
     let pos = descend t session q ~stop_level:1 in
     Network.finish session;
-    let predecessor = if pos >= 0 then Some (O.get t.xs pos) else None in
+    let predecessor = if pos >= 0 then Some t.xs.(pos) else None in
     let successor =
-      if pos >= 0 && O.get t.xs pos = q then Some q
-      else if pos + 1 < size t then Some (O.get t.xs (pos + 1))
+      if pos >= 0 && t.xs.(pos) = q then Some q
+      else if pos + 1 < size t then Some t.xs.(pos + 1)
       else None
     in
     let nearest =
@@ -137,31 +133,31 @@ let search t ~from q =
    position [p]: the boundaries of p's gap in the level-h list. *)
 let gap_bounds t p h =
   let n = size t in
-  let rec left j = if j < 0 then -1 else if O.Vec.get t.hs j > h then j else left (j - 1) in
-  let rec right j = if j >= n then n else if O.Vec.get t.hs j > h then j else right (j + 1) in
+  let rec left j = if j < 0 then -1 else if t.hs.(j) > h then j else left (j - 1) in
+  let rec right j = if j >= n then n else if t.hs.(j) > h then j else right (j + 1) in
   (left (p - 1), right (p + 1))
 
 let gap_members t l r h =
   let acc = ref [] in
   for j = r - 1 downto l + 1 do
-    if O.Vec.get t.hs j >= h then acc := j :: !acc
+    if t.hs.(j) >= h then acc := j :: !acc
   done;
   !acc
 
 let insert t k =
   if t.next_id >= Network.host_count t.net then invalid_arg "Det_skipnet.insert: no spare host";
   let n = size t in
-  let pos = O.lower_bound t.xs k in
-  if pos < n && O.get t.xs pos = k then invalid_arg "Det_skipnet.insert: duplicate key";
+  let pos = O.array_lower_bound t.xs k in
+  if pos < n && t.xs.(pos) = k then invalid_arg "Det_skipnet.insert: duplicate key";
   (* Locate: a full search paid by the inserting host. *)
   let session = Network.start t.net header_host in
   let _ = descend t session k ~stop_level:1 in
   Network.finish session;
   let locate_cost = Network.messages session in
   (* Splice in at height 1. *)
-  ignore (O.insert t.xs k);
-  O.Vec.insert_at t.hs pos 1;
-  O.Vec.insert_at t.ids pos t.next_id;
+  t.xs <- O.array_insert_at t.xs pos k;
+  t.hs <- O.array_insert_at t.hs pos 1;
+  t.ids <- O.array_insert_at t.ids pos t.next_id;
   t.next_id <- t.next_id + 1;
   recharge_one t pos;
   (* Linking at level 1. *)
@@ -174,11 +170,11 @@ let insert t k =
     let members = gap_members t l r h in
     if List.length members >= 4 then begin
       let promoted = List.nth members (List.length members / 2) in
-      O.Vec.set t.hs promoted (h + 1);
+      t.hs.(promoted) <- h + 1;
       recharge_one t promoted;
       (* Partial search to level h+1 to find the gap, then scan and link. *)
       let s = Network.start t.net header_host in
-      let _ = descend t s (O.get t.xs promoted) ~stop_level:(min (height t) (h + 1)) in
+      let _ = descend t s t.xs.(promoted) ~stop_level:(min (height t) (h + 1)) in
       Network.finish s;
       msgs := !msgs + Network.messages s + List.length members + 2;
       fixup promoted (h + 1)
@@ -203,37 +199,37 @@ let insert t k =
    the top, as in insertion. *)
 let delete t k =
   let n = size t in
-  let pos = O.lower_bound t.xs k in
-  if pos >= n || O.get t.xs pos <> k then invalid_arg "Det_skipnet.delete: absent key";
+  let pos = O.array_lower_bound t.xs k in
+  if pos >= n || t.xs.(pos) <> k then invalid_arg "Det_skipnet.delete: absent key";
   let session = Network.start t.net header_host in
   let _ = descend t session k ~stop_level:1 in
   Network.finish session;
   let msgs = ref (Network.messages session) in
-  let h0 = O.Vec.get t.hs pos in
+  let h0 = t.hs.(pos) in
   (* Unlink at each of its levels. *)
   msgs := !msgs + (2 * h0);
-  let victim_id = O.Vec.get t.ids pos in
+  let victim_id = t.ids.(pos) in
   (match Hashtbl.find_opt t.charged victim_id with
   | Some units ->
       Network.charge_memory t.net victim_id (-units);
       Hashtbl.remove t.charged victim_id
   | None -> ());
-  ignore (O.remove t.xs k);
-  ignore (O.Vec.remove_at t.hs pos);
-  ignore (O.Vec.remove_at t.ids pos);
+  t.xs <- O.array_remove_at t.xs pos;
+  t.hs <- O.array_remove_at t.hs pos;
+  t.ids <- O.array_remove_at t.ids pos;
   let nn = size t in
   let left_boundary around h =
-    let rec go j = if j < 0 then -1 else if O.Vec.get t.hs j > h then j else go (j - 1) in
+    let rec go j = if j < 0 then -1 else if t.hs.(j) > h then j else go (j - 1) in
     go (min (nn - 1) (around - 1))
   in
   let right_boundary around h =
-    let rec go j = if j >= nn then nn else if O.Vec.get t.hs j > h then j else go (j + 1) in
+    let rec go j = if j >= nn then nn else if t.hs.(j) > h then j else go (j + 1) in
     go (max 0 around)
   in
   let members_between l r h =
     let acc = ref [] in
     for j = min (nn - 1) (r - 1) downto max 0 (l + 1) do
-      if O.Vec.get t.hs j = h then acc := j :: !acc
+      if t.hs.(j) = h then acc := j :: !acc
     done;
     !acc
   in
@@ -250,10 +246,10 @@ let delete t k =
       let members = members_between l r h in
       if List.length members >= 4 then begin
         let promoted = List.nth members (List.length members / 2) in
-        O.Vec.set t.hs promoted (h + 1);
+        t.hs.(promoted) <- h + 1;
         recharge_one t promoted;
         msgs :=
-          !msgs + partial_search_cost (O.get t.xs promoted) (h + 1) + List.length members + 2;
+          !msgs + partial_search_cost t.xs.(promoted) (h + 1) + List.length members + 2;
         fix_overflow promoted (h + 1)
       end
     end
@@ -267,36 +263,36 @@ let delete t k =
       let l = left_boundary around h and r = right_boundary around h in
       let interior = l >= 0 && r < nn in
       if interior && members_between l r h = [] then begin
-        if O.Vec.get t.hs r = h + 1 then begin
+        if t.hs.(r) = h + 1 then begin
           let r2 = right_boundary (r + 1) h in
           (match members_between r r2 h with
           | m :: _ :: _ ->
               (* Borrow through r: r drops into our gap, m replaces it. *)
-              O.Vec.set t.hs r h;
-              O.Vec.set t.hs m (h + 1);
+              t.hs.(r) <- h;
+              t.hs.(m) <- h + 1;
               recharge_one t r;
               recharge_one t m;
-              msgs := !msgs + partial_search_cost (O.get t.xs r) (h + 1) + 4
+              msgs := !msgs + partial_search_cost t.xs.(r) (h + 1) + 4
           | _ ->
               (* Merge: r drops into our gap; its parent gap lost a key. *)
-              O.Vec.set t.hs r h;
+              t.hs.(r) <- h;
               recharge_one t r;
-              msgs := !msgs + partial_search_cost (O.get t.xs r) (h + 1) + 4;
+              msgs := !msgs + partial_search_cost t.xs.(r) (h + 1) + 4;
               repair r (h + 1))
         end
-        else if l >= 0 && O.Vec.get t.hs l = h + 1 then begin
+        else if l >= 0 && t.hs.(l) = h + 1 then begin
           let l2 = left_boundary l h in
           match List.rev (members_between l2 l h) with
           | m :: _ :: _ ->
-              O.Vec.set t.hs l h;
-              O.Vec.set t.hs m (h + 1);
+              t.hs.(l) <- h;
+              t.hs.(m) <- h + 1;
               recharge_one t l;
               recharge_one t m;
-              msgs := !msgs + partial_search_cost (O.get t.xs l) (h + 1) + 4
+              msgs := !msgs + partial_search_cost t.xs.(l) (h + 1) + 4
           | _ ->
-              O.Vec.set t.hs l h;
+              t.hs.(l) <- h;
               recharge_one t l;
-              msgs := !msgs + partial_search_cost (O.get t.xs l) (h + 1) + 4;
+              msgs := !msgs + partial_search_cost t.xs.(l) (h + 1) + 4;
               repair l (h + 1)
         end
         else
@@ -309,16 +305,16 @@ let delete t k =
   if nn > 0 then repair pos h0;
   !msgs
 
-let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net (O.Vec.get t.ids i))
+let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net t.ids.(i))
 
 let check_invariants t =
   let n = size t in
-  O.check t.xs;
-  O.Vec.check t.hs;
-  O.Vec.check t.ids;
-  if O.Vec.length t.hs <> n || O.Vec.length t.ids <> n then
-    failwith "Det_skipnet: parallel sequences out of step";
-  let hs = O.Vec.to_array t.hs in
+  if Array.length t.hs <> n || Array.length t.ids <> n then
+    failwith "Det_skipnet: parallel arrays out of step";
+  for i = 1 to n - 1 do
+    if t.xs.(i - 1) >= t.xs.(i) then failwith "Det_skipnet: keys not strictly increasing"
+  done;
+  let hs = t.hs in
   Array.iter (fun h -> if h < 1 then failwith "Det_skipnet: height < 1") hs;
   let top = height t in
   for h = 1 to top - 1 do

@@ -1,15 +1,16 @@
 module Membership = Skipweb_util.Membership
 module O = Skipweb_util.Ordseq
+module Linklist = Skipweb_linklist.Linklist
 
-(* Keys live in a chunked sorted sequence and the parallel per-position
-   ids in its positional companion, so a splice memmoves one O(√n) chunk
-   instead of copying both O(n) arrays. The height/neighbor caches are
-   still array snapshots rebuilt on demand (they are whole-structure
-   sweeps either way). *)
+(* Keys and their parallel per-position ids are plain arrays, and a
+   splice builds the next pair. That O(n) copy is no worse than what
+   every update pays anyway: the height and neighbor caches below are
+   whole-structure sweeps rebuilt on demand, and the baselines' memory
+   recharge walks every element. *)
 type t = {
   vecs : Membership.t;
-  xs : O.t;  (* keys, ascending *)
-  ids : O.Vec.t;  (* parallel stable ids, by position *)
+  mutable xs : int array;  (* keys, ascending *)
+  mutable ids : int array;  (* parallel stable ids, by position *)
   mutable next_id : int;
   mutable heights : int array option;  (* cache: top participating level per position *)
   mutable tables : (int array * int array) array option;
@@ -25,17 +26,17 @@ let create ~seed ~keys =
   let n = Array.length xs in
   {
     vecs = Membership.create ~seed;
-    xs = O.of_sorted_array xs;
-    ids = O.Vec.of_array (Array.init n Fun.id);
+    xs;
+    ids = Array.init n Fun.id;
     next_id = n;
     heights = None;
     tables = None;
   }
 
-let size t = O.length t.xs
-let key t i = O.get t.xs i
-let id t i = O.Vec.get t.ids i
-let keys t = O.to_array t.xs
+let size t = Array.length t.xs
+let key t i = t.xs.(i)
+let id t i = t.ids.(i)
+let keys t = Array.copy t.xs
 let vectors t = t.vecs
 
 let common_prefix t i j = Membership.common_prefix t.vecs (id t i) (id t j)
@@ -45,7 +46,7 @@ let common_prefix t i j = Membership.common_prefix t.vecs (id t i) (id t j)
    L. Computed for all positions by recursive group splitting. *)
 let compute_heights t =
   let n = size t in
-  let ids = O.Vec.to_array t.ids in
+  let ids = t.ids in
   let h = Array.make n 0 in
   let rec split level members =
     match members with
@@ -82,7 +83,7 @@ let neighbor_tables t =
   | Some tabs -> tabs
   | None ->
       let n = size t in
-      let ids = O.Vec.to_array t.ids in
+      let ids = t.ids in
       let lv = levels t in
       let tabs =
         Array.init lv (fun level ->
@@ -119,14 +120,17 @@ let left_neighbor t i level =
     let left, _ = tabs.(level) in
     if left.(i) >= 0 then Some left.(i) else None
 
-let position t k = O.lower_bound t.xs k
+let position t k = O.array_lower_bound t.xs k
 
-let mem t k = O.mem t.xs k
+let mem t k =
+  let i = position t k in
+  i < size t && t.xs.(i) = k
 
 let splice_in t k =
   let pos = position t k in
-  if not (O.insert t.xs k) then invalid_arg "Level_lists.splice_in: duplicate key";
-  O.Vec.insert_at t.ids pos t.next_id;
+  if pos < size t && t.xs.(pos) = k then invalid_arg "Level_lists.splice_in: duplicate key";
+  t.xs <- O.array_insert_at t.xs pos k;
+  t.ids <- O.array_insert_at t.ids pos t.next_id;
   t.next_id <- t.next_id + 1;
   t.heights <- None;
   t.tables <- None;
@@ -134,23 +138,25 @@ let splice_in t k =
 
 let splice_out t k =
   let pos = position t k in
-  if not (O.remove t.xs k) then invalid_arg "Level_lists.splice_out: absent key";
-  ignore (O.Vec.remove_at t.ids pos);
+  if pos >= size t || t.xs.(pos) <> k then invalid_arg "Level_lists.splice_out: absent key";
+  t.xs <- O.array_remove_at t.xs pos;
+  t.ids <- O.array_remove_at t.ids pos;
   t.heights <- None;
   t.tables <- None;
   pos
 
-let predecessor t q = O.predecessor t.xs q
-let successor t q = O.successor t.xs q
-let nearest t q = O.nearest t.xs q
+let predecessor t q = Linklist.predecessor t.xs q
+let successor t q = Linklist.successor t.xs q
+let nearest t q = Linklist.nearest t.xs q
 
 let check_invariants t =
   let n = size t in
-  if O.Vec.length t.ids <> n then failwith "Level_lists: ids length";
-  O.check t.xs;
-  O.Vec.check t.ids;
+  if Array.length t.ids <> n then failwith "Level_lists: ids length";
+  for i = 1 to n - 1 do
+    if t.xs.(i - 1) >= t.xs.(i) then failwith "Level_lists: keys not strictly increasing"
+  done;
   let seen = Hashtbl.create n in
-  O.Vec.iter
+  Array.iter
     (fun id ->
       if Hashtbl.mem seen id then failwith "Level_lists: duplicate id";
       Hashtbl.add seen id ())

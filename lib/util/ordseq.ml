@@ -4,18 +4,12 @@
    Keys sit in sorted order across [nchunks] chunks; chunk [j] is the
    first [clen.(j)] cells of [chunk.(j)] and [cmax.(j)] caches its last
    element. [fen] is a 1-based Fenwick tree over the chunk lengths, so a
-   global rank is a chunk prefix-count plus an in-chunk binary search and
-   [get] is a Fenwick descent. Chunks split at [2 * target] and merge
-   back when they fall under [target / 4]; [target] tracks √n, refreshed
-   by a full O(n) re-chunk whenever the size drifts 4× from [anchor]
-   (the size at the last re-chunk), so every structural cost is O(√n)
-   worst-case and O(1) amortized per update.
-
-   The positional [Vec] shares every structural routine; it simply skips
-   the key search ([insert_at]/[remove_at] address a position directly)
-   and never relies on ordering, while [cmax] is still maintained as
-   "last cell of the chunk" so the shared split/merge code is oblivious
-   to which flavor it serves. *)
+   global rank is a chunk prefix-count plus an in-chunk binary search.
+   Chunks split at [2 * target] and merge back when they fall under
+   [target / 4]; [target] tracks √n, refreshed by a full O(n) re-chunk
+   whenever the size drifts 4× from [anchor] (the size at the last
+   re-chunk), so every structural cost is O(√n) worst-case and O(1)
+   amortized per update. *)
 
 (* ---------- shared sorted-array binary searches ---------- *)
 
@@ -39,6 +33,21 @@ let array_upper_index ?len (a : int array) k =
     if a.(mid) <= k then lo := mid + 1 else hi := mid
   done;
   !lo - 1
+
+let array_insert_at (a : int array) i v =
+  let n = Array.length a in
+  if i < 0 || i > n then invalid_arg "Ordseq.array_insert_at: index out of range";
+  let b = Array.make (n + 1) v in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
+
+let array_remove_at (a : int array) i =
+  let n = Array.length a in
+  if i < 0 || i >= n then invalid_arg "Ordseq.array_remove_at: index out of range";
+  let b = Array.sub a 0 (n - 1) in
+  Array.blit a (i + 1) b i (n - 1 - i);
+  b
 
 (* ---------- representation ---------- *)
 
@@ -79,7 +88,6 @@ let create () =
   }
 
 let length t = t.total
-let is_empty t = t.total = 0
 
 (* ---------- Fenwick index over chunk lengths ---------- *)
 
@@ -108,22 +116,6 @@ let fen_prefix t j =
     i := !i - (!i land - !i)
   done;
   !s
-
-(* The (chunk, offset) holding global position [pos] (pos < total):
-   binary-lifting descent over the Fenwick tree. *)
-let fen_find t pos =
-  let bit = ref 1 in
-  while 2 * !bit <= t.nchunks do bit := 2 * !bit done;
-  let idx = ref 0 and rem = ref pos in
-  while !bit > 0 do
-    let next = !idx + !bit in
-    if next <= t.nchunks && t.fen.(next) <= !rem then begin
-      rem := !rem - t.fen.(next);
-      idx := next
-    end;
-    bit := !bit lsr 1
-  done;
-  (!idx, !rem)
 
 (* ---------- chunk-table slot management ---------- *)
 
@@ -213,7 +205,7 @@ let maybe_rechunk t =
     load t a t.total
   end
 
-(* ---------- structural updates (shared by sorted and positional) ---------- *)
+(* ---------- structural updates ---------- *)
 
 let split t j =
   let c = t.chunk.(j) in
@@ -344,20 +336,6 @@ let search t k =
       let pred = if p > 0 then c.(p - 1) else if j > 0 then t.cmax.(j - 1) else min_int in
       { rank = fen_prefix t j + p; stored = succ = k; pred; succ }
 
-let mem t k =
-  t.nchunks > 0
-  &&
-  let j = chunk_search t k in
-  j < t.nchunks
-  &&
-  let p = lower_bound_in t.chunk.(j) t.clen.(j) k in
-  t.chunk.(j).(p) = k
-
-let get t i =
-  if i < 0 || i >= t.total then invalid_arg "Ordseq.get: index out of range";
-  let j, p = fen_find t i in
-  t.chunk.(j).(p)
-
 let insert t k =
   if t.nchunks = 0 then begin
     first_elem t k;
@@ -387,23 +365,6 @@ let remove t k =
         true
       end
   end
-
-let successor t q =
-  let h = search t q in
-  if h.rank < t.total then Some h.succ else None
-
-let predecessor t q =
-  let h = search t q in
-  if h.stored then Some q else if h.rank > 0 then Some h.pred else None
-
-let nearest t q =
-  let h = search t q in
-  if h.stored then Some q
-  else if t.total = 0 then None
-  else if h.rank = 0 then Some h.succ
-  else if h.rank = t.total then Some h.pred
-  else if q - h.pred <= h.succ - q then Some h.pred
-  else Some h.succ
 
 (* ---------- parallel batch splice ---------- *)
 
@@ -666,77 +627,28 @@ let chunk_lengths t = Array.init t.nchunks (fun j -> t.clen.(j))
 
 (* ---------- invariant checks ---------- *)
 
-let check_core ~sorted ~what t =
+let check t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  if t.nchunks < 0 || t.nchunks > Array.length t.chunk then fail "%s: chunk table bounds" what;
+  if t.nchunks < 0 || t.nchunks > Array.length t.chunk then fail "Ordseq: chunk table bounds";
   let sum = ref 0 in
   let prev = ref min_int in
   for j = 0 to t.nchunks - 1 do
     let len = t.clen.(j) in
-    if len <= 0 then fail "%s: empty chunk %d" what j;
-    if len > Array.length t.chunk.(j) then fail "%s: chunk %d overflows its array" what j;
-    if t.cmax.(j) <> t.chunk.(j).(len - 1) then fail "%s: stale cmax at chunk %d" what j;
-    if sorted then
-      for i = 0 to len - 1 do
-        let v = t.chunk.(j).(i) in
-        if v <= !prev && not (j = 0 && i = 0) then fail "%s: order broken at chunk %d.%d" what j i;
-        prev := v
-      done;
+    if len <= 0 then fail "Ordseq: empty chunk %d" j;
+    if len > Array.length t.chunk.(j) then fail "Ordseq: chunk %d overflows its array" j;
+    if t.cmax.(j) <> t.chunk.(j).(len - 1) then fail "Ordseq: stale cmax at chunk %d" j;
+    for i = 0 to len - 1 do
+      let v = t.chunk.(j).(i) in
+      if v <= !prev && not (j = 0 && i = 0) then fail "Ordseq: order broken at chunk %d.%d" j i;
+      prev := v
+    done;
     sum := !sum + len
   done;
-  if !sum <> t.total then fail "%s: total %d but chunks hold %d" what t.total !sum;
+  if !sum <> t.total then fail "Ordseq: total %d but chunks hold %d" t.total !sum;
   for j = 0 to t.nchunks do
     let direct = ref 0 in
     for i = 0 to j - 1 do
       direct := !direct + t.clen.(i)
     done;
-    if fen_prefix t j <> !direct then fail "%s: Fenwick prefix drift at %d" what j
+    if fen_prefix t j <> !direct then fail "Ordseq: Fenwick prefix drift at %d" j
   done
-
-let check t = check_core ~sorted:true ~what:"Ordseq" t
-
-(* ---------- positional vector ---------- *)
-
-module Vec = struct
-  type nonrec t = t
-
-  let create = create
-
-  let of_array a =
-    let t = create () in
-    load t a (Array.length a);
-    t
-
-  let length = length
-
-  let get t i =
-    if i < 0 || i >= t.total then invalid_arg "Ordseq.Vec.get: index out of range";
-    let j, p = fen_find t i in
-    t.chunk.(j).(p)
-
-  let set t i v =
-    if i < 0 || i >= t.total then invalid_arg "Ordseq.Vec.set: index out of range";
-    let j, p = fen_find t i in
-    t.chunk.(j).(p) <- v;
-    if p = t.clen.(j) - 1 then t.cmax.(j) <- v
-
-  let insert_at t i v =
-    if i < 0 || i > t.total then invalid_arg "Ordseq.Vec.insert_at: index out of range";
-    if t.nchunks = 0 then first_elem t v
-    else if i = t.total then ins t (t.nchunks - 1) t.clen.(t.nchunks - 1) v
-    else begin
-      let j, p = fen_find t i in
-      ins t j p v
-    end
-
-  let remove_at t i =
-    if i < 0 || i >= t.total then invalid_arg "Ordseq.Vec.remove_at: index out of range";
-    let j, p = fen_find t i in
-    let v = t.chunk.(j).(p) in
-    del t j p;
-    v
-
-  let iter = iter
-  let to_array = to_array
-  let check t = check_core ~sorted:false ~what:"Ordseq.Vec" t
-end

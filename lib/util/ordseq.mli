@@ -1,31 +1,24 @@
 (** Chunked sorted-sequence engine: the host-local backing store for the
-    1-d level sets and skip-graph baselines.
+    larger level sets of the 1-d hierarchy ({!Skipweb_core.Instances.Ints}).
 
     A sequence of distinct integers is kept in sorted order across O(√n)
     chunks of O(√n) keys each, with a summary array of chunk maxima and a
     Fenwick (binary-indexed) prefix-count over chunk lengths. Searches
-    ([mem]/[lower_bound]/[search]/[get]) cost O(log n); an insert or remove
-    memmoves at most one chunk — an O(√n) bound — with splits, merges and
-    periodic re-chunking amortized. [of_sorted_array] bulk-loads in O(n).
+    ([lower_bound]/[search]) cost O(log n); an insert or remove memmoves
+    at most one chunk — an O(√n) bound — with splits, merges and periodic
+    re-chunking amortized. [of_sorted_array] bulk-loads in O(n).
 
-    This replaces the copy-the-whole-array update path the 1-d structures
-    shipped with ({!Skipweb_core.Instances.Ints}, the skip-graph level
-    lists, the deterministic SkipNet): those made every host-local update
-    O(n) even though the paper's counted message cost is O(log n). The
-    container is purely host-local machinery — positions, range codes and
-    answers are bitwise what the flat-array code produced, so the message
-    model is untouched (the test suite pins seeded workload totals).
-
-    The positional companion {!Vec} stores an int per {e position} (no
-    ordering), for the parallel id/height arrays the skip-graph structures
-    splice in lockstep with their key sequence. *)
+    The container is purely host-local machinery: ranks, range codes and
+    answers are bitwise what a flat sorted array gives, so the message
+    model is untouched (the test suite pins seeded workload totals). *)
 
 (** {1 Shared sorted-array searches}
 
     The one binary-search implementation the repo's modules share (the
-    linked-list range algebra, the blocked 1-d cone projection and the
-    chunks here all use it). [len] restricts the search to a prefix of the
-    array — chunks are allocated beyond their live length. *)
+    linked-list range algebra, the blocked 1-d cone projection, the
+    skip-graph baselines and the chunks here all use it). [len] restricts
+    the search to a prefix of the array — chunks are allocated beyond
+    their live length. *)
 
 val array_lower_bound : ?len:int -> int array -> int -> int
 (** Index of the first element [>= k] (or [len]); the array's first [len]
@@ -34,12 +27,17 @@ val array_lower_bound : ?len:int -> int array -> int -> int
 val array_upper_index : ?len:int -> int array -> int -> int
 (** Index of the last element [<= k], or [-1]. *)
 
+val array_insert_at : int array -> int -> int -> int array
+(** [array_insert_at a i v]: a fresh copy of [a] with [v] at index [i]
+    (0 <= i <= length). The skip-graph baselines splice their key, id and
+    height arrays with it and {!array_remove_at}. *)
+
+val array_remove_at : int array -> int -> int array
+(** [array_remove_at a i]: a fresh copy of [a] without index [i]. *)
+
 (** {1 The chunked sorted sequence} *)
 
 type t
-
-val create : unit -> t
-(** An empty sequence. *)
 
 val of_sorted_array : int array -> t
 (** O(n) bulk load. The input must be strictly increasing; raises
@@ -53,10 +51,6 @@ val of_array : ?pool:Pool.t -> int array -> t
     any job count. The input is never retained or modified. *)
 
 val length : t -> int
-val is_empty : t -> bool
-
-val mem : t -> int -> bool
-(** O(log n). *)
 
 val lower_bound : t -> int -> int
 (** Rank of the first element [>= k] (= [length t] if none): the global
@@ -78,11 +72,7 @@ val search : t -> int -> hit
     one chunk search and one in-chunk search — O(log n), with no
     Fenwick descent. The neighbours are read from the located chunk, or
     from the previous chunk's maximum when [k] sorts first in its chunk.
-    This is the query path of the 1-d instance; {!get} is not on it. *)
-
-val get : t -> int -> int
-(** [get t i] is the i-th smallest element (0-based), via the Fenwick
-    index in O(log n). Raises [Invalid_argument] when out of range. *)
+    This is the query path of the 1-d instance. *)
 
 val insert : t -> int -> bool
 (** Add a key; [false] if already present. At most one O(√n) chunk
@@ -90,13 +80,6 @@ val insert : t -> int -> bool
 
 val remove : t -> int -> bool
 (** Drop a key; [false] if absent. Same cost shape as {!insert}. *)
-
-val predecessor : t -> int -> int option
-val successor : t -> int -> int option
-
-val nearest : t -> int -> int option
-(** Nearest stored key by absolute distance; ties go to the predecessor
-    (matching [Linklist.nearest]). *)
 
 val to_array : t -> int array
 (** Ascending; O(n) with no per-element search. *)
@@ -132,32 +115,3 @@ val chunk_lengths : t -> int array
 val check : t -> unit
 (** Validates chunk bounds, maxima, Fenwick sums and strict global
     ordering; raises [Failure] on violation. *)
-
-(** {1 Positional chunked vector} *)
-
-(** Same chunk machinery indexed by {e position} instead of key: O(log n)
-    [get]/[set], O(√n)-bounded [insert_at]/[remove_at]. The skip-graph
-    structures keep their per-position ids and heights here so a splice
-    no longer copies parallel O(n) arrays. Splices go one position at a
-    time: the chunk-sharded batch splice is keyed, so only the sorted
-    sequence has one ({!insert_batch}/{!remove_batch}). *)
-module Vec : sig
-  type t
-
-  val create : unit -> t
-  val of_array : int array -> t
-  val length : t -> int
-  val get : t -> int -> int
-  val set : t -> int -> int -> unit
-
-  val insert_at : t -> int -> int -> unit
-  (** [insert_at t i v] makes [v] the element at position [i]
-      (0 <= i <= length). *)
-
-  val remove_at : t -> int -> int
-  (** Removes and returns the element at position [i]. *)
-
-  val iter : (int -> unit) -> t -> unit
-  val to_array : t -> int array
-  val check : t -> unit
-end

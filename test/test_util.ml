@@ -396,15 +396,33 @@ let test_array_searches () =
   checki "lb len prefix" 2 (Ordseq.array_lower_bound ~len:2 a 10);
   checki "ui len prefix" 1 (Ordseq.array_upper_index ~len:2 a 10)
 
+let test_array_splices () =
+  let a = [| 2; 4; 7 |] in
+  let check_arr msg want got = Alcotest.(check (array int)) msg want got in
+  check_arr "insert front" [| 1; 2; 4; 7 |] (Ordseq.array_insert_at a 0 1);
+  check_arr "insert mid" [| 2; 4; 5; 7 |] (Ordseq.array_insert_at a 2 5);
+  check_arr "insert end" [| 2; 4; 7; 9 |] (Ordseq.array_insert_at a 3 9);
+  check_arr "insert into empty" [| 3 |] (Ordseq.array_insert_at [||] 0 3);
+  check_arr "remove front" [| 4; 7 |] (Ordseq.array_remove_at a 0);
+  check_arr "remove mid" [| 2; 7 |] (Ordseq.array_remove_at a 1);
+  check_arr "remove last" [| 2; 4 |] (Ordseq.array_remove_at a 2);
+  check_arr "source untouched" [| 2; 4; 7 |] a;
+  Alcotest.check_raises "insert past end"
+    (Invalid_argument "Ordseq.array_insert_at: index out of range") (fun () ->
+      ignore (Ordseq.array_insert_at a 4 0));
+  Alcotest.check_raises "remove past end"
+    (Invalid_argument "Ordseq.array_remove_at: index out of range") (fun () ->
+      ignore (Ordseq.array_remove_at a 3))
+
 let test_ordseq_bulk () =
   let n = 10_000 in
   let a = Array.init n (fun i -> 3 * i) in
   let t = Ordseq.of_sorted_array a in
   Ordseq.check t;
   checki "length" n (Ordseq.length t);
-  checki "get mid" (3 * 1234) (Ordseq.get t 1234);
-  checkb "mem hit" true (Ordseq.mem t (3 * 999));
-  checkb "mem miss" false (Ordseq.mem t (3 * 999 + 1));
+  checki "rank mid" 1234 (Ordseq.search t (3 * 1234)).Ordseq.rank;
+  checkb "search hit" true (Ordseq.search t (3 * 999)).Ordseq.stored;
+  checkb "search miss" false (Ordseq.search t ((3 * 999) + 1)).Ordseq.stored;
   checkb "roundtrip" true (Ordseq.to_array t = a);
   (* Chunk shape stays O(√n). *)
   let c = Array.length (Ordseq.chunk_lengths t) in
@@ -442,26 +460,18 @@ let test_ordseq_rejects_unsorted () =
       ignore (Ordseq.of_sorted_array [| 3; 2 |]))
 
 let test_ordseq_empty () =
-  let t = Ordseq.create () in
+  let t = Ordseq.of_sorted_array [||] in
   Ordseq.check t;
   checki "empty length" 0 (Ordseq.length t);
-  checkb "is_empty" true (Ordseq.is_empty t);
   checkb "insert" true (Ordseq.insert t 42);
   checkb "dup insert" false (Ordseq.insert t 42);
   checkb "remove" true (Ordseq.remove t 42);
   checkb "absent remove" false (Ordseq.remove t 42);
   checki "empty again" 0 (Ordseq.length t)
 
-let test_ordseq_nearest_tie () =
-  let t = Ordseq.of_sorted_array [| 10; 20 |] in
-  checkb "tie goes to predecessor" true (Ordseq.nearest t 15 = Some 10);
-  checkb "closer successor" true (Ordseq.nearest t 16 = Some 20);
-  checkb "pred" true (Ordseq.predecessor t 10 = Some 10);
-  checkb "succ past end" true (Ordseq.successor t 21 = None)
-
 let test_ordseq_incremental_growth () =
   (* One-by-one growth from empty keeps the chunk shape amortized. *)
-  let t = Ordseq.create () in
+  let t = Ordseq.of_sorted_array [||] in
   let g = Prng.create 31337 in
   let n = 4096 in
   let inserted = ref 0 in
@@ -484,7 +494,7 @@ let qcheck_ordseq_model =
   QCheck.Test.make ~name:"ordseq agrees with sorted-list model" ~count:60
     QCheck.(list_of_size Gen.(int_range 1 200) (pair bool (int_range 0 120)))
     (fun ops ->
-      let t = Ordseq.create () in
+      let t = Ordseq.of_sorted_array [||] in
       let xs = ref [] in
       List.for_all
         (fun (ins, k) ->
@@ -506,15 +516,7 @@ let qcheck_ordseq_model =
           op_ok
           && Ordseq.to_array t = arr
           && Ordseq.length t = n
-          && Ordseq.mem t k = Array.exists (fun x -> x = k) arr
-          && Ordseq.lower_bound t k = Ordseq.array_lower_bound arr k
-          && Ordseq.predecessor t k
-             = (let i = Ordseq.array_upper_index arr k in
-                if i >= 0 then Some arr.(i) else None)
-          && Ordseq.successor t k
-             = (let i = Ordseq.array_lower_bound arr k in
-                if i < n then Some arr.(i) else None)
-          && (n = 0 || Ordseq.get t (k mod n) = arr.(k mod n)))
+          && Ordseq.lower_bound t k = Ordseq.array_lower_bound arr k)
         ops)
 
 (* [Ordseq.search] against a sorted-array model: rank, membership and
@@ -548,7 +550,7 @@ let qcheck_ordseq_search =
   QCheck.Test.make ~name:"ordseq search agrees with sorted-array model" ~count:50
     QCheck.(list_of_size Gen.(int_range 1 8) (triple (int_range 0 3) (int_range 0 600) small_nat))
     (fun runs ->
-      let t = Ordseq.create () in
+      let t = Ordseq.of_sorted_array [||] in
       search_agrees t
       && List.for_all
            (fun (op, len, seed) ->
@@ -573,36 +575,6 @@ let qcheck_ordseq_search =
                  ignore (Ordseq.remove_batch t (Array.of_list ks) : int));
              search_agrees t)
            runs)
-
-let qcheck_vec_model =
-  QCheck.Test.make ~name:"ordseq vec agrees with array model" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 150) (triple (int_range 0 2) small_nat small_nat))
-    (fun ops ->
-      let v = Ordseq.Vec.create () in
-      let m = ref [||] in
-      let ok = ref true in
-      List.iter
-        (fun (op, pos, x) ->
-          let n = Array.length !m in
-          (match op with
-          | 0 ->
-              let i = pos mod (n + 1) in
-              Ordseq.Vec.insert_at v i x;
-              m := Array.concat [ Array.sub !m 0 i; [| x |]; Array.sub !m i (n - i) ]
-          | 1 when n > 0 ->
-              let i = pos mod n in
-              let got = Ordseq.Vec.remove_at v i in
-              ok := !ok && got = !m.(i);
-              m := Array.concat [ Array.sub !m 0 i; Array.sub !m (i + 1) (n - i - 1) ]
-          | _ when n > 0 ->
-              let i = pos mod n in
-              Ordseq.Vec.set v i x;
-              !m.(i) <- x
-          | _ -> ());
-          Ordseq.Vec.check v;
-          ok := !ok && Ordseq.Vec.to_array v = !m && Ordseq.Vec.length v = Array.length !m)
-        ops;
-      !ok)
 
 (* ---------- the chunk-sharded batch splice ---------- *)
 
@@ -729,7 +701,7 @@ let test_ordseq_batch_validation () =
   checki "absent-only batch" 0 (Ordseq.remove_batch t [| 10; 20 |]);
   checkb "untouched" true (Ordseq.to_array t = [| 1; 2; 3 |]);
   (* A batch into an empty structure takes the bulk-load path. *)
-  let e = Ordseq.create () in
+  let e = Ordseq.of_sorted_array [||] in
   checki "load path" 3 (Ordseq.insert_batch e [| 7; 8; 9 |]);
   Ordseq.check e;
   checkb "loaded" true (Ordseq.to_array e = [| 7; 8; 9 |])
@@ -832,11 +804,11 @@ let suite =
     Alcotest.test_case "tables render" `Quick test_tables_render;
     Alcotest.test_case "tables arity check" `Quick test_tables_arity_check;
     Alcotest.test_case "ordseq shared array searches" `Quick test_array_searches;
+    Alcotest.test_case "ordseq array splices" `Quick test_array_splices;
     Alcotest.test_case "ordseq bulk load" `Quick test_ordseq_bulk;
     Alcotest.test_case "ordseq of_array sorts+dedups" `Quick test_ordseq_of_array;
     Alcotest.test_case "ordseq rejects unsorted" `Quick test_ordseq_rejects_unsorted;
     Alcotest.test_case "ordseq empty edge cases" `Quick test_ordseq_empty;
-    Alcotest.test_case "ordseq nearest tie-break" `Quick test_ordseq_nearest_tie;
     Alcotest.test_case "ordseq incremental growth" `Quick test_ordseq_incremental_growth;
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
     Alcotest.test_case "ordseq batch mass remove" `Quick test_ordseq_batch_mass_remove;
@@ -849,6 +821,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ordseq_model;
     QCheck_alcotest.to_alcotest qcheck_ordseq_search;
     QCheck_alcotest.to_alcotest qcheck_ordseq_batch_model;
-    QCheck_alcotest.to_alcotest qcheck_vec_model;
     QCheck_alcotest.to_alcotest qcheck_series_model;
   ]
