@@ -543,20 +543,18 @@ module Make (S : Range_structure.S) = struct
        collision-skipping generation scheme and billed like any other
        steal, and the cache never silently survives on dead hosts. *)
     let rehome level b rid slots gens =
-      (* Bump each dead slot's generation until its placement lands live.
-         Ascending slot order: a bumped slot can shift the admissible
-         enumeration of *later* slots only, so one ascending pass settles
-         every slot. The bumps go to [next]; [gens] takes them only after
-         the last slot has landed. *)
+      (* Bump each dead slot's generation until its placement lands live,
+         in one [Placement.redraw] walk per slot. Ascending slot order: a
+         bumped slot can shift the admissible enumeration of *later* slots
+         only, so one ascending pass settles every slot. The bumps go to
+         [next]; [gens] takes them only after the last slot has landed. *)
       for j = 0 to slots - 1 do
-        let g = ref gens.(j) in
-        let h = ref (draw_slot t level b rid fresh j !g) in
-        while not (alive !h) do
-          incr g;
-          h := draw_slot t level b rid fresh j !g
-        done;
-        fresh.(j) <- !h;
-        next.(j) <- !g
+        let h, g =
+          Placement.redraw t.net ~seed:t.place_seed ~slot:j ~level ~prefix:b ~id:rid ~hosts:fresh
+            ~taken:j gens.(j)
+        in
+        fresh.(j) <- h;
+        next.(j) <- g
       done;
       Array.blit next 0 gens 0 slots;
       (* Migrate charges by placement diff — which also catches a live

@@ -26,6 +26,24 @@ let draw net ~seed ~slot ~level ~prefix ~id ~hosts ~taken ~skip_dead g =
     !found
   end
 
+let redraw net ~seed ~slot ~level ~prefix ~id ~hosts ~taken g =
+  let hc = Network.host_count net and code = code ~level ~prefix in
+  let raw = ref 0 and gen = ref (-1) and found = ref (-1) in
+  while !found < 0 do
+    if !raw > 10_000 then failwith "Placement.draw: placement exhausted";
+    let h = Prng.hash3 (salt ~seed ~slot ~raw:!raw) code id mod hc in
+    let x = ref 0 in
+    while !x < taken && hosts.(!x) <> h do
+      incr x
+    done;
+    if !x = taken then begin
+      incr gen;
+      if !gen >= g && Network.alive net h then found := h
+    end;
+    incr raw
+  done;
+  (!found, !gen)
+
 let first_live net hosts ~n =
   let x = ref 0 in
   while !x < n && not (Network.alive net hosts.(!x)) do

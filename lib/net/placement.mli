@@ -38,6 +38,25 @@ val draw :
     of a unit always sit on distinct hosts — and, with [skip_dead], when
     it lands on a live host. Raises [Failure] after 10 000 raw draws. *)
 
+val redraw :
+  Network.t ->
+  seed:int ->
+  slot:int ->
+  level:int ->
+  prefix:int ->
+  id:int ->
+  hosts:Network.host array ->
+  taken:int ->
+  int ->
+  Network.host * int
+(** [redraw net ~seed ~slot ~level ~prefix ~id ~hosts ~taken g] moves a
+    copy off a dead host: the first live host among the admissible draws
+    [g], [g + 1], ... of {!draw} (without [skip_dead]), with its
+    generation. One walk over the raw draws finds it, so generation [G]
+    costs O(G) hashes where stepping {!draw} through [g .. G] would cost
+    O(G²). It makes the same draws as that stepping and raises the same
+    [Failure] after the same 10 000 raw draws. *)
+
 val first_live : Network.t -> Network.host array -> n:int -> Network.host
 (** Failover: the first live host of [hosts.(0 .. n - 1)], or the dead
     [hosts.(0)] when none is live, so the session hop raises

@@ -456,9 +456,53 @@ let qcheck_goto_nonnegative =
         moves;
       Network.messages s = !expected)
 
+(* [Placement.redraw] is one walk over the raw draws; it must equal
+   stepping [Placement.draw] through g, g + 1, ... until a draw is live,
+   down to the [Failure] both raise when the raw-draw cap runs out. *)
+module Placement = Skipweb_net.Placement
+
+let stepped_redraw net ~slot ~id ~hosts ~taken g =
+  let draw g =
+    Placement.draw net ~seed:11 ~slot ~level:3 ~prefix:5 ~id ~hosts ~taken ~skip_dead:false g
+  in
+  let g = ref g in
+  while not (Network.alive net (draw !g)) do
+    incr g
+  done;
+  (draw !g, !g)
+
+let test_placement_redraw_steps () =
+  let net = Network.create ~hosts:64 in
+  for h = 0 to 63 do
+    if h mod 8 <> 3 then Network.kill net h
+  done;
+  let hosts = [| 3; 11; 19 |] in
+  for id = 0 to 40 do
+    for taken = 0 to 3 do
+      List.iter
+        (fun g ->
+          let slot = taken in
+          let want = stepped_redraw net ~slot ~id ~hosts ~taken g in
+          let got = Placement.redraw net ~seed:11 ~slot ~level:3 ~prefix:5 ~id ~hosts ~taken g in
+          checkb (Printf.sprintf "id %d taken %d g %d" id taken g) true (got = want))
+        [ 0; 1; 7 ]
+    done
+  done;
+  (* Every host but 63 taken and 63 dead: no admissible draw is live. *)
+  Network.revive net 0;
+  Network.kill net 3;
+  Network.kill net 63;
+  let hosts = Array.init 63 Fun.id in
+  let exhausted = Failure "Placement.draw: placement exhausted" in
+  Alcotest.check_raises "stepped draws give up" exhausted (fun () ->
+      ignore (stepped_redraw net ~slot:1 ~id:9 ~hosts ~taken:63 0));
+  Alcotest.check_raises "redraw gives up" exhausted (fun () ->
+      ignore (Placement.redraw net ~seed:11 ~slot:1 ~level:3 ~prefix:5 ~id:9 ~hosts ~taken:63 0))
+
 let suite =
   [
     Alcotest.test_case "create bounds" `Quick test_create_bounds;
+    Alcotest.test_case "placement redraw = stepped draws" `Quick test_placement_redraw_steps;
     Alcotest.test_case "session counts crossings" `Quick test_session_counts_crossings;
     Alcotest.test_case "total messages accumulate" `Quick test_total_messages_accumulate;
     Alcotest.test_case "traffic tracking" `Quick test_traffic_tracking;
