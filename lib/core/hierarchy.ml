@@ -93,18 +93,17 @@ module Make (S : Range_structure.S) = struct
     cache_seed : int;  (* salts the per-origin slot choice *)
     vecs : Membership.t;
     mutable layers : level_state array;  (* index = level; length = top + 1 *)
-    key_ids : (S.key, int) Hashtbl.t;
-    id_keys : (int, S.key) Hashtbl.t;
     (* Swap-pop arena of live element ids: the first [live] slots of [ids]
-       are the live ids, [id_pos] maps an id back to its slot. *)
+       are the live ids, [key_slot] maps a key to its id's slot. *)
+    key_slot : (S.key, int) Hashtbl.t;
+    id_keys : (int, S.key) Hashtbl.t;
     mutable ids : int array;
     mutable live : int;
-    id_pos : (int, int) Hashtbl.t;
     mutable top : int;  (* K = ceil(log2 n) *)
     mutable next_id : int;
   }
 
-  let size t = Hashtbl.length t.key_ids
+  let size t = t.live
 
   let levels t = t.top + 1
 
@@ -222,26 +221,26 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- live-id arena: O(1) insert / remove / uniform sample ------- *)
 
-  let arena_add t id =
+  let arena_add t k id =
     if t.live = Array.length t.ids then begin
       let bigger = Array.make (max 8 (2 * t.live)) 0 in
       Array.blit t.ids 0 bigger 0 t.live;
       t.ids <- bigger
     end;
     t.ids.(t.live) <- id;
-    Hashtbl.replace t.id_pos id t.live;
+    Hashtbl.replace t.key_slot k t.live;
+    Hashtbl.replace t.id_keys id k;
     t.live <- t.live + 1
 
-  let arena_remove t id =
-    match Hashtbl.find_opt t.id_pos id with
-    | None -> ()
-    | Some i ->
-        let last = t.live - 1 in
-        let moved = t.ids.(last) in
-        t.ids.(i) <- moved;
-        Hashtbl.replace t.id_pos moved i;
-        t.live <- last;
-        Hashtbl.remove t.id_pos id
+  (* Drop a stored key: the last live id moves into its slot. *)
+  let arena_remove t k =
+    let i = Hashtbl.find t.key_slot k and last = t.live - 1 in
+    let id = t.ids.(i) and moved = t.ids.(last) in
+    t.ids.(i) <- moved;
+    Hashtbl.replace t.key_slot (Hashtbl.find t.id_keys moved) i;
+    Hashtbl.remove t.key_slot k;
+    Hashtbl.remove t.id_keys id;
+    t.live <- last
 
   let sample_id t rng = t.ids.(Prng.int rng t.live)
 
@@ -341,9 +340,7 @@ module Make (S : Range_structure.S) = struct
   let register t k =
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.key_ids k id;
-    Hashtbl.replace t.id_keys id k;
-    arena_add t id;
+    arena_add t k id;
     id
 
   (* The one update step of a level set, run with one key by [insert] and
@@ -427,7 +424,7 @@ module Make (S : Range_structure.S) = struct
     let was_empty = size t = 0 in
     let fresh = ref [] in
     Array.iter
-      (fun k -> if not (Hashtbl.mem t.key_ids k) then fresh := (k, register t k) :: !fresh)
+      (fun k -> if not (Hashtbl.mem t.key_slot k) then fresh := (k, register t k) :: !fresh)
       keys;
     let fresh = Array.of_list (List.rev !fresh) in
     if Array.length fresh > 0 then
@@ -458,11 +455,10 @@ module Make (S : Range_structure.S) = struct
         cache_seed = seed + 0xca4e;
         vecs;
         layers = [| fresh_layer ~copies:(r + cache_replicas - 1) 0 |];
-        key_ids = Hashtbl.create 64;
+        key_slot = Hashtbl.create 64;
         id_keys = Hashtbl.create 64;
         ids = [||];
         live = 0;
-        id_pos = Hashtbl.create 64;
         top = 0;
         next_id = 0;
       }
@@ -777,7 +773,7 @@ module Make (S : Range_structure.S) = struct
     end
 
   let insert t k =
-    if Hashtbl.mem t.key_ids k then 0
+    if Hashtbl.mem t.key_slot k then 0
     else begin
       (* Locate first (§4): route a probe query if the structure is not
          empty, paying its message cost. *)
@@ -803,9 +799,10 @@ module Make (S : Range_structure.S) = struct
     end
 
   let remove t k =
-    match Hashtbl.find_opt t.key_ids k with
+    match Hashtbl.find_opt t.key_slot k with
     | None -> 0
-    | Some id ->
+    | Some slot ->
+        let id = t.ids.(slot) in
         let locate_cost =
           let rng = Prng.create (id + 991) in
           let _, stats = query_from t (sample_id t rng) (S.probe k) in
@@ -815,9 +812,7 @@ module Make (S : Range_structure.S) = struct
         for level = 0 to t.top do
           remove_group t level (path lsr (t.top - level)) [| k |]
         done;
-        Hashtbl.remove t.key_ids k;
-        Hashtbl.remove t.id_keys id;
-        arena_remove t id;
+        arena_remove t k;
         let cost = locate_cost + (2 * (t.top + 1)) in
         shrink_top t;
         cost
@@ -831,10 +826,10 @@ module Make (S : Range_structure.S) = struct
     let seen = Hashtbl.create (max 16 (Array.length keys)) in
     Array.iter
       (fun k ->
-        match Hashtbl.find_opt t.key_ids k with
-        | Some id when not (Hashtbl.mem seen id) ->
-            Hashtbl.replace seen id ();
-            victims := (k, id) :: !victims
+        match Hashtbl.find_opt t.key_slot k with
+        | Some slot when not (Hashtbl.mem seen slot) ->
+            Hashtbl.replace seen slot ();
+            victims := (k, t.ids.(slot)) :: !victims
         | Some _ | None -> ())
       keys;
     let victims = Array.of_list (List.rev !victims) in
@@ -843,12 +838,7 @@ module Make (S : Range_structure.S) = struct
     else begin
       let batch = sorted_paths t victims in
       run_levels ?pool t (fun level -> iter_groups t batch level (remove_group t level));
-      Array.iter
-        (fun (k, id) ->
-          Hashtbl.remove t.key_ids k;
-          Hashtbl.remove t.id_keys id;
-          arena_remove t id)
-        victims;
+      Array.iter (fun (k, _) -> arena_remove t k) victims;
       shrink_top t;
       count
     end
@@ -868,12 +858,14 @@ module Make (S : Range_structure.S) = struct
     if Array.length t.layers <> t.top + 1 then
       failwith "Hierarchy: layer array out of sync with top";
     if t.top <> required_top n then failwith "Hierarchy: top out of sync with size";
-    (* Arena: exactly the live ids, each knowing its slot. *)
-    if t.live <> n then failwith "Hierarchy: id arena size disagrees with ground set";
+    (* Arena: exactly the live ids, each key knowing its id's slot. *)
+    if Hashtbl.length t.key_slot <> n || Hashtbl.length t.id_keys <> n then
+      failwith "Hierarchy: id arena size disagrees with ground set";
     for i = 0 to t.live - 1 do
-      let id = t.ids.(i) in
-      if Hashtbl.find_opt t.id_pos id <> Some i then failwith "Hierarchy: id arena slot broken";
-      if not (Hashtbl.mem t.id_keys id) then failwith "Hierarchy: dead id in arena"
+      match Hashtbl.find_opt t.id_keys t.ids.(i) with
+      | None -> failwith "Hierarchy: dead id in arena"
+      | Some k ->
+          if Hashtbl.find_opt t.key_slot k <> Some i then failwith "Hierarchy: id arena slot broken"
     done;
     (* Every level partitions the ground set: recount the live ids per
        prefix from their paths; each non-empty prefix has a structure of
