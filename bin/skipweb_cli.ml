@@ -6,7 +6,6 @@
      dune exec bin/skipweb_cli.exe -- stats --structure skipweb -n 4096 -u 0
      dune exec bin/skipweb_cli.exe -- stats --structure skipgraph -n 2048 -q 0 -u 50
      dune exec bin/skipweb_cli.exe -- load -s skipweb-generic -n 100000 --jobs 4
-     dune exec bin/skipweb_cli.exe -- census -n 1024
      dune exec bin/skipweb_cli.exe -- trace -s skipweb -n 1024
      dune exec bin/skipweb_cli.exe -- churn -s skipweb-generic -n 2048 --r 2 --epochs 8
      dune exec bin/skipweb_cli.exe -- hotspots -s skipweb-generic -n 4096 --queries 2000 --alpha 1.3
@@ -254,31 +253,6 @@ let run_load structure n seed m buckets jobs =
   Tables.print t;
   Printf.printf "build wall clock: %.3f s (%.0f keys/s)\n" build_s
     (float_of_int n /. Float.max build_s 1e-9);
-  0
-
-let run_census n seed =
-  validate "census" [ at_least "-n" 1 n ];
-  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  let net = Network.create ~hosts:n in
-  let h = HInt.build ~net ~seed keys in
-  Printf.printf "1-d skip-web level census (Figure 2), n = %d\n\n" n;
-  let t =
-    Tables.create ~title:"levels" ~columns:[ "level"; "sets"; "elements"; "largest set" ]
-  in
-  for level = 0 to HInt.levels h - 1 do
-    let sizes = HInt.level_set_sizes h level in
-    Tables.add_row t
-      [
-        string_of_int level;
-        string_of_int (List.length sizes);
-        string_of_int (List.fold_left ( + ) 0 sizes);
-        string_of_int (List.fold_left max 0 sizes);
-      ]
-  done;
-  Tables.print t;
-  Printf.printf "total stored ranges: %d (O(n log n))\n" (HInt.total_storage h);
-  Printf.printf "busiest host stores: %d units (O(log n) under hashed placement)\n"
-    (Network.max_memory net);
   0
 
 (* ---------------- trace: one op, rendered hop tree ---------------- *)
@@ -874,10 +848,6 @@ let load_cmd =
   Cmd.v (Cmd.info "load" ~doc)
     Term.(const run_load $ structure_arg $ n_arg $ seed_arg $ m_arg $ buckets_arg $ jobs_arg)
 
-let census_cmd =
-  let doc = "Print the skip-web level census (Figure 2)." in
-  Cmd.v (Cmd.info "census" ~doc) Term.(const run_census $ n_arg $ seed_arg)
-
 let at_arg =
   Arg.(value & opt (some int) None & info [ "at" ] ~docv:"KEY" ~doc:"Query point to trace (default 50n, an interior probe).")
 
@@ -992,8 +962,8 @@ let main =
   Cmd.group
     (Cmd.info "skipweb_cli" ~version:"1.0" ~doc)
     [
-      load_cmd; census_cmd; trace_cmd; stats_cmd; churn_cmd; hotspots_cmd; serve_cmd; monitor_cmd;
-      range_cmd; knn_cmd; prefix_cmd;
+      load_cmd; trace_cmd; stats_cmd; churn_cmd; hotspots_cmd; serve_cmd; monitor_cmd; range_cmd;
+      knn_cmd; prefix_cmd;
     ]
 
 let () = exit (Cmd.eval' main)
