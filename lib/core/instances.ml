@@ -62,7 +62,7 @@ module Ints :
 
   (* One search's result: the rank, whether q is stored, and both stored
      neighbours — everything [describe], [answer] and the range code
-     need, so the query path never pays a Fenwick [O.get]. *)
+     need, so the query path never reads a key back by position. *)
   type loc = O.hit
 
   (* The span of the located range: portable because child ranges map to

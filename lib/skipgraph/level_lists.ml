@@ -46,7 +46,6 @@ let common_prefix t i j = Membership.common_prefix t.vecs (id t i) (id t j)
    L. Computed for all positions by recursive group splitting. *)
 let compute_heights t =
   let n = size t in
-  let ids = t.ids in
   let h = Array.make n 0 in
   let rec split level members =
     match members with
@@ -55,7 +54,7 @@ let compute_heights t =
         List.iter (fun i -> h.(i) <- level) members;
         if level < 59 then begin
           let zeros, ones =
-            List.partition (fun i -> not (Membership.bit t.vecs ~id:ids.(i) ~level)) members
+            List.partition (fun i -> not (Membership.bit t.vecs ~id:t.ids.(i) ~level)) members
           in
           split (level + 1) zeros;
           split (level + 1) ones
@@ -83,14 +82,13 @@ let neighbor_tables t =
   | Some tabs -> tabs
   | None ->
       let n = size t in
-      let ids = t.ids in
-      let lv = levels t in
+          let lv = levels t in
       let tabs =
         Array.init lv (fun level ->
             let left = Array.make n (-1) and right = Array.make n (-1) in
             let last = Hashtbl.create 64 in
             for i = 0 to n - 1 do
-              let p = Membership.prefix t.vecs ~id:ids.(i) ~len:level in
+              let p = Membership.prefix t.vecs ~id:t.ids.(i) ~len:level in
               (match Hashtbl.find_opt last p with
               | Some j ->
                   left.(i) <- j;

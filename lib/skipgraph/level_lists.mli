@@ -23,6 +23,8 @@ val id : t -> int -> int
 (** Stable id of the element at sorted position [i] (used as its host). *)
 
 val keys : t -> int array
+(** The keys in sorted order, as a fresh copy. *)
+
 val vectors : t -> Membership.t
 
 val top_level : t -> int -> int
