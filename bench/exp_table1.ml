@@ -22,16 +22,40 @@ module C = Bench_common
 
 type measurement = { q : float; u : float; m : float; c : float }
 
+(* A row supplies its host count (from n and the update count) and a
+   constructor that returns its query closure and its insert-then-delete
+   closure, both over the shared [rng]; [measure] does the rest. *)
 type method_spec = {
   label : string;
   paper_q : string;
   paper_u : string;
   paper_m : string;
   paper_c : string;
-  run : seed:int -> n:int -> queries:int array -> updates:int array -> measurement;
+  hosts : n:int -> updates:int -> int;
+  build : net:Network.t -> seed:int -> rng:Prng.t -> keys:int array -> (int -> int) * (int -> int);
 }
 
-let measure_net net ~items = (float_of_int (Network.max_memory net), Network.congestion net ~items)
+(* Host count of the two H = n / log n rows. *)
+let bucket_hosts n = max 2 (n / C.log2i n)
+
+let measure spec ~seed ~n ~queries ~updates =
+  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
+  let net = Network.create ~hosts:(spec.hosts ~n ~updates:(Array.length updates)) in
+  let query, update = spec.build ~net ~seed ~rng:(Prng.create (seed + 1)) ~keys in
+  let mean_messages f xs = C.mean_int_list (Array.to_list (Array.map f xs)) in
+  let q = mean_messages query queries in
+  let m = float_of_int (Network.max_memory net) and c = Network.congestion net ~items:n in
+  let u = mean_messages update updates /. 2.0 in
+  { q; u; m; c }
+
+(* A row's query closure and its insert-then-delete closure. *)
+let closures query ~insert ~delete =
+  ( query,
+    fun k ->
+      let ci = insert k in
+      ci + delete k )
+
+let one_host_each ~n ~updates = n + updates + 4
 
 let spec_skip_graph =
   {
@@ -40,22 +64,13 @@ let spec_skip_graph =
     paper_u = "~O(log n)";
     paper_m = "O(log n)";
     paper_c = "O(log n)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let net = Network.create ~hosts:(n + Array.length updates + 4) in
+    hosts = one_host_each;
+    build =
+      (fun ~net ~seed ~rng ~keys ->
         let g = SG.create ~net ~seed ~keys in
-        let rng = Prng.create (seed + 1) in
-        let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (SG.search_from_random g ~rng x).SG.messages) queries)) in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list
-            (Array.to_list (Array.map (fun k ->
-                    let ci = SG.insert g k in
-                    ci + SG.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+        closures
+          (fun x -> (SG.search_from_random g ~rng x).messages)
+          ~insert:(SG.insert g) ~delete:(SG.delete g));
   }
 
 let spec_non =
@@ -65,22 +80,13 @@ let spec_non =
     paper_u = "~O(log^2 n)";
     paper_m = "O(log^2 n)";
     paper_c = "O(log^2 n)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let net = Network.create ~hosts:(n + Array.length updates + 4) in
+    hosts = one_host_each;
+    build =
+      (fun ~net ~seed ~rng ~keys ->
         let g = NoN.create ~net ~seed ~keys in
-        let rng = Prng.create (seed + 1) in
-        let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (NoN.search_from_random g ~rng x).NoN.messages) queries)) in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list
-            (Array.to_list (Array.map (fun k ->
-                    let ci = NoN.insert g k in
-                    ci + NoN.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+        closures
+          (fun x -> (NoN.search_from_random g ~rng x).messages)
+          ~insert:(NoN.insert g) ~delete:(NoN.delete g));
   }
 
 let spec_family =
@@ -90,25 +96,14 @@ let spec_family =
     paper_u = "~O(log n)";
     paper_m = "O(1)";
     paper_c = "O(log n)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let net = Network.create ~hosts:(n + Array.length updates + 4) in
+    hosts = one_host_each;
+    build =
+      (fun ~net ~seed ~rng ~keys ->
         let g = FT.create ~net ~seed ~keys in
-        let rng = Prng.create (seed + 1) in
-        let q =
-          C.mean_int_list
-            (Array.to_list
-               (Array.map (fun x -> (FT.search g ~from:(Prng.int rng n) x).FT.messages) queries))
-        in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list (Array.to_list (Array.map (fun k ->
-                    let ci = FT.insert g k in
-                    ci + FT.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+        let n = Array.length keys in
+        closures
+          (fun x -> (FT.search g ~from:(Prng.int rng n) x).messages)
+          ~insert:(FT.insert g) ~delete:(FT.delete g));
   }
 
 let spec_det =
@@ -118,26 +113,14 @@ let spec_det =
     paper_u = "O(log^2 n)";
     paper_m = "O(log n)";
     paper_c = "O(log n)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let net = Network.create ~hosts:((2 * n) + Array.length updates + 8) in
+    hosts = (fun ~n ~updates -> (2 * n) + updates + 8);
+    build =
+      (fun ~net ~seed:_ ~rng ~keys ->
         let g = DS.create ~net ~keys in
-        let rng = Prng.create (seed + 1) in
-        let q =
-          C.mean_int_list
-            (Array.to_list
-               (Array.map (fun x -> (DS.search g ~from:(1 + Prng.int rng n) x).DS.messages) queries))
-        in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list
-            (Array.to_list (Array.map (fun k ->
-                    let ci = DS.insert g k in
-                    ci + DS.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+        let n = Array.length keys in
+        closures
+          (fun x -> (DS.search g ~from:(1 + Prng.int rng n) x).messages)
+          ~insert:(DS.insert g) ~delete:(DS.delete g));
   }
 
 let spec_bucket_sg =
@@ -147,24 +130,18 @@ let spec_bucket_sg =
     paper_u = "~O(log H)";
     paper_m = "O(n/H + log H)";
     paper_c = "O(n/H + log H)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let buckets = max 2 (n / C.log2i n) in
-        let net = Network.create ~hosts:(2 * buckets) in
-        let g = BSG.create ~net ~seed ~keys ~buckets in
-        let rng = Prng.create (seed + 1) in
-        let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (BSG.search g ~rng x).BSG.messages) queries)) in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list
-            (Array.to_list (Array.map (fun k ->
-                    let ci = BSG.insert g ~rng k in
-                    ci + BSG.delete g ~rng k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+    hosts = (fun ~n ~updates:_ -> 2 * bucket_hosts n);
+    build =
+      (fun ~net ~seed ~rng ~keys ->
+        let g = BSG.create ~net ~seed ~keys ~buckets:(bucket_hosts (Array.length keys)) in
+        closures
+          (fun x -> (BSG.search g ~rng x).messages)
+          ~insert:(BSG.insert g ~rng) ~delete:(BSG.delete g ~rng));
   }
+
+let blocked_build ~m ~net ~seed ~rng ~keys =
+  let g = B1.build ~net ~seed ~m keys in
+  closures (fun x -> (B1.query g ~rng x).B1.messages) ~insert:(B1.insert g) ~delete:(B1.delete g)
 
 let spec_skipweb =
   {
@@ -173,21 +150,10 @@ let spec_skipweb =
     paper_u = "~O(log n/loglog n)";
     paper_m = "O(log n)";
     paper_c = "O(log n)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let net = Network.create ~hosts:n in
-        let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
-        let rng = Prng.create (seed + 1) in
-        let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (B1.query g ~rng x).B1.messages) queries)) in
-        let m, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list (Array.to_list (Array.map (fun k ->
-                    let ci = B1.insert g k in
-                    ci + B1.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m; c });
+    hosts = (fun ~n ~updates:_ -> n);
+    build =
+      (fun ~net ~seed ~rng ~keys ->
+        blocked_build ~m:(4 * C.log2i (Array.length keys)) ~net ~seed ~rng ~keys);
   }
 
 let spec_bucket_skipweb =
@@ -197,23 +163,12 @@ let spec_bucket_skipweb =
     paper_u = "~O(log_M H)";
     paper_m = "O(n/H + log H)";
     paper_c = "O(n/H + log H)";
-    run =
-      (fun ~seed ~n ~queries ~updates ->
-        let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-        let hosts = max 2 (n / C.log2i n) in
-        let net = Network.create ~hosts in
-        let m = (n / hosts) + (4 * C.log2i hosts) in
-        let g = B1.build ~net ~seed ~m keys in
-        let rng = Prng.create (seed + 1) in
-        let q = C.mean_int_list (Array.to_list (Array.map (fun x -> (B1.query g ~rng x).B1.messages) queries)) in
-        let mm, c = measure_net net ~items:n in
-        let u =
-          C.mean_int_list (Array.to_list (Array.map (fun k ->
-                    let ci = B1.insert g k in
-                    ci + B1.delete g k) updates))
-          /. 2.0
-        in
-        { q; u; m = mm; c });
+    hosts = (fun ~n ~updates:_ -> bucket_hosts n);
+    build =
+      (fun ~net ~seed ~rng ~keys ->
+        let n = Array.length keys in
+        let hosts = bucket_hosts n in
+        blocked_build ~m:((n / hosts) + (4 * C.log2i hosts)) ~net ~seed ~rng ~keys);
   }
 
 let all_specs =
@@ -244,7 +199,7 @@ let run (cfg : C.config) =
                       C.fresh_keys ~seed ~count:cfg.C.updates ~bound:(100 * n)
                         ~existing:(W.distinct_ints ~seed ~n ~bound:(100 * n))
                     in
-                    spec.run ~seed ~n ~queries ~updates)
+                    measure spec ~seed ~n ~queries ~updates)
               in
               let mean f = Skipweb_util.Stats.mean (List.map f samples) in
               {

@@ -163,24 +163,24 @@ let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool 
   | Non_skip_graph ->
       let g = NoN.create ~net ~seed ~keys in
       overlay "NoN skip graph (Manku-Naor-Wieder lookahead), H = n"
-        (fun rng q -> (NoN.search_from_random g ~rng q).NoN.messages)
+        (fun rng q -> (NoN.search_from_random g ~rng q).messages)
         ~insert:(NoN.insert g) ~delete:(NoN.delete g)
   | Family_tree ->
       let g = FT.create ~net ~seed ~keys in
       overlay "family tree comparator (constant-degree overlay), H = n"
-        (fun rng q -> (FT.search g ~from:(Prng.int rng (max 1 (FT.size g))) q).FT.messages)
+        (fun rng q -> (FT.search g ~from:(Prng.int rng (max 1 (FT.size g))) q).messages)
         ~insert:(FT.insert g) ~delete:(FT.delete g)
   | Det_skipnet ->
       let g = DS.create ~net ~keys in
       overlay "deterministic SkipNet (1-2-3 skip list), H = n"
-        (fun _ q -> (DS.search g ~from:0 q).DS.messages)
+        (fun _ q -> (DS.search g ~from:0 q).messages)
         ~insert:(DS.insert g) ~delete:(DS.delete g)
   | Bucket_skip_graph ->
       (* Queries and updates share the driver's one rng. *)
       let g = BSG.create ~net ~seed ~keys ~buckets in
       overlay
         (Printf.sprintf "bucket skip graph, H = %d < n" buckets)
-        (fun rng q -> (BSG.search g ~rng q).BSG.messages)
+        (fun rng q -> (BSG.search g ~rng q).messages)
         ~insert:(fun k -> BSG.insert g ~rng k)
         ~delete:(fun k -> BSG.delete g ~rng k)
   | Skipweb ->

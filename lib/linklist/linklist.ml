@@ -92,12 +92,14 @@ let successor a q =
   let i = lower_bound a q in
   if i < Array.length a then Some a.(i) else None
 
-let nearest a q =
-  match (predecessor a q, successor a q) with
+let closest q ~pred ~succ =
+  match (pred, succ) with
   | None, None -> None
   | Some p, None -> Some p
   | None, Some s -> Some s
   | Some p, Some s -> if q - p <= s - q then Some p else Some s
+
+let nearest a q = closest q ~pred:(predecessor a q) ~succ:(successor a q)
 
 let check_subset ~parent ~child =
   Array.for_all

@@ -77,6 +77,11 @@ val successor : int array -> int -> int option
 val nearest : int array -> int -> int option
 (** Nearest key by absolute distance; ties go to the predecessor. *)
 
+val closest : int -> pred:int option -> succ:int option -> int option
+(** [closest q ~pred ~succ] is whichever of [q]'s predecessor and
+    successor lies nearer to [q], ties to the predecessor: the rule of
+    {!nearest}, for callers that found the two neighbors themselves. *)
+
 val check_subset : parent:int array -> child:int array -> bool
 (** Whether every child key occurs in the parent (both sorted). *)
 

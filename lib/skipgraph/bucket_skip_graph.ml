@@ -16,7 +16,8 @@ let size t = t.items
 
 let bucket_count t = Skip_graph.size t.graph
 
-let separators t = Skip_graph.keys t.graph
+(* A separator's host, by binary search over the skip graph's keys. *)
+let host_of_sep t sep = Skip_graph.host_of_index t.graph (Skip_graph.position t.graph sep)
 
 let create ~net ~seed ~keys ~buckets =
   if buckets < 1 then invalid_arg "Bucket_skip_graph.create: buckets >= 1";
@@ -40,11 +41,7 @@ let create ~net ~seed ~keys ~buckets =
   let t = { net; graph; contents; target = per; items = n } in
   (* Charge each bucket host for its payload. *)
   Hashtbl.iter
-    (fun sep chunk ->
-      let seps_arr = separators t in
-      let rec find i = if seps_arr.(i) = sep then i else find (i + 1) in
-      let host = Skip_graph.host_of_index t.graph (find 0) in
-      Network.charge_memory net host (List.length !chunk))
+    (fun sep chunk -> Network.charge_memory net (host_of_sep t sep) (List.length !chunk))
     contents;
   t
 
@@ -55,34 +52,14 @@ let route t ~from q =
   let sep = match r.Skip_graph.predecessor with Some s -> s | None -> min_int in
   (sep, r.Skip_graph.messages)
 
-let host_of_sep t sep =
-  let seps = separators t in
-  let rec find i =
-    if i >= Array.length seps then invalid_arg "Bucket_skip_graph: unknown separator"
-    else if seps.(i) = sep then Skip_graph.host_of_index t.graph i
-    else find (i + 1)
-  in
-  find 0
-
-let sep_index t sep =
-  let seps = separators t in
-  let rec find i = if seps.(i) = sep then i else find (i + 1) in
-  find 0
-
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 let bucket_list t sep = !(Hashtbl.find t.contents sep)
 
 let search t ~rng q =
   let from = Prng.int rng (bucket_count t) in
   let sep, msgs = route t ~from q in
-  let seps = separators t in
-  let idx = sep_index t sep in
+  let idx = Skip_graph.position t.graph sep in
   let local = bucket_list t sep in
   let pred = List.fold_left (fun acc k -> if k <= q then Some k else acc) None local in
   (* The predecessor might live in an earlier bucket if this one is empty
@@ -97,7 +74,7 @@ let search t ~rng q =
           if i < 0 then None
           else begin
             incr extra;
-            match List.rev (bucket_list t seps.(i)) with
+            match List.rev (bucket_list t (Skip_graph.key t.graph i)) with
             | last :: _ -> Some last
             | [] -> back (i - 1)
           end
@@ -110,23 +87,16 @@ let search t ~rng q =
     | Some _ as s -> s
     | None ->
         let rec fwd i =
-          if i >= Array.length seps then None
+          if i >= bucket_count t then None
           else begin
             incr extra;
-            match bucket_list t seps.(i) with k :: _ -> Some k | [] -> fwd (i + 1)
+            match bucket_list t (Skip_graph.key t.graph i) with k :: _ -> Some k | [] -> fwd (i + 1)
           end
         in
         fwd (idx + 1)
   in
   let succ = match (pred, succ) with Some p, _ when p = q -> Some q | _ -> succ in
-  let nearest =
-    match (pred, succ) with
-    | None, None -> None
-    | Some p, None -> Some p
-    | None, Some s -> Some s
-    | Some p, Some s -> if q - p <= s - q then Some p else Some s
-  in
-  { predecessor = pred; successor = succ; nearest; messages = msgs + !extra }
+  Skip_graph.answer q ~pred ~succ ~messages:(msgs + !extra)
 
 let rec insert_sorted k = function
   | [] -> [ k ]
@@ -181,12 +151,11 @@ let delete t ~rng k =
   Network.charge_memory t.net (host_of_sep t sep) (-1);
   msgs + 1
 
-let memory_per_host t =
-  Array.to_list (Array.mapi (fun i _ -> Network.memory t.net (Skip_graph.host_of_index t.graph i)) (separators t))
+let memory_per_host t = Skip_graph.memory_per_host t.graph
 
 let check_invariants t =
   Skip_graph.check_invariants t.graph;
-  let seps = separators t in
+  let seps = Skip_graph.keys t.graph in
   let total = ref 0 in
   Array.iteri
     (fun i sep ->

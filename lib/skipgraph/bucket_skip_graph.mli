@@ -23,12 +23,7 @@ val size : t -> int
 
 val bucket_count : t -> int
 
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 val search : t -> rng:Skipweb_util.Prng.t -> int -> search_result
 (** Nearest-neighbor query originating at a uniformly random bucket host. *)

@@ -81,12 +81,7 @@ let next_at t i h =
   let rec go j = if j >= n then None else if t.hs.(j) >= h then Some j else go (j + 1) in
   go (i + 1)
 
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 (* Top-down search; returns the bottom-level predecessor position (-1 if
    none) and runs inside the given session for message accounting. *)
@@ -108,25 +103,18 @@ let descend t session q ~stop_level =
   !cur
 
 let search t ~from q =
-  if size t = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
+  if size t = 0 then Skip_graph.no_answer
   else begin
     let session = Network.start t.net from in
     let pos = descend t session q ~stop_level:1 in
     Network.finish session;
-    let predecessor = if pos >= 0 then Some t.xs.(pos) else None in
-    let successor =
+    let pred = if pos >= 0 then Some t.xs.(pos) else None in
+    let succ =
       if pos >= 0 && t.xs.(pos) = q then Some q
       else if pos + 1 < size t then Some t.xs.(pos + 1)
       else None
     in
-    let nearest =
-      match (predecessor, successor) with
-      | None, None -> None
-      | Some p, None -> Some p
-      | None, Some s -> Some s
-      | Some p, Some s -> if q - p <= s - q then Some p else Some s
-    in
-    { predecessor; successor; nearest; messages = Network.messages session }
+    Skip_graph.answer q ~pred ~succ ~messages:(Network.messages session)
   end
 
 (* Positions of the nearest elements taller than [h] on either side of

@@ -25,12 +25,7 @@ val create : net:Network.t -> keys:int array -> t
 val size : t -> int
 val height : t -> int
 
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 val search : t -> from:Network.host -> int -> search_result
 

@@ -30,16 +30,11 @@ let rec node_depth = function
 
 let depth t = node_depth t.root
 
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 let search t ~from q =
   match t.root with
-  | None -> { predecessor = None; successor = None; nearest = None; messages = 0 }
+  | None -> Skip_graph.no_answer
   | Some root ->
       let session = Network.start t.net from in
       Network.goto session root.id;
@@ -60,15 +55,8 @@ let search t ~from q =
         end
       in
       desc root;
-      let nearest =
-        match (!pred, !succ) with
-        | None, None -> None
-        | Some p, None -> Some p
-        | None, Some s -> Some s
-        | Some p, Some s -> if q - p <= s - q then Some p else Some s
-      in
       Network.finish session;
-      { predecessor = !pred; successor = !succ; nearest; messages = Network.messages session }
+      Skip_graph.answer q ~pred:!pred ~succ:!succ ~messages:(Network.messages session)
 
 let rotate_right n =
   match n.left with

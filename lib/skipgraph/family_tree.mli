@@ -22,12 +22,7 @@ val size : t -> int
 val depth : t -> int
 (** Height of the overlay tree. *)
 
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
+type search_result = Skip_graph.search_result
 
 val search : t -> from:Network.host -> int -> search_result
 (** Route a nearest-neighbor query from an arbitrary host: one message to

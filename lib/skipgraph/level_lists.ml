@@ -37,7 +37,6 @@ let size t = Array.length t.xs
 let key t i = t.xs.(i)
 let id t i = t.ids.(i)
 let keys t = Array.copy t.xs
-let vectors t = t.vecs
 
 let common_prefix t i j = Membership.common_prefix t.vecs (id t i) (id t j)
 
@@ -118,6 +117,8 @@ let left_neighbor t i level =
     let left, _ = tabs.(level) in
     if left.(i) >= 0 then Some left.(i) else None
 
+let next_id t = t.next_id
+
 let position t k = O.array_lower_bound t.xs k
 
 let mem t k =
@@ -145,7 +146,6 @@ let splice_out t k =
 
 let predecessor t q = Linklist.predecessor t.xs q
 let successor t q = Linklist.successor t.xs q
-let nearest t q = Linklist.nearest t.xs q
 
 let check_invariants t =
   let n = size t in

@@ -7,8 +7,6 @@
     module owns the arrays and neighbor queries so each structure only
     implements its routing and cost accounting. *)
 
-module Membership = Skipweb_util.Membership
-
 type t
 
 val create : seed:int -> keys:int array -> t
@@ -25,15 +23,10 @@ val id : t -> int -> int
 val keys : t -> int array
 (** The keys in sorted order, as a fresh copy. *)
 
-val vectors : t -> Membership.t
-
 val top_level : t -> int -> int
 (** The deepest level at which position [i]'s prefix group still has at
     least two members — the element's tower height, i.e. the level a search
     from this element starts at. *)
-
-val heights : t -> int array
-(** {!top_level} for every position (cached; invalidated by splices). *)
 
 val levels : t -> int
 (** Levels in use across the structure. *)
@@ -52,6 +45,9 @@ val position : t -> int -> int
 
 val mem : t -> int -> bool
 
+val next_id : t -> int
+(** The fresh id the next {!splice_in} assigns. Ids are never reused. *)
+
 val splice_in : t -> int -> int
 (** [splice_in t k] inserts key [k] with a fresh id; returns its position.
     Raises [Invalid_argument] on duplicates. *)
@@ -61,6 +57,5 @@ val splice_out : t -> int -> int
 
 val predecessor : t -> int -> int option
 val successor : t -> int -> int option
-val nearest : t -> int -> int option
 
 val check_invariants : t -> unit

@@ -1,20 +1,7 @@
-module Network = Skipweb_net.Network
-module Prng = Skipweb_util.Prng
 module LL = Level_lists
 
-type t = {
-  net : Network.t;
-  lists : LL.t;
-  charged : (int, int) Hashtbl.t;
-}
-
-let size t = LL.size t.lists
-let levels t = LL.levels t.lists
-let host_of_index t i = LL.id t.lists i
-
 (* Direct neighbors at every level of a position. *)
-let neighbors t i =
-  let lists = t.lists in
+let neighbors lists i =
   let acc = ref [] in
   for level = 0 to LL.top_level lists i do
     (match LL.left_neighbor lists i level with Some j -> acc := j :: !acc | None -> ());
@@ -22,153 +9,46 @@ let neighbors t i =
   done;
   List.sort_uniq compare !acc
 
-let memory_units t i =
+(* Neighbor pointers an element keeps: two per participating level. *)
+let entries lists i = 2 * (LL.top_level lists i + 1)
+
+include Skip_graph.Make (struct
+  let name = "Non_skip_graph"
+
   (* key + root + own pointers + a copy of each neighbor's pointer list:
      the O(log^2 n) NoN table. *)
-  let own = 2 + (2 * (LL.top_level t.lists i + 1)) in
-  let non = List.fold_left (fun acc j -> acc + (2 * (LL.top_level t.lists j + 1))) 0 (neighbors t i) in
-  own + non
+  let memory_units lists i =
+    List.fold_left (fun acc j -> acc + entries lists j) (2 + entries lists i) (neighbors lists i)
 
-let recharge t =
-  let seen = Hashtbl.create (size t) in
-  for i = 0 to size t - 1 do
-    let id = LL.id t.lists i in
-    let want = memory_units t i in
-    let have = try Hashtbl.find t.charged id with Not_found -> 0 in
-    if want <> have then begin
-      Network.charge_memory t.net id (want - have);
-      Hashtbl.replace t.charged id want
-    end;
-    Hashtbl.add seen id ()
-  done;
-  let stale =
-    Hashtbl.fold (fun id units acc -> if Hashtbl.mem seen id then acc else (id, units) :: acc) t.charged []
-  in
-  List.iter
-    (fun (id, units) ->
-      Network.charge_memory t.net id (-units);
-      Hashtbl.remove t.charged id)
-    stale
-
-let create ~net ~seed ~keys =
-  let lists = LL.create ~seed ~keys in
-  if LL.size lists > Network.host_count net then invalid_arg "Non_skip_graph.create: not enough hosts";
-  let t = { net; lists; charged = Hashtbl.create (2 * LL.size lists) } in
-  recharge t;
-  t
-
-type search_result = {
-  predecessor : int option;
-  successor : int option;
-  nearest : int option;
-  messages : int;
-}
-
-let result t ~messages q =
-  {
-    predecessor = LL.predecessor t.lists q;
-    successor = LL.successor t.lists q;
-    nearest = LL.nearest t.lists q;
-    messages;
-  }
-
-(* Lookahead routing: from the current element we know the addresses of all
-   elements within two list hops; jump directly (one message) to the
-   admissible one that makes the most progress toward the target. *)
-let search t ~from q =
-  let n = size t in
-  if n = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
-  else begin
-    if from < 0 || from >= n then invalid_arg "Non_skip_graph.search: bad origin";
-    let session = Network.start t.net (host_of_index t from) in
-    let cur = ref from in
-    let dir_right = q >= LL.key t.lists from in
-    let admissible j = if dir_right then LL.key t.lists j <= q else LL.key t.lists j >= q in
-    let better j best =
-      match best with
-      | None -> true
-      | Some b ->
-          if dir_right then LL.key t.lists j > LL.key t.lists b
-          else LL.key t.lists j < LL.key t.lists b
+  (* Lookahead routing: from the current element we know the addresses of
+     all elements within two list hops; jump directly (one message) to the
+     admissible one that makes the most progress toward the target. *)
+  let route lists ~from ~dir_right ~admissible ~goto =
+    let ahead j k =
+      if dir_right then LL.key lists j > LL.key lists k else LL.key lists j < LL.key lists k
     in
-    let progress j =
-      if dir_right then LL.key t.lists j > LL.key t.lists !cur
-      else LL.key t.lists j < LL.key t.lists !cur
-    in
-    let continue = ref true in
-    while !continue do
-      let one_hop = neighbors t !cur in
-      let two_hop = List.concat_map (fun j -> j :: neighbors t j) one_hop in
+    let rec hop cur =
+      let two_hop = List.concat_map (fun j -> j :: neighbors lists j) (neighbors lists cur) in
       let best =
         List.fold_left
-          (fun best j -> if admissible j && progress j && better j best then Some j else best)
+          (fun best j ->
+            if admissible j && ahead j cur && (match best with None -> true | Some b -> ahead j b)
+            then Some j
+            else best)
           None two_hop
       in
       match best with
       | Some j ->
-          cur := j;
-          Network.goto session (host_of_index t j)
-      | None -> continue := false
-    done;
-    Network.finish session;
-    result t ~messages:(Network.messages session) q
-  end
-
-let search_from_random t ~rng q =
-  let n = size t in
-  if n = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
-  else search t ~from:(Prng.int rng n) q
-
-(* Update cost: the plain skip graph linking work, plus one message per NoN
-   table entry that must be installed remotely — the new element ships its
-   pointer list to every neighbor, and receives each neighbor's list. *)
-let non_refresh_messages t pos =
-  let ns = neighbors t pos in
-  let own_entries = 2 * (LL.top_level t.lists pos + 1) in
-  List.fold_left
-    (fun acc j -> acc + own_entries + (2 * (LL.top_level t.lists j + 1)))
-    0 ns
-
-let linking_messages t pos =
-  let lists = t.lists in
-  let msgs = ref 2 in
-  let level = ref 1 in
-  let continue = ref true in
-  while !continue do
-    let walk_side step =
-      let rec go j acc =
-        match j with
-        | None -> (acc, None)
-        | Some j -> if LL.common_prefix lists pos j >= !level then (acc, Some j) else go (step j) (acc + 1)
-      in
-      go (step pos) 0
+          goto j;
+          hop j
+      | None -> ()
     in
-    let lsteps, lfound = walk_side (fun j -> LL.left_neighbor lists j (!level - 1)) in
-    let rsteps, rfound = walk_side (fun j -> LL.right_neighbor lists j (!level - 1)) in
-    if lfound = None && rfound = None then continue := false
-    else begin
-      msgs := !msgs + lsteps + rsteps + 2;
-      incr level
-    end
-  done;
-  !msgs
+    hop from
 
-let insert t k =
-  if LL.mem t.lists k then invalid_arg "Non_skip_graph.insert: duplicate key";
-  if size t >= Network.host_count t.net then invalid_arg "Non_skip_graph.insert: no spare host";
-  let search_cost = if size t = 0 then 0 else (search t ~from:0 k).messages in
-  let pos = LL.splice_in t.lists k in
-  let cost = search_cost + linking_messages t pos + non_refresh_messages t pos in
-  recharge t;
-  cost
-
-let delete t k =
-  if not (LL.mem t.lists k) then invalid_arg "Non_skip_graph.delete: absent key";
-  let search_cost = (search t ~from:0 k).messages in
-  let pos = LL.position t.lists k in
-  let cost = search_cost + (2 * (LL.top_level t.lists pos + 1)) + non_refresh_messages t pos in
-  ignore (LL.splice_out t.lists k);
-  recharge t;
-  cost
-
-let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net (host_of_index t i))
+  (* Update cost: the plain skip graph linking work, plus one message per
+     NoN table entry that must be installed remotely — the element ships
+     its pointer list to every neighbor, and receives each neighbor's list.
+     An insert counts it after the splice, a delete before the splice-out. *)
+  let refresh_messages lists pos =
+    List.fold_left (fun acc j -> acc + entries lists pos + entries lists j) 0 (neighbors lists pos)
+end)

@@ -1,49 +1,7 @@
 module Network = Skipweb_net.Network
 module Prng = Skipweb_util.Prng
+module Linklist = Skipweb_linklist.Linklist
 module LL = Level_lists
-
-type t = {
-  net : Network.t;
-  lists : LL.t;
-  charged : (int, int) Hashtbl.t;  (* id -> memory units currently charged *)
-}
-
-let size t = LL.size t.lists
-let keys t = LL.keys t.lists
-let levels t = LL.levels t.lists
-let host_of_index t i = LL.id t.lists i
-
-let memory_units t i =
-  (* key + root pointer + two pointers per participating level *)
-  2 + (2 * (LL.top_level t.lists i + 1))
-
-let recharge t =
-  let seen = Hashtbl.create (size t) in
-  for i = 0 to size t - 1 do
-    let id = LL.id t.lists i in
-    let want = memory_units t i in
-    let have = try Hashtbl.find t.charged id with Not_found -> 0 in
-    if want <> have then begin
-      Network.charge_memory t.net id (want - have);
-      Hashtbl.replace t.charged id want
-    end;
-    Hashtbl.add seen id ()
-  done;
-  let stale =
-    Hashtbl.fold (fun id units acc -> if Hashtbl.mem seen id then acc else (id, units) :: acc) t.charged []
-  in
-  List.iter
-    (fun (id, units) ->
-      Network.charge_memory t.net id (-units);
-      Hashtbl.remove t.charged id)
-    stale
-
-let create ~net ~seed ~keys =
-  let lists = LL.create ~seed ~keys in
-  if LL.size lists > Network.host_count net then invalid_arg "Skip_graph.create: not enough hosts";
-  let t = { net; lists; charged = Hashtbl.create (2 * LL.size lists) } in
-  recharge t;
-  t
 
 type search_result = {
   predecessor : int option;
@@ -52,97 +10,181 @@ type search_result = {
   messages : int;
 }
 
-let result t ~messages q =
-  {
-    predecessor = LL.predecessor t.lists q;
-    successor = LL.successor t.lists q;
-    nearest = LL.nearest t.lists q;
-    messages;
+let answer q ~pred ~succ ~messages =
+  { predecessor = pred; successor = succ; nearest = Linklist.closest q ~pred ~succ; messages }
+
+let no_answer = { predecessor = None; successor = None; nearest = None; messages = 0 }
+
+module type S = sig
+  type t
+
+  val create : net:Network.t -> seed:int -> keys:int array -> t
+  val size : t -> int
+  val keys : t -> int array
+  val key : t -> int -> int
+  val position : t -> int -> int
+  val search : t -> from:int -> int -> search_result
+  val search_from_random : t -> rng:Prng.t -> int -> search_result
+  val insert : t -> int -> int
+  val delete : t -> int -> int
+  val host_of_index : t -> int -> Network.host
+  val memory_per_host : t -> int list
+  val check_invariants : t -> unit
+end
+
+module type RULES = sig
+  val name : string
+  val memory_units : LL.t -> int -> int
+  val route :
+    LL.t -> from:int -> dir_right:bool -> admissible:(int -> bool) -> goto:(int -> unit) -> unit
+  val refresh_messages : LL.t -> int -> int
+end
+
+module Make (R : RULES) = struct
+  type t = {
+    net : Network.t;
+    lists : LL.t;
+    charged : (int, int) Hashtbl.t;  (* id -> memory units currently charged *)
   }
 
+  let size t = LL.size t.lists
+  let keys t = LL.keys t.lists
+  let key t i = LL.key t.lists i
+  let position t k = LL.position t.lists k
+  let host_of_index t i = LL.id t.lists i
+
+  let recharge t =
+    let seen = Hashtbl.create (size t) in
+    for i = 0 to size t - 1 do
+      let id = LL.id t.lists i in
+      let want = R.memory_units t.lists i in
+      let have = try Hashtbl.find t.charged id with Not_found -> 0 in
+      if want <> have then begin
+        Network.charge_memory t.net id (want - have);
+        Hashtbl.replace t.charged id want
+      end;
+      Hashtbl.add seen id ()
+    done;
+    let stale =
+      Hashtbl.fold
+        (fun id units acc -> if Hashtbl.mem seen id then acc else (id, units) :: acc)
+        t.charged []
+    in
+    List.iter
+      (fun (id, units) ->
+        Network.charge_memory t.net id (-units);
+        Hashtbl.remove t.charged id)
+      stale
+
+  let create ~net ~seed ~keys =
+    let lists = LL.create ~seed ~keys in
+    if LL.size lists > Network.host_count net then
+      invalid_arg (R.name ^ ".create: not enough hosts");
+    let t = { net; lists; charged = Hashtbl.create (2 * LL.size lists) } in
+    recharge t;
+    t
+
+  (* Every search starts at the originating element and moves
+     monotonically toward the target; [R.route] decides the hops. *)
+  let search t ~from q =
+    let n = size t in
+    if n = 0 then no_answer
+    else begin
+      if from < 0 || from >= n then invalid_arg (R.name ^ ".search: bad origin");
+      let session = Network.start t.net (host_of_index t from) in
+      let dir_right = q >= LL.key t.lists from in
+      let admissible j = if dir_right then LL.key t.lists j <= q else LL.key t.lists j >= q in
+      R.route t.lists ~from ~dir_right ~admissible ~goto:(fun j ->
+          Network.goto session (host_of_index t j));
+      Network.finish session;
+      answer q ~pred:(LL.predecessor t.lists q) ~succ:(LL.successor t.lists q)
+        ~messages:(Network.messages session)
+    end
+
+  let search_from_random t ~rng q =
+    let n = size t in
+    if n = 0 then no_answer else search t ~from:(Prng.int rng n) q
+
+  (* Bottom-up linking phase of the insertion protocol: at each level the new
+     element walks its level-(L-1) list outward from its position until it
+     meets elements sharing L vector bits, then links in (2 messages). *)
+  let linking_messages t pos =
+    let lists = t.lists in
+    let msgs = ref 2 in
+    let level = ref 1 in
+    let continue = ref true in
+    while !continue do
+      let walk_side step =
+        let rec go j acc =
+          match j with
+          | None -> (acc, None)
+          | Some j ->
+              if LL.common_prefix lists pos j >= !level then (acc, Some j)
+              else go (step j) (acc + 1)
+        in
+        go (step pos) 0
+      in
+      let lsteps, lfound = walk_side (fun j -> LL.left_neighbor lists j (!level - 1)) in
+      let rsteps, rfound = walk_side (fun j -> LL.right_neighbor lists j (!level - 1)) in
+      if lfound = None && rfound = None then continue := false
+      else begin
+        msgs := !msgs + lsteps + rsteps + 2;
+        incr level
+      end
+    done;
+    !msgs
+
+  (* The new element takes the next fresh id as its host, so the check is
+     on that id, before anything moves. *)
+  let insert t k =
+    if LL.mem t.lists k then invalid_arg (R.name ^ ".insert: duplicate key");
+    if LL.next_id t.lists >= Network.host_count t.net then
+      invalid_arg (R.name ^ ".insert: no spare host");
+    let search_cost = if size t = 0 then 0 else (search t ~from:0 k).messages in
+    let pos = LL.splice_in t.lists k in
+    let cost = search_cost + linking_messages t pos + R.refresh_messages t.lists pos in
+    recharge t;
+    cost
+
+  let delete t k =
+    if not (LL.mem t.lists k) then invalid_arg (R.name ^ ".delete: absent key");
+    let search_cost = (search t ~from:0 k).messages in
+    let pos = LL.position t.lists k in
+    let unlink = 2 * (LL.top_level t.lists pos + 1) in
+    let cost = search_cost + unlink + R.refresh_messages t.lists pos in
+    ignore (LL.splice_out t.lists k);
+    recharge t;
+    cost
+
+  let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net (host_of_index t i))
+
+  let check_invariants t = LL.check_invariants t.lists
+end
+
 (* The Aspnes–Shah search: start at the originating element's top level and
-   move monotonically toward the target, dropping a level when stuck. *)
-let search t ~from q =
-  let n = size t in
-  if n = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
-  else begin
-    if from < 0 || from >= n then invalid_arg "Skip_graph.search: bad origin";
-    let session = Network.start t.net (host_of_index t from) in
+   move as far as possible toward the target, dropping a level when stuck. *)
+include Make (struct
+  let name = "Skip_graph"
+
+  (* key + root pointer + two pointers per participating level *)
+  let memory_units lists i = 2 + (2 * (LL.top_level lists i + 1))
+
+  let route lists ~from ~dir_right ~admissible ~goto =
     let cur = ref from in
-    let dir_right = q >= LL.key t.lists from in
-    let admissible j = if dir_right then LL.key t.lists j <= q else LL.key t.lists j >= q in
-    let level = ref (LL.top_level t.lists from) in
-    while !level >= 0 do
+    for level = LL.top_level lists from downto 0 do
       let continue = ref true in
       while !continue do
         let next =
-          if dir_right then LL.right_neighbor t.lists !cur !level
-          else LL.left_neighbor t.lists !cur !level
+          if dir_right then LL.right_neighbor lists !cur level
+          else LL.left_neighbor lists !cur level
         in
         match next with
         | Some j when admissible j ->
             cur := j;
-            Network.goto session (host_of_index t j)
+            goto j
         | Some _ | None -> continue := false
-      done;
-      decr level
-    done;
-    Network.finish session;
-    result t ~messages:(Network.messages session) q
-  end
+      done
+    done
 
-let search_from_random t ~rng q =
-  let n = size t in
-  if n = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
-  else search t ~from:(Prng.int rng n) q
-
-(* Bottom-up linking phase of the insertion protocol: at each level the new
-   element walks its level-(L-1) list outward from its position until it
-   meets elements sharing L vector bits, then links in (2 messages). *)
-let linking_messages t pos =
-  let lists = t.lists in
-  let msgs = ref 2 in
-  let level = ref 1 in
-  let continue = ref true in
-  while !continue do
-    let walk_side step =
-      let rec go j acc =
-        match j with
-        | None -> (acc, None)
-        | Some j ->
-            if LL.common_prefix lists pos j >= !level then (acc, Some j)
-            else go (step j) (acc + 1)
-      in
-      go (step pos) 0
-    in
-    let lsteps, lfound = walk_side (fun j -> LL.left_neighbor lists j (!level - 1)) in
-    let rsteps, rfound = walk_side (fun j -> LL.right_neighbor lists j (!level - 1)) in
-    if lfound = None && rfound = None then continue := false
-    else begin
-      msgs := !msgs + lsteps + rsteps + 2;
-      incr level
-    end
-  done;
-  !msgs
-
-let insert t k =
-  if LL.mem t.lists k then invalid_arg "Skip_graph.insert: duplicate key";
-  if size t >= Network.host_count t.net then invalid_arg "Skip_graph.insert: no spare host";
-  let search_cost = if size t = 0 then 0 else (search t ~from:0 k).messages in
-  let pos = LL.splice_in t.lists k in
-  let link_cost = linking_messages t pos in
-  recharge t;
-  search_cost + link_cost
-
-let delete t k =
-  if not (LL.mem t.lists k) then invalid_arg "Skip_graph.delete: absent key";
-  let search_cost = (search t ~from:0 k).messages in
-  let pos = LL.position t.lists k in
-  let unlink_cost = 2 * (LL.top_level t.lists pos + 1) in
-  ignore (LL.splice_out t.lists k);
-  recharge t;
-  search_cost + unlink_cost
-
-let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net (host_of_index t i))
-
-let check_invariants t = LL.check_invariants t.lists
+  let refresh_messages _ _ = 0
+end)

@@ -1,5 +1,6 @@
 (** Skip graphs (Aspnes–Shah, SODA 2003) / SkipNet (Harvey et al.) — the
-    baseline of Table 1 row 1.
+    baseline of Table 1 row 1 — and the level-list protocol core that the
+    NoN skip graph ({!Non_skip_graph}) shares.
 
     Each element lives on its own host (H = n). Element [x] has an infinite
     random membership vector m(x); the level-ℓ lists partition the elements
@@ -22,46 +23,92 @@
 
 module Network = Skipweb_net.Network
 
-type t
-
-val create : net:Network.t -> seed:int -> keys:int array -> t
-(** Build over distinct sorted keys; element [i] is placed on host [i] of
-    [net] (which must have at least [Array.length keys] hosts, and at least
-    one host). Charges per-host memory for keys and neighbor pointers. *)
-
-val size : t -> int
-val levels : t -> int
-(** Number of levels actually in use (lists of size >= 2, plus level 0). *)
-
-val keys : t -> int array
-(** Current keys, ascending. *)
-
 type search_result = {
   predecessor : int option;
   successor : int option;
   nearest : int option;
   messages : int;
 }
+(** The answer every overlay baseline returns. *)
 
-val search : t -> from:int -> int -> search_result
-(** [search t ~from q] routes a nearest-neighbor query for [q] from the
-    element with index [from] (its host's own entry point). *)
+val answer : int -> pred:int option -> succ:int option -> messages:int -> search_result
+(** [answer q ~pred ~succ ~messages]: the answer for [q] from its
+    predecessor and successor, with the nearest key picked by
+    {!Skipweb_linklist.Linklist.closest} (ties go to the predecessor). *)
 
-val search_from_random : t -> rng:Skipweb_util.Prng.t -> int -> search_result
+val no_answer : search_result
+(** The answer of an empty overlay: no keys and no messages. *)
 
-val insert : t -> int -> int
-(** [insert t k] adds key [k]; returns the number of messages the
-    distributed insertion protocol would send (search to position + linking
-    in at every level). Raises [Invalid_argument] if the key exists or the
-    network has no spare host. *)
+module type S = sig
+  type t
 
-val delete : t -> int -> int
-(** [delete t k] removes the key, returning the message cost (search +
-    unlink at each level). Raises [Invalid_argument] if absent. *)
+  val create : net:Network.t -> seed:int -> keys:int array -> t
+  (** Build over distinct keys; element [i] in key order is placed on host
+      [i] of [net] (which must have at least [Array.length keys] hosts, and
+      at least one host). Charges per-host memory for keys and neighbor
+      pointers. *)
 
-val host_of_index : t -> int -> Network.host
+  val size : t -> int
 
-val memory_per_host : t -> int list
-(** The O(log n)-shaped per-host memory charges (for the M column). *)
+  val keys : t -> int array
+  (** Current keys, ascending. *)
 
-val check_invariants : t -> unit
+  val key : t -> int -> int
+  (** Key of the element at sorted position [i]. *)
+
+  val position : t -> int -> int
+  (** Sorted position a key occupies or would occupy. *)
+
+  val search : t -> from:int -> int -> search_result
+  (** [search t ~from q] routes a nearest-neighbor query for [q] from the
+      element with index [from] (its host's own entry point). *)
+
+  val search_from_random : t -> rng:Skipweb_util.Prng.t -> int -> search_result
+
+  val insert : t -> int -> int
+  (** [insert t k] adds key [k]; returns the number of messages the
+      distributed insertion protocol would send (search to position +
+      linking in at every level + the rules' table refresh). Raises
+      [Invalid_argument], before any change, if the key exists or the
+      network has no host left for the element's fresh id (ids are never
+      reused). *)
+
+  val delete : t -> int -> int
+  (** [delete t k] removes the key, returning the message cost (search +
+      unlink at each level + the rules' table refresh). Raises
+      [Invalid_argument] if absent. *)
+
+  val host_of_index : t -> int -> Network.host
+
+  val memory_per_host : t -> int list
+  (** The per-host memory charges (for the M column). *)
+
+  val check_invariants : t -> unit
+end
+
+(** What one overlay of the family decides; everything else is shared. *)
+module type RULES = sig
+  val name : string
+  (** Prefixes error messages. *)
+
+  val memory_units : Level_lists.t -> int -> int
+  (** Units charged to the element at a position. *)
+
+  val route :
+    Level_lists.t ->
+    from:int ->
+    dir_right:bool ->
+    admissible:(int -> bool) ->
+    goto:(int -> unit) ->
+    unit
+  (** Walk from position [from] toward the target, calling [goto j] once per
+      message, onto admissible positions only (keys not past the target). *)
+
+  val refresh_messages : Level_lists.t -> int -> int
+  (** Messages an update at a position sends beyond linking or unlinking,
+      counted while the element is in the lists. *)
+end
+
+module Make (_ : RULES) : S
+
+include S

@@ -113,8 +113,8 @@ let test_non_search_correct () =
   Array.iter
     (fun q ->
       let r = NoN.search_from_random g ~rng q in
-      check_opt "pred" (Lk.predecessor ks q) r.NoN.predecessor;
-      check_opt "nearest" (Lk.nearest ks q) r.NoN.nearest)
+      check_opt "pred" (Lk.predecessor ks q) r.predecessor;
+      check_opt "nearest" (Lk.nearest ks q) r.nearest)
     queries
 
 let test_non_fewer_hops_than_plain () =
@@ -127,7 +127,7 @@ let test_non_fewer_hops_than_plain () =
   for i = 0 to 149 do
     let q = i * 1357 in
     sgm := !sgm + (SG.search_from_random sg ~rng:rng1 q).SG.messages;
-    nonm := !nonm + (NoN.search_from_random non ~rng:rng2 q).NoN.messages
+    nonm := !nonm + (NoN.search_from_random non ~rng:rng2 q).messages
   done;
   checkb "lookahead helps" true (!nonm < !sgm)
 
@@ -150,6 +150,25 @@ let test_non_update_costlier () =
   ignore (NoN.delete non 123_456_789);
   ignore (SG.delete sg 123_456_789)
 
+(* Ids are never reused, so a delete frees no host for the next insert:
+   with 8 keys on 9 hosts, the second insert has no host left for its
+   fresh id and must be refused before anything moves. *)
+let test_no_spare_host () =
+  List.iter
+    (fun (name, (module G : SG.S)) ->
+      let net = Network.create ~hosts:9 in
+      let g = G.create ~net ~seed:3 ~keys:[| 10; 20; 30; 40; 50; 60; 70; 80 |] in
+      ignore (G.insert g 5);
+      ignore (G.delete g 5);
+      let state () = (G.size g, G.keys g, Network.total_memory net) in
+      let before = state () in
+      Alcotest.check_raises name (Invalid_argument (name ^ ".insert: no spare host")) (fun () ->
+          ignore (G.insert g 7));
+      checkb (name ^ " unchanged") true (state () = before);
+      G.check_invariants g;
+      checkb (name ^ " searchable") true ((G.search g ~from:0 80).predecessor = Some 80))
+    [ ("Skip_graph", (module SG : SG.S)); ("Non_skip_graph", (module NoN : SG.S)) ]
+
 (* ------- Family trees (constant-degree comparator) ------- *)
 
 let test_ft_search_correct () =
@@ -161,8 +180,8 @@ let test_ft_search_correct () =
   Array.iter
     (fun q ->
       let r = FT.search ft ~from:0 q in
-      check_opt "pred" (Lk.predecessor ks q) r.FT.predecessor;
-      check_opt "succ" (Lk.successor ks q) r.FT.successor)
+      check_opt "pred" (Lk.predecessor ks q) r.predecessor;
+      check_opt "succ" (Lk.successor ks q) r.successor)
     queries
 
 let test_ft_constant_degree () =
@@ -182,7 +201,7 @@ let test_ft_insert_delete () =
   let c = FT.insert ft 424_242 in
   checkb "insert cost positive" true (c > 0);
   FT.check_invariants ft;
-  checkb "found" true ((FT.search ft ~from:0 424_242).FT.predecessor = Some 424_242);
+  checkb "found" true ((FT.search ft ~from:0 424_242).predecessor = Some 424_242);
   let d = FT.delete ft 424_242 in
   checkb "delete cost positive" true (d > 0);
   FT.check_invariants ft;
@@ -207,8 +226,8 @@ let test_ds_search_correct () =
   Array.iter
     (fun q ->
       let r = DS.search ds ~from:0 q in
-      check_opt "pred" (Lk.predecessor ks q) r.DS.predecessor;
-      check_opt "succ" (Lk.successor ks q) r.DS.successor)
+      check_opt "pred" (Lk.predecessor ks q) r.predecessor;
+      check_opt "succ" (Lk.successor ks q) r.successor)
     queries
 
 let test_ds_insert_maintains_invariant () =
@@ -232,7 +251,7 @@ let test_ds_sequential_inserts () =
     DS.check_invariants ds
   done;
   let r = DS.search ds ~from:0 1495 in
-  check_opt "pred after inserts" (Some 1490) r.DS.predecessor
+  check_opt "pred after inserts" (Some 1490) r.predecessor
 
 
 let test_ds_delete_basic () =
@@ -243,7 +262,7 @@ let test_ds_delete_basic () =
   checkb "delete cost positive" true (cost > 0);
   DS.check_invariants ds;
   checki "size shrank" 199 (DS.size ds);
-  checkb "gone" true ((DS.search ds ~from:0 ks.(100)).DS.predecessor <> Some ks.(100));
+  checkb "gone" true ((DS.search ds ~from:0 ks.(100)).predecessor <> Some ks.(100));
   checkb "absent delete rejected" true
     (try
        ignore (DS.delete ds ks.(100));
@@ -287,7 +306,7 @@ let qcheck_ds_mixed_ops =
       done;
       (* The surviving keys answer searches correctly. *)
       IS.for_all
-        (fun k -> (DS.search ds ~from:0 k).DS.predecessor = Some k)
+        (fun k -> (DS.search ds ~from:0 k).predecessor = Some k)
         !model
       && DS.size ds = IS.cardinal !model)
 
@@ -303,9 +322,9 @@ let test_bsg_search_correct () =
   Array.iter
     (fun q ->
       let r = BSG.search b ~rng q in
-      check_opt "pred" (Lk.predecessor ks q) r.BSG.predecessor;
-      check_opt "succ" (Lk.successor ks q) r.BSG.successor;
-      check_opt "nearest" (Lk.nearest ks q) r.BSG.nearest)
+      check_opt "pred" (Lk.predecessor ks q) r.predecessor;
+      check_opt "succ" (Lk.successor ks q) r.successor;
+      check_opt "nearest" (Lk.nearest ks q) r.nearest)
     queries
 
 let test_bsg_fewer_messages_than_flat () =
@@ -318,7 +337,7 @@ let test_bsg_fewer_messages_than_flat () =
   for i = 0 to 99 do
     let q = i * 2040 in
     m1 := !m1 + (SG.search_from_random sg ~rng:rng1 q).SG.messages;
-    m2 := !m2 + (BSG.search b ~rng:rng2 q).BSG.messages
+    m2 := !m2 + (BSG.search b ~rng:rng2 q).messages
   done;
   checkb "log H < log n messages" true (!m2 < !m1)
 
@@ -418,7 +437,7 @@ let test_pinned_det_skipnet_churn_messages () =
         | None -> ())
     | _ ->
         let r = DS.search t ~from:0 (Prng.int rng bound) in
-        ops := !ops + r.DS.messages
+        ops := !ops + r.messages
   done;
   DS.check_invariants t;
   checki "pinned op messages" 1260 !ops;
@@ -469,6 +488,7 @@ let suite =
     Alcotest.test_case "NoN fewer hops" `Quick test_non_fewer_hops_than_plain;
     Alcotest.test_case "NoN memory larger" `Quick test_non_memory_larger;
     Alcotest.test_case "NoN update costlier" `Quick test_non_update_costlier;
+    Alcotest.test_case "skip graphs refuse an insert with no spare host" `Quick test_no_spare_host;
     Alcotest.test_case "family tree search correct" `Quick test_ft_search_correct;
     Alcotest.test_case "family tree constant degree" `Quick test_ft_constant_degree;
     Alcotest.test_case "family tree depth log" `Quick test_ft_depth_logarithmic;
