@@ -444,6 +444,45 @@ let test_pinned_det_skipnet_churn_messages () =
   checki "pinned network total" 804 (Network.total_messages net);
   checki "pinned final size" 200 (DS.size t)
 
+(* Searches from random origins, inserts of fresh keys and deletes of
+   random stored keys, interleaved: deleting original keys takes tall
+   towers out and lowers their neighbours' heights, which the
+   insert-then-delete pins of Table 1 and [stats] never do. Returns the
+   billed messages, the network's message and memory totals, and the
+   final size. *)
+let overlay_churn (module G : SG.S) =
+  let n = 300 and ops = 360 and bound = 60_000 in
+  let net = Network.create ~hosts:(n + ops) in
+  let g = G.create ~net ~seed:19 ~keys:(W.distinct_ints ~seed:8 ~n ~bound) in
+  let rng = Prng.create 0xc42a in
+  let billed = ref 0 in
+  for i = 0 to ops - 1 do
+    match i mod 3 with
+    | 0 -> billed := !billed + (G.search_from_random g ~rng (Prng.int rng bound)).messages
+    | 1 ->
+        let rec fresh () =
+          let k = Prng.int rng bound in
+          if G.position g k < G.size g && G.key g (G.position g k) = k then fresh () else k
+        in
+        billed := !billed + G.insert g (fresh ())
+    | _ -> billed := !billed + G.delete g (G.key g (Prng.int rng (G.size g)))
+  done;
+  G.check_invariants g;
+  (!billed, Network.total_messages net, Network.total_memory net, G.size g)
+
+let test_pinned_overlay_churn () =
+  List.iter
+    (fun (name, g, (billed, total, memory)) ->
+      let b, t, m, size = overlay_churn g in
+      checki (name ^ " pinned billed messages") billed b;
+      checki (name ^ " pinned network total") total t;
+      checki (name ^ " pinned network memory") memory m;
+      checki (name ^ " pinned final size") 300 size)
+    [
+      ("Skip_graph", (module SG : SG.S), (8532, 2370, 6406));
+      ("Non_skip_graph", (module NoN : SG.S), (84103, 895, 54566));
+    ]
+
 let test_pinned_level_lists_fingerprint () =
   (* Level_lists has no network; fingerprint the structure state the
      skip-graph routing depends on: positions, ids, heights, neighbors. *)
@@ -507,6 +546,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_ds_random_build_invariants;
     Alcotest.test_case "pinned det skipnet churn messages" `Quick
       test_pinned_det_skipnet_churn_messages;
+    Alcotest.test_case "pinned skip graph and NoN churn" `Quick test_pinned_overlay_churn;
     Alcotest.test_case "pinned level lists fingerprint" `Quick
       test_pinned_level_lists_fingerprint;
   ]
