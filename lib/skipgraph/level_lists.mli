@@ -2,10 +2,11 @@
     elements carry membership vectors, partitioned at every level ℓ into
     lists of elements sharing an ℓ-bit vector prefix.
 
-    All the Table 1 randomized baselines (skip graphs, NoN skip graphs) and
-    the skip-web level hierarchy use this element/level discipline; this
-    module owns the arrays and neighbor queries so each structure only
-    implements its routing and cost accounting. *)
+    The Table 1 randomized baselines (skip graphs, NoN skip graphs, and the
+    bucket skip graph through its skip graph of separators) use this
+    element/level discipline; this module owns the arrays and neighbor
+    queries so each structure only implements its routing and cost
+    accounting. *)
 
 type t
 
@@ -48,14 +49,19 @@ val mem : t -> int -> bool
 val next_id : t -> int
 (** The fresh id the next {!splice_in} assigns. Ids are never reused. *)
 
-val splice_in : t -> int -> int
-(** [splice_in t k] inserts key [k] with a fresh id; returns its position.
-    Raises [Invalid_argument] on duplicates. *)
+val splice_in : t -> int -> int * int
+(** [splice_in t k] inserts key [k] with a fresh id and links it in bottom
+    up, walking each level-(L-1) list outward to its level-L neighbors.
+    Returns its position and the messages of that walk: 2, plus 2 and one
+    per element passed for each level above 0 it links at. Raises
+    [Invalid_argument] on duplicates. *)
 
 val splice_out : t -> int -> int
-(** [splice_out t k] removes key [k]; returns its former position. *)
+(** [splice_out t k] removes key [k], unlinking it from its top level
+    down; returns its former position. *)
 
 val predecessor : t -> int -> int option
 val successor : t -> int -> int option
 
 val check_invariants : t -> unit
+(** Also checks the maintained heights and tables against a fresh sweep. *)

@@ -53,8 +53,9 @@ module Make (R : RULES) = struct
   let position t k = LL.position t.lists k
   let host_of_index t i = LL.id t.lists i
 
+  (* Brings every live element's charge to its units; [delete] releases the
+     removed element's charge itself. *)
   let recharge t =
-    let seen = Hashtbl.create (size t) in
     for i = 0 to size t - 1 do
       let id = LL.id t.lists i in
       let want = R.memory_units t.lists i in
@@ -62,19 +63,8 @@ module Make (R : RULES) = struct
       if want <> have then begin
         Network.charge_memory t.net id (want - have);
         Hashtbl.replace t.charged id want
-      end;
-      Hashtbl.add seen id ()
-    done;
-    let stale =
-      Hashtbl.fold
-        (fun id units acc -> if Hashtbl.mem seen id then acc else (id, units) :: acc)
-        t.charged []
-    in
-    List.iter
-      (fun (id, units) ->
-        Network.charge_memory t.net id (-units);
-        Hashtbl.remove t.charged id)
-      stale
+      end
+    done
 
   let create ~net ~seed ~keys =
     let lists = LL.create ~seed ~keys in
@@ -105,35 +95,6 @@ module Make (R : RULES) = struct
     let n = size t in
     if n = 0 then no_answer else search t ~from:(Prng.int rng n) q
 
-  (* Bottom-up linking phase of the insertion protocol: at each level the new
-     element walks its level-(L-1) list outward from its position until it
-     meets elements sharing L vector bits, then links in (2 messages). *)
-  let linking_messages t pos =
-    let lists = t.lists in
-    let msgs = ref 2 in
-    let level = ref 1 in
-    let continue = ref true in
-    while !continue do
-      let walk_side step =
-        let rec go j acc =
-          match j with
-          | None -> (acc, None)
-          | Some j ->
-              if LL.common_prefix lists pos j >= !level then (acc, Some j)
-              else go (step j) (acc + 1)
-        in
-        go (step pos) 0
-      in
-      let lsteps, lfound = walk_side (fun j -> LL.left_neighbor lists j (!level - 1)) in
-      let rsteps, rfound = walk_side (fun j -> LL.right_neighbor lists j (!level - 1)) in
-      if lfound = None && rfound = None then continue := false
-      else begin
-        msgs := !msgs + lsteps + rsteps + 2;
-        incr level
-      end
-    done;
-    !msgs
-
   (* The new element takes the next fresh id as its host, so the check is
      on that id, before anything moves. *)
   let insert t k =
@@ -141,8 +102,8 @@ module Make (R : RULES) = struct
     if LL.next_id t.lists >= Network.host_count t.net then
       invalid_arg (R.name ^ ".insert: no spare host");
     let search_cost = if size t = 0 then 0 else (search t ~from:0 k).messages in
-    let pos = LL.splice_in t.lists k in
-    let cost = search_cost + linking_messages t pos + R.refresh_messages t.lists pos in
+    let pos, linking = LL.splice_in t.lists k in
+    let cost = search_cost + linking + R.refresh_messages t.lists pos in
     recharge t;
     cost
 
@@ -152,13 +113,24 @@ module Make (R : RULES) = struct
     let pos = LL.position t.lists k in
     let unlink = 2 * (LL.top_level t.lists pos + 1) in
     let cost = search_cost + unlink + R.refresh_messages t.lists pos in
+    let id = LL.id t.lists pos in
+    Network.charge_memory t.net id (-Hashtbl.find t.charged id);
+    Hashtbl.remove t.charged id;
     ignore (LL.splice_out t.lists k);
     recharge t;
     cost
 
   let memory_per_host t = List.init (size t) (fun i -> Network.memory t.net (host_of_index t i))
 
-  let check_invariants t = LL.check_invariants t.lists
+  (* Against [R.memory_units], not [Network.memory]: the bucket skip graph
+     charges its buckets on the same hosts. *)
+  let check_invariants t =
+    LL.check_invariants t.lists;
+    if Hashtbl.length t.charged <> size t then failwith (R.name ^ ": charged ids are not the live ids");
+    for i = 0 to size t - 1 do
+      if Hashtbl.find_opt t.charged (LL.id t.lists i) <> Some (R.memory_units t.lists i) then
+        failwith (R.name ^ ": charged units disagree with the element's")
+    done
 end
 
 (* The Aspnes–Shah search: start at the originating element's top level and

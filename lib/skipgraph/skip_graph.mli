@@ -14,12 +14,13 @@
     except that every host can be the entry point. Expected search and
     update cost O(log n) messages; memory and congestion O(log n).
 
-    This implementation is array-backed: neighbor tables are materialized
-    from the membership vectors, and rebuilt incrementally on update, while
-    {e message costs are counted per the distributed protocol} (each
-    neighbor-to-neighbor hop that crosses hosts costs one message via
-    {!Skipweb_net.Network}). CPU-time shortcuts never touch the message
-    meter. *)
+    This implementation is array-backed: neighbor tables are built from the
+    membership vectors once, and an insert or delete links or unlinks only
+    its own element, level by level, with the same walk the insertion
+    protocol bills ({!Level_lists.splice_in}). {e Message costs are counted
+    per the distributed protocol} (each neighbor-to-neighbor hop that
+    crosses hosts costs one message via {!Skipweb_net.Network}); CPU-time
+    shortcuts never touch the message meter. *)
 
 module Network = Skipweb_net.Network
 
@@ -84,6 +85,8 @@ module type S = sig
   (** The per-host memory charges (for the M column). *)
 
   val check_invariants : t -> unit
+  (** {!Level_lists.check_invariants}, and a charge held for exactly the
+      live elements, each at its {!RULES.memory_units}. *)
 end
 
 (** What one overlay of the family decides; everything else is shared. *)

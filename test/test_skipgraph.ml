@@ -26,7 +26,7 @@ let test_level_lists_basics () =
   checki "size" 64 (LL.size ll);
   checkb "levels log-ish" true (LL.levels ll >= 4 && LL.levels ll <= 30);
   (* splice round trip *)
-  let pos = LL.splice_in ll 999_999_999 in
+  let pos, _ = LL.splice_in ll 999_999_999 in
   checkb "inserted at end" true (pos = 64);
   checkb "mem" true (LL.mem ll 999_999_999);
   ignore (LL.splice_out ll 999_999_999);
@@ -41,6 +41,56 @@ let test_level_lists_neighbor_scan () =
     Alcotest.(check (option int)) "level-0 left" (Some i) (LL.left_neighbor ll (i + 1) 0)
   done;
   Alcotest.(check (option int)) "right end" None (LL.right_neighbor ll 31 0)
+
+(* The bottom-up linking walk of the insertion protocol, read through the
+   public neighbor queries once the element at [pos] is in: at each level L
+   it walks the level-(L-1) list outward until it meets elements sharing L
+   bits, paying one message per element passed and 2 to link. *)
+let reference_linking ll pos =
+  let rec walk step level j steps =
+    match j with
+    | None -> (steps, None)
+    | Some j ->
+        if LL.common_prefix ll pos j >= level then (steps, Some j)
+        else walk step level (step j) (steps + 1)
+  in
+  let rec up level msgs =
+    let side step = walk step level (step pos) 0 in
+    let lsteps, l = side (fun j -> LL.left_neighbor ll j (level - 1)) in
+    let rsteps, r = side (fun j -> LL.right_neighbor ll j (level - 1)) in
+    if l = None && r = None then msgs else up (level + 1) (msgs + lsteps + rsteps + 2)
+  in
+  up 1 2
+
+(* Random splices over 0-40 keys that shrink to empty, then regrow to 40
+   (which must open new top levels). After every splice the maintained
+   tables equal a fresh sweep, and the linking count equals the
+   reference walk. *)
+let test_level_lists_splice_model () =
+  for seed = 0 to 99 do
+    let rng = Prng.create seed in
+    let ll = LL.create ~seed ~keys:(W.distinct_ints ~seed ~n:(seed mod 41) ~bound:100) in
+    let growing = ref false and drained = ref false and new_top = ref false in
+    for _ = 1 to 200 do
+      let n = LL.size ll in
+      if n = 0 then (drained := true; growing := true) else if n = 40 then growing := false;
+      if n = 0 || (n < 40 && Prng.coin rng ~p:(if !growing then 0.8 else 0.2)) then begin
+        let rec fresh () =
+          let k = Prng.int rng 100 in
+          if LL.mem ll k then fresh () else k
+        in
+        let k = fresh () and levels = LL.levels ll in
+        let pos, msgs = LL.splice_in ll k in
+        checki "spliced at its position" k (LL.key ll pos);
+        checki "linking = reference walk" (reference_linking ll pos) msgs;
+        if LL.levels ll > levels then new_top := true
+      end
+      else ignore (LL.splice_out ll (LL.key ll (Prng.int rng n)));
+      LL.check_invariants ll
+    done;
+    checkb "drained to empty" true !drained;
+    checkb "opened a new top level" true !new_top
+  done
 
 (* ------- Skip graphs ------- *)
 
@@ -518,6 +568,8 @@ let suite =
   [
     Alcotest.test_case "level lists basics" `Quick test_level_lists_basics;
     Alcotest.test_case "level lists neighbors" `Quick test_level_lists_neighbor_scan;
+    Alcotest.test_case "level lists splices = fresh sweep and reference walk" `Quick
+      test_level_lists_splice_model;
     Alcotest.test_case "skip graph search correct" `Quick test_sg_search_correct;
     Alcotest.test_case "skip graph messages log" `Quick test_sg_messages_logarithmic;
     Alcotest.test_case "skip graph memory log" `Quick test_sg_memory_logarithmic;
