@@ -6,8 +6,8 @@
      dune exec bench/main.exe                 # all experiments, default sizes
      dune exec bench/main.exe -- --quick      # reduced sizes (CI-friendly)
      dune exec bench/main.exe -- table1 lemmas   # selected experiments only
-                                              # (an unknown name exits 2)
-     dune exec bench/main.exe -- --no-time    # skip wall-clock benches
+                                              # (an unknown name or flag
+                                              # exits 2)
      dune exec bench/main.exe -- --jobs 4     # parallel read + write paths:
                                               # query phases, seed replicas
                                               # and the scale bench's bulk
@@ -16,8 +16,7 @@
                                               # bit-identical to --jobs 1)
 
    Experiments: queries, table1, lemmas, theorem2, updates, figures,
-   congestion, bucket, ablations, scale, churn, serving, trace, multid,
-   time. *)
+   congestion, bucket, ablations, scale, churn, serving, trace, multid. *)
 
 let experiments =
   [
@@ -40,7 +39,6 @@ let experiments =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  let no_time = List.mem "--no-time" args in
   (* --jobs N: domains for the parallel read and write paths (query
      phases, seed replicas, bulk load and batch churn). The flag's value
      is consumed here so the experiment selection below never mistakes the
@@ -61,11 +59,14 @@ let () =
     in
     take [] args
   in
-  let selected = List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--")) args in
-  let unknown = List.filter (fun s -> not (List.mem_assoc s experiments) && s <> "time") selected in
-  if unknown <> [] then begin
+  let flags, selected = List.partition (String.starts_with ~prefix:"--") args in
+  let bad_flags = List.filter (fun f -> f <> "--quick") flags in
+  let unknown = List.filter (fun s -> not (List.mem_assoc s experiments)) selected in
+  if bad_flags <> [] || unknown <> [] then begin
+    List.iter (fun f -> Printf.eprintf "error: unknown flag %S\n" f) bad_flags;
     List.iter (fun s -> Printf.eprintf "error: unknown experiment %S\n" s) unknown;
-    Printf.eprintf "valid experiments: %s time\n" (String.concat " " (List.map fst experiments));
+    Printf.eprintf "flags: --quick --jobs N; experiments: %s\n"
+      (String.concat " " (List.map fst experiments));
     exit 2
   end;
   let cfg = if quick then Bench_common.quick_config else Bench_common.default_config in
@@ -76,5 +77,4 @@ let () =
     cfg.Bench_common.queries cfg.Bench_common.updates
     (List.length cfg.Bench_common.seeds) cfg.Bench_common.jobs;
   let want name = selected = [] || List.mem name selected in
-  List.iter (fun (name, f) -> if want name then f cfg) experiments;
-  if (want "time" && not no_time) || List.mem "time" selected then Exp_time.run cfg
+  List.iter (fun (name, f) -> if want name then f cfg) experiments

@@ -4,6 +4,7 @@ module Placement = Skipweb_net.Placement
 module Membership = Skipweb_util.Membership
 module Prng = Skipweb_util.Prng
 module Pool = Skipweb_util.Pool
+module Presort = Skipweb_util.Presort
 
 module Make (S : Range_structure.S) = struct
   (* Level sets are identified by (level, prefix): the level-ℓ set with
@@ -93,11 +94,12 @@ module Make (S : Range_structure.S) = struct
     cache_seed : int;  (* salts the per-origin slot choice *)
     vecs : Membership.t;
     mutable layers : level_state array;  (* index = level; length = top + 1 *)
-    (* Swap-pop arena of live element ids: the first [live] slots of [ids]
-       are the live ids, [key_slot] maps a key to its id's slot. *)
+    (* Swap-pop arena of the live elements: slot i < [live] holds one
+       element's id in [ids] and its key in [keys], and [key_slot] maps a
+       key to its slot. *)
     key_slot : (S.key, int) Hashtbl.t;
-    id_keys : (int, S.key) Hashtbl.t;
     mutable ids : int array;
+    mutable keys : S.key array;
     mutable live : int;
     mutable top : int;  (* K = ceil(log2 n) *)
     mutable next_id : int;
@@ -221,26 +223,42 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- live-id arena: O(1) insert / remove / uniform sample ------- *)
 
-  let arena_add t k id =
+  (* Register a fresh key: draw its id and give it the next arena slot.
+     Ids are handed out in presentation order, and the id fixes the
+     element's membership vector — every entry point (build, insert,
+     insert_batch) must agree on this order for a bulk load to be
+     indistinguishable from the same keys arriving one at a time.
+     Registration is the coin-drawing step, so it always runs
+     sequentially before any level task starts: the membership bits
+     [Membership.prefix] derives from (seed, id, level) can never depend
+     on how the levels are later scheduled. A write to a non-empty
+     hierarchy registers a key only after level 0 accepted it, so a key
+     level 0 rejects draws no id. *)
+  let register t k =
     if t.live = Array.length t.ids then begin
-      let bigger = Array.make (max 8 (2 * t.live)) 0 in
-      Array.blit t.ids 0 bigger 0 t.live;
-      t.ids <- bigger
+      let ids = Array.make (max 8 (2 * t.live)) 0 and keys = Array.make (max 8 (2 * t.live)) k in
+      Array.blit t.ids 0 ids 0 t.live;
+      Array.blit t.keys 0 keys 0 t.live;
+      t.ids <- ids;
+      t.keys <- keys
     end;
-    t.ids.(t.live) <- id;
+    t.ids.(t.live) <- t.next_id;
+    t.keys.(t.live) <- k;
     Hashtbl.replace t.key_slot k t.live;
-    Hashtbl.replace t.id_keys id k;
-    t.live <- t.live + 1
+    t.live <- t.live + 1;
+    t.next_id <- t.next_id + 1
 
-  (* Drop a stored key: the last live id moves into its slot. *)
+  (* Drop a stored key: the last live element moves into its slot. *)
   let arena_remove t k =
     let i = Hashtbl.find t.key_slot k and last = t.live - 1 in
-    let id = t.ids.(i) and moved = t.ids.(last) in
-    t.ids.(i) <- moved;
-    Hashtbl.replace t.key_slot (Hashtbl.find t.id_keys moved) i;
+    t.ids.(i) <- t.ids.(last);
+    t.keys.(i) <- t.keys.(last);
+    Hashtbl.replace t.key_slot t.keys.(i) i;
     Hashtbl.remove t.key_slot k;
-    Hashtbl.remove t.id_keys id;
     t.live <- last
+
+  (* The membership paths at [t.top] of stored keys. *)
+  let paths_of t ks = Array.map (fun k -> path_of t t.ids.(Hashtbl.find t.key_slot k)) ks
 
   let sample_id t rng = t.ids.(Prng.int rng t.live)
 
@@ -271,17 +289,14 @@ module Make (S : Range_structure.S) = struct
     let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
     go 0
 
-  (* The ground set as the bulk level builder reads it: keys in reverse
-     [Hashtbl.iter] order of [id_keys], beside each element's path at
-     [t.top]. Each level set's [S.build] sees its keys in this order,
-     which fixes the range numbering of order-sensitive structures (the
-     trapezoidal map numbers trapezoids in array order, and the pinned
-     trapmap message totals depend on it). *)
-  let snapshot t =
-    let entries =
-      Array.of_list (Hashtbl.fold (fun id k acc -> (k, path_of t id) :: acc) t.id_keys [])
-    in
-    (Array.map fst entries, Array.map snd entries)
+  (* The ground set as the bulk level builder reads it: keys in arena
+     slot order, beside each element's path at [t.top]. Each level set's
+     [S.build] sees its keys in this order, which fixes the range
+     numbering of order-sensitive structures (the trapezoidal map numbers
+     trapezoids in array order). After a bulk load the slots hold the
+     keys in presentation order; removals move the last slot into the
+     freed one. No hash order is read. *)
+  let snapshot t = (Array.sub t.keys 0 t.live, Array.init t.live (fun i -> path_of t t.ids.(i)))
 
   (* The one prefix-grouping kernel: a stable counting sort of (keys,
      paths) by level prefix, then [f b ks] once per non-empty group [b],
@@ -289,62 +304,54 @@ module Make (S : Range_structure.S) = struct
      ascending, and the bulk build hands [S.build] the snapshot's order.
      Groups come in ascending prefix order, though no caller depends on
      that: each group touches only its own set. The sort costs O(2^level)
-     beside O(batch), the size of the level's own set table. *)
+     beside O(batch), the size of the level's own set table, so a batch
+     of at most one key (every single write) skips it. *)
   let iter_groups t (keys, paths) level f =
     let shift = t.top - level and sets = 1 lsl level in
-    let start = Array.make (sets + 1) 0 in
-    Array.iter (fun p -> start.((p lsr shift) + 1) <- start.((p lsr shift) + 1) + 1) paths;
-    for b = 1 to sets do
-      start.(b) <- start.(b) + start.(b - 1)
-    done;
-    let order = Array.make (Array.length keys) 0 in
-    Array.iteri
-      (fun i p ->
-        let b = p lsr shift in
-        order.(start.(b)) <- i;
-        start.(b) <- start.(b) + 1)
-      paths;
-    (* Placing the keys moved every [start.(b)] to the end of group b. *)
-    let lo = ref 0 in
-    while !lo < Array.length order do
-      let b = paths.(order.(!lo)) lsr shift in
-      let first = !lo in
-      f b (Array.init (start.(b) - first) (fun i -> keys.(order.(first + i))));
-      lo := start.(b)
-    done
+    if Array.length keys <= 1 then Array.iteri (fun i k -> f (paths.(i) lsr shift) [| k |]) keys
+    else begin
+      let start = Array.make (sets + 1) 0 in
+      Array.iter (fun p -> start.((p lsr shift) + 1) <- start.((p lsr shift) + 1) + 1) paths;
+      for b = 1 to sets do
+        start.(b) <- start.(b) + start.(b - 1)
+      done;
+      let order = Array.make (Array.length keys) 0 in
+      Array.iteri
+        (fun i p ->
+          let b = p lsr shift in
+          order.(start.(b)) <- i;
+          start.(b) <- start.(b) + 1)
+        paths;
+      (* Placing the keys moved every [start.(b)] to the end of group b. *)
+      let lo = ref 0 in
+      while !lo < Array.length order do
+        let b = paths.(order.(!lo)) lsr shift in
+        let first = !lo in
+        f b (Array.init (start.(b) - first) (fun i -> keys.(order.(first + i))));
+        lo := start.(b)
+      done
+    end
 
   (* Build every set of one level from a snapshot: one [S.build] per
-     prefix group, whose copies are summed into a dense per-host array
-     and charged once per host. Writes only this level's state, so levels
-     build concurrently. *)
+     prefix group. The sets are stored, and their copies summed into a
+     dense per-host array and charged once per host, only once every
+     build of the level has succeeded, so a rejected key leaves the level
+     untouched. Writes only this level's state, so levels build
+     concurrently. *)
   let build_level t snap level =
-    let ly = t.layers.(level).sets in
-    let per_host = Array.make (Network.host_count t.net) 0 in
+    let built = ref [] in
+    iter_groups t snap level (fun b ks -> built := (b, S.build ks) :: !built);
+    let ly = t.layers.(level).sets and per_host = Array.make (Network.host_count t.net) 0 in
     let add h k = per_host.(h) <- per_host.(h) + k in
-    iter_groups t snap level (fun b ks ->
-        let s = S.build ks in
+    List.iter
+      (fun (b, s) ->
         ly.(b) <- Some s;
-        charge_fresh t ~charge:add level b s);
+        charge_fresh t ~charge:add level b s)
+      !built;
     Array.iteri (fun h k -> if k <> 0 then direct_charge t h k) per_host
 
-  (* Register a fresh key: allocate its id and index it. Ids are handed out
-     in presentation order, and the id fixes the element's membership
-     vector — every entry point (build, insert, insert_batch) must agree on
-     this order for a bulk load to be indistinguishable from the same keys
-     arriving one at a time. Registration is the coin-drawing step, so it
-     always runs sequentially before any level task starts: the membership
-     bits [Membership.prefix] derives from (seed, id, level) can never
-     depend on how the levels are later scheduled. A single [insert]
-     registers after its level-0 step, so a key that step rejects draws
-     no id. *)
-  let register t k =
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    arena_add t k id;
-    id
-
-  (* The one update step of a level set, run with one key by [insert] and
-     once per prefix group by [insert_batch]: an existing set takes the
+  (* The one update step of a level set, run once per prefix group by
+     [insert_batch] (and so by [insert]): an existing set takes the
      keys one [S.insert] at a time, in the order given, each delta
      charged as it comes — a batch is §4's single-key step repeated, and
      per-host memory is an order-independent sum, so the grouping never
@@ -405,36 +412,55 @@ module Make (S : Range_structure.S) = struct
 
   let grow_top ?pool t = if t.top < required_top (size t) then build_levels ?pool t (t.top + 1)
 
-  (* A batch sorted by key, as (keys, membership paths at [t.top]). *)
-  let sorted_paths t entries =
-    let batch = Array.map (fun (k, id) -> (k, path_of t id)) entries in
-    Array.sort (fun (a, _) (b, _) -> compare a b) batch;
-    (Array.map fst batch, Array.map snd batch)
-
-  (* Bulk insertion: register the whole batch (drawing every membership
-     coin sequentially), then stream it through the hierarchy level by
-     level in sorted key order, each level set taking its group by the
-     same update step as [insert]; with a pool the per-level sweeps run on
-     separate domains. A
-     batch landing in an empty hierarchy takes the bulk level builder
-     outright, also fanned per level. Pure host-side work — no query
-     routing, hence no messages; returns the number of keys actually
-     inserted. *)
+  (* The one write step of every insertion, [insert]'s included. Into a
+     non-empty hierarchy: level 0's single set takes the fresh keys one
+     at a time in sorted order, and stops at the first key it rejects;
+     the keys it accepted are registered in presentation order and
+     streamed through levels 1 .. top, one group per level set (with a
+     pool, one task per level), and only then does the rejection
+     propagate. Level 0 holds every key and each rejection is monotone
+     under subsets, so no higher level can reject what level 0 took.
+     Into an empty hierarchy the batch is registered and built by the
+     bulk level builder, all levels in one fan-out; a rejection there
+     releases every built level and hands back every id, leaving the
+     hierarchy empty. Pure host-side work — no query routing, hence no
+     messages; returns the number of keys inserted. *)
   let insert_batch ?pool t keys =
-    let was_empty = size t = 0 in
-    let fresh = ref [] in
-    Array.iter
-      (fun k -> if not (Hashtbl.mem t.key_slot k) then fresh := (k, register t k) :: !fresh)
-      keys;
-    let fresh = Array.of_list (List.rev !fresh) in
-    if Array.length fresh > 0 then
-      if was_empty then build_levels ?pool t 0
-      else begin
-        let batch = sorted_paths t fresh in
-        run_levels ?pool t (fun level -> iter_groups t batch level (insert_group t level));
-        grow_top ?pool t
-      end;
-    Array.length fresh
+    let stored k = Hashtbl.mem t.key_slot k in
+    let fresh = Array.of_seq (Seq.filter (fun k -> not (stored k)) (Array.to_seq keys)) in
+    let register_fresh admit =
+      Array.iter (fun k -> if admit k && not (stored k) then register t k) fresh
+    in
+    if Array.length fresh = 0 then 0
+    else if size t = 0 then begin
+      let first = t.next_id in
+      register_fresh (fun _ -> true);
+      (try build_levels ?pool t 0
+       with e ->
+         Array.iteri (fun l -> iter_sets (uncharge_set t ~charge:(direct_charge t) l)) t.layers;
+         Hashtbl.reset t.key_slot;
+         t.live <- 0;
+         t.next_id <- first;
+         build_levels t 0 (* back to one empty level *);
+         raise e);
+      size t
+    end
+    else begin
+      let sorted = Presort.sorted_distinct ?pool ~cmp:compare fresh and taken = ref 0 in
+      let rejection =
+        try
+          Array.iter (fun k -> insert_group t 0 0 [| k |]; incr taken) sorted;
+          None
+        with e -> Some e
+      in
+      register_fresh (fun k -> !taken = Array.length sorted || compare k sorted.(!taken) < 0);
+      let added = Array.sub sorted 0 !taken in
+      let batch = (added, paths_of t added) in
+      run_levels ?pool ~lo:1 t (fun level -> iter_groups t batch level (insert_group t level));
+      grow_top ?pool t;
+      Option.iter raise rejection;
+      !taken
+    end
 
   let build ~net ~seed ?(p = 0.5) ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool keys
       =
@@ -456,8 +482,8 @@ module Make (S : Range_structure.S) = struct
         vecs;
         layers = [| fresh_layer ~copies:(r + cache_replicas - 1) 0 |];
         key_slot = Hashtbl.create 64;
-        id_keys = Hashtbl.create 64;
         ids = [||];
+        keys = [||];
         live = 0;
         top = 0;
         next_id = 0;
@@ -772,76 +798,48 @@ module Make (S : Range_structure.S) = struct
       t.top <- wanted
     end
 
+  (* A single write is its §4 bill — a locate, routed as a probe query
+     from an origin drawn off the element's id (none in an empty
+     hierarchy), plus O(1) linking messages per level, read before the
+     write moves the top — and then the batch write step on one key. *)
+  let bill t ~seed k =
+    let locate =
+      if size t = 0 then 0
+      else (snd (query_from t (sample_id t (Prng.create seed)) (S.probe k))).messages
+    in
+    locate + (2 * (t.top + 1))
+
   let insert t k =
     if Hashtbl.mem t.key_slot k then 0
     else begin
-      (* Locate first (§4): route a probe query if the structure is not
-         empty, paying its message cost. *)
-      let locate_cost =
-        if size t = 0 then 0
-        else
-          let rng = Prng.create (t.next_id + 77) in
-          let _, stats = query_from t (sample_id t rng) (S.probe k) in
-          stats.messages
-      in
-      (* Level 0 first, before [register] draws the id: every key a
-         structure rejects raises there, leaving no trace. Level 0 holds
-         the single set 0. *)
-      let path = path_of t t.next_id in
-      insert_group t 0 0 [| k |];
-      ignore (register t k : int);
-      for level = 1 to t.top do
-        insert_group t level (path lsr (t.top - level)) [| k |]
-      done;
-      let linking_cost = 2 * (t.top + 1) in
-      grow_top t;
-      locate_cost + linking_cost
+      let cost = bill t ~seed:(t.next_id + 77) k in
+      ignore (insert_batch t [| k |] : int);
+      cost
     end
+
+  (* Bulk deletion, the mirror of [insert_batch]: one sorted sweep per
+     level (fanned over the pool when one is given) through [remove_group],
+     then the arena drops the keys in presentation order, and one
+     hierarchy shrink ends the batch. Host-side only; returns the number
+     of keys actually removed. *)
+  let remove_batch ?pool t keys =
+    let victims = Array.of_seq (Seq.filter (Hashtbl.mem t.key_slot) (Array.to_seq keys)) in
+    let victims = Presort.sorted_distinct ?pool ~cmp:compare victims in
+    if Array.length victims > 0 then begin
+      let batch = (victims, paths_of t victims) in
+      run_levels ?pool t (fun level -> iter_groups t batch level (remove_group t level));
+      Array.iter (fun k -> if Hashtbl.mem t.key_slot k then arena_remove t k) keys;
+      shrink_top t
+    end;
+    Array.length victims
 
   let remove t k =
     match Hashtbl.find_opt t.key_slot k with
     | None -> 0
     | Some slot ->
-        let id = t.ids.(slot) in
-        let locate_cost =
-          let rng = Prng.create (id + 991) in
-          let _, stats = query_from t (sample_id t rng) (S.probe k) in
-          stats.messages
-        in
-        let path = path_of t id in
-        for level = 0 to t.top do
-          remove_group t level (path lsr (t.top - level)) [| k |]
-        done;
-        arena_remove t k;
-        let cost = locate_cost + (2 * (t.top + 1)) in
-        shrink_top t;
+        let cost = bill t ~seed:(t.ids.(slot) + 991) k in
+        ignore (remove_batch t [| k |] : int);
         cost
-
-  (* Bulk deletion, the mirror of [insert_batch]: one sorted sweep per
-     level (fanned over the pool when one is given) through [remove_group],
-     then one hierarchy shrink at the end. Host-side only; returns the number of
-     keys actually removed. *)
-  let remove_batch ?pool t keys =
-    let victims = ref [] in
-    let seen = Hashtbl.create (max 16 (Array.length keys)) in
-    Array.iter
-      (fun k ->
-        match Hashtbl.find_opt t.key_slot k with
-        | Some slot when not (Hashtbl.mem seen slot) ->
-            Hashtbl.replace seen slot ();
-            victims := (k, t.ids.(slot)) :: !victims
-        | Some _ | None -> ())
-      keys;
-    let victims = Array.of_list (List.rev !victims) in
-    let count = Array.length victims in
-    if count = 0 then 0
-    else begin
-      let batch = sorted_paths t victims in
-      run_levels ?pool t (fun level -> iter_groups t batch level (remove_group t level));
-      Array.iter (fun (k, _) -> arena_remove t k) victims;
-      shrink_top t;
-      count
-    end
 
   let mean_refinement_work t ~queries ~rng =
     let total = ref 0 and count = ref 0 in
@@ -858,14 +856,12 @@ module Make (S : Range_structure.S) = struct
     if Array.length t.layers <> t.top + 1 then
       failwith "Hierarchy: layer array out of sync with top";
     if t.top <> required_top n then failwith "Hierarchy: top out of sync with size";
-    (* Arena: exactly the live ids, each key knowing its id's slot. *)
-    if Hashtbl.length t.key_slot <> n || Hashtbl.length t.id_keys <> n then
+    (* Arena: exactly the live keys, each knowing its slot. *)
+    if Hashtbl.length t.key_slot <> n then
       failwith "Hierarchy: id arena size disagrees with ground set";
     for i = 0 to t.live - 1 do
-      match Hashtbl.find_opt t.id_keys t.ids.(i) with
-      | None -> failwith "Hierarchy: dead id in arena"
-      | Some k ->
-          if Hashtbl.find_opt t.key_slot k <> Some i then failwith "Hierarchy: id arena slot broken"
+      if Hashtbl.find_opt t.key_slot t.keys.(i) <> Some i then
+        failwith "Hierarchy: id arena slot broken"
     done;
     (* Every level partitions the ground set: recount the live ids per
        prefix from their paths; each non-empty prefix has a structure of

@@ -194,60 +194,86 @@ module Make (S : Range_structure.S) : sig
       origin-predrawing and bit-identical-for-any-jobs-count contract as
       {!query_batch}. *)
 
+  (** {1 Writes}
+
+      Every write runs one step (§4: a locate, then O(1) linking work per
+      level). {!insert} and {!remove} are their message bill — a locate
+      routed from an origin drawn off the element's id, plus two linking
+      messages per level — followed by that step on a one-key batch; the
+      batch calls run it without the bill. Host-side work is O(levels)
+      bookkeeping per key plus the level structures' own update cost,
+      never O(n).
+
+      {b Rejection.} A key the level structures reject (a crossing
+      segment, a shared abscissa, a point outside the unit square or of
+      the wrong dimension...) raises [Invalid_argument] from level 0's
+      set, which holds every key; every rejection is monotone under
+      subsets, so no higher level can reject what level 0 accepted. What
+      a rejected write leaves stored:
+      {ul
+      {- into an empty hierarchy, nothing: the write is atomic, every
+         built level is released and every drawn id handed back;}
+      {- into a non-empty hierarchy, the prefix level 0 accepted: exactly
+         the write's fresh keys that sort before the first rejected one
+         (polymorphic [compare], the order level 0 takes them in), stored
+         at every level with ids drawn in presentation order — the state
+         a batch of just those keys would leave. A rejected single
+         {!insert} therefore leaves the hierarchy exactly as it was; only
+         its locate's messages were billed.}}
+      Either way {!check_invariants} holds afterwards. *)
+
   val insert : t -> S.key -> int
-  (** Add an element; returns the message cost (a locate plus O(1) linking
-      messages per level, §4). Grows the level hierarchy when n crosses a
-      power of two. Host-side work is O(log n) bookkeeping plus the
-      structure's own update cost — never O(n). A key the level
-      structures reject (a crossing segment, a point of the wrong
-      dimension...) raises from level 0 before the element is registered
-      or anything is charged, so the hierarchy is left exactly as it was;
-      only the locate's messages were billed. *)
+  (** Add an element; returns the message cost (the locate plus the
+      linking messages, read before the write grows the hierarchy). A
+      key already stored costs 0 and changes nothing. Grows the level
+      hierarchy when n crosses a power of two. *)
 
   val remove : t -> S.key -> int
-  (** Delete an element; returns the message cost. Raises if the underlying
-      structure does not support deletion. Shrinks the level hierarchy when
-      deletions lower ⌈log₂ n⌉, so a heavily shrunk set does not keep
-      paying linking messages and memory for dead levels. *)
+  (** Delete an element; returns the message cost (0, and no change, for
+      an absent key). Raises if the underlying structure does not support
+      deletion. Shrinks the level hierarchy when deletions lower
+      ⌈log₂ n⌉, so a heavily shrunk set does not keep paying linking
+      messages and memory for dead levels. *)
 
   val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
-  (** Bulk insertion: registers the whole batch (duplicates and
-      already-present keys skipped, ids assigned in presentation order —
-      so a bulk load is indistinguishable from the same keys arriving one
-      at a time), then streams it through the hierarchy one level at a
-      time in sorted key order: each level set takes its share of the
-      batch by the same per-key update step as {!insert}, or one build
+  (** Bulk insertion by the write step, skipping duplicates and keys
+      already stored; returns the number of keys inserted. Host-side
+      work only — no query routing, so no messages. Ids, which fix the
+      membership vectors, are drawn in presentation order, so a bulk
+      load is indistinguishable from the same keys arriving one at a
+      time.
+
+      Into a non-empty hierarchy, level 0 takes the fresh keys first, in
+      sorted order, by the per-key update step of {!insert}; the keys it
+      accepted are then registered and streamed through levels 1 .. K,
+      each level set taking its share by the same step, or one build
       when the batch creates the set. A batch landing in an empty
-      hierarchy takes the bulk level builder (per level, one counting
-      sort of the ground set by membership prefix and one build per level
-      set), as do the new top levels when a batch grows the hierarchy.
-      [build] routes through this. Host-side bulk-load work only — no
-      query routing, so unlike {!insert} the return value is the number
-      of keys actually inserted, not a message cost. Memory charges are
-      maintained exactly as for {!insert}. Unlike {!insert}, a batch
-      holding a key the level structures reject raises with the batch
-      already registered, leaving the hierarchy inconsistent.
+      hierarchy takes the bulk level builder instead (per level, one
+      counting sort of the ground set by membership prefix and one build
+      per level set), as do the new top levels when a batch grows the
+      hierarchy. [build] routes through this. On a rejection, see
+      {e Writes} above.
 
       With [pool], the levels fan out over its domains, one task per
-      level dispatched heaviest-first; each task runs its level's sweep
-      on its own domain, and no level structure ever sees the pool. This
-      is safe and {e deterministic} because every membership path is
-      drawn sequentially before any sweep starts, all mutable state of a
-      level (its structures and its repair redraw table) is touched by
-      exactly one task, and memory charges are per-host sums added
-      straight to the network's atomic counters — so the final structures,
-      the charged memory of every host and the return value are
-      bit-identical for any jobs count; only the wall clock changes. Must
-      not be called from inside another batch on the same pool. *)
+      level dispatched heaviest-first — levels 1 .. K after level 0, or
+      every level of a bulk build; no level structure ever sees the
+      pool. This is safe and {e deterministic} because every membership
+      path is drawn sequentially before any level task starts, all
+      mutable state of a level (its structures and its repair redraw
+      table) is touched by exactly one task, and memory charges are
+      per-host sums added straight to the network's atomic counters — so
+      the final structures, the charged memory of every host and the
+      return value are bit-identical for any jobs count; only the wall
+      clock changes. Must not be called from inside another batch on the
+      same pool. *)
 
   val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
-  (** Bulk deletion, the mirror of {!insert_batch}: one sorted sweep per
-      level (fanned over [pool] when given, with the same determinism
-      guarantee), each level set losing its share by the per-key step of
-      {!remove} or dropped outright once the batch empties it, then one
-      hierarchy shrink at the end. Returns the
-      number of keys actually removed (absent keys and duplicates are
-      skipped). *)
+  (** Bulk deletion by the write step, the mirror of {!insert_batch}: one
+      sorted sweep per level (fanned over [pool] when given, with the
+      same determinism guarantee), each level set losing its share by
+      the per-key step of {!remove} or dropped outright once the batch
+      empties it, then one hierarchy shrink at the end. Returns the
+      number of keys removed (absent keys and duplicates are skipped). *)
 
   val mean_refinement_work : t -> queries:S.query array -> rng:Skipweb_util.Prng.t -> float
   (** Average ranges visited per level over a query batch — the empirical

@@ -356,6 +356,65 @@ module Rejection (S : Skipweb_core.Range_structure.S) = struct
         checkb (what ^ ": same answer") true (a1 = a2);
         checki (what ^ ": same messages") st2.Hr.messages st1.Hr.messages)
       queries
+
+  (* A batch holding one rejected key [bad], placed mid-batch, stores what
+     [insert_batch] documents: nothing when the hierarchy was empty, else
+     exactly the batch's fresh keys that sort before [bad]. So the
+     hierarchy must read as a twin given just those keys — the same size
+     and invariants — and after both take the batch's valid keys again
+     and one more single insert, the same per-host memory, message total,
+     answers and per-query messages. Run into [keys] at jobs 1 and 2. *)
+  let run_batch ~what ~hosts ~seed keys ~good ~bad ~expect ~valid queries =
+    let half = Array.length good / 2 in
+    let batch =
+      Array.concat [ Array.sub good 0 half; [| bad |]; Array.sub good half (Array.length good - half) ]
+    in
+    let stored =
+      if Array.length keys = 0 then [||]
+      else Array.of_list (List.filter (fun k -> compare k bad < 0) (Array.to_list good))
+    in
+    List.iter
+      (fun jobs ->
+        Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+            let what =
+              Printf.sprintf "%s batch into %d keys, jobs %d" what (Array.length keys) jobs
+            in
+            let net1 = Network.create ~hosts and net2 = Network.create ~hosts in
+            let h1 = Hr.build ~net:net1 ~seed ?pool keys
+            and h2 = Hr.build ~net:net2 ~seed ?pool keys in
+            (match Hr.insert_batch ?pool h1 batch with
+            | _ -> Alcotest.failf "%s: the bad key was accepted" what
+            | exception Invalid_argument msg ->
+                Alcotest.(check string) (what ^ ": rejection") expect msg);
+            Hr.check_invariants h1;
+            ignore (Hr.insert_batch ?pool h2 stored : int);
+            checki (what ^ ": size after the rejection") (Hr.size h2) (Hr.size h1);
+            for host = 0 to hosts - 1 do
+              checki
+                (Printf.sprintf "%s: host %d memory after the rejection" what host)
+                (Network.memory net2 host) (Network.memory net1 host)
+            done;
+            List.iter
+              (fun h ->
+                ignore (Hr.insert_batch ?pool h good : int);
+                ignore (Hr.insert h valid : int);
+                Hr.check_invariants h)
+              [ h1; h2 ];
+            checki (what ^ ": size") (Hr.size h2) (Hr.size h1);
+            for host = 0 to hosts - 1 do
+              checki (Printf.sprintf "%s: host %d memory" what host) (Network.memory net2 host)
+                (Network.memory net1 host)
+            done;
+            checki (what ^ ": message total") (Network.total_messages net2)
+              (Network.total_messages net1);
+            let rng1 = Prng.create 7 and rng2 = Prng.create 7 in
+            Array.iter
+              (fun q ->
+                let a1, st1 = Hr.query h1 ~rng:rng1 q and a2, st2 = Hr.query h2 ~rng:rng2 q in
+                checkb (what ^ ": same answer") true (a1 = a2);
+                checki (what ^ ": same messages") st2.Hr.messages st1.Hr.messages)
+              queries))
+      [ 1; 2 ]
 end
 
 module Seg_rejection = Rejection (I.Segments)
@@ -389,6 +448,49 @@ let test_rejected_point_insert () =
   Pt_rejection.run ~what:"wrong dimension" ~hosts:64 ~seed:52 (Array.sub pts 0 59)
     ~bad:[| 0.25; 0.5; 0.75 |] ~expect:"Cqtree.insert: dimension mismatch" ~valid:pts.(59)
     (W.uniform_query_points ~seed:53 ~n:60 ~dim:2)
+
+(* ------- rejected batches ------- *)
+
+(* Each rejection kind in a batch, into an empty hierarchy (one bulk
+   build) and into a non-empty one (level 0 first). The crossing and
+   shared-abscissa keys clash with [segs.(0)], so the empty case's batch
+   holds it. *)
+let test_rejected_segment_batch () =
+  let segs = W.disjoint_segments ~seed:48 ~n:32 in
+  let (x0, y0), (x1, _) = Skipweb_geom.Segment.endpoints segs.(0) in
+  let xa = x0 +. (0.37 *. (x1 -. x0)) and w = 0.05 *. (x1 -. x0) in
+  let ya = Skipweb_geom.Segment.y_at segs.(0) xa in
+  let make = Skipweb_geom.Segment.make ~id:1000 in
+  let queries = W.trapmap_query_points ~seed:50 ~n:60 in
+  List.iter
+    (fun (what, bad, expect) ->
+      Seg_rejection.run_batch ~what ~hosts:128 ~seed:49 [||] ~good:(Array.sub segs 0 10) ~bad
+        ~expect ~valid:segs.(20) queries;
+      Seg_rejection.run_batch ~what ~hosts:128 ~seed:49 (Array.sub segs 0 20)
+        ~good:(Array.sub segs 21 11) ~bad ~expect ~valid:segs.(20) queries)
+    [
+      ( "crossing",
+        make (xa -. w, ya -. 0.01) (xa +. (2.0 *. w), ya +. 0.02),
+        "Trapmap: segments must be non-crossing" );
+      ( "shared abscissa",
+        make (x0, if y0 < 0.5 then y0 +. 0.2 else y0 -. 0.2) (x0 +. 0.0123457, 0.5),
+        "Trapmap: endpoint x-coordinates must be pairwise distinct" );
+      ( "outside the square",
+        make (0.6123457, -0.05) (0.7123457, 0.2),
+        "Trapmap: segment endpoints must lie strictly inside the unit square" );
+    ]
+
+let test_rejected_point_batch () =
+  let pts = W.uniform_points ~seed:51 ~n:70 ~dim:2 in
+  let queries = W.uniform_query_points ~seed:53 ~n:60 ~dim:2 in
+  List.iter
+    (fun (keys, good, expect) ->
+      Pt_rejection.run_batch ~what:"wrong dimension" ~hosts:64 ~seed:52 keys ~good
+        ~bad:[| 0.25; 0.5; 0.75 |] ~expect ~valid:pts.(69) queries)
+    [
+      ([||], Array.sub pts 0 10, "Cqtree.of_sorted: dimension mismatch");
+      (Array.sub pts 0 55, Array.sub pts 55 14, "Cqtree.insert: dimension mismatch");
+    ]
 
 (* ------- blocked 1-d skip-web (§2.4.1) ------- *)
 
@@ -1135,7 +1237,7 @@ let run_pinned_segments_churn () =
     end
   done;
   HSeg.check_invariants h;
-  checkil "pinned segments churn [ops; net; size]" [ 2492; 1592; 200 ]
+  checkil "pinned segments churn [ops; net; size]" [ 2479; 1579; 200 ]
     [ !ops; Network.total_messages net; HSeg.size h ]
 
 (* ------- the 1-d level set against a sorted-array model ------- *)
@@ -1378,6 +1480,10 @@ let suite =
     Alcotest.test_case "trapmap web insert" `Quick test_hseg_insert;
     Alcotest.test_case "rejected segment insert leaves no trace" `Quick test_rejected_segment_insert;
     Alcotest.test_case "rejected point insert leaves no trace" `Quick test_rejected_point_insert;
+    Alcotest.test_case "rejected segment batch stores its documented part" `Quick
+      test_rejected_segment_batch;
+    Alcotest.test_case "rejected point batch stores its documented part" `Quick
+      test_rejected_point_batch;
     Alcotest.test_case "blocked build" `Quick test_blocked_build;
     Alcotest.test_case "blocked query correct" `Quick test_blocked_query_correct;
     Alcotest.test_case "blocked beats generic (A1)" `Quick test_blocked_fewer_messages_than_generic;

@@ -305,14 +305,14 @@ let pinned_strings =
 
 let pinned_segments =
   [
-    [ 425451153412762510; 1681277131242358430; 2698410846942921922 ];
-    [ 1259102827834922447; 2245978585024974896; 986404080037373021 ];
-    [ 1597762789938249418; 3628934599850925976; 3218462312922107548 ];
-    [ 2036605461526507820; 3628934599850925976; 220515988036416042 ];
-    [ 1212018281264645615; 3176218013341633342; 4017706663950683042 ];
-    [ 3018062150396436041; 1986401440207668909; 3270973225172201900 ];
-    [ 266656690959484359; 2143892332450093708; 2773137715591037566 ];
-    [ 1720650709933209065; 2143892332450093708; 710146788578445537 ];
+    [ 3678760609361461464; 846438738762593050; 3440925801634607379 ];
+    [ 306237950637524749; 2187038944193281514; 4086436654767781114 ];
+    [ 2963671072872535883; 526923306104686995; 2292566500375364674 ];
+    [ 546492335329218372; 292297690090134089; 3032764409885089281 ];
+    [ 3151007761794766392; 4408485368013312836; 598291432254797521 ];
+    [ 1106941387318001650; 2514295448228559783; 1217147973425098577 ];
+    [ 4505258832637983552; 2814963197194760256; 3735610372577106253 ];
+    [ 645615943147825916; 2814963197194760256; 1279577405083855406 ];
   ]
 
 let suite =
