@@ -4,13 +4,17 @@
    The message-count experiments treat the simulator as free; this one
    makes sure it actually is. We bulk-load a generic 1-d skip-web at
    n in {1k, 10k, 100k, 1M} and then run a mixed churn workload (40%
-   insert, 40% delete, 20% query) against it, timing both phases. With
-   the incremental id arena, delta-driven memory recharging and the
-   chunked sorted sequences backing every level list, the per-op
-   host-side cost is O(log n) hashtable work plus an O(√n)-bounded chunk
-   memmove per level — the flat-array representation this replaced
-   copied the whole level-0 array on every update, and the seed
-   implementation before it rebuilt O(n) state per update.
+   insert, 40% delete, 20% query) against it, timing both phases. A
+   level set of at most 32 keys is one flat sorted array that an update
+   replaces (a copy of at most 32 ints); a larger one is a chunked
+   sorted sequence, where an update memmoves at most one O(√n) chunk.
+   The id arena's [key_slot] table maps a stored key to its arena slot,
+   so an update finds the element's id and swap-pops it in O(1)
+   expected hashtable work. With delta-driven memory recharging, the
+   per-op host-side cost is O(log n) levels of one binary search plus
+   that bounded copy each. The one flat array per level that this
+   replaced copied the whole level-0 array on every update, and the
+   seed implementation before it rebuilt O(n) state per update.
 
    Bulk load goes through [Hierarchy.insert_batch] (which [build]
    routes through): one registration pass, then one sorted sweep per
@@ -53,7 +57,6 @@ module DPool = Skipweb_util.Pool
 module C = Bench_common
 
 module HInt = H.Make (I.Ints)
-module O = Skipweb_util.Ordseq
 
 type row = {
   n : int;
@@ -260,13 +263,11 @@ let fresh_batch ~seed ~bound count =
    under its own pool — the remove restores the key set, so every point
    times the same transition. Each cycle re-inserts the batch under fresh
    element ids, hence fresh membership vectors, so the charged memory
-   legitimately differs from point to point. Two determinism asserts ride
+   legitimately differs from point to point. A determinism assert rides
    along: a twin structure over the same keys then runs the same cycles
    at jobs 1 (so its ids match), and every point must leave the per-host
-   charged memory and the size its twin left; and the raw Ordseq chunk
-   layout after the same batch splice must be bit-identical to the
-   sequential one for every jobs count. The twin runs after the timed
-   structure is dropped, so only one is alive at a time. *)
+   charged memory and the size its twin left. The twin runs after the
+   timed structure is dropped, so only one is alive at a time. *)
 let write_sweep ~seed ~n jobs_list =
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
@@ -302,27 +303,6 @@ let write_sweep ~seed ~n jobs_list =
         { sw_jobs = jobs; sw_insert_s; sw_remove_s })
       jobs_list (List.combine pooled twin)
   in
-  (* Ordseq layout identity: the chunk-sharded splice itself, checked at
-     the chunk level — the final layout is a pure function of (pre-state,
-     batch), never of the jobs count. *)
-  let sorted_w = Array.copy wkeys in
-  Array.sort compare sorted_w;
-  let layout jobs =
-    DPool.with_pool ~jobs (fun pool ->
-        let o = O.of_array ?pool keys in
-        ignore (O.insert_batch ?pool o sorted_w : int);
-        let after_insert = O.chunk_lengths o in
-        ignore (O.remove_batch ?pool o sorted_w : int);
-        (after_insert, O.chunk_lengths o))
-  in
-  (match jobs_list with
-  | [] | [ _ ] -> ()
-  | j1 :: rest ->
-      let base = layout j1 in
-      List.iter
-        (fun j ->
-          if layout j <> base then failwith "exp_scale: Ordseq chunk layout diverged across jobs")
-        rest);
   (batch, points)
 
 let json_of_sweep ~n ~batch points =

@@ -366,262 +366,15 @@ let remove t k =
       end
   end
 
-(* ---------- parallel batch splice ---------- *)
+(* ---------- batch insert ---------- *)
 
-(* The batch engine: route a sorted batch to chunks through the [cmax]
-   summary (so every chunk owns a disjoint slice of the batch), apply
-   each chunk's slice independently — pool workers handle whole chunks,
-   each writing only its own [plan] slot — then run a sequential
-   merge/commit pass that rebuilds the chunk table, the maxima and the
-   Fenwick counts. The per-chunk apply is deterministic and the commit
-   pass reads the plan in chunk order, so the final layout is a pure
-   function of (pre-state, batch): identical for any job count. *)
-
-(* [seg] has nchunks + 1 entries; chunk [j] owns batch slice
-   [seg.(j), seg.(j+1)). [affected] lists the chunks whose slice is
-   non-empty. *)
-let affected_chunks nch seg =
-  let n = ref 0 in
-  for j = 0 to nch - 1 do
-    if seg.(j + 1) > seg.(j) then incr n
+(* The whole batch is checked before any key lands, so a rejected batch
+   leaves the sequence as it was. *)
+let insert_batch ?pool:_ t ks =
+  for i = 1 to Array.length ks - 1 do
+    if ks.(i - 1) >= ks.(i) then invalid_arg "Ordseq.insert_batch: batch not strictly increasing"
   done;
-  let out = Array.make !n 0 in
-  let i = ref 0 in
-  for j = 0 to nch - 1 do
-    if seg.(j + 1) > seg.(j) then begin
-      out.(!i) <- j;
-      incr i
-    end
-  done;
-  out
-
-(* Run [apply i] for every affected chunk: over the pool when there are
-   at least two shards to overlap (largest slices dispatched first),
-   inline otherwise. Each call writes a distinct plan slot, so the plan
-   contents never depend on which domain ran which shard. *)
-let dispatch_shards pool t seg aff apply =
-  let naff = Array.length aff in
-  match pool with
-  | Some p when naff >= 2 && Pool.jobs p > 1 ->
-      let weights =
-        Array.init naff (fun i ->
-            let j = aff.(i) in
-            t.clen.(j) + (seg.(j + 1) - seg.(j)))
-      in
-      Pool.parallel_for_tasks p ~weights apply
-  | _ ->
-      for i = 0 to naff - 1 do
-        apply i
-      done
-
-(* Sequential merge/commit: rebuild the chunk table from [plan]
-   (plan.(j) = Some (arr, len) replaces chunk j's live content, None
-   keeps it), splitting oversized results into balanced parts and
-   folding runts into their left neighbour, then refresh the maxima, the
-   Fenwick sums and the re-chunk trigger. Every split part lands in
-   [target/2, target + 1): below the split threshold, above the merge
-   one, so the normal single-op invariants hold afterwards. *)
-let commit_plan t plan =
-  let tgt = t.target in
-  let nch = t.nchunks in
-  let cap = ref (max 4 nch) in
-  let out_chunk = ref (Array.make !cap [||]) in
-  let out_len = ref (Array.make !cap 0) in
-  let n_out = ref 0 in
-  let push arr len =
-    if len > 0 then begin
-      let merged =
-        !n_out > 0
-        &&
-        let pl = !out_len.(!n_out - 1) in
-        (4 * len < tgt || 4 * pl < tgt) && pl + len < 2 * tgt
-      in
-      if merged then begin
-        let pj = !n_out - 1 in
-        let pl = !out_len.(pj) in
-        let parr = !out_chunk.(pj) in
-        let parr =
-          if Array.length parr < pl + len then begin
-            let na = Array.make (max (pl + len) (2 * Array.length parr)) 0 in
-            Array.blit parr 0 na 0 pl;
-            !out_chunk.(pj) <- na;
-            na
-          end
-          else parr
-        in
-        Array.blit arr 0 parr pl len;
-        !out_len.(pj) <- pl + len
-      end
-      else begin
-        if !n_out = !cap then begin
-          cap := 2 * !cap;
-          let nc = Array.make !cap [||] and nl = Array.make !cap 0 in
-          Array.blit !out_chunk 0 nc 0 !n_out;
-          Array.blit !out_len 0 nl 0 !n_out;
-          out_chunk := nc;
-          out_len := nl
-        end;
-        !out_chunk.(!n_out) <- arr;
-        !out_len.(!n_out) <- len;
-        incr n_out
-      end
-    end
-  in
-  for j = 0 to nch - 1 do
-    let arr, len =
-      match plan.(j) with Some (a, l) -> (a, l) | None -> (t.chunk.(j), t.clen.(j))
-    in
-    if len >= 2 * tgt then begin
-      let parts = (len + tgt - 1) / tgt in
-      let base = len / parts and extra = len mod parts in
-      let off = ref 0 in
-      for p = 0 to parts - 1 do
-        let l = base + if p < extra then 1 else 0 in
-        let a = Array.make (max (2 * tgt) l) 0 in
-        Array.blit arr !off a 0 l;
-        off := !off + l;
-        push a l
-      done
-    end
-    else push arr len
-  done;
-  let m = !n_out in
-  let slots = max 4 m in
-  let chunk = Array.make slots [||] and clen = Array.make slots 0 and cmax = Array.make slots 0 in
-  let total = ref 0 in
-  for j = 0 to m - 1 do
-    let a = !out_chunk.(j) and l = !out_len.(j) in
-    chunk.(j) <- a;
-    clen.(j) <- l;
-    cmax.(j) <- a.(l - 1);
-    total := !total + l
-  done;
-  t.chunk <- chunk;
-  t.clen <- clen;
-  t.cmax <- cmax;
-  t.nchunks <- m;
-  t.total <- !total;
-  fen_rebuild t;
-  maybe_rechunk t
-
-let validate_batch ~what ks =
-  let m = Array.length ks in
-  for i = 1 to m - 1 do
-    if ks.(i - 1) >= ks.(i) then invalid_arg (what ^ ": batch not strictly increasing")
-  done;
-  m
-
-(* A batch smaller than the chunk count is mostly one-key slices, and
-   the splice would rebuild the whole chunk table and Fenwick counts for
-   them; one [insert]/[remove] per key touches one chunk each instead. *)
-let per_key t m = m < max 4 t.nchunks
-
-let count_true f ks = Array.fold_left (fun n k -> if f k then n + 1 else n) 0 ks
-
-let insert_batch ?pool t ks =
-  let m = validate_batch ~what:"Ordseq.insert_batch" ks in
-  if m = 0 then 0
-  else if t.nchunks = 0 then begin
-    load t ks m;
-    m
-  end
-  else if per_key t m then count_true (insert t) ks
-  else begin
-    let nch = t.nchunks in
-    let seg = Array.make (nch + 1) 0 in
-    seg.(nch) <- m;
-    for j = 1 to nch - 1 do
-      (* Keys <= cmax.(j-1) go left of chunk j; keys beyond the last
-         maximum fall to the last chunk, matching [insert]'s clamp. *)
-      seg.(j) <- array_upper_index ~len:m ks t.cmax.(j - 1) + 1
-    done;
-    let aff = affected_chunks nch seg in
-    let plan = Array.make nch None in
-    let dups = Array.make (Array.length aff) 0 in
-    let apply i =
-      let j = aff.(i) in
-      let lo = seg.(j) and hi = seg.(j + 1) in
-      let c = t.chunk.(j) and len = t.clen.(j) in
-      let out = Array.make (len + (hi - lo)) 0 in
-      let o = ref 0 and a = ref 0 and b = ref lo in
-      while !a < len && !b < hi do
-        let x = c.(!a) and y = ks.(!b) in
-        if x < y then begin
-          out.(!o) <- x;
-          incr a
-        end
-        else if x > y then begin
-          out.(!o) <- y;
-          incr b
-        end
-        else begin
-          out.(!o) <- x;
-          incr a;
-          incr b;
-          dups.(i) <- dups.(i) + 1
-        end;
-        incr o
-      done;
-      while !a < len do
-        out.(!o) <- c.(!a);
-        incr o;
-        incr a
-      done;
-      while !b < hi do
-        out.(!o) <- ks.(!b);
-        incr o;
-        incr b
-      done;
-      plan.(j) <- Some (out, !o)
-    in
-    dispatch_shards pool t seg aff apply;
-    commit_plan t plan;
-    m - Array.fold_left ( + ) 0 dups
-  end
-
-let remove_batch ?pool t ks =
-  let m = validate_batch ~what:"Ordseq.remove_batch" ks in
-  if m = 0 || t.nchunks = 0 then 0
-  else if per_key t m then count_true (remove t) ks
-  else begin
-    let nch = t.nchunks in
-    let seg = Array.make (nch + 1) 0 in
-    (* Keys beyond the last maximum are absent; clip them off the last
-       chunk's slice instead of scanning them. *)
-    seg.(nch) <- array_upper_index ~len:m ks t.cmax.(nch - 1) + 1;
-    for j = 1 to nch - 1 do
-      seg.(j) <- array_upper_index ~len:m ks t.cmax.(j - 1) + 1
-    done;
-    let aff = affected_chunks nch seg in
-    let plan = Array.make nch None in
-    let gone = Array.make (Array.length aff) 0 in
-    let apply i =
-      let j = aff.(i) in
-      let lo = seg.(j) and hi = seg.(j + 1) in
-      let c = t.chunk.(j) and len = t.clen.(j) in
-      (* In-place left compaction: the write cursor never passes the
-         read cursor, so no scratch array is needed. *)
-      let w = ref 0 and s = ref lo in
-      for r = 0 to len - 1 do
-        let x = c.(r) in
-        while !s < hi && ks.(!s) < x do
-          incr s
-        done;
-        if !s < hi && ks.(!s) = x then begin
-          incr s;
-          gone.(i) <- gone.(i) + 1
-        end
-        else begin
-          c.(!w) <- x;
-          incr w
-        end
-      done;
-      plan.(j) <- Some (c, !w)
-    in
-    dispatch_shards pool t seg aff apply;
-    commit_plan t plan;
-    Array.fold_left ( + ) 0 gone
-  end
+  Array.fold_left (fun n k -> if insert t k then n + 1 else n) 0 ks
 
 let chunk_lengths t = Array.init t.nchunks (fun j -> t.clen.(j))
 

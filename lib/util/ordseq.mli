@@ -85,31 +85,17 @@ val to_array : t -> int array
 (** Ascending; O(n) with no per-element search. *)
 
 val insert_batch : ?pool:Pool.t -> t -> int array -> int
-(** [insert_batch ?pool t ks] adds every key of the strictly increasing
-    batch [ks] and returns how many were actually new (duplicates of
-    stored keys are skipped). A batch into an empty sequence is a bulk
-    load. A batch of fewer keys than the sequence has chunks (or than 4)
-    takes the per-key path: one {!insert} per key, in batch order, on
-    the calling domain. Any other batch is routed to chunks by the
-    summary array; each affected chunk's slice is spliced independently
-    — over [?pool] workers when given — and a sequential merge/commit
-    pass then rebuilds the chunk summaries and Fenwick counts. The final
-    layout is a pure function of the pre-state and the batch: bit
-    identical for any job count, including [?pool = None]. Raises
-    [Invalid_argument] if [ks] is not strictly increasing. No library
-    code calls it: only E15b's [write_sweep] and the [perf/]
-    [ordseq_layers] probe do. *)
-
-val remove_batch : ?pool:Pool.t -> t -> int array -> int
-(** [remove_batch ?pool t ks] drops every stored key of the strictly
-    increasing batch [ks] (absent keys are ignored) and returns how many
-    were removed. Same per-key path (one {!remove} per key below the
-    chunk count), sharding, determinism and cost shape as
-    {!insert_batch}; affected chunks compact in place. *)
+(** [insert_batch t ks] adds every key of the strictly increasing batch
+    [ks], one {!insert} per key in batch order, and returns how many were
+    new (keys already stored are skipped). The whole batch is checked
+    first: if [ks] is not strictly increasing it raises
+    [Invalid_argument] and leaves [t] as it was. [?pool] is ignored; it
+    stays only because the [perf/] [ordseq_layers] probe passes one. No
+    library code calls this. *)
 
 val chunk_lengths : t -> int array
-(** Live length of every chunk in order — the layout probe the
-    parallel-splice tests compare across job counts. *)
+(** Live length of every chunk in order: the layout probe the tests
+    compare across job counts. *)
 
 val check : t -> unit
 (** Validates chunk bounds, maxima, Fenwick sums and strict global

@@ -542,10 +542,11 @@ let search_agrees t =
   List.for_all agrees [ min_int; -1; max_int ]
   && Array.for_all (fun x -> agrees (x - 1) && agrees x && agrees (x + 1)) arr
 
-(* Runs of single and batch inserts and removes over [0, 4000): long
-   insert runs split chunks and re-chunk as the sequence grows past 4x
-   its anchor, long remove runs merge chunks and re-chunk as it shrinks
-   below a quarter of it. *)
+(* Runs over [0, 4000) of single inserts, single removes, batch inserts
+   and removes of a random share of the stored keys: long insert runs
+   split chunks and re-chunk as the sequence grows past 4x its anchor,
+   long remove runs merge chunks and re-chunk as it shrinks below a
+   quarter of it. *)
 let qcheck_ordseq_search =
   QCheck.Test.make ~name:"ordseq search agrees with sorted-array model" ~count:50
     QCheck.(list_of_size Gen.(int_range 1 8) (triple (int_range 0 3) (int_range 0 600) small_nat))
@@ -572,29 +573,25 @@ let qcheck_ordseq_search =
                  ignore (Ordseq.insert_batch t (Array.of_list ks) : int)
              | _ ->
                  let ks = List.filter (fun _ -> Prng.int g 600 < len) (Array.to_list (stored ())) in
-                 ignore (Ordseq.remove_batch t (Array.of_list ks) : int));
+                 List.iter (fun k -> ignore (Ordseq.remove t k : bool)) ks);
              search_agrees t)
            runs)
 
-(* ---------- the chunk-sharded batch splice ---------- *)
+(* ---------- the batch insert ---------- *)
 
 module DPool = Skipweb_util.Pool
 
 let sorted_distinct_of_list xs = Array.of_list (List.sort_uniq compare xs)
 
-(* One full batch cycle under [jobs] domains: insert the batch, remove it
-   again, observing contents AND chunk layout after each commit. The
-   tuple is everything the determinism contract promises: a pure function
-   of (pre-state, batch), identical for any jobs count. *)
+(* One batch insert under [jobs] domains, observing the count, the
+   contents AND the chunk layout: [insert_batch] ignores its pool, so the
+   tuple must not depend on the jobs count. *)
 let batch_observation ~jobs ~base ~batch =
   DPool.with_pool ~jobs @@ fun pool ->
   let t = Ordseq.of_sorted_array base in
   let added = Ordseq.insert_batch ?pool t batch in
   Ordseq.check t;
-  let mid = (Ordseq.to_array t, Ordseq.chunk_lengths t) in
-  let gone = Ordseq.remove_batch ?pool t batch in
-  Ordseq.check t;
-  (added, mid, gone, Ordseq.to_array t, Ordseq.chunk_lengths t)
+  (added, Ordseq.to_array t, Ordseq.chunk_lengths t)
 
 let qcheck_ordseq_batch_model =
   QCheck.Test.make ~name:"ordseq batch splice = model, layout jobs-invariant" ~count:30
@@ -605,57 +602,30 @@ let qcheck_ordseq_batch_model =
       let module S = Set.Make (Int) in
       let bset = S.of_list (Array.to_list base) in
       let kset = S.of_list (Array.to_list batch) in
-      let expect_mid = Array.of_list (S.elements (S.union bset kset)) in
-      let expect_added = Array.length expect_mid - S.cardinal bset in
-      let expect_final = Array.of_list (S.elements (S.diff bset kset)) in
-      let ((added, (mid, _), gone, fin, _) as base_obs) = batch_observation ~jobs:1 ~base ~batch in
-      added = expect_added
-      && mid = expect_mid
-      && gone = Array.length batch
-      && fin = expect_final
-      && List.for_all (fun jobs -> batch_observation ~jobs ~base ~batch = base_obs) [ 2; 4 ])
+      let expect = Array.of_list (S.elements (S.union bset kset)) in
+      let ((added, contents, _) as o1) = batch_observation ~jobs:1 ~base ~batch in
+      added = Array.length expect - S.cardinal bset
+      && contents = expect
+      && List.for_all (fun jobs -> batch_observation ~jobs ~base ~batch = o1) [ 2; 4 ])
 
 let test_ordseq_batch_adversarial () =
-  (* Every batch key lands in ONE chunk of the base: the worst case for
-     the sharded splice (a single heavy shard) and the path that forces
-     the commit pass's oversized balanced split. Removing the batch again
-     exercises the runt-merge rule on the same region. *)
+  (* Every batch key lands in ONE chunk of the base, so the per-key
+     inserts split that chunk again and again: the split cascade inside
+     one region. *)
   let base = Array.init 512 (fun i -> 100_000 * i) in
   let batch = Array.init 700 (fun i -> 5_000_001 + (7 * i)) in
-  let o1 = batch_observation ~jobs:1 ~base ~batch in
-  let added, (mid, _), gone, fin, _ = o1 in
+  let ((added, contents, _) as o1) = batch_observation ~jobs:1 ~base ~batch in
   checki "added" 700 added;
-  checki "mid length" (512 + 700) (Array.length mid);
-  checki "gone" 700 gone;
-  checkb "base restored" true (fin = base);
+  checki "length" (512 + 700) (Array.length contents);
   checkb "jobs 2 bit-identical" true (batch_observation ~jobs:2 ~base ~batch = o1);
   checkb "jobs 4 bit-identical" true (batch_observation ~jobs:4 ~base ~batch = o1)
 
-let test_ordseq_batch_mass_remove () =
-  (* Strip 90% of the keys in one batch: chunks empty out and merge, and
-     the rebuilt layout must match sequential for every jobs count. *)
-  let base = Array.init 1000 (fun i -> 3 * i) in
-  let victims = Array.init 900 (fun i -> 3 * i) in
-  let obs jobs =
-    DPool.with_pool ~jobs @@ fun pool ->
-    let t = Ordseq.of_sorted_array base in
-    let gone = Ordseq.remove_batch ?pool t victims in
-    Ordseq.check t;
-    (gone, Ordseq.to_array t, Ordseq.chunk_lengths t)
-  in
-  let ((gone, fin, _) as o1) = obs 1 in
-  checki "gone" 900 gone;
-  checkb "survivors" true (fin = Array.init 100 (fun i -> 3 * (900 + i)));
-  checkb "jobs 2 bit-identical" true (obs 2 = o1);
-  checkb "jobs 4 bit-identical" true (obs 4 = o1)
-
 (* Batches around the chunk count — 1, nchunks - 1, nchunks and
    nchunks + 1 keys — into bases of 10², 10³ and 10⁴ keys: the sizes
-   where a batch is split into a few one-key slices, which the random
-   generators above rarely produce. The keys are spread evenly over and
-   just beyond the base's span, so each batch mixes stored and fresh
-   keys. Contents and counts follow a [Set] model, and the chunk layout
-   is the same at jobs 1 and 2. *)
+   the random generators above rarely produce. The keys are spread
+   evenly over and just beyond the base's span, so each batch mixes
+   stored and fresh keys. Contents and counts follow a [Set] model, and
+   the chunk layout is the same at jobs 1 and 2. *)
 let test_ordseq_batch_boundary () =
   let module S = Set.Make (Int) in
   List.iter
@@ -667,23 +637,12 @@ let test_ordseq_batch_boundary () =
         (fun m ->
           let span = (3 * n) + 6 in
           let batch = Array.init m (fun j -> (j * span / m) - 3) in
-          let run ~jobs op =
-            DPool.with_pool ~jobs @@ fun pool ->
-            let t = Ordseq.of_sorted_array base in
-            let count = op ?pool t batch in
-            Ordseq.check t;
-            (count, Ordseq.to_array t, Ordseq.chunk_lengths t)
-          in
-          let bset = S.of_list (Array.to_list batch) in
-          let case what op expect =
-            let ((count, contents, _) as o1) = run ~jobs:1 op in
-            let name = Printf.sprintf "%s n=%d m=%d" what n m in
-            checki (name ^ " count") (abs (S.cardinal expect - n)) count;
-            checkb (name ^ " contents") true (contents = Array.of_list (S.elements expect));
-            checkb (name ^ " jobs 2 layout") true (run ~jobs:2 op = o1)
-          in
-          case "insert" Ordseq.insert_batch (S.union model bset);
-          case "remove" Ordseq.remove_batch (S.diff model bset))
+          let expect = S.union model (S.of_list (Array.to_list batch)) in
+          let ((count, contents, _) as o1) = batch_observation ~jobs:1 ~base ~batch in
+          let name = Printf.sprintf "insert n=%d m=%d" n m in
+          checki (name ^ " count") (S.cardinal expect - n) count;
+          checkb (name ^ " contents") true (contents = Array.of_list (S.elements expect));
+          checkb (name ^ " jobs 2 layout") true (batch_observation ~jobs:2 ~base ~batch = o1))
         [ 1; nch - 1; nch; nch + 1 ])
     [ 100; 1_000; 10_000 ]
 
@@ -692,19 +651,23 @@ let test_ordseq_batch_validation () =
   Alcotest.check_raises "unsorted insert batch"
     (Invalid_argument "Ordseq.insert_batch: batch not strictly increasing") (fun () ->
       ignore (Ordseq.insert_batch t [| 5; 4 |] : int));
-  Alcotest.check_raises "duplicate remove batch"
-    (Invalid_argument "Ordseq.remove_batch: batch not strictly increasing") (fun () ->
-      ignore (Ordseq.remove_batch t [| 2; 2 |] : int));
   checki "empty insert batch" 0 (Ordseq.insert_batch t [||]);
-  checki "empty remove batch" 0 (Ordseq.remove_batch t [||]);
   checki "dup-only batch" 0 (Ordseq.insert_batch t [| 1; 2; 3 |]);
-  checki "absent-only batch" 0 (Ordseq.remove_batch t [| 10; 20 |]);
   checkb "untouched" true (Ordseq.to_array t = [| 1; 2; 3 |]);
-  (* A batch into an empty structure takes the bulk-load path. *)
+  (* The whole batch is checked before any key lands: a rejected batch
+     whose sorted prefix holds fresh keys leaves contents and chunk
+     layout as they were. *)
+  let big = Ordseq.of_sorted_array (Array.init 1_000 (fun i -> 3 * i)) in
+  let before = (Ordseq.to_array big, Ordseq.chunk_lengths big) in
+  Alcotest.check_raises "unsorted tail rejected"
+    (Invalid_argument "Ordseq.insert_batch: batch not strictly increasing") (fun () ->
+      ignore (Ordseq.insert_batch big (Array.append (Array.init 200 (fun i -> (3 * i) + 1)) [| 0 |]) : int));
+  Ordseq.check big;
+  checkb "rejected batch left no trace" true ((Ordseq.to_array big, Ordseq.chunk_lengths big) = before);
   let e = Ordseq.of_sorted_array [||] in
-  checki "load path" 3 (Ordseq.insert_batch e [| 7; 8; 9 |]);
+  checki "into empty" 3 (Ordseq.insert_batch e [| 7; 8; 9 |]);
   Ordseq.check e;
-  checkb "loaded" true (Ordseq.to_array e = [| 7; 8; 9 |])
+  checkb "filled" true (Ordseq.to_array e = [| 7; 8; 9 |])
 
 (* ------- the shared batch presort ------- *)
 
@@ -811,7 +774,6 @@ let suite =
     Alcotest.test_case "ordseq empty edge cases" `Quick test_ordseq_empty;
     Alcotest.test_case "ordseq incremental growth" `Quick test_ordseq_incremental_growth;
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
-    Alcotest.test_case "ordseq batch mass remove" `Quick test_ordseq_batch_mass_remove;
     Alcotest.test_case "ordseq batch around the chunk count" `Quick test_ordseq_batch_boundary;
     Alcotest.test_case "ordseq batch validation" `Quick test_ordseq_batch_validation;
     Alcotest.test_case "presort semantics" `Quick test_presort_semantics;
