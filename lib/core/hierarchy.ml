@@ -46,12 +46,15 @@ module Make (S : Range_structure.S) = struct
      tasks charge them in — no locks needed, no interleaving visible.
 
      [sets] is dense, indexed by membership prefix: level ℓ has 2^ℓ slots,
-     [None] where no element carries that prefix. A prefix's first ℓ bits
-     do not depend on the hierarchy's height, so growing or shrinking the
-     top never re-indexes a level, and all levels together hold fewer
-     than 4n slots (2^K < 2n at K = ⌈log₂ n⌉). Every reader of the sets
-     either looks one prefix up or folds order-independent sums and
-     counts over the array.
+     each holding its structure, or the shared empty set [absent] where
+     no element carries that prefix. A prefix's first ℓ bits do not depend
+     on the hierarchy's height, so growing or shrinking the top never
+     re-indexes a level, and all levels together hold fewer than 4n slots
+     (2^K < 2n at K = ⌈log₂ n⌉). The slots hold structures unboxed, so a
+     lookup is one load fewer than through an option. Every reader of the
+     sets either resolves the sets of one membership path ([resolve]),
+     looks one prefix up, or folds order-independent sums and counts over
+     the array.
 
      [redraw] holds the level's re-drawn placements, one entry per range
      that a repair ever moved: [redraw_key prefix rid] -> the redraw generation
@@ -69,7 +72,7 @@ module Make (S : Range_structure.S) = struct
      writes are sequential), and the read paths never charge, so one
      buffer per level serves every charge without allocating. *)
   type level_state = {
-    sets : S.t option array;  (* prefix -> structure *)
+    sets : S.t array;  (* prefix -> structure, [absent] if none *)
     redraw : int array Range_tbl.t;
     hosts : int array;
   }
@@ -114,16 +117,42 @@ module Make (S : Range_structure.S) = struct
      [path lsr (top - ℓ)]. *)
   let path_of t id = Membership.prefix t.vecs ~id ~len:t.top
 
+  (* The one structure standing in every slot whose prefix no element
+     carries, compared by [==]. It is shared by every hierarchy of this
+     functor application, so no write may ever reach it: a write into an
+     empty slot builds a fresh set, and a set its last key leaves is
+     replaced by [absent], never emptied into it. [check_invariants]
+     asserts it is still empty. *)
+  let absent = S.build [||]
+
   let fresh_layer ~copies level =
-    { sets = Array.make (1 lsl level) None; redraw = Range_tbl.create 16; hosts = Array.make copies 0 }
+    { sets = Array.make (1 lsl level) absent; redraw = Range_tbl.create 16; hosts = Array.make copies 0 }
 
   (* Fold [f] over the live structures of a level, in prefix order. *)
   let fold_sets f ly acc =
     let acc = ref acc in
-    Array.iteri (fun b -> function Some s -> acc := f b s !acc | None -> ()) ly.sets;
+    Array.iteri (fun b s -> if s != absent then acc := f b s !acc) ly.sets;
     !acc
 
   let iter_sets f ly = fold_sets (fun b s () -> f b s) ly ()
+
+  (* Write the set of every level on one membership path into [sets],
+     level ℓ at index ℓ, and return how many of them are empty. Which set
+     a walk reads at a level depends on the path alone, never on what the
+     level above answered, so one pass resolves them all before the first
+     search: the loads of different levels do not wait on each other, and
+     the CPU keeps them in flight together instead of taking one cache
+     miss after another inside the walk. Reading each set's [S.size] (O(1)
+     by the {!Range_structure} contract) brings its header in on the same
+     pass. *)
+  let resolve t path sets =
+    let empty = ref 0 in
+    for level = 0 to t.top do
+      let s = t.layers.(level).sets.(path lsr (t.top - level)) in
+      sets.(level) <- s;
+      if S.size s = 0 then incr empty
+    done;
+    !empty
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -345,40 +374,38 @@ module Make (S : Range_structure.S) = struct
     let add h k = per_host.(h) <- per_host.(h) + k in
     List.iter
       (fun (b, s) ->
-        ly.(b) <- Some s;
+        ly.(b) <- s;
         charge_fresh t ~charge:add level b s)
       !built;
     Array.iteri (fun h k -> if k <> 0 then direct_charge t h k) per_host
 
   (* The one update step of a level set, run once per prefix group by
-     [insert_batch] (and so by [insert]): an existing set takes the
-     keys one [S.insert] at a time, in the order given, each delta
-     charged as it comes — a batch is §4's single-key step repeated, and
-     per-host memory is an order-independent sum, so the grouping never
-     shows in the charges. A set the update creates from nothing takes
-     one canonical [S.build] over the keys. *)
-  let insert_group t level b ks =
-    let ly = t.layers.(level).sets and charge = direct_charge t in
-    match ly.(b) with
-    | Some s -> Array.iter (fun k -> apply_delta t ~charge level b (S.insert s k)) ks
-    | None ->
-        let s = S.build ks in
-        ly.(b) <- Some s;
-        charge_fresh t ~charge level b s
+     [insert_batch] (and so by [insert]) on the set [s] in slot [b]: an
+     existing set takes the keys one [S.insert] at a time, in the order
+     given, each delta charged as it comes — a batch is §4's single-key
+     step repeated, and per-host memory is an order-independent sum, so
+     the grouping never shows in the charges. A set the update creates
+     from nothing takes one canonical [S.build] over the keys. *)
+  let insert_group t level b s ks =
+    let charge = direct_charge t in
+    if s == absent then begin
+      let s = S.build ks in
+      t.layers.(level).sets.(b) <- s;
+      charge_fresh t ~charge level b s
+    end
+    else Array.iter (fun k -> apply_delta t ~charge level b (S.insert s k)) ks
 
   (* The mirror of [insert_group]: a set whose every key goes is dropped
      outright, releasing every charge it held (the same net charges as
      removing its keys one at a time). *)
-  let remove_group t level b ks =
-    let ly = t.layers.(level).sets and charge = direct_charge t in
-    match ly.(b) with
-    | Some s ->
-        if S.size s = Array.length ks then begin
-          ly.(b) <- None;
-          uncharge_set t ~charge level b s
-        end
-        else Array.iter (fun k -> apply_delta t ~charge level b (S.remove s k)) ks
-    | None -> failwith "Hierarchy.remove: missing structure"
+  let remove_group t level b s ks =
+    let charge = direct_charge t in
+    if s == absent then failwith "Hierarchy.remove: missing structure"
+    else if S.size s = Array.length ks then begin
+      t.layers.(level).sets.(b) <- absent;
+      uncharge_set t ~charge level b s
+    end
+    else Array.iter (fun k -> apply_delta t ~charge level b (S.remove s k)) ks
 
   (* Run [f] on every level in [lo .. top]: in order on the calling
      domain, or with a pool as one task per level. Level ℓ holds ~n/2^ℓ
@@ -397,6 +424,14 @@ module Make (S : Range_structure.S) = struct
         let n = size t in
         let weights = Array.init (t.top - lo + 1) (fun i -> (n lsr (lo + i)) + 1) in
         Pool.parallel_for_tasks p ~weights (fun i -> f (lo + i))
+
+  (* Run [group level b s ks] on levels [lo .. top] once per level set a
+     sorted batch of stored or fresh keys touches, [s] the set in slot
+     [b]. *)
+  let write_levels ?pool ?lo t batch group =
+    run_levels ?pool ?lo t (fun level ->
+        let ly = t.layers.(level).sets in
+        iter_groups t batch level (fun b ks -> group level b ly.(b) ks))
 
   (* The one bulk level builder: build levels [lo .. K] from scratch over
      the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
@@ -449,14 +484,15 @@ module Make (S : Range_structure.S) = struct
       let sorted = Presort.sorted_distinct ?pool ~cmp:compare fresh and taken = ref 0 in
       let rejection =
         try
-          Array.iter (fun k -> insert_group t 0 0 [| k |]; incr taken) sorted;
+          let ground = t.layers.(0).sets.(0) in
+          Array.iter (fun k -> insert_group t 0 0 ground [| k |]; incr taken) sorted;
           None
         with e -> Some e
       in
       register_fresh (fun k -> !taken = Array.length sorted || compare k sorted.(!taken) < 0);
       let added = Array.sub sorted 0 !taken in
       let batch = (added, paths_of t added) in
-      run_levels ?pool ~lo:1 t (fun level -> iter_groups t batch level (insert_group t level));
+      write_levels ?pool ~lo:1 t batch (insert_group t);
       grow_top ?pool t;
       Option.iter raise rejection;
       !taken
@@ -650,11 +686,6 @@ module Make (S : Range_structure.S) = struct
 
   type query_stats = { messages : int; ranges_visited : int; per_level_visits : int list }
 
-  let structure_exn t level b =
-    match t.layers.(level).sets.(b) with
-    | Some s -> s
-    | None -> failwith "Hierarchy: missing level structure on an element's path"
-
   (* Route a query from the top-level set of the given element down to
      level 0; the session's host pointer tracks where processing happens.
      Shared by point queries and scans: returns the still-open session
@@ -668,8 +699,11 @@ module Make (S : Range_structure.S) = struct
      untraced query allocates and branches exactly as before. *)
   let routed_descent ?trace t origin_id q =
     let path = path_of t origin_id in
+    let sets = Array.make (t.top + 1) absent in
+    if resolve t path sets > 0 then
+      failwith "Hierarchy: missing level structure on an element's path";
     let b_top = path in
-    let s_top = structure_exn t t.top b_top in
+    let s_top = sets.(t.top) in
     let loc0, visited0 = S.locate s_top q in
     let start_host =
       match visited0 with
@@ -694,7 +728,7 @@ module Make (S : Range_structure.S) = struct
       if level < 0 then (loc, s_above)
       else begin
         let b = path lsr (t.top - level) in
-        let s = structure_exn t level b in
+        let s = sets.(level) in
         let desc = S.describe s_above loc in
         (match trace with
         | None -> ()
@@ -827,7 +861,7 @@ module Make (S : Range_structure.S) = struct
     let victims = Presort.sorted_distinct ?pool ~cmp:compare victims in
     if Array.length victims > 0 then begin
       let batch = (victims, paths_of t victims) in
-      run_levels ?pool t (fun level -> iter_groups t batch level (remove_group t level));
+      write_levels ?pool t batch (remove_group t);
       Array.iter (fun k -> if Hashtbl.mem t.key_slot k then arena_remove t k) keys;
       shrink_top t
     end;
@@ -853,6 +887,7 @@ module Make (S : Range_structure.S) = struct
 
   let check_invariants t =
     let n = size t in
+    if S.size absent <> 0 then failwith "Hierarchy: a write reached the shared empty set";
     if Array.length t.layers <> t.top + 1 then
       failwith "Hierarchy: layer array out of sync with top";
     if t.top <> required_top n then failwith "Hierarchy: top out of sync with size";
@@ -879,11 +914,12 @@ module Make (S : Range_structure.S) = struct
         failwith "Hierarchy: level table length is not 2^level";
       Array.iteri
         (fun b c ->
-          match ly.(b) with
-          | None -> if c > 0 then failwith "Hierarchy: missing structure"
-          | Some s ->
-              if c = 0 then failwith "Hierarchy: structure for an empty level set";
-              if S.size s <> c then failwith "Hierarchy: structure size disagrees with level set")
+          let s = ly.(b) in
+          if s == absent then (if c > 0 then failwith "Hierarchy: missing structure")
+          else begin
+            if c = 0 then failwith "Hierarchy: structure for an empty level set";
+            if S.size s <> c then failwith "Hierarchy: structure size disagrees with level set"
+          end)
         counts
     done;
     (* Cross-check every copy of every live range against the simulator's
@@ -913,7 +949,7 @@ module Make (S : Range_structure.S) = struct
         Range_tbl.iter
           (fun key gens ->
             let b = key_prefix key in
-            if b >= Array.length ly.sets || Option.is_none ly.sets.(b)
+            if b >= Array.length ly.sets || ly.sets.(b) == absent
                || redraw_key b (key_range key) <> key
             then failwith (Printf.sprintf "Hierarchy: redraw key %d names no set at level %d" key level);
             if Array.length gens <> slots || Array.for_all (( = ) 0) gens then

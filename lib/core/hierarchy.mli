@@ -280,7 +280,9 @@ module Make (S : Range_structure.S) : sig
       set-halving constant (E12's inner measurement). *)
 
   val check_invariants : t -> unit
-  (** Validates: the live-id arena is consistent, the number of levels
+  (** Validates: the empty structure that every hierarchy of this functor
+      application shares for its unused prefix slots is still empty, the
+      live-id arena is consistent, the number of levels
       matches ⌈log₂ n⌉, every level partitions the ground set (the live
       ids, recounted per membership prefix, match each structure's size,
       and no structure exists for an empty prefix), and every copy of

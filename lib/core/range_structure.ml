@@ -80,10 +80,13 @@ module type S = sig
       the traced path only and must not cost allocation per hop. *)
 
   val build : key array -> t
-  (** Canonical build; duplicates are ignored. *)
+  (** Canonical build; duplicates are ignored. Must accept the empty
+      array: the hierarchy keeps one empty instance per functor
+      application in the slots no element reaches. *)
 
   val size : t -> int
-  (** Number of keys currently stored. *)
+  (** Number of keys currently stored, in O(1): a descent reads the size
+      of every set on its path in one pass before it searches any. *)
 
   val storage_units : t -> int
   (** Nodes + links currently allocated — what a host pays to store a piece

@@ -10,6 +10,7 @@ type trap = {
 
 type t = {
   mutable segs : Segment.t list;
+  mutable nsegs : int;  (* List.length segs, kept so counting is O(1) *)
   mutable alive : trap list;
   mutable next_id : int;
   xs : (float, unit) Hashtbl.t;  (* endpoint abscissae already used *)
@@ -17,9 +18,9 @@ type t = {
 
 let empty () =
   let box = { tid = 0; top = None; bot = None; lx = 0.0; rx = 1.0 } in
-  { segs = []; alive = [ box ]; next_id = 1; xs = Hashtbl.create 16 }
+  { segs = []; nsegs = 0; alive = [ box ]; next_id = 1; xs = Hashtbl.create 16 }
 
-let segment_count t = List.length t.segs
+let segment_count t = t.nsegs
 let trap_count t = List.length t.alive
 let traps t = t.alive
 
@@ -207,6 +208,7 @@ let insert_delta t s =
       Hashtbl.replace t.xs x0 ();
       Hashtbl.replace t.xs x1 ();
       t.segs <- s :: t.segs;
+      t.nsegs <- t.nsegs + 1;
       (List.map trap_id created, List.map trap_id crossed)
 
 let insert t s = ignore (insert_delta t s)
@@ -219,6 +221,7 @@ let build segments =
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let n = segment_count t in
+  if n <> List.length t.segs then fail "Trapmap: segment count %d for %d segments" n (List.length t.segs);
   let count = trap_count t in
   if count <> (3 * n) + 1 then fail "Trapmap: %d traps for %d segments (expected %d)" count n ((3 * n) + 1);
   List.iter

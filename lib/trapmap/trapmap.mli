@@ -50,6 +50,8 @@ val insert_delta : t -> Segment.t -> int list * int list
     amortized instead of re-enumerating {!traps}. *)
 
 val segment_count : t -> int
+(** O(1): a counter that only an accepted insert moves. *)
+
 val trap_count : t -> int
 val traps : t -> trap list
 
@@ -91,6 +93,7 @@ val conflict_formula : segments:Segment.t array -> trap -> int * (int * int * in
     (only segments meeting the interior count). *)
 
 val check_invariants : t -> unit
-(** Trapezoid count = 3n+1, areas sum to 1, interiors pairwise disjoint
-    (O(T²); intended for test sizes), positive widths/heights. Raises
+(** Segment counter = segments stored, trapezoid count = 3n+1, areas sum
+    to 1, interiors pairwise disjoint (O(T²); intended for test sizes),
+    positive widths/heights. Raises
     [Failure] on violation. *)

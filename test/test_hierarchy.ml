@@ -315,6 +315,125 @@ let pinned_segments =
     [ 645615943147825916; 2814963197194760256; 1279577405083855406 ];
   ]
 
+(* The shared empty set. Every slot whose prefix no element carries holds
+   one structure, [absent], shared by every hierarchy of a functor
+   application. Two hierarchies of one application churn in interleaved
+   steps, one written on the calling domain and one through a 2-domain
+   pool, at a size where the high levels' sets empty and refill and the
+   ground set now and then empties outright. After every step both keep
+   every invariant, scan as a brute-force model does, and agree on
+   answers, total messages and every host's memory. A write that reached
+   [absent] would leak keys into the other hierarchy's empty slots. *)
+module type CHURN_CASE = sig
+  module S : Skipweb_core.Range_structure.S
+
+  val universe : S.key array
+  val queries : S.query array
+  val scans : S.scan array
+
+  val expect : S.key list -> S.scan -> S.scan_answer -> bool
+  (** Does the answer match a brute-force scan over the stored keys? *)
+end
+
+module Shared_empty (C : CHURN_CASE) = struct
+  module Hr = H.Make (C.S)
+
+  let hosts = 16
+
+  let run () =
+    Skipweb_util.Pool.with_pool ~jobs:2 (fun pool ->
+        let initial = Array.sub C.universe 0 12 in
+        let net1 = Network.create ~hosts and net2 = Network.create ~hosts in
+        let h1 = Hr.build ~net:net1 ~seed:23 initial in
+        let h2 = Hr.build ~net:net2 ~seed:23 ?pool initial in
+        let rng1 = Prng.create 0x51 and rng2 = Prng.create 0x51 and ops = Prng.create 0x52 in
+        let stored = Hashtbl.create 64 in
+        Array.iter (fun k -> Hashtbl.replace stored k ()) initial;
+        let pick () = C.universe.(Prng.int ops (Array.length C.universe)) in
+        let some () = Array.init (1 + Prng.int ops 12) (fun _ -> pick ()) in
+        for step = 1 to 300 do
+          let what = Printf.sprintf "%s step %d" C.S.name step in
+          (match Prng.int ops 4 with
+          | 0 ->
+              let k = pick () in
+              Alcotest.(check int) (what ^ ": insert bill") (Hr.insert h1 k) (Hr.insert h2 k);
+              Hashtbl.replace stored k ()
+          | 1 ->
+              let k = pick () in
+              Alcotest.(check int) (what ^ ": remove bill") (Hr.remove h1 k) (Hr.remove h2 k);
+              Hashtbl.remove stored k
+          | 2 ->
+              let ks = some () in
+              Alcotest.(check int) (what ^ ": insert_batch") (Hr.insert_batch h1 ks)
+                (Hr.insert_batch ?pool h2 ks);
+              Array.iter (fun k -> Hashtbl.replace stored k ()) ks
+          | _ ->
+              (* Removing more than is stored empties the hierarchy. *)
+              let ks = if step mod 5 = 0 then C.universe else some () in
+              Alcotest.(check int) (what ^ ": remove_batch") (Hr.remove_batch h1 ks)
+                (Hr.remove_batch ?pool h2 ks);
+              Array.iter (Hashtbl.remove stored) ks);
+          Hr.check_invariants h1;
+          Hr.check_invariants h2;
+          Alcotest.(check int) (what ^ ": size") (Hashtbl.length stored) (Hr.size h1);
+          if Hr.size h1 > 0 then begin
+            let model = List.of_seq (Hashtbl.to_seq_keys stored) in
+            let a1 = Hr.scan_batch h1 ~rng:rng1 C.scans
+            and a2 = Hr.scan_batch ?pool h2 ~rng:rng2 C.scans in
+            Array.iteri
+              (fun i sc ->
+                if not (C.expect model sc (fst a1.(i))) then Alcotest.failf "%s: scan %d" what i)
+              C.scans;
+            if a1 <> a2 then Alcotest.failf "%s: scans differ across jobs" what;
+            if Hr.query_batch h1 ~rng:rng1 C.queries <> Hr.query_batch ?pool h2 ~rng:rng2 C.queries
+            then Alcotest.failf "%s: queries differ across jobs" what
+          end;
+          Alcotest.(check int) (what ^ ": messages") (Network.total_messages net1)
+            (Network.total_messages net2);
+          for host = 0 to hosts - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "%s: host %d memory" what host)
+              (Network.memory net1 host) (Network.memory net2 host)
+          done
+        done)
+end
+
+module Ints_churn = Shared_empty (struct
+  module S = I.Ints
+
+  let universe = W.distinct_ints ~seed:9 ~n:40 ~bound:1000
+  let queries = Array.init 8 (fun i -> (i * 131) mod 1000)
+  let scans = Array.init 6 (fun i -> (i * 150, (i * 150) + 40 + (i * 60)))
+
+  let expect model (lo, hi) count =
+    count = List.length (List.filter (fun k -> lo <= k && k <= hi) model)
+end)
+
+module Points_churn = Shared_empty (struct
+  module S = I.Points2d
+
+  let universe = W.uniform_points ~seed:10 ~n:40 ~dim:2
+  let queries = W.uniform_query_points ~seed:0x53 ~n:8 ~dim:2
+
+  let scans =
+    Array.mapi
+      (fun i c -> I.Knn { center = c; k = 1 + (i mod 3) })
+      (W.uniform_query_points ~seed:0x54 ~n:6 ~dim:2)
+
+  (* The quadtree stores and returns grid points, so the model snaps
+     its keys to the grid before ranking them. *)
+  let expect model sc answer =
+    let module P = Skipweb_geom.Point in
+    match (sc, answer) with
+    | I.Knn { center; k }, I.Knn_hits hits ->
+        let snap p = P.of_grid (P.to_grid p) in
+        let by_distance =
+          List.sort compare (List.map (fun p -> (P.dist_sq (snap p) center, snap p)) model)
+        in
+        List.map fst hits = List.filteri (fun i _ -> i < k) (List.map snd by_distance)
+    | _ -> false
+end)
+
 let suite =
   [
     Alcotest.test_case "pinned routing digest: sorted list" `Quick (Ints_stages.check pinned_ints);
@@ -322,4 +441,6 @@ let suite =
     Alcotest.test_case "pinned routing digest: trie" `Quick (Strings_stages.check pinned_strings);
     Alcotest.test_case "pinned routing digest: trapezoidal map" `Quick
       (Segments_stages.check pinned_segments);
+    Alcotest.test_case "shared empty set: sorted list churn, jobs 1 = 2" `Quick Ints_churn.run;
+    Alcotest.test_case "shared empty set: quadtree churn, jobs 1 = 2" `Quick Points_churn.run;
   ]

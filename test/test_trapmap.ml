@@ -93,7 +93,10 @@ let test_validation_rejects_crossing () =
     (try
        TM.insert t s1;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A rejected insert leaves the segment counter as it was. *)
+  Alcotest.(check int) "count unchanged" 1 (TM.segment_count t);
+  TM.check_invariants t
 
 let test_validation_rejects_duplicate_x () =
   let s0 = Segment.make ~id:0 (0.2, 0.2) (0.4, 0.3) in
@@ -104,7 +107,10 @@ let test_validation_rejects_duplicate_x () =
     (try
        TM.insert t s1;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* A rejected insert leaves the segment counter as it was. *)
+  Alcotest.(check int) "count unchanged" 1 (TM.segment_count t);
+  TM.check_invariants t
 
 let test_validation_rejects_outside_box () =
   let s = Segment.make ~id:0 (-0.1, 0.5) (0.5, 0.5) in
