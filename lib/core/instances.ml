@@ -33,6 +33,7 @@ module Ints :
     with type key = int
      and type query = int
      and type answer = int option
+     and type descriptor = L.bound * L.bound
      and type scan = int * int
      and type scan_answer = int = struct
   type key = int
@@ -254,7 +255,8 @@ module Points (D : sig
   val dim : int
 end) :
   Range_structure.S
-    with type key = Point.t
+    with type t = Cqtree.t
+     and type key = Point.t
      and type query = Point.t
      and type answer = cell_answer
      and type scan = point_scan
@@ -293,8 +295,11 @@ end) :
     match Cqtree.locate_from_cube t from q with
     | Some located -> located
     | None ->
-        (* The subset-node property guarantees this cannot happen for level
-           sets of the hierarchy; fall back to a full search defensively. *)
+        (* The subset-node property maps a subset tree's cube into this
+           one for every query of this tree's dimension. A query of
+           another dimension misses: the §4 bill of a rejected
+           wrong-dimension insert descends before level 0 rejects the
+           key, and this full search is what that bill charges. *)
         locate t q
 
   let describe _t loc = Cqtree.node_cube loc.Cqtree.node
@@ -346,7 +351,8 @@ type trie_scan_answer = { total : int; strings : string list }
 (** Character strings over fixed alphabets via compressed tries (§3.2). *)
 module Strings :
   Range_structure.S
-    with type key = string
+    with type t = Ctrie.t
+     and type key = string
      and type query = string
      and type answer = trie_answer
      and type scan = trie_scan
@@ -385,12 +391,14 @@ module Strings :
     let loc, path = Ctrie.locate t q in
     (loc, ids_of_path path)
 
+  (* Every node string of a subset's trie is a node string of this one
+     (the subset-node property), so the lookup cannot miss. *)
   let refine t ~from q =
     match Ctrie.node_of_string t from with
     | Some start ->
         let loc, path = Ctrie.locate_from t start q in
         (loc, ids_of_path path)
-    | None -> locate t q
+    | None -> failwith "Instances.Strings.refine: descriptor names no node of this trie"
 
   let describe _t loc = Ctrie.node_string loc.Ctrie.node
 
@@ -419,7 +427,8 @@ type trap_answer = {
 (** Planar subdivisions by disjoint segments via trapezoidal maps (§3.3). *)
 module Segments :
   Range_structure.S
-    with type key = Segment.t
+    with type t = Trapmap.t
+     and type key = Segment.t
      and type query = float * float
      and type answer = trap_answer
      and type scan = float * float
@@ -469,7 +478,7 @@ module Segments :
        it. *)
     match List.find_opt (fun tr -> Trapmap.trap_contains tr q) (Trapmap.conflicts t from) with
     | Some tr -> (tr, [ Trapmap.trap_id tr ])
-    | None -> locate t q
+    | None -> failwith "Instances.Segments.refine: no conflicting trapezoid contains the query"
 
   let describe _t loc = loc
 

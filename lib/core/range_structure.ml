@@ -49,8 +49,10 @@
     coupling between instances". *)
 
 type range_delta = { added : int list; removed : int list }
-(** Range ids created / destroyed by one update. Ids are never reused, so
-    the two lists are disjoint. *)
+(** Range ids created / destroyed by one update. An instance may issue an
+    id again once it is dead ([Ints] does: its codes are ranks), so what
+    holds is per update: the two lists are disjoint, and every [added] id
+    was not live before the update. *)
 
 let empty_delta = { added = []; removed = [] }
 
@@ -101,7 +103,9 @@ module type S = sig
   val insert : t -> key -> range_delta
   (** Add a key (no-op on duplicates, returning {!empty_delta}). Creates
       O(1) new ranges for the structures of this repository; the delta
-      reports exactly which. *)
+      reports exactly which. A key the structure rejects raises
+      [Invalid_argument] and leaves the set as it was; a trapezoidal map
+      rejects a stored segment that way, since its abscissas are taken. *)
 
   val remove : t -> key -> range_delta
   (** Delete a key (no-op if absent, returning {!empty_delta}). Raises

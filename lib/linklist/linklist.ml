@@ -101,13 +101,6 @@ let closest q ~pred ~succ =
 
 let nearest a q = closest q ~pred:(predecessor a q) ~succ:(successor a q)
 
-let check_subset ~parent ~child =
-  Array.for_all
-    (fun k ->
-      let i = lower_bound parent k in
-      i < Array.length parent && parent.(i) = k)
-    child
-
 let range_keys a ~lo ~hi =
   let start = lower_bound a lo in
   let last = upper_index a hi in

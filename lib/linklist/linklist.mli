@@ -82,9 +82,6 @@ val closest : int -> pred:int option -> succ:int option -> int option
     successor lies nearer to [q], ties to the predecessor: the rule of
     {!nearest}, for callers that found the two neighbors themselves. *)
 
-val check_subset : parent:int array -> child:int array -> bool
-(** Whether every child key occurs in the parent (both sorted). *)
-
 val range_keys : int array -> lo:int -> hi:int -> int list
 (** Keys in the closed interval [\[lo, hi\]], ascending — the sequential
     answer to a 1-d range query. *)

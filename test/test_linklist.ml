@@ -130,11 +130,6 @@ let test_nearest_in_range_consistent () =
     | None -> Alcotest.fail "non-empty key set has a nearest key"
   done
 
-let test_check_subset () =
-  checkb "subset" true (L.check_subset ~parent:keys ~child:[| 20; 80 |]);
-  checkb "not subset" false (L.check_subset ~parent:keys ~child:[| 20; 81 |]);
-  checkb "empty is subset" true (L.check_subset ~parent:keys ~child:[||])
-
 (* Generators for property tests. *)
 let gen_set_and_subset =
   QCheck.Gen.(
@@ -254,7 +249,6 @@ let suite =
     Alcotest.test_case "predecessor/successor" `Quick test_predecessor_successor;
     Alcotest.test_case "nearest" `Quick test_nearest;
     Alcotest.test_case "nearest in range" `Quick test_nearest_in_range_consistent;
-    Alcotest.test_case "check subset" `Quick test_check_subset;
     Alcotest.test_case "range keys" `Quick test_range_keys;
     Alcotest.test_case "range codes" `Quick test_range_codes;
     QCheck_alcotest.to_alcotest qcheck_routing_soundness;

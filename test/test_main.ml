@@ -13,6 +13,7 @@ let () =
       ("quadtree", Test_quadtree.suite);
       ("trie", Test_trie.suite);
       ("trapmap", Test_trapmap.suite);
+      ("contract", Test_contract.suite);
       ("workload", Test_workload.suite);
       ("skipgraph", Test_skipgraph.suite);
       ("core", Test_core.suite);

@@ -335,30 +335,6 @@ let test_range_scan_matches_oracle () =
   checkb "unclipped sample = report (as sets)" true
     (List.sort compare sample_full = List.sort compare all)
 
-let test_knn_matches_brute_force () =
-  let pts = Workload.uniform_points ~seed:6 ~n:500 ~dim:2 in
-  let t = Q.build ~dim:2 pts in
-  let qs = Workload.uniform_query_points ~seed:7 ~n:20 ~dim:2 in
-  (* The tree stores grid-snapped points; the oracle must rank the same
-     representatives with the same tie-break. *)
-  let stored = ref [] in
-  iter_points t ~f:(fun p -> stored := p :: !stored);
-  let k = 5 in
-  Array.iter
-    (fun q ->
-      let hits, visited = Q.knn t q ~k in
-      checkb "walk charged" true (visited <> []);
-      let oracle =
-        List.map (fun p -> (Point.dist_sq p q, p)) !stored
-        |> List.sort compare
-        |> List.filteri (fun i _ -> i < k)
-        |> List.map (fun (d, p) -> (p, sqrt d))
-      in
-      checkb "knn = brute force" true (hits = oracle))
-    qs;
-  let all, _ = Q.knn t (Point.create [ 0.5; 0.5 ]) ~k:1_000 in
-  checki "k > n returns everything" (Q.size t) (List.length all)
-
 (* ------- pinned structural digest -------
 
    Node ids feed host placement and child order drives the charged scan
@@ -688,7 +664,6 @@ let suite =
     Alcotest.test_case "range empty box rejected" `Quick test_range_empty_box_rejected;
     Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
     Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
-    Alcotest.test_case "knn = brute force" `Quick test_knn_matches_brute_force;
     Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;

@@ -153,28 +153,6 @@ let test_subset_nodes_exist_in_superset () =
         path)
     sub
 
-let test_refinement_soundness () =
-  let strs = Workload.random_strings ~seed:6 ~n:400 ~alphabet:3 ~len:8 in
-  let rng = Prng.create 7 in
-  let sub = Array.of_list (List.filter (fun _ -> Prng.bool rng) (Array.to_list strs)) in
-  let s = T.build strs in
-  let t = T.build sub in
-  let queries = Workload.string_queries ~seed:8 ~keys:strs ~n:200 in
-  Array.iter
-    (fun q ->
-      let loc_t, _ = T.locate t q in
-      (* The child location node string is a prefix of q by construction. *)
-      match T.node_of_string s (T.node_string loc_t.T.node) with
-      | None -> Alcotest.fail "refinement start missing in superset"
-      | Some start ->
-          let loc_s, _ = T.locate_from s start q in
-          let direct, _ = T.locate s q in
-          Alcotest.(check string)
-            "refined = direct"
-            (T.node_string direct.T.node)
-            (T.node_string loc_s.T.node))
-    queries
-
 let qcheck_model_conformance =
   QCheck.Test.make ~name:"trie conforms to string-set model" ~count:150
     QCheck.(list (string_gen_of_size (Gen.int_range 0 8) (Gen.char_range 'a' 'd')))
@@ -273,7 +251,6 @@ let suite =
     Alcotest.test_case "prefix count matches oracle" `Quick test_count_prefix_matches_oracle;
     Alcotest.test_case "iter lexicographic" `Quick test_iter_lexicographic;
     Alcotest.test_case "subset nodes exist in superset" `Quick test_subset_nodes_exist_in_superset;
-    Alcotest.test_case "refinement soundness" `Quick test_refinement_soundness;
     Alcotest.test_case "bulk build canonical" `Quick test_bulk_build_canonical;
     Alcotest.test_case "prefix_scan = oracle" `Quick test_prefix_scan_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_model_conformance;
