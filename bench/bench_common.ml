@@ -32,19 +32,6 @@ let default_config =
 let quick_config =
   { sizes = [ 256; 1024 ]; queries = 60; updates = 10; seeds = [ 1 ]; quick = true; jobs = 1 }
 
-(* The single wall-clock source for every exp_* measurement: bechamel's
-   monotonic clock (ns), immune to NTP jumps — [Unix.gettimeofday] is not,
-   and per-file copies of [now] invite it back. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-(* Wall-clock a phase on the monotonic clock. Used for whole parallel
-   phases, so the result is elapsed time, not summed per-domain CPU time —
-   [Sys.time] would report the latter and hide any speedup. *)
-let timed f =
-  let t0 = now () in
-  let r = f () in
-  (r, now () -. t0)
-
 (* Run [f] with the pool the config asks for (None when jobs <= 1), and
    shut the pool down afterwards. Experiments scope their pool to one
    [run] call so a crashed experiment never leaks domains. *)

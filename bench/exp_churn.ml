@@ -27,13 +27,13 @@
    The query batches fan out over the --jobs pool. Query i draws its
    coins from [Prng.stream] i (a pure function of the seed and i), the
    kill sequence and repair passes are sequential, and per-query outcomes
-   land in an index-slotted array — so every deterministic JSON field is
-   bit-identical for any jobs count; wall clocks live in the "timing"
-   member, stripped by CI like exp_scale's.
+   land in an index-slotted array — so BENCH_churn.json is a function of
+   the seed and sizes, identical for any jobs count. Failover reads and
+   repair are timed by perf/'s [churn-replicated] workload
+   ([ops_per_s], [hierarchy.repair_s]).
 
-   Results go to BENCH_churn.json. CI's smoke leg asserts the r = 2
-   contract (success rate 1.0, zero lost) — and so does this experiment
-   itself, below. *)
+   CI's smoke leg asserts the r = 2 contract (success rate 1.0, zero
+   lost) from the JSON — and so does this experiment itself, below. *)
 
 module Network = Skipweb_net.Network
 module H = Skipweb_core.Hierarchy
@@ -68,9 +68,6 @@ type row = {
   mean_query_msgs : float;  (* over successful queries *)
   stranded_peak : int;
   timeline : string;  (* per-epoch Series, as JSON *)
-  wall_s : float;
-  repair_s : float;  (* wall clock inside the repair passes *)
-  jobs : int;
 }
 
 (* Kill [fails] distinct live hosts, drawn from [krng]; never the last
@@ -90,13 +87,12 @@ let kill_some net krng fails =
 (* The epoch loop, shared by both structures. [query_one rng q] runs one
    query and returns its message count (raising Network.Host_dead when
    every replica of a needed range is down); [repair_fn ()] runs one
-   repair pass and returns (scanned, repaired, messages, lost), and is
-   timed on its own. *)
-let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails ~kseed =
+   repair pass and returns (scanned, repaired, messages, lost). *)
+let drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails ~kseed =
   let krng = Prng.create kseed in
   let msgs_of = Array.make (epochs * qper) 0 in
   let sc = ref 0 and rp = ref 0 and ms = ref 0 and lo_ = ref 0 in
-  let stranded_peak = ref 0 and repair_wall = ref 0.0 in
+  let stranded_peak = ref 0 in
   let rates = ref [] in
   (* Per-epoch monitoring timeline: one Series per signal, window sized
      to the run so the full history is retained here (a long-lived
@@ -105,21 +101,18 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
   let avail_s = Series.create ~window:epochs in
   let repair_s = Series.create ~window:epochs in
   let stranded_s = Series.create ~window:epochs in
-  let t0 = C.now () in
   for e = 0 to epochs - 1 do
     let killed = kill_some net krng fails in
     let stranded_now = Network.stranded_memory net in
     stranded_peak := max !stranded_peak stranded_now;
     Series.push stranded_s (float_of_int stranded_now);
     let lo = e * qper in
-    let chunk c =
-      let clo = lo + (c * qper / jobs) and chi = lo + ((c + 1) * qper / jobs) in
-      for i = clo to chi - 1 do
-        msgs_of.(i) <-
-          (try query_one (Prng.stream coins i) qs.(i) with Network.Host_dead _ -> -1)
-      done
+    let one i =
+      msgs_of.(i) <- (try query_one (Prng.stream coins i) qs.(i) with Network.Host_dead _ -> -1)
     in
-    (match pool with None -> chunk 0 | Some p -> DPool.parallel_for p ~lo:0 ~hi:jobs chunk);
+    (match pool with
+    | None -> for i = lo to lo + qper - 1 do one i done
+    | Some p -> DPool.parallel_for p ~lo ~hi:(lo + qper) one);
     let ok = ref 0 in
     for i = lo to lo + qper - 1 do
       if msgs_of.(i) >= 0 then incr ok
@@ -127,9 +120,7 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     let rate = float_of_int !ok /. float_of_int qper in
     rates := rate :: !rates;
     Series.push avail_s rate;
-    let r0 = C.now () in
     let s, r, m, l = repair_fn () in
-    repair_wall := !repair_wall +. (C.now () -. r0);
     Series.push repair_s (float_of_int m);
     sc := !sc + s;
     rp := !rp + r;
@@ -137,7 +128,6 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     lo_ := !lo_ + l;
     List.iter (Network.revive net) killed
   done;
-  let wall_s = C.now () -. t0 in
   let timeline =
     Printf.sprintf "{\"availability\": %s, \"repair_messages\": %s, \"stranded\": %s}"
       (Series.to_json avail_s) (Series.to_json repair_s) (Series.to_json stranded_s)
@@ -157,13 +147,10 @@ let drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     failed,
     succ,
     succ_msgs,
-    timeline,
-    wall_s,
-    !repair_wall )
+    timeline )
 
-let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
-    (_, rates, sc, rp, ms, lo_, stranded_peak, failed, succ, succ_msgs, timeline, wall_s, repair_s)
-    =
+let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails
+    (_, rates, sc, rp, ms, lo_, stranded_peak, failed, succ, succ_msgs, timeline) =
   let rstats = Stats.summarize rates in
   {
     structure;
@@ -185,12 +172,9 @@ let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
     mean_query_msgs = (if succ = 0 then 0.0 else succ_msgs /. float_of_int succ);
     stranded_peak;
     timeline;
-    wall_s;
-    repair_s;
-    jobs;
   }
 
-let hierarchy_row ~pool ~jobs ~quick ~seed r =
+let hierarchy_row ~pool ~quick ~seed r =
   let n = if quick then 1500 else 4000 in
   let hosts = if quick then 48 else 96 in
   let epochs = if quick then 6 else 12 in
@@ -210,11 +194,11 @@ let hierarchy_row ~pool ~jobs ~quick ~seed r =
     let s : HInt.repair_stats = HInt.repair h in
     (s.HInt.scanned, s.HInt.repaired, s.HInt.messages, s.HInt.lost)
   in
-  drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
+  drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     ~kseed:(seed + 0x5e11 + r)
-  |> finish_row ~structure:"hierarchy" ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
+  |> finish_row ~structure:"hierarchy" ~n ~hosts ~r ~epochs ~qper ~fails
 
-let blocked_row ~pool ~jobs ~quick ~seed r =
+let blocked_row ~pool ~quick ~seed r =
   let n = if quick then 1200 else 3000 in
   let hosts = if quick then 48 else 96 in
   let epochs = if quick then 6 else 12 in
@@ -231,9 +215,9 @@ let blocked_row ~pool ~jobs ~quick ~seed r =
     let s : B1.repair_stats = B1.repair b in
     (s.B1.scanned, s.B1.repaired, s.B1.messages, s.B1.lost)
   in
-  drive ~pool ~jobs ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
+  drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
     ~kseed:(seed + 0x5e22 + r)
-  |> finish_row ~structure:"blocked1d" ~n ~hosts ~r ~epochs ~qper ~fails ~jobs
+  |> finish_row ~structure:"blocked1d" ~n ~hosts ~r ~epochs ~qper ~fails
 
 let json_of_rows rows =
   let row_json r =
@@ -244,21 +228,18 @@ let json_of_rows rows =
       \     \"repair\": {\"scanned\": %d, \"repaired\": %d, \"messages\": %d, \"lost\": %d, \
        \"messages_per_epoch\": %.1f},\n\
       \     \"query_messages_mean\": %.2f, \"stranded_peak\": %d,\n\
-      \     \"timeline\": %s,\n\
-      \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f, \"repair_s\": %.6f}}"
+      \     \"timeline\": %s}"
       r.structure r.n r.hosts r.r r.epochs r.fails_per_epoch
       (r.epochs * r.queries_per_epoch)
       r.failed_queries r.success_rate r.avail_min r.avail_p50 r.avail_p90 r.repair_scanned
       r.repair_repaired r.repair_messages r.repair_lost
       (float_of_int r.repair_messages /. float_of_int r.epochs)
-      r.mean_query_msgs r.stranded_peak r.timeline r.jobs r.wall_s r.repair_s
+      r.mean_query_msgs r.stranded_peak r.timeline
   in
   Printf.sprintf
     "{\n  \"experiment\": \"churn\",\n  \"workload\": \"kill/rejoin epochs (f = max 1 (r-1) \
      failures each) over mixed uniform + Zipf(1.1) query traffic, one repair pass per \
-     epoch\",\n  \"domains\": %d,\n  \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version
+     epoch\",\n  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
@@ -267,12 +248,11 @@ let run (cfg : C.config) =
   let rs = if cfg.C.quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let rows =
     C.with_pool cfg (fun pool ->
-        let jobs = match pool with None -> 1 | Some p -> DPool.jobs p in
         List.concat_map
           (fun r ->
             [
-              hierarchy_row ~pool ~jobs ~quick:cfg.C.quick ~seed r;
-              blocked_row ~pool ~jobs ~quick:cfg.C.quick ~seed r;
+              hierarchy_row ~pool ~quick:cfg.C.quick ~seed r;
+              blocked_row ~pool ~quick:cfg.C.quick ~seed r;
             ])
           rs)
   in

@@ -9,14 +9,12 @@
    --jobs sweep {1, 2, 4} and the deterministic digest of each run —
    every answer, every per-query message count, the network's message
    total, the charged memory of every host, the structure size and the
-   churn's bill — must be bit-identical across the sweep: the pooled
-   fast path is pure wall-clock.
-
-   The headline number is the direct quadtree build at the largest size:
-   the single-pass z-order bulk build (sequential and pooled) against the
-   per-key insert loop it replaced, reported as a speedup ratio. All
-   wall-clock values live on "timing" lines so CI can strip them and
-   byte-compare the rest across --jobs settings.
+   churn's bill — must be bit-identical across the sweep, so the JSON
+   keeps one row per workload. BENCH_multid.json is a function of the
+   seed and sizes. The wall clock of the quadtree's build, batch
+   queries, scans and batch writes, and of the pooled bulk build
+   ([cqtree.pool_speedup]), is measured by perf/'s [bulk-quadtree]
+   workload.
 
    The trapezoidal map rows use much smaller n than the tree structures:
    each segment insertion validates against every stored segment (the
@@ -31,19 +29,11 @@ module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
 module DPool = Skipweb_util.Pool
 module Point = Skipweb_geom.Point
-module Cq = Skipweb_quadtree.Cqtree
 module C = Bench_common
-
-type phase_times = {
-  t_build : float;
-  t_queries : float;
-  t_scans : float;
-  t_updates : float;
-}
 
 (* The sequential single-op churn phase, on instances that support
    removal. *)
-type churn = { ops : int; churn_messages : int; final_size : int; t_churn : float }
+type churn = { ops : int; churn_messages : int; final_size : int }
 
 type run_out = {
   structure : string;
@@ -55,7 +45,6 @@ type run_out = {
   messages : int;  (* network total after the query + scan phases *)
   mem_total : int;  (* charged memory after the update phase *)
   size : int;
-  times : phase_times;
   churn : churn option;
   (* Everything observable, for the cross-jobs identity assert: answers,
      per-op message counts, per-host memory, the churn's bill. Compared
@@ -94,46 +83,38 @@ module Runner (S : Skipweb_core.Range_structure.S) = struct
     Array.blit inp.keys 0 alive 0 n;
     let len = ref n and next_fresh = ref 0 and messages = ref 0 in
     let rng = Prng.create (seed + 0x9d2) in
-    let (), t_churn =
-      C.timed (fun () ->
-          for i = 0 to ops - 1 do
-            match i mod 4 with
-            | (0 | 2) when !next_fresh < Array.length inp.fresh ->
-                let k = inp.fresh.(!next_fresh) in
-                incr next_fresh;
-                messages := !messages + HS.insert h k;
-                alive.(!len) <- k;
-                incr len
-            | 1 when !len > 1 ->
-                let j = Prng.int rng !len in
-                let k = alive.(j) in
-                alive.(j) <- alive.(!len - 1);
-                decr len;
-                messages := !messages + HS.remove h k
-            | _ ->
-                let q = inp.queries.(Prng.int rng (Array.length inp.queries)) in
-                let _, st = HS.query h ~rng q in
-                messages := !messages + st.HS.messages
-          done)
-    in
+    for i = 0 to ops - 1 do
+      match i mod 4 with
+      | (0 | 2) when !next_fresh < Array.length inp.fresh ->
+          let k = inp.fresh.(!next_fresh) in
+          incr next_fresh;
+          messages := !messages + HS.insert h k;
+          alive.(!len) <- k;
+          incr len
+      | 1 when !len > 1 ->
+          let j = Prng.int rng !len in
+          let k = alive.(j) in
+          alive.(j) <- alive.(!len - 1);
+          decr len;
+          messages := !messages + HS.remove h k
+      | _ ->
+          let q = inp.queries.(Prng.int rng (Array.length inp.queries)) in
+          let _, st = HS.query h ~rng q in
+          messages := !messages + st.HS.messages
+    done;
     HS.check_invariants h;
-    { ops; churn_messages = !messages; final_size = HS.size h; t_churn }
+    { ops; churn_messages = !messages; final_size = HS.size h }
 
   let run ~seed inp ~jobs =
     DPool.with_pool ~jobs (fun pool ->
         let n = Array.length inp.keys in
         let net = Network.create ~hosts:(hosts_for n) in
-        let h, t_build = C.timed (fun () -> HS.build ~net ~seed ?pool inp.keys) in
-        let rng = Prng.create (seed + 2) in
-        let answers, t_queries = C.timed (fun () -> HS.query_batch ?pool h ~rng inp.queries) in
-        let rng_s = Prng.create (seed + 4) in
-        let sanswers, t_scans = C.timed (fun () -> HS.scan_batch ?pool h ~rng:rng_s inp.scans) in
+        let h = HS.build ~net ~seed ?pool inp.keys in
+        let answers = HS.query_batch ?pool h ~rng:(Prng.create (seed + 2)) inp.queries in
+        let sanswers = HS.scan_batch ?pool h ~rng:(Prng.create (seed + 4)) inp.scans in
         let messages = Network.total_messages net in
-        let (ins, rmv), t_updates =
-          C.timed (fun () ->
-              let ins = HS.insert_batch ?pool h inp.fresh in
-              (ins, if inp.removable then HS.remove_batch ?pool h inp.fresh else 0))
-        in
+        let ins = HS.insert_batch ?pool h inp.fresh in
+        let rmv = if inp.removable then HS.remove_batch ?pool h inp.fresh else 0 in
         HS.check_invariants h;
         let memory () = List.init (hosts_for n) (Network.memory net) in
         let mem = memory () and mem_total = Network.total_memory net and size = HS.size h in
@@ -155,7 +136,6 @@ module Runner (S : Skipweb_core.Range_structure.S) = struct
           messages;
           mem_total;
           size;
-          times = { t_build; t_queries; t_scans; t_updates };
           churn;
           digest;
         })
@@ -228,74 +208,32 @@ let segments_inputs ~seed ~n ~nq ~nscan =
     removable = false;
   }
 
-(* ---------------- the quadtree bulk-build headline ---------------- *)
-
-type build_race = {
-  br_n : int;
-  per_key_s : float;
-  bulk_s : float;
-  bulk_pooled_s : float;
-  pooled_jobs : int;
-  speedup : float;  (* per-key / sequential bulk *)
-}
-
-let build_race ~seed ~n =
-  let pts = W.uniform_points ~seed ~n ~dim:2 in
-  let per_key, per_key_s =
-    C.timed (fun () ->
-        let t = Cq.build ~dim:2 [||] in
-        Array.iter (fun p -> ignore (Cq.insert t p)) pts;
-        t)
-  in
-  let bulk, bulk_s = C.timed (fun () -> Cq.build ~dim:2 pts) in
-  (* Clamped to the hardware: an oversubscribed pool would time the
-     thrashing, not the pooled build. *)
-  let pooled_jobs = DPool.clamp_jobs ~warn:false 4 in
-  let pooled, bulk_pooled_s =
-    DPool.with_pool ~jobs:pooled_jobs (fun pool -> C.timed (fun () -> Cq.of_sorted ?pool ~dim:2 pts))
-  in
-  if Cq.size bulk <> Cq.size per_key || Cq.size pooled <> Cq.size per_key then
-    failwith "exp_multid: build race produced different trees";
-  { br_n = n; per_key_s; bulk_s; bulk_pooled_s; pooled_jobs;
-    speedup = per_key_s /. Float.max 1e-9 bulk_s }
-
 (* ---------------- harness ---------------- *)
 
 let json_of_row r =
-  let churn, churn_s =
+  let churn =
     match r.churn with
-    | None -> ("", "")
+    | None -> ""
     | Some c ->
-        ( Printf.sprintf "     \"churn_ops\": %d, \"churn_messages\": %d, \"final_size\": %d,\n"
-            c.ops c.churn_messages c.final_size,
-          Printf.sprintf ", \"churn_s\": %.6f" c.t_churn )
+        Printf.sprintf ",\n     \"churn_ops\": %d, \"churn_messages\": %d, \"final_size\": %d"
+          c.ops c.churn_messages c.final_size
   in
   Printf.sprintf
     "    {\"structure\": \"%s\", \"n\": %d, \"queries\": %d, \"scans\": %d, \"batch\": %d, \
-     \"messages\": %d, \"mem_total\": %d, \"size\": %d,\n\
-     %s\
-    \     \"timing\": {\"jobs\": %d, \"build_s\": %.6f, \"query_s\": %.6f, \"scan_s\": %.6f, \
-     \"update_s\": %.6f%s}}"
-    r.structure r.n r.queries r.scans r.batch r.messages r.mem_total r.size churn r.jobs
-    r.times.t_build r.times.t_queries r.times.t_scans r.times.t_updates churn_s
+     \"messages\": %d, \"mem_total\": %d, \"size\": %d%s}"
+    r.structure r.n r.queries r.scans r.batch r.messages r.mem_total r.size churn
 
-let json ~jobs_swept ~domains ~answers_identical ~race rows =
+let json ~jobs_swept ~answers_identical rows =
   Printf.sprintf
     "{\n\
     \  \"experiment\": \"multid\",\n\
     \  \"workload\": \"bulk build + mixed point/range/k-NN/prefix batches + native batch \
      updates on quadtree-2d, trie and trapmap webs\",\n\
     \  \"jobs_swept\": [%s],\n\
-    \  \"domains\": %d,\n\
-    \  \"ocaml\": \"%s\",\n\
     \  \"answers_identical\": %b,\n\
-    \  \"build_race\": {\"structure\": \"quadtree-2d\", \"n\": %d,\n\
-    \    \"timing\": {\"per_key_s\": %.6f, \"bulk_s\": %.6f, \"bulk_pooled_s\": %.6f, \
-     \"pooled_jobs\": %d, \"build_speedup\": %.2f}},\n\
     \  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ", " (List.map string_of_int jobs_swept))
-    domains Sys.ocaml_version answers_identical race.br_n race.per_key_s race.bulk_s
-    race.bulk_pooled_s race.pooled_jobs race.speedup
+    answers_identical
     (String.concat ",\n" (List.map json_of_row rows))
 
 let run (cfg : C.config) =
@@ -308,8 +246,7 @@ let run (cfg : C.config) =
   (* Deliberately NOT clamped to the hardware: the sweep exists to prove
      the pooled paths are jobs-invariant, and an oversubscribed pool is
      exactly as deterministic as a well-sized one — only slower. The
-     oversubscription is announced on stderr, and the JSON records the
-     domain count and compiler the sweep ran on. *)
+     oversubscription is announced on stderr. *)
   let jobs_swept = [ 1; 2; 4 ] in
   let domains = Domain.recommended_domain_count () in
   (match List.filter (fun j -> j > domains) jobs_swept with
@@ -322,8 +259,8 @@ let run (cfg : C.config) =
         domains);
   let seed = List.hd cfg.C.seeds in
   let identical = ref true in
-  (* Sweep one workload over the jobs list; keep the jobs=1 row for the
-     table and verify every other row's digest against it. *)
+  (* Sweep one workload over the jobs list, verify every other run's
+     digest against the first, and keep the first as the row. *)
   let sweep runner =
     let runs = List.map (fun jobs -> runner ~jobs) jobs_swept in
     let base = List.hd runs in
@@ -335,18 +272,14 @@ let run (cfg : C.config) =
             r.n r.jobs base.jobs
         end)
       (List.tl runs);
-    runs
+    base
   in
   let rows =
     List.concat
       [
-        List.concat_map
-          (fun n -> sweep (RPoints.run ~seed (points_inputs ~seed ~n ~nq ~nscan)))
-          tree_sizes;
-        List.concat_map
-          (fun n -> sweep (RStrings.run ~seed (strings_inputs ~seed ~n ~nq ~nscan)))
-          tree_sizes;
-        List.concat_map
+        List.map (fun n -> sweep (RPoints.run ~seed (points_inputs ~seed ~n ~nq ~nscan))) tree_sizes;
+        List.map (fun n -> sweep (RStrings.run ~seed (strings_inputs ~seed ~n ~nq ~nscan))) tree_sizes;
+        List.map
           (fun n ->
             sweep
               (RSegments.run ~seed
@@ -356,13 +289,8 @@ let run (cfg : C.config) =
   in
   if not !identical then failwith "exp_multid: answers diverged across the jobs sweep";
   let tbl =
-    Skipweb_util.Tables.create
-      ~title:"multi-d mixed workload: build / query / scan / update wall clock, per jobs"
-      ~columns:
-        [
-          "structure"; "n"; "jobs"; "build (s)"; "q (s)"; "scan (s)"; "upd (s)"; "churn (s)";
-          "messages"; "mem"; "churn msgs";
-        ]
+    Skipweb_util.Tables.create ~title:"multi-d mixed workload: messages, memory and churn bill"
+      ~columns:[ "structure"; "n"; "messages"; "mem"; "size"; "churn msgs" ]
   in
   List.iter
     (fun r ->
@@ -370,23 +298,13 @@ let run (cfg : C.config) =
         [
           r.structure;
           string_of_int r.n;
-          string_of_int r.jobs;
-          Printf.sprintf "%.3f" r.times.t_build;
-          Printf.sprintf "%.3f" r.times.t_queries;
-          Printf.sprintf "%.3f" r.times.t_scans;
-          Printf.sprintf "%.3f" r.times.t_updates;
-          (match r.churn with Some c -> Printf.sprintf "%.3f" c.t_churn | None -> "-");
           string_of_int r.messages;
           string_of_int r.mem_total;
+          string_of_int r.size;
           (match r.churn with Some c -> string_of_int c.churn_messages | None -> "-");
         ])
     rows;
   Skipweb_util.Tables.print tbl;
-  let race = build_race ~seed ~n:(List.fold_left max 0 tree_sizes) in
-  Printf.printf
-    "quadtree bulk build at n = %d: per-key %.3fs, bulk %.3fs (%.2fx), pooled(%d) %.3fs\n"
-    race.br_n race.per_key_s race.bulk_s race.speedup race.pooled_jobs race.bulk_pooled_s;
   Printf.printf "jobs sweep {%s}: answers, messages and charged memory identical\n"
     (String.concat ", " (List.map string_of_int jobs_swept));
-  C.write_json ~file:"BENCH_multid.json"
-    (json ~jobs_swept ~domains ~answers_identical:!identical ~race rows)
+  C.write_json ~file:"BENCH_multid.json" (json ~jobs_swept ~answers_identical:!identical rows)

@@ -39,10 +39,11 @@
    structure is built {e once} per n and re-pointed with [set_cache] —
    the sweep this call exists for. Replay is sequential for the hierarchy
    (writes mutate the structure; event i's query coins come from
-   [Prng.stream] i) and batched for the read-only blocked plan, so every
-   deterministic JSON field is identical for any --jobs count; wall
-   clocks live in the "timing" member CI strips. Results go to
-   BENCH_serving.json. *)
+   [Prng.stream] i) and batched for the read-only blocked plan, so
+   BENCH_serving.json is a function of the seed and sizes, identical for
+   any --jobs count. The serving wall clock is measured by perf/: the
+   [serve-1d] workload's [ops_per_s] and [query_p50_us] on the hierarchy,
+   and [serve-blocked]'s on the blocked structure. *)
 
 module Network = Skipweb_net.Network
 module Trace = Skipweb_net.Trace
@@ -80,8 +81,6 @@ type row = {
   traced : int;
   levels : (int * int) list;
   unattributed : int;
-  wall_s : float;
-  jobs : int;
 }
 
 (* The open-loop plan of one size: [salt] keeps the two structures'
@@ -122,8 +121,7 @@ let trace_sample ~seed query_traced qs =
 
 (* One row from the network after a replay, with the cross-k message
    checks against [base_total], the uncached replay's network total. *)
-let make_row ~structure ~n ~k ~ops ~counts ~base_total ~net ~read_msgs ~sample:(traced, tr)
-    ~wall_s ~jobs =
+let make_row ~structure ~n ~k ~ops ~counts ~base_total ~net ~read_msgs ~sample:(traced, tr) =
   let fail fmt = Printf.ksprintf failwith ("E20: %s n=%d k=%d: " ^^ fmt) structure n k in
   let total = Network.total_messages net in
   if k = 1 && total <> base_total then
@@ -150,8 +148,6 @@ let make_row ~structure ~n ~k ~ops ~counts ~base_total ~net ~read_msgs ~sample:(
     traced;
     levels = Trace.per_level_hops tr;
     unattributed = Trace.unattributed_hops tr;
-    wall_s;
-    jobs;
   }
 
 (* ------- hierarchy: open-loop mixed churn, fresh build per k ------- *)
@@ -173,7 +169,7 @@ let replay_hierarchy h ~seed events =
     events;
   Stats.summarize_ints !msgs
 
-let hierarchy_rows ~pool ~jobs ~seed ~ops n =
+let hierarchy_rows ~pool ~seed ~ops n =
   let keys, events, qs = plan ~seed ~salt:0xe20 ~read_fraction:0.9 ~ops n in
   let run ~cache =
     let net = Network.create ~hosts:n in
@@ -186,21 +182,20 @@ let hierarchy_rows ~pool ~jobs ~seed ~ops n =
       trace_sample ~seed (fun ~rng tr q -> ignore (HInt.query ~trace:tr h ~rng q)) qs
     in
     Network.reset_traffic net;
-    let read_msgs, wall_s = C.timed (fun () -> replay_hierarchy h ~seed events) in
-    (net, sample, read_msgs, wall_s)
+    (net, sample, replay_hierarchy h ~seed events)
   in
-  let net0, _, _, _ = run ~cache:None in
+  let net0, _, _ = run ~cache:None in
   let base_total = Network.total_messages net0 in
   List.map
     (fun k ->
-      let net, sample, read_msgs, wall_s = run ~cache:(Some k) in
+      let net, sample, read_msgs = run ~cache:(Some k) in
       make_row ~structure:"hierarchy" ~n ~k ~ops ~counts:(OL.counts events) ~base_total ~net
-        ~read_msgs ~sample ~wall_s ~jobs)
+        ~read_msgs ~sample)
     cache_ks
 
 (* ------- blocked 1-d: one build per n, set_cache sweep ------- *)
 
-let blocked_rows ~pool ~jobs ~seed ~ops n =
+let blocked_rows ~pool ~seed ~ops n =
   (* Read-only: the structure stays fixed, so one build serves the whole
      k sweep. *)
   let keys, events, qs = plan ~seed ~salt:0xe21 ~read_fraction:1.0 ~ops n in
@@ -208,13 +203,10 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
   let b = B1.build ~net ~seed ~m:(4 * C.log2i n) ?pool keys in
   let serve () =
     Network.reset_traffic net;
-    let (results : B1.search_result array), wall_s =
-      C.timed (fun () -> B1.query_batch ?pool b ~rng:(Prng.create (seed + 0x5e2)) qs)
-    in
-    let msgs = Array.map (fun (r : B1.search_result) -> r.B1.messages) results in
-    (Stats.summarize_ints (Array.to_list msgs), wall_s)
+    let results = B1.query_batch ?pool b ~rng:(Prng.create (seed + 0x5e2)) qs in
+    Stats.summarize_ints (Array.to_list (Array.map (fun (r : B1.search_result) -> r.messages) results))
   in
-  let _, _ = serve () in
+  ignore (serve () : Stats.summary);
   let base_total = Network.total_messages net in
   List.map
     (fun k ->
@@ -222,9 +214,9 @@ let blocked_rows ~pool ~jobs ~seed ~ops n =
       let sample =
         trace_sample ~seed (fun ~rng tr q -> ignore (B1.query ~trace:tr b ~rng q)) qs
       in
-      let read_msgs, wall_s = serve () in
+      let read_msgs = serve () in
       make_row ~structure:"blocked1d" ~n ~k ~ops ~counts:(OL.counts events) ~base_total ~net
-        ~read_msgs ~sample ~wall_s ~jobs)
+        ~read_msgs ~sample)
     cache_ks
 
 (* The point of the experiment, asserted rather than eyeballed: more
@@ -275,8 +267,7 @@ let json_of_rows rows =
       \     \"congestion\": %s,\n\
       \     \"top%d_share\": %.6f,\n\
       \     \"top_k\": %s,\n\
-      \     \"traced\": %d, \"levels\": %s, \"unattributed\": %d,\n\
-      \     \"timing\": {\"jobs\": %d, \"wall_s\": %.6f}}"
+      \     \"traced\": %d, \"levels\": %s, \"unattributed\": %d}"
       r.structure r.n r.hosts cache_levels r.k
       r.ops r.counts.OL.queries r.counts.OL.inserts r.counts.OL.removes r.total_msgs
       r.read_msgs.Stats.mean
@@ -287,16 +278,14 @@ let json_of_rows rows =
       (pairs "{\"host\": %d, \"visits\": %d}" r.top)
       r.traced
       (pairs "{\"level\": %d, \"hops\": %d}" r.levels)
-      r.unattributed r.jobs r.wall_s
+      r.unattributed
   in
   Printf.sprintf
     "{\n  \"experiment\": \"serving\",\n  \"workload\": \"open-loop Poisson arrivals, \
      Zipf(1.1)+uniform blend; hierarchy 90/10 read/write churn, blocked read-only; level cache \
-     c=%d swept over k=1/2/4 (k=1 asserted byte-identical to uncached)\",\n  \"domains\": %d,\n  \
-     \"ocaml\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n"
+     c=%d swept over k=1/2/4 (k=1 asserted byte-identical to uncached)\",\n  \"rows\": \
+     [\n%s\n  ]\n}\n"
     cache_levels
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version
     (String.concat ",\n" (List.map row_json rows))
 
 let run (cfg : C.config) =
@@ -306,10 +295,8 @@ let run (cfg : C.config) =
   let ops = if cfg.C.quick then 2_000 else 20_000 in
   let rows =
     C.with_pool cfg (fun pool ->
-        let jobs = match pool with None -> 1 | Some p -> Skipweb_util.Pool.jobs p in
         List.concat_map
-          (fun n ->
-            hierarchy_rows ~pool ~jobs ~seed ~ops n @ blocked_rows ~pool ~jobs ~seed ~ops n)
+          (fun n -> hierarchy_rows ~pool ~seed ~ops n @ blocked_rows ~pool ~seed ~ops n)
           sizes)
   in
   assert_flattening rows;

@@ -175,12 +175,8 @@ let run (cfg : C.config) =
        "{\n\
        \  \"experiment\": \"trace\",\n\
        \  \"workload\": \"traced query batches over the generic hierarchy\",\n\
-       \  \"domains\": %d,\n\
-       \  \"ocaml\": \"%s\",\n\
        \  \"rows\": [\n\
         %s\n\
        \  ]\n\
         }\n"
-       (Domain.recommended_domain_count ())
-       Sys.ocaml_version
        (String.concat ",\n" (List.map json_of_row rows)))

@@ -11,12 +11,16 @@
      dune exec bench/main.exe -- --jobs 4     # parallel read + write paths:
                                               # query phases, seed replicas
                                               # and the scale bench's bulk
-                                              # load / batch churn run on 4
+                                              # load / batch writes run on 4
                                               # domains (results are
                                               # bit-identical to --jobs 1)
 
    Experiments: queries, table1, lemmas, theorem2, updates, figures,
-   congestion, bucket, ablations, scale, churn, serving, trace, multid. *)
+   congestion, bucket, ablations, scale, churn, serving, trace, multid.
+
+   The harness reads no clock: every BENCH_*.json it writes is a
+   function of the seed and the sizes, the same for any --jobs.
+   Wall-clock time is measured by perf/ (perf/README.md). *)
 
 let experiments =
   [

@@ -16,10 +16,10 @@
      dune exec bin/skipweb_cli.exe -- prefix -n 100000 --prefix 978-0- --limit 10
 
    --jobs threads a domain pool through the read phases and the write paths
-   (load's bulk build, the blocked skip-web's update rebuilds); every
-   measured cost is bit-identical for any jobs count — only wall-clock time
-   changes. An out-of-range argument exits 2 with a one-line message before
-   anything is built. *)
+   (load's bulk build, the blocked skip-web's update rebuilds); the output
+   is bit-identical for any jobs count (only the opt-in --pool-stats
+   figures are wall clock; perf/ times these paths). An out-of-range
+   argument exits 2 with a one-line message before anything is built. *)
 
 module Network = Skipweb_net.Network
 module Placement = Skipweb_net.Placement
@@ -119,11 +119,6 @@ type driver = {
       (* one self-repair pass; only the skip-web structures replicate *)
   net : Network.t;  (* for traffic / memory distributions *)
 }
-
-(* Monotonic wall clock for load and serve: elapsed time, not summed
-   per-domain CPU time ([Sys.time] would report the latter and hide any
-   parallel speedup). *)
-let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 (* The only place the CLI builds a 1-d structure. [pool] accelerates the
    skip-web structures only: it is passed to [B1.build]/[HInt.build]
@@ -227,20 +222,16 @@ let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool 
         net;
       }
 
-(* Bulk-load a structure and report its storage footprint plus the build
-   wall clock. Everything except the "wall clock" line is deterministic
-   and bit-identical for any --jobs value, so two runs can be diffed with
-   the timing stripped (grep -v 'wall clock') to check the contract. *)
+(* Bulk-load a structure and report its storage footprint and build
+   messages. The output is bit-identical for any --jobs value. *)
 let run_load structure n seed m buckets jobs =
   validate "load" (driver_checks ~n ~m ~buckets ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Pool.with_pool ~jobs @@ fun pool ->
-  let t0 = now () in
   let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
-  let build_s = now () -. t0 in
   let hosts = Network.host_count d.net in
   Printf.printf "structure: %s\n" d.describe;
-  Printf.printf "items: %d   hosts: %d   jobs: %d\n\n" n hosts (max 1 jobs);
+  Printf.printf "items: %d   hosts: %d\n\n" n hosts;
   let mem = Array.init hosts (fun h -> Network.memory d.net h) in
   let total = Array.fold_left ( + ) 0 mem in
   let busiest = Array.fold_left max 0 mem in
@@ -251,8 +242,6 @@ let run_load structure n seed m buckets jobs =
     [ "mean per host (units)"; Tables.cell_float (float_of_int total /. float_of_int hosts) ];
   Tables.add_row t [ "build messages"; string_of_int (Network.total_messages d.net) ];
   Tables.print t;
-  Printf.printf "build wall clock: %.3f s (%.0f keys/s)\n" build_s
-    (float_of_int n /. Float.max build_s 1e-9);
   0
 
 (* ---------------- trace: one op, rendered hop tree ---------------- *)
@@ -591,7 +580,6 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
   print_cache_banner cache;
   Network.reset_traffic d.net;
   let msgs = ref [] in
-  let t0 = now () in
   Array.iter
     (fun e ->
       match e.OL.op with
@@ -599,11 +587,9 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
       | OL.Insert k -> ignore (d.insert k : int)
       | OL.Remove k -> ignore (try d.delete k with Invalid_argument _ -> 0))
     events;
-  let wall_s = now () -. t0 in
   print_message_cost !msgs;
   print_congestion ~top16:(Obs.top_share d.net ~m:16) (Obs.congestion_of d.net);
-  Printf.printf "total messages: %d   served in %.3f s wall clock\n"
-    (Network.total_messages d.net) wall_s;
+  Printf.printf "total messages: %d\n" (Network.total_messages d.net);
   0
 
 (* ---------------- churn: kill/rejoin epochs + self-repair ---------------- *)
@@ -840,11 +826,11 @@ let jobs_arg =
   (* Every subcommand's jobs count is validated here: values past the
      hardware's recommended domain count are clamped with a stderr
      warning instead of silently oversubscribing. *)
-  let raw = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc:"Domains for the query phase and the write paths (bulk load, update rebuilds; skip-web structures only; 1 = sequential). Measured costs are identical for any value; only wall-clock time changes. Values above the recommended domain count are clamped with a warning.") in
+  let raw = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc:"Domains for the query phase and the write paths (bulk load, update rebuilds; skip-web structures only; 1 = sequential). Measured costs are identical for any value. Values above the recommended domain count are clamped with a warning.") in
   Term.(const (fun j -> Pool.clamp_jobs j) $ raw)
 
 let load_cmd =
-  let doc = "Bulk-load a structure and report its storage footprint and build wall clock. With --jobs, the skip-web builds fan their per-level sweeps over a domain pool; everything but the wall-clock line is bit-identical for any jobs count." in
+  let doc = "Bulk-load a structure and report its storage footprint and build messages. With --jobs, the skip-web builds fan their per-level sweeps over a domain pool; the output is bit-identical for any jobs count." in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(const run_load $ structure_arg $ n_arg $ seed_arg $ m_arg $ buckets_arg $ jobs_arg)
 

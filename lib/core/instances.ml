@@ -289,18 +289,19 @@ end) :
 
   let probe k = k
 
-  let locate = Cqtree.locate_ids
+  (* The descent's one dimension check: the top-level locate runs before
+     the hierarchy opens a network session, so a wrong-dimension query,
+     scan or insert bill is rejected having sent no message. *)
+  let locate t q =
+    if Point.dim q <> D.dim then invalid_arg "Instances.Points.locate: dimension mismatch";
+    Cqtree.locate_ids t q
 
+  (* Every cube of a subset's tree is a cube of this one (the subset-node
+     property), so for a query of this dimension the lookup cannot miss. *)
   let refine t ~from q =
     match Cqtree.locate_from_cube t from q with
     | Some located -> located
-    | None ->
-        (* The subset-node property maps a subset tree's cube into this
-           one for every query of this tree's dimension. A query of
-           another dimension misses: the §4 bill of a rejected
-           wrong-dimension insert descends before level 0 rejects the
-           key, and this full search is what that bill charges. *)
-        locate t q
+    | None -> failwith "Instances.Points.refine: descriptor names no cube of this tree"
 
   let describe _t loc = Cqtree.node_cube loc.Cqtree.node
 

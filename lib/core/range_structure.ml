@@ -118,7 +118,10 @@ module type S = sig
 
   val locate : t -> query -> loc * int list
   (** Search from the structure's root: the maximal range containing the
-      query, plus the visited range ids in order. *)
+      query, plus the visited range ids in order. A query the instance
+      cannot search (a point of another dimension) raises
+      [Invalid_argument]; the hierarchy locates in its top level before it
+      opens a network session, so such a query sends no message. *)
 
   val refine : t -> from:descriptor -> query -> loc * int list
   (** Continue a search in this structure given the location the query had

@@ -1,7 +1,6 @@
 (* Histograms keep every sample, in a growable float array. A summary
    sorts a copy and folds it in sorted order through Stats.summarize, so
-   the exported figures are a pure function of the sample multiset: the
-   shard-merge determinism contract below needs nothing more. *)
+   the exported figures are a pure function of the sample multiset. *)
 
 type samples = { mutable data : float array; mutable len : int }
 
@@ -67,23 +66,6 @@ let histogram_summary t name =
 
 let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.entries [] |> List.sort compare
-
-(* Shard merging for parallel recording: each worker records into its own
-   registry, then the shards are folded into one. Counters add and
-   histograms append samples; summaries sort before folding, so the
-   merged registry's exports do not depend on which worker recorded
-   which sample or on the merge order. *)
-let merge dst src =
-  List.iter
-    (fun name ->
-      match Hashtbl.find src.entries name with
-      | Counter c -> incr dst ~by:!c name
-      | Histogram s ->
-          let d = histogram dst name in
-          for i = 0 to s.len - 1 do
-            push d s.data.(i)
-          done)
-    (names src)
 
 let json_of_summary (s : Stats.summary) =
   Printf.sprintf

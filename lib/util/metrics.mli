@@ -33,19 +33,6 @@ val observe : t -> string -> float -> unit
 
 val observe_int : t -> string -> int -> unit
 
-val merge : t -> t -> unit
-(** [merge dst src] folds [src] into [dst]: counters add, histograms
-    append [src]'s samples. [src] is unchanged.
-
-    This is the concurrent-recording discipline: a registry is {b not}
-    safe to record into from several domains at once, so each worker
-    records into a private shard and the shards are merged afterwards.
-    Because counter addition is commutative and a summary is a pure
-    function of the union sample multiset, the merged registry's
-    {!to_json}/{!to_csv} output is identical for any merge order and
-    any assignment of samples to workers — parallel runs export
-    byte-for-byte what the sequential run exports. *)
-
 (** {1 Reading} *)
 
 val counter_value : t -> string -> int

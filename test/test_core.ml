@@ -445,8 +445,33 @@ let test_rejected_segment_insert () =
 let test_rejected_point_insert () =
   let pts = W.uniform_points ~seed:51 ~n:60 ~dim:2 in
   Pt_rejection.run ~what:"wrong dimension" ~hosts:64 ~seed:52 (Array.sub pts 0 59)
-    ~bad:[| 0.25; 0.5; 0.75 |] ~expect:"Cqtree.insert: dimension mismatch" ~valid:pts.(59)
+    ~bad:[| 0.25; 0.5; 0.75 |] ~expect:"Instances.Points.locate: dimension mismatch" ~valid:pts.(59)
     (W.uniform_query_points ~seed:53 ~n:60 ~dim:2)
+
+(* A probe of the wrong dimension is rejected by the top-level locate,
+   before the descent opens a network session: a query, a box or k-NN
+   scan and an insert bill each raise having sent no message, and the
+   hierarchy still answers afterwards. *)
+let test_wrong_dimension_probe () =
+  let net = Network.create ~hosts:64 in
+  let h = HP2.build ~net ~seed:52 (W.uniform_points ~seed:51 ~n:60 ~dim:2) in
+  let bad = [| 0.25; 0.5; 0.75 |] in
+  let rng = Prng.create 7 in
+  let rejects what f =
+    let before = Network.total_messages net in
+    (match f () with
+    | _ -> Alcotest.failf "%s: the wrong-dimension probe was accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) (what ^ ": rejection") "Instances.Points.locate: dimension mismatch" msg);
+    checki (what ^ ": messages sent") before (Network.total_messages net)
+  in
+  rejects "query" (fun () -> ignore (HP2.query h ~rng bad));
+  rejects "box scan" (fun () -> ignore (HP2.scan h ~rng (I.Box { lo = bad; hi = bad; limit = 4 })));
+  rejects "k-NN scan" (fun () -> ignore (HP2.scan h ~rng (I.Knn { center = bad; k = 3 })));
+  rejects "insert" (fun () -> ignore (HP2.insert h bad : int));
+  checki "size" 60 (HP2.size h);
+  HP2.check_invariants h;
+  checkb "still answers" true ((snd (HP2.query h ~rng [| 0.5; 0.5 |])).HP2.messages > 0)
 
 (* ------- rejected batches ------- *)
 
@@ -1271,6 +1296,7 @@ let suite =
     Alcotest.test_case "trapmap web insert" `Quick test_hseg_insert;
     Alcotest.test_case "rejected segment insert leaves no trace" `Quick test_rejected_segment_insert;
     Alcotest.test_case "rejected point insert leaves no trace" `Quick test_rejected_point_insert;
+    Alcotest.test_case "wrong-dimension probe sends no message" `Quick test_wrong_dimension_probe;
     Alcotest.test_case "rejected segment batch stores its documented part" `Quick
       test_rejected_segment_batch;
     Alcotest.test_case "rejected point batch stores its documented part" `Quick

@@ -201,63 +201,6 @@ let test_stream_deterministic_and_non_advancing () =
     (Invalid_argument "Prng.stream: index must be non-negative") (fun () ->
       ignore (Prng.stream g (-1)))
 
-(* ------- metrics shard merging ------- *)
-
-let record_into m (kind, name, v) =
-  match kind with
-  | `C -> Metrics.incr m ~by:v name
-  | `H -> Metrics.observe_int m name v
-
-(* A few hand-picked events, plus one histogram of 5 000 samples: past
-   the 4 096 at which a capped histogram would stop being exact. *)
-let sample_events =
-  let big =
-    let g = Prng.create 4096 in
-    List.init 5000 (fun _ -> (`H, "big", Prng.int g 40))
-  in
-  [
-    (`C, "ops", 3); (`H, "lat", 5); (`H, "lat", 1); (`C, "ops", 2); (`H, "msgs", 9);
-    (`H, "lat", 1); (`C, "errs", 1); (`H, "msgs", 2); (`H, "lat", 8); (`C, "ops", 1);
-  ]
-  @ big
-
-let test_merge_order_independent_exports () =
-  (* One registry recorded sequentially... *)
-  let seq = Metrics.create () in
-  List.iter (record_into seq) sample_events;
-  (* ...versus the same events striped over three shards, merged in two
-     different orders. The documented discipline: exports summarize the
-     sample multiset, so shard boundaries and merge order are invisible. *)
-  let shards () =
-    let ss = Array.init 3 (fun _ -> Metrics.create ()) in
-    List.iteri (fun i ev -> record_into ss.(i mod 3) ev) sample_events;
-    ss
-  in
-  let merged order =
-    let ss = shards () in
-    let m = Metrics.create () in
-    List.iter (fun i -> Metrics.merge m ss.(i)) order;
-    m
-  in
-  let m1 = merged [ 0; 1; 2 ] and m2 = merged [ 2; 0; 1 ] in
-  checks "json merge order independent" (Metrics.to_json m1) (Metrics.to_json m2);
-  checks "csv merge order independent" (Metrics.to_csv m1) (Metrics.to_csv m2);
-  checks "json equals sequential recording" (Metrics.to_json seq) (Metrics.to_json m1);
-  checks "csv equals sequential recording" (Metrics.to_csv seq) (Metrics.to_csv m1);
-  (* Exact: each merged summary is Stats.summarize of the sorted union. *)
-  List.iter
-    (fun name ->
-      let union =
-        List.filter_map
-          (fun (kind, n, v) -> if kind = `H && n = name then Some (float_of_int v) else None)
-          sample_events
-      in
-      checkb
-        (Printf.sprintf "%s summary = sorted-array model" name)
-        true
-        (Metrics.histogram_summary m1 name = Some (Stats.summarize (List.sort compare union))))
-    [ "lat"; "msgs"; "big" ]
-
 (* ------- parallel == sequential, the load-bearing property ------- *)
 
 (* Build the same blocked 1-d skip-web on a fresh network, run the same
@@ -548,8 +491,6 @@ let suite =
     Alcotest.test_case "with_pool convention" `Quick test_with_pool_convention;
     Alcotest.test_case "Prng.stream deterministic, non-advancing" `Quick
       test_stream_deterministic_and_non_advancing;
-    Alcotest.test_case "metrics shard merge is order-independent" `Quick
-      test_merge_order_independent_exports;
     Alcotest.test_case "generic batch matches sequential loop" `Quick (fun () ->
         test_hint_batch_matches_sequential_loop ();
         test_multid_batch_matches_loop ());

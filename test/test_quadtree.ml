@@ -234,31 +234,6 @@ let qcheck_build_invariants =
       Q.check_invariants t;
       Q.size t <= n)
 
-let qcheck_insert_remove_invariants =
-  QCheck.Test.make ~name:"random insert/remove keeps invariants" ~count:40
-    QCheck.(pair small_int (int_range 1 120))
-    (fun (seed, n) ->
-      let rng = Prng.create seed in
-      let t = Q.build ~dim:2 [||] in
-      let live = ref [] in
-      for _ = 1 to n do
-        if Prng.bool rng || !live = [] then begin
-          let p = Point.create [ Prng.float rng 1.0; Prng.float rng 1.0 ] in
-          if Q.insert t p then live := p :: !live
-        end
-        else begin
-          match !live with
-          | p :: rest ->
-              ignore (Q.remove t p);
-              live := rest
-          | [] -> ()
-        end;
-        Q.check_invariants t
-      done;
-      Q.size t = List.length !live)
-
-
-
 let test_range_queries () =
   let pts = Workload.uniform_points ~seed:40 ~n:600 ~dim:2 in
   let t = Q.build ~dim:2 pts in
@@ -319,21 +294,6 @@ let test_bulk_build_canonical_and_pooled () =
           checkb "pooled build bit-identical" true (node_census tp = census);
           checkb "pooled arena identical" true (tp = t)))
     [ 2; 4 ]
-
-let test_range_scan_matches_oracle () =
-  let pts = Workload.uniform_points ~seed:5 ~n:800 ~dim:2 in
-  let t = Q.build ~dim:2 pts in
-  let lo = Point.create [ 0.2; 0.3 ] and hi = Point.create [ 0.7; 0.8 ] in
-  let count, sample, visited = Q.range_scan t ~lo ~hi ~limit:50 in
-  checki "count = range_count" (Q.range_count t ~lo ~hi) count;
-  checki "sample bounded by limit" (min 50 count) (List.length sample);
-  let all = Q.range_report t ~lo ~hi in
-  checkb "sample from the box" true (List.for_all (fun p -> List.mem p all) sample);
-  checkb "walk charged" true (visited <> []);
-  let count_full, sample_full, _ = Q.range_scan t ~lo ~hi ~limit:10_000 in
-  checki "unclipped count unchanged" count count_full;
-  checkb "unclipped sample = report (as sets)" true
-    (List.sort compare sample_full = List.sort compare all)
 
 (* ------- pinned structural digest -------
 
@@ -663,7 +623,6 @@ let suite =
     Alcotest.test_case "range queries" `Quick test_range_queries;
     Alcotest.test_case "range empty box rejected" `Quick test_range_empty_box_rejected;
     Alcotest.test_case "bulk build canonical + pooled" `Quick test_bulk_build_canonical_and_pooled;
-    Alcotest.test_case "range_scan = oracle" `Quick test_range_scan_matches_oracle;
     Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
@@ -671,5 +630,4 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
     QCheck_alcotest.to_alcotest qcheck_cube_lookup_brute_force;
     QCheck_alcotest.to_alcotest qcheck_build_invariants;
-    QCheck_alcotest.to_alcotest qcheck_insert_remove_invariants;
   ]

@@ -176,23 +176,6 @@ let qcheck_model_conformance =
       T.iter t ~f:(fun s -> acc := s :: !acc);
       List.rev !acc = SS.elements !model)
 
-let qcheck_insert_remove_node_count =
-  QCheck.Test.make ~name:"insert then remove restores node count" ~count:150
-    QCheck.(
-      pair
-        (list_of_size (Gen.int_range 1 20) (string_gen_of_size (Gen.int_range 1 6) (Gen.char_range 'a' 'c')))
-        (string_gen_of_size (Gen.int_range 1 6) (Gen.char_range 'a' 'c')))
-    (fun (words, extra) ->
-      QCheck.assume (not (List.mem extra words));
-      let t = T.build (Array.of_list words) in
-      let before = T.node_count t in
-      ignore (T.insert t extra);
-      T.check_invariants t;
-      ignore (T.remove t extra);
-      T.check_invariants t;
-      T.node_count t = before)
-
-
 let test_strings_with_prefix () =
   let t = build [ "cat"; "car"; "cart"; "carbon"; "dog" ] in
   Alcotest.(check (list string)) "car subtree" [ "car"; "carbon"; "cart" ] (T.strings_with_prefix t "car");
@@ -254,5 +237,4 @@ let suite =
     Alcotest.test_case "bulk build canonical" `Quick test_bulk_build_canonical;
     Alcotest.test_case "prefix_scan = oracle" `Quick test_prefix_scan_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_model_conformance;
-    QCheck_alcotest.to_alcotest qcheck_insert_remove_node_count;
   ]
