@@ -267,6 +267,87 @@ module Points_stages = Stages (Points_case)
 module Strings_stages = Stages (Strings_case)
 module Segments_stages = Stages (Segments_case)
 
+(* A batch is the loop of its single operations. Twin hierarchies on
+   twin networks take the same batch, one through [query]/[scan] in a
+   loop and one through [query_batch]/[scan_batch] at jobs 1 and 2, from
+   rngs of one seed: every answer, every per-query stat, every host's
+   traffic, the message total and the session count must agree. The
+   batches are empty, one query, three, 200, and one with repeats (ties
+   in any processing order). Over a dead host at r = 1 the batch raises
+   [Host_dead] at both jobs counts. *)
+module Batch_loop (C : CASE) = struct
+  module Hr = H.Make (C.S)
+
+  let batches xs =
+    let m = Array.length xs in
+    let cycle k = Array.init k (fun i -> xs.((i * 7) mod m)) in
+    [ [||]; [| xs.(0) |]; cycle 3; cycle 200; Array.map (fun i -> xs.(i mod 3)) [| 2; 0; 2; 1; 0; 0; 2 |] ]
+
+  let twin () =
+    let net = Network.create ~hosts:C.n in
+    (net, Hr.build ~net ~seed:41 C.keys)
+
+  let same_hosts what (net1, _) (net2, _) =
+    for host = 0 to C.n - 1 do
+      Alcotest.(check int)
+        (Printf.sprintf "%s: host %d traffic" what host)
+        (Network.traffic net1 host) (Network.traffic net2 host)
+    done;
+    Alcotest.(check int) (what ^ ": messages") (Network.total_messages net1)
+      (Network.total_messages net2);
+    Alcotest.(check int) (what ^ ": sessions") (Network.sessions_started net1)
+      (Network.sessions_started net2)
+
+  (* [one] is the single operation, [many] the batch; [xs] a batch. *)
+  let compare_one what ~one ~many ~pool xs =
+    let loop = twin () and batch = twin () in
+    List.iteri
+      (fun b xs ->
+        let what = Printf.sprintf "%s: %s batch %d (%d ops)" C.S.name what b (Array.length xs) in
+        Network.reset_traffic (fst loop);
+        Network.reset_traffic (fst batch);
+        let seed = 0x61 + b in
+        let want = Array.map (one (snd loop) ~rng:(Prng.create seed)) xs in
+        let got = many ?pool (snd batch) ~rng:(Prng.create seed) xs in
+        if want <> got then Alcotest.failf "%s: answers or stats differ" what;
+        same_hosts what loop batch)
+      (batches xs)
+
+  (* The batch runs once on live hosts, then the host it visited most
+     dies and the same batch, from the same rng seed, runs again. *)
+  let dead_host what run ~pool =
+    let net, h = twin () in
+    run None h;
+    let busiest = ref 0 in
+    for host = 1 to C.n - 1 do
+      if Network.traffic net host > Network.traffic net !busiest then busiest := host
+    done;
+    Network.kill net !busiest;
+    match run pool h with
+    | () -> Alcotest.failf "%s: %s batch over a dead host did not raise" C.S.name what
+    | exception Network.Host_dead _ -> ()
+
+  let run () =
+    List.iter
+      (fun jobs ->
+        Skipweb_util.Pool.with_pool ~jobs (fun pool ->
+            let jobs = Printf.sprintf "jobs %d" jobs in
+            compare_one ("query " ^ jobs) ~one:(fun h ~rng q -> Hr.query h ~rng q)
+              ~many:Hr.query_batch ~pool C.queries;
+            compare_one ("scan " ^ jobs) ~one:(fun h ~rng sc -> Hr.scan h ~rng sc)
+              ~many:Hr.scan_batch ~pool C.scans;
+            dead_host "query" ~pool (fun pool h ->
+                ignore (Hr.query_batch ?pool h ~rng:(Prng.create 3) C.queries));
+            dead_host "scan" ~pool (fun pool h ->
+                ignore (Hr.scan_batch ?pool h ~rng:(Prng.create 3) C.scans))))
+      [ 1; 2 ]
+end
+
+module Ints_batch = Batch_loop (Ints_case)
+module Points_batch = Batch_loop (Points_case)
+module Strings_batch = Batch_loop (Strings_case)
+module Segments_batch = Batch_loop (Segments_case)
+
 let pinned_ints =
   [
     [ 3045353664109306450; 4608421768291945187; 3398908302889395518 ];
@@ -441,6 +522,10 @@ let suite =
     Alcotest.test_case "pinned routing digest: trie" `Quick (Strings_stages.check pinned_strings);
     Alcotest.test_case "pinned routing digest: trapezoidal map" `Quick
       (Segments_stages.check pinned_segments);
+    Alcotest.test_case "batch = loop: sorted list" `Quick Ints_batch.run;
+    Alcotest.test_case "batch = loop: quadtree" `Quick Points_batch.run;
+    Alcotest.test_case "batch = loop: trie" `Quick Strings_batch.run;
+    Alcotest.test_case "batch = loop: trapezoidal map" `Quick Segments_batch.run;
     Alcotest.test_case "shared empty set: sorted list churn, jobs 1 = 2" `Quick Ints_churn.run;
     Alcotest.test_case "shared empty set: quadtree churn, jobs 1 = 2" `Quick Points_churn.run;
   ]
