@@ -498,12 +498,14 @@ let query ?trace t ~rng q =
   if size t = 0 then { predecessor = None; successor = None; nearest = None; messages = 0 }
   else query_from ?trace t (ground t).(Prng.int rng (size t)) q
 
-(* Parallel fan-out of independent queries: origins pre-drawn sequentially
-   (one rng draw per query, matching a loop of [query] coin-for-coin), then
-   each descent is a pure read-only walk whose session commits through the
-   network's atomic counters — results and network totals are bit-identical
-   for any jobs count. An empty structure consumes no rng draws, exactly
-   like the sequential loop. *)
+(* Fan-out of independent queries, the same as the hierarchy's: origins
+   pre-drawn sequentially in input order (one rng draw per query,
+   matching a loop of [query] coin-for-coin), then the descents run in
+   key order and each result goes back to its input position. Each
+   descent is a pure read-only walk whose session commits through the
+   network's atomic counters — results and network totals are
+   bit-identical to the loop for any jobs count. An empty structure
+   consumes no rng draws, exactly like the sequential loop. *)
 let query_batch ?pool t ~rng qs =
   let n = Array.length qs in
   if size t = 0 then
@@ -511,8 +513,9 @@ let query_batch ?pool t ~rng qs =
   else begin
     let keys = ground t in
     let walks = Array.init n (fun i -> (keys.(Prng.int rng (Array.length keys)), qs.(i))) in
-    let run (origin, q) = query_from t origin q in
-    match pool with None -> Array.map run walks | Some p -> Pool.parallel_map p run walks
+    Pool.map_in_order ?pool ~order:(Instances.Ints.order qs)
+      (fun (origin, q) -> query_from t origin q)
+      walks
   end
 
 (* Where [k] sits in the ground set: its lower-bound index, and whether

@@ -118,11 +118,17 @@ val query_batch :
   ?pool:Skipweb_util.Pool.t -> t -> rng:Prng.t -> int array -> search_result array
 (** A batch of independent nearest-neighbor queries, fanned out over
     [pool]'s domains when one is given. Origins are pre-drawn sequentially
-    from [rng] (one draw per query, exactly as a loop of {!query} would),
-    so answers, per-query message counts and the network's message /
-    traffic totals are bit-identical to the sequential loop for {e any}
-    jobs count — [?pool] only changes wall-clock time. The structure must
-    not be updated while a batch is in flight (§4 serializes updates). *)
+    from [rng] (one draw per query, exactly as a loop of {!query} would);
+    the descents then run in key order and each result is returned at
+    its query's position. Answers, per-query message counts and the
+    network's message / traffic totals are bit-identical to the
+    sequential loop for {e any} jobs count: neither [?pool] nor the
+    processing order changes anything but wall-clock time. A failing
+    batch raises the exception of one failing query (the first in key
+    order without a pool, the first to fail with one), and the sessions
+    of the descents that finished before it stay committed. The
+    structure must not be updated while a batch is in flight (§4
+    serializes updates). *)
 
 val insert : t -> int -> int
 (** Message cost: locate + O(1) per basic level. No-op cost 0 on

@@ -318,14 +318,19 @@ module Make (S : Range_structure.S) = struct
     let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
     go 0
 
-  (* The ground set as the bulk level builder reads it: keys in arena
-     slot order, beside each element's path at [t.top]. Each level set's
-     [S.build] sees its keys in this order, which fixes the range
-     numbering of order-sensitive structures (the trapezoidal map numbers
-     trapezoids in array order). After a bulk load the slots hold the
-     keys in presentation order; removals move the last slot into the
-     freed one. No hash order is read. *)
-  let snapshot t = (Array.sub t.keys 0 t.live, Array.init t.live (fun i -> path_of t t.ids.(i)))
+  (* The ground set as the bulk level builder reads it: the live keys,
+     beside each element's path at [t.top]. With [sorted] they come in
+     the structure's own order ([S.order] of their probes): [iter_groups]
+     is stable, so every level set's [S.build] receives its keys already
+     sorted and its presort is one pass. Otherwise, and always for an
+     order-sensitive structure (the trapezoidal map numbers trapezoids in
+     array order, so its [S.order] is the identity), they come in arena
+     slot order: presentation order after a bulk load, with removals
+     moving the last slot into the freed one. No hash order is read. *)
+  let snapshot t ~sorted =
+    let keys = Array.sub t.keys 0 t.live in
+    let order = if sorted then S.order (Array.map S.probe keys) else Array.init t.live Fun.id in
+    (Array.map (fun i -> keys.(i)) order, Array.map (fun i -> path_of t t.ids.(i)) order)
 
   (* The one prefix-grouping kernel: a stable counting sort of (keys,
      paths) by level prefix, then [f b ks] once per non-empty group [b],
@@ -435,14 +440,17 @@ module Make (S : Range_structure.S) = struct
 
   (* The one bulk level builder: build levels [lo .. K] from scratch over
      the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
-     in an empty hierarchy, the new top levels when the hierarchy grows. *)
+     in an empty hierarchy, the new top levels when the hierarchy grows.
+     Only a full build sorts its snapshot: the new top levels' sets hold
+     few keys each (n / 2^lo, with 2^lo above the size before the
+     batch), so sorting all n keys for them would be waste. *)
   let build_levels ?pool t lo =
     let wanted = required_top (size t) in
     let copies = t.r + t.cache_replicas - 1 in
     t.layers <-
       Array.init (wanted + 1) (fun l -> if l < lo then t.layers.(l) else fresh_layer ~copies l);
     t.top <- wanted;
-    let snap = snapshot t in
+    let snap = snapshot t ~sorted:(lo = 0) in
     run_levels ?pool ~lo t (build_level t snap)
 
   let grow_top ?pool t = if t.top < required_top (size t) then build_levels ?pool t (t.top + 1)
@@ -797,25 +805,31 @@ module Make (S : Range_structure.S) = struct
     if size t = 0 then invalid_arg "Hierarchy.scan: empty structure";
     scan_from ?trace t (sample_id t rng) sc
 
-  (* Parallel fan-out of independent queries or scans. Origins are
-     pre-drawn sequentially from the caller's rng — [query] and [scan]
-     consume exactly one draw per call, so the batch sees the same coin
-     sequence a sequential loop would — after which each walk is a pure
-     read-only walk committing its session via the network's atomic
-     counters. Answers, stats and network totals are therefore
-     bit-identical for any jobs count, including [pool = None]. *)
-  let fan_out ?pool t ~rng ~name walk xs =
+  (* Fan-out of independent queries or scans. Origins are pre-drawn
+     sequentially from the caller's rng, in input order — [query] and
+     [scan] consume exactly one draw per call, so the batch sees the same
+     coin sequence a sequential loop would. The walks then run in the
+     structure's own order of their probes ([S.order]), so consecutive
+     walks read nearby ranges, and each result goes back to its input
+     position. Each walk is a pure read-only walk committing its session
+     via the network's atomic counters, so answers, stats and network
+     totals are bit-identical to the loop for any jobs count, including
+     [pool = None]: the order changes only the wall clock. *)
+  let fan_out ?pool t ~rng ~name ~probe walk xs =
     let n = Array.length xs in
     if n > 0 && size t = 0 then invalid_arg (name ^ ": empty structure");
     let walks = Array.init n (fun i -> (sample_id t rng, xs.(i))) in
-    let run (origin, x) = walk t origin x in
-    match pool with None -> Array.map run walks | Some p -> Pool.parallel_map p run walks
+    Pool.map_in_order ?pool
+      ~order:(S.order (Array.map probe xs))
+      (fun (origin, x) -> walk t origin x)
+      walks
 
   let scan_batch ?pool t ~rng scs =
-    fan_out ?pool t ~rng ~name:"Hierarchy.scan_batch" (scan_from ?trace:None) scs
+    fan_out ?pool t ~rng ~name:"Hierarchy.scan_batch" ~probe:S.scan_probe (scan_from ?trace:None)
+      scs
 
   let query_batch ?pool t ~rng qs =
-    fan_out ?pool t ~rng ~name:"Hierarchy.query_batch" (query_from ?trace:None) qs
+    fan_out ?pool t ~rng ~name:"Hierarchy.query_batch" ~probe:Fun.id (query_from ?trace:None) qs
 
   (* The counterpart of [grow_top]: after deletions the required number of
      levels shrinks, so dead levels must be dropped — otherwise the

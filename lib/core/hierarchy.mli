@@ -163,11 +163,18 @@ module Make (S : Range_structure.S) : sig
   (** A batch of independent queries, fanned out over [pool]'s domains
       when one is given. Origins are pre-drawn sequentially from [rng]
       (one draw per query, exactly as a loop of {!query} would draw
-      them), so the answers, per-query stats and the network's message /
-      traffic totals are bit-identical to the sequential loop for {e any}
-      jobs count — [?pool] only changes wall-clock time. The structure
-      must not be updated while a batch is in flight (the paper
-      serializes updates against queries, §4). *)
+      them). The walks then run in the structure's own order
+      ({!S.order}: key order, z-order for points), so consecutive walks
+      read nearby ranges, and each result is returned at its query's
+      position. The answers, per-query stats and the
+      network's message / traffic totals are bit-identical to the
+      sequential loop for {e any} jobs count: neither [?pool] nor the
+      processing order changes anything but wall-clock time. A failing
+      batch raises the exception of one failing query (the first in
+      processing order without a pool, the first to fail with one), and
+      the sessions of the walks that finished before it stay committed.
+      The structure must not be updated while a batch is in flight (the
+      paper serializes updates against queries, §4). *)
 
   val scan :
     ?trace:Skipweb_net.Trace.t ->
@@ -191,8 +198,9 @@ module Make (S : Range_structure.S) : sig
     S.scan array ->
     (S.scan_answer * query_stats) array
   (** Independent scans fanned out over [pool]'s domains, with the same
-      origin-predrawing and bit-identical-for-any-jobs-count contract as
-      {!query_batch}. *)
+      origin-predrawing, processing order (of the scans' probes,
+      {!S.scan_probe}), failure and bit-identical-for-any-jobs-count
+      contract as {!query_batch}. *)
 
   (** {1 Writes}
 

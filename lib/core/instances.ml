@@ -169,6 +169,7 @@ module Ints :
     else Range_structure.empty_delta
 
   let probe k = k
+  let order = Presort.order ~cmp:Int.compare
 
   (* A full locate walks the distributed list from its head — every range
      on the way is a hop. This is only used at the hierarchy's top level,
@@ -288,6 +289,7 @@ end) :
     { Range_structure.added; removed }
 
   let probe k = k
+  let order = Cqtree.zorder
 
   (* The descent's one dimension check: the top-level locate runs before
      the hierarchy opens a network session, so a wrong-dimension query,
@@ -385,6 +387,7 @@ module Strings :
     { Range_structure.added; removed }
 
   let probe k = k
+  let order = Presort.order ~cmp:String.compare
 
   let ids_of_path path = List.map Ctrie.node_id path
 
@@ -467,6 +470,11 @@ module Segments :
     let (x0, _), (x1, _) = Segment.endpoints k in
     let xm = (x0 +. x1) /. 2.0 in
     (xm, Segment.y_at k xm +. 1e-9)
+
+  (* The identity: a build numbers trapezoids in array order, so keys
+     built in any other order would move every range, and a locate scans
+     a list, so no query order walks faster. *)
+  let order qs = Array.init (Array.length qs) Fun.id
 
   let locate t q =
     match Trapmap.locate_opt t q with

@@ -116,6 +116,20 @@ module type S = sig
   (** A query that routes to the place a key occupies (or would occupy) —
       the locate step of an update (§4). *)
 
+  val order : query array -> int array
+  (** The structure's own order on a batch of queries: a permutation
+      listing every index once, the queries non-decreasing in the order
+      the structure lays its keys out in (rank, z-order,
+      lexicographic), equal queries in index order. Queries walked in
+      this order run down nearby paths one after another, and keys
+      built in it ([order (Array.map probe keys)]) reach {!build}
+      already sorted, so its presort is one pass. It is a hint: each
+      query's walk and each built set must be the same in any order,
+      and only the wall clock may depend on it, so a structure with no
+      such order returns the identity. It must be total: a query or
+      probe the structure rejects gets a place too, and is rejected by
+      the operation that reads it, with that operation's message. *)
+
   val locate : t -> query -> loc * int list
   (** Search from the structure's root: the maximal range containing the
       query, plus the visited range ids in order. A query the instance

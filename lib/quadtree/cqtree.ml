@@ -284,6 +284,19 @@ let morton_key g =
   done;
   !r
 
+(* Points of one dimension in z-order, on Morton keys when [d * bits]
+   fits an int and on [cmp_zorder] otherwise; points of differing
+   dimensions by dimension first, so the order is total on any batch. *)
+let zorder points =
+  let d = if Array.length points = 0 then 0 else Point.dim points.(0) in
+  if d * bits <= 62 && Array.for_all (fun p -> Point.dim p = d) points then
+    Presort.order ~cmp:Int.compare (Array.map (fun p -> morton_key (Point.to_grid p)) points)
+  else
+    Presort.order
+      ~cmp:(fun a b ->
+        match Int.compare (Array.length a) (Array.length b) with 0 -> cmp_zorder a b | c -> c)
+      (Array.map Point.to_grid points)
+
 (* Depth of the smallest aligned cube containing two grid points. For a
    z-sorted slice, applied to its first and last element, this is the
    depth of the smallest cube containing the whole slice: all points agree

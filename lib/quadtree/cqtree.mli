@@ -67,6 +67,14 @@ val build : dim:int -> Skipweb_geom.Point.t array -> t
 (** Alias for {!of_sorted} — the bulk path {e is} the build path.
     Duplicate grid points are ignored beyond the first occurrence. *)
 
+val zorder : Skipweb_geom.Point.t array -> int array
+(** The stable permutation listing the points in z-order of their grid
+    points, the order {!of_sorted} presorts into: a bulk build handed
+    the points in this order skips its sort, and nearby queries walk
+    nearby paths. Points of differing dimensions sort by dimension
+    first, so [zorder] never raises, even on a batch [of_sorted] would
+    reject. *)
+
 val dim : t -> int
 val size : t -> int
 (** Number of stored (distinct) points. *)

@@ -215,25 +215,35 @@ let parallel_for_tasks pool ~weights f =
       run_dynamic pool ~name:"Pool.parallel_for_tasks" ~order f
     end
 
-let parallel_map pool f xs =
+let map_in_order ?pool ~order f xs =
   let n = Array.length xs in
+  if Array.length order <> n then invalid_arg "Pool.map_in_order: order is not a permutation";
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    let fill i = out.(i) <- Some (f xs.(i)) in
-    if pool.jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        fill i
-      done
-    else if n < 2 * pool.jobs then
-      (* Too few elements for static chunks to balance: with fewer than two
-         chunks per domain, one straggler chunk serializes the tail. Claim
-         elements one at a time instead; the result array is still filled
-         by index, so the output is unchanged. *)
-      run_dynamic pool ~name:"Pool.parallel_map" ~order:(Array.init n Fun.id) fill
-    else parallel_for pool ~lo:0 ~hi:n fill;
-    Array.map (function Some v -> v | None -> assert false) out
+    let fill j =
+      let i = order.(j) in
+      out.(i) <- Some (f xs.(i))
+    in
+    (match pool with
+    | Some pool when pool.jobs > 1 && n > 1 ->
+        if n < 2 * pool.jobs then
+          (* Too few elements for static chunks to balance: with fewer than
+             two chunks per domain, one straggler chunk serializes the tail.
+             Claim elements one at a time instead; the result array is
+             still filled by index, so the output is unchanged. *)
+          run_dynamic pool ~name:"Pool.map_in_order" ~order:(Array.init n Fun.id) fill
+        else parallel_for pool ~lo:0 ~hi:n fill
+    | _ ->
+        for j = 0 to n - 1 do
+          fill j
+        done);
+    Array.map
+      (function Some v -> v | None -> invalid_arg "Pool.map_in_order: order is not a permutation")
+      out
   end
+
+let parallel_map pool f xs = map_in_order ~pool ~order:(Array.init (Array.length xs) Fun.id) f xs
 
 let shutdown pool =
   Mutex.lock pool.mutex;

@@ -117,6 +117,18 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     neighbours behind it. [f] therefore must not derive results from the
     domain it happens to run on — only from its argument. *)
 
+val map_in_order : ?pool:t -> order:int array -> ('a -> 'b) -> 'a array -> 'b array
+(** [map_in_order ?pool ~order f xs] is [Array.map f xs] with the calls
+    made in the order the permutation [order] lists the indices: [f]
+    runs on [xs.(order.(0))] first, then [xs.(order.(1))], and so on.
+    Each result lands at its element's own index, so the output is the
+    same for any [order] when [f] is pure. With [pool], [order] is cut
+    the way {!parallel_map} cuts an array, so each domain runs a
+    contiguous stretch of it. A batch whose elements share state by
+    position in some order (a tree walked by nearby keys) runs faster
+    in that order; nothing else changes. Raises [Invalid_argument]
+    unless [order] lists every index of [xs] exactly once. *)
+
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Using the pool after
     shutdown raises [Invalid_argument]. *)

@@ -7,15 +7,18 @@
    unique whatever the segmentation, so the parallel path is
    bit-identical to the sequential one. *)
 
-let strictly_sorted ~cmp a =
+(* Does [ok] hold of every adjacent pair of [a]? *)
+let adjacent ok a =
   let n = Array.length a in
-  let ok = ref true in
+  let all = ref true in
   let i = ref 1 in
-  while !ok && !i < n do
-    if cmp a.(!i - 1) a.(!i) >= 0 then ok := false;
+  while !all && !i < n do
+    if not (ok a.(!i - 1) a.(!i)) then all := false;
     incr i
   done;
-  !ok
+  !all
+
+let strictly_sorted ~cmp a = adjacent (fun x y -> cmp x y < 0) a
 
 (* In-place dedup of a [cmp]-sorted prefix; returns the live length.
    Keeps the first element of every run of equals. *)
@@ -97,3 +100,11 @@ let sorted_distinct ?pool ~cmp a =
     let m = dedup_sorted ~cmp copy in
     if m = Array.length copy then copy else Array.sub copy 0 m
   end
+
+(* Already non-decreasing input, the common case for keys generated
+   sorted, costs one pass instead of a sort. *)
+let order ~cmp a =
+  let p = Array.init (Array.length a) Fun.id in
+  if not (adjacent (fun x y -> cmp x y <= 0) a) then
+    Array.stable_sort (fun i j -> cmp a.(i) a.(j)) p;
+  p

@@ -36,3 +36,10 @@ val sorted_distinct : ?pool:Pool.t -> cmp:('a -> 'a -> int) -> 'a array -> 'a ar
     any jobs count; only the wall clock changes.
     [cmp] must be a total order and is called concurrently, so it must be
     pure. *)
+
+val order : cmp:('a -> 'a -> int) -> 'a array -> int array
+(** [order ~cmp a] is the stable sorting permutation of [a]: every index
+    of [a] once, listing the elements non-decreasing under [cmp], equal
+    elements in index order. [a] is left untouched. It is a pure function
+    of [a] and [cmp]; an already non-decreasing [a] yields the identity
+    after one pass, without a sort. *)

@@ -39,6 +39,10 @@ module type CASE = sig
       stored key inserted again is rejected, not ignored. *)
 
   val check_invariants : t -> unit
+
+  val in_order : (query -> query -> int) option
+  (** The order {!order} lists queries in, restated by brute force;
+      [None] for an instance whose [order] is the identity. *)
 end
 
 module Contract (C : CASE) = struct
@@ -189,6 +193,54 @@ module Contract (C : CASE) = struct
         C.check_invariants t)
       (C.rejected (Array.to_list keys))
 
+  let shuffle rng a =
+    let a = Array.copy a in
+    for i = Array.length a - 1 downto 1 do
+      let j = Prng.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+
+  let permutation what p n =
+    let seen = Array.make n false in
+    Array.iter (fun i -> seen.(i) <- true) p;
+    same (what ^ ": length") n (Array.length p);
+    if not (Array.for_all Fun.id seen) then failf "%s: %s is not a permutation" C.name what
+
+  (* [order] lists every index once, repeats included, the queries
+     non-decreasing and equal ones in index order; with no order, it is
+     the identity. It is total: the probes of keys the instance rejects
+     get a place too. *)
+  let order seed =
+    let rng = Prng.create seed in
+    let keys, qs = sample rng in
+    let qs = Array.of_list qs in
+    let qs = shuffle rng (Array.concat [ qs; Array.map C.probe keys; Array.sub qs 0 (Array.length qs / 2) ]) in
+    let n = Array.length qs in
+    let p = C.order qs in
+    permutation "order" p n;
+    let rejected = Array.of_list (List.map C.probe (C.rejected (Array.to_list keys))) in
+    permutation "order with rejected probes" (C.order (Array.append rejected qs)) (Array.length rejected + n);
+    match C.in_order with
+    | None -> same "order: the identity" (Array.init n Fun.id) p
+    | Some cmp ->
+        for j = 1 to n - 1 do
+          let c = cmp qs.(p.(j - 1)) qs.(p.(j)) in
+          if c > 0 || (c = 0 && p.(j - 1) > p.(j)) then failf "%s: order out of order at %d" C.name j
+        done
+
+  (* What a hierarchy's bulk build relies on when it hands [build] its
+     keys in [order]: the built structure does not depend on the order
+     of its keys. *)
+  let build_any_order seed =
+    let rng = Prng.create seed in
+    let keys, qs = sample rng in
+    let sorted = Array.map (fun i -> keys.(i)) (C.order (Array.map C.probe keys)) in
+    agree "build over shuffled keys = over sorted" (state (C.build sorted) qs)
+      (state (C.build (shuffle rng keys)) qs)
+
   let suite =
     let prop name count f =
       QCheck_alcotest.to_alcotest
@@ -203,6 +255,8 @@ module Contract (C : CASE) = struct
       prop "answers = brute force along a walk" 3 oracle;
       prop "refine from a random half = locate" 20 refine;
     ]
+    @ [ prop "order: a stable sorting permutation" 20 order ]
+    @ (if C.in_order = None then [] else [ prop "build over shuffled keys = sorted" 20 build_any_order ])
     @ (if C.removable then [ prop "remove undoes insert" 20 remove_undoes_insert ] else [])
     @
     if C.rejected [] = [] then []
@@ -265,6 +319,8 @@ module Ints_case = struct
   (* Across the 32-key flat/chunked cutoff, and 16, both ways. *)
   let walk = [ 15; 16; 17; 31; 32; 33; 64; 33; 32; 31; 17; 16; 15; 0 ]
   let removable = true
+
+  let in_order = Some Int.compare
 
   (* The ids are the dense codes 0 .. 2m of m keys. *)
   let check_invariants t =
@@ -336,6 +392,18 @@ struct
   let walk = [ 3; 0; 24; 9; 30; 0 ]
   let removable = true
   let check_invariants = Skipweb_quadtree.Cqtree.check_invariants
+
+  (* z-order: the grid coordinates' bits interleaved, most significant
+     bit first and, within a bit, the highest dimension first. *)
+  let interleaved p =
+    let g = Point.to_grid p in
+    String.concat ""
+      (List.concat_map
+         (fun bit ->
+           List.init D.dim (fun i -> if (g.(D.dim - 1 - i) lsr bit) land 1 = 1 then "1" else "0"))
+         (List.init Point.grid_bits (fun b -> Point.grid_bits - 1 - b)))
+
+  let in_order = Some (fun a b -> String.compare (interleaved a) (interleaved b))
 end
 
 module Strings_case = struct
@@ -366,6 +434,7 @@ module Strings_case = struct
   let walk = [ 12; 4; 30; 0 ]
   let removable = true
   let check_invariants = Skipweb_trie.Ctrie.check_invariants
+  let in_order = Some String.compare
 end
 
 module Segments_case = struct
@@ -413,6 +482,11 @@ module Segments_case = struct
   let walk = [ 20 ]
   let removable = false
   let check_invariants = Skipweb_trapmap.Trapmap.check_invariants
+
+  (* No order: a build numbers trapezoids in array order, so a hierarchy
+     that built its sets from permuted keys would move every range, and a
+     locate scans the trapezoid list, so no query order is faster. *)
+  let in_order = None
 end
 
 let suite =

@@ -281,7 +281,8 @@ module Batch_loop (C : CASE) = struct
   let batches xs =
     let m = Array.length xs in
     let cycle k = Array.init k (fun i -> xs.((i * 7) mod m)) in
-    [ [||]; [| xs.(0) |]; cycle 3; cycle 200; Array.map (fun i -> xs.(i mod 3)) [| 2; 0; 2; 1; 0; 0; 2 |] ]
+    let repeats = Array.map (fun i -> xs.(i)) [| 2; 0; 2; 1; 0; 0; 2 |] in
+    [ [||]; [| xs.(0) |]; cycle 3; cycle 200; repeats ]
 
   let twin () =
     let net = Network.create ~hosts:C.n in

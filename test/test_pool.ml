@@ -57,6 +57,28 @@ let test_parallel_map_preserves_order () =
       let ys = Pool.parallel_map p (fun x -> (2 * x) + 1) xs in
       checkb "map order" true (ys = Array.map (fun x -> (2 * x) + 1) xs))
 
+(* Without a pool the calls follow [order]; with one, every result still
+   lands at its element's index, at every batch size the dispatch
+   switches on. An order that is not a permutation is rejected. *)
+let test_map_in_order () =
+  let xs = [| 10; 11; 12; 13 |] and order = [| 2; 0; 3; 1 |] in
+  let seen = ref [] in
+  let ys = Pool.map_in_order ~order (fun x -> seen := x :: !seen; x * 2) xs in
+  Alcotest.(check (list int)) "calls in order" [ 12; 10; 13; 11 ] (List.rev !seen);
+  Alcotest.(check (array int)) "results by index" [| 20; 22; 24; 26 |] ys;
+  with_pool2 (fun p ->
+      List.iter
+        (fun n ->
+          let xs = Array.init n (fun i -> i) in
+          (* 7 is coprime to every size, so this is a permutation. *)
+          let order = Array.init n (fun j -> (j * 7) mod n) in
+          checkb "pooled results by index" true
+            (Pool.map_in_order ~pool:p ~order (fun x -> x * x) xs = Array.map (fun x -> x * x) xs))
+        [ 0; 1; 3; 57 ]);
+  match Pool.map_in_order ~order:[| 0; 0 |] Fun.id [| 1; 2 |] with
+  | _ -> Alcotest.fail "a repeated index was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_exception_propagates_and_pool_survives () =
   with_pool2 (fun p ->
       (try
@@ -473,6 +495,7 @@ let suite =
     Alcotest.test_case "parallel_for covers ranges" `Quick test_parallel_for_covers_range;
     Alcotest.test_case "jobs=1 runs inline" `Quick test_parallel_for_jobs1_inline;
     Alcotest.test_case "parallel_map preserves order" `Quick test_parallel_map_preserves_order;
+    Alcotest.test_case "map_in_order runs in order, returns by index" `Quick test_map_in_order;
     Alcotest.test_case "exceptions propagate; pool survives" `Quick
       test_exception_propagates_and_pool_survives;
     Alcotest.test_case "re-entrant batches rejected" `Quick test_reentrancy_rejected;

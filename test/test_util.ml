@@ -701,6 +701,17 @@ let test_presort_semantics () =
   checki "first class" 1 (fst cls.(0));
   checki "second class" 2 (fst cls.(1))
 
+(* The stable sorting permutation: ties in index order, the identity on
+   non-decreasing input (duplicates included), input untouched. *)
+let test_presort_order () =
+  let module Presort = Skipweb_util.Presort in
+  let b = [| 3; 1; 2; 1; 3; 0 |] in
+  Alcotest.(check (array int)) "stable permutation" [| 5; 1; 3; 2; 0; 4 |] (Presort.order ~cmp:compare b);
+  Alcotest.(check (array int)) "input untouched" [| 3; 1; 2; 1; 3; 0 |] b;
+  Alcotest.(check (array int)) "sorted input: identity" [| 0; 1; 2; 3 |]
+    (Presort.order ~cmp:compare [| 1; 2; 2; 7 |]);
+  Alcotest.(check (array int)) "empty" [||] (Presort.order ~cmp:compare [||])
+
 let test_presort_pooled_identical () =
   let module Presort = Skipweb_util.Presort in
   let g = Prng.create 99 in
@@ -777,6 +788,7 @@ let suite =
     Alcotest.test_case "ordseq batch around the chunk count" `Quick test_ordseq_batch_boundary;
     Alcotest.test_case "ordseq batch validation" `Quick test_ordseq_batch_validation;
     Alcotest.test_case "presort semantics" `Quick test_presort_semantics;
+    Alcotest.test_case "presort order" `Quick test_presort_order;
     Alcotest.test_case "presort pooled identical" `Quick test_presort_pooled_identical;
     QCheck_alcotest.to_alcotest qcheck_prng_int;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
