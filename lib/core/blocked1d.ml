@@ -6,6 +6,7 @@ module Prng = Skipweb_util.Prng
 module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
 module Pool = Skipweb_util.Pool
+module Presort = Skipweb_util.Presort
 
 (* The blocks of one basic-level set, indexed by block number j. Block
    j's copy array holds its [reps] owners, primary first, then — when its
@@ -501,7 +502,10 @@ let query ?trace t ~rng q =
 (* Fan-out of independent queries, the same as the hierarchy's: origins
    pre-drawn sequentially in input order (one rng draw per query,
    matching a loop of [query] coin-for-coin), then the descents run in
-   key order and each result goes back to its input position. Each
+   key order, which walks each level's blocks left to right (25-40%
+   faster than arrival order on 40 000 uniform queries at 5·10⁴-10⁶
+   keys, EXPERIMENTS.md), and each result goes back to its input
+   position. Each
    descent is a pure read-only walk whose session commits through the
    network's atomic counters — results and network totals are
    bit-identical to the loop for any jobs count. An empty structure
@@ -513,7 +517,7 @@ let query_batch ?pool t ~rng qs =
   else begin
     let keys = ground t in
     let walks = Array.init n (fun i -> (keys.(Prng.int rng (Array.length keys)), qs.(i))) in
-    Pool.map_in_order ?pool ~order:(Instances.Ints.order qs)
+    Pool.map_in_order ?pool ~order:(Presort.order ~cmp:Int.compare qs)
       (fun (origin, q) -> query_from t origin q)
       walks
   end

@@ -441,9 +441,12 @@ module Make (S : Range_structure.S) = struct
   (* The one bulk level builder: build levels [lo .. K] from scratch over
      the whole ground set, K = ⌈log₂ n⌉ — every level for a batch landing
      in an empty hierarchy, the new top levels when the hierarchy grows.
-     Only a full build sorts its snapshot: the new top levels' sets hold
-     few keys each (n / 2^lo, with 2^lo above the size before the
-     batch), so sorting all n keys for them would be waste. *)
+     Only a full build sorts its snapshot. The new top levels' sets hold
+     a key or two each, so their builds gain nothing from sorted input,
+     and the sort of all n keys is pure cost: a one-key insert that grows
+     a 2-d hierarchy of 2^16 points took a median 106-137 ms with arena
+     order and 156-185 ms with the sort (EXPERIMENTS.md, "Read batches
+     in the structure's own order"). *)
   let build_levels ?pool t lo =
     let wanted = required_top (size t) in
     let copies = t.r + t.cache_replicas - 1 in

@@ -284,13 +284,23 @@ let morton_key g =
   done;
   !r
 
-(* Points of one dimension in z-order, on Morton keys when [d * bits]
-   fits an int and on [cmp_zorder] otherwise; points of differing
-   dimensions by dimension first, so the order is total on any batch. *)
+(* The one z-order sort key, shared by [zorder] and [of_sorted]: the
+   Morton key when [d * bits] fits an int, so a sort runs on a cheap
+   monomorphic compare; the grid point itself, under [cmp_zorder],
+   otherwise. Either way two keys compare equal exactly when their grid
+   points are equal. *)
+type zkey = Zkey : (int array -> 'k) * ('k -> 'k -> int) -> zkey
+
+let zkey d = if d * bits <= 62 then Zkey (morton_key, Int.compare) else Zkey (Fun.id, cmp_zorder)
+
+(* Points of differing dimensions, which no build accepts, order by
+   dimension first, so the order is total on any batch. *)
 let zorder points =
   let d = if Array.length points = 0 then 0 else Point.dim points.(0) in
-  if d * bits <= 62 && Array.for_all (fun p -> Point.dim p = d) points then
-    Presort.order ~cmp:Int.compare (Array.map (fun p -> morton_key (Point.to_grid p)) points)
+  if Array.for_all (fun p -> Point.dim p = d) points then begin
+    let (Zkey (key, cmp)) = zkey d in
+    Presort.order ~cmp (Array.map (fun p -> key (Point.to_grid p)) points)
+  end
   else
     Presort.order
       ~cmp:(fun a b ->
@@ -376,16 +386,15 @@ let of_sorted ?pool ~dim:dimension points =
       if Point.dim p <> dimension then invalid_arg "Cqtree.of_sorted: dimension mismatch")
     points;
   let gs = Array.map Point.to_grid points in
-  (* Two keys with equal Morton codes are the same grid point, so the
-     decorate/sort/strip round trip deduplicates exactly like the direct
+  (* Keys compare equal only on equal grid points, so the
+     decorate/sort/strip round trip deduplicates exactly like a direct
      [cmp_zorder] presort and yields the same sequence. *)
   let gs =
-    if dimension * bits <= 62 then
-      Array.map snd
-        (Presort.sorted_distinct ?pool
-           ~cmp:(fun (a, _) (b, _) -> Int.compare a b)
-           (Array.map (fun g -> (morton_key g, g)) gs))
-    else Presort.sorted_distinct ?pool ~cmp:cmp_zorder gs
+    let (Zkey (key, cmp)) = zkey dimension in
+    Array.map snd
+      (Presort.sorted_distinct ?pool
+         ~cmp:(fun (a, _) (b, _) -> cmp a b)
+         (Array.map (fun g -> (key g, g)) gs))
   in
   let n = Array.length gs in
   (* The root's quadrant groups are the shards: each is counted, then

@@ -71,9 +71,9 @@ val zorder : Skipweb_geom.Point.t array -> int array
 (** The stable permutation listing the points in z-order of their grid
     points, the order {!of_sorted} presorts into: a bulk build handed
     the points in this order skips its sort, and nearby queries walk
-    nearby paths. Points of differing dimensions sort by dimension
-    first, so [zorder] never raises, even on a batch [of_sorted] would
-    reject. *)
+    nearby paths. It sorts on the same key {!of_sorted} does. Points of
+    differing dimensions sort by dimension first, so [zorder] never
+    raises, even on a batch [of_sorted] would reject. *)
 
 val dim : t -> int
 val size : t -> int
