@@ -168,7 +168,7 @@ let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool 
   | Det_skipnet ->
       let g = DS.create ~net ~keys in
       overlay "deterministic SkipNet (1-2-3 skip list), H = n"
-        (fun _ q -> (DS.search g ~from:0 q).messages)
+        (fun rng q -> (DS.search g ~from:(1 + Prng.int rng (max 1 (DS.size g))) q).messages)
         ~insert:(DS.insert g) ~delete:(DS.delete g)
   | Bucket_skip_graph ->
       (* Queries and updates share the driver's one rng. *)
