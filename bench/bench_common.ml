@@ -40,9 +40,7 @@ let with_pool (cfg : config) f = Pool.with_pool ~jobs:cfg.jobs f
 let log2f n = Float.log (float_of_int n) /. Float.log 2.0
 
 (* ⌈log₂ n⌉, at least 1: the experiments' M = Θ(log n) memory targets. *)
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
+let log2i = Skipweb_roster.Roster.log2i
 
 (* One experiment table: rows are methods/workloads, columns are sizes,
    plus the fitted growth shape and the paper's claim. *)

@@ -36,17 +36,12 @@
    lost) from the JSON — and so does this experiment itself, below. *)
 
 module Network = Skipweb_net.Network
-module H = Skipweb_core.Hierarchy
-module B1 = Skipweb_core.Blocked1d
-module I = Skipweb_core.Instances
+module R = Skipweb_roster.Roster
 module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
 module Stats = Skipweb_util.Stats
 module Series = Skipweb_util.Series
-module DPool = Skipweb_util.Pool
 module C = Bench_common
-
-module HInt = H.Make (I.Ints)
 
 type row = {
   structure : string;
@@ -70,87 +65,37 @@ type row = {
   timeline : string;  (* per-epoch Series, as JSON *)
 }
 
-(* Kill [fails] distinct live hosts, drawn from [krng]; never the last
-   live host. Returns the victims (for the rejoin). *)
-let kill_some net krng fails =
-  let hosts = Network.host_count net in
-  let killed = ref [] in
-  while List.length !killed < fails do
-    let h = Prng.int krng hosts in
-    if Network.alive net h && Network.live_hosts net > 1 then begin
-      Network.kill net h;
-      killed := h :: !killed
-    end
-  done;
-  !killed
-
-(* The epoch loop, shared by both structures. [query_one rng q] runs one
-   query and returns its message count (raising Network.Host_dead when
-   every replica of a needed range is down); [repair_fn ()] runs one
-   repair pass and returns (scanned, repaired, messages, lost). *)
-let drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails ~kseed =
-  let krng = Prng.create kseed in
-  let msgs_of = Array.make (epochs * qper) 0 in
-  let sc = ref 0 and rp = ref 0 and ms = ref 0 and lo_ = ref 0 in
-  let stranded_peak = ref 0 in
-  let rates = ref [] in
+(* One row: [entry] over n keys on [hosts] hosts at replication [r],
+   driven through the roster's epoch loop, its query coins and its kills
+   drawn from streams seeded [seed + coins] and [seed + kills + r]. *)
+let row ~pool ~quick ~seed ~structure ~entry ?m ~n ~coins ~kills r =
+  let hosts = if quick then 48 else 96 in
+  let epochs = if quick then 6 else 12 in
+  let qper = if quick then 240 else 500 in
+  let fails = max 1 (r - 1) in
+  let bound = 100 * n in
+  let keys = W.distinct_ints ~seed ~n ~bound in
+  let d = R.build entry ~net:(Network.create ~hosts) ~seed ?m ~r ?pool keys in
+  let qs = W.mixed_queries ~seed ~keys ~total:(epochs * qper) ~bound () in
+  let eps =
+    R.churn ?pool d ~epochs ~fails
+      ~coins:(Prng.create (seed + coins))
+      ~krng:(Prng.create (seed + kills + r))
+      qs
+  in
   (* Per-epoch monitoring timeline: one Series per signal, window sized
      to the run so the full history is retained here (a long-lived
      deployment would pick a fixed window and let old epochs roll off —
      that is the point of the ring). *)
-  let avail_s = Series.create ~window:epochs in
-  let repair_s = Series.create ~window:epochs in
-  let stranded_s = Series.create ~window:epochs in
-  for e = 0 to epochs - 1 do
-    let killed = kill_some net krng fails in
-    let stranded_now = Network.stranded_memory net in
-    stranded_peak := max !stranded_peak stranded_now;
-    Series.push stranded_s (float_of_int stranded_now);
-    let lo = e * qper in
-    let one i =
-      msgs_of.(i) <- (try query_one (Prng.stream coins i) qs.(i) with Network.Host_dead _ -> -1)
-    in
-    (match pool with
-    | None -> for i = lo to lo + qper - 1 do one i done
-    | Some p -> DPool.parallel_for p ~lo ~hi:(lo + qper) one);
-    let ok = ref 0 in
-    for i = lo to lo + qper - 1 do
-      if msgs_of.(i) >= 0 then incr ok
-    done;
-    let rate = float_of_int !ok /. float_of_int qper in
-    rates := rate :: !rates;
-    Series.push avail_s rate;
-    let s, r, m, l = repair_fn () in
-    Series.push repair_s (float_of_int m);
-    sc := !sc + s;
-    rp := !rp + r;
-    ms := !ms + m;
-    lo_ := !lo_ + l;
-    List.iter (Network.revive net) killed
-  done;
-  let timeline =
-    Printf.sprintf "{\"availability\": %s, \"repair_messages\": %s, \"stranded\": %s}"
-      (Series.to_json avail_s) (Series.to_json repair_s) (Series.to_json stranded_s)
+  let series f =
+    let s = Series.create ~window:epochs in
+    List.iter (fun ep -> Series.push s (f ep)) eps;
+    s
   in
-  let failed = Array.fold_left (fun acc m -> if m < 0 then acc + 1 else acc) 0 msgs_of in
-  let succ_msgs =
-    Array.fold_left (fun acc m -> if m >= 0 then acc +. float_of_int m else acc) 0.0 msgs_of
-  in
+  let rates = List.map (fun (ep : R.epoch) -> float_of_int ep.ok /. float_of_int qper) eps in
+  let total f = List.fold_left (fun acc ep -> acc + f ep) 0 eps in
+  let failed = total (fun ep -> ep.failed) in
   let succ = (epochs * qper) - failed in
-  ( msgs_of,
-    List.rev !rates,
-    !sc,
-    !rp,
-    !ms,
-    !lo_,
-    !stranded_peak,
-    failed,
-    succ,
-    succ_msgs,
-    timeline )
-
-let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails
-    (_, rates, sc, rp, ms, lo_, stranded_peak, failed, succ, succ_msgs, timeline) =
   let rstats = Stats.summarize rates in
   {
     structure;
@@ -165,59 +110,19 @@ let finish_row ~structure ~n ~hosts ~r ~epochs ~qper ~fails
     avail_min = List.fold_left min 1.0 rates;
     avail_p50 = rstats.Stats.p50;
     avail_p90 = rstats.Stats.p90;
-    repair_scanned = sc;
-    repair_repaired = rp;
-    repair_messages = ms;
-    repair_lost = lo_;
-    mean_query_msgs = (if succ = 0 then 0.0 else succ_msgs /. float_of_int succ);
-    stranded_peak;
-    timeline;
+    repair_scanned = total (fun ep -> ep.repair.scanned);
+    repair_repaired = total (fun ep -> ep.repair.repaired);
+    repair_messages = total (fun ep -> ep.repair.messages);
+    repair_lost = total (fun ep -> ep.repair.lost);
+    mean_query_msgs =
+      (if succ = 0 then 0.0 else float_of_int (total (fun ep -> ep.ok_messages)) /. float_of_int succ);
+    stranded_peak = List.fold_left (fun acc (ep : R.epoch) -> max acc ep.stranded) 0 eps;
+    timeline =
+      Printf.sprintf "{\"availability\": %s, \"repair_messages\": %s, \"stranded\": %s}"
+        (Series.to_json (series (fun ep -> float_of_int ep.ok /. float_of_int qper)))
+        (Series.to_json (series (fun ep -> float_of_int ep.repair.messages)))
+        (Series.to_json (series (fun ep -> float_of_int ep.stranded)));
   }
-
-let hierarchy_row ~pool ~quick ~seed r =
-  let n = if quick then 1500 else 4000 in
-  let hosts = if quick then 48 else 96 in
-  let epochs = if quick then 6 else 12 in
-  let qper = if quick then 240 else 500 in
-  let fails = max 1 (r - 1) in
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let net = Network.create ~hosts in
-  let h = HInt.build ~net ~seed ~r ?pool keys in
-  let qs = W.mixed_queries ~seed ~keys ~total:(epochs * qper) ~bound () in
-  let coins = Prng.create (seed + 0xc01) in
-  let query_one rng q =
-    let _, stats = HInt.query h ~rng q in
-    stats.HInt.messages
-  in
-  let repair_fn () =
-    let s : HInt.repair_stats = HInt.repair h in
-    (s.HInt.scanned, s.HInt.repaired, s.HInt.messages, s.HInt.lost)
-  in
-  drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
-    ~kseed:(seed + 0x5e11 + r)
-  |> finish_row ~structure:"hierarchy" ~n ~hosts ~r ~epochs ~qper ~fails
-
-let blocked_row ~pool ~quick ~seed r =
-  let n = if quick then 1200 else 3000 in
-  let hosts = if quick then 48 else 96 in
-  let epochs = if quick then 6 else 12 in
-  let qper = if quick then 240 else 500 in
-  let fails = max 1 (r - 1) in
-  let bound = 100 * n in
-  let keys = W.distinct_ints ~seed ~n ~bound in
-  let net = Network.create ~hosts in
-  let b = B1.build ~net ~seed ~m:16 ~r ?pool keys in
-  let qs = W.mixed_queries ~seed ~keys ~total:(epochs * qper) ~bound () in
-  let coins = Prng.create (seed + 0xc02) in
-  let query_one rng q = (B1.query b ~rng q).B1.messages in
-  let repair_fn () =
-    let s : B1.repair_stats = B1.repair b in
-    (s.B1.scanned, s.B1.repaired, s.B1.messages, s.B1.lost)
-  in
-  drive ~pool ~net ~query_one ~repair_fn ~qs ~coins ~epochs ~qper ~fails
-    ~kseed:(seed + 0x5e22 + r)
-  |> finish_row ~structure:"blocked1d" ~n ~hosts ~r ~epochs ~qper ~fails
 
 let json_of_rows rows =
   let row_json r =
@@ -250,9 +155,12 @@ let run (cfg : C.config) =
     C.with_pool cfg (fun pool ->
         List.concat_map
           (fun r ->
+            let quick = cfg.C.quick in
             [
-              hierarchy_row ~pool ~quick:cfg.C.quick ~seed r;
-              blocked_row ~pool ~quick:cfg.C.quick ~seed r;
+              row ~pool ~quick ~seed ~structure:"hierarchy" ~entry:R.Skipweb_generic
+                ~n:(if quick then 1500 else 4000) ~coins:0xc01 ~kills:0x5e11 r;
+              row ~pool ~quick ~seed ~structure:"blocked1d" ~entry:R.Skipweb ~m:16
+                ~n:(if quick then 1200 else 3000) ~coins:0xc02 ~kills:0x5e22 r;
             ])
           rs)
   in

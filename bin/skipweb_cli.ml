@@ -1,12 +1,15 @@
-(* skipweb_cli: build any of the repository's distributed 1-d structures on
-   the simulated network, drive a workload over it, and print the measured
-   cost columns of Table 1 (M, C, Q, U).
+(* skipweb_cli: build any 1-d structure of the roster (Skipweb_roster: the
+   seven Table 1 rows and the generic hierarchy, the same builds the
+   Table 1, churn and congestion benches drive) on the simulated network,
+   drive a workload over it, and print the measured cost columns of
+   Table 1 (M, C, Q, U).
 
    Examples:
      dune exec bin/skipweb_cli.exe -- stats --structure skipweb -n 4096 -u 0
      dune exec bin/skipweb_cli.exe -- stats --structure skipgraph -n 2048 -q 0 -u 50
      dune exec bin/skipweb_cli.exe -- load -s skipweb-generic -n 100000 --jobs 4
      dune exec bin/skipweb_cli.exe -- trace -s skipweb -n 1024
+     dune exec bin/skipweb_cli.exe -- stats -s bucket-skipweb -n 4096
      dune exec bin/skipweb_cli.exe -- churn -s skipweb-generic -n 2048 --r 2 --epochs 8
      dune exec bin/skipweb_cli.exe -- hotspots -s skipweb-generic -n 4096 --queries 2000 --alpha 1.3
      dune exec bin/skipweb_cli.exe -- serve -s skipweb-generic -n 4096 --ops 4000 --cache-replicas 4
@@ -15,11 +18,12 @@
      dune exec bin/skipweb_cli.exe -- knn -n 100000 --at 0.5,0.5 -k 8 --jobs 4
      dune exec bin/skipweb_cli.exe -- prefix -n 100000 --prefix 978-0- --limit 10
 
-   --jobs threads a domain pool through the read phases and the write paths
-   (load's bulk build, the blocked skip-web's update rebuilds); the output
-   is bit-identical for any jobs count (only the opt-in --pool-stats
-   figures are wall clock; perf/ times these paths). An out-of-range
-   argument exits 2 with a one-line message before anything is built. *)
+   --jobs threads a domain pool through the read phases (churn's epochs
+   included) and the write paths (load's bulk build, the blocked
+   skip-webs' update rebuilds); the output is bit-identical for any jobs
+   count (only the opt-in --pool-stats figures are wall clock; perf/
+   times these paths). An out-of-range argument exits 2 with a one-line
+   message before anything is built. *)
 
 module Network = Skipweb_net.Network
 module Placement = Skipweb_net.Placement
@@ -28,12 +32,7 @@ module Obs = Skipweb_net.Observatory
 module Metrics = Skipweb_util.Metrics
 module Series = Skipweb_util.Series
 module Pool = Skipweb_util.Pool
-module SG = Skipweb_skipgraph.Skip_graph
-module NoN = Skipweb_skipgraph.Non_skip_graph
-module FT = Skipweb_skipgraph.Family_tree
-module DS = Skipweb_skipgraph.Det_skipnet
-module BSG = Skipweb_skipgraph.Bucket_skip_graph
-module B1 = Skipweb_core.Blocked1d
+module R = Skipweb_roster.Roster
 module H = Skipweb_core.Hierarchy
 module I = Skipweb_core.Instances
 module W = Skipweb_workload.Workload
@@ -41,34 +40,16 @@ module Prng = Skipweb_util.Prng
 module Stats = Skipweb_util.Stats
 module Tables = Skipweb_util.Tables
 
-module HInt = H.Make (I.Ints)
-
-type structure =
-  | Skip_graph
-  | Non_skip_graph
-  | Family_tree
-  | Det_skipnet
-  | Bucket_skip_graph
-  | Skipweb
-  | Skipweb_generic
-
-let structures =
-  [
-    ("skipgraph", Skip_graph);
-    ("non", Non_skip_graph);
-    ("family", Family_tree);
-    ("detskipnet", Det_skipnet);
-    ("bucket", Bucket_skip_graph);
-    ("skipweb", Skipweb);
-    ("skipweb-generic", Skipweb_generic);
-  ]
-
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
-
-(* The blocked skip-web's per-host memory target M: --m, else 4 log n. *)
-let block_size n m = match m with Some m -> m | None -> 4 * log2i n
+(* Hosts of a structure's network: one per key plus [pad] spares for
+   inserts. Deterministic SkipNet takes a second host per key, the bucket
+   skip graph two per bucket, the bucket skip-web one per bucket. *)
+let host_count structure ~n ~pad ~buckets =
+  let buckets = match buckets with Some b -> b | None -> R.default_buckets n in
+  match structure with
+  | R.Det_skipnet -> (2 * n) + pad + 4
+  | R.Bucket_skip_graph -> 2 * buckets
+  | R.Bucket_skipweb -> buckets
+  | _ -> n + pad
 
 (* ---------------- argument validation ---------------- *)
 
@@ -86,151 +67,60 @@ let at_least flag lo v = (v >= lo, Printf.sprintf "%s must be >= %d" flag lo)
 let positive flag v = (v > 0.0, flag ^ " must be > 0")
 
 (* The checks every 1-d driver run shares (-m and --buckets when given). *)
-let driver_checks ~n ~m ~buckets ?(cache = (0, 1)) () =
-  let levels, k = cache in
+let driver_checks structure ~n ~m ~buckets ?(cache = (0, 1)) () =
+  let levels, k = cache and hosts = host_count structure ~n ~pad:0 ~buckets in
   [
     at_least "-n" 1 n;
     at_least "-m" 4 (Option.value m ~default:4);
     at_least "--buckets" 1 (Option.value buckets ~default:1);
     at_least "--cache-levels" 0 levels;
-    (k >= 1 && k <= n, Printf.sprintf "--cache-replicas must be in [1, N] (N = %d)" n);
+    (k >= 1 && k <= hosts, Printf.sprintf "--cache-replicas must be in [1, H] (H = %d hosts)" hosts);
   ]
 
 (* ---------------- the structure driver ---------------- *)
 
-(* A uniform driver interface over all seven structures. *)
-type driver = {
-  describe : string;
-  query : ?rng:Prng.t -> int -> int;
-      (* returns messages; [rng] replaces the driver's own coin stream for
-         this one query *)
-  query_all : Pool.t option -> int array -> int array;
-      (* batch query phase; fans out over the pool where the structure
-         supports it, falls back to a sequential map otherwise. The
-         message counts are identical to mapping [query] for any jobs
-         count. *)
-  insert : int -> int;
-  delete : int -> int;
-  query_traced : (Trace.t -> int -> int option * int) option;
-      (* traced single query returning (nearest, messages), for per-level
-         load attribution; only the skip-web structures carry
-         level-attributable traces *)
-  repair : (unit -> Placement.repair_stats) option;
-      (* one self-repair pass; only the skip-web structures replicate *)
-  net : Network.t;  (* for traffic / memory distributions *)
-}
-
-(* The only place the CLI builds a 1-d structure. [pool] accelerates the
-   skip-web structures only: it is passed to [B1.build]/[HInt.build]
-   (per-level bulk construction) and kept by the blocked structure for its
-   update-triggered rebuilds, so it must outlive the driver — every caller
-   scopes driver creation and use inside one [Pool.with_pool]. The overlay
-   baselines build node-by-node and ignore it, as they ignore [r]: only the
-   skip-webs replicate, and a replicated driver describes its [r]. *)
-let make_driver structure ~net_pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool keys =
+(* The only place the CLI builds a 1-d structure: the roster's entry on
+   its own network, with [pad] spare hosts, and the CLI's one-line
+   description of it. [pool] accelerates the skip-web builds, and the
+   blocked ones keep it for their update rebuilds, so every caller scopes
+   driver creation and use inside one [Pool.with_pool]. Only the
+   skip-webs replicate; a replicated driver describes its [r]. *)
+let driver structure ~pad ~seed ~m ~buckets ?(cache = (0, 1)) ?r ?pool keys =
   let n = Array.length keys in
+  let net = Network.create ~hosts:(host_count structure ~n ~pad ~buckets) in
+  let buckets = match buckets with Some b -> b | None -> R.default_buckets n in
+  let d = R.build structure ~net ~seed ?m ~buckets ~cache ?r ?pool keys in
+  let m = Option.value d.R.m ~default:0 in
   let cache_levels, cache_replicas = cache in
   let cache_tag =
     if cache_replicas > 1 then Printf.sprintf ", cache c=%d k=%d" cache_levels cache_replicas
     else ""
   in
-  let buckets = match buckets with Some b -> b | None -> max 2 (n / log2i n) in
-  let net =
-    Network.create
-      ~hosts:
-        (match structure with
-        | Det_skipnet -> (2 * n) + net_pad + 4
-        | Bucket_skip_graph -> 2 * buckets
-        | _ -> n + net_pad)
-  in
-  let rng = Prng.create (seed + 1) in
-  let overlay describe search ~insert ~delete =
-    let query ?(rng = rng) q = search rng q in
-    let query_all _pool qs = Array.map (fun q -> query q) qs in
-    { describe; query; query_all; insert; delete; query_traced = None; repair = None; net }
-  in
-  match structure with
-  | Skip_graph ->
-      let g = SG.create ~net ~seed ~keys in
-      overlay "skip graph (Aspnes-Shah) / SkipNet, H = n"
-        (fun rng q -> (SG.search_from_random g ~rng q).SG.messages)
-        ~insert:(SG.insert g) ~delete:(SG.delete g)
-  | Non_skip_graph ->
-      let g = NoN.create ~net ~seed ~keys in
-      overlay "NoN skip graph (Manku-Naor-Wieder lookahead), H = n"
-        (fun rng q -> (NoN.search_from_random g ~rng q).messages)
-        ~insert:(NoN.insert g) ~delete:(NoN.delete g)
-  | Family_tree ->
-      let g = FT.create ~net ~seed ~keys in
-      overlay "family tree comparator (constant-degree overlay), H = n"
-        (fun rng q -> (FT.search g ~from:(Prng.int rng (max 1 (FT.size g))) q).messages)
-        ~insert:(FT.insert g) ~delete:(FT.delete g)
-  | Det_skipnet ->
-      let g = DS.create ~net ~keys in
-      overlay "deterministic SkipNet (1-2-3 skip list), H = n"
-        (fun rng q -> (DS.search g ~from:(1 + Prng.int rng (max 1 (DS.size g))) q).messages)
-        ~insert:(DS.insert g) ~delete:(DS.delete g)
-  | Bucket_skip_graph ->
-      (* Queries and updates share the driver's one rng. *)
-      let g = BSG.create ~net ~seed ~keys ~buckets in
-      overlay
-        (Printf.sprintf "bucket skip graph, H = %d < n" buckets)
-        (fun rng q -> (BSG.search g ~rng q).messages)
-        ~insert:(fun k -> BSG.insert g ~rng k)
-        ~delete:(fun k -> BSG.delete g ~rng k)
-  | Skipweb ->
-      let m = block_size n m in
-      let g = B1.build ~net ~seed ~m ?r ~cache_levels ~cache_replicas ?pool keys in
-      {
-        describe =
-          (match r with
-          | Some r -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d, r = %d" m r
-          | None -> Printf.sprintf "skip-web, blocked (§2.4.1), H = n, M = %d%s" m cache_tag);
-        query = (fun ?(rng = rng) q -> (B1.query g ~rng q).B1.messages);
-        query_all =
-          (fun pool qs ->
-            Array.map (fun (r : B1.search_result) -> r.messages) (B1.query_batch ?pool g ~rng qs));
-        insert = B1.insert g;
-        delete = B1.delete g;
-        query_traced =
-          Some
-            (fun tr q ->
-              let r = B1.query ~trace:tr g ~rng q in
-              (r.B1.nearest, r.B1.messages));
-        repair = Some (fun () -> B1.repair g);
-        net;
-      }
-  | Skipweb_generic ->
-      let g = HInt.build ~net ~seed ?r ~cache_levels ~cache_replicas ?pool keys in
-      {
-        describe =
-          (match r with
-          | Some r -> Printf.sprintf "skip-web, arbitrary placement (§2.4), r = %d" r
-          | None -> "skip-web, arbitrary placement (§2.4 general)" ^ cache_tag);
-        query = (fun ?(rng = rng) q -> (snd (HInt.query g ~rng q)).HInt.messages);
-        query_all =
-          (fun pool qs ->
-            Array.map (fun (_, stats) -> stats.HInt.messages) (HInt.query_batch ?pool g ~rng qs));
-        insert = HInt.insert g;
-        delete = HInt.remove g;
-        query_traced =
-          Some
-            (fun tr q ->
-              let answer, stats = HInt.query ~trace:tr g ~rng q in
-              (answer, stats.HInt.messages));
-        repair = Some (fun () -> HInt.repair g);
-        net;
-      }
+  ( d,
+    match (structure, r) with
+    | R.Skip_graph, _ -> "skip graph (Aspnes-Shah) / SkipNet, H = n"
+    | R.Non_skip_graph, _ -> "NoN skip graph (Manku-Naor-Wieder lookahead), H = n"
+    | R.Family_tree, _ -> "family tree comparator (constant-degree overlay), H = n"
+    | R.Det_skipnet, _ -> "deterministic SkipNet (1-2-3 skip list), H = n"
+    | R.Bucket_skip_graph, _ -> Printf.sprintf "bucket skip graph, H = %d < n" buckets
+    | R.Skipweb, Some r -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d, r = %d" m r
+    | R.Skipweb, None -> Printf.sprintf "skip-web, blocked (§2.4.1), H = n, M = %d%s" m cache_tag
+    | R.Bucket_skipweb, Some r ->
+        Printf.sprintf "bucket skip-web, blocked (§2.4.1), H = %d, M = %d, r = %d" buckets m r
+    | R.Bucket_skipweb, None ->
+        Printf.sprintf "bucket skip-web, blocked (§2.4.1), H = %d < n, M = %d%s" buckets m cache_tag
+    | R.Skipweb_generic, Some r -> Printf.sprintf "skip-web, arbitrary placement (§2.4), r = %d" r
+    | R.Skipweb_generic, None -> "skip-web, arbitrary placement (§2.4 general)" ^ cache_tag )
 
 (* Bulk-load a structure and report its storage footprint and build
    messages. The output is bit-identical for any --jobs value. *)
 let run_load structure n seed m buckets jobs =
-  validate "load" (driver_checks ~n ~m ~buckets ());
+  validate "load" (driver_checks structure ~n ~m ~buckets ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
+  let d, describe = driver structure ~pad:16 ~seed ~m ~buckets ?pool keys in
   let hosts = Network.host_count d.net in
-  Printf.printf "structure: %s\n" d.describe;
+  Printf.printf "structure: %s\n" describe;
   Printf.printf "items: %d   hosts: %d\n\n" n hosts;
   let mem = Array.init hosts (fun h -> Network.memory d.net h) in
   let total = Array.fold_left ( + ) 0 mem in
@@ -270,21 +160,21 @@ let print_sum_check tr session_messages =
   if sum = session_messages then 0 else 1
 
 let run_trace structure n seed m at =
-  validate "trace" (driver_checks ~n ~m ~buckets:None ());
+  validate "trace" (driver_checks structure ~n ~m ~buckets:None ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let q = match at with Some q -> q | None -> 50 * n in
-  let d = make_driver structure ~net_pad:0 ~seed ~m ~buckets:None keys in
-  match d.query_traced with
+  let d, describe = driver structure ~pad:0 ~seed ~m ~buckets:None keys in
+  match d.R.query_traced with
   | None ->
-      prerr_endline "trace: only skipweb and skipweb-generic queries are traceable";
+      prerr_endline "trace: only the skip-webs' queries are traceable";
       1
   | Some traced ->
       let tr = Trace.create () in
       let answer, messages = traced tr q in
       Printf.printf "structure: %s\n"
         (match structure with
-        | Skipweb -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d" (block_size n m)
-        | _ -> d.describe);
+        | R.Skipweb -> Printf.sprintf "skip-web, blocked (§2.4.1), M = %d" (Option.get d.m)
+        | _ -> describe);
       Printf.printf "n = %d   query %d -> nearest %s\n\n" n q
         (match answer with Some a -> string_of_int a | None -> "none");
       print_string (Trace.render tr);
@@ -303,7 +193,7 @@ type stats_format = Table | Json | Csv
 
 let run_stats structure n queries updates seed m buckets format jobs pool_stats =
   validate "stats"
-    (driver_checks ~n ~m ~buckets ()
+    (driver_checks structure ~n ~m ~buckets ()
     @ [ at_least "--queries" 0 queries; at_least "--updates" 0 updates ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   (* The build, query and update phases all run inside one pool scope: the
@@ -313,14 +203,14 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
      recorded sequentially, so the registry (and the json/csv dumps) are
      byte-identical for any jobs count. *)
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:(updates + 16) ~seed ~m ~buckets ?pool keys in
+  let d, describe = driver structure ~pad:(updates + 16) ~seed ~m ~buckets ?pool keys in
   let reg = Metrics.create () in
   let observe op msgs =
     Metrics.incr reg ("ops." ^ op);
     Metrics.observe_int reg (op ^ ".messages") msgs
   in
   let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
-  Array.iter (observe "query") (d.query_all pool qs);
+  Array.iter (observe "query") (d.query_all ?pool qs);
   (* Fresh keys above the stored domain, so inserts always succeed. *)
   let fresh =
     let rng = Prng.create (seed + 3) and taken = Hashtbl.create updates in
@@ -358,7 +248,7 @@ let run_stats structure n queries updates seed m buckets format jobs pool_stats 
   | Json -> print_string (Metrics.to_json reg)
   | Csv -> print_string (Metrics.to_csv reg)
   | Table ->
-      Printf.printf "structure: %s\n" d.describe;
+      Printf.printf "structure: %s\n" describe;
       Printf.printf "items: %d   hosts: %d   queries: %d   updates: %d\n\n" n
         (Network.host_count d.net) queries updates;
       let t =
@@ -421,13 +311,13 @@ let print_congestion ?top16 c =
    recorded into one shared trace. *)
 let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stats =
   validate "hotspots"
-    (driver_checks ~n ~m ~buckets ~cache ()
+    (driver_checks structure ~n ~m ~buckets ~cache ()
     @ [ at_least "--queries" 0 queries; at_least "--topk" 1 k; positive "--alpha" alpha ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ~cache ?pool keys in
+  let d, describe = driver structure ~pad:16 ~seed ~m ~buckets ~cache ?pool keys in
   let qs = W.mixed_queries ~s:alpha ~seed:(seed + 2) ~keys ~total:queries ~bound:(100 * n) () in
-  Printf.printf "structure: %s\n" d.describe;
+  Printf.printf "structure: %s\n" describe;
   Printf.printf "items: %d   hosts: %d   queries: %d (half uniform, half Zipf %.2f)\n" n
     (Network.host_count d.net) (Array.length qs) alpha;
   print_cache_banner cache;
@@ -446,7 +336,7 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
         sample
   in
   Network.reset_traffic d.net;
-  let msgs = Array.map (fun q -> d.query q) qs in
+  let msgs = Array.map (fun q -> snd (d.query q)) qs in
   let c = Obs.congestion_of d.net in
   let t =
     Tables.create
@@ -495,16 +385,16 @@ let run_hotspots structure n queries seed m buckets k alpha cache jobs pool_stat
    monitoring loop — and the table prints exactly that window. *)
 let run_monitor structure n queries epochs window seed m buckets jobs =
   validate "monitor"
-    (driver_checks ~n ~m ~buckets ()
+    (driver_checks structure ~n ~m ~buckets ()
     @ [ at_least "--queries" 1 queries; at_least "--epochs" 1 epochs; at_least "--window" 1 window ]);
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:16 ~seed ~m ~buckets ?pool keys in
+  let d, describe = driver structure ~pad:16 ~seed ~m ~buckets ?pool keys in
   let qs = W.mixed_queries ~seed:(seed + 2) ~keys ~total:(epochs * queries) ~bound:(100 * n) () in
   let qper = Array.length qs / epochs in
-  Printf.printf "structure: %s\n" d.describe;
-  Printf.printf "items: %d   hosts: %d   epochs: %d x %d queries   window: %d   jobs: %d\n\n" n
-    (Network.host_count d.net) epochs qper window (max 1 jobs);
+  Printf.printf "structure: %s\n" describe;
+  Printf.printf "items: %d   hosts: %d   epochs: %d x %d queries   window: %d\n\n" n
+    (Network.host_count d.net) epochs qper window;
   Network.reset_traffic d.net;
   let mean_s = Series.create ~window in
   let p99_s = Series.create ~window in
@@ -512,7 +402,7 @@ let run_monitor structure n queries epochs window seed m buckets jobs =
   for e = 0 to epochs - 1 do
     let before = Network.total_messages d.net in
     let batch = Array.sub qs (e * qper) qper in
-    let msgs = d.query_all pool batch in
+    let msgs = d.query_all ?pool batch in
     let s = Stats.summarize_ints (Array.to_list msgs) in
     Series.push mean_s s.Stats.mean;
     Series.push p99_s s.Stats.p99;
@@ -555,7 +445,7 @@ module OL = Skipweb_workload.Open_loop
    flatten the congestion table without moving the msgs/op distribution. *)
 let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs =
   validate "serve"
-    (driver_checks ~n ~m ~buckets ~cache ()
+    (driver_checks structure ~n ~m ~buckets ~cache ()
     @ [
         at_least "--ops" 0 ops;
         positive "--rate" rate;
@@ -570,8 +460,8 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
   let events = OL.plan spec ~keys in
   let counts = OL.counts events in
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:(counts.OL.inserts + 16) ~seed ~m ~buckets ~cache ?pool keys in
-  Printf.printf "structure: %s\n" d.describe;
+  let d, describe = driver structure ~pad:(counts.OL.inserts + 16) ~seed ~m ~buckets ~cache ?pool keys in
+  Printf.printf "structure: %s\n" describe;
   Printf.printf
     "items: %d   hosts: %d   ops: %d (%d queries / %d inserts / %d removes)\n\
      open loop: rate %.0f ops/s, %.0f simulated seconds; queries half uniform, half Zipf %.2f\n"
@@ -583,7 +473,7 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
   Array.iter
     (fun e ->
       match e.OL.op with
-      | OL.Query q -> msgs := d.query q :: !msgs
+      | OL.Query q -> msgs := snd (d.query q) :: !msgs
       | OL.Insert k -> ignore (d.insert k : int)
       | OL.Remove k -> ignore (try d.delete k with Invalid_argument _ -> 0))
     events;
@@ -594,89 +484,72 @@ let run_serve structure n ops rate read_fraction seed m buckets alpha cache jobs
 
 (* ---------------- churn: kill/rejoin epochs + self-repair ---------------- *)
 
-(* Drive failure epochs against a replicated skip-web: each epoch kills
-   [fails] live hosts, runs a query batch (a walk whose every replica is
-   dead records a failed query instead of aborting the run), runs one
-   repair pass, then revives the victims. Only the two skip-web
-   structures support replication and repair; the overlay baselines have
-   no failure story. *)
+(* Drive failure epochs against a replicated skip-web through the
+   roster's epoch loop: each epoch kills [fails] live hosts, fans a query
+   batch out over the pool (a walk whose every replica is dead records a
+   failed query instead of aborting the run), runs one repair pass, then
+   revives the victims. Only the skip-webs support replication and
+   repair; the overlay baselines have no failure story. *)
 let run_churn structure n queries seed m r epochs fails jobs =
   let fails = match fails with Some f -> f | None -> max 1 (r - 1) in
-  (* One host per key, and every epoch's kills must leave r live hosts for
-     the replicas: anything else cannot run to completion. *)
+  (* Every epoch's kills must leave r live hosts for the replicas:
+     anything else cannot run to completion. *)
+  let hosts = host_count structure ~n ~pad:0 ~buckets:None in
   validate "churn"
     ([
-       (r >= 1 && r <= n, Printf.sprintf "--r must be in [1, N] (N = %d)" n);
-       (fails >= 0 && fails <= n - r, Printf.sprintf "--fails must be in [0, N - R] (N - R = %d)" (n - r));
+       (r >= 1 && r <= hosts, Printf.sprintf "--r must be in [1, H] (H = %d hosts)" hosts);
+       ( fails >= 0 && fails <= hosts - r,
+         Printf.sprintf "--fails must be in [0, H - R] (H - R = %d)" (hosts - r) );
        at_least "--epochs" 1 epochs;
        at_least "--queries" 1 queries;
      ]
-    @ driver_checks ~n ~m ~buckets:None ());
+    @ driver_checks structure ~n ~m ~buckets:None ());
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   Pool.with_pool ~jobs @@ fun pool ->
-  let d = make_driver structure ~net_pad:0 ~seed ~m ~buckets:None ~r ?pool keys in
-  match d.repair with
-  | None ->
-      prerr_endline "churn: only skipweb and skipweb-generic support replication and repair";
-      1
-  | Some repair ->
-      let net = d.net in
-      Printf.printf "structure: %s\n" d.describe;
-      Printf.printf "items: %d   hosts: %d   epochs: %d   failures/epoch: %d   queries/epoch: %d\n\n"
-        n (Network.host_count net) epochs fails queries;
-      let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:(epochs * queries) ~bound:(100 * n) in
-      (* Query i draws its coins from the i-th substream, so a failed walk
-         never shifts the coins of the queries after it. *)
-      let coins = Prng.create (seed + 0xc41) in
-      let krng = Prng.create (seed + 0x4b1) in
-      let t = Tables.create ~title:"churn epochs"
-          ~columns:[ "epoch"; "killed"; "ok"; "failed"; "repair msgs"; "lost"; "stranded" ]
-      in
-      let total_ok = ref 0 and total_failed = ref 0 and total_lost = ref 0 in
-      for e = 0 to epochs - 1 do
-        let killed = ref [] in
-        while List.length !killed < fails do
-          let h = Prng.int krng (Network.host_count net) in
-          if Network.alive net h && Network.live_hosts net > 1 then begin
-            Network.kill net h;
-            killed := h :: !killed
-          end
-        done;
-        let stranded = Network.stranded_memory net in
-        let ok = ref 0 and failed = ref 0 in
-        for i = e * queries to ((e + 1) * queries) - 1 do
-          match d.query ~rng:(Prng.stream coins i) qs.(i) with
-          | (_ : int) -> incr ok
-          | exception Network.Host_dead _ -> incr failed
-        done;
-        let { Placement.messages = rmsgs; lost; _ } = repair () in
-        List.iter (Network.revive net) !killed;
-        total_ok := !total_ok + !ok;
-        total_failed := !total_failed + !failed;
-        total_lost := !total_lost + lost;
+  let d, describe = driver structure ~pad:0 ~seed ~m ~buckets:None ~r ?pool keys in
+  if Option.is_none d.R.repair then begin
+    prerr_endline "churn: only the skip-webs support replication and repair";
+    1
+  end
+  else begin
+    let net = d.net in
+    Printf.printf "structure: %s\n" describe;
+    Printf.printf "items: %d   hosts: %d   epochs: %d   failures/epoch: %d   queries/epoch: %d\n\n"
+      n (Network.host_count net) epochs fails queries;
+    let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:(epochs * queries) ~bound:(100 * n) in
+    let rows =
+      R.churn ?pool d ~epochs ~fails ~coins:(Prng.create (seed + 0xc41))
+        ~krng:(Prng.create (seed + 0x4b1)) qs
+    in
+    let t =
+      Tables.create ~title:"churn epochs"
+        ~columns:[ "epoch"; "killed"; "ok"; "failed"; "repair msgs"; "lost"; "stranded" ]
+    in
+    List.iteri
+      (fun e (ep : R.epoch) ->
         Tables.add_row t
-          [
-            string_of_int e;
-            String.concat "," (List.map string_of_int (List.rev !killed));
-            string_of_int !ok;
-            string_of_int !failed;
-            string_of_int rmsgs;
-            string_of_int lost;
-            string_of_int stranded;
-          ]
-      done;
-      Tables.print t;
-      let rate = float_of_int !total_ok /. float_of_int (epochs * queries) in
-      Printf.printf "query success rate: %.4f (%d/%d)\n" rate !total_ok (epochs * queries);
-      Printf.printf "live hosts: %d/%d   stranded memory: %d units\n" (Network.live_hosts net)
-        (Network.host_count net) (Network.stranded_memory net);
-      if r >= 2 && fails <= r - 1 && (!total_failed > 0 || !total_lost > 0) then begin
-        Printf.printf
-          "FAIL: r = %d with %d failures/epoch must lose nothing (failed %d, lost %d)\n" r fails
-          !total_failed !total_lost;
-        1
-      end
-      else 0
+          (string_of_int e
+          :: String.concat "," (List.map string_of_int ep.killed)
+          :: List.map string_of_int
+               [ ep.ok; ep.failed; ep.repair.Placement.messages; ep.repair.lost; ep.stranded ]))
+      rows;
+    Tables.print t;
+    let total f = List.fold_left (fun acc ep -> acc + f ep) 0 rows in
+    let ok = total (fun ep -> ep.ok)
+    and failed = total (fun ep -> ep.failed)
+    and lost = total (fun ep -> ep.repair.lost) in
+    Printf.printf "query success rate: %.4f (%d/%d)\n"
+      (float_of_int ok /. float_of_int (epochs * queries))
+      ok (epochs * queries);
+    Printf.printf "live hosts: %d/%d   stranded memory: %d units\n" (Network.live_hosts net)
+      (Network.host_count net) (Network.stranded_memory net);
+    if r >= 2 && fails <= r - 1 && (failed > 0 || lost > 0) then begin
+      Printf.printf "FAIL: r = %d with %d failures/epoch must lose nothing (failed %d, lost %d)\n"
+        r fails failed lost;
+      1
+    end
+    else 0
+  end
 
 (* ---------------- range / knn / prefix: the multi-d scan surfaces ---------------- *)
 
@@ -813,8 +686,8 @@ let run_prefix n queries seed prefix limit jobs =
 open Cmdliner
 
 let structure_arg =
-  let sconv = Arg.enum structures in
-  Arg.(value & opt sconv Skipweb & info [ "structure"; "s" ] ~docv:"NAME" ~doc:"Structure to drive: $(docv) is one of skipgraph, non, family, detskipnet, bucket, skipweb, skipweb-generic.")
+  let names = String.concat ", " (List.map fst R.entries) in
+  Arg.(value & opt (enum R.entries) R.Skipweb & info [ "structure"; "s" ] ~docv:"NAME" ~doc:("Structure to drive: $(docv) is one of " ^ names ^ "."))
 
 let n_arg = Arg.(value & opt int 1024 & info [ "n"; "size" ] ~docv:"N" ~doc:"Number of stored keys.")
 let queries_arg = Arg.(value & opt int 200 & info [ "queries"; "q" ] ~docv:"Q" ~doc:"Number of queries.")

@@ -20,6 +20,7 @@ let () =
       ("hierarchy", Test_hierarchy.suite);
       ("blocked", Test_blocked.suite);
       ("churn", Test_churn.suite);
+      ("roster", Test_roster.suite);
       ("serving", Test_serving.suite);
       ("soak", Test_core.soak_suite);
     ]
