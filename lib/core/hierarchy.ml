@@ -735,30 +735,23 @@ module Make (S : Range_structure.S) = struct
         Trace.span_close tr ~note:(Printf.sprintf "conflicts=%d" (List.length visited0)) ());
     let per_level = ref [ List.length visited0 ] in
     let total = ref (List.length visited0) in
-    let rec descend level loc s_above =
-      if level < 0 then (loc, s_above)
-      else begin
-        let b = path lsr (t.top - level) in
-        let s = sets.(level) in
-        let desc = S.describe s_above loc in
-        (match trace with
-        | None -> ()
-        | Some tr -> Trace.span_open tr ~level ("refine " ^ S.name));
-        let loc', visited = S.refine s ~from:desc q in
-        List.iter
-          (fun rid -> Network.goto ?label:goto_label session (read_host t origin_id level b rid))
-          visited;
-        (match trace with
-        | None -> ()
-        | Some tr ->
-            Trace.span_close tr ~note:(Printf.sprintf "conflicts=%d" (List.length visited)) ());
-        per_level := List.length visited :: !per_level;
-        total := !total + List.length visited;
-        descend (level - 1) loc' s
-      end
+    let step level visited =
+      let b = path lsr (t.top - level) in
+      (match trace with
+      | None -> ()
+      | Some tr -> Trace.span_open tr ~level ("refine " ^ S.name));
+      List.iter
+        (fun rid -> Network.goto ?label:goto_label session (read_host t origin_id level b rid))
+        visited;
+      (match trace with
+      | None -> ()
+      | Some tr ->
+          Trace.span_close tr ~note:(Printf.sprintf "conflicts=%d" (List.length visited)) ());
+      per_level := List.length visited :: !per_level;
+      total := !total + List.length visited
     in
-    let loc_final, s_final = descend (t.top - 1) loc0 s_top in
-    (session, loc_final, s_final, !per_level, !total)
+    let loc_final = S.refine_path sets loc0 q ~f:step in
+    (session, loc_final, sets.(0), !per_level, !total)
 
   let query_from ?trace t origin_id q =
     let session, loc_final, s_final, per_level, total = routed_descent ?trace t origin_id q in

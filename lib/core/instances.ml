@@ -103,19 +103,20 @@ module Ints :
       f id
     done
 
+  (* The hit of q at its lower bound [r] in a flat set. *)
+  let flat_hit a r q =
+    let n = Array.length a in
+    {
+      O.rank = r;
+      stored = r < n && a.(r) = q;
+      pred = (if r > 0 then a.(r - 1) else min_int);
+      succ = (if r < n then a.(r) else max_int);
+    }
+
   let search t q =
     match t.seq with
     | Some s -> O.search s q
-    | None ->
-        let a = t.flat in
-        let n = Array.length a in
-        let r = O.array_lower_bound a q in
-        {
-          O.rank = r;
-          stored = r < n && a.(r) = q;
-          pred = (if r > 0 then a.(r - 1) else min_int);
-          succ = (if r < n then a.(r) else max_int);
-        }
+    | None -> flat_hit t.flat (O.array_lower_bound t.flat q) q
 
   (* The code of the maximal range containing q: Node at q's rank when
      stored ([L.encode (Node i)] = 2i + 1), else the link below its
@@ -187,6 +188,50 @@ module Ints :
     ignore from;
     let h = search t q in
     (h, [ code h ])
+
+  (* Every level's search needs only q, so all of them run in lock-step
+     through [O.lower_bounds]: first the flat sets and the chunk maxima
+     of the chunked ones, then the chunks the maxima named. A descent
+     reads every level set on its path, at about a miss per load; searched
+     one level after another, each level's misses would wait for the
+     level before. *)
+  let refine_path sets top_loc q ~f =
+    let m = Array.length sets - 1 in
+    if m <= 0 then top_loc
+    else begin
+      let arrays = Array.make m [||] and lens = Array.make m 0 in
+      let first = Array.make m 0 and second = Array.make m 0 in
+      for l = 0 to m - 1 do
+        let t = sets.(l) in
+        match t.seq with
+        | None ->
+            arrays.(l) <- t.flat;
+            lens.(l) <- Array.length t.flat
+        | Some s ->
+            arrays.(l) <- O.maxima s;
+            lens.(l) <- O.chunk_count s
+      done;
+      O.lower_bounds arrays lens q first;
+      for l = 0 to m - 1 do
+        match sets.(l).seq with
+        | Some s when first.(l) < O.chunk_count s ->
+            arrays.(l) <- O.chunk s first.(l);
+            lens.(l) <- O.chunk_length s first.(l)
+        | _ -> lens.(l) <- 0
+      done;
+      O.lower_bounds arrays lens q second;
+      let hits =
+        Array.init m (fun l ->
+            let t = sets.(l) in
+            match t.seq with
+            | None -> flat_hit t.flat first.(l) q
+            | Some s -> O.hit_at s ~chunk:first.(l) ~offset:second.(l) q)
+      in
+      for l = m - 1 downto 0 do
+        f l [ code hits.(l) ]
+      done;
+      hits.(0)
+    end
 
   let describe t (h : loc) =
     if h.O.stored then (L.Key h.O.succ, L.Key h.O.succ)
@@ -306,6 +351,7 @@ end) :
     | None -> failwith "Instances.Points.refine: descriptor names no cube of this tree"
 
   let describe _t loc = Cqtree.node_cube loc.Cqtree.node
+  let refine_path sets loc q ~f = Range_structure.sequential_refine_path ~describe ~refine sets loc q ~f
 
   let answer _t loc q =
     ignore q;
@@ -405,6 +451,7 @@ module Strings :
     | None -> failwith "Instances.Strings.refine: descriptor names no node of this trie"
 
   let describe _t loc = Ctrie.node_string loc.Ctrie.node
+  let refine_path sets loc q ~f = Range_structure.sequential_refine_path ~describe ~refine sets loc q ~f
 
   let answer t _loc q = { lcp = Ctrie.longest_common_prefix t q; matches = Ctrie.count_with_prefix t q }
 
@@ -490,6 +537,7 @@ module Segments :
     | None -> failwith "Instances.Segments.refine: no conflicting trapezoid contains the query"
 
   let describe _t loc = loc
+  let refine_path sets loc q ~f = Range_structure.sequential_refine_path ~describe ~refine sets loc q ~f
 
   let answer _t loc _q =
     {

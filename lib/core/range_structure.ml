@@ -20,7 +20,8 @@
       lemma experiments (E8–E11) validate it per structure.
 
     Visited-range accounting: [locate] and [refine] return the integer ids
-    of every node/link the search inspects, in order. The hierarchy maps
+    of every node/link the search inspects, in order, and [refine_path]
+    hands over the same lists, level by level. The hierarchy maps
     each id to a host and charges one message per host boundary crossed, so
     a structure implementation must report honest visit sequences even when
     it takes CPU shortcuts.
@@ -145,6 +146,19 @@ module type S = sig
 
   val describe : t -> loc -> descriptor
 
+  val refine_path : t array -> loc -> query -> f:(int -> int list -> unit) -> loc
+  (** [refine_path sets loc q ~f] runs the refinements of one descent:
+      [sets.(l)] is the level-[l] set on one membership path (level 0
+      first, each a superset of the one above), and [loc] is where [q]
+      lies in the top set, [sets.(Array.length sets - 1)]. It calls
+      [f l visited] once for every level [l] below the top, from the top
+      down, with the ids the refinement at [l] visits, and returns the
+      level-0 location. The result and every [visited] list must be those
+      of the chain [refine sets.(l) ~from:(describe sets.(l + 1) loc) q];
+      only the work behind them may differ. {!sequential_refine_path} is
+      that chain; an instance whose refinement needs only the query may
+      search all levels at once instead. *)
+
   val answer : t -> loc -> query -> answer
   (** Extract the final answer at level 0. *)
 
@@ -171,3 +185,16 @@ module type S = sig
       walk takes CPU shortcuts. Deterministic: a pure function of the
       structure, the location and the scan. *)
 end
+
+(** The chain {!S.refine_path} stands for, one level after another:
+    [describe] the location above, [refine] from it, then [f]. *)
+let sequential_refine_path ~describe ~refine sets loc q ~f =
+  let rec go level loc =
+    if level < 0 then loc
+    else begin
+      let loc', visited = refine sets.(level) ~from:(describe sets.(level + 1) loc) q in
+      f level visited;
+      go (level - 1) loc'
+    end
+  in
+  go (Array.length sets - 2) loc

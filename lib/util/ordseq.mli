@@ -24,6 +24,17 @@ val array_lower_bound : ?len:int -> int array -> int -> int
 (** Index of the first element [>= k] (or [len]); the array's first [len]
     elements must be sorted ascending. *)
 
+val lower_bounds : int array array -> int array -> int -> int array -> unit
+(** [lower_bounds arrays lens k out] sets [out.(i)] to
+    [array_lower_bound ~len:lens.(i) arrays.(i) k] for every [i], running
+    the searches in lock-step: each round takes one halving step of every
+    search still open. The searches do not depend on each other, so the
+    loads of one round are in flight together instead of each search's
+    chain of cache misses waiting for the one before. [lens.(i)] must lie
+    in [0 .. Array.length arrays.(i)], and the three arrays must have one
+    length; raises [Invalid_argument] otherwise. It keeps no state
+    between calls, so any number of domains may call it at once. *)
+
 val array_upper_index : ?len:int -> int array -> int -> int
 (** Index of the last element [<= k], or [-1]. *)
 
@@ -73,6 +84,25 @@ val search : t -> int -> hit
     Fenwick descent. The neighbours are read from the located chunk, or
     from the previous chunk's maximum when [k] sorts first in its chunk.
     This is the query path of the 1-d instance. *)
+
+(** {2 The search in two steps}
+
+    {!search} is a lower bound over the chunk maxima, then one inside the
+    chunk it names. These expose both steps, so a caller can run the
+    steps of many sequences through {!lower_bounds} together: [j] is the
+    lower bound of [k] in the first [chunk_count t] cells of [maxima t],
+    and when [j < chunk_count t], [p] is its lower bound in the first
+    [chunk_length t j] cells of [chunk t j]. The arrays are the
+    sequence's own: read them, never write them. *)
+
+val chunk_count : t -> int
+val maxima : t -> int array
+val chunk : t -> int -> int array
+val chunk_length : t -> int -> int
+
+val hit_at : t -> chunk:int -> offset:int -> int -> hit
+(** [hit_at t ~chunk:j ~offset:p k] is [search t k] from the two lower
+    bounds above ([p] is ignored when [j = chunk_count t]). *)
 
 val insert : t -> int -> bool
 (** Add a key; [false] if already present. At most one O(√n) chunk

@@ -179,6 +179,36 @@ module Contract (C : CASE) = struct
         same "refine from a half's location = locate" (view s q) (C.describe s loc, C.answer s loc q))
       qs
 
+  (* A whole descent's refinements in one call: over a chain of nested
+     random halves (level 0 first), [refine_path] calls [f] once for each
+     level below the top, from the top down, with the visits of the
+     describe/refine chain, and lands where the chain lands. *)
+  let refine_path seed =
+    let rng = Prng.create seed in
+    let keys, qs = sample rng in
+    let rec halves keys depth =
+      if depth = 0 then [ keys ]
+      else keys :: halves (Array.of_list (List.filter (fun _ -> Prng.bool rng) (Array.to_list keys))) (depth - 1)
+    in
+    let sets = Array.of_list (List.map C.build (halves keys (Prng.int rng 7))) in
+    let top = Array.length sets - 1 in
+    List.iter
+      (fun q ->
+        let loc, _ = C.locate sets.(top) q in
+        let chain = ref [] and here = ref loc in
+        for l = top - 1 downto 0 do
+          let loc', visited = C.refine sets.(l) ~from:(C.describe sets.(l + 1) !here) q in
+          chain := (l, visited) :: !chain;
+          here := loc'
+        done;
+        let calls = ref [] in
+        let loc0 = C.refine_path sets loc q ~f:(fun l visited -> calls := (l, visited) :: !calls) in
+        same "refine_path: f's levels and visits = the chain's" (List.rev !chain) (List.rev !calls);
+        same "refine_path: level-0 view = the chain's"
+          (C.describe sets.(0) !here, C.answer sets.(0) !here q)
+          (C.describe sets.(0) loc0, C.answer sets.(0) loc0 q))
+      qs
+
   let rejected seed =
     let keys, _ = sample (Prng.create seed) in
     let t = C.build keys in
@@ -254,6 +284,7 @@ module Contract (C : CASE) = struct
       prop "size, storage_units = keys, live ids" 5 storage;
       prop "answers = brute force along a walk" 3 oracle;
       prop "refine from a random half = locate" 20 refine;
+      prop "refine_path = the describe/refine chain" 20 refine_path;
     ]
     @ [ prop "order: a stable sorting permutation" 20 order ]
     @ (if C.in_order = None then [] else [ prop "build over shuffled keys = sorted" 20 build_any_order ])
@@ -322,11 +353,17 @@ module Ints_case = struct
 
   let in_order = Some Int.compare
 
-  (* The ids are the dense codes 0 .. 2m of m keys. *)
+  (* The ids are the dense codes 0 .. 2m of m keys, and a set of at most
+     32 keys is flat: its record and one array of its keys, m + 4 words,
+     where a chunked set holds 50 words before its first key. The shape
+     is invisible to every [S] function, but [refine_path] reads each
+     shape's arrays directly. *)
   let check_invariants t =
     let l = ref [] in
     iter_range_ids t ~f:(fun id -> l := id :: !l);
-    if List.sort compare !l <> List.init ((2 * size t) + 1) Fun.id then failwith "ids are not 0 .. 2m"
+    if List.sort compare !l <> List.init ((2 * size t) + 1) Fun.id then failwith "ids are not 0 .. 2m";
+    let flat = Obj.reachable_words (Obj.repr t) <= size t + 4 in
+    if flat <> (size t <= 32) then failf "a set of %d keys is %s" (size t) (if flat then "flat" else "chunked")
 end
 
 module Points_case

@@ -739,6 +739,40 @@ let qcheck_percentile_monotone =
       Array.sort compare a;
       Stats.percentile a 0.2 <= Stats.percentile a 0.8)
 
+(* The lock-step kernel against one [array_lower_bound] per array, in
+   one call over arrays of every awkward length, some searched over a
+   live prefix only, for keys below, at, between and above the stored
+   ones. *)
+let test_ordseq_lower_bounds () =
+  let g = Prng.create 46 in
+  let sorted n = Array.init n (fun i -> (3 * i) - 40 + Prng.int g 2) in
+  let lengths = [ 0; 1; 2; 31; 32; 33; 300; 517 ] in
+  let arrays = Array.of_list (List.map sorted (lengths @ [ 9; 64 ])) in
+  arrays.(0) <- [| min_int; max_int |];
+  let lens = Array.map Array.length arrays in
+  lens.(0) <- 2;
+  lens.(Array.length lens - 2) <- 4;
+  lens.(Array.length lens - 1) <- 33;
+  let m = Array.length arrays in
+  let out = Array.make m (-1) in
+  List.iter
+    (fun k ->
+      Ordseq.lower_bounds arrays lens k out;
+      Array.iteri
+        (fun i a ->
+          checki
+            (Printf.sprintf "array %d (len %d), key %d" i lens.(i) k)
+            (Ordseq.array_lower_bound ~len:lens.(i) a k)
+            out.(i))
+        arrays)
+    ([ min_int; min_int + 1; max_int - 1; max_int; 0 ] @ List.init 1700 (fun i -> i - 60));
+  Alcotest.check_raises "len beyond its array"
+    (Invalid_argument "Ordseq.lower_bounds: len out of range") (fun () ->
+      Ordseq.lower_bounds [| [| 1 |] |] [| 2 |] 0 [| 0 |]);
+  Alcotest.check_raises "lengths differ"
+    (Invalid_argument "Ordseq.lower_bounds: arrays, lens and out differ in length") (fun () ->
+      Ordseq.lower_bounds [| [| 1 |] |] [| 1 |] 0 [||])
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -787,6 +821,7 @@ let suite =
     Alcotest.test_case "ordseq batch adversarial one-chunk" `Quick test_ordseq_batch_adversarial;
     Alcotest.test_case "ordseq batch around the chunk count" `Quick test_ordseq_batch_boundary;
     Alcotest.test_case "ordseq batch validation" `Quick test_ordseq_batch_validation;
+    Alcotest.test_case "ordseq lock-step lower bounds" `Quick test_ordseq_lower_bounds;
     Alcotest.test_case "presort semantics" `Quick test_presort_semantics;
     Alcotest.test_case "presort order" `Quick test_presort_order;
     Alcotest.test_case "presort pooled identical" `Quick test_presort_pooled_identical;
