@@ -3,24 +3,46 @@ module Pool = Skipweb_util.Pool
 module Presort = Skipweb_util.Presort
 
 let bits = Point.grid_bits
-
-(* The [meta] column packs a node's cube depth (side = 2^(bits - depth)
-   grid cells) with its quadrant index inside its parent's cube. *)
-let depth_mask = 63
-let quad_shift = 6
-let () = assert (bits <= depth_mask)
+let grid_mask = (1 lsl bits) - 1
 
 (* Struct-of-arrays arena: node [s] of the tree is slot [s] of every
-   column. Slots [0, used) have been handed out; the free ones among them
-   are marked [meta = -1] and chained through [next_sibling]. *)
+   column, and each word belongs to one slot, so shards of a bulk build
+   fill disjoint slot ranges without sharing a word.
+
+   - [ids]: the node's id.
+   - [meta]: the subtree size above the quadrant (the node's index inside
+     its parent's cube, [max_dim] bits) above the cube depth (6 bits; the
+     cube's side is 2^(bits - depth) grid cells). A free slot holds -1.
+   - [links]: first child and next sibling, each a slot plus one in
+     [link_bits] bits, so 0 means none. A free slot keeps the next free
+     slot in the sibling half and 0 in the other.
+   - [corners]: [cwords_of tdim] = ceil(tdim / 2) words per slot, grid
+     coordinates [2j] and [2j + 1] of the cube's aligned corner in the low
+     and high [bits] bits of word [j] (the high half is 0 past the last
+     dimension).
+
+   A 2-d node costs four words, a 3-d node five. Slots [0, used) have been
+   handed out; the free ones among them are chained from [free]. *)
+let depth_bits = 6
+let quad_shift = depth_bits
+let depth_mask = (1 lsl depth_bits) - 1
+let link_bits = 31
+let link_mask = (1 lsl link_bits) - 1
+
+(* Sizes never exceed the slot count, so a size needs [link_bits] bits and
+   the quadrant field gets the rest of a non-negative 63-bit int. *)
+let size_shift = 62 - link_bits
+let max_dim = size_shift - quad_shift
+let quad_mask = (1 lsl max_dim) - 1
+let max_slots = link_mask
+let () = assert (bits <= depth_mask && 2 * bits <= 62)
+
 type t = {
   tdim : int;
   mutable ids : int array;
-  mutable sizes : int array;  (* points in the subtree *)
-  mutable first_child : int array;  (* slot, -1 if none *)
-  mutable next_sibling : int array;  (* slot, -1 at the end of a child list *)
   mutable meta : int array;
-  mutable corners : int array;  (* [tdim] aligned grid coordinates per slot *)
+  mutable links : int array;
+  mutable corners : int array;
   mutable used : int;
   mutable free : int;  (* head of the free-slot list, -1 if empty *)
   mutable next_id : int;
@@ -43,12 +65,47 @@ let size t = t.npoints
 let node_count t = t.nnodes
 let handle t ix = { tree = t; ix }
 let root t = handle t 0
-let depth_at t s = t.meta.(s) land depth_mask
-let quad_at t s = t.meta.(s) lsr quad_shift
-let corner_of t s = Array.sub t.corners (s * t.tdim) t.tdim
+let cwords_of dimension = (dimension + 1) / 2
+let[@inline] depth_at t s = t.meta.(s) land depth_mask
+let[@inline] quad_at t s = (t.meta.(s) lsr quad_shift) land quad_mask
+let[@inline] size_at t s = t.meta.(s) lsr size_shift
+let[@inline] add_size t s k = t.meta.(s) <- t.meta.(s) + (k lsl size_shift)
+let[@inline] pack_meta ~size ~depth ~quad = (size lsl size_shift) lor (quad lsl quad_shift) lor depth
+let[@inline] first_child t s = (t.links.(s) land link_mask) - 1
+let[@inline] next_sibling t s = (t.links.(s) lsr link_bits) - 1
+let[@inline] pack_links ~first ~next = (first + 1) lor ((next + 1) lsl link_bits)
+let set_first_child t s c = t.links.(s) <- (t.links.(s) land lnot link_mask) lor (c + 1)
+let set_next_sibling t s c = t.links.(s) <- (t.links.(s) land link_mask) lor ((c + 1) lsl link_bits)
+
+let[@inline] coord t s i =
+  (t.corners.((s * cwords_of t.tdim) + (i lsr 1)) lsr (bits * (i land 1))) land grid_mask
+
+(* A loop: [Array.init] over [coord t s] would allocate a closure per
+   call on the query path. *)
+let corner_of t s =
+  let c = Array.make t.tdim 0 in
+  for i = 0 to t.tdim - 1 do
+    c.(i) <- coord t s i
+  done;
+  c
+
+(* Corner word [w] of the depth-[depth] cube containing grid point [g]. *)
+let[@inline] corner_word g ~depth w =
+  let shift = bits - depth and i = 2 * w in
+  let lo = (g.(i) lsr shift) lsl shift in
+  if i + 1 < Array.length g then lo lor (((g.(i + 1) lsr shift) lsl shift) lsl bits) else lo
+
+(* Write slot [s]'s corner words, each once. *)
+let set_corner t s ~depth g =
+  let cw = cwords_of t.tdim in
+  let base = s * cw in
+  for w = 0 to cw - 1 do
+    t.corners.(base + w) <- corner_word g ~depth w
+  done
+
 let node_id n = n.tree.ids.(n.ix)
 let node_cube n = (depth_at n.tree n.ix, corner_of n.tree n.ix)
-let subtree_size n = n.tree.sizes.(n.ix)
+let subtree_size n = size_at n.tree n.ix
 
 (* A node is a leaf exactly when its cube is a single grid cell: internal
    cubes enclose two distinct points. *)
@@ -56,9 +113,9 @@ let leaf_point t s = if depth_at t s = bits then Some (Point.of_grid (corner_of 
 let node_point n = leaf_point n.tree n.ix
 
 let iter_children t s f =
-  let c = ref t.first_child.(s) in
+  let c = ref (first_child t s) in
   while !c >= 0 do
-    let next = t.next_sibling.(!c) in
+    let next = next_sibling t !c in
     f !c;
     c := next
   done
@@ -68,7 +125,13 @@ let fold_children t s f acc =
   iter_children t s (fun c -> acc := f !acc c);
   !acc
 
-let rec bitlen x = if x = 0 then 0 else 1 + bitlen (x lsr 1)
+let bitlen x =
+  let n = ref 0 and x = ref x in
+  while !x <> 0 do
+    incr n;
+    x := !x lsr 1
+  done;
+  !n
 
 (* Does the cube (depth k, corner) contain grid point p? *)
 let cube_contains ~ndepth ~corner p =
@@ -79,12 +142,15 @@ let cube_contains ~ndepth ~corner p =
   done;
   !ok
 
-(* Does slot [s]'s cube contain grid point p? *)
+(* Does slot [s]'s cube contain grid point p? A whole corner word at a
+   time: the two coordinates must agree above the cube's side. *)
 let slot_contains t s p =
-  let shift = bits - depth_at t s and base = s * t.tdim in
+  let shift = bits - depth_at t s and cw = cwords_of t.tdim in
+  let above = (grid_mask lsr shift) lsl shift in
+  let above = above lor (above lsl bits) and base = s * cw in
   let ok = ref true in
-  for i = 0 to t.tdim - 1 do
-    if p.(i) lsr shift <> t.corners.(base + i) lsr shift then ok := false
+  for w = 0 to cw - 1 do
+    if (t.corners.(base + w) lxor corner_word p ~depth:bits w) land above <> 0 then ok := false
   done;
   !ok
 
@@ -101,28 +167,37 @@ let quadrant ~ndepth p =
 let cube_subset ~outer:(d1, c1) ~inner:(d2, c2) =
   d2 >= d1 && cube_contains ~ndepth:d1 ~corner:c1 c2
 
-(* Does slot [s] hold exactly the cube (depth, corner)? *)
+(* Does slot [s] hold exactly the cube (depth, corner)? The corner's
+   coordinates must lie on the grid, which {!valid_cube} checks. *)
 let slot_is_cube t s depth corner =
   depth_at t s = depth
   &&
-  let base = s * t.tdim in
+  let cw = cwords_of t.tdim in
+  let base = s * cw in
   let ok = ref true in
-  for i = 0 to t.tdim - 1 do
-    if t.corners.(base + i) <> corner.(i) then ok := false
+  for w = 0 to cw - 1 do
+    if t.corners.(base + w) <> corner_word corner ~depth:bits w then ok := false
   done;
   !ok
 
 (* ---------------- slots and child lists ---------------- *)
 
+(* The layout's limits raise rather than wrap: a wider dimension would
+   run the quadrant into the size, a slot past [max_slots] would not fit
+   a link. *)
+let check_dim dimension =
+  if dimension < 1 || dimension > max_dim then
+    invalid_arg (Printf.sprintf "Cqtree: dimension %d outside [1, %d]" dimension max_dim)
+
 let create_arena dimension cap =
+  check_dim dimension;
+  if cap > max_slots then invalid_arg (Printf.sprintf "Cqtree: %d slots exceed %d" cap max_slots);
   {
     tdim = dimension;
     ids = Array.make cap 0;
-    sizes = Array.make cap 0;
-    first_child = Array.make cap (-1);
-    next_sibling = Array.make cap (-1);
     meta = Array.make cap 0;
-    corners = Array.make (cap * dimension) 0;
+    links = Array.make cap 0;
+    corners = Array.make (cap * cwords_of dimension) 0;
     used = 0;
     free = -1;
     next_id = 0;
@@ -135,23 +210,22 @@ let create_arena dimension cap =
 
 let grow_columns t =
   let cap = Array.length t.ids in
-  let cap' = cap + (cap / 8) + 4 in
-  let grow a fill per =
-    let b = Array.make (cap' * per) fill in
+  if cap >= max_slots then invalid_arg (Printf.sprintf "Cqtree: a tree holds at most %d slots" max_slots);
+  let cap' = min max_slots (cap + (cap / 8) + 4) in
+  let grow a per =
+    let b = Array.make (cap' * per) 0 in
     Array.blit a 0 b 0 (cap * per);
     b
   in
-  t.ids <- grow t.ids 0 1;
-  t.sizes <- grow t.sizes 0 1;
-  t.first_child <- grow t.first_child (-1) 1;
-  t.next_sibling <- grow t.next_sibling (-1) 1;
-  t.meta <- grow t.meta 0 1;
-  t.corners <- grow t.corners 0 t.tdim
+  t.ids <- grow t.ids 1;
+  t.meta <- grow t.meta 1;
+  t.links <- grow t.links 1;
+  t.corners <- grow t.corners (cwords_of t.tdim)
 
 let alloc_slot t =
   if t.free >= 0 then begin
     let s = t.free in
-    t.free <- t.next_sibling.(s);
+    t.free <- next_sibling t s;
     s
   end
   else begin
@@ -161,21 +235,16 @@ let alloc_slot t =
     s
   end
 
-(* A fresh detached node whose cube is the depth-[depth] cube containing
-   grid point [g]; it takes the next id. *)
-let fresh_node t ~depth g =
+(* A fresh detached node of [size] points whose cube is the
+   depth-[depth] cube containing grid point [g]; it takes the next id. *)
+let fresh_node t ~depth ~size g =
   let s = alloc_slot t in
   let id = t.next_id in
   t.next_id <- id + 1;
   t.ids.(s) <- id;
-  t.meta.(s) <- depth;
-  t.sizes.(s) <- 0;
-  t.first_child.(s) <- -1;
-  t.next_sibling.(s) <- -1;
-  let shift = bits - depth and base = s * t.tdim in
-  for i = 0 to t.tdim - 1 do
-    t.corners.(base + i) <- (g.(i) lsr shift) lsl shift
-  done;
+  t.meta.(s) <- pack_meta ~size ~depth ~quad:0;
+  t.links.(s) <- 0;
+  set_corner t s ~depth g;
   t.nnodes <- t.nnodes + 1;
   if t.logging then t.added_log <- id :: t.added_log;
   s
@@ -184,31 +253,31 @@ let drop_node t s =
   t.nnodes <- t.nnodes - 1;
   if t.logging then t.removed_log <- t.ids.(s) :: t.removed_log;
   t.meta.(s) <- -1;
-  t.next_sibling.(s) <- t.free;
+  t.links.(s) <- pack_links ~first:(-1) ~next:t.free;
   t.free <- s
 
 (* The child of [p] in quadrant [q], or -1. The hot walks below are
    top-level recursions, not local closures, so a step allocates nothing. *)
-let rec sibling_in t c q = if c < 0 || quad_at t c = q then c else sibling_in t t.next_sibling.(c) q
-let child_in t p q = sibling_in t t.first_child.(p) q
+let rec sibling_in t c q = if c < 0 || quad_at t c = q then c else sibling_in t (next_sibling t c) q
+let child_in t p q = sibling_in t (first_child t p) q
 
 (* Child lists keep the order the charged walks follow: a new child goes
    to the front. *)
 let attach_child t p q c =
   assert (child_in t p q < 0);
-  t.meta.(c) <- (t.meta.(c) land depth_mask) lor (q lsl quad_shift);
-  t.next_sibling.(c) <- t.first_child.(p);
-  t.first_child.(p) <- c
+  t.meta.(c) <- (t.meta.(c) land lnot (quad_mask lsl quad_shift)) lor (q lsl quad_shift);
+  set_next_sibling t c (first_child t p);
+  set_first_child t p c
 
 let detach_child t p q =
   let rec go prev c =
     assert (c >= 0);
     if quad_at t c = q then
-      if prev < 0 then t.first_child.(p) <- t.next_sibling.(c)
-      else t.next_sibling.(prev) <- t.next_sibling.(c)
-    else go c t.next_sibling.(c)
+      if prev < 0 then set_first_child t p (next_sibling t c)
+      else set_next_sibling t prev (next_sibling t c)
+    else go c (next_sibling t c)
   in
-  go (-1) t.first_child.(p)
+  go (-1) (first_child t p)
 
 let replace_child t p q c =
   detach_child t p q;
@@ -229,7 +298,12 @@ let rec walk t depth g s =
     let c = child_in t s (quadrant ~ndepth:d g) in
     if c < 0 then -1 else walk t depth g c
 
-let valid_cube t depth corner = depth >= 0 && depth <= bits && Array.length corner = t.tdim
+(* A coordinate off the grid would carry into its neighbour in a packed
+   corner word. *)
+let rec on_grid corner i = i < 0 || (corner.(i) lsr bits = 0 && on_grid corner (i - 1))
+
+let valid_cube t depth corner =
+  depth >= 0 && depth <= bits && Array.length corner = t.tdim && on_grid corner (t.tdim - 1)
 
 (* Slot of the node with cube (depth, corner), or -1. *)
 let find_cube t depth corner =
@@ -237,12 +311,6 @@ let find_cube t depth corner =
   else
     let s = walk t depth corner 0 in
     if s >= 0 && slot_is_cube t s depth corner then s else -1
-
-(* Add one to the subtree size of every node on [g]'s root path from
-   slot [s] down to slot [last], which must lie on it. *)
-let rec bump_path t g last s =
-  t.sizes.(s) <- t.sizes.(s) + 1;
-  if s <> last then bump_path t g last (child_in t s (quadrant ~ndepth:(depth_at t s) g))
 
 (* ---------------- bulk build ---------------- *)
 
@@ -345,42 +413,41 @@ let count_slice dimension gs lo hi =
    (its id too), children in ascending quadrant order; returns the next
    free slot. Quadrant groups are contiguous in the slice (see
    {!cmp_zorder}), so children split off by scanning group boundaries left
-   to right. Disjoint slot ranges let shards fill concurrently. *)
-let rec fill_slice t gs lo hi s ~quad =
+   to right. A node's first child is the next slot and its next sibling,
+   when [has_next], the slot after its subtree, so each word of the slot
+   is written once. Disjoint slot ranges let shards fill concurrently. *)
+let rec fill_slice t gs lo hi s ~quad ~has_next =
   t.ids.(s) <- s;
-  t.sizes.(s) <- hi - lo;
-  let base = s * t.tdim in
-  if hi - lo = 1 then begin
-    t.meta.(s) <- bits lor (quad lsl quad_shift);
-    Array.blit gs.(lo) 0 t.corners base t.tdim;
-    s + 1
-  end
-  else begin
-    let k = common_depth t.tdim gs.(lo) gs.(hi - 1) in
-    assert (k < bits);
-    t.meta.(s) <- k lor (quad lsl quad_shift);
-    let shift = bits - k and g = gs.(lo) in
-    for i = 0 to t.tdim - 1 do
-      t.corners.(base + i) <- (g.(i) lsr shift) lsl shift
-    done;
-    let next = ref (s + 1) and prev = ref (-1) and i = ref lo in
-    while !i < hi do
-      let q = quadrant ~ndepth:k gs.(!i) in
-      let j = ref (!i + 1) in
-      while !j < hi && quadrant ~ndepth:k gs.(!j) = q do
-        incr j
+  let next =
+    if hi - lo = 1 then begin
+      t.meta.(s) <- pack_meta ~size:1 ~depth:bits ~quad;
+      set_corner t s ~depth:bits gs.(lo);
+      s + 1
+    end
+    else begin
+      let k = common_depth t.tdim gs.(lo) gs.(hi - 1) in
+      assert (k < bits);
+      t.meta.(s) <- pack_meta ~size:(hi - lo) ~depth:k ~quad;
+      set_corner t s ~depth:k gs.(lo);
+      let next = ref (s + 1) and i = ref lo in
+      while !i < hi do
+        let q = quadrant ~ndepth:k gs.(!i) in
+        let j = ref (!i + 1) in
+        while !j < hi && quadrant ~ndepth:k gs.(!j) = q do
+          incr j
+        done;
+        next := fill_slice t gs !i !j !next ~quad:q ~has_next:(!j < hi);
+        i := !j
       done;
-      let c = !next in
-      if !prev < 0 then t.first_child.(s) <- c else t.next_sibling.(!prev) <- c;
-      next := fill_slice t gs !i !j c ~quad:q;
-      prev := c;
-      i := !j
-    done;
-    !next
-  end
+      !next
+    end
+  in
+  t.links.(s) <-
+    pack_links ~first:(if next > s + 1 then s + 1 else -1) ~next:(if has_next then next else -1);
+  next
 
 let of_sorted ?pool ~dim:dimension points =
-  if dimension < 1 then invalid_arg "Cqtree.of_sorted: dim >= 1";
+  check_dim dimension;
   Array.iter
     (fun p ->
       if Point.dim p <> dimension then invalid_arg "Cqtree.of_sorted: dimension mismatch")
@@ -434,15 +501,12 @@ let of_sorted ?pool ~dim:dimension points =
     counts;
   let total = !total in
   let t = create_arena dimension total in
-  t.sizes.(0) <- n;
-  if ngroups > 0 then t.first_child.(0) <- starts.(0);
+  t.meta.(0) <- pack_meta ~size:n ~depth:0 ~quad:0;
+  t.links.(0) <- pack_links ~first:(if ngroups > 0 then 1 else -1) ~next:(-1);
   per_group (fun gi ->
       let q, lo, hi = groups.(gi) in
-      let next = fill_slice t gs lo hi starts.(gi) ~quad:q in
+      let next = fill_slice t gs lo hi starts.(gi) ~quad:q ~has_next:(gi < ngroups - 1) in
       assert (next = starts.(gi) + counts.(gi)));
-  for gi = 0 to ngroups - 2 do
-    t.next_sibling.(starts.(gi)) <- starts.(gi + 1)
-  done;
   t.used <- total;
   t.next_id <- total;
   t.nnodes <- total;
@@ -501,71 +565,82 @@ let depth t = tree_depth t 0
 
 (* ---------------- updates ---------------- *)
 
-let insert t p =
-  let g = Point.to_grid p in
-  if Point.dim p <> t.tdim then invalid_arg "Cqtree.insert: dimension mismatch";
-  let v, slot = descend t 0 g ~visit:ignore in
-  if slot = At_point then false
+(* Insert grid point [g] below slot [v], whose cube contains it, in the
+   one walk down its root path: on the way back up, every node the walk
+   passed gains the point, unless it was already stored. *)
+let rec insert_below t g v =
+  let d = depth_at t v in
+  if d = bits then false
   else begin
-    (match slot with
-    | At_point -> assert false  (* duplicate handled above *)
-    | Empty_quadrant q ->
-        let leaf = fresh_node t ~depth:bits g in
-        t.sizes.(leaf) <- 1;
-        attach_child t v q leaf;
-        bump_path t g v 0
-    | Outside_child q ->
-        let c = child_in t v q in
+    let q = quadrant ~ndepth:d g in
+    let c = child_in t v q in
+    let added =
+      if c < 0 then begin
+        attach_child t v q (fresh_node t ~depth:bits ~size:1 g);
+        true
+      end
+      else if slot_contains t c g then insert_below t g c
+      else begin
         (* New internal node: smallest cube containing both g and c's cube. *)
         let k =
-          let d = ref (depth_at t c) and base = c * t.tdim in
+          let d = ref (depth_at t c) in
           for i = 0 to t.tdim - 1 do
-            let common = bits - bitlen (g.(i) lxor t.corners.(base + i)) in
+            let common = bits - bitlen (g.(i) lxor coord t c i) in
             if common < !d then d := common
           done;
           !d
         in
-        assert (k > depth_at t v && k < depth_at t c);
-        let w = fresh_node t ~depth:k g in
-        let leaf = fresh_node t ~depth:bits g in
-        t.sizes.(leaf) <- 1;
-        t.sizes.(w) <- t.sizes.(c);
+        assert (k > d && k < depth_at t c);
+        let w = fresh_node t ~depth:k ~size:(size_at t c + 1) g in
+        let leaf = fresh_node t ~depth:bits ~size:1 g in
         replace_child t v q w;
         attach_child t w (quadrant ~ndepth:k (corner_of t c)) c;
         attach_child t w (quadrant ~ndepth:k g) leaf;
-        bump_path t g w 0);
-    t.npoints <- t.npoints + 1;
-    true
+        true
+      end
+    in
+    if added then add_size t v 1;
+    added
   end
 
-(* Take one off the subtree size of every node on [g]'s root path from
-   slot [v] (child of [gp], -1 at the root) down to g's leaf's parent;
-   there unlink the leaf, and splice the parent out if it became a chain
-   node (single child, not the root). *)
+let insert t p =
+  let g = Point.to_grid p in
+  if Point.dim p <> t.tdim then invalid_arg "Cqtree.insert: dimension mismatch";
+  let added = insert_below t g 0 in
+  if added then t.npoints <- t.npoints + 1;
+  added
+
+(* Remove grid point [g] from below slot [v] (child of [gp], -1 at the
+   root) in one walk down its root path, by quadrant as {!walk} goes. At
+   g's leaf's parent, unlink the leaf and splice the parent out if it
+   became a chain node (single child, not the root); on the way back up,
+   every node the walk passed loses the point, unless it was absent. *)
 let rec remove_below t g gp v =
-  t.sizes.(v) <- t.sizes.(v) - 1;
   let c = child_in t v (quadrant ~ndepth:(depth_at t v) g) in
-  if depth_at t c < bits then remove_below t g v c
+  if c < 0 then false
+  else if depth_at t c < bits then begin
+    let removed = remove_below t g v c in
+    if removed then add_size t v (-1);
+    removed
+  end
+  else if not (slot_is_cube t c bits g) then false
   else begin
+    add_size t v (-1);
     detach_child t v (quad_at t c);
     drop_node t c;
-    let only = t.first_child.(v) in
-    if gp >= 0 && only >= 0 && t.next_sibling.(only) < 0 then begin
+    let only = first_child t v in
+    if gp >= 0 && only >= 0 && next_sibling t only < 0 then begin
       replace_child t gp (quad_at t v) only;
       drop_node t v
-    end
+    end;
+    true
   end
 
 let remove t p =
   if Point.dim p <> t.tdim then invalid_arg "Cqtree.remove: dimension mismatch";
-  let g = Point.to_grid p in
-  let leaf = walk t bits g 0 in
-  if leaf < 0 || not (slot_is_cube t leaf bits g) then false
-  else begin
-    remove_below t g (-1) 0;
-    t.npoints <- t.npoints - 1;
-    true
-  end
+  let removed = remove_below t (Point.to_grid p) (-1) 0 in
+  if removed then t.npoints <- t.npoints - 1;
+  removed
 
 (* Run one update with node-churn logging on, returning the ids of the
    nodes it created and destroyed (the O(1) range delta of §4). *)
@@ -609,7 +684,7 @@ let node_children_cubes n =
 let count_in_cube t cube =
   let rec go s =
     let own = (depth_at t s, corner_of t s) in
-    if cube_subset ~outer:cube ~inner:own then t.sizes.(s)
+    if cube_subset ~outer:cube ~inner:own then size_at t s
     else if
       (* The query cube could be strictly inside s's cube. *)
       cube_subset ~outer:own ~inner:cube
@@ -632,10 +707,9 @@ let points_in_located_gap t ~location_cube ~child_cubes =
 (* Squared distance from q to slot [s]'s cube, in unit coordinates. *)
 let cube_dist_sq t s (q : Point.t) =
   let side = float_of_int (1 lsl (bits - depth_at t s)) /. float_of_int Point.grid_size in
-  let base = s * t.tdim in
   let acc = ref 0.0 in
   for i = 0 to t.tdim - 1 do
-    let lo = float_of_int t.corners.(base + i) /. float_of_int Point.grid_size in
+    let lo = float_of_int (coord t s i) /. float_of_int Point.grid_size in
     let hi = lo +. side in
     let d = if q.(i) < lo then lo -. q.(i) else if q.(i) > hi then q.(i) -. hi else 0.0 in
     acc := !acc +. (d *. d)
@@ -720,11 +794,36 @@ let nearest t q =
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
+  let live s = t.meta.(s) >= 0 in
+  (* The packing: links decode to live slots below [used], free slots
+     carry the marker and chain through the sibling half only, corner
+     words hold nothing above their coordinates. *)
+  let nmarked = ref 0 and cw = cwords_of t.tdim in
+  for s = 0 to t.used - 1 do
+    if t.meta.(s) = -1 then begin
+      incr nmarked;
+      if first_child t s <> -1 then fail "Cqtree: free slot %d has a first child" s
+    end
+    else if t.meta.(s) < 0 then fail "Cqtree: slot %d has a negative size" s
+    else begin
+      List.iter
+        (fun (what, c) ->
+          if c < -1 || c >= t.used || (c >= 0 && not (live c)) then
+            fail "Cqtree: slot %d's %s decodes to %d, not a live slot below %d" s what c t.used)
+        [ ("first child", first_child t s); ("next sibling", next_sibling t s) ];
+      for w = 0 to cw - 1 do
+        let word = t.corners.((s * cw) + w) in
+        let width = if (2 * w) + 1 < t.tdim then 2 * bits else bits in
+        if word lsr width <> 0 then fail "Cqtree: slot %d's corner word %d has stray high bits" s w
+      done
+    end
+  done;
+  if not (live 0) then fail "Cqtree: the root slot is free";
   let reached = ref 0 in
   let rec go s =
     incr reached;
     let depth = depth_at t s in
-    if t.meta.(s) < 0 then fail "Cqtree: free slot %d linked into the tree" s;
+    if not (live s) then fail "Cqtree: free slot %d linked into the tree" s;
     (* Corner alignment. *)
     let shift = bits - depth in
     Array.iter
@@ -732,15 +831,15 @@ let check_invariants t =
       (corner_of t s);
     if find_cube t depth (corner_of t s) <> s then fail "Cqtree: node %d not found by the walk to its cube" s;
     if depth = bits then begin
-      if t.first_child.(s) >= 0 then fail "Cqtree: leaf with children";
-      if t.sizes.(s) <> 1 then fail "Cqtree: leaf size <> 1"
+      if first_child t s >= 0 then fail "Cqtree: leaf with children";
+      if size_at t s <> 1 then fail "Cqtree: leaf size <> 1"
     end
     else begin
       let nchildren = fold_children t s (fun acc _ -> acc + 1) 0 in
       if s <> 0 && nchildren < 2 then
         fail "Cqtree: internal non-root node with < 2 children (not compressed)";
-      let child_sum = fold_children t s (fun acc c -> acc + t.sizes.(c)) 0 in
-      if t.sizes.(s) <> child_sum then fail "Cqtree: size %d <> child sum %d" t.sizes.(s) child_sum
+      let child_sum = fold_children t s (fun acc c -> acc + size_at t c) 0 in
+      if size_at t s <> child_sum then fail "Cqtree: size %d <> child sum %d" (size_at t s) child_sum
     end;
     iter_children t s (fun c ->
         let q = quad_at t c in
@@ -752,14 +851,16 @@ let check_invariants t =
         go c)
   in
   go 0;
-  if t.sizes.(0) <> t.npoints then fail "Cqtree: root size out of sync";
+  if size_at t 0 <> t.npoints then fail "Cqtree: root size out of sync";
   if !reached <> t.nnodes then fail "Cqtree: %d reachable nodes, %d counted" !reached t.nnodes;
   let nfree = ref 0 and f = ref t.free in
   while !f >= 0 do
-    if t.meta.(!f) >= 0 then fail "Cqtree: live slot %d on the free list" !f;
+    if !f >= t.used || live !f then fail "Cqtree: slot %d on the free list is not free" !f;
     incr nfree;
-    f := t.next_sibling.(!f)
+    if !nfree > !nmarked then fail "Cqtree: the free list does not end";
+    f := next_sibling t !f
   done;
+  if !nfree <> !nmarked then fail "Cqtree: %d free slots, %d on the free list" !nmarked !nfree;
   if t.nnodes + !nfree <> t.used then fail "Cqtree: slots leaked"
 
 (* Axis-aligned box queries over the compressed tree: prune on cube/box
@@ -771,10 +872,10 @@ let box_of_points lo hi =
 
 (* 0 = disjoint, 1 = cube inside box, 2 = partial overlap *)
 let cube_box_relation t s (glo, ghi) =
-  let side = 1 lsl (bits - depth_at t s) and base = s * t.tdim in
+  let side = 1 lsl (bits - depth_at t s) in
   let disjoint = ref false and inside = ref true in
   for i = 0 to t.tdim - 1 do
-    let clo = t.corners.(base + i) in
+    let clo = coord t s i in
     let chi = clo + side - 1 in
     if chi < glo.(i) || clo > ghi.(i) then disjoint := true;
     if clo < glo.(i) || chi > ghi.(i) then inside := false
@@ -793,7 +894,7 @@ let range_fold t ~lo ~hi ~init ~subtree =
   in
   go 0 init
 
-let range_count t ~lo ~hi = range_fold t ~lo ~hi ~init:0 ~subtree:(fun acc s -> acc + t.sizes.(s))
+let range_count t ~lo ~hi = range_fold t ~lo ~hi ~init:0 ~subtree:(fun acc s -> acc + size_at t s)
 
 let range_report t ~lo ~hi =
   let collect acc s =
@@ -837,14 +938,14 @@ let range_scan t ~lo ~hi ~limit =
           visit c;
           collect c
         end
-        else count := !count + t.sizes.(c))
+        else count := !count + size_at t c)
   in
   let rec go s =
     match cube_box_relation t s box with
     | 0 -> ()
     | 1 ->
         visit s;
-        if !taken < limit then collect s else count := !count + t.sizes.(s)
+        if !taken < limit then collect s else count := !count + size_at t s
     | _ ->
         visit s;
         iter_children t s go

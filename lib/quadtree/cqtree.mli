@@ -17,16 +17,21 @@
     bit manipulations on integers.
 
     {b Layout.} A tree is a struct-of-arrays arena: node [s] is slot [s]
-    of five int columns (id, subtree size, first child, next sibling,
-    and the cube depth packed with the node's quadrant in its parent)
-    plus [dim] ints of a flat corner array. A node is a leaf exactly
-    when its depth is the grid depth. Children form a sibling list.
-    There is no cube index and no parent column, so a 2-d tree costs
-    about seven words per node. A cube is found by a walk from the
-    root: the nodes whose cubes contain a grid point form one root path,
-    each step takes the child in the point's quadrant, and each child is
-    strictly deeper than its parent, so the walk takes at most
-    [Point.grid_bits] + 1 = 31 steps in any dimension.
+    of three int columns and [⌈dim/2⌉] ints of a flat corner array. One
+    word holds the id; one the subtree size above the node's quadrant in
+    its parent above its cube depth; one the first child and the next
+    sibling, 31 bits each; and each corner word two 30-bit grid
+    coordinates. No word holds fields of two slots. A tree holds at most
+    [2^31 - 1] slots (a link is a slot plus one in 31 bits); an arena
+    that would grow past that raises [Invalid_argument] rather than
+    wrap. A node is a leaf exactly when its depth is the grid depth.
+    Children form a sibling list. There is no cube index and no parent
+    column, so a node costs four words in 2-d and five in 3-d. A cube is
+    found by a walk from the root: the nodes whose cubes contain a grid
+    point form one root path, each step takes the child in the point's
+    quadrant, and each child is strictly deeper than its parent, so the
+    walk takes at most [Point.grid_bits] + 1 = 31 steps in any
+    dimension.
 
     {b Ids and slots.} A bulk build writes its nodes in preorder, so
     right after {!of_sorted} a node's id is its slot. Updates draw ids
@@ -36,6 +41,12 @@
     build input and the update sequence. *)
 
 type t
+
+val max_dim : int
+(** The widest dimension the layout holds, 25: the quadrant field takes
+    [dim] bits of the word that also holds the depth and a 31-bit
+    subtree size. A build of a wider dimension raises
+    [Invalid_argument]. *)
 
 type node
 (** A handle on one node of a tree: valid until the tree's next
@@ -60,8 +71,8 @@ val of_sorted : ?pool:Skipweb_util.Pool.t -> dim:int -> Skipweb_geom.Point.t arr
     domains when one is given — so the arena is allocated once at its
     final size. The resulting tree (node set, ids, child order, slots) is
     a pure function of the distinct grid-point set: bit-identical for any
-    jobs count and for any input permutation. [dim >= 1]; every point
-    must have dimension [dim]. *)
+    jobs count and for any input permutation. [1 <= dim <= max_dim];
+    every point must have dimension [dim]. *)
 
 val build : dim:int -> Skipweb_geom.Point.t array -> t
 (** Alias for {!of_sorted} — the bulk path {e is} the build path.
@@ -172,7 +183,11 @@ val check_invariants : t -> unit
 (** Validates: cube alignment, children within parent quadrants, interior
     nodes interesting (>= 2 children or the root), subtree sizes, leaf
     depth, every node found by the walk from its own cube, and the free
-    list. Raises [Failure] on violation. *)
+    list; and the packing: every link of a live slot decodes to none or
+    to a live slot below the high-water mark, free slots carry the free
+    marker and chain through the sibling half only, corner words hold no
+    bits above their coordinates, sizes are non-negative. Raises
+    [Failure] on violation. *)
 
 val iter_nodes : t -> f:(node -> unit) -> unit
 (** Visit every node (root, internal, leaves) — used by the skip-web

@@ -1272,7 +1272,14 @@ let test_points2d_memory_budget () =
   let net = Network.create ~hosts:4096 in
   let h = HP2.build ~net ~seed:1 ~r:1 (W.uniform_points ~seed:1 ~n ~dim:2) in
   let per_key = float_of_int (Obj.reachable_words (Obj.repr h)) /. float_of_int n in
-  checkb (Printf.sprintf "points2d hierarchy <= 300 words per key (%.1f)" per_key) true (per_key <= 300.0)
+  checkb (Printf.sprintf "points2d hierarchy <= 170 words per key (%.1f)" per_key) true (per_key <= 170.0)
+
+let test_points3d_memory_budget () =
+  let n = 20_000 in
+  let net = Network.create ~hosts:4096 in
+  let h = HP3.build ~net ~seed:1 ~r:1 (W.uniform_points ~seed:1 ~n ~dim:3) in
+  let per_key = float_of_int (Obj.reachable_words (Obj.repr h)) /. float_of_int n in
+  checkb (Printf.sprintf "points3d hierarchy <= 185 words per key (%.1f)" per_key) true (per_key <= 185.0)
 
 let suite =
   [
@@ -1336,6 +1343,7 @@ let suite =
     Alcotest.test_case "redraw key guard" `Quick test_redraw_key_guard;
     Alcotest.test_case "ints memory budget" `Quick test_ints_memory_budget;
     Alcotest.test_case "points2d memory budget" `Quick test_points2d_memory_budget;
+    Alcotest.test_case "points3d memory budget" `Quick test_points3d_memory_budget;
   ]
 
 

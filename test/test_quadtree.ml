@@ -569,14 +569,142 @@ let test_slot_reuse () =
     checki "freed slots are reused" words (Obj.reachable_words (Obj.repr t))
   done
 
-let test_memory_budget () =
-  let t = Q.build ~dim:2 (Workload.uniform_points ~seed:1 ~n:40_000 ~dim:2) in
-  let per_node = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (Q.node_count t) in
-  checkb (Printf.sprintf "<= 8 words per node (%.2f)" per_node) true (per_node <= 8.0);
-  let single = Obj.reachable_words (Obj.repr (Q.build ~dim:2 (pts2 [ (0.3, 0.7) ]))) in
-  checkb (Printf.sprintf "singleton tree <= 40 words (%d)" single) true (single <= 40)
-
 let raises_invalid f = try ignore (f ()); false with Invalid_argument _ -> true
+
+(* A node is an id, a size-and-meta word, a link word and two grid
+   coordinates per corner word: 4 words in 2-d, 5 in 3-d. *)
+let test_memory_budget () =
+  List.iter
+    (fun (dim, node_budget, single_budget) ->
+      let t = Q.build ~dim (Workload.uniform_points ~seed:1 ~n:40_000 ~dim) in
+      let per_node = float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int (Q.node_count t) in
+      checkb
+        (Printf.sprintf "%d-d: <= %.2f words per node (%.2f)" dim node_budget per_node)
+        true (per_node <= node_budget);
+      let single = Obj.reachable_words (Obj.repr (Q.build ~dim [| Array.make dim 0.3 |])) in
+      checkb
+        (Printf.sprintf "%d-d: singleton tree <= %d words (%d)" dim single_budget single)
+        true (single <= single_budget))
+    [ (2, 4.05, 28); (3, 5.05, 30) ]
+
+(* The extremes of every packed field, against brute force: grid
+   coordinates 0 and 2^30 - 1 in every dimension 1-4, a diagonal chain
+   whose pairs meet at every depth down to the grid's (a tree of depth
+   30), and insert/remove churn that runs through recycled free slots. *)
+let test_packing_edges () =
+  let top = Point.grid_size - 1 in
+  List.iter
+    (fun dim ->
+      let corners =
+        List.init (1 lsl dim) (fun m -> Array.init dim (fun i -> if m land (1 lsl i) <> 0 then top else 0))
+      in
+      let diagonal =
+        List.init Point.grid_bits (fun k -> Array.make dim (1 lsl k))
+        @ [ Array.make dim (top - 1); Array.make dim (top - 2) ]
+      in
+      let universe = Array.of_list (corners @ diagonal) in
+      let inside (depth, corner) g =
+        let shift = Point.grid_bits - depth in
+        Array.for_all2 (fun c x -> c lsr shift = x lsr shift) corner g
+      in
+      let boxes =
+        [
+          (Array.make dim 0, Array.make dim top);
+          (Array.make dim 1, Array.make dim top);
+          (Array.make dim 0, Array.make dim 1);
+          (Array.make dim (1 lsl 29), Array.make dim top);
+          (Array.init dim (fun i -> if i = 0 then top else 0), Array.make dim top);
+        ]
+      in
+      let check t model =
+        Q.check_invariants t;
+        let stored = GridSet.elements model in
+        let leaves = ref [] in
+        Q.iter_nodes t ~f:(fun n ->
+            let ((depth, corner) as cube) = Q.node_cube n in
+            let shift = Point.grid_bits - depth in
+            checkb "corner aligned and on the grid" true
+              (Array.for_all (fun c -> c >= 0 && c <= top && (c lsr shift) lsl shift = c) corner);
+            checki "subtree size = points in the cube"
+              (List.length (List.filter (inside cube) stored))
+              (Q.subtree_size n);
+            if depth = Point.grid_bits then leaves := corner :: !leaves);
+        checkb "leaves = the model" true (List.sort compare !leaves = stored);
+        (* Off the grid, coordinate 0 would carry into coordinate 1 of a
+           packed corner word and alias the cell (1, 1, ...). *)
+        let off_grid = Array.init dim (fun i -> if i = 0 then 1 + Point.grid_size else if i = 1 then 0 else 1) in
+        checkb "off-grid cube absent" true (Q.node_of_cube t (Point.grid_bits, off_grid) = None);
+        Array.iter
+          (fun g ->
+            let loc, path = Q.locate t (Point.of_grid g) in
+            let depth, corner = Q.node_cube loc.Q.node in
+            checkb "located cube contains the query" true (inside (depth, corner) g);
+            let deepest =
+              List.fold_left (fun acc n -> max acc (fst (Q.node_cube n))) 0
+                (List.filter (fun n -> inside (Q.node_cube n) g) path)
+            in
+            checki "located the deepest cube on the path" deepest depth;
+            checkb "At_point exactly on stored points" (GridSet.mem g model) (loc.Q.slot = Q.At_point))
+          universe;
+        List.iter
+          (fun (lo, hi) ->
+            let within g = Array.for_all2 ( <= ) lo g && Array.for_all2 ( <= ) g hi in
+            checki "range_count = brute force"
+              (List.length (List.filter within stored))
+              (Q.range_count t ~lo:(Point.of_grid lo) ~hi:(Point.of_grid hi)))
+          boxes
+      in
+      let t = Q.of_sorted ~dim (Array.map Point.of_grid universe) in
+      let model = ref (GridSet.of_list (Array.to_list universe)) in
+      check t !model;
+      checki (Printf.sprintf "%d-d diagonal tree depth" dim) Point.grid_bits (Q.depth t);
+      let rng = Prng.create (100 + dim) in
+      let words = ref 0 in
+      for round = 1 to 6 do
+        for _ = 1 to 2 * Array.length universe do
+          let g = universe.(Prng.int rng (Array.length universe)) in
+          if Prng.bool rng then begin
+            checkb "insert = model" (not (GridSet.mem g !model)) (Q.insert t (Point.of_grid g));
+            model := GridSet.add g !model
+          end
+          else begin
+            checkb "remove = model" (GridSet.mem g !model) (Q.remove t (Point.of_grid g));
+            model := GridSet.remove g !model
+          end;
+          check t !model
+        done;
+        (* Empty the tree and refill it: every slot comes off the free list. *)
+        GridSet.iter (fun g -> checkb "drain" true (Q.remove t (Point.of_grid g))) !model;
+        check t GridSet.empty;
+        Array.iter (fun g -> checkb "refill" true (Q.insert t (Point.of_grid g))) universe;
+        model := GridSet.of_list (Array.to_list universe);
+        check t !model;
+        let w = Obj.reachable_words (Obj.repr t) in
+        if round > 1 then checki "refills reuse freed slots" !words w;
+        words := w
+      done)
+    [ 1; 2; 3; 4 ]
+
+(* The widest dimension the layout holds: the quadrant field sits between
+   the depth and the size, and the next dimension is refused. *)
+let test_layout_limits () =
+  let top = Point.grid_size - 1 in
+  let dim = Q.max_dim in
+  let pts =
+    Array.init 3 (fun k -> Point.of_grid (Array.init dim (fun i -> if (i + k) mod 3 = 0 then top else 0)))
+  in
+  let t = Q.of_sorted ~dim pts in
+  Q.check_invariants t;
+  checki "three points" 3 (Q.size t);
+  let extra = Point.of_grid (Array.make dim top) in
+  checkb "insert" true (Q.insert t extra);
+  Q.check_invariants t;
+  checki "root size" 4 (Q.subtree_size (Q.root t));
+  checki "full box" 4 (Q.range_count t ~lo:(Point.of_grid (Array.make dim 0)) ~hi:extra);
+  checkb "remove" true (Q.remove t extra);
+  Q.check_invariants t;
+  checkb "one dimension more is refused" true
+    (raises_invalid (fun () -> Q.of_sorted ~dim:(dim + 1) [||]))
 
 let test_dimension_and_containment_edges () =
   let t = Q.build ~dim:2 (Workload.uniform_points ~seed:23 ~n:200 ~dim:2) in
@@ -626,6 +754,8 @@ let suite =
     Alcotest.test_case "pinned structural digest (2-d, 3-d)" `Quick test_pinned_digest;
     Alcotest.test_case "freed slots are reused" `Quick test_slot_reuse;
     Alcotest.test_case "memory budget per node" `Quick test_memory_budget;
+    Alcotest.test_case "packing edges" `Quick test_packing_edges;
+    Alcotest.test_case "layout limits" `Quick test_layout_limits;
     Alcotest.test_case "dimension and containment edges" `Quick test_dimension_and_containment_edges;
     QCheck_alcotest.to_alcotest qcheck_churn_matches_model;
     QCheck_alcotest.to_alcotest qcheck_cube_lookup_brute_force;
