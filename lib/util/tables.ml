@@ -17,17 +17,24 @@ let looks_numeric s =
   s <> ""
   && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '.' || c = '-' || c = '+' || c = 'e') s
 
+(* Display width in UTF-8 code points: every byte but a continuation byte
+   (10xxxxxx) starts one, so a "§" or "Θ" cell pads as one column. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
 let render t =
   let rows = List.rev t.rows in
   let all = t.columns :: rows in
   let ncols = List.length t.columns in
   let widths = Array.make ncols 0 in
   List.iter
-    (fun row -> List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) row)
+    (fun row -> List.iteri (fun i c -> widths.(i) <- max widths.(i) (width c)) row)
     all;
   let pad i cell =
     let w = widths.(i) in
-    let l = String.length cell in
+    let l = width cell in
     if l >= w then cell
     else if looks_numeric cell then String.make (w - l) ' ' ^ cell
     else cell ^ String.make (w - l) ' '

@@ -1,4 +1,4 @@
-(** Fixed-width ASCII table rendering for benchmark reports.
+(** Fixed-width table rendering for benchmark reports.
 
     The bench harness prints one table per reproduced paper artifact
     (Table 1 rows, lemma validations, theorem sweeps); this module keeps
@@ -14,7 +14,8 @@ val add_row : t -> string list -> unit
 
 val render : t -> string
 (** Render with a title line, a header, separators, and right-aligned
-    numeric-looking cells. *)
+    numeric-looking cells. Columns are padded by UTF-8 code points, so a
+    cell holding "§" or "Θ" lines up with ASCII cells. *)
 
 val print : t -> unit
 (** [render] to stdout followed by a blank line. *)

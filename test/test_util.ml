@@ -374,6 +374,23 @@ let test_tables_render () =
   checkb "row present" true
     (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 0 && l.[0] = '|'))
 
+(* A non-ASCII label pads by code points: every line of the table is
+   equally wide on screen. *)
+let test_tables_utf8_alignment () =
+  let t = Tables.create ~title:"utf8" ~columns:[ "series"; "paper" ] in
+  Tables.add_row t [ "blocked placement (§2.4.1)"; "Θ(n)" ];
+  Tables.add_row t [ "plain"; "~O(log n)" ];
+  let lines =
+    String.split_on_char '\n' (Tables.render t)
+    |> List.filter (fun l -> String.length l > 0 && l.[0] = '|')
+  in
+  let code_points l =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 <> 0x80 then n + 1 else n) 0 l
+  in
+  checki "four table lines" 4 (List.length lines);
+  List.iter (fun l -> checki l (code_points (List.hd lines)) (code_points l)) lines;
+  check Alcotest.string "label row" "| blocked placement (§2.4.1) | Θ(n)      |" (List.nth lines 2)
+
 let test_tables_arity_check () =
   let t = Tables.create ~title:"x" ~columns:[ "a"; "b" ] in
   Alcotest.check_raises "bad arity" (Invalid_argument "Tables.add_row: wrong number of cells")
@@ -811,6 +828,7 @@ let suite =
     Alcotest.test_case "fit least squares constant" `Quick test_fit_constant_least_squares;
     Alcotest.test_case "tables render" `Quick test_tables_render;
     Alcotest.test_case "tables arity check" `Quick test_tables_arity_check;
+    Alcotest.test_case "tables pad non-ASCII cells by code point" `Quick test_tables_utf8_alignment;
     Alcotest.test_case "ordseq shared array searches" `Quick test_array_searches;
     Alcotest.test_case "ordseq array splices" `Quick test_array_splices;
     Alcotest.test_case "ordseq bulk load" `Quick test_ordseq_bulk;
