@@ -1,39 +1,61 @@
 (* E15–E16: the structural figures.
 
    Figure 1 shows a skip list: we regenerate its statistics (expected
-   height ≈ log2 n, geometric tower heights, O(log n) search cost).
+   height ≈ log2 n, geometric tower heights, O(log n) search cost) on the
+   skip list a skip graph's membership vectors define.
 
    Figure 2 shows the 1-d skip-web level hierarchy: we print the level
    census (sets per level, elements per level, largest set) and the
    storage/replication accounting that makes each host hold O(log n). *)
 
 module Network = Skipweb_net.Network
-module SL = Skipweb_skiplist.Skip_list
 module H = Skipweb_core.Hierarchy
 module I = Skipweb_core.Instances
 module B1 = Skipweb_core.Blocked1d
 module W = Skipweb_workload.Workload
-module Prng = Skipweb_util.Prng
+module Membership = Skipweb_util.Membership
 module Stats = Skipweb_util.Stats
 module Tables = Skipweb_util.Tables
 module C = Bench_common
 
 module HInt = H.Make (I.Ints)
 
+(* Figure 1's skip list is the all-zero prefix chain of a skip graph
+   (Aspnes–Shah): the element at sorted position i, which a skip graph over
+   [seed] gives id i, reaches level l iff the first l bits of its
+   membership vector are 0. So its tower is 1 + its leading 0 bits, capped
+   at 32. Returns the sorted keys and their towers. *)
+let skip_list ~seed ~n =
+  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
+  Array.sort compare keys;
+  let v = Membership.create ~seed in
+  let rec tower id h = if h < 32 && not (Membership.bit v ~id ~level:(h - 1)) then tower id (h + 1) else h in
+  (keys, Array.init n (fun id -> tower id 1))
+
+(* Pointer traversals of a search for [k]: one per level dropped from the
+   header, plus one per step right along a level onto a key below [k]. *)
+let search_cost (keys, towers) k =
+  let n = Array.length keys in
+  let rec next level j = if j < n && towers.(j) <= level then next level (j + 1) else j in
+  let rec walk level x hops =
+    let j = next level (x + 1) in
+    if j < n && keys.(j) < k then walk level j (hops + 1) else (x, hops)
+  in
+  let rec descend level x hops =
+    if level < 0 then hops
+    else
+      let x, hops = walk level x (hops + 1) in
+      descend (level - 1) x hops
+  in
+  descend (Array.fold_left max 0 towers - 1) (-1) 0
+
 let figure1 (cfg : C.config) =
   C.section "Figure 1: the skip list (E15)";
-  let height ~seed ~n =
-    let t = SL.Int.create ~seed () in
-    let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-    Array.iter (fun k -> SL.Int.insert t k k) keys;
-    float_of_int (SL.Int.height t)
-  in
+  let height ~seed ~n = float_of_int (Array.fold_left max 0 (snd (skip_list ~seed ~n))) in
   let search_cost ~seed ~n =
-    let t = SL.Int.create ~seed () in
-    let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-    Array.iter (fun k -> SL.Int.insert t k k) keys;
-    let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:cfg.C.queries ~bound:(100 * n) in
-    Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (SL.Int.search_cost t q)) qs))
+    let sl = skip_list ~seed ~n in
+    let qs = W.query_mix ~seed:(seed + 2) ~keys:(fst sl) ~n:cfg.C.queries ~bound:(100 * n) in
+    Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (search_cost sl q)) qs))
   in
   C.print_shape_table ~title:"skip list statistics" ~sizes:cfg.C.sizes
     [
@@ -46,25 +68,16 @@ let figure1 (cfg : C.config) =
     ];
   (* Tower height distribution at one size: geometric with ratio 1/2. *)
   let n = List.fold_left max 256 cfg.C.sizes in
-  let t = SL.Int.create ~seed:5 () in
-  let keys = W.distinct_ints ~seed:5 ~n ~bound:(100 * n) in
-  Array.iter (fun k -> SL.Int.insert t k k) keys;
-  let hist = Hashtbl.create 16 in
-  Array.iter
-    (fun k ->
-      match SL.Int.tower_height t k with
-      | Some h -> Hashtbl.replace hist h (1 + (try Hashtbl.find hist h with Not_found -> 0))
-      | None -> ())
-    keys;
+  let hist = Array.make 33 0 in
+  Array.iter (fun h -> hist.(h) <- hist.(h) + 1) (snd (skip_list ~seed:5 ~n));
   let tbl = Tables.create ~title:(Printf.sprintf "tower heights, n = %d (geometric, ratio 1/2)" n)
       ~columns:[ "height"; "towers"; "fraction" ] in
   let rec levels_from h =
-    match Hashtbl.find_opt hist h with
-    | Some c ->
-        Tables.add_row tbl
-          [ string_of_int h; string_of_int c; Printf.sprintf "%.4f" (float_of_int c /. float_of_int n) ];
-        levels_from (h + 1)
-    | None -> ()
+    if h <= 32 && hist.(h) > 0 then begin
+      Tables.add_row tbl
+        [ string_of_int h; string_of_int hist.(h); Printf.sprintf "%.4f" (float_of_int hist.(h) /. float_of_int n) ];
+      levels_from (h + 1)
+    end
   in
   levels_from 1;
   Tables.print tbl
@@ -74,6 +87,8 @@ let figure2 (cfg : C.config) =
   let n = List.fold_left max 256 cfg.C.sizes in
   let keys = W.distinct_ints ~seed:7 ~n ~bound:(100 * n) in
   let net = Network.create ~hosts:n in
+  (* Not through the roster: the census and the block accounting read
+     levels, set sizes and storage, which the driver does not expose. *)
   let h = HInt.build ~net ~seed:7 keys in
   let tbl =
     Tables.create

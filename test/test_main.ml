@@ -9,7 +9,6 @@ let () =
       ("trace", Test_trace.suite);
       ("geom", Test_geom.suite);
       ("linklist", Test_linklist.suite);
-      ("skiplist", Test_skiplist.suite);
       ("quadtree", Test_quadtree.suite);
       ("trie", Test_trie.suite);
       ("trapmap", Test_trapmap.suite);
