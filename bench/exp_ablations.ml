@@ -1,7 +1,7 @@
-(* A1–A3: ablations of the design choices DESIGN.md calls out.
+(* A2–A3: ablations of the design choices DESIGN.md calls out. A1,
+   blocked vs arbitrary placement of the 1-d hierarchy, is a row of E13's
+   table in exp_theorem2.ml.
 
-   A1 — blocking on vs off for 1-d skip-webs: isolates the log log n
-        speed-up of §2.4.1 against the "arbitrary assignment" of §2.4.
    A2 — compressed vs uncompressed quadtrees: why compression is needed
         for Theorem 2 on adversarially deep inputs.
    A3 — the halving probability p: level count, storage and query cost as
@@ -10,7 +10,6 @@
 module Network = Skipweb_net.Network
 module H = Skipweb_core.Hierarchy
 module I = Skipweb_core.Instances
-module B1 = Skipweb_core.Blocked1d
 module Cq = Skipweb_quadtree.Cqtree
 module W = Skipweb_workload.Workload
 module Prng = Skipweb_util.Prng
@@ -20,36 +19,6 @@ module C = Bench_common
 
 module HInt = H.Make (I.Ints)
 module HP2 = H.Make (I.Points2d)
-
-let ablation_blocking (cfg : C.config) =
-  C.section "Ablation A1: blocked vs arbitrary placement (1-d)";
-  let blocked ~seed ~n =
-    let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-    let net = Network.create ~hosts:n in
-    let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
-    let rng = Prng.create (seed + 1) in
-    let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:cfg.C.queries ~bound:(100 * n) in
-    Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (B1.query g ~rng q).B1.messages) qs))
-  in
-  let generic ~seed ~n =
-    let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-    let net = Network.create ~hosts:n in
-    let h = HInt.build ~net ~seed keys in
-    let rng = Prng.create (seed + 1) in
-    let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:cfg.C.queries ~bound:(100 * n) in
-    Stats.mean
-      (Array.to_list
-         (Array.map
-            (fun q ->
-              let _, stats = HInt.query h ~rng q in
-              float_of_int stats.HInt.messages)
-            qs))
-  in
-  C.print_shape_table ~title:"Q(n): same hierarchy, two placements" ~sizes:cfg.C.sizes
-    [
-      ("arbitrary placement (§2.4)", List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun s -> generic ~seed:s ~n)) cfg.C.sizes, "~O(log n)");
-      ("blocked placement (§2.4.1)", List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun s -> blocked ~seed:s ~n)) cfg.C.sizes, "~O(log n/loglog n)");
-    ]
 
 let ablation_compression (cfg : C.config) =
   C.section "Ablation A2: compressed vs uncompressed quadtrees";
@@ -115,6 +84,7 @@ let ablation_p (cfg : C.config) =
   List.iter
     (fun p ->
       let net = Network.create ~hosts:n in
+      (* Built directly: the roster takes no [p], and A3 is its only caller. *)
       let h = HInt.build ~net ~seed:11 ~p keys in
       let rng = Prng.create 12 in
       let qs = W.query_mix ~seed:13 ~keys ~n:cfg.C.queries ~bound:(100 * n) in
@@ -143,6 +113,5 @@ let ablation_p (cfg : C.config) =
      (more residual scanning) or more levels (more hops) for the same storage.\n"
 
 let run (cfg : C.config) =
-  ablation_blocking cfg;
   ablation_compression cfg;
   ablation_p cfg

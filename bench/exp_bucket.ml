@@ -6,23 +6,17 @@
    (2) fix M = n^eps: messages stay constant as n grows. *)
 
 module Network = Skipweb_net.Network
-module B1 = Skipweb_core.Blocked1d
+module R = Skipweb_roster.Roster
 module W = Skipweb_workload.Workload
-module Prng = Skipweb_util.Prng
 module Stats = Skipweb_util.Stats
 module Tables = Skipweb_util.Tables
 module C = Bench_common
 
 let measure ~seed ~n ~hosts ~m ~queries =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  let net = Network.create ~hosts in
-  let g = B1.build ~net ~seed ~m keys in
-  let rng = Prng.create (seed + 1) in
+  let d = R.build R.Bucket_skipweb ~net:(Network.create ~hosts) ~seed ~m keys in
   let qs = W.query_mix ~seed:(seed + 2) ~keys ~n:queries ~bound:(100 * n) in
-  let msgs =
-    Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (B1.query g ~rng q).B1.messages) qs))
-  in
-  (msgs, B1.max_host_memory g)
+  (Stats.mean (Array.to_list (Array.map float_of_int (d.R.query_all qs))), Network.max_memory d.R.net)
 
 let run (cfg : C.config) =
   C.section "Bucket skip-webs: the M sweep (E7) and the constant-cost regime (E7b)";

@@ -18,6 +18,8 @@ module C = Bench_common
 module HP2 = H.Make (I.Points2d)
 module HStr = H.Make (I.Strings)
 
+(* Not through the roster: the membership check reads [predecessor] and
+   the range row calls [B1.range], neither of which the driver returns. *)
 let one_d ~seed ~n ~queries ~measure =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
   let net = Network.create ~hosts:n in

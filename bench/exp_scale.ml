@@ -94,6 +94,8 @@ let measure ~pool ~seed ~n ~ops =
   let bound = 100 * n in
   let keys = W.distinct_ints ~seed ~n ~bound in
   let net = Network.create ~hosts:n in
+  (* Not through the roster: the batch-write phase and the size read
+     [insert_batch], [remove_batch] and [size], which its driver lacks. *)
   let h = HInt.build ~net ~seed ?pool keys in
   let kpool = Key_pool.of_array keys in
   let rng = Prng.create (seed + 0x5ca1e) in

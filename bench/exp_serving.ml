@@ -200,6 +200,8 @@ let blocked_rows ~pool ~seed ~ops n =
      k sweep. *)
   let keys, events, qs = plan ~seed ~salt:0xe21 ~read_fraction:1.0 ~ops n in
   let net = Network.create ~hosts:n in
+  (* Not through the roster: the sweep calls [set_cache] and traces
+     queries with coins it supplies, which the driver does not expose. *)
   let b = B1.build ~net ~seed ~m:(4 * C.log2i n) ?pool keys in
   let serve () =
     Network.reset_traffic net;

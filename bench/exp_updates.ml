@@ -8,35 +8,25 @@
 module Network = Skipweb_net.Network
 module H = Skipweb_core.Hierarchy
 module I = Skipweb_core.Instances
-module B1 = Skipweb_core.Blocked1d
+module R = Skipweb_roster.Roster
 module W = Skipweb_workload.Workload
 module Point = Skipweb_geom.Point
 module Prng = Skipweb_util.Prng
 module Stats = Skipweb_util.Stats
 module C = Bench_common
 
-module HInt = H.Make (I.Ints)
 module HP2 = H.Make (I.Points2d)
 module HStr = H.Make (I.Strings)
 
 let mean_updates inserts deletes = (Stats.mean inserts +. Stats.mean deletes) /. 2.0
 
-let generic_1d ~seed ~n ~updates =
+(* The two 1-d skip-webs, built through the roster. *)
+let one_d entry ~seed ~n ~updates =
   let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  let net = Network.create ~hosts:n in
-  let h = HInt.build ~net ~seed keys in
+  let d = R.build entry ~net:(Network.create ~hosts:n) ~seed keys in
   let fresh = C.fresh_keys ~seed ~count:updates ~bound:(100 * n) ~existing:keys in
-  let ins = Array.to_list (Array.map (fun k -> float_of_int (HInt.insert h k)) fresh) in
-  let del = Array.to_list (Array.map (fun k -> float_of_int (HInt.remove h k)) fresh) in
-  mean_updates ins del
-
-let blocked_1d ~seed ~n ~updates =
-  let keys = W.distinct_ints ~seed ~n ~bound:(100 * n) in
-  let net = Network.create ~hosts:n in
-  let g = B1.build ~net ~seed ~m:(4 * C.log2i n) keys in
-  let fresh = C.fresh_keys ~seed ~count:updates ~bound:(100 * n) ~existing:keys in
-  let ins = Array.to_list (Array.map (fun k -> float_of_int (B1.insert g k)) fresh) in
-  let del = Array.to_list (Array.map (fun k -> float_of_int (B1.delete g k)) fresh) in
+  let ins = Array.to_list (Array.map (fun k -> float_of_int (d.R.insert k)) fresh) in
+  let del = Array.to_list (Array.map (fun k -> float_of_int (d.R.delete k)) fresh) in
   mean_updates ins del
 
 let quad_2d ~seed ~n ~updates =
@@ -66,8 +56,8 @@ let run (cfg : C.config) =
   let series f = List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun seed -> f ~seed ~n ~updates:cfg.C.updates)) sizes in
   C.print_shape_table ~title:"U(n): mean update messages (insert/delete averaged)" ~sizes
     [
-      ("1-d generic skip-web", series generic_1d, "~O(log n)");
-      ("1-d blocked skip-web", series blocked_1d, "~O(log n/loglog n)");
+      ("1-d generic skip-web", series (one_d R.Skipweb_generic), "~O(log n)");
+      ("1-d blocked skip-web", series (one_d R.Skipweb), "~O(log n/loglog n)");
       ("quadtree skip-web", series quad_2d, "~O(log n)");
       ("trie skip-web", series trie_updates, "~O(log n)");
     ]

@@ -6,6 +6,8 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
+(* A tour of the Blocked1d API itself (levels, storage, predecessor and
+   successor), so it builds the structure directly, not through the roster. *)
 module Network = Skipweb_net.Network
 module Skipweb = Skipweb_core.Blocked1d
 module Prng = Skipweb_util.Prng

@@ -9,14 +9,14 @@
    Run with: dune exec examples/warehouse_index.exe *)
 
 module Network = Skipweb_net.Network
-module Skipweb = Skipweb_core.Blocked1d
-module SG = Skipweb_skipgraph.Skip_graph
+module R = Skipweb_roster.Roster
 module W = Skipweb_workload.Workload
-module Prng = Skipweb_util.Prng
 
-let log2i n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  max 1 (go 0)
+(* Mean messages over [qs] of [entry] built over [keys] on [net]; the
+   roster draws every query's coins from one stream seeded 2. *)
+let mean_messages entry ?m ~net keys qs =
+  let d = R.build entry ~net ~seed:1 ?m keys in
+  float_of_int (Array.fold_left ( + ) 0 (d.R.query_all qs)) /. float_of_int (Array.length qs)
 
 let () =
   Printf.printf "%8s | %6s | %6s | %22s | %22s\n" "items" "hosts" "M" "bucket skip-web msgs" "flat skip graph msgs";
@@ -24,23 +24,12 @@ let () =
     (fun n ->
       let keys = W.distinct_ints ~seed:99 ~n ~bound:(100 * n) in
       let m = int_of_float (Float.sqrt (float_of_int n)) in
-      let hosts = max 4 (n * log2i n / m) in
+      let hosts = max 4 (n * R.log2i n / m) in
       let net = Network.create ~hosts:(min n hosts) in
-      let web = Skipweb.build ~net ~seed:1 ~m keys in
-      let rng = Prng.create 2 in
       let qs = W.query_mix ~seed:3 ~keys ~n:200 ~bound:(100 * n) in
-      let web_mean =
-        Array.fold_left (fun acc q -> acc + (Skipweb.query web ~rng q).Skipweb.messages) 0 qs
-      in
-      let net2 = Network.create ~hosts:(n + 4) in
-      let sg = SG.create ~net:net2 ~seed:1 ~keys in
-      let rng2 = Prng.create 2 in
-      let sg_mean =
-        Array.fold_left (fun acc q -> acc + (SG.search_from_random sg ~rng:rng2 q).SG.messages) 0 qs
-      in
-      Printf.printf "%8d | %6d | %6d | %22.2f | %22.2f\n" n (Network.host_count net) m
-        (float_of_int web_mean /. 200.0)
-        (float_of_int sg_mean /. 200.0))
+      let web = mean_messages R.Bucket_skipweb ~m ~net keys qs in
+      let sg = mean_messages R.Skip_graph ~net:(Network.create ~hosts:(n + 4)) keys qs in
+      Printf.printf "%8d | %6d | %6d | %22.2f | %22.2f\n" n (Network.host_count net) m web sg)
     [ 1024; 4096; 16384 ];
   Printf.printf
     "\nWith M = sqrt(n) per host, lookups cost O(1) messages at every scale\n\

@@ -6,8 +6,8 @@
 
     The 1-d instance here uses the {e arbitrary} placement of §2.4 (query
     cost O(log n)); the improved blocked 1-d structure with
-    O(log n / log log n) queries is {!Blocked1d}. Comparing the two is
-    ablation A1.
+    O(log n / log log n) queries is {!Blocked1d}. E13 compares the two
+    (ablation A1).
 
     Every instance keeps all mutable state (range-id counters included)
     inside its [t] — no module-level globals — as the domain-confinement
