@@ -52,7 +52,7 @@ let search_cost (keys, towers) k =
 let figure1 (cfg : C.config) =
   C.section "Figure 1: the skip list (E15)";
   let height ~seed ~n = float_of_int (Array.fold_left max 0 (snd (skip_list ~seed ~n))) in
-  let search_cost ~seed ~n =
+  let mean_cost ~seed ~n =
     let sl = skip_list ~seed ~n in
     let qs = W.query_mix ~seed:(seed + 2) ~keys:(fst sl) ~n:cfg.C.queries ~bound:(100 * n) in
     Stats.mean (Array.to_list (Array.map (fun q -> float_of_int (search_cost sl q)) qs))
@@ -63,7 +63,7 @@ let figure1 (cfg : C.config) =
         List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun seed -> height ~seed ~n)) cfg.C.sizes,
         "~log2 n" );
       ( "search pointer traversals",
-        List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun seed -> search_cost ~seed ~n)) cfg.C.sizes,
+        List.map (fun n -> C.mean_over_seeds cfg.C.seeds (fun seed -> mean_cost ~seed ~n)) cfg.C.sizes,
         "~O(log n)" );
     ];
   (* Tower height distribution at one size: geometric with ratio 1/2. *)

@@ -173,6 +173,7 @@ let hierarchy_rows ~pool ~seed ~ops n =
   let keys, events, qs = plan ~seed ~salt:0xe20 ~read_fraction:0.9 ~ops n in
   let run ~cache =
     let net = Network.create ~hosts:n in
+    (* Not through the roster: traced queries draw coins the sweep supplies. *)
     let h =
       match cache with
       | None -> HInt.build ~net ~seed ?pool keys

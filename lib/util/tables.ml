@@ -19,10 +19,7 @@ let looks_numeric s =
 
 (* Display width in UTF-8 code points: every byte but a continuation byte
    (10xxxxxx) starts one, so a "§" or "Θ" cell pads as one column. *)
-let width s =
-  let n = ref 0 in
-  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
-  !n
+let width s = String.fold_left (fun n c -> if Char.code c land 0xC0 <> 0x80 then n + 1 else n) 0 s
 
 let render t =
   let rows = List.rev t.rows in
